@@ -239,13 +239,53 @@ def residual(field, spec, flux_edges=None, weight_exponent=0):
 
 # -- Jacobian ----------------------------------------------------------------
 
-def jacobian(field, spec, flux_edges=None, weight_exponent=0):
-    """Exact derivative of :func:`residual` as a CSR matrix.
+@dataclass(frozen=True)
+class RankOneJacobian:
+    """A Jacobian held as ``local + outer(u, v)`` without forming the outer
+    product.
+
+    ``local`` is the sparse CSR part (cell terms and per-edge boundary
+    terms); ``u`` and ``v`` are dense vectors.  The Neumann compatibility
+    rescale couples every flux vertex to every other one through this
+    rank-one term, which as a sparse block would hold N_b^2 entries.
+    """
+
+    local: sp.csr_matrix
+    u: np.ndarray
+    v: np.ndarray
+
+    @property
+    def shape(self):
+        return self.local.shape
+
+    @property
+    def nnz(self):
+        return self.local.nnz
+
+    def __matmul__(self, x):
+        return self.local @ x + self.u * (self.v @ x)
+
+    def tocsr(self):
+        """The materialized matrix; the outer product is stored only on the
+        nonzero entries of u and v."""
+        return self.local + (sp.csr_matrix(self.u[:, None])
+                             @ sp.csr_matrix(self.v[None, :]))
+
+
+def jacobian(field, spec, flux_edges=None, weight_exponent=0, split=False):
+    """Exact derivative of :func:`residual`.
 
     Includes the boundary-flux derivatives with respect to the endpoint
-    values and the tangential difference quotient; for Neumann data the
-    derivative of the compatibility rescale adds a rank-one block coupling
-    boundary vertices, materialized into the sparse pattern.
+    values and the tangential difference quotient.  For Neumann data the
+    derivative of the compatibility rescale s_hat = H |Omega| / Q0 adds the
+    rank-one term ``outer((s_hat / Q0) * bvec, dQ0)``, where bvec holds the
+    flux integrals against each basis function and dQ0 the gradient of the
+    flux integral Q0.  That term couples every pair of flux vertices, so
+    with ``split=True`` (the Newton path) it is kept apart: the result is a
+    :class:`RankOneJacobian` whose sparse part has the Robin pattern, and
+    :func:`pmclab.solver.linear_solve` applies the rank-one term by
+    Sherman-Morrison.  Otherwise, and whenever there is no rank-one term
+    (Robin data, no flux edges), the result is a CSR matrix.
     """
     mesh = field.mesh
     u = field.values
@@ -270,6 +310,7 @@ def jacobian(field, spec, flux_edges=None, weight_exponent=0):
             cols.append(mesh.cells[:, j])
             vals.append(aw * np.einsum("mi,mi->m", gphi[:, i, :], dT_gphi[:, j, :]))
 
+    rank_one = None
     _, a, b, lengths, qpts = _edge_geometry(mesh, flux_edges)
     if len(a):
         wq = _edge_weight(qpts, m) * (lengths[:, None] / 2.0)
@@ -292,7 +333,7 @@ def jacobian(field, spec, flux_edges=None, weight_exponent=0):
                     cols.append(k_idx)
                     vals.append(-s_hat * np.sum(wq * phi[i_loc][None, :], axis=1)
                                 * dg0_ds * dsk)
-            # rank-one part: + (s_hat / Q0) * outer(bflux, dQ0)
+            # rank-one part: + (s_hat / Q0) * outer(bvec, dQ0)
             q0_e = np.sum(wq, axis=1) * g0
             q_total = float(np.sum(q0_e))
             bvec = np.zeros(n)
@@ -302,14 +343,7 @@ def jacobian(field, spec, flux_edges=None, weight_exponent=0):
             dq_edge = np.sum(wq, axis=1) * dg0_ds
             np.add.at(dq, a, dq_edge * ds_da)
             np.add.at(dq, b, dq_edge * ds_db)
-            bnz = np.nonzero(bvec)[0]
-            qnz = np.nonzero(dq)[0]
-            if bnz.size and qnz.size:
-                r1 = (s_hat / q_total) * np.outer(bvec[bnz], dq[qnz])
-                rr, cc = np.meshgrid(bnz, qnz, indexing="ij")
-                rows.append(rr.ravel())
-                cols.append(cc.ravel())
-                vals.append(r1.ravel())
+            rank_one = ((s_hat / q_total) * bvec, dq)
         else:
             alpha = spec.alpha
             uq = ua[:, None] * phi[0][None, :] + ub[:, None] * phi[1][None, :]
@@ -327,7 +361,11 @@ def jacobian(field, spec, flux_edges=None, weight_exponent=0):
     rows = np.concatenate(rows)
     cols = np.concatenate(cols)
     vals = np.concatenate(vals)
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    local = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    if rank_one is None:
+        return local
+    J = RankOneJacobian(local, *rank_one)
+    return J if split else J.tocsr()
 
 
 def ellipticity_margins(field, spec):

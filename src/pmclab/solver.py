@@ -1,11 +1,16 @@
 """Damped Newton iteration, constrained linear solves, and homotopy continuation.
 
-Neumann problems are gauge invariant under additive constants, so every
-Newton correction is solved against the augmented system [[J, 1], [1^T, 0]]
-that pins the mean of the correction to zero, and returned fields are
-mean-normalized.  Continuation walks a schedule of homotopy parameters,
-warm-starting each solve from the previous step and recording the critical
-point census after each converged step.
+Neumann problems are gauge invariant under additive constants and their
+residual sums to zero for every field, so the Jacobian J has the constants
+as both its right and left null vector.  Each Newton correction is the
+mean-zero solution of J x = -F: the constant gauge is eliminated by pinning
+one vertex and factoring only the sparse local part of J, the rank-one
+coupling from the flux compatibility rescale is applied by Sherman-Morrison
+(see :func:`linear_solve`), and returned fields are mean-normalized.
+
+Continuation walks a schedule of homotopy parameters, warm-starting each
+solve from the previous step and recording the critical point census after
+each converged step.
 """
 
 from __future__ import annotations
@@ -17,8 +22,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import (ScalarField, ellipticity_margins, flux_scale,
-                       jacobian, mesh_feasibility, residual)
+from .assembly import (RankOneJacobian, ScalarField, ellipticity_margins,
+                       flux_scale, jacobian, mesh_feasibility, residual)
 from .critical import find_critical_points
 from .errors import (InfeasibleProblemError, InvalidParameterError,
                      LinearSolveFailure, SolverFailure)
@@ -85,46 +90,78 @@ class HomotopyTrace:
 def linear_solve(A, b, constraint="none", return_info=False):
     """Sparse direct solve, optionally with a zero-mean constraint.
 
-    With ``constraint="mean-zero"`` the augmented saddle system
-    [[A, 1], [1^T, 0]] is factored, which remains nonsingular when A has the
-    constant vector in its nullspace.  For a right-hand side with a nonzero
-    mean the result solves A x = b - lambda * 1 and the returned info flags
-    the incompatibility.
+    ``A`` is a sparse matrix or a :class:`RankOneJacobian` ``L + u v^T``;
+    the rank-one term is never formed but applied by Sherman-Morrison: with
+    z = L^-1 u and y = L^-1 rhs, x = y - z (v^T y) / (1 + v^T z), one extra
+    back-solve against the same factorization of the sparse part.
+
+    With ``constraint="mean-zero"`` the result is that of the bordered
+    system [[A, 1], [1^T, 0]] [x, lambda] = [b, 0], computed without
+    factoring it.  A Neumann Jacobian satisfies 1^T A = 0 (its residual sums
+    to zero for every field) and A 1 = 0 (gauge invariance), so multiplying
+    the first block row by 1^T gives lambda = mean(b), and A x = b - lambda 1
+    is consistent.  Its last row is then implied by the others, so the last
+    unknown is pinned to zero, the leading (n-1) block is solved, and the
+    result is shifted to mean zero.  A nonzero lambda is flagged as an
+    incompatible right-hand side.
+
+    Every solution is checked against the full operator:
+    ||A x - (b - lambda 1)|| <= 1e-6 ||b||.  That check fails, and
+    :class:`LinearSolveFailure` is raised, for singular systems and whenever
+    elimination cannot stand in for the bordered solve (a nullspace beyond
+    the constants, or a left null vector that is not constant).
     """
     b = np.asarray(b, dtype=float)
-    n = A.shape[0]
+    if isinstance(A, RankOneJacobian):
+        L, u, v = A.local, A.u, A.v
+    else:
+        L, u, v = A, None, None
     if constraint == "none":
-        try:
-            lu = spla.splu(sp.csc_matrix(A))
-            x = lu.solve(b)
-        except RuntimeError as exc:
-            raise LinearSolveFailure(
-                f"sparse factorization failed ({exc}); a singular system "
-                "usually means a missing mean-zero constraint") from exc
-        bnorm = np.linalg.norm(b)
-        bad = not np.all(np.isfinite(x)) or (
-            bnorm > 0 and np.linalg.norm(A @ x - b) > 1e-6 * bnorm)
-        if bad:
-            raise LinearSolveFailure(
-                "numerically singular system (large solve residual); a "
-                "constant nullspace needs the mean-zero constraint")
-        return (x, {"multiplier": 0.0, "incompatible": False}) if return_info else x
-    if constraint != "mean-zero":
+        lam = 0.0
+        x = _factor_solve(L, u, v, b)
+    elif constraint == "mean-zero":
+        lam = float(b.mean())
+        keep = slice(0, A.shape[0] - 1)
+        x = np.zeros(A.shape[0])
+        x[keep] = _factor_solve(
+            sp.csr_matrix(L)[keep, keep],
+            None if u is None else u[keep], None if v is None else v[keep],
+            b[keep] - lam)
+        x -= x.mean()
+    else:
         raise InvalidParameterError(f"unknown constraint {constraint!r}")
 
-    ones = np.ones((n, 1))
-    aug = sp.bmat([[sp.csr_matrix(A), ones], [ones.T, None]], format="csc")
-    try:
-        lu = spla.splu(aug)
-    except RuntimeError as exc:
-        raise LinearSolveFailure(f"augmented factorization failed ({exc})") from exc
-    sol = lu.solve(np.concatenate([b, [0.0]]))
-    if not np.all(np.isfinite(sol)):
-        raise LinearSolveFailure("augmented solve produced non-finite values")
-    x, lam = sol[:n], float(sol[n])
+    bnorm = np.linalg.norm(b)
+    if not np.all(np.isfinite(x)) or (
+            bnorm > 0 and np.linalg.norm(A @ x - (b - lam)) > 1e-6 * bnorm):
+        raise LinearSolveFailure(
+            "numerically singular system (large solve residual); a "
+            "constant nullspace needs the mean-zero constraint, and the "
+            "mean-zero constraint needs constant left and right null vectors")
     info = {"multiplier": lam,
             "incompatible": bool(abs(lam) > 1e-10 * max(1.0, np.abs(b).max()))}
     return (x, info) if return_info else x
+
+
+def _factor_solve(L, u, v, rhs):
+    """Solve (L + u v^T) x = rhs with one sparse LU of L (u, v may be None)."""
+    try:
+        lu = spla.splu(sp.csc_matrix(L))
+    except RuntimeError as exc:
+        raise LinearSolveFailure(
+            f"sparse factorization failed ({exc}); a singular system "
+            "usually means a missing mean-zero constraint, or a nullspace "
+            "beyond the constants") from exc
+    y = lu.solve(rhs)
+    if u is None:
+        return y
+    z = lu.solve(u)
+    vz = float(v @ z)
+    denom = 1.0 + vz
+    if not abs(denom) > 1e-12 * max(1.0, abs(vz)):
+        raise LinearSolveFailure(
+            f"rank-one update is singular (1 + v^T z = {denom:.3g})")
+    return y - z * (float(v @ y) / denom)
 
 
 def newton_solve(mesh, spec, init=None, opts=None, flux_edges=None,
@@ -175,7 +212,7 @@ def newton_solve(mesh, spec, init=None, opts=None, flux_edges=None,
         if inf_norm <= opts.newton_tol:
             report.converged = True
             break
-        J = jacobian(field, spec, flux_edges, weight_exponent)
+        J = jacobian(field, spec, flux_edges, weight_exponent, split=True)
         delta = linear_solve(J, -F, constraint=constraint)
 
         beta = 1.0
@@ -343,9 +380,6 @@ class RadialSolution:
     def at_points(self, pts):
         pts = np.asarray(pts, dtype=float)
         return self(np.linalg.norm(pts, axis=-1))
-
-    def hessian_at_center(self):
-        return np.eye(2) * (self.spec.H / self.n)
 
 
 def radial_disk_oracle(spec, R=1.0):

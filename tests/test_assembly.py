@@ -2,10 +2,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pmclab.assembly import (ProblemSpec, ScalarField, boundary_flux,
-                             ellipticity_margins, flux_scale, jacobian,
-                             mesh_feasibility, neumann_feasibility, residual)
+from pmclab.assembly import (ProblemSpec, RankOneJacobian, ScalarField,
+                             boundary_flux, ellipticity_margins, flux_scale,
+                             jacobian, mesh_feasibility, neumann_feasibility,
+                             residual)
+from pmclab.axisym import MeridianProblem, meridian_mesh, outer_flux_edges
 from pmclab.errors import InvalidParameterError
 from pmclab.geometry import triangulate
 from pmclab.solver import radial_disk_oracle
@@ -175,6 +180,50 @@ class TestJacobian:
         lam_par, lam_perp = ellipticity_margins(field, robin_spec)
         assert lam_par > 0 and lam_perp > 0
         assert report.ellipticity_min > 0
+
+
+@pytest.fixture(scope="module")
+def meridian_mesh_02():
+    spec = ProblemSpec.neumann(0.6, 0.5, n_dim=4)
+    return meridian_mesh(MeridianProblem.ball(1.0, 4, spec), 0.2)
+
+
+class TestNeumannJacobianSplit:
+    """The split Neumann Jacobian local + outer(u, v) that the Newton solve
+    factors: constants span both null spaces, the parts add up to
+    :func:`jacobian`, and the sparse part has no dense boundary block."""
+
+    @staticmethod
+    def _check(mesh, seed, amp, t, flux_edges, m):
+        field = ScalarField(
+            mesh, amp * np.random.default_rng(seed).standard_normal(
+                mesh.n_vertices))
+        spec = ProblemSpec.neumann(0.6, 0.5, t=t)
+        J = jacobian(field, spec, flux_edges, m)
+        split = jacobian(field, spec, flux_edges, m, split=True)
+        assert isinstance(split, RankOneJacobian)
+        jnorm = spla.norm(J)
+        ones = np.ones(mesh.n_vertices)
+        assert np.linalg.norm(J.T @ ones) <= 1e-12 * jnorm
+        assert np.linalg.norm(J @ ones) <= 1e-12 * jnorm
+        parts = split.local.toarray() + np.outer(split.u, split.v)
+        assert np.abs(parts - J.toarray()).max() <= 1e-14 * jnorm
+        robin = jacobian(field, ProblemSpec.robin(0.6, 1.0, t=t), flux_edges, m)
+        assert split.nnz == split.local.nnz == robin.nnz
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), amp=st.floats(0.0, 1.0),
+           t=st.floats(0.0, 1.0))
+    @settings(max_examples=25, deadline=None)
+    def test_planar(self, disk_mesh_02, seed, amp, t):
+        self._check(disk_mesh_02, seed, amp, t, None, 0)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), amp=st.floats(0.0, 1.0),
+           t=st.floats(0.0, 1.0))
+    @settings(max_examples=25, deadline=None)
+    def test_weighted_meridian(self, meridian_mesh_02, seed, amp, t):
+        edges = outer_flux_edges(meridian_mesh_02)
+        assert len(edges) < len(meridian_mesh_02.boundary_edges)
+        self._check(meridian_mesh_02, seed, amp, t, edges, 2)
 
 
 class TestFeasibility:

@@ -3,7 +3,8 @@ import pytest
 import scipy.integrate
 import scipy.sparse as sp
 
-from pmclab.assembly import ProblemSpec, ScalarField, jacobian, residual
+from pmclab.assembly import (ProblemSpec, RankOneJacobian, ScalarField,
+                             jacobian, residual)
 from pmclab.errors import (InfeasibleProblemError, InvalidParameterError,
                            LinearSolveFailure, SolverFailure)
 from pmclab.solver import (SolverOptions, homotopy_solve, linear_solve,
@@ -83,6 +84,61 @@ class TestLinearSolve:
                      flux_edges=np.array([], dtype=int))
         with pytest.raises(LinearSolveFailure):
             linear_solve(A, rng.standard_normal(m.n_vertices))
+
+
+    def test_mean_zero_two_dimensional_nullspace_fails(self, disk_mesh_02,
+                                                        rng):
+        m = disk_mesh_02
+        spec0 = ProblemSpec.neumann(0.6, 0.5, t=0.0)
+        K = jacobian(ScalarField.zeros(m), spec0,
+                     flux_edges=np.array([], dtype=int))
+        A = sp.block_diag([K, K], format="csr")
+        b = rng.standard_normal(A.shape[0])
+        with pytest.raises(LinearSolveFailure):
+            linear_solve(A, b - b.mean(), constraint="mean-zero")
+
+    def test_mean_zero_nonconstant_left_null_vector_fails(self, disk_mesh_02,
+                                                          rng):
+        # D K keeps the constants as right null vector but its left null
+        # vector is D^-1 1; the bordered system is regular, elimination
+        # with lambda = mean(b) is not a stand-in for it
+        m = disk_mesh_02
+        spec0 = ProblemSpec.neumann(0.6, 0.5, t=0.0)
+        K = jacobian(ScalarField.zeros(m), spec0,
+                     flux_edges=np.array([], dtype=int))
+        A = (sp.diags(rng.uniform(0.5, 2.0, m.n_vertices)) @ K).tocsr()
+        assert np.abs(A @ np.ones(m.n_vertices)).max() <= 1e-12
+        b = rng.standard_normal(m.n_vertices)
+        with pytest.raises(LinearSolveFailure):
+            linear_solve(A, b, constraint="mean-zero")
+
+    def test_singular_rank_one_update_fails(self, rng):
+        n = 10
+        e0 = np.eye(n)[0]
+        A = RankOneJacobian(sp.identity(n, format="csr"), e0, -e0)
+        with pytest.raises(LinearSolveFailure, match="rank-one"):
+            linear_solve(A, rng.standard_normal(n))
+
+    def test_neumann_step_matches_dense_bordered_reference(self, disk_mesh_02,
+                                                           rng):
+        m = disk_mesh_02
+        n = m.n_vertices
+        spec = ProblemSpec.neumann(0.6, 0.5)
+        for _ in range(5):
+            u = ScalarField(m, 0.4 * rng.standard_normal(n))
+            split = jacobian(u, spec, split=True)
+            dense = jacobian(u, spec).toarray()
+            bordered = np.block([[dense, np.ones((n, 1))],
+                                 [np.ones((1, n)), np.zeros((1, 1))]])
+            for b in (-residual(u, spec), rng.standard_normal(n) + 0.3):
+                x, info = linear_solve(split, b, constraint="mean-zero",
+                                       return_info=True)
+                ref = np.linalg.lstsq(bordered, np.append(b, 0.0),
+                                      rcond=None)[0]
+                assert np.linalg.norm(x - ref[:n]) \
+                    <= 1e-10 * np.linalg.norm(ref[:n])
+                assert info["multiplier"] == pytest.approx(
+                    ref[n], rel=1e-10, abs=1e-12)
 
 
 class TestNewtonSolve:
