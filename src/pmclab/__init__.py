@@ -8,8 +8,8 @@ conditions, nodal-set geometry, homotopy stability, and the axisymmetric
 higher-dimensional case) as quantitative pass/fail tests.
 """
 
-from .geometry import (ConvexDomain, TriMesh, contains, make_disk,
-                       make_ellipse, make_rounded_polygon, triangulate)
+from .geometry import (ConvexDomain, TriMesh, make_disk, make_ellipse,
+                       make_rounded_polygon, triangulate)
 from .assembly import (ProblemSpec, ScalarField, boundary_flux, jacobian,
                        neumann_feasibility, residual)
 from .solver import (HomotopyTrace, SolveReport, homotopy_solve, linear_solve,
@@ -25,7 +25,7 @@ from .verify import VerificationReport, run_suite
 from .config import RunConfig, parse_config
 
 __all__ = [
-    "ConvexDomain", "TriMesh", "contains", "make_disk", "make_ellipse",
+    "ConvexDomain", "TriMesh", "make_disk", "make_ellipse",
     "make_rounded_polygon", "triangulate",
     "ProblemSpec", "ScalarField", "boundary_flux", "jacobian",
     "neumann_feasibility", "residual",

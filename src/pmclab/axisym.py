@@ -16,12 +16,10 @@ import numpy as np
 
 from .critical import recover_gradient
 from .errors import InvalidParameterError, NoAxisCriticalError
-from .geometry import mesh_from_loop
+from .geometry import (_BOUNDARY_SPACING_FACTOR, _INTERIOR_CLEARANCE,
+                       _LATTICE_SPACING_FACTOR, mesh_from_loop)
 from .solver import RadialSolution, SolverOptions, newton_solve
 
-_BOUNDARY_SPACING_FACTOR = 0.85
-_LATTICE_SPACING_FACTOR = 0.9
-_INTERIOR_CLEARANCE = 0.5
 _AXIS_TOL = 1e-12
 
 
