@@ -13,7 +13,7 @@ from .geometry import (ConvexDomain, TriMesh, make_disk, make_ellipse,
 from .assembly import (ProblemSpec, ScalarField, boundary_flux, jacobian,
                        neumann_feasibility, residual)
 from .solver import (HomotopyTrace, SolveReport, homotopy_solve, linear_solve,
-                     newton_solve, poisson_init, radial_disk_oracle)
+                     newton_solve, radial_disk_oracle)
 from .critical import (CriticalPointRecord, classify, find_critical_points,
                        gradient_index, interior_max_scan, recover_gradient)
 from .nodal import (LeadingOrderFit, NodalArcSet, cylinder_solution,
@@ -30,7 +30,7 @@ __all__ = [
     "ProblemSpec", "ScalarField", "boundary_flux", "jacobian",
     "neumann_feasibility", "residual",
     "HomotopyTrace", "SolveReport", "homotopy_solve", "linear_solve",
-    "newton_solve", "poisson_init", "radial_disk_oracle",
+    "newton_solve", "radial_disk_oracle",
     "CriticalPointRecord", "classify", "find_critical_points",
     "gradient_index", "interior_max_scan", "recover_gradient",
     "LeadingOrderFit", "NodalArcSet", "cylinder_solution", "difference_field",

@@ -272,6 +272,35 @@ class RankOneJacobian:
                              @ sp.csr_matrix(self.v[None, :]))
 
 
+def _jacobian_pattern(mesh, flux_edges):
+    """CSR ``(indptr, indices)`` of the Jacobian and the slot in its data of
+    each triplet, cached on the mesh per flux-edge set.
+
+    Triplets come in a fixed order: the 3 x 3 block of every cell, row-major
+    within the cell, then four runs over the flux edges a -> b, holding the
+    (row, column) entries (a, a), (b, a), (a, b) and (b, b).  The arrays are
+    read-only because every Jacobian of the mesh shares them.
+    """
+    key = None if flux_edges is None else \
+        np.asarray(flux_edges, dtype=np.int64).tobytes()
+    pattern = mesh._jacobian_patterns.get(key)
+    if pattern is None:
+        n = mesh.n_vertices
+        c = mesh.cells
+        _, a, b, _, _ = _edge_geometry(mesh, flux_edges)
+        rows = np.concatenate([np.repeat(c, 3, axis=1).ravel(), a, b, a, b])
+        cols = np.concatenate([np.tile(c, 3).ravel(), a, a, b, b])
+        pairs, slot = np.unique(rows * n + cols, return_inverse=True)
+        indices = (pairs % n).astype(np.int32)
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(pairs // n, minlength=n), out=indptr[1:])
+        for arr in (indptr, indices, slot):
+            arr.flags.writeable = False
+        pattern = (indptr, indices, slot)
+        mesh._jacobian_patterns[key] = pattern
+    return pattern
+
+
 def jacobian(field, spec, flux_edges=None, weight_exponent=0, split=False):
     """Exact derivative of :func:`residual`.
 
@@ -286,29 +315,38 @@ def jacobian(field, spec, flux_edges=None, weight_exponent=0, split=False):
     :func:`pmclab.solver.linear_solve` applies the rank-one term by
     Sherman-Morrison.  Otherwise, and whenever there is no rank-one term
     (Robin data, no flux edges), the result is a CSR matrix.
+
+    Only values are assembled.  The sparsity pattern of the sparse part
+    depends on the mesh and the flux edges alone; it is built once, cached
+    on the mesh (see :func:`_jacobian_pattern`), and each call sums the cell
+    and edge contributions into the CSR data with one ``np.bincount`` per
+    kind.  The cell block is aw / sqrt(w) (grad phi_i . grad phi_j - t^2 / w
+    p_i p_j) with p = grad u . grad phi and w = 1 + t^2 |grad u|^2, i.e.
+    grad phi_i . dT grad phi_j for dT = (I - t^2 g g^T / w) / sqrt(w), whose
+    eigenvalues w^-3/2 and w^-1/2 are positive.
     """
     mesh = field.mesh
     u = field.values
     m = weight_exponent
     t2 = spec.t ** 2
     n = mesh.n_vertices
+    indptr, indices, slot = _jacobian_pattern(mesh, flux_edges)
+    nnz = len(indices)
+    n_cell = 9 * mesh.n_cells
 
     grads = mesh.cell_gradients(u)
     w = 1.0 + t2 * np.einsum("mi,mi->m", grads, grads)
-    # dT = (I - t^2 g g^T / w) / sqrt(w); eigenvalues w^-3/2 and w^-1/2 > 0
-    outer = np.einsum("mi,mj->mij", grads, grads)
-    dT = (np.eye(2)[None, :, :] - t2 * outer / w[:, None, None]) \
-        / np.sqrt(w)[:, None, None]
-
-    aw = mesh.cell_areas * _cell_weight(mesh, m)
     gphi = _grad_phi(mesh)
-    rows, cols, vals = [], [], []
-    dT_gphi = np.einsum("mij,mkj->mki", dT, gphi)
+    gx, gy = gphi[:, :, 0], gphi[:, :, 1]
+    p = gx * grads[:, :1] + gy * grads[:, 1:]
+    q = p * (t2 / w)[:, None]
+    scale = mesh.cell_areas * _cell_weight(mesh, m) / np.sqrt(w)
+    block = np.empty((mesh.n_cells, 3, 3))
     for i in range(3):
-        for j in range(3):
-            rows.append(mesh.cells[:, i])
-            cols.append(mesh.cells[:, j])
-            vals.append(aw * np.einsum("mi,mi->m", gphi[:, i, :], dT_gphi[:, j, :]))
+        for j in range(i, 3):
+            block[:, i, j] = block[:, j, i] = scale * (
+                gx[:, i] * gx[:, j] + gy[:, i] * gy[:, j] - q[:, i] * p[:, j])
+    data = np.bincount(slot[:n_cell], weights=block.ravel(), minlength=nnz)
 
     rank_one = None
     _, a, b, lengths, qpts = _edge_geometry(mesh, flux_edges)
@@ -318,6 +356,7 @@ def jacobian(field, spec, flux_edges=None, weight_exponent=0, split=False):
         s = (ub - ua) / lengths
         ds_da, ds_db = -1.0 / lengths, 1.0 / lengths
         phi = np.stack([1.0 - _QXI, _QXI])          # phi[k, q] for k in (a, b)
+        vals = []
 
         if spec.bc == "neumann":
             c = spec.c
@@ -327,10 +366,8 @@ def jacobian(field, spec, flux_edges=None, weight_exponent=0, split=False):
             s_hat = _neumann_scale(field, spec, flux_edges, m)
             # d residual_i / d u_k = -s_hat * bint dg0/ds ds/du_k phi_i
             #                        - d s_hat / d u_k * bint g0 phi_i
-            for (k_idx, dsk) in ((a, ds_da), (b, ds_db)):
-                for i_loc, i_idx in ((0, a), (1, b)):
-                    rows.append(i_idx)
-                    cols.append(k_idx)
+            for dsk in (ds_da, ds_db):
+                for i_loc in (0, 1):
                     vals.append(-s_hat * np.sum(wq * phi[i_loc][None, :], axis=1)
                                 * dg0_ds * dsk)
             # rank-one part: + (s_hat / Q0) * outer(bvec, dQ0)
@@ -351,17 +388,14 @@ def jacobian(field, spec, flux_edges=None, weight_exponent=0, split=False):
             rad = np.sqrt(rad2)
             dg_du = -alpha * (1.0 + t2 * s[:, None] ** 2) / rad ** 3
             dg_ds = alpha * uq * t2 * s[:, None] / rad ** 3
-            for (k_loc, k_idx, dsk) in ((0, a, ds_da), (1, b, ds_db)):
-                for i_loc, i_idx in ((0, a), (1, b)):
-                    dgk = dg_du * phi[k_loc][None, :] + dg_ds * dsk[:, None]
-                    rows.append(i_idx)
-                    cols.append(k_idx)
+            for k_loc, dsk in ((0, ds_da), (1, ds_db)):
+                dgk = dg_du * phi[k_loc][None, :] + dg_ds * dsk[:, None]
+                for i_loc in (0, 1):
                     vals.append(-np.sum(wq * dgk * phi[i_loc][None, :], axis=1))
+        data += np.bincount(slot[n_cell:], weights=np.concatenate(vals),
+                            minlength=nnz)
 
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    local = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    local = sp.csr_matrix((data, indices, indptr), shape=(n, n))
     if rank_one is None:
         return local
     J = RankOneJacobian(local, *rank_one)

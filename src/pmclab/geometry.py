@@ -348,6 +348,7 @@ class TriMesh:
         self._neighbors = None
         self._vertex_cells = None
         self._centroid_tree = None
+        self._jacobian_patterns = {}   # see assembly._jacobian_pattern
 
     # -- derived structure -------------------------------------------------
 

@@ -4,9 +4,20 @@ Neumann problems are gauge invariant under additive constants and their
 residual sums to zero for every field, so the Jacobian J has the constants
 as both its right and left null vector.  Each Newton correction is the
 mean-zero solution of J x = -F: the constant gauge is eliminated by pinning
-one vertex and factoring only the sparse local part of J, the rank-one
+one vertex and solving with only the sparse local part of J, the rank-one
 coupling from the flux compatibility rescale is applied by Sherman-Morrison
-(see :func:`linear_solve`), and returned fields are mean-normalized.
+or inside the Krylov operator (see :func:`linear_solve`), and returned
+fields are mean-normalized.
+
+A Newton solve, and a whole homotopy continuation, keeps the sparse LU of
+the last block it factored (SuperLU with the symmetric minimum-degree
+ordering of A^T + A) and solves every later linear system by GMRES on that
+iteration's exact Jacobian, with the kept LU as preconditioner.  Only when
+GMRES misses its tolerance is the current block factored, kept, and solved
+directly.  A GMRES correction has a true residual of at most 1e-11 times
+its right-hand side: an inexact Newton step, far inside the Newton
+tolerance.  :class:`SolveReport` records the factorizations and the Krylov
+iterations of every Newton iteration.
 
 Continuation walks a schedule of homotopy parameters, warm-starting each
 solve from the previous step and recording the critical point census after
@@ -30,6 +41,12 @@ from .errors import (InfeasibleProblemError, InvalidParameterError,
 
 _MIN_DT = 1.0 / 320.0
 
+# GMRES preconditioned by a kept LU: relative tolerance on the true residual,
+# Krylov space size per cycle, and number of cycles before refactoring
+_GMRES_RTOL = 1e-11
+_GMRES_RESTART = 20
+_GMRES_MAXITER = 3
+
 
 @dataclass
 class SolverOptions:
@@ -51,6 +68,9 @@ class SolveReport:
     flux_scale: float | None = None
     ellipticity_min: float | None = None
     message: str = ""
+    factorizations: int = 0
+    # GMRES iterations of each Newton iteration; 0 where it solved directly
+    krylov_iterations: list = dc_field(default_factory=list)
 
     def as_dict(self):
         return {
@@ -63,6 +83,8 @@ class SolveReport:
             "flux_scale": self.flux_scale,
             "ellipticity_min": self.ellipticity_min,
             "message": self.message,
+            "factorizations": self.factorizations,
+            "krylov_iterations": list(self.krylov_iterations),
         }
 
 
@@ -78,6 +100,7 @@ class HomotopyStep:
     n_saddles: int
     morse_ok: bool
     records: list = dc_field(default_factory=list)
+    solve: SolveReport | None = None
 
 
 @dataclass
@@ -87,13 +110,14 @@ class HomotopyTrace:
     completed: bool = False
 
 
-def linear_solve(A, b, constraint="none", return_info=False):
-    """Sparse direct solve, optionally with a zero-mean constraint.
+def linear_solve(A, b, constraint="none", return_info=False, kept=None):
+    """Sparse solve, optionally with a zero-mean constraint.
 
     ``A`` is a sparse matrix or a :class:`RankOneJacobian` ``L + u v^T``;
-    the rank-one term is never formed but applied by Sherman-Morrison: with
-    z = L^-1 u and y = L^-1 rhs, x = y - z (v^T y) / (1 + v^T z), one extra
-    back-solve against the same factorization of the sparse part.
+    the rank-one term is never formed.  A direct solve applies it by
+    Sherman-Morrison: with z = L^-1 u and y = L^-1 rhs,
+    x = y - z (v^T y) / (1 + v^T z), one extra back-solve against the same
+    factorization of the sparse part.
 
     With ``constraint="mean-zero"`` the result is that of the bordered
     system [[A, 1], [1^T, 0]] [x, lambda] = [b, 0], computed without
@@ -105,25 +129,39 @@ def linear_solve(A, b, constraint="none", return_info=False):
     result is shifted to mean zero.  A nonzero lambda is flagged as an
     incompatible right-hand side.
 
+    ``kept`` (a ``_KeptFactor``, shared by the linear systems of one Newton
+    or homotopy solve) holds the LU of the last block factored.  If it holds
+    one of the right size, the block system, rank-one term included, is
+    solved by GMRES (relative tolerance 1e-11 on the true residual, restart
+    20, at most 3 cycles) preconditioned by that LU.  Without a kept LU, or
+    when GMRES misses its tolerance, the block is factored (SuperLU,
+    ``MMD_AT_PLUS_A`` ordering in symmetric mode, partial pivoting kept),
+    the factor is kept, and the system is solved directly.  With
+    ``kept=None`` every call factors afresh.
+
     Every solution is checked against the full operator:
     ||A x - (b - lambda 1)|| <= 1e-6 ||b||.  That check fails, and
     :class:`LinearSolveFailure` is raised, for singular systems and whenever
     elimination cannot stand in for the bordered solve (a nullspace beyond
     the constants, or a left null vector that is not constant).
+
+    The info dict holds the ``multiplier`` lambda, the ``incompatible``
+    flag, ``krylov_iterations`` (0 for a direct solve) and ``factored``.
     """
     b = np.asarray(b, dtype=float)
+    kept = _KeptFactor() if kept is None else kept
     if isinstance(A, RankOneJacobian):
         L, u, v = A.local, A.u, A.v
     else:
         L, u, v = A, None, None
     if constraint == "none":
         lam = 0.0
-        x = _factor_solve(L, u, v, b)
+        x, krylov, factored = kept.solve(L, u, v, b)
     elif constraint == "mean-zero":
         lam = float(b.mean())
         keep = slice(0, A.shape[0] - 1)
         x = np.zeros(A.shape[0])
-        x[keep] = _factor_solve(
+        x[keep], krylov, factored = kept.solve(
             sp.csr_matrix(L)[keep, keep],
             None if u is None else u[keep], None if v is None else v[keep],
             b[keep] - lam)
@@ -139,19 +177,49 @@ def linear_solve(A, b, constraint="none", return_info=False):
             "constant nullspace needs the mean-zero constraint, and the "
             "mean-zero constraint needs constant left and right null vectors")
     info = {"multiplier": lam,
-            "incompatible": bool(abs(lam) > 1e-10 * max(1.0, np.abs(b).max()))}
+            "incompatible": bool(abs(lam) > 1e-10 * max(1.0, np.abs(b).max())),
+            "krylov_iterations": krylov, "factored": factored}
     return (x, info) if return_info else x
 
 
-def _factor_solve(L, u, v, rhs):
-    """Solve (L + u v^T) x = rhs with one sparse LU of L (u, v may be None)."""
+class _KeptFactor:
+    """The sparse LU of the last block factored by one solve, kept to
+    precondition GMRES on the later linear systems of that solve."""
+
+    def __init__(self):
+        self.lu = None
+
+    def drop(self):
+        self.lu = None
+
+    def solve(self, L, u, v, rhs):
+        """Solve (L + u v^T) x = rhs (u, v may be None).
+
+        Returns ``(x, krylov_iterations, factored)``: GMRES preconditioned
+        by the kept LU when that converges, else a direct solve with a new
+        LU of L, which replaces the kept one.
+        """
+        if self.lu is not None and self.lu.shape == L.shape:
+            x, iterations = _preconditioned_gmres(self.lu, L, u, v, rhs)
+            if x is not None:
+                return x, iterations, False
+        self.lu = _factor(L)
+        return _direct_solve(self.lu, u, v, rhs), 0, True
+
+
+def _factor(L):
     try:
-        lu = spla.splu(sp.csc_matrix(L))
+        return spla.splu(sp.csc_matrix(L), permc_spec="MMD_AT_PLUS_A",
+                         options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise LinearSolveFailure(
             f"sparse factorization failed ({exc}); a singular system "
             "usually means a missing mean-zero constraint, or a nullspace "
             "beyond the constants") from exc
+
+
+def _direct_solve(lu, u, v, rhs):
+    """Solve (L + u v^T) x = rhs with the LU of L, by Sherman-Morrison."""
     y = lu.solve(rhs)
     if u is None:
         return y
@@ -164,17 +232,44 @@ def _factor_solve(L, u, v, rhs):
     return y - z * (float(v @ y) / denom)
 
 
+def _preconditioned_gmres(lu, L, u, v, rhs):
+    """GMRES on L + u v^T with ``lu.solve`` as preconditioner; returns
+    ``(x, iterations)``, with x None when the true residual misses
+    ``_GMRES_RTOL``."""
+    if u is None:
+        matvec = L.__matmul__
+    else:
+        def matvec(x):
+            return L @ x + u * (v @ x)
+    iterations = 0
+
+    def count(_):
+        nonlocal iterations
+        iterations += 1
+
+    x, status = spla.gmres(
+        spla.LinearOperator(L.shape, matvec=matvec, dtype=float), rhs,
+        rtol=_GMRES_RTOL, atol=0.0, restart=_GMRES_RESTART,
+        maxiter=_GMRES_MAXITER,
+        M=spla.LinearOperator(L.shape, matvec=lu.solve, dtype=float),
+        callback=count, callback_type="pr_norm")
+    return (x if status == 0 else None), iterations
+
+
 def newton_solve(mesh, spec, init=None, opts=None, flux_edges=None,
-                 weight_exponent=0):
+                 weight_exponent=0, kept=None):
     """Solve the discrete problem by damped Newton iteration.
 
     Returns ``(field, report)`` with the max-norm residual at or below
     ``opts.newton_tol``.  Armijo backtracking on the Euclidean residual norm
     keeps accepted steps monotone.  Infeasible Neumann data is rejected
     before any iteration; nonconvergence raises :class:`SolverFailure`
-    carrying the report.
+    carrying the report.  The LU factored for the first correction
+    preconditions the later ones (see :func:`linear_solve`); ``kept`` lets
+    :func:`homotopy_solve` share it across its steps.
     """
     opts = opts or SolverOptions()
+    kept = _KeptFactor() if kept is None else kept
     if spec.bc == "neumann":
         feas = mesh_feasibility(mesh, spec, flux_edges, weight_exponent)
         if not feas.feasible:
@@ -213,7 +308,10 @@ def newton_solve(mesh, spec, init=None, opts=None, flux_edges=None,
             report.converged = True
             break
         J = jacobian(field, spec, flux_edges, weight_exponent, split=True)
-        delta = linear_solve(J, -F, constraint=constraint)
+        delta, info = linear_solve(J, -F, constraint=constraint,
+                                   return_info=True, kept=kept)
+        report.factorizations += info["factored"]
+        report.krylov_iterations.append(info["krylov_iterations"])
 
         beta = 1.0
         accepted = False
@@ -251,34 +349,17 @@ def newton_solve(mesh, spec, init=None, opts=None, flux_edges=None,
     return field, report
 
 
-def poisson_init(mesh, spec, opts=None, flux_edges=None, weight_exponent=0):
-    """Solution of the linear t=0 problem, used as a homotopy initializer.
-
-    Robin data is directly well-posed.  Neumann data is generically
-    incompatible at t=0 (the flux integral c*L need not match H*|Omega|);
-    the solve is compatibilized as documented in :mod:`pmclab.assembly` and
-    the raw incompatibility c*L - H*|Omega| is reported.
-    """
-    spec0 = spec.at_t(0.0)
-    field, report = newton_solve(mesh, spec0, opts=opts, flux_edges=flux_edges,
-                                 weight_exponent=weight_exponent)
-    info = {"report": report, "incompatibility": 0.0}
-    if spec.bc == "neumann":
-        feas = mesh_feasibility(mesh, spec0, flux_edges, weight_exponent)
-        info["incompatibility"] = float(
-            spec.c * feas.boundary_length - spec.H * feas.area)
-    return field, info
-
-
 def homotopy_solve(mesh, spec, schedule=None, opts=None, flux_edges=None,
                    weight_exponent=0):
     """Continuation in the homotopy parameter up to t = 1.
 
     Warm-starts each Newton solve from the previous step; on nonconvergence
-    the step is halved down to dt = 1/320 before giving up.  After every
-    converged step the critical points are located and their census recorded
-    in the trace.  Nothing is asserted here; verification is a separate
-    concern.
+    the step is halved down to dt = 1/320 before giving up.  The LU kept by
+    one Newton solve preconditions the next (see :func:`linear_solve`); it
+    is dropped when a step fails.  After every converged step the critical
+    points are located and their census, with the step's
+    :class:`SolveReport`, recorded in the trace.  Nothing is asserted here;
+    verification is a separate concern.
     """
     if schedule is None:
         schedule = np.linspace(0.0, 1.0, 11)
@@ -291,6 +372,7 @@ def homotopy_solve(mesh, spec, schedule=None, opts=None, flux_edges=None,
         raise InvalidParameterError("schedule must end at t = 1")
 
     trace = HomotopyTrace(schedule=list(schedule))
+    kept = _KeptFactor()
     field = None
     t_prev = None
     pending = list(schedule)
@@ -300,8 +382,10 @@ def homotopy_solve(mesh, spec, schedule=None, opts=None, flux_edges=None,
             spec_t = spec.at_t(t_next)
             field_next, report = newton_solve(mesh, spec_t, init=field,
                                               opts=opts, flux_edges=flux_edges,
-                                              weight_exponent=weight_exponent)
+                                              weight_exponent=weight_exponent,
+                                              kept=kept)
         except (SolverFailure, LinearSolveFailure) as exc:
+            kept.drop()
             if t_prev is None or t_next - t_prev <= _MIN_DT:
                 failure = exc if isinstance(exc, SolverFailure) else \
                     SolverFailure(f"linear breakdown at t={t_next}: {exc}")
@@ -312,12 +396,14 @@ def homotopy_solve(mesh, spec, schedule=None, opts=None, flux_edges=None,
         field = field_next
         t_prev = t_next
         pending.pop(0)
-        trace.steps.append(_census_step(field, spec.at_t(t_next)))
+        if not pending:
+            kept.drop()
+        trace.steps.append(_census_step(field, spec.at_t(t_next), report))
     trace.completed = True
     return field, trace
 
 
-def _census_step(field, spec_t):
+def _census_step(field, spec_t, solve_report):
     records = find_critical_points(field, spec_t)
     classes = [r.classification for r in records]
     return HomotopyStep(
@@ -331,6 +417,7 @@ def _census_step(field, spec_t):
         n_saddles=classes.count("saddle"),
         morse_ok=bool(records) and all(c != "degenerate" for c in classes),
         records=records,
+        solve=solve_report,
     )
 
 

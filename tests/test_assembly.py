@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,8 @@ from pmclab.assembly import (ProblemSpec, RankOneJacobian, ScalarField,
                              boundary_flux, ellipticity_margins, flux_scale,
                              jacobian, mesh_feasibility, neumann_feasibility,
                              residual)
+from pmclab.assembly import (_QXI, _cell_weight, _edge_geometry, _edge_weight,
+                             _grad_phi, _neumann_scale)
 from pmclab.axisym import MeridianProblem, meridian_mesh, outer_flux_edges
 from pmclab.errors import InvalidParameterError
 from pmclab.geometry import triangulate
@@ -224,6 +227,137 @@ class TestNeumannJacobianSplit:
         edges = outer_flux_edges(meridian_mesh_02)
         assert len(edges) < len(meridian_mesh_02.boundary_edges)
         self._check(meridian_mesh_02, seed, amp, t, edges, 2)
+
+
+def _coo_jacobian(field, spec, flux_edges=None, m=0):
+    """Reference Jacobian assembled from COO triplets, without the cached
+    pattern: ``(local, rank_one)`` with rank_one None or the pair (u, v)."""
+    mesh = field.mesh
+    u = field.values
+    t2 = spec.t ** 2
+    n = mesh.n_vertices
+    grads = mesh.cell_gradients(u)
+    w = 1.0 + t2 * np.einsum("mi,mi->m", grads, grads)
+    outer = np.einsum("mi,mj->mij", grads, grads)
+    dT = (np.eye(2)[None, :, :] - t2 * outer / w[:, None, None]) \
+        / np.sqrt(w)[:, None, None]
+    aw = mesh.cell_areas * _cell_weight(mesh, m)
+    gphi = _grad_phi(mesh)
+    dT_gphi = np.einsum("mij,mkj->mki", dT, gphi)
+    rows, cols, vals = [], [], []
+    for i in range(3):
+        for j in range(3):
+            rows.append(mesh.cells[:, i])
+            cols.append(mesh.cells[:, j])
+            vals.append(aw * np.einsum("mi,mi->m", gphi[:, i, :],
+                                       dT_gphi[:, j, :]))
+    rank_one = None
+    _, a, b, lengths, qpts = _edge_geometry(mesh, flux_edges)
+    if len(a):
+        wq = _edge_weight(qpts, m) * (lengths[:, None] / 2.0)
+        s = (u[b] - u[a]) / lengths
+        ds = ((a, -1.0 / lengths), (b, 1.0 / lengths))
+        phi = np.stack([1.0 - _QXI, _QXI])
+        if spec.bc == "neumann":
+            c = spec.c
+            rad = np.sqrt(1.0 + t2 * (c ** 2 + s ** 2))
+            g0 = c / rad
+            dg0_ds = -c * t2 * s / rad ** 3
+            s_hat = _neumann_scale(field, spec, flux_edges, m)
+            for k_idx, dsk in ds:
+                for i_loc, i_idx in ((0, a), (1, b)):
+                    rows.append(i_idx)
+                    cols.append(k_idx)
+                    vals.append(-s_hat * np.sum(wq * phi[i_loc], axis=1)
+                                * dg0_ds * dsk)
+            bvec = np.zeros(n)
+            np.add.at(bvec, a, np.sum(wq * g0[:, None] * phi[0], axis=1))
+            np.add.at(bvec, b, np.sum(wq * g0[:, None] * phi[1], axis=1))
+            dq = np.zeros(n)
+            for k_idx, dsk in ds:
+                np.add.at(dq, k_idx, np.sum(wq, axis=1) * dg0_ds * dsk)
+            q_total = float(np.sum(np.sum(wq, axis=1) * g0))
+            rank_one = ((s_hat / q_total) * bvec, dq)
+        else:
+            alpha = spec.alpha
+            uq = u[a][:, None] * phi[0] + u[b][:, None] * phi[1]
+            rad = np.sqrt(1.0 + t2 * (alpha ** 2 * uq ** 2 + s[:, None] ** 2))
+            dg_du = -alpha * (1.0 + t2 * s[:, None] ** 2) / rad ** 3
+            dg_ds = alpha * uq * t2 * s[:, None] / rad ** 3
+            for k_loc, (k_idx, dsk) in enumerate(ds):
+                for i_loc, i_idx in ((0, a), (1, b)):
+                    dgk = dg_du * phi[k_loc] + dg_ds * dsk[:, None]
+                    rows.append(i_idx)
+                    cols.append(k_idx)
+                    vals.append(-np.sum(wq * dgk * phi[i_loc], axis=1))
+    local = sp.coo_matrix((np.concatenate(vals),
+                           (np.concatenate(rows), np.concatenate(cols))),
+                          shape=(n, n)).tocsr()
+    return local, rank_one
+
+
+class TestValuesOnlyJacobian:
+    """:func:`jacobian` sums values into a pattern cached on the mesh; it
+    must equal the COO reference above, pattern and values."""
+
+    @staticmethod
+    def _check(mesh, spec, flux_edges=None, m=0, seed=0):
+        field = ScalarField(mesh, 0.4 * np.random.default_rng(seed)
+                            .standard_normal(mesh.n_vertices))
+        ref_local, rank_one = _coo_jacobian(field, spec, flux_edges, m)
+        ref = ref_local.toarray()
+        if rank_one is not None:
+            ref += np.outer(*rank_one)
+        tol = 1e-14 * np.abs(ref).max()
+        J = jacobian(field, spec, flux_edges, m)
+        assert isinstance(J, sp.csr_matrix)
+        assert np.abs(J.toarray() - ref).max() <= tol
+        split = jacobian(field, spec, flux_edges, m, split=True)
+        if rank_one is None:
+            assert isinstance(split, sp.csr_matrix)
+            local = split
+        else:
+            assert isinstance(split, RankOneJacobian)
+            assert np.array_equal(split.u, rank_one[0])
+            assert np.array_equal(split.v, rank_one[1])
+            local = split.local
+        assert local.nnz == ref_local.nnz
+        assert np.array_equal(local.indptr, ref_local.indptr)
+        assert np.array_equal(local.indices, ref_local.indices)
+        assert np.abs(local.toarray() - ref_local.toarray()).max() <= tol
+
+    @pytest.mark.parametrize("t", [0.0, 0.6, 1.0])
+    def test_robin(self, disk_mesh_02, ellipse_mesh_005, t):
+        for mesh in (disk_mesh_02, ellipse_mesh_005):
+            self._check(mesh, ProblemSpec.robin(0.8, 1.3, t=t))
+
+    @pytest.mark.parametrize("t", [0.0, 0.6, 1.0])
+    def test_neumann(self, disk_mesh_02, ellipse_mesh_005, t):
+        for mesh in (disk_mesh_02, ellipse_mesh_005):
+            self._check(mesh, ProblemSpec.neumann(0.6, 0.5, t=t))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("bc", ["robin", "neumann"])
+    def test_meridian_outer_flux_edges(self, m, bc):
+        spec = (ProblemSpec.robin(0.8, 1.0, n_dim=m + 2) if bc == "robin"
+                else ProblemSpec.neumann(0.6, 0.5, n_dim=m + 2))
+        mesh = meridian_mesh(MeridianProblem.ball(1.0, m + 2, spec), 0.2)
+        self._check(mesh, spec, outer_flux_edges(mesh), m, seed=m)
+
+    @pytest.mark.parametrize("bc", ["robin", "neumann"])
+    def test_empty_flux_edges(self, disk_mesh_02, bc):
+        spec = (ProblemSpec.robin(0.8, 1.0) if bc == "robin"
+                else ProblemSpec.neumann(0.6, 0.5))
+        self._check(disk_mesh_02, spec, np.array([], dtype=int))
+
+    def test_pattern_cached_per_flux_edge_set(self, ellipse):
+        mesh = triangulate(ellipse, 0.2)
+        spec = ProblemSpec.robin(0.8, 1.0)
+        half = np.arange(0, len(mesh.boundary_edges), 2)
+        for flux_edges in (None, half, None, half, list(half)):
+            self._check(mesh, spec, flux_edges)
+            self._check(mesh, ProblemSpec.neumann(0.6, 0.5), flux_edges)
+        assert len(mesh._jacobian_patterns) == 2
 
 
 class TestFeasibility:

@@ -3,12 +3,14 @@ import pytest
 import scipy.integrate
 import scipy.sparse as sp
 
+import pmclab.solver
+
 from pmclab.assembly import (ProblemSpec, RankOneJacobian, ScalarField,
-                             jacobian, residual)
+                             jacobian, mesh_feasibility, residual)
 from pmclab.errors import (InfeasibleProblemError, InvalidParameterError,
                            LinearSolveFailure, SolverFailure)
-from pmclab.solver import (SolverOptions, homotopy_solve, linear_solve,
-                           newton_solve, poisson_init, radial_disk_oracle)
+from pmclab.solver import (SolverOptions, _KeptFactor, homotopy_solve,
+                           linear_solve, newton_solve, radial_disk_oracle)
 
 # frozen closed-form values for the Robin disk problem R=1, alpha=1, H=0.8
 ROBIN_SLOPE_AT_1 = 0.4364357804719848
@@ -141,6 +143,137 @@ class TestLinearSolve:
                     ref[n], rel=1e-10, abs=1e-12)
 
 
+def _recorded_systems(monkeypatch, solve):
+    """The (A, b, constraint) of every linear solve made while ``solve()``
+    runs."""
+    systems = []
+    inner = pmclab.solver.linear_solve
+
+    def record(A, b, constraint="none", **kwargs):
+        systems.append((A, np.array(b), constraint))
+        return inner(A, b, constraint=constraint, **kwargs)
+
+    monkeypatch.setattr(pmclab.solver, "linear_solve", record)
+    solve()
+    monkeypatch.undo()
+    return systems
+
+
+def _singular_cases(mesh, rng):
+    """The singular systems of TestLinearSolve: (A, b, constraint)."""
+    n = mesh.n_vertices
+    K = jacobian(ScalarField.zeros(mesh), ProblemSpec.neumann(0.6, 0.5, t=0.0),
+                 flux_edges=np.array([], dtype=int))
+    stacked = sp.block_diag([K, K], format="csr")
+    b2 = rng.standard_normal(2 * n)
+    e0 = np.eye(n)[0]
+    return [
+        (K, rng.standard_normal(n), "none"),
+        (stacked, b2 - b2.mean(), "mean-zero"),
+        ((sp.diags(rng.uniform(0.5, 2.0, n)) @ K).tocsr(),
+         rng.standard_normal(n), "mean-zero"),
+        (RankOneJacobian(sp.identity(n, format="csr"), e0, -e0),
+         rng.standard_normal(n), "none"),
+    ]
+
+
+class TestKeptFactor:
+    """A kept LU preconditions GMRES on the later systems of one solve; the
+    results must be those of a fresh direct solve, and a factor that does
+    not fit must fall back to refactoring without changing any outcome."""
+
+    def _replay(self, systems):
+        kept = _KeptFactor()
+        infos = []
+        for A, b, constraint in systems:
+            x, info = linear_solve(A, b, constraint=constraint,
+                                   return_info=True, kept=kept)
+            ref, ref_info = linear_solve(A, b, constraint=constraint,
+                                         return_info=True)
+            assert ref_info["factored"] and ref_info["krylov_iterations"] == 0
+            assert np.linalg.norm(x - ref) <= 1e-9 * np.linalg.norm(ref)
+            assert info["multiplier"] == ref_info["multiplier"]
+            infos.append(info)
+        return infos
+
+    def test_robin_ellipse_homotopy_systems(self, monkeypatch,
+                                            ellipse_mesh_005,
+                                            ellipse_robin_spec):
+        systems = _recorded_systems(monkeypatch, lambda: homotopy_solve(
+            ellipse_mesh_005, ellipse_robin_spec,
+            [round(0.1 * k, 10) for k in range(11)]))
+        assert len(systems) == 18
+        infos = self._replay(systems)
+        assert [i["factored"] for i in infos] == [True] + [False] * 17
+        assert all(i["krylov_iterations"] > 0 for i in infos[1:])
+
+    def test_neumann_disk_systems(self, monkeypatch, disk_mesh_005,
+                                  neumann_spec):
+        systems = _recorded_systems(
+            monkeypatch, lambda: newton_solve(disk_mesh_005, neumann_spec))
+        assert len(systems) >= 3
+        assert all(isinstance(A, RankOneJacobian) and c == "mean-zero"
+                   for A, _, c in systems)
+        infos = self._replay(systems)
+        assert infos[0]["factored"]
+        assert not any(i["factored"] for i in infos[1:])
+
+    @pytest.mark.parametrize("bc", ["robin", "neumann"])
+    def test_unrelated_factor_falls_back(self, disk_mesh_01, rng, bc):
+        m = disk_mesh_01
+        n = m.n_vertices
+        if bc == "robin":
+            spec, constraint = ProblemSpec.robin(0.8, 1.0), "none"
+        else:
+            spec, constraint = ProblemSpec.neumann(0.6, 0.5), "mean-zero"
+        field = ScalarField(m, 0.3 * rng.standard_normal(n))
+        A = jacobian(field, spec, split=True)
+        b = -residual(field, spec)
+        size = n if constraint == "none" else n - 1
+        kept = _KeptFactor()
+        unrelated = sp.diags(rng.uniform(1.0, 1e3, size), format="csr")
+        linear_solve(unrelated, rng.standard_normal(size), kept=kept)
+        stale = kept.lu
+        x, info = linear_solve(A, b, constraint=constraint, return_info=True,
+                               kept=kept)
+        assert info["factored"] and info["krylov_iterations"] == 0
+        assert kept.lu is not stale
+        ref = linear_solve(A, b, constraint=constraint)
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+        # the new factor is kept and now preconditions the same system
+        x2, info2 = linear_solve(A, b, constraint=constraint,
+                                 return_info=True, kept=kept)
+        assert not info2["factored"] and info2["krylov_iterations"] > 0
+        assert np.linalg.norm(x2 - ref) <= 1e-9 * np.linalg.norm(ref)
+
+    def test_factor_of_other_size_is_replaced(self, disk_mesh_02, rng):
+        n = disk_mesh_02.n_vertices
+        spec = ProblemSpec.robin(0.8, 1.0)
+        A = jacobian(ScalarField.zeros(disk_mesh_02), spec)
+        kept = _KeptFactor()
+        linear_solve(sp.identity(n + 1, format="csr"), np.ones(n + 1),
+                     kept=kept)
+        b = rng.standard_normal(n)
+        x, info = linear_solve(A, b, return_info=True, kept=kept)
+        assert info["factored"] and kept.lu.shape == (n, n)
+        assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("case", range(4))
+    def test_singular_cases_still_fail(self, disk_mesh_02, rng, case):
+        # kept factor: the same block shifted by the identity, a good
+        # preconditioner that must not let a singular system through
+        A, b, constraint = _singular_cases(disk_mesh_02, rng)[case]
+        local = A.local if isinstance(A, RankOneJacobian) else A
+        block = sp.csr_matrix(local) + sp.identity(A.shape[0])
+        if constraint == "mean-zero":
+            block = block[:-1, :-1]
+        kept = _KeptFactor()
+        linear_solve(block, np.ones(block.shape[0]), kept=kept)
+        assert kept.lu is not None
+        with pytest.raises(LinearSolveFailure):
+            linear_solve(A, b, constraint=constraint, kept=kept)
+
+
 class TestNewtonSolve:
     def test_robin_disk_vs_oracle(self, disk_mesh_01, robin_spec,
                                   robin_disk_01):
@@ -233,8 +366,18 @@ class TestNewtonSolve:
 
 
 class TestPoissonInit:
+    """The linear t = 0 solve that starts a homotopy: a Newton solve of
+    ``spec.at_t(0.0)``.  Neumann data is generically incompatible at t = 0
+    (the flux integral c L need not match H |Omega|); its raw
+    incompatibility c L - H |Omega| is read from the mesh measures."""
+
+    @staticmethod
+    def _incompatibility(mesh, spec0):
+        feas = mesh_feasibility(mesh, spec0)
+        return float(spec0.c * feas.boundary_length - spec0.H * feas.area)
+
     def test_robin_disk_values(self, disk_mesh_005, robin_spec):
-        field, info = poisson_init(disk_mesh_005, robin_spec)
+        field, _ = newton_solve(disk_mesh_005, robin_spec.at_t(0.0))
         m = disk_mesh_005
         center = int(np.argmin(np.linalg.norm(m.vertices, axis=1)))
         rim = int(np.argmax(np.linalg.norm(m.vertices, axis=1)))
@@ -243,9 +386,9 @@ class TestPoissonInit:
 
     def test_neumann_compatible_paraboloid(self, disk_mesh_01):
         H = 0.8
-        spec = ProblemSpec.neumann(H, H / 2.0)   # c = H R / 2 at t = 0
-        field, info = poisson_init(disk_mesh_01, spec)
-        assert abs(info["incompatibility"]) <= 0.02
+        spec0 = ProblemSpec.neumann(H, H / 2.0).at_t(0.0)   # c = H R / 2
+        field, _ = newton_solve(disk_mesh_01, spec0)
+        assert abs(self._incompatibility(disk_mesh_01, spec0)) <= 0.02
         m = disk_mesh_01
         r2 = np.sum(m.vertices ** 2, axis=1)
         exact = H * r2 / 4.0
@@ -253,9 +396,10 @@ class TestPoissonInit:
         assert np.abs(field.values - exact).max() <= 5e-3
 
     def test_neumann_incompatible_reported(self, disk_mesh_01, neumann_spec):
-        field, info = poisson_init(disk_mesh_01, neumann_spec)
-        assert info["incompatibility"] == pytest.approx(1.2566370614359172,
-                                                        abs=0.01)
+        spec0 = neumann_spec.at_t(0.0)
+        newton_solve(disk_mesh_01, spec0)
+        assert self._incompatibility(disk_mesh_01, spec0) == pytest.approx(
+            1.2566370614359172, abs=0.01)
 
 
 class TestHomotopy:
@@ -269,6 +413,31 @@ class TestHomotopy:
             assert step.n_minima == 1
             assert step.n_saddles == 0
             assert step.morse_ok
+
+    def test_one_factorization_on_ellipse(self, ellipse_homotopy):
+        # Newton counts of the direct-LU solver; the t = 0 factor
+        # preconditions every later correction
+        _, trace = ellipse_homotopy
+        reports = [s.solve for s in trace.steps]
+        assert [r.iterations for r in reports] == [1, 1, 1, 1] + [2] * 7
+        assert sum(r.factorizations for r in reports) == 1
+        krylov = [k for r in reports for k in r.krylov_iterations]
+        assert len(krylov) == sum(r.iterations for r in reports)
+        assert krylov[0] == 0 and all(k > 0 for k in krylov[1:])
+
+    def test_failed_step_drops_kept_factor(self, disk_mesh_01):
+        # the jump to t = 1 fails four times; each retry after a failure
+        # starts from a new factorization, the final step reuses one
+        spec = ProblemSpec.robin(1.6, 1.0)
+        _, trace = homotopy_solve(disk_mesh_01, spec, [0.0, 1.0],
+                                  opts=SolverOptions(max_iter=4))
+        assert [s.t for s in trace.steps] == [0.0, 0.5, 0.75, 0.875, 0.9375,
+                                              1.0]
+        reports = [s.solve for s in trace.steps]
+        assert [r.iterations for r in reports] == [1, 3, 3, 3, 3, 3]
+        for r in reports[1:-1]:
+            assert r.factorizations == 1 and r.krylov_iterations[0] == 0
+        assert reports[-1].factorizations == 0
 
     def test_critical_point_near_center_on_disk(self, disk_mesh_01):
         spec = ProblemSpec.robin(0.8, 1.0)
