@@ -108,10 +108,6 @@ class ScalarField:
             raise InvalidParameterError("field values must be finite")
 
     @classmethod
-    def from_function(cls, mesh, fn):
-        return cls(mesh, np.asarray(fn(mesh.vertices), dtype=float))
-
-    @classmethod
     def zeros(cls, mesh):
         return cls(mesh, np.zeros(mesh.n_vertices))
 

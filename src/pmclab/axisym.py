@@ -44,14 +44,6 @@ class MeridianProblem:
         if self.n_dim < 2:
             raise InvalidParameterError(f"n_dim must be >= 2, got {self.n_dim}")
 
-    @classmethod
-    def ball(cls, R, n_dim, spec):
-        return cls(a=R, b=R, n_dim=n_dim, spec=spec)
-
-    @classmethod
-    def spheroid(cls, a, b, n_dim, spec):
-        return cls(a=a, b=b, n_dim=n_dim, spec=spec)
-
     @property
     def weight_exponent(self):
         return self.n_dim - 2

@@ -1,9 +1,13 @@
 """Batch front door: configuration in, machine-readable artifacts out.
 
 Subcommands: solve, homotopy, axisym, compare (the nodal laboratory),
-verify, and mesh-report.  Every run writes a ``report.json`` (always, with a
-status field, even on failure) plus the solution, critical-point, and
-nodal-arc CSV tables and a contour SVG where applicable.
+verify, and mesh-report.  This module parses the arguments and the config,
+keeps the report skeleton, maps exceptions to exit codes and writes the
+artifacts; the work itself is :mod:`pmclab.pipeline` (set-up, Neumann gate,
+solve, diagnostics) and, for ``verify``, :func:`pmclab.verify.run_suite`.
+Every run writes a ``report.json`` (always, with a status field, even on
+failure) plus the solution, critical-point, and nodal-arc CSV tables and a
+contour SVG where applicable.
 
 Exit codes: 0 success / verification pass, 2 verification failure, 3 solver
 nonconvergence, 4 invalid configuration or infeasible data.
@@ -16,20 +20,13 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import artifacts as art
-from . import axisym as axi
-from .assembly import ScalarField, neumann_feasibility
+from . import pipeline
 from .config import apply_overrides, parse_config
 from .critical import find_critical_points
 from .errors import (ConfigError, InfeasibleProblemError, InvalidParameterError,
                      LinearSolveFailure, PmclabError, SolverFailure)
-from .nodal import (cylinder_solution, difference_field, leading_order_fit,
-                    quadratic_model, sector_count, trace_nodal_set)
-from .solver import SolverOptions, homotopy_solve, newton_solve
-from .verify import build_domain, build_spec, run_suite
-from .geometry import triangulate
+from .verify import run_suite
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 2
@@ -129,14 +126,46 @@ def run(config, out_dir=None):
 
 
 def _dispatch(config, out, report):
-    command = config.command
-    if command == "mesh-report":
-        return _run_mesh_report(config, report)
-    if command == "verify":
+    if config.command == "verify":
         return _run_verify(config, out, report)
-    if command == "axisym":
-        return _run_axisym(config, out, report)
-    return _run_planar(config, out, report, command)
+    run = pipeline.setup(config.canonical)
+    report["mesh"] = _mesh_summary(run.mesh)
+    if config.command == "mesh-report":
+        return EXIT_OK
+
+    feas = pipeline.neumann_gate(run)
+    if feas is not None:
+        report["feasibility"] = feas.as_dict()
+    # continuation runs for `homotopy` only; `solve` and `compare` ignore
+    # a schedule
+    schedule = config.problem["schedule"] if config.command == "homotopy" \
+        else None
+    field, solve_report, trace = pipeline.solve(run, schedule)
+    if trace is not None:
+        report["homotopy"] = {
+            "completed": trace.completed,
+            "steps": [{"t": s.t, "minima": s.n_minima, "maxima": s.n_maxima,
+                       "saddles": s.n_saddles, "critical": s.n_critical,
+                       "morse_ok": s.morse_ok, "field_min": s.field_min,
+                       "field_max": s.field_max} for s in trace.steps]}
+    else:
+        report["solve"] = solve_report.as_dict()
+
+    records, arcs = [], None
+    if run.problem is not None:
+        report["axisym"] = pipeline.axisym_summary(field, run.problem)
+        arcs = pipeline.axial_nodal_set(field)
+    else:
+        records = find_critical_points(field, run.spec)
+        report["critical_points"] = [r.as_dict() for r in records]
+        if config.command == "compare":
+            report["nodal"], arcs = pipeline.nodal_lab(
+                field, run.spec, records, run.domain.diameter)
+    if arcs is not None:
+        art.write_nodal_csv(out, arcs, config.config_hash)
+        report["artifacts"]["nodal_arcs_csv"] = "nodal_arcs.csv"
+    _write_field_artifacts(out, config, field, records, report, nodal=arcs)
+    return EXIT_OK
 
 
 def _mesh_summary(mesh):
@@ -147,153 +176,9 @@ def _mesh_summary(mesh):
             "mesh_hash": mesh.mesh_hash()}
 
 
-def _run_mesh_report(config, report):
-    if config.domain["type"] in ("ball", "spheroid"):
-        problem = _meridian_problem(config)
-        mesh = axi.meridian_mesh(problem, config.mesh["h_target"])
-    else:
-        mesh = triangulate(build_domain(config.domain),
-                           config.mesh["h_target"])
-    report["mesh"] = _mesh_summary(mesh)
-    return EXIT_OK
-
-
-def _run_planar(config, out, report, command):
-    domain = build_domain(config.domain)
-    spec = build_spec(config.problem)
-    mesh = triangulate(domain, config.mesh["h_target"])
-    report["mesh"] = _mesh_summary(mesh)
-    opts = SolverOptions(**config.solver)
-
-    if spec.bc == "neumann":
-        feas = neumann_feasibility(domain, spec)
-        report["feasibility"] = feas.as_dict()
-        if not feas.feasible:
-            raise InfeasibleProblemError("Neumann data fails the necessary "
-                                         "flux bound; no solve attempted",
-                                         feasibility=feas)
-
-    if command == "homotopy":
-        schedule = config.problem.get("schedule") or \
-            [round(0.1 * k, 10) for k in range(11)]
-        field, trace = homotopy_solve(mesh, spec, schedule, opts=opts)
-        report["homotopy"] = {
-            "completed": trace.completed,
-            "steps": [{"t": s.t, "minima": s.n_minima, "maxima": s.n_maxima,
-                       "saddles": s.n_saddles, "critical": s.n_critical,
-                       "morse_ok": s.morse_ok, "field_min": s.field_min,
-                       "field_max": s.field_max} for s in trace.steps]}
-        solve_report = None
-    else:
-        field, solve_report = newton_solve(mesh, spec, opts=opts)
-        report["solve"] = solve_report.as_dict()
-
-    records = find_critical_points(field, spec)
-    report["critical_points"] = [r.as_dict() for r in records]
-    _write_field_artifacts(out, config, field, records, report)
-
-    if command == "compare":
-        report["nodal"] = _nodal_lab(out, config, field, spec, records,
-                                     domain, report)
-    return EXIT_OK
-
-
-def _nodal_lab(out, config, field, spec, records, domain, report):
-    if len(records) != 1:
-        return {"note": "nodal laboratory needs a unique critical point",
-                "n_critical": len(records)}
-    mesh = field.mesh
-    p = records[0].location
-    u_p = float(mesh.interpolate(field.values, p[None, :])[0])
-    dist = float(np.linalg.norm(
-        mesh.vertices[np.unique(mesh.boundary_edges.ravel())] - p,
-        axis=1).min())
-    radius = min(0.3 * domain.diameter, 0.5 * dist)
-
-    cyl = cylinder_solution(u_p, spec.H, center=p)
-    diff_cyl = difference_field(field, cyl)
-    arcs = trace_nodal_set(diff_cyl)
-    art.write_nodal_csv(out, arcs, config.config_hash)
-    report["artifacts"]["nodal_arcs_csv"] = "nodal_arcs.csv"
-    art.write_contours_svg(out, field, config.config_hash, nodal=arcs)
-    report["artifacts"]["contours_svg"] = "contours.svg"
-
-    h = records[0].hessian
-    quad = quadratic_model(u_p, h[0, 0], h[1, 1], center=p)
-    diff_quad = difference_field(field, quad)
-    out_info = {
-        "critical_point": [float(p[0]), float(p[1])],
-        "value": u_p,
-        "contact_radius": radius,
-    }
-    if radius >= 4.0 * mesh.h:
-        fit_lo = max(2.0 * mesh.h, radius / 8.0)
-        cyl_fit = leading_order_fit(diff_cyl, p, fit_lo, radius)
-        out_info["cylinder"] = {
-            "sector_count": sector_count(diff_cyl, p, radius),
-            "fitted_order": cyl_fit.k, "fit_residual": cyl_fit.residual,
-            "amplitude": cyl_fit.amplitude}
-        quad_fit = leading_order_fit(diff_quad, p, fit_lo, radius)
-        out_info["quadratic"] = {
-            "sector_count": sector_count(diff_quad, p, radius),
-            "fitted_order": quad_fit.k, "fit_residual": quad_fit.residual,
-            "amplitude": quad_fit.amplitude}
-    else:
-        out_info["note"] = "mesh too coarse for contact diagnostics"
-    return out_info
-
-
-def _meridian_problem(config):
-    dom = config.domain
-    spec = build_spec(config.problem)
-    if dom["type"] == "ball":
-        return axi.MeridianProblem.ball(dom["R"], config.problem["n_dim"], spec)
-    return axi.MeridianProblem.spheroid(dom["a"], dom["b"],
-                                        config.problem["n_dim"], spec)
-
-
-def _run_axisym(config, out, report):
-    problem = _meridian_problem(config)
-    mesh = axi.meridian_mesh(problem, config.mesh["h_target"])
-    report["mesh"] = _mesh_summary(mesh)
-    opts = SolverOptions(**config.solver)
-
-    if problem.spec.bc == "neumann":
-        from .assembly import mesh_feasibility
-        feas = mesh_feasibility(mesh, problem.spec,
-                                axi.outer_flux_edges(mesh),
-                                problem.weight_exponent)
-        report["feasibility"] = feas.as_dict()
-        if not feas.feasible:
-            raise InfeasibleProblemError("Neumann data fails the necessary "
-                                         "flux bound; no solve attempted",
-                                         feasibility=feas)
-
-    field, solve_report = axi.solve_meridian(problem, mesh, opts=opts)
-    report["solve"] = solve_report.as_dict()
-
-    mono = axi.check_monotone(field)
-    info = {"n_dim": problem.n_dim, "monotone": mono.as_dict()}
-    try:
-        ah = axi.axis_hessian(field, problem.n_dim)
-        info["axis_hessian"] = ah.as_dict()
-    except PmclabError as exc:
-        info["axis_hessian"] = {"error": str(exc)}
-    report["axisym"] = info
-
-    from .critical import recover_gradient
-    vz = ScalarField(mesh, recover_gradient(field)[:, 1])
-    arcs = trace_nodal_set(vz)
-    art.write_nodal_csv(out, arcs, config.config_hash)
-    report["artifacts"]["nodal_arcs_csv"] = "nodal_arcs.csv"
-    _write_field_artifacts(out, config, field, [], report, nodal=arcs)
-    return EXIT_OK
-
-
 def _run_verify(config, out, report):
     result = run_suite(config.canonical)
-    if result.mesh is not None:
-        report["mesh"] = _mesh_summary(result.mesh)
+    report["mesh"] = _mesh_summary(result.mesh)
     if result.feasibility is not None:
         report["feasibility"] = result.feasibility.as_dict()
     report["verification"] = result.report.as_dict()
@@ -302,12 +187,10 @@ def _run_verify(config, out, report):
     if result.records:
         report["critical_points"] = [r.as_dict() for r in result.records]
 
-    if result.status == "infeasible":
-        report["status"] = "infeasible"
-        return EXIT_INVALID
-    if result.status == "solver-failure":
-        report["status"] = "solver-failure"
-        return EXIT_SOLVER_FAIL
+    if result.status != "ok":        # infeasible | solver-failure
+        report["status"] = result.status
+        return EXIT_INVALID if result.status == "infeasible" \
+            else EXIT_SOLVER_FAIL
 
     _write_field_artifacts(out, config, result.field, result.records, report)
     if result.report.verdict == "pass":
@@ -321,6 +204,5 @@ def _write_field_artifacts(out, config, field, records, report, nodal=None):
     report["artifacts"]["solution_csv"] = "solution.csv"
     art.write_critical_csv(out, records, config.config_hash)
     report["artifacts"]["critical_points_csv"] = "critical_points.csv"
-    if "contours_svg" not in report["artifacts"]:
-        art.write_contours_svg(out, field, config.config_hash, nodal=nodal)
-        report["artifacts"]["contours_svg"] = "contours.svg"
+    art.write_contours_svg(out, field, config.config_hash, nodal=nodal)
+    report["artifacts"]["contours_svg"] = "contours.svg"

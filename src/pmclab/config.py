@@ -22,10 +22,6 @@ DEFAULTS = {
     "mesh": {"h_target": 0.1},
     "solver": {"newton_tol": 1e-10, "max_iter": 50, "armijo_factor": 0.5,
                "armijo_c1": 1e-4, "max_backtracks": 20},
-    "tolerances": {"degeneracy_tol": 1e-2, "grad_tol_rel": 1e-3,
-                   "sign_deadband": 1e-10, "hessian_trace_rtol": 0.1,
-                   "offset_factor": 2.0},
-    "seed": 0,
     "output_dir": "out",
 }
 
@@ -53,16 +49,8 @@ class RunConfig:
         return self.canonical["solver"]
 
     @property
-    def tolerances(self):
-        return self.canonical["tolerances"]
-
-    @property
     def output_dir(self):
         return self.canonical["output_dir"]
-
-    @property
-    def seed(self):
-        return self.canonical["seed"]
 
 
 def _expect(cond, path, msg):
@@ -212,7 +200,7 @@ def parse_config(document, command=None):
         doc = document
     _expect(isinstance(doc, dict), "$", "top level must be an object")
     _check_keys(doc, "", {"command", "domain", "problem", "mesh", "solver",
-                          "tolerances", "output_dir", "seed"})
+                          "output_dir"})
 
     doc_command = doc.get("command")
     if doc_command is not None:
@@ -236,14 +224,10 @@ def parse_config(document, command=None):
 
     mesh = _validate_section(doc.get("mesh", {}), "mesh")
     solver = _validate_section(doc.get("solver", {}), "solver")
-    tolerances = _validate_section(doc.get("tolerances", {}), "tolerances")
 
     output_dir = doc.get("output_dir", DEFAULTS["output_dir"])
     _expect(isinstance(output_dir, str) and output_dir, "output_dir",
             "expected a non-empty string")
-    seed = doc.get("seed", DEFAULTS["seed"])
-    _expect(isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0,
-            "seed", f"expected a non-negative integer, got {seed!r}")
 
     canonical = {
         "command": resolved,
@@ -251,9 +235,7 @@ def parse_config(document, command=None):
         "problem": problem,
         "mesh": mesh,
         "solver": solver,
-        "tolerances": tolerances,
         "output_dir": output_dir,
-        "seed": seed,
     }
     blob = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
     cfg_hash = hashlib.sha256(blob.encode()).hexdigest()[:16]

@@ -346,7 +346,6 @@ class TriMesh:
         self._grad_inv = np.linalg.inv(edge_mat)
 
         self._neighbors = None
-        self._vertex_cells = None
         self._centroid_tree = None
         self._jacobian_patterns = {}   # see assembly._jacobian_pattern
 
@@ -371,18 +370,6 @@ class TriMesh:
             self._neighbors = [pairs[split[i]:split[i + 1], 1]
                                for i in range(self.n_vertices)]
         return self._neighbors
-
-    def vertex_cells(self):
-        """List of cell-index arrays adjacent to each vertex."""
-        if self._vertex_cells is None:
-            flat = self.cells.ravel()
-            cell_ids = np.repeat(np.arange(self.n_cells), 3)
-            order = np.argsort(flat, kind="stable")
-            flat, cell_ids = flat[order], cell_ids[order]
-            split = np.searchsorted(flat, np.arange(self.n_vertices + 1))
-            self._vertex_cells = [cell_ids[split[i]:split[i + 1]]
-                                  for i in range(self.n_vertices)]
-        return self._vertex_cells
 
     def cell_gradients(self, values):
         """Constant P1 gradient per cell for a vertex field, shape (M, 2)."""

@@ -66,9 +66,6 @@ class CylinderSolution:
     def second_derivative(self, x1):
         return self.H * (1.0 + self.slope(x1) ** 2) ** 1.5
 
-    def hessian_at_axis(self):
-        return np.array([[self.H, 0.0], [0.0, 0.0]])
-
 
 def cylinder_solution(h_val, H, center=(0.0, 0.0)):
     """Closed-form cylinder comparison surface (see :class:`CylinderSolution`)."""
@@ -132,9 +129,6 @@ def difference_field(field, analytic):
 class NodalArcSet:
     arcs: list                      # list of (k, 2) polylines
     junction: np.ndarray | None = None
-
-    def total_points(self):
-        return sum(len(a) for a in self.arcs)
 
 
 def trace_nodal_set(field):

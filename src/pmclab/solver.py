@@ -349,7 +349,7 @@ def newton_solve(mesh, spec, init=None, opts=None, flux_edges=None,
     return field, report
 
 
-def homotopy_solve(mesh, spec, schedule=None, opts=None, flux_edges=None,
+def homotopy_solve(mesh, spec, schedule, opts=None, flux_edges=None,
                    weight_exponent=0):
     """Continuation in the homotopy parameter up to t = 1.
 
@@ -361,8 +361,6 @@ def homotopy_solve(mesh, spec, schedule=None, opts=None, flux_edges=None,
     :class:`SolveReport`, recorded in the trace.  Nothing is asserted here;
     verification is a separate concern.
     """
-    if schedule is None:
-        schedule = np.linspace(0.0, 1.0, 11)
     schedule = [float(t) for t in schedule]
     if any(not 0.0 <= t <= 1.0 for t in schedule):
         raise InvalidParameterError("schedule values must lie in [0, 1]")

@@ -6,6 +6,11 @@ interior maxima, index counting, saddle/multiple-minima equivalence,
 homotopy stability, second-order contact against the cylinder surface, and
 the axisymmetric analogues) into a measured check with explicit tolerances.
 The suite fails closed: only registered property names may be reported.
+
+:func:`run_suite` runs the shared :mod:`pmclab.pipeline` (set-up, Neumann
+gate, solve) for planar and meridian configs alike, with one error path for
+infeasible data and solver failures, then evaluates the properties that
+apply to the run.
 """
 
 from __future__ import annotations
@@ -15,16 +20,13 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import axisym as axi
-from .assembly import ProblemSpec, ScalarField, neumann_feasibility
+from . import pipeline
+from .assembly import ScalarField
 from .critical import (DEGENERACY_TOL, find_critical_points, gradient_index,
                        interior_max_scan, inward_offset_loop)
-from .errors import (IllConditionedLoopError, InvalidParameterError,
-                     LinearSolveFailure, NoAxisCriticalError, PmclabError,
-                     SolverFailure)
-from .geometry import make_disk, make_ellipse, make_rounded_polygon, triangulate
-from .nodal import cylinder_solution, difference_field, leading_order_fit, \
-    sector_count, trace_nodal_set
-from .solver import SolverOptions, homotopy_solve, newton_solve
+from .errors import (IllConditionedLoopError, InfeasibleProblemError,
+                     InvalidParameterError, LinearSolveFailure,
+                     NoAxisCriticalError, PmclabError, SolverFailure)
 
 SIGN_DEADBAND = 1e-10
 TRACE_RTOL = 0.1
@@ -199,14 +201,16 @@ def verify_critical_structure(field, spec, records=None, boundary_loop=None,
             out.append(_record("index-sum-one", "warn",
                                note=f"loop ill-conditioned: {exc}"))
 
-    traces = [float(np.trace(r.hessian)) for r in records]
-    trace_ok = bool(records) and all(
-        abs(tr - spec.H) <= trace_rtol * spec.H for tr in traces)
-    out.append(_record(
-        "hessian-trace-identity", "pass" if trace_ok else "fail",
-        measured={"traces": traces, "H": spec.H},
-        tolerances={"rtol": trace_rtol}))
+    out.append(_trace_record([float(np.trace(r.hessian)) for r in records],
+                             spec.H, trace_rtol))
     return out
+
+
+def _trace_record(traces, H, rtol):
+    ok = bool(traces) and all(abs(tr - H) <= rtol * H for tr in traces)
+    return _record("hessian-trace-identity", "pass" if ok else "fail",
+                   measured={"traces": traces, "H": H},
+                   tolerances={"rtol": rtol})
 
 
 def verify_saddle_equivalence(records):
@@ -252,28 +256,18 @@ def verify_cylinder_contact(field, spec, records, diam):
                        note="needs a unique critical point")
     p = records[0].location
     mesh = field.mesh
-    u_p = float(mesh.interpolate(field.values, p[None, :])[0])
-    dist = _distance_to_mesh_boundary(mesh, p)
-    r_contact = min(0.3 * diam, 0.5 * dist)
+    r_contact = pipeline.contact_radius(mesh, p, diam)
     if r_contact < 4.0 * mesh.h:
         return _record("cylinder-contact", "skip",
                        note="mesh too coarse for the contact circle")
-    cyl = cylinder_solution(u_p, spec.H, center=p)
-    diff = difference_field(field, cyl)
-    sectors = sector_count(diff, p, r_contact)
-    fit = leading_order_fit(diff, p, max(2.0 * mesh.h, r_contact / 8.0),
-                            r_contact)
+    _, diff = pipeline.matched_cylinder(field, spec, p)
+    sectors, fit = pipeline.contact_order(diff, p, r_contact, mesh.h)
     degenerate = sectors >= 6 and fit.k >= 3.0
     return _record(
         "cylinder-contact", "fail" if degenerate else "pass",
         measured={"sector_count": sectors, "fitted_order": fit.k,
                   "fit_residual": fit.residual, "radius": r_contact},
         tolerances={"degenerate_when": "sectors >= 6 and order >= 3"})
-
-
-def _distance_to_mesh_boundary(mesh, p):
-    bidx = np.unique(mesh.boundary_edges.ravel())
-    return float(np.linalg.norm(mesh.vertices[bidx] - p, axis=1).min())
 
 
 # -- axisymmetric properties ----------------------------------------------------
@@ -307,21 +301,14 @@ def verify_meridian_structure(field, problem, trace_rtol=TRACE_RTOL):
             "axis-hessian-positive", "pass" if (pos_ok and cross_ok) else "fail",
             measured=ah.as_dict(),
             tolerances={"cross_term_rtol": 0.1}))
-        tr = float(np.sum(entries))
-        out.append(_record(
-            "hessian-trace-identity",
-            "pass" if abs(tr - problem.spec.H) <= trace_rtol * problem.spec.H
-            else "fail",
-            measured={"traces": [tr], "H": problem.spec.H},
-            tolerances={"rtol": trace_rtol}))
+        out.append(_trace_record([float(np.sum(entries))], problem.spec.H,
+                                 trace_rtol))
     except (NoAxisCriticalError, InvalidParameterError) as exc:
         out.append(_record("axis-hessian-positive", "fail", note=str(exc)))
         out.append(_record("hessian-trace-identity", "fail", note=str(exc)))
 
-    from .critical import recover_gradient
-    vz = ScalarField(mesh, recover_gradient(field)[:, 1])
-    arcs = trace_nodal_set(vz)
-    arc_ok, arc_info = _single_axis_to_outer_arc(arcs, mesh)
+    arc_ok, arc_info = _single_axis_to_outer_arc(
+        pipeline.axial_nodal_set(field), mesh)
     out.append(_record(
         "axial-nodal-single-arc", "pass" if arc_ok else "fail",
         measured=arc_info))
@@ -373,161 +360,70 @@ def _spheroid_volume(problem):
 @dataclass
 class SuiteResult:
     status: str                      # ok | infeasible | solver-failure
-    report: VerificationReport
+    report: VerificationReport = None
     mesh: object = None
     field: object = None
     solve_report: object = None
     trace: object = None
     records: list = dc_field(default_factory=list)
     feasibility: object = None
-    domain: object = None
-    problem: object = None
-
-
-def build_domain(domain_cfg):
-    kind = domain_cfg["type"]
-    if kind == "disk":
-        return make_disk(domain_cfg["R"])
-    if kind == "ellipse":
-        return make_ellipse(domain_cfg["a"], domain_cfg["b"])
-    if kind == "rounded_polygon":
-        return make_rounded_polygon(domain_cfg["vertices"], domain_cfg["r"])
-    raise InvalidParameterError(f"unknown planar domain type {kind!r}")
-
-
-def build_spec(problem_cfg):
-    bc = problem_cfg["bc"]
-    if bc == "neumann":
-        return ProblemSpec.neumann(problem_cfg["H"], problem_cfg["c"],
-                                   t=problem_cfg.get("t", 1.0),
-                                   n_dim=problem_cfg.get("n_dim", 2))
-    return ProblemSpec.robin(problem_cfg["H"], problem_cfg["alpha"],
-                             t=problem_cfg.get("t", 1.0),
-                             n_dim=problem_cfg.get("n_dim", 2))
 
 
 def run_suite(config, solution_values=None):
     """Solve (or load) per the configuration and evaluate every applicable
     property; aggregates a verification report with a pass/fail/error verdict.
+
+    Continuation runs when the config carries a schedule (planar domains
+    only).  Infeasible Neumann data and solver failures give an empty
+    report with verdict ``error``.
     """
     cfg = config.canonical if hasattr(config, "canonical") else dict(config)
-    domain_cfg = cfg["domain"]
-    problem_cfg = cfg["problem"]
-    spec = build_spec(problem_cfg)
-    opts = SolverOptions(**cfg.get("solver", {}))
-    h_target = cfg["mesh"]["h_target"]
+    run = pipeline.setup(cfg)
+    res = SuiteResult(status="ok", mesh=run.mesh)
     provenance = {"config_hash": cfg.get("config_hash", ""),
-                  "resolved_from_file": solution_values is not None}
+                  "resolved_from_file": solution_values is not None,
+                  "mesh_h": run.mesh.h, "mesh_hash": run.mesh.mesh_hash()}
+    if run.problem is not None:
+        provenance["n_dim"] = run.problem.n_dim
+    try:
+        res.feasibility = pipeline.neumann_gate(run)
+        if solution_values is not None:
+            res.field = ScalarField(run.mesh, np.asarray(solution_values,
+                                                         dtype=float))
+        else:
+            res.field, res.solve_report, res.trace = pipeline.solve(
+                run, cfg["problem"].get("schedule"))
+    except InfeasibleProblemError as exc:
+        res.status, res.feasibility = "infeasible", exc.feasibility
+        provenance.update(feasibility=exc.feasibility.as_dict(),
+                          error=str(exc))
+    except (SolverFailure, LinearSolveFailure) as exc:
+        res.status = "solver-failure"
+        rep = getattr(exc, "report", None)
+        provenance.update(error=str(exc),
+                          solver=rep.as_dict() if rep else None)
+    if res.status != "ok":
+        res.report = VerificationReport(properties=[], verdict="error",
+                                        provenance=provenance)
+        return res
 
-    if domain_cfg["type"] in ("ball", "spheroid"):
-        return _run_meridian_suite(cfg, spec, opts, h_target, provenance,
-                                   solution_values)
-
-    domain = build_domain(domain_cfg)
-    mesh = triangulate(domain, h_target)
-    provenance.update({"mesh_h": mesh.h, "mesh_hash": mesh.mesh_hash()})
-
-    feasibility = None
-    if spec.bc == "neumann":
-        feasibility = neumann_feasibility(domain, spec)
-        if not feasibility.feasible:
-            report = VerificationReport(
-                properties=[], verdict="error",
-                provenance={**provenance,
-                            "feasibility": feasibility.as_dict(),
-                            "error": "infeasible Neumann data: necessary "
-                                     "flux bound violated"})
-            return SuiteResult(status="infeasible", report=report, mesh=mesh,
-                               feasibility=feasibility, domain=domain)
-
-    trace = None
-    solve_report = None
-    if solution_values is not None:
-        field = ScalarField(mesh, np.asarray(solution_values, dtype=float))
+    field, spec = res.field, run.spec
+    props = verify_sign_conditions(field, spec)
+    if run.problem is not None:
+        props += verify_meridian_structure(field, run.problem)
     else:
-        try:
-            schedule = problem_cfg.get("schedule")
-            if schedule:
-                field, trace = homotopy_solve(mesh, spec, schedule, opts=opts)
-                solve_report = None
-            else:
-                field, solve_report = newton_solve(mesh, spec, opts=opts)
-        except (SolverFailure, LinearSolveFailure) as exc:
-            rep = getattr(exc, "report", None)
-            report = VerificationReport(
-                properties=[], verdict="error",
-                provenance={**provenance, "error": str(exc),
-                            "solver": rep.as_dict() if rep else None})
-            return SuiteResult(status="solver-failure", report=report,
-                               mesh=mesh, feasibility=feasibility, domain=domain)
+        res.records = find_critical_points(field, spec)
+        diam = run.domain.diameter
+        loop = inward_offset_loop(run.domain, 2.0 * run.mesh.h)
+        props += verify_critical_structure(field, spec, res.records,
+                                           boundary_loop=loop, diam=diam)
+        props.append(verify_saddle_equivalence(res.records))
+        if res.trace is not None:
+            props.append(verify_homotopy_stability(res.trace))
+        props.append(verify_cylinder_contact(field, spec, res.records, diam))
 
-    records = find_critical_points(field, spec)
-    loop = inward_offset_loop(domain, 2.0 * mesh.h)
-    props = []
-    props += verify_sign_conditions(field, spec)
-    props += verify_critical_structure(field, spec, records,
-                                       boundary_loop=loop,
-                                       diam=domain.diameter)
-    props.append(verify_saddle_equivalence(records))
-    if trace is not None:
-        props.append(verify_homotopy_stability(trace))
-    props.append(verify_cylinder_contact(field, spec, records, domain.diameter))
-
-    provenance["solver"] = solve_report.as_dict() if solve_report else None
-    report = VerificationReport(properties=props, verdict=_aggregate(props),
-                                provenance=provenance)
-    return SuiteResult(status="ok", report=report, mesh=mesh, field=field,
-                       solve_report=solve_report, trace=trace, records=records,
-                       feasibility=feasibility, domain=domain)
-
-
-def _run_meridian_suite(cfg, spec, opts, h_target, provenance, solution_values):
-    dom = cfg["domain"]
-    if dom["type"] == "ball":
-        a = b = dom["R"]
-    else:
-        a, b = dom["a"], dom["b"]
-    n_dim = cfg["problem"].get("n_dim", 3)
-    problem = axi.MeridianProblem(a=a, b=b, n_dim=n_dim, spec=spec)
-    mesh = axi.meridian_mesh(problem, h_target)
-    provenance.update({"mesh_h": mesh.h, "mesh_hash": mesh.mesh_hash(),
-                       "n_dim": n_dim})
-
-    feasibility = None
-    if spec.bc == "neumann":
-        from .assembly import mesh_feasibility
-        feasibility = mesh_feasibility(mesh, spec,
-                                       axi.outer_flux_edges(mesh),
-                                       problem.weight_exponent)
-        if not feasibility.feasible:
-            report = VerificationReport(
-                properties=[], verdict="error",
-                provenance={**provenance, "feasibility": feasibility.as_dict(),
-                            "error": "infeasible Neumann data"})
-            return SuiteResult(status="infeasible", report=report, mesh=mesh,
-                               feasibility=feasibility, problem=problem)
-
-    solve_report = None
-    if solution_values is not None:
-        field = ScalarField(mesh, np.asarray(solution_values, dtype=float))
-    else:
-        try:
-            field, solve_report = axi.solve_meridian(problem, mesh, opts=opts)
-        except (SolverFailure, LinearSolveFailure) as exc:
-            rep = getattr(exc, "report", None)
-            report = VerificationReport(
-                properties=[], verdict="error",
-                provenance={**provenance, "error": str(exc),
-                            "solver": rep.as_dict() if rep else None})
-            return SuiteResult(status="solver-failure", report=report,
-                               mesh=mesh, problem=problem)
-
-    props = []
-    props += verify_sign_conditions(field, spec)
-    props += verify_meridian_structure(field, problem)
-    provenance["solver"] = solve_report.as_dict() if solve_report else None
-    report = VerificationReport(properties=props, verdict=_aggregate(props),
-                                provenance=provenance)
-    return SuiteResult(status="ok", report=report, mesh=mesh, field=field,
-                       solve_report=solve_report, records=[],
-                       feasibility=feasibility, problem=problem)
+    provenance["solver"] = res.solve_report.as_dict() \
+        if res.solve_report else None
+    res.report = VerificationReport(properties=props, verdict=_aggregate(props),
+                                    provenance=provenance)
+    return res

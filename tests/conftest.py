@@ -85,7 +85,7 @@ def ellipse_homotopy(ellipse_mesh_005, ellipse_robin_spec):
 @pytest.fixture(scope="session")
 def ball_problem():
     spec = ProblemSpec.robin(0.8, 1.0, n_dim=3)
-    return MeridianProblem.ball(1.0, 3, spec)
+    return MeridianProblem(1.0, 1.0, 3, spec)
 
 
 @pytest.fixture(scope="session")

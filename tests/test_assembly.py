@@ -188,7 +188,7 @@ class TestJacobian:
 @pytest.fixture(scope="module")
 def meridian_mesh_02():
     spec = ProblemSpec.neumann(0.6, 0.5, n_dim=4)
-    return meridian_mesh(MeridianProblem.ball(1.0, 4, spec), 0.2)
+    return meridian_mesh(MeridianProblem(1.0, 1.0, 4, spec), 0.2)
 
 
 class TestNeumannJacobianSplit:
@@ -341,7 +341,7 @@ class TestValuesOnlyJacobian:
     def test_meridian_outer_flux_edges(self, m, bc):
         spec = (ProblemSpec.robin(0.8, 1.0, n_dim=m + 2) if bc == "robin"
                 else ProblemSpec.neumann(0.6, 0.5, n_dim=m + 2))
-        mesh = meridian_mesh(MeridianProblem.ball(1.0, m + 2, spec), 0.2)
+        mesh = meridian_mesh(MeridianProblem(1.0, 1.0, m + 2, spec), 0.2)
         self._check(mesh, spec, outer_flux_edges(mesh), m, seed=m)
 
     @pytest.mark.parametrize("bc", ["robin", "neumann"])

@@ -34,7 +34,7 @@ class TestMeridianMesh:
 
     def test_spheroid_mesh(self):
         spec = ProblemSpec.robin(0.5, 1.0, n_dim=3)
-        prob = MeridianProblem.spheroid(0.7, 1.2, 3, spec)
+        prob = MeridianProblem(0.7, 1.2, 3, spec)
         m = meridian_mesh(prob, 0.1)
         assert m.vertices[:, 0].max() == pytest.approx(0.7, abs=0.05)
         assert abs(m.vertices[:, 1]).max() == pytest.approx(1.2, abs=1e-9)
@@ -98,7 +98,7 @@ class TestSolveMeridian:
         c = 0.5
         H = 3 * c / math.sqrt(1 + c * c)
         spec = ProblemSpec.neumann(H, c, n_dim=3)
-        prob = MeridianProblem.ball(1.0, 3, spec)
+        prob = MeridianProblem(1.0, 1.0, 3, spec)
         field, report = solve_meridian(prob, ball_mesh_005)
         oracle = radial_ball_oracle(spec, 1.0, 3)
         exact = oracle.at_points(ball_mesh_005.vertices)
@@ -108,7 +108,7 @@ class TestSolveMeridian:
 
     def test_n2_reduces_to_planar_assembly(self):
         spec = ProblemSpec.robin(0.8, 1.0, n_dim=2)
-        prob = MeridianProblem.ball(1.0, 2, spec)
+        prob = MeridianProblem(1.0, 1.0, 2, spec)
         mesh = meridian_mesh(prob, 0.1)
         f_meridian, _ = solve_meridian(prob, mesh)
         f_planar, _ = newton_solve(mesh, spec,
@@ -153,7 +153,7 @@ class TestAxisHessian:
 
     def test_spheroid_robin(self):
         spec = ProblemSpec.robin(0.5, 1.0, n_dim=3)
-        prob = MeridianProblem.spheroid(0.7, 1.2, 3, spec)
+        prob = MeridianProblem(0.7, 1.2, 3, spec)
         mesh = meridian_mesh(prob, 0.05)
         field, _ = solve_meridian(prob, mesh)
         ah = axis_hessian(field, 3)
@@ -184,9 +184,9 @@ class TestProblemValidation:
     def test_rejects_bad_axes(self):
         spec = ProblemSpec.robin(0.5, 1.0, n_dim=3)
         with pytest.raises(InvalidParameterError):
-            MeridianProblem.spheroid(-1.0, 1.0, 3, spec)
+            MeridianProblem(-1.0, 1.0, 3, spec)
 
     def test_rejects_low_dimension(self):
         spec = ProblemSpec.robin(0.5, 1.0)
         with pytest.raises(InvalidParameterError):
-            MeridianProblem.ball(1.0, 1, spec)
+            MeridianProblem(1.0, 1.0, 1, spec)

@@ -71,6 +71,24 @@ class TestParseConfig:
             })
         assert "domain.radius" in str(exc.value)
 
+    def test_seed_and_tolerances_are_unknown_keys(self, tmp_path, capsys):
+        # neither section was ever read; a config that sets one is refused
+        for key, value in (("seed", 0),
+                           ("tolerances", {"sign_deadband": 1e-10})):
+            doc = {"command": "solve",
+                   "domain": {"type": "disk", "R": 1.0},
+                   "problem": {"H": 0.8, "bc": "robin", "alpha": 1.0},
+                   key: value}
+            with pytest.raises(ConfigError) as exc:
+                parse_config(doc)
+            assert exc.value.path == key
+            assert "unknown key" in str(exc.value)
+            cfg = tmp_path / f"{key}.json"
+            cfg.write_text(json.dumps(doc))
+            assert main(["solve", "--config", str(cfg),
+                         "--out", str(tmp_path / key)]) == 4
+            assert "unknown key" in capsys.readouterr().err
+
     def test_cli_subcommand_wins(self):
         cfg = parse_config({
             "command": "solve",
@@ -203,3 +221,66 @@ class TestDeterminism:
         for name in ("report.json", "solution.csv", "critical_points.csv",
                      "contours.svg"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def _report(out):
+    return json.loads((out / "report.json").read_text())
+
+
+class TestCommandsAgree:
+    """Every command runs the same set-up, gate and solve, so what two
+    commands both report must agree."""
+
+    def test_compare_contact_matches_verify(self, tmp_path):
+        args = ("compare_robin_disk.json",)
+        code_c, out_c = run_cli(tmp_path / "c", "compare", *args)
+        code_v, out_v = run_cli(tmp_path / "v", "verify", *args)
+        assert code_c == code_v == 0
+        compare, verify = _report(out_c), _report(out_v)
+        props = {p["name"]: p for p in verify["verification"]["properties"]}
+        contact = props["cylinder-contact"]["measured"]
+        cylinder = compare["nodal"]["cylinder"]
+        for key in ("sector_count", "fitted_order", "fit_residual"):
+            assert cylinder[key] == contact[key], key
+        assert compare["nodal"]["contact_radius"] == contact["radius"]
+        for key in ("mesh", "solve", "critical_points"):
+            assert compare[key] == verify[key], key
+
+    def test_meridian_neumann_gate(self, tmp_path):
+        cfg = tmp_path / "ball_neumann.json"
+        cfg.write_text(json.dumps({
+            "domain": {"type": "ball", "R": 1.0},
+            "problem": {"H": 0.8, "bc": "neumann", "c": 0.2, "n_dim": 3},
+            "mesh": {"h_target": 0.1}}))
+        reports = {}
+        for command in ("axisym", "verify", "mesh-report"):
+            out = tmp_path / command
+            code = main([command, "--config", str(cfg), "--out", str(out)])
+            reports[command] = (code, _report(out), out)
+        for command in ("axisym", "verify"):
+            code, rep, out = reports[command]
+            assert code == 4, command
+            assert rep["status"] == "infeasible", command
+            assert rep["feasibility"]["feasible"] is False, command
+            assert not (out / "solution.csv").exists(), command
+        assert reports["axisym"][1]["feasibility"] == \
+            reports["verify"][1]["feasibility"]
+        code, rep, _ = reports["mesh-report"]
+        assert code == 0
+        assert rep["mesh"]["mesh_hash"] == \
+            reports["axisym"][1]["mesh"]["mesh_hash"] == \
+            reports["verify"][1]["mesh"]["mesh_hash"]
+
+    def test_meridian_mesh_report_matches_verify(self, tmp_path):
+        args = ("ball3d_robin.json", ["mesh.h_target=0.1"])
+        code_m, out_m = run_cli(tmp_path / "m", "mesh-report", *args)
+        code_v, out_v = run_cli(tmp_path / "v", "verify", *args)
+        assert code_m == code_v == 0
+        assert _report(out_m)["mesh"] == _report(out_v)["mesh"]
+
+    def test_solve_gate_matches_golden(self, tmp_path):
+        code, out = run_cli(tmp_path, "solve", "neumann_infeasible.json")
+        assert code == 4
+        golden = json.loads(
+            (GOLDEN / "neumann_infeasible.report.json").read_text())
+        assert _report(out)["feasibility"] == golden["feasibility"]
