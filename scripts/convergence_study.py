@@ -10,7 +10,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from pmclab.assembly import ProblemSpec            # noqa: E402
+from pmclab.assembly import Discretization, ProblemSpec  # noqa: E402
 from pmclab.geometry import make_disk, triangulate  # noqa: E402
 from pmclab.solver import newton_solve, radial_disk_oracle  # noqa: E402
 
@@ -27,7 +27,7 @@ print(f"{'h':>8} {'n_vert':>8} {'iters':>6} {'error':>12} {'order':>7}")
 prev = None
 for h in (0.2, 0.1, 0.05, 0.025):
     mesh = triangulate(disk, h)
-    field, report = newton_solve(mesh, spec)
+    field, report = newton_solve(Discretization(mesh), spec)
     exact = oracle.at_points(mesh.vertices)
     vals = field.values
     if spec.bc == "neumann":

@@ -10,8 +10,8 @@ higher-dimensional case) as quantitative pass/fail tests.
 
 from .geometry import (ConvexDomain, TriMesh, make_disk, make_ellipse,
                        make_rounded_polygon, triangulate)
-from .assembly import (ProblemSpec, ScalarField, boundary_flux, jacobian,
-                       neumann_feasibility, residual)
+from .assembly import (Discretization, ProblemSpec, ScalarField,
+                       boundary_flux, jacobian, neumann_feasibility, residual)
 from .solver import (HomotopyTrace, SolveReport, homotopy_solve, linear_solve,
                      newton_solve, radial_disk_oracle)
 from .critical import (CriticalPointRecord, classify, find_critical_points,
@@ -27,7 +27,7 @@ from .config import RunConfig, parse_config
 __all__ = [
     "ConvexDomain", "TriMesh", "make_disk", "make_ellipse",
     "make_rounded_polygon", "triangulate",
-    "ProblemSpec", "ScalarField", "boundary_flux", "jacobian",
+    "Discretization", "ProblemSpec", "ScalarField", "boundary_flux", "jacobian",
     "neumann_feasibility", "residual",
     "HomotopyTrace", "SolveReport", "homotopy_solve", "linear_solve",
     "newton_solve", "radial_disk_oracle",

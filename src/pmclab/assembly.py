@@ -21,14 +21,15 @@ which keeps the discrete system solvable, reduces to the honest flux exactly
 when the data is compatible (s_hat = 1), and is reported by the solver as a
 measured incompatibility of the data.
 
-An optional vertex-coordinate weight r^m (m = weight_exponent, with r the
-first coordinate) supports the axisymmetric meridian reduction; m = 0 gives
-the plain planar forms.
+An optional measure weight r^m (r the first coordinate) supports the
+axisymmetric meridian reduction; m = 0 gives the plain planar forms.  The
+weight and the set of boundary edges that carry flux are fixed per solve by
+a :class:`Discretization`, which builds every quadrature array once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import asdict, dataclass, field as dc_field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -111,126 +112,118 @@ class ScalarField:
     def zeros(cls, mesh):
         return cls(mesh, np.zeros(mesh.n_vertices))
 
-    def mean(self):
-        return float(self.values.mean())
 
+# -- discretization -----------------------------------------------------------
 
-# -- quadrature helpers ------------------------------------------------------
+class Discretization:
+    """The weighted quadrature of one solve on a mesh, built once.
 
-def _edge_geometry(mesh, flux_edges):
-    """(edge array, tail idx, head idx, lengths, quad points (E,2,2))."""
-    if flux_edges is None:
-        edges = np.arange(len(mesh.boundary_edges))
-    else:
-        edges = np.asarray(flux_edges, dtype=np.int64)
-    be = mesh.boundary_edges[edges]
-    a, b = be[:, 0], be[:, 1]
-    pa, pb = mesh.vertices[a], mesh.vertices[b]
-    lengths = mesh.boundary_lengths[edges]
-    qpts = pa[:, None, :] + _QXI[None, :, None] * (pb - pa)[:, None, :]
-    return edges, a, b, lengths, qpts
+    Owns everything that depends on the measure weight r^m (m =
+    ``weight_exponent``; r the first coordinate) or on the flux edges
+    (indices into ``mesh.boundary_edges``, all by default):
 
+    * ``aw``, the cell areas times r^m at the centroids (one-point rule),
+      and their sum ``volume``;
+    * the flux edges ``a -> b``, their ``lengths``, and ``wq``, the (E, 2)
+      two-point Gauss weights times r^m, with sum ``boundary_measure``;
+    * ``scatter``, the vertex of each residual term: the cell corners
+      (corner-major), then the edge tails and heads;
+    * the read-only CSR ``indptr``/``indices`` of the Jacobian and the data
+      ``slot`` of each triplet: the 3 x 3 block of every cell, row-major,
+      then runs over the flux edges for (a, a), (b, a), (a, b), (b, b).
 
-def _cell_weight(mesh, m):
-    """One-point quadrature weight r^m at cell centroids (ones when m = 0)."""
-    if m == 0:
-        return np.ones(mesh.n_cells)
-    return mesh.cell_centroids[:, 0] ** m
+    Every r^m-weighted integral reads ``aw`` or ``wq``.
+    """
 
+    def __init__(self, mesh, weight_exponent=0, flux_edges=None):
+        self.mesh = mesh
+        self.weight_exponent = m = int(weight_exponent)
+        edges = np.arange(len(mesh.boundary_edges)) if flux_edges is None \
+            else np.asarray(flux_edges, dtype=np.int64)
+        self.a, self.b = a, b = mesh.boundary_edges[edges].T
+        self.lengths = mesh.boundary_lengths[edges]
+        pa, pb = mesh.vertices[a], mesh.vertices[b]
+        qpts = pa[:, None, :] + _QXI[None, :, None] * (pb - pa)[:, None, :]
+        self.aw = mesh.cell_areas * mesh.cell_centroids[:, 0] ** m
+        self.wq = qpts[..., 0] ** m * (self.lengths[:, None] / 2.0)
+        self.volume = float(np.sum(self.aw))
+        self.boundary_measure = float(np.sum(self.wq))
+        self.scatter = np.concatenate([mesh.cells.T.ravel(), a, b])
 
-def _edge_weight(qpts, m):
-    if m == 0:
-        return np.ones(qpts.shape[:2])
-    return qpts[..., 0] ** m
-
-
-def _grad_phi(mesh):
-    g = mesh._grad_inv
-    gphi = np.empty((mesh.n_cells, 3, 2))
-    gphi[:, 1, :] = g[:, :, 0]
-    gphi[:, 2, :] = g[:, :, 1]
-    gphi[:, 0, :] = -gphi[:, 1, :] - gphi[:, 2, :]
-    return gphi
+        n = mesh.n_vertices
+        c = mesh.cells
+        keys = np.concatenate([(np.repeat(c, 3, axis=1) * n + np.tile(c, 3))
+                               .ravel(), a * n + a, b * n + a, a * n + b,
+                               b * n + b])
+        pairs = np.sort(keys)
+        pairs = pairs[np.concatenate([[True], pairs[1:] != pairs[:-1]])]
+        self.slot = np.searchsorted(pairs, keys)
+        self.indices = (pairs % n).astype(np.int32)
+        self.indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(pairs // n, minlength=n), out=self.indptr[1:])
+        for arr in (self.indptr, self.indices, self.slot):
+            arr.flags.writeable = False
 
 
 # -- conormal flux -----------------------------------------------------------
 
-def boundary_flux(field, spec, edges=None):
-    """Conormal flux g at the two Gauss points of each boundary edge.
+def boundary_flux(field, spec, disc):
+    """Conormal flux g at the two Gauss points of each flux edge of
+    ``disc``, an (E, 2) array.
 
-    Returns an (E, 2) array (or (2,) for a single integer edge index).  The
-    tangential derivative along an edge is the difference quotient of the two
-    endpoint values.  For Neumann data this is the unscaled profile g0; the
-    compatibility rescale applied during assembly is documented above.
+    The tangential derivative along an edge is the difference quotient of
+    the two endpoint values.  For Neumann data this is the unscaled profile
+    g0; the compatibility rescale applied during assembly is documented
+    above.
     """
-    single = np.isscalar(edges)
-    if single:
-        edges = [edges]
-    _, a, b, lengths, _ = _edge_geometry(field.mesh, edges)
-    ua, ub = field.values[a], field.values[b]
-    s = (ub - ua) / lengths
+    ua, ub = field.values[disc.a], field.values[disc.b]
+    s = (ub - ua) / disc.lengths
     t2 = spec.t ** 2
     if spec.bc == "neumann":
         g = spec.c / np.sqrt(1.0 + t2 * (spec.c ** 2 + s ** 2))
-        out = np.repeat(g[:, None], 2, axis=1)
-    else:
-        uq = ua[:, None] * (1.0 - _QXI)[None, :] + ub[:, None] * _QXI[None, :]
-        rad = np.sqrt(1.0 + t2 * (spec.alpha ** 2 * uq ** 2 + s[:, None] ** 2))
-        out = -spec.alpha * uq / rad
-    return out[0] if single else out
+        return np.repeat(g[:, None], 2, axis=1)
+    uq = ua[:, None] * (1.0 - _QXI)[None, :] + ub[:, None] * _QXI[None, :]
+    rad = np.sqrt(1.0 + t2 * (spec.alpha ** 2 * uq ** 2 + s[:, None] ** 2))
+    return -spec.alpha * uq / rad
 
 
-def _neumann_scale(field, spec, flux_edges, m):
-    """Compatibility rescale s_hat = H * weighted area / weighted flux integral."""
-    mesh = field.mesh
-    _, _, _, lengths, qpts = _edge_geometry(mesh, flux_edges)
-    wq = _edge_weight(qpts, m) * (lengths[:, None] / 2.0)
-    g0 = boundary_flux(field, spec, flux_edges)
-    q_total = float(np.sum(wq * g0))
-    volume = float(np.sum(mesh.cell_areas * _cell_weight(mesh, m)))
-    return spec.H * volume / q_total
+def _neumann_scale(g0, spec, disc):
+    """Compatibility rescale s_hat = H * weighted volume / weighted flux
+    integral of the unscaled profile ``g0``."""
+    return spec.H * disc.volume / float(np.sum(disc.wq * g0))
 
 
-def flux_scale(field, spec, flux_edges=None, weight_exponent=0):
+def flux_scale(field, spec, disc):
     """Neumann compatibility factor at the given field (1.0 for Robin)."""
     if spec.bc != "neumann":
         return 1.0
-    return _neumann_scale(field, spec, flux_edges, weight_exponent)
+    return _neumann_scale(boundary_flux(field, spec, disc), spec, disc)
 
 
 # -- residual ----------------------------------------------------------------
 
-def residual(field, spec, flux_edges=None, weight_exponent=0):
+def residual(field, spec, disc):
     """Weak-form residual, one entry per vertex.
 
     entry_i = int T_t(grad u) . grad phi_i + int H phi_i - bint g phi_i,
-    with the optional r^m measure weight applied to every integral.
+    with the r^m measure weight of ``disc`` applied to every integral and
+    the boundary integral over its flux edges.
     """
-    mesh = field.mesh
-    u = field.values
-    m = weight_exponent
-    t2 = spec.t ** 2
-
-    grads = mesh.cell_gradients(u)
-    w = 1.0 + t2 * np.einsum("mi,mi->m", grads, grads)
+    mesh = disc.mesh
+    grads = mesh.cell_gradients(field.values)
+    w = 1.0 + spec.t ** 2 * np.einsum("mi,mi->m", grads, grads)
     flux = grads / np.sqrt(w)[:, None]
+    gx, gy = mesh.grad_phi[:, :, 0].T, mesh.grad_phi[:, :, 1].T
+    cell = disc.aw * (gx * flux[:, 0] + gy * flux[:, 1] + spec.H / 3.0)
 
-    aw = mesh.cell_areas * _cell_weight(mesh, m)
-    gphi = _grad_phi(mesh)
-    r = np.zeros(mesh.n_vertices)
-    for i in range(3):
-        contrib = aw * (np.einsum("mi,mi->m", flux, gphi[:, i, :]) + spec.H / 3.0)
-        np.add.at(r, mesh.cells[:, i], contrib)
-
-    _, a, b, lengths, qpts = _edge_geometry(mesh, flux_edges)
-    if len(a):
-        wq = _edge_weight(qpts, m) * (lengths[:, None] / 2.0)
-        g = boundary_flux(field, spec, flux_edges)
-        if spec.bc == "neumann":
-            g = g * _neumann_scale(field, spec, flux_edges, m)
-        np.add.at(r, a, -np.sum(wq * g * (1.0 - _QXI)[None, :], axis=1))
-        np.add.at(r, b, -np.sum(wq * g * _QXI[None, :], axis=1))
-    return r
+    g = boundary_flux(field, spec, disc)
+    if spec.bc == "neumann" and len(g):
+        g = g * _neumann_scale(g, spec, disc)
+    wg = disc.wq * g
+    edge = -np.concatenate([np.sum(wg * (1.0 - _QXI)[None, :], axis=1),
+                            np.sum(wg * _QXI[None, :], axis=1)])
+    return np.bincount(disc.scatter, minlength=mesh.n_vertices,
+                       weights=np.concatenate([cell.ravel(), edge]))
 
 
 # -- Jacobian ----------------------------------------------------------------
@@ -268,36 +261,7 @@ class RankOneJacobian:
                              @ sp.csr_matrix(self.v[None, :]))
 
 
-def _jacobian_pattern(mesh, flux_edges):
-    """CSR ``(indptr, indices)`` of the Jacobian and the slot in its data of
-    each triplet, cached on the mesh per flux-edge set.
-
-    Triplets come in a fixed order: the 3 x 3 block of every cell, row-major
-    within the cell, then four runs over the flux edges a -> b, holding the
-    (row, column) entries (a, a), (b, a), (a, b) and (b, b).  The arrays are
-    read-only because every Jacobian of the mesh shares them.
-    """
-    key = None if flux_edges is None else \
-        np.asarray(flux_edges, dtype=np.int64).tobytes()
-    pattern = mesh._jacobian_patterns.get(key)
-    if pattern is None:
-        n = mesh.n_vertices
-        c = mesh.cells
-        _, a, b, _, _ = _edge_geometry(mesh, flux_edges)
-        rows = np.concatenate([np.repeat(c, 3, axis=1).ravel(), a, b, a, b])
-        cols = np.concatenate([np.tile(c, 3).ravel(), a, a, b, b])
-        pairs, slot = np.unique(rows * n + cols, return_inverse=True)
-        indices = (pairs % n).astype(np.int32)
-        indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(pairs // n, minlength=n), out=indptr[1:])
-        for arr in (indptr, indices, slot):
-            arr.flags.writeable = False
-        pattern = (indptr, indices, slot)
-        mesh._jacobian_patterns[key] = pattern
-    return pattern
-
-
-def jacobian(field, spec, flux_edges=None, weight_exponent=0, split=False):
+def jacobian(field, spec, disc):
     """Exact derivative of :func:`residual`.
 
     Includes the boundary-flux derivatives with respect to the endpoint
@@ -305,38 +269,31 @@ def jacobian(field, spec, flux_edges=None, weight_exponent=0, split=False):
     derivative of the compatibility rescale s_hat = H |Omega| / Q0 adds the
     rank-one term ``outer((s_hat / Q0) * bvec, dQ0)``, where bvec holds the
     flux integrals against each basis function and dQ0 the gradient of the
-    flux integral Q0.  That term couples every pair of flux vertices, so
-    with ``split=True`` (the Newton path) it is kept apart: the result is a
-    :class:`RankOneJacobian` whose sparse part has the Robin pattern, and
-    :func:`pmclab.solver.linear_solve` applies the rank-one term by
-    Sherman-Morrison.  Otherwise, and whenever there is no rank-one term
-    (Robin data, no flux edges), the result is a CSR matrix.
+    flux integral Q0.  That term couples every pair of flux vertices, so it
+    is kept apart: the result is then a :class:`RankOneJacobian` whose
+    sparse part has the Robin pattern (``.tocsr()`` materializes it), and
+    otherwise a CSR matrix.
 
-    Only values are assembled.  The sparsity pattern of the sparse part
-    depends on the mesh and the flux edges alone; it is built once, cached
-    on the mesh (see :func:`_jacobian_pattern`), and each call sums the cell
-    and edge contributions into the CSR data with one ``np.bincount`` per
-    kind.  The cell block is aw / sqrt(w) (grad phi_i . grad phi_j - t^2 / w
-    p_i p_j) with p = grad u . grad phi and w = 1 + t^2 |grad u|^2, i.e.
-    grad phi_i . dT grad phi_j for dT = (I - t^2 g g^T / w) / sqrt(w), whose
-    eigenvalues w^-3/2 and w^-1/2 are positive.
+    Only values are assembled, into the pattern of ``disc``.  The cell
+    block is aw / sqrt(w) (grad phi_i . grad phi_j - t^2 / w p_i p_j) with
+    p = grad u . grad phi and w = 1 + t^2 |grad u|^2, i.e. grad phi_i . dT
+    grad phi_j for dT = (I - t^2 g g^T / w) / sqrt(w), whose eigenvalues
+    w^-3/2 and w^-1/2 are positive.
     """
-    mesh = field.mesh
+    mesh = disc.mesh
     u = field.values
-    m = weight_exponent
     t2 = spec.t ** 2
     n = mesh.n_vertices
-    indptr, indices, slot = _jacobian_pattern(mesh, flux_edges)
-    nnz = len(indices)
+    slot = disc.slot
+    nnz = len(disc.indices)
     n_cell = 9 * mesh.n_cells
 
     grads = mesh.cell_gradients(u)
     w = 1.0 + t2 * np.einsum("mi,mi->m", grads, grads)
-    gphi = _grad_phi(mesh)
-    gx, gy = gphi[:, :, 0], gphi[:, :, 1]
+    gx, gy = mesh.grad_phi[:, :, 0], mesh.grad_phi[:, :, 1]
     p = gx * grads[:, :1] + gy * grads[:, 1:]
     q = p * (t2 / w)[:, None]
-    scale = mesh.cell_areas * _cell_weight(mesh, m) / np.sqrt(w)
+    scale = disc.aw / np.sqrt(w)
     block = np.empty((mesh.n_cells, 3, 3))
     for i in range(3):
         for j in range(i, 3):
@@ -345,10 +302,9 @@ def jacobian(field, spec, flux_edges=None, weight_exponent=0, split=False):
     data = np.bincount(slot[:n_cell], weights=block.ravel(), minlength=nnz)
 
     rank_one = None
-    _, a, b, lengths, qpts = _edge_geometry(mesh, flux_edges)
-    if len(a):
-        wq = _edge_weight(qpts, m) * (lengths[:, None] / 2.0)
-        ua, ub = u[a], u[b]
+    if len(disc.a):
+        wq, lengths = disc.wq, disc.lengths
+        ua, ub = u[disc.a], u[disc.b]
         s = (ub - ua) / lengths
         ds_da, ds_db = -1.0 / lengths, 1.0 / lengths
         phi = np.stack([1.0 - _QXI, _QXI])          # phi[k, q] for k in (a, b)
@@ -359,7 +315,7 @@ def jacobian(field, spec, flux_edges=None, weight_exponent=0, split=False):
             rad = np.sqrt(1.0 + t2 * (c ** 2 + s ** 2))
             g0 = c / rad
             dg0_ds = -c * t2 * s / rad ** 3
-            s_hat = _neumann_scale(field, spec, flux_edges, m)
+            s_hat = _neumann_scale(g0[:, None], spec, disc)
             # d residual_i / d u_k = -s_hat * bint dg0/ds ds/du_k phi_i
             #                        - d s_hat / d u_k * bint g0 phi_i
             for dsk in (ds_da, ds_db):
@@ -369,13 +325,13 @@ def jacobian(field, spec, flux_edges=None, weight_exponent=0, split=False):
             # rank-one part: + (s_hat / Q0) * outer(bvec, dQ0)
             q0_e = np.sum(wq, axis=1) * g0
             q_total = float(np.sum(q0_e))
-            bvec = np.zeros(n)
-            np.add.at(bvec, a, np.sum(wq * (g0[:, None]) * phi[0][None, :], axis=1))
-            np.add.at(bvec, b, np.sum(wq * (g0[:, None]) * phi[1][None, :], axis=1))
-            dq = np.zeros(n)
+            edge_rows = disc.scatter[3 * mesh.n_cells:]
+            bvec = np.bincount(edge_rows, minlength=n, weights=np.concatenate(
+                [np.sum(wq * (g0[:, None]) * phi[k][None, :], axis=1)
+                 for k in (0, 1)]))
             dq_edge = np.sum(wq, axis=1) * dg0_ds
-            np.add.at(dq, a, dq_edge * ds_da)
-            np.add.at(dq, b, dq_edge * ds_db)
+            dq = np.bincount(edge_rows, minlength=n, weights=np.concatenate(
+                [dq_edge * ds_da, dq_edge * ds_db]))
             rank_one = ((s_hat / q_total) * bvec, dq)
         else:
             alpha = spec.alpha
@@ -391,11 +347,8 @@ def jacobian(field, spec, flux_edges=None, weight_exponent=0, split=False):
         data += np.bincount(slot[n_cell:], weights=np.concatenate(vals),
                             minlength=nnz)
 
-    local = sp.csr_matrix((data, indices, indptr), shape=(n, n))
-    if rank_one is None:
-        return local
-    J = RankOneJacobian(local, *rank_one)
-    return J if split else J.tocsr()
+    local = sp.csr_matrix((data, disc.indices, disc.indptr), shape=(n, n))
+    return local if rank_one is None else RankOneJacobian(local, *rank_one)
 
 
 def ellipticity_margins(field, spec):
@@ -425,15 +378,7 @@ class FeasibilityReport:
     area: float
 
     def as_dict(self):
-        return {
-            "feasible": self.feasible,
-            "borderline": self.borderline,
-            "margin": self.margin,
-            "flux_bound": self.flux_bound,
-            "required_mean_flux": self.required_mean_flux,
-            "boundary_length": self.boundary_length,
-            "area": self.area,
-        }
+        return asdict(self)
 
 
 def neumann_feasibility(domain, spec):
@@ -466,10 +411,7 @@ def _feasibility_from_measures(spec, L, area):
     )
 
 
-def mesh_feasibility(mesh, spec, flux_edges=None, weight_exponent=0):
-    """Feasibility gate on discrete (weighted) measures; used by the solver."""
-    _, _, _, lengths, qpts = _edge_geometry(mesh, flux_edges)
-    wq = _edge_weight(qpts, weight_exponent) * (lengths[:, None] / 2.0)
-    L = float(np.sum(wq))
-    area = float(np.sum(mesh.cell_areas * _cell_weight(mesh, weight_exponent)))
-    return _feasibility_from_measures(spec, L, area)
+def mesh_feasibility(disc, spec):
+    """Feasibility gate on the weighted discrete measures of ``disc``; used
+    by the solver."""
+    return _feasibility_from_measures(spec, disc.boundary_measure, disc.volume)

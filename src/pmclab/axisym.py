@@ -13,12 +13,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .critical import recover_gradient
 from .errors import InvalidParameterError, NoAxisCriticalError
 from .geometry import (_BOUNDARY_SPACING_FACTOR, _INTERIOR_CLEARANCE,
                        _LATTICE_SPACING_FACTOR, mesh_from_loop)
-from .solver import RadialSolution, SolverOptions, newton_solve
+from .solver import RadialSolution, newton_solve
 
 _AXIS_TOL = 1e-12
 
@@ -43,10 +44,6 @@ class MeridianProblem:
             raise InvalidParameterError("profile semi-axes must be positive")
         if self.n_dim < 2:
             raise InvalidParameterError(f"n_dim must be >= 2, got {self.n_dim}")
-
-    @property
-    def weight_exponent(self):
-        return self.n_dim - 2
 
 
 def meridian_mesh(problem, h_target):
@@ -81,34 +78,22 @@ def meridian_mesh(problem, h_target):
 
 
 def _half_lattice(a, b, h, loop):
+    """Hexagonal lattice points, row by row, inside the half ellipse and at
+    least ``_INTERIOR_CLEARANCE * h`` from the boundary loop (densified to
+    quarter-edge points)."""
     dy = h * math.sqrt(3.0) / 2.0
-    rows = int(math.floor(2.0 * b / dy)) + 2
-    cols = int(math.floor(a / h)) + 2
-    from scipy.spatial import cKDTree
-    tree = cKDTree(_densify(loop))
-    out = []
-    for j in range(rows):
-        z = -b + j * dy
-        r0 = 0.5 * h if j % 2 else h
-        rs = r0 + h * np.arange(cols)
-        cand = np.column_stack([rs, np.full(cols, z)])
-        inside = (cand[:, 0] / a) ** 2 + (cand[:, 1] / b) ** 2 < 1.0
-        cand = cand[inside & (cand[:, 0] > 0)]
-        if len(cand):
-            d, _ = tree.query(cand)
-            cand = cand[d >= _INTERIOR_CLEARANCE * h]
-            if len(cand):
-                out.append(cand)
-    return np.vstack(out) if out else np.empty((0, 2))
-
-
-def _densify(loop, factor=4):
+    j = np.arange(int(math.floor(2.0 * b / dy)) + 2)
+    rs = np.where(j % 2, 0.5 * h, h)[:, None] \
+        + h * np.arange(int(math.floor(a / h)) + 2)
+    zs = np.broadcast_to((-b + j * dy)[:, None], rs.shape)
+    cand = np.stack([rs, zs], axis=-1).reshape(-1, 2)
+    cand = cand[((cand[:, 0] / a) ** 2 + (cand[:, 1] / b) ** 2 < 1.0)
+                & (cand[:, 0] > 0)]
     closed = np.vstack([loop, loop[:1]])
-    out = []
-    for k in range(factor):
-        frac = k / factor
-        out.append(closed[:-1] + frac * (closed[1:] - closed[:-1]))
-    return np.vstack(out)
+    dense = np.vstack([closed[:-1] + (k / 4) * (closed[1:] - closed[:-1])
+                       for k in range(4)])
+    d, _ = cKDTree(dense).query(cand)
+    return cand[d >= _INTERIOR_CLEARANCE * h]
 
 
 def outer_flux_edges(mesh):
@@ -126,17 +111,16 @@ def axis_vertices(mesh):
     return idx[np.argsort(mesh.vertices[idx, 1])]
 
 
-def solve_meridian(problem, mesh, init=None, opts=None):
+def solve_meridian(problem, disc, init=None, opts=None):
     """Newton solve of the weighted weak form on the half cross-section.
 
-    For ``n_dim == 2`` the weight is identically one and the discrete system
-    coincides with the planar assembly restricted to outer-edge fluxes, which
-    serves as a regression cross-check.
+    ``disc`` is the meridian :class:`~pmclab.assembly.Discretization`:
+    weight r^(n-2) and flux on the :func:`outer_flux_edges` only.  For
+    ``n_dim == 2`` the weight is identically one and the discrete system
+    coincides with the planar assembly restricted to outer-edge fluxes,
+    which serves as a regression cross-check.
     """
-    opts = opts or SolverOptions()
-    return newton_solve(mesh, problem.spec, init=init, opts=opts,
-                        flux_edges=outer_flux_edges(mesh),
-                        weight_exponent=problem.weight_exponent)
+    return newton_solve(disc, problem.spec, init=init, opts=opts)
 
 
 def radial_ball_oracle(spec, R=1.0, n=None):
@@ -259,14 +243,14 @@ def axis_hessian(field, n_dim, patch_factor=4.0):
                        cross_term=float(v_rz), grad_residual=grad_res)
 
 
-def revolved_volume(mesh, n_dim):
+def revolved_volume(disc):
     """Discrete volume of the revolved domain from the weighted cell measure.
 
-    Multiplies the r^(n-2)-weighted half-section area by the surface measure
-    of the unit (n-2)-sphere; for n = 3 that factor is 2 pi and the ball of
-    radius R yields 4 pi R^3 / 3 up to O(h^2).
+    Multiplies the r^(n-2)-weighted half-section area of the meridian
+    :class:`~pmclab.assembly.Discretization` (``disc.volume``, n - 2 its
+    weight exponent) by the surface measure of the unit (n-2)-sphere; for
+    n = 3 that factor is 2 pi and the ball of radius R yields 4 pi R^3 / 3
+    up to O(h^2).
     """
-    m = n_dim - 2
-    r_bar = mesh.cell_centroids[:, 0]
-    sphere = 2.0 * math.pi ** ((n_dim - 1) / 2.0) / math.gamma((n_dim - 1) / 2.0)
-    return float(sphere * np.sum(mesh.cell_areas * r_bar ** m))
+    k = disc.weight_exponent + 1
+    return float(2.0 * math.pi ** (k / 2.0) / math.gamma(k / 2.0) * disc.volume)

@@ -141,6 +141,8 @@ def _validate_problem(doc, domain_kind, command):
     if schedule is None and command == "homotopy":
         schedule = [round(0.1 * k, 10) for k in range(11)]
     if schedule is not None:
+        _expect(domain_kind in _PLANAR_DOMAINS, "problem.schedule",
+                "continuation runs on planar domains only")
         _expect(isinstance(schedule, list) and len(schedule) >= 1,
                 "problem.schedule", "expected a non-empty list")
         vals = [_number(t, "problem.schedule", lo=0.0, hi=1.0)

@@ -13,6 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
 from .errors import IllConditionedLoopError, InvalidParameterError
 
@@ -52,14 +55,7 @@ def recover_gradient(field):
     one-sided cell patch.
     """
     mesh = field.mesh
-    grads = mesh.cell_gradients(field.values)
-    acc = np.zeros((mesh.n_vertices, 2))
-    wsum = np.zeros(mesh.n_vertices)
-    aw = mesh.cell_areas
-    for i in range(3):
-        np.add.at(acc, mesh.cells[:, i], grads * aw[:, None])
-        np.add.at(wsum, mesh.cells[:, i], aw)
-    return acc / wsum[:, None]
+    return mesh.vertex_average(mesh.cell_gradients(field.values))
 
 
 def classify(hessian, scale, degeneracy_tol=DEGENERACY_TOL):
@@ -88,13 +84,13 @@ def fit_quadratic_patch(mesh, values, center, seed_vertex, rings=2):
     Returns (gradient at center, symmetric Hessian, fitted value, patch size).
     Coordinates are centered and scaled by h for conditioning.
     """
-    neighbors = mesh.vertex_neighbors()
+    indptr, indices = mesh.vertex_neighbors()
     patch = {int(seed_vertex)}
     frontier = {int(seed_vertex)}
     for _ in range(rings):
         nxt = set()
         for v in frontier:
-            nxt.update(int(w) for w in neighbors[v])
+            nxt.update(indices[indptr[v]:indptr[v + 1]].tolist())
         frontier = nxt - patch
         patch |= nxt
     idx = np.array(sorted(patch))
@@ -221,16 +217,15 @@ def interior_max_scan(field):
     return an empty list.
     """
     mesh = field.mesh
-    v = field.values
-    out = []
-    neighbors = mesh.vertex_neighbors()
-    for i in range(mesh.n_vertices):
-        if mesh.is_boundary_vertex[i]:
-            continue
-        nb = neighbors[i]
-        if nb.size and np.all(v[i] > v[nb]):
-            out.append(i)
-    return out
+    indptr, indices = mesh.vertex_neighbors()
+    has_nb = indptr[1:] > indptr[:-1]
+    nb_max = np.full(mesh.n_vertices, np.inf)
+    # empty neighbor ranges are dropped, so each reduceat segment is one
+    # vertex's neighbor range
+    nb_max[has_nb] = np.maximum.reduceat(field.values[indices],
+                                         indptr[:-1][has_nb])
+    return np.nonzero((field.values > nb_max)
+                      & ~mesh.is_boundary_vertex)[0].tolist()
 
 
 def circle_loop(center, radius, n=256):
@@ -262,26 +257,13 @@ def _cells_spanning_origin(gtri, tol=1e-14):
 
 
 def _cluster_points(pts, radius):
-    """Greedy single-linkage clustering; returns lists of member indices."""
-    n = len(pts)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if np.linalg.norm(pts[i] - pts[j]) <= radius:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return [groups[k] for k in sorted(groups)]
+    """Single-linkage clusters of the points at most ``radius`` apart: lists
+    of member indices, ascending, ordered by their smallest member."""
+    pairs = cKDTree(pts).query_pairs(radius, output_type="ndarray")
+    graph = sp.coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
+                          shape=(len(pts), len(pts)))
+    n, labels = connected_components(graph, directed=False)
+    return [np.nonzero(labels == k)[0].tolist() for k in range(n)]
 
 
 def _nearest_vertex(mesh, p, fallback):

@@ -307,7 +307,10 @@ class TriMesh:
 
     Vertices are (N, 2); cells are (M, 3) vertex indices, counterclockwise;
     ``boundary_edges`` are consecutive (tail, head) pairs forming one closed
-    counterclockwise loop, each with outward unit normal and length weight.
+    counterclockwise loop, with ``boundary_lengths``.  Everything that
+    depends on the mesh alone is built here once: cell areas, centroids and
+    P1 basis gradients eagerly, the vertex adjacency and the vertex
+    averaging operator on first use.
     """
 
     def __init__(self, vertices, cells, boundary_edges, strict=True):
@@ -325,12 +328,8 @@ class TriMesh:
             raise MeshQualityError("non-positive cell area",
                                    {"bad_cells": int(np.sum(self.cell_areas <= 0))})
 
-        tails = p[self.boundary_edges[:, 0]]
-        heads = p[self.boundary_edges[:, 1]]
-        tangents = heads - tails
-        self.boundary_lengths = np.linalg.norm(tangents, axis=1)
-        t = tangents / self.boundary_lengths[:, None]
-        self.boundary_normals = np.column_stack([t[:, 1], -t[:, 0]])
+        self.boundary_lengths = np.linalg.norm(
+            p[self.boundary_edges[:, 1]] - p[self.boundary_edges[:, 0]], axis=1)
 
         edges = np.vstack([c[:, [0, 1]], c[:, [1, 2]], c[:, [2, 0]]])
         self.h = float(np.linalg.norm(p[edges[:, 0]] - p[edges[:, 1]], axis=1).max())
@@ -340,23 +339,23 @@ class TriMesh:
         self.is_boundary_vertex = np.zeros(self.n_vertices, dtype=bool)
         self.is_boundary_vertex[self.boundary_edges.ravel()] = True
 
-        # cell-local gradient operators: grad u = Ginv @ [u1-u0, u2-u0],
-        # where the edge matrix has the edge vectors as rows
-        edge_mat = np.stack([d1, d2], axis=1)
-        self._grad_inv = np.linalg.inv(edge_mat)
+        # P1 basis gradients: grad_phi[m, k] is the gradient on cell m of
+        # the hat function of vertex cells[m, k]; the inverse edge matrix
+        # (edge vectors as rows) holds those of local vertices 1 and 2
+        ginv = np.linalg.inv(np.stack([d1, d2], axis=1))
+        self.grad_phi = np.stack([-ginv[:, :, 0] - ginv[:, :, 1],
+                                  ginv[:, :, 0], ginv[:, :, 1]], axis=1)
+        self.cell_centroids = p[c].mean(axis=1)
 
         self._neighbors = None
+        self._averaging = None
         self._centroid_tree = None
-        self._jacobian_patterns = {}   # see assembly._jacobian_pattern
 
     # -- derived structure -------------------------------------------------
 
-    @property
-    def cell_centroids(self):
-        return self.vertices[self.cells].mean(axis=1)
-
     def vertex_neighbors(self):
-        """List of sorted neighbor index arrays, one per vertex."""
+        """CSR vertex adjacency ``(indptr, indices)``: the sorted neighbors
+        of vertex i are ``indices[indptr[i]:indptr[i + 1]]``."""
         if self._neighbors is None:
             c = self.cells
             pairs = np.vstack([c[:, [0, 1]], c[:, [1, 2]], c[:, [2, 0]]])
@@ -366,17 +365,39 @@ class TriMesh:
             keep = np.ones(len(pairs), bool)
             keep[1:] = np.any(pairs[1:] != pairs[:-1], axis=1)
             pairs = pairs[keep]
-            split = np.searchsorted(pairs[:, 0], np.arange(self.n_vertices + 1))
-            self._neighbors = [pairs[split[i]:split[i + 1], 1]
-                               for i in range(self.n_vertices)]
+            self._neighbors = (
+                np.searchsorted(pairs[:, 0], np.arange(self.n_vertices + 1)),
+                pairs[:, 1])
         return self._neighbors
+
+    def vertex_average(self, cell_values):
+        """Area-weighted average of a per-cell (M, k) array over the cells
+        around each vertex, shape (N, k).
+
+        The sparse sum operator is built on first use; each row sums its
+        cells in the order local corner 0, 1, 2, then cell index.
+        """
+        if self._averaging is None:
+            rows = self.cells.T.ravel()
+            order = np.argsort(rows, kind="stable")
+            areas = np.tile(self.cell_areas, 3)
+            indptr = np.zeros(self.n_vertices + 1, dtype=np.int64)
+            np.cumsum(np.bincount(rows, minlength=self.n_vertices),
+                      out=indptr[1:])
+            op = sp.csr_matrix(
+                (areas[order], np.tile(np.arange(self.n_cells), 3)[order],
+                 indptr), shape=(self.n_vertices, self.n_cells))
+            self._averaging = (op, np.bincount(rows, weights=areas,
+                                               minlength=self.n_vertices))
+        op, total = self._averaging
+        return (op @ cell_values) / total[:, None]
 
     def cell_gradients(self, values):
         """Constant P1 gradient per cell for a vertex field, shape (M, 2)."""
         v = np.asarray(values, dtype=float)
-        du = np.stack([v[self.cells[:, 1]] - v[self.cells[:, 0]],
-                       v[self.cells[:, 2]] - v[self.cells[:, 0]]], axis=1)
-        return np.einsum("mij,mj->mi", self._grad_inv, du)
+        c = self.cells
+        return (self.grad_phi[:, 1] * (v[c[:, 1]] - v[c[:, 0]])[:, None]
+                + self.grad_phi[:, 2] * (v[c[:, 2]] - v[c[:, 0]])[:, None])
 
     def min_angle_deg(self):
         return _min_angle_deg(self.vertices, self.cells)
@@ -469,7 +490,18 @@ def triangulate(domain, h_target):
                          / (L / _TABLE_SIZE)).astype(int)
         boundary_pts = domain._table_pts[np.unique(knots % _TABLE_SIZE)]
     else:
-        boundary_pts = domain.position(np.arange(n_b) * (L / n_b))
+        s = np.arange(n_b) * (L / n_b)
+        boundary_pts = domain.position(s)
+        # the C^2 spline overshoots where an arc meets a straight run (a
+        # reflex loop vertex that Delaunay fans into slivers), so a sample
+        # in a table interval with a zero-curvature end takes the chord
+        ts, kappa = domain._table_s, domain._table_kappa
+        i = np.clip(np.searchsorted(ts, s, side="right") - 1, 0, len(ts) - 2)
+        k = np.nonzero((kappa[i] == 0.0) | (kappa[i + 1] == 0.0))[0]
+        i = i[k]
+        frac = ((s[k] - ts[i]) / (ts[i + 1] - ts[i]))[:, None]
+        p0, p1 = domain._table_pts[i], domain._table_pts[i + 1]
+        boundary_pts[k] = p0 + frac * (p1 - p0)
 
     interior = _hex_lattice(domain, _LATTICE_SPACING_FACTOR * h_target)
     return mesh_from_loop(boundary_pts, interior)
@@ -527,8 +559,10 @@ def _delaunay_cells(points, n_boundary):
     # collinear boundary runs make qhull emit exactly degenerate simplices;
     # they carry no area and must not survive into the mesh
     scale = float(np.ptp(points, axis=0).max()) ** 2
-    cells = cells[np.abs(areas) > 1e-12 * scale]
-    return _oriented_cells(points, cells)
+    keep = np.abs(areas) > 1e-12 * scale
+    cells, flip = cells[keep], areas[keep] < 0
+    cells[flip] = cells[flip][:, [0, 2, 1]]
+    return cells
 
 
 def _hex_lattice(domain, a):
@@ -546,18 +580,6 @@ def _hex_lattice(domain, a):
     cand = np.stack([xs, ys], axis=-1).reshape(-1, 2)
     side, d = domain._side_and_distance(cand)
     return cand[(side < 0.0) & (d >= _INTERIOR_CLEARANCE * a)]
-
-
-def _oriented_cells(points, simplices):
-    p = points
-    c = simplices
-    d1 = p[c[:, 1]] - p[c[:, 0]]
-    d2 = p[c[:, 2]] - p[c[:, 0]]
-    areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-    c = c.copy()
-    flip = areas < 0
-    c[flip] = c[flip][:, [0, 2, 1]]
-    return c
 
 
 def _min_angle_deg(points, cells):

@@ -150,25 +150,18 @@ def trace_nodal_set(field):
 
     pos = vals > 0
     tri = pos[mesh.cells]
-    mixed = np.nonzero(~(np.all(tri, axis=1) | np.all(~tri, axis=1)))[0]
-
-    segments = []       # (edge_key_a, edge_key_b) per crossing cell
-    zero_pts = {}       # edge key -> crossing point
-    for ci in mixed:
-        cell = mesh.cells[ci]
-        keys = []
-        for i, j in ((0, 1), (1, 2), (2, 0)):
-            vi, vj = cell[i], cell[j]
-            if pos[vi] != pos[vj]:
-                key = (min(vi, vj), max(vi, vj))
-                if key not in zero_pts:
-                    a, bv = key
-                    ta = vals[bv] / (vals[bv] - vals[a])
-                    zero_pts[key] = (ta * mesh.vertices[a]
-                                     + (1.0 - ta) * mesh.vertices[bv])
-                keys.append(key)
-        if len(keys) == 2:
-            segments.append((keys[0], keys[1]))
+    cells = mesh.cells[~(np.all(tri, axis=1) | np.all(~tri, axis=1))]
+    # edges (0, 1), (1, 2), (2, 0) of each crossing cell as (low, high)
+    # vertex keys; a sign change crosses exactly two of them
+    ends = np.sort(np.stack([cells, np.roll(cells, -1, axis=1)], axis=2),
+                   axis=2)
+    keys = ends[pos[ends[..., 0]] != pos[ends[..., 1]]]
+    a, b = keys[:, 0], keys[:, 1]
+    ta = (vals[b] / (vals[b] - vals[a]))[:, None]
+    keys = list(map(tuple, keys.tolist()))
+    zero_pts = dict(zip(keys, ta * mesh.vertices[a]
+                        + (1.0 - ta) * mesh.vertices[b]))
+    segments = list(zip(keys[::2], keys[1::2]))
 
     chains = _chain_segments(segments)
     arcs = [np.array([zero_pts[k] for k in chain]) for chain in chains]

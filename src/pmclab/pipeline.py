@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import axisym as axi
-from .assembly import (ProblemSpec, ScalarField, mesh_feasibility,
-                       neumann_feasibility)
+from .assembly import (Discretization, ProblemSpec, ScalarField,
+                       mesh_feasibility, neumann_feasibility)
 from .critical import recover_gradient
 from .errors import InfeasibleProblemError, InvalidParameterError, PmclabError
 from .geometry import make_disk, make_ellipse, make_rounded_polygon, triangulate
@@ -50,17 +50,26 @@ def build_spec(problem_cfg):
 @dataclass(frozen=True)
 class Setup:
     """A meshed run: exactly one of ``domain`` (planar) and ``problem``
-    (meridian half cross-section of a domain of revolution) is set."""
+    (meridian half cross-section of a domain of revolution) is set.
+    ``disc`` is the one :class:`Discretization` every solve of the run
+    assembles on."""
 
     spec: ProblemSpec
-    mesh: object
+    disc: Discretization
     opts: SolverOptions
     domain: object = None
     problem: object = None
 
+    @property
+    def mesh(self):
+        return self.disc.mesh
+
 
 def setup(cfg):
-    """Problem data, domain and mesh of a canonical config dict."""
+    """Problem data, domain, mesh and discretization of a canonical config
+    dict.  A meridian run weights its measure by r^(n-2) and carries flux
+    on the outer edges only; a planar run has no weight and flux on every
+    boundary edge."""
     spec = build_spec(cfg["problem"])
     opts = SolverOptions(**cfg.get("solver", {}))
     h_target = cfg["mesh"]["h_target"]
@@ -70,10 +79,13 @@ def setup(cfg):
             (dom["a"], dom["b"])
         problem = axi.MeridianProblem(a=a, b=b, spec=spec,
                                       n_dim=cfg["problem"].get("n_dim", 3))
-        return Setup(spec, axi.meridian_mesh(problem, h_target), opts,
-                     problem=problem)
+        mesh = axi.meridian_mesh(problem, h_target)
+        disc = Discretization(mesh, problem.n_dim - 2,
+                              axi.outer_flux_edges(mesh))
+        return Setup(spec, disc, opts, problem=problem)
     domain = build_domain(dom)
-    return Setup(spec, triangulate(domain, h_target), opts, domain=domain)
+    return Setup(spec, Discretization(triangulate(domain, h_target)), opts,
+                 domain=domain)
 
 
 def neumann_gate(run):
@@ -90,9 +102,7 @@ def neumann_gate(run):
     if run.problem is None:
         feas = neumann_feasibility(run.domain, run.spec)
     else:
-        feas = mesh_feasibility(run.mesh, run.spec,
-                                axi.outer_flux_edges(run.mesh),
-                                run.problem.weight_exponent)
+        feas = mesh_feasibility(run.disc, run.spec)
     if not feas.feasible:
         raise InfeasibleProblemError("infeasible Neumann data: necessary "
                                      "flux bound violated", feasibility=feas)
@@ -106,13 +116,13 @@ def solve(run, schedule=None):
     Returns (field, solve report or None, homotopy trace or None).
     """
     if run.problem is not None:
-        field, report = axi.solve_meridian(run.problem, run.mesh, opts=run.opts)
+        field, report = axi.solve_meridian(run.problem, run.disc, opts=run.opts)
         return field, report, None
     if schedule:
-        field, trace = homotopy_solve(run.mesh, run.spec, schedule,
+        field, trace = homotopy_solve(run.disc, run.spec, schedule,
                                       opts=run.opts)
         return field, None, trace
-    field, report = newton_solve(run.mesh, run.spec, opts=run.opts)
+    field, report = newton_solve(run.disc, run.spec, opts=run.opts)
     return field, report, None
 
 

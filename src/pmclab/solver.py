@@ -27,7 +27,7 @@ each converged step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 import scipy.sparse as sp
@@ -73,19 +73,7 @@ class SolveReport:
     krylov_iterations: list = dc_field(default_factory=list)
 
     def as_dict(self):
-        return {
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "final_residual_norm": self.final_residual_norm,
-            "damping_history": list(self.damping_history),
-            "normalization": self.normalization,
-            "t": self.t,
-            "flux_scale": self.flux_scale,
-            "ellipticity_min": self.ellipticity_min,
-            "message": self.message,
-            "factorizations": self.factorizations,
-            "krylov_iterations": list(self.krylov_iterations),
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -256,9 +244,9 @@ def _preconditioned_gmres(lu, L, u, v, rhs):
     return (x if status == 0 else None), iterations
 
 
-def newton_solve(mesh, spec, init=None, opts=None, flux_edges=None,
-                 weight_exponent=0, kept=None):
-    """Solve the discrete problem by damped Newton iteration.
+def newton_solve(disc, spec, init=None, opts=None, kept=None):
+    """Solve the discrete problem of a :class:`Discretization` by damped
+    Newton iteration.
 
     Returns ``(field, report)`` with the max-norm residual at or below
     ``opts.newton_tol``.  Armijo backtracking on the Euclidean residual norm
@@ -270,8 +258,9 @@ def newton_solve(mesh, spec, init=None, opts=None, flux_edges=None,
     """
     opts = opts or SolverOptions()
     kept = _KeptFactor() if kept is None else kept
+    mesh = disc.mesh
     if spec.bc == "neumann":
-        feas = mesh_feasibility(mesh, spec, flux_edges, weight_exponent)
+        feas = mesh_feasibility(disc, spec)
         if not feas.feasible:
             raise InfeasibleProblemError(
                 f"Neumann data infeasible: required mean flux "
@@ -296,7 +285,7 @@ def newton_solve(mesh, spec, init=None, opts=None, flux_edges=None,
                          else "none",
                          t=spec.t)
     field = ScalarField(mesh, u)
-    F = residual(field, spec, flux_edges, weight_exponent)
+    F = residual(field, spec, disc)
     norm2 = float(np.linalg.norm(F))
     ell_min = math.inf
 
@@ -307,7 +296,7 @@ def newton_solve(mesh, spec, init=None, opts=None, flux_edges=None,
         if inf_norm <= opts.newton_tol:
             report.converged = True
             break
-        J = jacobian(field, spec, flux_edges, weight_exponent, split=True)
+        J = jacobian(field, spec, disc)
         delta, info = linear_solve(J, -F, constraint=constraint,
                                    return_info=True, kept=kept)
         report.factorizations += info["factored"]
@@ -317,7 +306,7 @@ def newton_solve(mesh, spec, init=None, opts=None, flux_edges=None,
         accepted = False
         for _ in range(opts.max_backtracks + 1):
             trial = ScalarField(mesh, u + beta * delta)
-            F_trial = residual(trial, spec, flux_edges, weight_exponent)
+            F_trial = residual(trial, spec, disc)
             trial_norm2 = float(np.linalg.norm(F_trial))
             if (trial_norm2 <= (1.0 - opts.armijo_c1 * beta) * norm2
                     or float(np.abs(F_trial).max()) <= opts.newton_tol):
@@ -343,14 +332,13 @@ def newton_solve(mesh, spec, init=None, opts=None, flux_edges=None,
     if constraint == "mean-zero":
         u = u - u.mean()
         field = ScalarField(mesh, u)
-    report.flux_scale = (flux_scale(field, spec, flux_edges, weight_exponent)
+    report.flux_scale = (flux_scale(field, spec, disc)
                          if spec.bc == "neumann" else None)
     report.ellipticity_min = None if ell_min is math.inf else float(ell_min)
     return field, report
 
 
-def homotopy_solve(mesh, spec, schedule, opts=None, flux_edges=None,
-                   weight_exponent=0):
+def homotopy_solve(disc, spec, schedule, opts=None):
     """Continuation in the homotopy parameter up to t = 1.
 
     Warm-starts each Newton solve from the previous step; on nonconvergence
@@ -378,10 +366,8 @@ def homotopy_solve(mesh, spec, schedule, opts=None, flux_edges=None,
         t_next = pending[0]
         try:
             spec_t = spec.at_t(t_next)
-            field_next, report = newton_solve(mesh, spec_t, init=field,
-                                              opts=opts, flux_edges=flux_edges,
-                                              weight_exponent=weight_exponent,
-                                              kept=kept)
+            field_next, report = newton_solve(disc, spec_t, init=field,
+                                              opts=opts, kept=kept)
         except (SolverFailure, LinearSolveFailure) as exc:
             kept.drop()
             if t_prev is None or t_next - t_prev <= _MIN_DT:

@@ -15,7 +15,7 @@ apply to the run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
@@ -89,9 +89,7 @@ class PropertyRecord:
     note: str = ""
 
     def as_dict(self):
-        return {"name": self.name, "claim": self.claim, "status": self.status,
-                "measured": self.measured, "tolerances": self.tolerances,
-                "note": self.note}
+        return asdict(self)
 
 
 def _record(name, status, measured=None, tolerances=None, note=""):
@@ -109,8 +107,7 @@ class VerificationReport:
     provenance: dict = dc_field(default_factory=dict)
 
     def as_dict(self):
-        return {"properties": [p.as_dict() for p in self.properties],
-                "verdict": self.verdict, "provenance": self.provenance}
+        return asdict(self)
 
 
 def _aggregate(properties, error=False):
@@ -272,7 +269,7 @@ def verify_cylinder_contact(field, spec, records, diam):
 
 # -- axisymmetric properties ----------------------------------------------------
 
-def verify_meridian_structure(field, problem, trace_rtol=TRACE_RTOL):
+def verify_meridian_structure(field, problem, disc, trace_rtol=TRACE_RTOL):
     out = []
     mesh = field.mesh
     mono = axi.check_monotone(field)
@@ -313,7 +310,7 @@ def verify_meridian_structure(field, problem, trace_rtol=TRACE_RTOL):
         "axial-nodal-single-arc", "pass" if arc_ok else "fail",
         measured=arc_info))
 
-    v_disc = axi.revolved_volume(mesh, problem.n_dim)
+    v_disc = axi.revolved_volume(disc)
     v_exact = _spheroid_volume(problem)
     vol_tol = max(1.0 * mesh.h ** 2 * v_exact, 1e-12)
     out.append(_record(
@@ -410,7 +407,7 @@ def run_suite(config, solution_values=None):
     field, spec = res.field, run.spec
     props = verify_sign_conditions(field, spec)
     if run.problem is not None:
-        props += verify_meridian_structure(field, run.problem)
+        props += verify_meridian_structure(field, run.problem, run.disc)
     else:
         res.records = find_critical_points(field, spec)
         diam = run.domain.diameter

@@ -3,8 +3,9 @@ import warnings
 import numpy as np
 import pytest
 
-from pmclab.assembly import ProblemSpec
-from pmclab.axisym import MeridianProblem, meridian_mesh, solve_meridian
+from pmclab.assembly import Discretization, ProblemSpec
+from pmclab.axisym import (MeridianProblem, meridian_mesh, outer_flux_edges,
+                           solve_meridian)
 from pmclab.geometry import make_disk, make_ellipse, triangulate
 from pmclab.solver import homotopy_solve, newton_solve
 
@@ -53,22 +54,22 @@ def neumann_spec():
 
 @pytest.fixture(scope="session")
 def robin_disk_01(disk_mesh_01, robin_spec):
-    return newton_solve(disk_mesh_01, robin_spec)
+    return newton_solve(Discretization(disk_mesh_01), robin_spec)
 
 
 @pytest.fixture(scope="session")
 def robin_disk_005(disk_mesh_005, robin_spec):
-    return newton_solve(disk_mesh_005, robin_spec)
+    return newton_solve(Discretization(disk_mesh_005), robin_spec)
 
 
 @pytest.fixture(scope="session")
 def neumann_disk_01(disk_mesh_01, neumann_spec):
-    return newton_solve(disk_mesh_01, neumann_spec)
+    return newton_solve(Discretization(disk_mesh_01), neumann_spec)
 
 
 @pytest.fixture(scope="session")
 def neumann_disk_005(disk_mesh_005, neumann_spec):
-    return newton_solve(disk_mesh_005, neumann_spec)
+    return newton_solve(Discretization(disk_mesh_005), neumann_spec)
 
 
 @pytest.fixture(scope="session")
@@ -79,7 +80,8 @@ def ellipse_robin_spec():
 @pytest.fixture(scope="session")
 def ellipse_homotopy(ellipse_mesh_005, ellipse_robin_spec):
     schedule = [round(0.1 * k, 10) for k in range(11)]
-    return homotopy_solve(ellipse_mesh_005, ellipse_robin_spec, schedule)
+    return homotopy_solve(Discretization(ellipse_mesh_005), ellipse_robin_spec,
+                          schedule)
 
 
 @pytest.fixture(scope="session")
@@ -95,7 +97,9 @@ def ball_mesh_005(ball_problem):
 
 @pytest.fixture(scope="session")
 def ball_robin_005(ball_problem, ball_mesh_005):
-    return solve_meridian(ball_problem, ball_mesh_005)
+    disc = Discretization(ball_mesh_005, ball_problem.n_dim - 2,
+                          outer_flux_edges(ball_mesh_005))
+    return solve_meridian(ball_problem, disc)
 
 
 @pytest.fixture()

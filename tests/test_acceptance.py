@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pmclab.assembly import ScalarField
+from pmclab.assembly import Discretization, ScalarField
 from pmclab.cli import main
 from pmclab.critical import (find_critical_points, gradient_index,
                              interior_max_scan, inward_offset_loop)
@@ -39,7 +39,8 @@ def test_criterion_1_disk_robin_oracle(disk, robin_spec):
     from pmclab.solver import newton_solve
     t0 = time.time()
     disk_mesh_005 = triangulate(disk, 0.05)
-    field, solve_report = newton_solve(disk_mesh_005, robin_spec)
+    field, solve_report = newton_solve(Discretization(disk_mesh_005),
+                                       robin_spec)
     oracle = radial_disk_oracle(robin_spec)
     err = float(np.abs(field.values
                        - oracle.at_points(disk_mesh_005.vertices)).max())

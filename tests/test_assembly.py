@@ -7,13 +7,13 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pmclab.assembly import (ProblemSpec, RankOneJacobian, ScalarField,
-                             boundary_flux, ellipticity_margins, flux_scale,
-                             jacobian, mesh_feasibility, neumann_feasibility,
-                             residual)
-from pmclab.assembly import (_QXI, _cell_weight, _edge_geometry, _edge_weight,
-                             _grad_phi, _neumann_scale)
-from pmclab.axisym import MeridianProblem, meridian_mesh, outer_flux_edges
+from pmclab.assembly import (Discretization, ProblemSpec, RankOneJacobian,
+                             ScalarField, boundary_flux, ellipticity_margins,
+                             flux_scale, jacobian, mesh_feasibility,
+                             neumann_feasibility, residual)
+from pmclab.assembly import _QXI
+from pmclab.axisym import (MeridianProblem, meridian_mesh, outer_flux_edges,
+                           revolved_volume)
 from pmclab.errors import InvalidParameterError
 from pmclab.geometry import triangulate
 from pmclab.solver import radial_disk_oracle
@@ -44,25 +44,27 @@ class TestBoundaryFlux:
     def test_neumann_plugin(self, disk_mesh_02):
         spec = ProblemSpec.neumann(0.6, 0.5)
         field = ScalarField.zeros(disk_mesh_02)
-        g = boundary_flux(field, spec)
+        g = boundary_flux(field, spec, Discretization(disk_mesh_02))
         assert np.allclose(g, 0.4472135954999579, atol=1e-12)
 
     def test_robin_plugin(self, disk_mesh_02):
         spec = ProblemSpec.robin(0.6, 1.0)
         field = ScalarField(disk_mesh_02,
                             np.full(disk_mesh_02.n_vertices, -0.5))
-        g = boundary_flux(field, spec)
+        g = boundary_flux(field, spec, Discretization(disk_mesh_02))
         assert np.allclose(g, 0.4472135954999579, atol=1e-12)
 
     def test_neumann_t0_degenerates_to_c(self, disk_mesh_02):
         spec = ProblemSpec.neumann(0.6, 0.5, t=0.0)
         field = ScalarField.zeros(disk_mesh_02)
-        assert np.allclose(boundary_flux(field, spec), 0.5, atol=1e-15)
+        assert np.allclose(
+            boundary_flux(field, spec, Discretization(disk_mesh_02)), 0.5,
+            atol=1e-15)
 
     def test_tangential_derivative_lowers_flux(self, disk_mesh_02):
         spec = ProblemSpec.neumann(0.6, 0.5)
         field = ScalarField(disk_mesh_02, disk_mesh_02.vertices[:, 1].copy())
-        g = boundary_flux(field, spec)
+        g = boundary_flux(field, spec, Discretization(disk_mesh_02))
         assert np.all(g <= 0.4472135954999579 + 1e-15)
         assert g.min() < 0.44
 
@@ -77,8 +79,9 @@ class TestResidual:
         H = CAP * L_h / area_h
         spec = ProblemSpec.neumann(H, 0.5)
         field = ScalarField(m, np.full(m.n_vertices, 3.7))
-        assert flux_scale(field, spec) == pytest.approx(1.0, abs=1e-12)
-        r = residual(field, spec)
+        disc = Discretization(m)
+        assert flux_scale(field, spec, disc) == pytest.approx(1.0, abs=1e-12)
+        r = residual(field, spec, disc)
         interior = ~m.is_boundary_vertex
         # gradient term vanishes: interior entries equal the H load exactly
         load = np.zeros(m.n_vertices)
@@ -99,7 +102,8 @@ class TestResidual:
             m = triangulate(disk, h)
             oracle = radial_disk_oracle(robin_spec)
             f = ScalarField(m, oracle.at_points(m.vertices))
-            errs.append(np.abs(residual(f, robin_spec)).max())
+            errs.append(np.abs(residual(f, robin_spec,
+                                        Discretization(m))).max())
         assert errs[0] > errs[1] > errs[2]
         # first-order decay at least
         assert errs[0] / errs[1] >= 1.8
@@ -111,22 +115,24 @@ class TestResidual:
         for h in (0.2, 0.1):
             m = triangulate(disk, h)
             v = 0.2 * np.sum(m.vertices ** 2, axis=1) - 0.6
-            r = residual(ScalarField(m, v), spec0)
+            r = residual(ScalarField(m, v), spec0, Discretization(m))
             errs.append(np.abs(r[~m.is_boundary_vertex]).max())
         assert errs[0] / errs[1] >= 3.0
 
     def test_neumann_gauge_invariance(self, disk_mesh_01, neumann_spec, rng):
         m = disk_mesh_01
         u = ScalarField(m, 0.3 * rng.standard_normal(m.n_vertices))
-        r0 = residual(u, neumann_spec)
-        r1 = residual(ScalarField(m, u.values + 7.3), neumann_spec)
+        disc = Discretization(m)
+        r0 = residual(u, neumann_spec, disc)
+        r1 = residual(ScalarField(m, u.values + 7.3), neumann_spec, disc)
         assert np.abs(r0 - r1).max() <= 1e-12
 
     def test_neumann_compatibility_identity(self, disk_mesh_01, neumann_spec,
                                             rng):
         u = ScalarField(disk_mesh_01,
                         0.3 * rng.standard_normal(disk_mesh_01.n_vertices))
-        assert abs(residual(u, neumann_spec).sum()) <= 1e-12
+        assert abs(residual(u, neumann_spec,
+                            Discretization(disk_mesh_01)).sum()) <= 1e-12
 
 
 class TestJacobian:
@@ -135,8 +141,9 @@ class TestJacobian:
         spec0 = ProblemSpec.robin(0.8, 1.0, t=0.0)
         u1 = ScalarField(m, rng.standard_normal(m.n_vertices))
         u2 = ScalarField(m, rng.standard_normal(m.n_vertices))
-        J1 = jacobian(u1, spec0).toarray()
-        J2 = jacobian(u2, spec0).toarray()
+        disc = Discretization(m)
+        J1 = jacobian(u1, spec0, disc).toarray()
+        J2 = jacobian(u2, spec0, disc).toarray()
         interior = ~m.is_boundary_vertex
         assert np.allclose(J1[np.ix_(interior, interior)],
                            J2[np.ix_(interior, interior)], atol=1e-13)
@@ -146,13 +153,14 @@ class TestJacobian:
         m = disk_mesh_02
         spec = (ProblemSpec.robin(0.8, 1.0) if bc == "robin"
                 else ProblemSpec.neumann(0.6, 0.5))
+        disc = Discretization(m)
         for _ in range(20):
             u = ScalarField(m, 0.4 * rng.standard_normal(m.n_vertices))
             d = rng.standard_normal(m.n_vertices)
-            J = jacobian(u, spec)
+            J = jacobian(u, spec, disc)
             eps = 1e-6
-            fd = (residual(ScalarField(m, u.values + eps * d), spec)
-                  - residual(ScalarField(m, u.values - eps * d), spec)) \
+            fd = (residual(ScalarField(m, u.values + eps * d), spec, disc)
+                  - residual(ScalarField(m, u.values - eps * d), spec, disc)) \
                 / (2 * eps)
             jd = J @ d
             assert np.linalg.norm(fd - jd) <= 1e-5 * np.linalg.norm(jd)
@@ -165,8 +173,8 @@ class TestJacobian:
         # boundary contribution is alpha times the consistent edge mass
         for t in (1.0, 0.0):
             sp = ProblemSpec.robin(0.8, alpha, t=t)
-            J = jacobian(z, sp)
-            Jn = jacobian(z, sp, flux_edges=np.array([], dtype=int))
+            J = jacobian(z, sp, Discretization(m))
+            Jn = jacobian(z, sp, Discretization(m, flux_edges=[]))
             diff = (J - Jn).toarray()
             expected = np.zeros_like(diff)
             for (a, b), ell in zip(m.boundary_edges, m.boundary_lengths):
@@ -192,33 +200,35 @@ def meridian_mesh_02():
 
 
 class TestNeumannJacobianSplit:
-    """The split Neumann Jacobian local + outer(u, v) that the Newton solve
-    factors: constants span both null spaces, the parts add up to
-    :func:`jacobian`, and the sparse part has no dense boundary block."""
+    """The Neumann Jacobian local + outer(u, v) that the Newton solve
+    factors: constants span both null spaces of the materialized matrix,
+    the parts add up to it, and the sparse part has no dense boundary
+    block."""
 
     @staticmethod
-    def _check(mesh, seed, amp, t, flux_edges, m):
+    def _check(disc, seed, amp, t):
+        mesh = disc.mesh
         field = ScalarField(
             mesh, amp * np.random.default_rng(seed).standard_normal(
                 mesh.n_vertices))
         spec = ProblemSpec.neumann(0.6, 0.5, t=t)
-        J = jacobian(field, spec, flux_edges, m)
-        split = jacobian(field, spec, flux_edges, m, split=True)
+        split = jacobian(field, spec, disc)
         assert isinstance(split, RankOneJacobian)
+        J = split.tocsr()
         jnorm = spla.norm(J)
         ones = np.ones(mesh.n_vertices)
         assert np.linalg.norm(J.T @ ones) <= 1e-12 * jnorm
         assert np.linalg.norm(J @ ones) <= 1e-12 * jnorm
         parts = split.local.toarray() + np.outer(split.u, split.v)
         assert np.abs(parts - J.toarray()).max() <= 1e-14 * jnorm
-        robin = jacobian(field, ProblemSpec.robin(0.6, 1.0, t=t), flux_edges, m)
+        robin = jacobian(field, ProblemSpec.robin(0.6, 1.0, t=t), disc)
         assert split.nnz == split.local.nnz == robin.nnz
 
     @given(seed=st.integers(0, 2 ** 32 - 1), amp=st.floats(0.0, 1.0),
            t=st.floats(0.0, 1.0))
     @settings(max_examples=25, deadline=None)
     def test_planar(self, disk_mesh_02, seed, amp, t):
-        self._check(disk_mesh_02, seed, amp, t, None, 0)
+        self._check(Discretization(disk_mesh_02), seed, amp, t)
 
     @given(seed=st.integers(0, 2 ** 32 - 1), amp=st.floats(0.0, 1.0),
            t=st.floats(0.0, 1.0))
@@ -226,12 +236,13 @@ class TestNeumannJacobianSplit:
     def test_weighted_meridian(self, meridian_mesh_02, seed, amp, t):
         edges = outer_flux_edges(meridian_mesh_02)
         assert len(edges) < len(meridian_mesh_02.boundary_edges)
-        self._check(meridian_mesh_02, seed, amp, t, edges, 2)
+        self._check(Discretization(meridian_mesh_02, 2, edges), seed, amp, t)
 
 
 def _coo_jacobian(field, spec, flux_edges=None, m=0):
-    """Reference Jacobian assembled from COO triplets, without the cached
-    pattern: ``(local, rank_one)`` with rank_one None or the pair (u, v)."""
+    """Reference Jacobian assembled from COO triplets, with its own
+    quadrature and without the cached pattern: ``(local, rank_one)`` with
+    rank_one None or the pair (u, v)."""
     mesh = field.mesh
     u = field.values
     t2 = spec.t ** 2
@@ -241,8 +252,9 @@ def _coo_jacobian(field, spec, flux_edges=None, m=0):
     outer = np.einsum("mi,mj->mij", grads, grads)
     dT = (np.eye(2)[None, :, :] - t2 * outer / w[:, None, None]) \
         / np.sqrt(w)[:, None, None]
-    aw = mesh.cell_areas * _cell_weight(mesh, m)
-    gphi = _grad_phi(mesh)
+    centroid_r = mesh.vertices[mesh.cells, 0].mean(axis=1)
+    aw = mesh.cell_areas * centroid_r ** m
+    gphi = mesh.grad_phi
     dT_gphi = np.einsum("mij,mkj->mki", dT, gphi)
     rows, cols, vals = [], [], []
     for i in range(3):
@@ -252,9 +264,14 @@ def _coo_jacobian(field, spec, flux_edges=None, m=0):
             vals.append(aw * np.einsum("mi,mi->m", gphi[:, i, :],
                                        dT_gphi[:, j, :]))
     rank_one = None
-    _, a, b, lengths, qpts = _edge_geometry(mesh, flux_edges)
+    edges = np.arange(len(mesh.boundary_edges)) if flux_edges is None \
+        else np.asarray(flux_edges, dtype=int)
+    a, b = mesh.boundary_edges[edges].T
     if len(a):
-        wq = _edge_weight(qpts, m) * (lengths[:, None] / 2.0)
+        lengths = np.linalg.norm(mesh.vertices[b] - mesh.vertices[a], axis=1)
+        ra, rb = mesh.vertices[a, 0], mesh.vertices[b, 0]
+        wq = (ra[:, None] + _QXI * (rb - ra)[:, None]) ** m \
+            * (lengths[:, None] / 2.0)
         s = (u[b] - u[a]) / lengths
         ds = ((a, -1.0 / lengths), (b, 1.0 / lengths))
         phi = np.stack([1.0 - _QXI, _QXI])
@@ -263,7 +280,8 @@ def _coo_jacobian(field, spec, flux_edges=None, m=0):
             rad = np.sqrt(1.0 + t2 * (c ** 2 + s ** 2))
             g0 = c / rad
             dg0_ds = -c * t2 * s / rad ** 3
-            s_hat = _neumann_scale(field, spec, flux_edges, m)
+            s_hat = spec.H * float(np.sum(aw)) \
+                / float(np.sum(wq * g0[:, None]))
             for k_idx, dsk in ds:
                 for i_loc, i_idx in ((0, a), (1, b)):
                     rows.append(i_idx)
@@ -297,8 +315,10 @@ def _coo_jacobian(field, spec, flux_edges=None, m=0):
 
 
 class TestValuesOnlyJacobian:
-    """:func:`jacobian` sums values into a pattern cached on the mesh; it
-    must equal the COO reference above, pattern and values."""
+    """:func:`jacobian` sums values into the pattern of its
+    :class:`Discretization`; it must equal the COO reference above, pattern
+    and values.  The rank-one Neumann term is kept apart exactly when it
+    exists."""
 
     @staticmethod
     def _check(mesh, spec, flux_edges=None, m=0, seed=0):
@@ -309,18 +329,16 @@ class TestValuesOnlyJacobian:
         if rank_one is not None:
             ref += np.outer(*rank_one)
         tol = 1e-14 * np.abs(ref).max()
-        J = jacobian(field, spec, flux_edges, m)
-        assert isinstance(J, sp.csr_matrix)
-        assert np.abs(J.toarray() - ref).max() <= tol
-        split = jacobian(field, spec, flux_edges, m, split=True)
+        J = jacobian(field, spec, Discretization(mesh, m, flux_edges))
         if rank_one is None:
-            assert isinstance(split, sp.csr_matrix)
-            local = split
+            assert isinstance(J, sp.csr_matrix)
+            local = J
         else:
-            assert isinstance(split, RankOneJacobian)
-            assert np.array_equal(split.u, rank_one[0])
-            assert np.array_equal(split.v, rank_one[1])
-            local = split.local
+            assert isinstance(J, RankOneJacobian)
+            assert np.array_equal(J.u, rank_one[0])
+            assert np.array_equal(J.v, rank_one[1])
+            local = J.local
+        assert np.abs(J.tocsr().toarray() - ref).max() <= tol
         assert local.nnz == ref_local.nnz
         assert np.array_equal(local.indptr, ref_local.indptr)
         assert np.array_equal(local.indices, ref_local.indices)
@@ -350,14 +368,43 @@ class TestValuesOnlyJacobian:
                 else ProblemSpec.neumann(0.6, 0.5))
         self._check(disk_mesh_02, spec, np.array([], dtype=int))
 
-    def test_pattern_cached_per_flux_edge_set(self, ellipse):
+    @pytest.mark.parametrize("edges", ["all", "half", "half_list"])
+    @pytest.mark.parametrize("bc", ["robin", "neumann"])
+    def test_flux_edge_subsets(self, ellipse, edges, bc):
         mesh = triangulate(ellipse, 0.2)
-        spec = ProblemSpec.robin(0.8, 1.0)
         half = np.arange(0, len(mesh.boundary_edges), 2)
-        for flux_edges in (None, half, None, half, list(half)):
-            self._check(mesh, spec, flux_edges)
-            self._check(mesh, ProblemSpec.neumann(0.6, 0.5), flux_edges)
-        assert len(mesh._jacobian_patterns) == 2
+        flux_edges = {"all": None, "half": half, "half_list": list(half)}[edges]
+        spec = (ProblemSpec.robin(0.8, 1.0) if bc == "robin"
+                else ProblemSpec.neumann(0.6, 0.5))
+        self._check(mesh, spec, flux_edges)
+
+
+class TestWeightedMeasure:
+    """The r^m cell weight has one home, ``Discretization.aw``: the revolved
+    volume, the feasibility area and the volume in the flux rescale all read
+    it and agree to the last bit."""
+
+    @pytest.mark.parametrize("n_dim", [3, 4, 5, 6])
+    def test_one_weighted_volume(self, n_dim):
+        spec = ProblemSpec.neumann(0.6, 0.5, n_dim=n_dim)
+        mesh = meridian_mesh(MeridianProblem(1.0, 1.0, n_dim, spec), 0.2)
+        disc = Discretization(mesh, n_dim - 2, outer_flux_edges(mesh))
+        centroid_r = mesh.vertices[mesh.cells, 0].mean(axis=1)
+        assert np.array_equal(disc.aw,
+                              mesh.cell_areas * centroid_r ** (n_dim - 2))
+        volume = float(np.sum(disc.aw))
+        sphere = 2.0 * math.pi ** ((n_dim - 1) / 2.0) \
+            / math.gamma((n_dim - 1) / 2.0)
+        assert revolved_volume(disc) == sphere * volume
+        assert mesh_feasibility(disc, spec).area == volume
+        field = ScalarField(mesh, 0.3 * mesh.vertices[:, 1])
+        q_total = float(np.sum(disc.wq * boundary_flux(field, spec, disc)))
+        assert flux_scale(field, spec, disc) == spec.H * volume / q_total
+        # every one of them follows a change of the cell weight
+        disc.volume *= 2.0
+        assert revolved_volume(disc) == sphere * 2.0 * volume
+        assert mesh_feasibility(disc, spec).area == 2.0 * volume
+        assert flux_scale(field, spec, disc) == spec.H * 2.0 * volume / q_total
 
 
 class TestFeasibility:
@@ -385,6 +432,6 @@ class TestFeasibility:
     def test_mesh_feasibility_tracks_domain(self, disk, disk_mesh_01):
         spec = ProblemSpec.neumann(0.6, 0.5)
         a = neumann_feasibility(disk, spec)
-        b = mesh_feasibility(disk_mesh_01, spec)
+        b = mesh_feasibility(Discretization(disk_mesh_01), spec)
         assert b.feasible
         assert b.margin == pytest.approx(a.margin, abs=0.02)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pmclab.assembly import ProblemSpec, ScalarField
+from pmclab.assembly import Discretization, ProblemSpec, ScalarField
 from pmclab.axisym import (MeridianProblem, axis_hessian, axis_vertices,
                            check_monotone, find_axis_critical, meridian_mesh,
                            outer_flux_edges, radial_ball_oracle,
@@ -20,6 +20,10 @@ BALL_LEVEL = -0.41247771184618975
 
 def synth(mesh, fn):
     return ScalarField(mesh, fn(mesh.vertices[:, 0], mesh.vertices[:, 1]))
+
+
+def meridian_disc(problem, mesh):
+    return Discretization(mesh, problem.n_dim - 2, outer_flux_edges(mesh))
 
 
 class TestMeridianMesh:
@@ -57,7 +61,8 @@ class TestMeridianMesh:
         exact = 4.0 * math.pi / 3.0
         for h in (0.1, 0.05):
             m = meridian_mesh(ball_problem, h)
-            assert abs(revolved_volume(m, 3) - exact) <= 1.0 * h ** 2 * exact
+            v = revolved_volume(meridian_disc(ball_problem, m))
+            assert abs(v - exact) <= 1.0 * h ** 2 * exact
 
 
 class TestBallOracle:
@@ -99,7 +104,7 @@ class TestSolveMeridian:
         H = 3 * c / math.sqrt(1 + c * c)
         spec = ProblemSpec.neumann(H, c, n_dim=3)
         prob = MeridianProblem(1.0, 1.0, 3, spec)
-        field, report = solve_meridian(prob, ball_mesh_005)
+        field, report = solve_meridian(prob, meridian_disc(prob, ball_mesh_005))
         oracle = radial_ball_oracle(spec, 1.0, 3)
         exact = oracle.at_points(ball_mesh_005.vertices)
         exact -= exact.mean()
@@ -110,10 +115,9 @@ class TestSolveMeridian:
         spec = ProblemSpec.robin(0.8, 1.0, n_dim=2)
         prob = MeridianProblem(1.0, 1.0, 2, spec)
         mesh = meridian_mesh(prob, 0.1)
-        f_meridian, _ = solve_meridian(prob, mesh)
-        f_planar, _ = newton_solve(mesh, spec,
-                                   flux_edges=outer_flux_edges(mesh),
-                                   weight_exponent=0)
+        f_meridian, _ = solve_meridian(prob, meridian_disc(prob, mesh))
+        f_planar, _ = newton_solve(
+            Discretization(mesh, flux_edges=outer_flux_edges(mesh)), spec)
         assert np.abs(f_meridian.values - f_planar.values).max() <= 1e-8
 
 
@@ -155,7 +159,7 @@ class TestAxisHessian:
         spec = ProblemSpec.robin(0.5, 1.0, n_dim=3)
         prob = MeridianProblem(0.7, 1.2, 3, spec)
         mesh = meridian_mesh(prob, 0.05)
-        field, _ = solve_meridian(prob, mesh)
+        field, _ = solve_meridian(prob, meridian_disc(prob, mesh))
         ah = axis_hessian(field, 3)
         assert np.all(ah.entries > 0)
         assert abs(ah.cross_term) <= 0.1 * np.abs(ah.entries).min()

@@ -141,6 +141,16 @@ class TestExitCodes:
                           ["problem.t=1.5"])
         assert code == 4
 
+    @pytest.mark.parametrize("command, overrides", [
+        ("verify", ["problem.schedule=[0.5,1.0]"]),
+        ("homotopy", [])])
+    def test_meridian_schedule_is_four(self, tmp_path, command, overrides):
+        # continuation runs on planar domains only; a schedule on a domain
+        # of revolution must not be accepted and then ignored
+        code, out = run_cli(tmp_path, command, "ball3d_robin.json", overrides)
+        assert code == 4
+        assert not (out / "solution.csv").exists()
+
     def test_nonconvergence_is_three(self, tmp_path):
         code, out = run_cli(tmp_path, "solve", "robin_disk.json",
                             ["problem.H=2.6", "mesh.h_target=0.2",

@@ -169,3 +169,30 @@ class TestInteriorMaxScan:
     def test_constant_field_has_none(self, disk_mesh_01):
         f = ScalarField(disk_mesh_01, np.zeros(disk_mesh_01.n_vertices))
         assert interior_max_scan(f) == []
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), levels=st.integers(1, 4))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_plain_loop(self, disk_mesh_01, seed, levels):
+        # few levels: ties between neighbors and plateaus everywhere
+        m = disk_mesh_01
+        v = np.random.default_rng(seed).integers(0, levels, m.n_vertices)
+        f = ScalarField(m, v.astype(float))
+        assert interior_max_scan(f) == reference_interior_maxima(m, f.values)
+
+
+def reference_interior_maxima(mesh, v):
+    """Per-vertex loop over neighbor sets read from the cells: interior
+    vertices strictly above every neighbor, in index order."""
+    neighbors = [set() for _ in range(mesh.n_vertices)]
+    for cell in mesh.cells.tolist():
+        for i in cell:
+            neighbors[i].update(j for j in cell if j != i)
+    indptr, indices = mesh.vertex_neighbors()
+    out = []
+    for i in range(mesh.n_vertices):
+        assert indices[indptr[i]:indptr[i + 1]].tolist() == sorted(neighbors[i])
+        if mesh.is_boundary_vertex[i] or not neighbors[i]:
+            continue
+        if all(v[i] > v[j] for j in neighbors[i]):
+            out.append(i)
+    return out

@@ -12,7 +12,7 @@ from scipy.interpolate import CubicSpline
 from scipy.spatial import cKDTree
 
 import pmclab
-from pmclab.errors import InvalidParameterError, MeshQualityError
+from pmclab.errors import InvalidParameterError
 from pmclab.geometry import (_INTERIOR_CLEARANCE, _LATTICE_SPACING_FACTOR,
                              _hex_lattice, make_disk, make_ellipse,
                              make_rounded_polygon, triangulate)
@@ -247,12 +247,14 @@ class TestTriangulate:
             assert disk.contains(p)
 
     @pytest.mark.filterwarnings("ignore:rounded polygon")
-    @pytest.mark.xfail(strict=True, raises=MeshQualityError,
-                       reason="knot snapping stops above _TABLE_SIZE // 4 "
-                              "boundary samples; smoothing then misses 20 deg")
     def test_rounded_square_fine_mesh(self):
-        # h = 0.017 (494 boundary samples, snapped to knots) meshes fine
-        triangulate(make_rounded_polygon(SQUARE, 0.5), 0.015)
+        # 561 boundary samples: above _TABLE_SIZE // 4 they are placed by
+        # the spline, except next to the straight runs
+        d = make_rounded_polygon(SQUARE, 0.5)
+        m = triangulate(d, 0.015)
+        assert len(m.boundary_edges) > 512
+        assert m.min_angle_deg() >= 20.0
+        assert abs(m.cell_areas.sum() - d.area) <= 0.015 ** 2
 
 
 def reference_lattice(domain, a):

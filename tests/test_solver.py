@@ -5,8 +5,8 @@ import scipy.sparse as sp
 
 import pmclab.solver
 
-from pmclab.assembly import (ProblemSpec, RankOneJacobian, ScalarField,
-                             jacobian, mesh_feasibility, residual)
+from pmclab.assembly import (Discretization, ProblemSpec, RankOneJacobian,
+                             ScalarField, jacobian, mesh_feasibility, residual)
 from pmclab.errors import (InfeasibleProblemError, InvalidParameterError,
                            LinearSolveFailure, SolverFailure)
 from pmclab.solver import (SolverOptions, _KeptFactor, homotopy_solve,
@@ -60,7 +60,7 @@ class TestLinearSolve:
         m = disk_mesh_02
         spec0 = ProblemSpec.neumann(0.6, 0.5, t=0.0)
         A = jacobian(ScalarField.zeros(m), spec0,
-                     flux_edges=np.array([], dtype=int))
+                     Discretization(m, flux_edges=[]))
         b = rng.standard_normal(m.n_vertices)
         b -= b.mean()
         x, info = linear_solve(A, b, constraint="mean-zero", return_info=True)
@@ -72,7 +72,7 @@ class TestLinearSolve:
         m = disk_mesh_02
         spec0 = ProblemSpec.neumann(0.6, 0.5, t=0.0)
         A = jacobian(ScalarField.zeros(m), spec0,
-                     flux_edges=np.array([], dtype=int))
+                     Discretization(m, flux_edges=[]))
         b = rng.standard_normal(m.n_vertices) + 0.4
         x, info = linear_solve(A, b, constraint="mean-zero", return_info=True)
         assert info["incompatible"]
@@ -83,7 +83,7 @@ class TestLinearSolve:
         m = disk_mesh_02
         spec0 = ProblemSpec.neumann(0.6, 0.5, t=0.0)
         A = jacobian(ScalarField.zeros(m), spec0,
-                     flux_edges=np.array([], dtype=int))
+                     Discretization(m, flux_edges=[]))
         with pytest.raises(LinearSolveFailure):
             linear_solve(A, rng.standard_normal(m.n_vertices))
 
@@ -93,7 +93,7 @@ class TestLinearSolve:
         m = disk_mesh_02
         spec0 = ProblemSpec.neumann(0.6, 0.5, t=0.0)
         K = jacobian(ScalarField.zeros(m), spec0,
-                     flux_edges=np.array([], dtype=int))
+                     Discretization(m, flux_edges=[]))
         A = sp.block_diag([K, K], format="csr")
         b = rng.standard_normal(A.shape[0])
         with pytest.raises(LinearSolveFailure):
@@ -107,7 +107,7 @@ class TestLinearSolve:
         m = disk_mesh_02
         spec0 = ProblemSpec.neumann(0.6, 0.5, t=0.0)
         K = jacobian(ScalarField.zeros(m), spec0,
-                     flux_edges=np.array([], dtype=int))
+                     Discretization(m, flux_edges=[]))
         A = (sp.diags(rng.uniform(0.5, 2.0, m.n_vertices)) @ K).tocsr()
         assert np.abs(A @ np.ones(m.n_vertices)).max() <= 1e-12
         b = rng.standard_normal(m.n_vertices)
@@ -126,13 +126,14 @@ class TestLinearSolve:
         m = disk_mesh_02
         n = m.n_vertices
         spec = ProblemSpec.neumann(0.6, 0.5)
+        disc = Discretization(m)
         for _ in range(5):
             u = ScalarField(m, 0.4 * rng.standard_normal(n))
-            split = jacobian(u, spec, split=True)
-            dense = jacobian(u, spec).toarray()
+            split = jacobian(u, spec, disc)
+            dense = split.tocsr().toarray()
             bordered = np.block([[dense, np.ones((n, 1))],
                                  [np.ones((1, n)), np.zeros((1, 1))]])
-            for b in (-residual(u, spec), rng.standard_normal(n) + 0.3):
+            for b in (-residual(u, spec, disc), rng.standard_normal(n) + 0.3):
                 x, info = linear_solve(split, b, constraint="mean-zero",
                                        return_info=True)
                 ref = np.linalg.lstsq(bordered, np.append(b, 0.0),
@@ -163,7 +164,7 @@ def _singular_cases(mesh, rng):
     """The singular systems of TestLinearSolve: (A, b, constraint)."""
     n = mesh.n_vertices
     K = jacobian(ScalarField.zeros(mesh), ProblemSpec.neumann(0.6, 0.5, t=0.0),
-                 flux_edges=np.array([], dtype=int))
+                 Discretization(mesh, flux_edges=[]))
     stacked = sp.block_diag([K, K], format="csr")
     b2 = rng.standard_normal(2 * n)
     e0 = np.eye(n)[0]
@@ -200,7 +201,7 @@ class TestKeptFactor:
                                             ellipse_mesh_005,
                                             ellipse_robin_spec):
         systems = _recorded_systems(monkeypatch, lambda: homotopy_solve(
-            ellipse_mesh_005, ellipse_robin_spec,
+            Discretization(ellipse_mesh_005), ellipse_robin_spec,
             [round(0.1 * k, 10) for k in range(11)]))
         assert len(systems) == 18
         infos = self._replay(systems)
@@ -210,7 +211,8 @@ class TestKeptFactor:
     def test_neumann_disk_systems(self, monkeypatch, disk_mesh_005,
                                   neumann_spec):
         systems = _recorded_systems(
-            monkeypatch, lambda: newton_solve(disk_mesh_005, neumann_spec))
+            monkeypatch,
+            lambda: newton_solve(Discretization(disk_mesh_005), neumann_spec))
         assert len(systems) >= 3
         assert all(isinstance(A, RankOneJacobian) and c == "mean-zero"
                    for A, _, c in systems)
@@ -227,8 +229,9 @@ class TestKeptFactor:
         else:
             spec, constraint = ProblemSpec.neumann(0.6, 0.5), "mean-zero"
         field = ScalarField(m, 0.3 * rng.standard_normal(n))
-        A = jacobian(field, spec, split=True)
-        b = -residual(field, spec)
+        disc = Discretization(m)
+        A = jacobian(field, spec, disc)
+        b = -residual(field, spec, disc)
         size = n if constraint == "none" else n - 1
         kept = _KeptFactor()
         unrelated = sp.diags(rng.uniform(1.0, 1e3, size), format="csr")
@@ -249,7 +252,8 @@ class TestKeptFactor:
     def test_factor_of_other_size_is_replaced(self, disk_mesh_02, rng):
         n = disk_mesh_02.n_vertices
         spec = ProblemSpec.robin(0.8, 1.0)
-        A = jacobian(ScalarField.zeros(disk_mesh_02), spec)
+        A = jacobian(ScalarField.zeros(disk_mesh_02), spec,
+                     Discretization(disk_mesh_02))
         kept = _KeptFactor()
         linear_solve(sp.identity(n + 1, format="csr"), np.ones(n + 1),
                      kept=kept)
@@ -303,7 +307,8 @@ class TestNewtonSolve:
 
     def test_infeasible_neumann_rejected(self, disk_mesh_01):
         with pytest.raises(InfeasibleProblemError):
-            newton_solve(disk_mesh_01, ProblemSpec.neumann(1.0, 0.5))
+            newton_solve(Discretization(disk_mesh_01),
+                         ProblemSpec.neumann(1.0, 0.5))
 
     def test_mesh_convergence_order(self, disk_mesh_01, disk_mesh_005,
                                     robin_spec, robin_disk_01,
@@ -320,20 +325,22 @@ class TestNewtonSolve:
         spec = ProblemSpec.robin(1.6, 0.5)
         mesh = disk_mesh_01
         field = ScalarField.zeros(mesh)
-        norms = [np.linalg.norm(residual(field, spec))]
+        norms = [np.linalg.norm(residual(field, spec, Discretization(mesh)))]
         u = field.values
         from pmclab.solver import SolverOptions
         opts = SolverOptions()
-        out, report = newton_solve(mesh, spec, opts=opts)
+        out, report = newton_solve(Discretization(mesh), spec, opts=opts)
         assert report.converged
         assert all(0 < b <= 1 for b in report.damping_history)
 
     def test_gauge_invariance_of_converged_neumann(self, neumann_disk_01,
                                                    neumann_spec):
         field, _ = neumann_disk_01
-        r0 = residual(field, neumann_spec)
+        disc = Discretization(field.mesh)
+        r0 = residual(field, neumann_spec, disc)
         shifted = ScalarField(field.mesh, field.values + 1.234)
-        assert np.abs(residual(shifted, neumann_spec) - r0).max() <= 1e-12
+        assert np.abs(residual(shifted, neumann_spec, disc) - r0).max() \
+            <= 1e-12
 
     def test_flux_identity_at_convergence(self, neumann_disk_01,
                                           neumann_spec):
@@ -342,15 +349,16 @@ class TestNewtonSolve:
         field, report = neumann_disk_01
         from pmclab.assembly import boundary_flux, flux_scale
         mesh = field.mesh
-        g0 = boundary_flux(field, neumann_spec)
-        s_hat = flux_scale(field, neumann_spec)
+        disc = Discretization(mesh)
+        g0 = boundary_flux(field, neumann_spec, disc)
+        s_hat = flux_scale(field, neumann_spec, disc)
         total = float(np.sum(g0.mean(axis=1) * mesh.boundary_lengths)) * s_hat
         target = neumann_spec.H * mesh.cell_areas.sum()
         assert abs(total - target) <= 10 * 1e-10
 
     def test_determinism(self, disk_mesh_01, robin_spec):
-        f1, r1 = newton_solve(disk_mesh_01, robin_spec)
-        f2, r2 = newton_solve(disk_mesh_01, robin_spec)
+        f1, r1 = newton_solve(Discretization(disk_mesh_01), robin_spec)
+        f2, r2 = newton_solve(Discretization(disk_mesh_01), robin_spec)
         assert np.array_equal(f1.values, f2.values)
         assert r1.as_dict() == r2.as_dict()
 
@@ -359,7 +367,8 @@ class TestNewtonSolve:
         # must surface either a Newton stall or a Jacobian breakdown
         spec = ProblemSpec.robin(2.6, 1.0)
         with pytest.raises((SolverFailure, LinearSolveFailure)) as exc:
-            newton_solve(disk_mesh_02, spec, opts=SolverOptions(max_iter=12))
+            newton_solve(Discretization(disk_mesh_02), spec,
+                         opts=SolverOptions(max_iter=12))
         if isinstance(exc.value, SolverFailure):
             assert exc.value.report is not None
             assert not exc.value.report.converged
@@ -373,11 +382,12 @@ class TestPoissonInit:
 
     @staticmethod
     def _incompatibility(mesh, spec0):
-        feas = mesh_feasibility(mesh, spec0)
+        feas = mesh_feasibility(Discretization(mesh), spec0)
         return float(spec0.c * feas.boundary_length - spec0.H * feas.area)
 
     def test_robin_disk_values(self, disk_mesh_005, robin_spec):
-        field, _ = newton_solve(disk_mesh_005, robin_spec.at_t(0.0))
+        field, _ = newton_solve(Discretization(disk_mesh_005),
+                                robin_spec.at_t(0.0))
         m = disk_mesh_005
         center = int(np.argmin(np.linalg.norm(m.vertices, axis=1)))
         rim = int(np.argmax(np.linalg.norm(m.vertices, axis=1)))
@@ -387,7 +397,7 @@ class TestPoissonInit:
     def test_neumann_compatible_paraboloid(self, disk_mesh_01):
         H = 0.8
         spec0 = ProblemSpec.neumann(H, H / 2.0).at_t(0.0)   # c = H R / 2
-        field, _ = newton_solve(disk_mesh_01, spec0)
+        field, _ = newton_solve(Discretization(disk_mesh_01), spec0)
         assert abs(self._incompatibility(disk_mesh_01, spec0)) <= 0.02
         m = disk_mesh_01
         r2 = np.sum(m.vertices ** 2, axis=1)
@@ -397,7 +407,7 @@ class TestPoissonInit:
 
     def test_neumann_incompatible_reported(self, disk_mesh_01, neumann_spec):
         spec0 = neumann_spec.at_t(0.0)
-        newton_solve(disk_mesh_01, spec0)
+        newton_solve(Discretization(disk_mesh_01), spec0)
         assert self._incompatibility(disk_mesh_01, spec0) == pytest.approx(
             1.2566370614359172, abs=0.01)
 
@@ -429,7 +439,8 @@ class TestHomotopy:
         # the jump to t = 1 fails four times; each retry after a failure
         # starts from a new factorization, the final step reuses one
         spec = ProblemSpec.robin(1.6, 1.0)
-        _, trace = homotopy_solve(disk_mesh_01, spec, [0.0, 1.0],
+        _, trace = homotopy_solve(Discretization(disk_mesh_01), spec,
+                                  [0.0, 1.0],
                                   opts=SolverOptions(max_iter=4))
         assert [s.t for s in trace.steps] == [0.0, 0.5, 0.75, 0.875, 0.9375,
                                               1.0]
@@ -441,7 +452,7 @@ class TestHomotopy:
 
     def test_critical_point_near_center_on_disk(self, disk_mesh_01):
         spec = ProblemSpec.robin(0.8, 1.0)
-        field, trace = homotopy_solve(disk_mesh_01, spec,
+        field, trace = homotopy_solve(Discretization(disk_mesh_01), spec,
                                       [0.0, 0.5, 1.0])
         for step in trace.steps:
             loc = step.records[0].location
@@ -449,24 +460,24 @@ class TestHomotopy:
 
     def test_path_independence(self, disk_mesh_01):
         spec = ProblemSpec.robin(0.3, 1.0)
-        f_direct, _ = homotopy_solve(disk_mesh_01, spec, [1.0])
-        f_path, _ = homotopy_solve(disk_mesh_01, spec,
+        f_direct, _ = homotopy_solve(Discretization(disk_mesh_01), spec, [1.0])
+        f_path, _ = homotopy_solve(Discretization(disk_mesh_01), spec,
                                    [round(0.1 * k, 10) for k in range(11)])
         assert np.abs(f_direct.values - f_path.values).max() <= 1e-8
 
     def test_schedule_validation(self, disk_mesh_02):
         spec = ProblemSpec.robin(0.5, 1.0)
         with pytest.raises(InvalidParameterError):
-            homotopy_solve(disk_mesh_02, spec, [0.0, 0.5])
+            homotopy_solve(Discretization(disk_mesh_02), spec, [0.0, 0.5])
         with pytest.raises(InvalidParameterError):
-            homotopy_solve(disk_mesh_02, spec, [0.5, 0.4, 1.0])
+            homotopy_solve(Discretization(disk_mesh_02), spec, [0.5, 0.4, 1.0])
 
     def test_failure_carries_partial_trace(self, disk_mesh_02):
         # H too large for a graph at t = 1: continuation must fail but keep
         # the steps it completed
         spec = ProblemSpec.robin(2.6, 1.0)
         with pytest.raises(SolverFailure) as exc:
-            homotopy_solve(disk_mesh_02, spec, [0.0, 0.5, 1.0],
+            homotopy_solve(Discretization(disk_mesh_02), spec, [0.0, 0.5, 1.0],
                            opts=SolverOptions(max_iter=12))
         assert exc.value.trace is not None
         assert len(exc.value.trace.steps) >= 1
