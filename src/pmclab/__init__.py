@@ -11,7 +11,7 @@ higher-dimensional case) as quantitative pass/fail tests.
 from .geometry import (ConvexDomain, TriMesh, make_disk, make_ellipse,
                        make_rounded_polygon, triangulate)
 from .assembly import (Discretization, ProblemSpec, ScalarField,
-                       boundary_flux, jacobian, neumann_feasibility, residual)
+                       boundary_flux, jacobian, neumann_gate, residual)
 from .solver import (HomotopyTrace, SolveReport, homotopy_solve, linear_solve,
                      newton_solve, radial_disk_oracle)
 from .critical import (CriticalPointRecord, classify, find_critical_points,
@@ -20,7 +20,7 @@ from .nodal import (LeadingOrderFit, NodalArcSet, cylinder_solution,
                     difference_field, leading_order_fit, quadratic_model,
                     sector_count, trace_nodal_set)
 from .axisym import (MeridianProblem, axis_hessian, check_monotone,
-                     meridian_mesh, radial_ball_oracle, solve_meridian)
+                     meridian_mesh, radial_ball_oracle)
 from .verify import VerificationReport, run_suite
 from .config import RunConfig, parse_config
 
@@ -28,7 +28,7 @@ __all__ = [
     "ConvexDomain", "TriMesh", "make_disk", "make_ellipse",
     "make_rounded_polygon", "triangulate",
     "Discretization", "ProblemSpec", "ScalarField", "boundary_flux", "jacobian",
-    "neumann_feasibility", "residual",
+    "neumann_gate", "residual",
     "HomotopyTrace", "SolveReport", "homotopy_solve", "linear_solve",
     "newton_solve", "radial_disk_oracle",
     "CriticalPointRecord", "classify", "find_critical_points",
@@ -36,7 +36,7 @@ __all__ = [
     "LeadingOrderFit", "NodalArcSet", "cylinder_solution", "difference_field",
     "leading_order_fit", "quadratic_model", "sector_count", "trace_nodal_set",
     "MeridianProblem", "axis_hessian", "check_monotone", "meridian_mesh",
-    "radial_ball_oracle", "solve_meridian",
+    "radial_ball_oracle",
     "VerificationReport", "run_suite",
     "RunConfig", "parse_config",
 ]

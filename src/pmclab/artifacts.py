@@ -58,21 +58,6 @@ def write_solution_csv(out_dir, mesh, values, config_hash):
     return path
 
 
-def load_solution_csv(path):
-    """Returns (config_hash, mesh_hash, values)."""
-    text = Path(path).read_text().strip().splitlines()
-    meta = {}
-    rows = []
-    for line in text:
-        if line.startswith("#"):
-            key, _, val = line[1:].strip().partition("=")
-            meta[key.strip()] = val.strip()
-        elif line and not line.startswith("x1"):
-            rows.append([float(tok) for tok in line.split(",")])
-    arr = np.array(rows)
-    return meta.get("config", ""), meta.get("mesh", ""), arr[:, 2]
-
-
 def write_critical_csv(out_dir, records, config_hash):
     path = Path(out_dir) / "critical_points.csv"
     lines = [f"# config={config_hash}",

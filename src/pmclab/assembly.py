@@ -19,7 +19,8 @@ both H and c overdetermines that constraint on generic domains, so Neumann
 assembly rescales the flux profile by s_hat = H |Omega| / (integral of g0),
 which keeps the discrete system solvable, reduces to the honest flux exactly
 when the data is compatible (s_hat = 1), and is reported by the solver as a
-measured incompatibility of the data.
+measured incompatibility of the data.  :func:`neumann_gate` checks the
+necessary flux bound on the same measures before any solve.
 
 An optional measure weight r^m (r the first coordinate) supports the
 axisymmetric meridian reduction; m = 0 gives the plain planar forms.  The
@@ -34,7 +35,7 @@ from dataclasses import asdict, dataclass, field as dc_field, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InvalidParameterError
+from .errors import InfeasibleProblemError, InvalidParameterError
 
 # two-point Gauss rule on the unit interval
 _QXI = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
@@ -187,9 +188,16 @@ def boundary_flux(field, spec, disc):
     return -spec.alpha * uq / rad
 
 
+def _require_flux_edges(disc):
+    if not len(disc.a):
+        raise InvalidParameterError(
+            "Neumann data needs at least one flux edge")
+
+
 def _neumann_scale(g0, spec, disc):
     """Compatibility rescale s_hat = H * weighted volume / weighted flux
     integral of the unscaled profile ``g0``."""
+    _require_flux_edges(disc)
     return spec.H * disc.volume / float(np.sum(disc.wq * g0))
 
 
@@ -217,7 +225,7 @@ def residual(field, spec, disc):
     cell = disc.aw * (gx * flux[:, 0] + gy * flux[:, 1] + spec.H / 3.0)
 
     g = boundary_flux(field, spec, disc)
-    if spec.bc == "neumann" and len(g):
+    if spec.bc == "neumann":
         g = g * _neumann_scale(g, spec, disc)
     wg = disc.wq * g
     edge = -np.concatenate([np.sum(wg * (1.0 - _QXI)[None, :], axis=1),
@@ -365,7 +373,7 @@ def ellipticity_margins(field, spec):
     return float(np.min(lam_par)), float(np.min(lam_perp))
 
 
-# -- solvability pre-check -----------------------------------------------------
+# -- the Neumann gate -----------------------------------------------------------
 
 @dataclass(frozen=True)
 class FeasibilityReport:
@@ -381,26 +389,29 @@ class FeasibilityReport:
         return asdict(self)
 
 
-def neumann_feasibility(domain, spec):
-    """Divergence-theorem necessary condition for Neumann data.
+def neumann_gate(disc, spec):
+    """Divergence-theorem necessary condition for Neumann data, on the
+    measures of ``disc``.
 
     Any solution satisfies H |Omega| = total conormal flux <= cap * L with
     cap = c / sqrt(1 + t^2 c^2), so a positive margin cap*L - H|Omega| is
-    necessary (not sufficient) for solvability.  Margins within a small
-    relative band of zero are flagged borderline; the exactly compatible
-    radial data sits on that boundary.
+    necessary (not sufficient) for solvability.  L and |Omega| are
+    ``disc.boundary_measure`` and ``disc.volume``, the r^m-weighted mesh
+    measures that the compatibility rescale s_hat balances against.
+    Margins within a small relative band of zero are flagged borderline;
+    the exactly compatible radial data sits on that boundary.
+
+    Returns the report, None for Robin data, and raises
+    :class:`InfeasibleProblemError` carrying it when the bound is violated.
     """
     if spec.bc != "neumann":
-        raise InvalidParameterError("feasibility check applies to Neumann data")
-    L, area = domain.length, domain.area
-    return _feasibility_from_measures(spec, L, area)
-
-
-def _feasibility_from_measures(spec, L, area):
+        return None
+    _require_flux_edges(disc)
+    L, area = disc.boundary_measure, disc.volume
     cap = spec.c / np.sqrt(1.0 + spec.t ** 2 * spec.c ** 2)
     margin = cap * L - spec.H * area
     band = _FEASIBILITY_BAND * cap * L
-    return FeasibilityReport(
+    feas = FeasibilityReport(
         feasible=bool(margin > -band),
         borderline=bool(abs(margin) <= band),
         margin=float(margin),
@@ -409,9 +420,7 @@ def _feasibility_from_measures(spec, L, area):
         boundary_length=float(L),
         area=float(area),
     )
-
-
-def mesh_feasibility(disc, spec):
-    """Feasibility gate on the weighted discrete measures of ``disc``; used
-    by the solver."""
-    return _feasibility_from_measures(spec, disc.boundary_measure, disc.volume)
+    if not feas.feasible:
+        raise InfeasibleProblemError("infeasible Neumann data: necessary "
+                                     "flux bound violated", feasibility=feas)
+    return feas

@@ -5,6 +5,10 @@ the (r, z) half plane with measure weight r^(n-2).  The weight vanishes on
 the axis, which enforces the symmetry condition v_r(0, z) = 0 naturally (the
 singular (n-2)/r coefficient of the strong form is never evaluated); the
 outer boundary carries the same conormal flux machinery as the planar case.
+The meridian problem is solved by the planar Newton solver on a
+:class:`~pmclab.assembly.Discretization` with weight exponent n - 2 and flux
+on the :func:`outer_flux_edges` only; for n = 2 the weight is one and the
+system is the planar one restricted to those edges.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from .critical import recover_gradient
 from .errors import InvalidParameterError, NoAxisCriticalError
 from .geometry import (_BOUNDARY_SPACING_FACTOR, _INTERIOR_CLEARANCE,
                        _LATTICE_SPACING_FACTOR, mesh_from_loop)
-from .solver import RadialSolution, newton_solve
+from .solver import RadialSolution
 
 _AXIS_TOL = 1e-12
 
@@ -31,19 +35,16 @@ class MeridianProblem:
     The profile is the r >= 0 half of an ellipse with equatorial semi-axis
     ``a`` (r direction) and polar semi-axis ``b`` (z direction); ``a == b``
     is the ball.  The profile meets the axis orthogonally at (0, -b) and
-    (0, b), so the revolved domain is smooth.
+    (0, b), so the revolved domain is smooth.  The dimension n and the
+    boundary data belong to the :class:`~pmclab.assembly.ProblemSpec`.
     """
 
     a: float
     b: float
-    n_dim: int
-    spec: object
 
     def __post_init__(self):
         if not (self.a > 0 and self.b > 0):
             raise InvalidParameterError("profile semi-axes must be positive")
-        if self.n_dim < 2:
-            raise InvalidParameterError(f"n_dim must be >= 2, got {self.n_dim}")
 
 
 def meridian_mesh(problem, h_target):
@@ -111,18 +112,6 @@ def axis_vertices(mesh):
     return idx[np.argsort(mesh.vertices[idx, 1])]
 
 
-def solve_meridian(problem, disc, init=None, opts=None):
-    """Newton solve of the weighted weak form on the half cross-section.
-
-    ``disc`` is the meridian :class:`~pmclab.assembly.Discretization`:
-    weight r^(n-2) and flux on the :func:`outer_flux_edges` only.  For
-    ``n_dim == 2`` the weight is identically one and the discrete system
-    coincides with the planar assembly restricted to outer-edge fluxes,
-    which serves as a regression cross-check.
-    """
-    return newton_solve(disc, problem.spec, init=init, opts=opts)
-
-
 def radial_ball_oracle(spec, R=1.0, n=None):
     """Closed-form radial solution on the ball of radius R in dimension n."""
     return RadialSolution(spec, R=R, n=n if n is not None else spec.n_dim)
@@ -166,8 +155,10 @@ def find_axis_critical(field):
     """Critical points of the revolved solution along the axis.
 
     On the axis v_r vanishes by symmetry, so critical points are the zeros
-    of dv/dz along the axis chain; each sign change is refined by a local
-    quadratic fit of the axis values.
+    of dv/dz along the axis chain.  Each sign change of the recovered dv/dz
+    is located by linear interpolation between the two axis vertices that
+    bracket it (a vertex where dv/dz is exactly zero is taken as is); a
+    crossing within 2h of the previous one kept is dropped.
     """
     mesh = field.mesh
     chain = axis_vertices(mesh)

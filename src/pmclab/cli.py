@@ -133,27 +133,21 @@ def _dispatch(config, out, report):
     if config.command == "mesh-report":
         return EXIT_OK
 
-    feas = pipeline.neumann_gate(run)
-    if feas is not None:
-        report["feasibility"] = feas.as_dict()
     # continuation runs for `homotopy` only; `solve` and `compare` ignore
     # a schedule
     schedule = config.problem["schedule"] if config.command == "homotopy" \
         else None
-    field, solve_report, trace = pipeline.solve(run, schedule)
+    field, feas, solve_report, trace = pipeline.solve(run, schedule)
+    if feas is not None:
+        report["feasibility"] = feas.as_dict()
     if trace is not None:
-        report["homotopy"] = {
-            "completed": trace.completed,
-            "steps": [{"t": s.t, "minima": s.n_minima, "maxima": s.n_maxima,
-                       "saddles": s.n_saddles, "critical": s.n_critical,
-                       "morse_ok": s.morse_ok, "field_min": s.field_min,
-                       "field_max": s.field_max} for s in trace.steps]}
+        report["homotopy"] = _homotopy_summary(trace)
     else:
         report["solve"] = solve_report.as_dict()
 
     records, arcs = [], None
     if run.problem is not None:
-        report["axisym"] = pipeline.axisym_summary(field, run.problem)
+        report["axisym"] = pipeline.axisym_summary(field, run.spec.n_dim)
         arcs = pipeline.axial_nodal_set(field)
     else:
         records = find_critical_points(field, run.spec)
@@ -166,6 +160,14 @@ def _dispatch(config, out, report):
         report["artifacts"]["nodal_arcs_csv"] = "nodal_arcs.csv"
     _write_field_artifacts(out, config, field, records, report, nodal=arcs)
     return EXIT_OK
+
+
+def _homotopy_summary(trace):
+    return {"completed": trace.completed,
+            "steps": [{"t": s.t, "minima": s.n_minima, "maxima": s.n_maxima,
+                       "saddles": s.n_saddles, "critical": s.n_critical,
+                       "morse_ok": s.morse_ok, "field_min": s.field_min,
+                       "field_max": s.field_max} for s in trace.steps]}
 
 
 def _mesh_summary(mesh):
@@ -184,6 +186,8 @@ def _run_verify(config, out, report):
     report["verification"] = result.report.as_dict()
     if result.solve_report is not None:
         report["solve"] = result.solve_report.as_dict()
+    if result.trace is not None:
+        report["homotopy"] = _homotopy_summary(result.trace)
     if result.records:
         report["critical_points"] = [r.as_dict() for r in result.records]
 

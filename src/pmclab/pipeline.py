@@ -1,11 +1,11 @@
 """The chain every command runs: set-up, Neumann gate, solve, diagnostics.
 
 One validated config goes through :func:`setup` (problem data, the planar
-domain or the meridian problem of a domain of revolution, and the mesh),
-:func:`neumann_gate` (the necessary flux bound, checked before any solve)
-and :func:`solve` (meridian Newton, homotopy continuation, or planar
-Newton).  The diagnostics that both the commands and the property suite
-report are computed here too: the axial nodal set of a meridian solution
+domain or the meridian profile of a domain of revolution, the mesh and its
+discretization) and :func:`solve` (the Neumann gate
+:func:`~pmclab.assembly.neumann_gate`, then homotopy continuation or one
+Newton solve).  The diagnostics that both the commands and the property
+suite report are computed here too: the axial nodal set of a meridian solution
 and the contact of a planar solution with its matched cylinder.  ``cli``
 turns the results into artifacts and ``verify`` into property records.
 """
@@ -17,10 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import axisym as axi
-from .assembly import (Discretization, ProblemSpec, ScalarField,
-                       mesh_feasibility, neumann_feasibility)
+from .assembly import Discretization, ProblemSpec, ScalarField, neumann_gate
 from .critical import recover_gradient
-from .errors import InfeasibleProblemError, InvalidParameterError, PmclabError
+from .errors import InvalidParameterError, PmclabError
 from .geometry import make_disk, make_ellipse, make_rounded_polygon, triangulate
 from .nodal import (cylinder_solution, difference_field, leading_order_fit,
                     quadratic_model, sector_count, trace_nodal_set)
@@ -41,7 +40,7 @@ def build_domain(domain_cfg):
 
 
 def build_spec(problem_cfg):
-    kw = {"t": problem_cfg.get("t", 1.0), "n_dim": problem_cfg.get("n_dim", 2)}
+    kw = {"t": problem_cfg["t"], "n_dim": problem_cfg["n_dim"]}
     if problem_cfg["bc"] == "neumann":
         return ProblemSpec.neumann(problem_cfg["H"], problem_cfg["c"], **kw)
     return ProblemSpec.robin(problem_cfg["H"], problem_cfg["alpha"], **kw)
@@ -50,9 +49,9 @@ def build_spec(problem_cfg):
 @dataclass(frozen=True)
 class Setup:
     """A meshed run: exactly one of ``domain`` (planar) and ``problem``
-    (meridian half cross-section of a domain of revolution) is set.
-    ``disc`` is the one :class:`Discretization` every solve of the run
-    assembles on."""
+    (meridian profile of a domain of revolution) is set.  The dimension and
+    the boundary data are read from ``spec``; ``disc`` is the one
+    :class:`Discretization` every solve of the run assembles on."""
 
     spec: ProblemSpec
     disc: Discretization
@@ -77,10 +76,9 @@ def setup(cfg):
     if dom["type"] in MERIDIAN_DOMAINS:
         a, b = (dom["R"], dom["R"]) if dom["type"] == "ball" else \
             (dom["a"], dom["b"])
-        problem = axi.MeridianProblem(a=a, b=b, spec=spec,
-                                      n_dim=cfg["problem"].get("n_dim", 3))
+        problem = axi.MeridianProblem(a=a, b=b)
         mesh = axi.meridian_mesh(problem, h_target)
-        disc = Discretization(mesh, problem.n_dim - 2,
+        disc = Discretization(mesh, spec.n_dim - 2,
                               axi.outer_flux_edges(mesh))
         return Setup(spec, disc, opts, problem=problem)
     domain = build_domain(dom)
@@ -88,50 +86,29 @@ def setup(cfg):
                  domain=domain)
 
 
-def neumann_gate(run):
-    """Necessary flux bound for Neumann data, before any solve.
-
-    Planar runs measure the analytic boundary length and area of the
-    domain; meridian runs the r^(n-2)-weighted outer-boundary length and
-    area of the mesh.  Returns the feasibility report (None for Robin data)
-    and raises :class:`InfeasibleProblemError` carrying it when the bound
-    is violated.
-    """
-    if run.spec.bc != "neumann":
-        return None
-    if run.problem is None:
-        feas = neumann_feasibility(run.domain, run.spec)
-    else:
-        feas = mesh_feasibility(run.disc, run.spec)
-    if not feas.feasible:
-        raise InfeasibleProblemError("infeasible Neumann data: necessary "
-                                     "flux bound violated", feasibility=feas)
-    return feas
-
-
 def solve(run, schedule=None):
-    """Meridian Newton on a domain of revolution; on a planar domain,
-    continuation over ``schedule`` when one is given, else one Newton solve.
+    """Gate Neumann data, then run continuation over ``schedule`` when one
+    is given, else one Newton solve.
 
-    Returns (field, solve report or None, homotopy trace or None).
+    A continuation is gated at its last step, t = 1, where the flux bound
+    is tightest, so infeasible data fails before the first step.  Returns
+    (field, feasibility report or None, solve report or None, homotopy
+    trace or None).
     """
-    if run.problem is not None:
-        field, report = axi.solve_meridian(run.problem, run.disc, opts=run.opts)
-        return field, report, None
+    feas = neumann_gate(run.disc, run.spec.at_t(1.0) if schedule else run.spec)
     if schedule:
         field, trace = homotopy_solve(run.disc, run.spec, schedule,
                                       opts=run.opts)
-        return field, None, trace
+        return field, feas, None, trace
     field, report = newton_solve(run.disc, run.spec, opts=run.opts)
-    return field, report, None
+    return field, feas, report, None
 
 
-def axisym_summary(field, problem):
+def axisym_summary(field, n_dim):
     """Radial monotonicity and the axis Hessian of a meridian solution."""
-    info = {"n_dim": problem.n_dim,
-            "monotone": axi.check_monotone(field).as_dict()}
+    info = {"n_dim": n_dim, "monotone": axi.check_monotone(field).as_dict()}
     try:
-        info["axis_hessian"] = axi.axis_hessian(field, problem.n_dim).as_dict()
+        info["axis_hessian"] = axi.axis_hessian(field, n_dim).as_dict()
     except PmclabError as exc:
         info["axis_hessian"] = {"error": str(exc)}
     return info

@@ -34,10 +34,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import (RankOneJacobian, ScalarField, ellipticity_margins,
-                       flux_scale, jacobian, mesh_feasibility, residual)
+                       flux_scale, jacobian, neumann_gate, residual)
 from .critical import find_critical_points
-from .errors import (InfeasibleProblemError, InvalidParameterError,
-                     LinearSolveFailure, SolverFailure)
+from .errors import InvalidParameterError, LinearSolveFailure, SolverFailure
 
 _MIN_DT = 1.0 / 320.0
 
@@ -250,26 +249,18 @@ def newton_solve(disc, spec, init=None, opts=None, kept=None):
 
     Returns ``(field, report)`` with the max-norm residual at or below
     ``opts.newton_tol``.  Armijo backtracking on the Euclidean residual norm
-    keeps accepted steps monotone.  Infeasible Neumann data is rejected
-    before any iteration; nonconvergence raises :class:`SolverFailure`
-    carrying the report.  The LU factored for the first correction
-    preconditions the later ones (see :func:`linear_solve`); ``kept`` lets
-    :func:`homotopy_solve` share it across its steps.
+    keeps accepted steps monotone.  Neumann data is gated by
+    :func:`~pmclab.assembly.neumann_gate` before any iteration;
+    nonconvergence raises :class:`SolverFailure` carrying the report.  The
+    LU factored for the first correction preconditions the later ones (see
+    :func:`linear_solve`); ``kept`` lets :func:`homotopy_solve` share it
+    across its steps.
     """
     opts = opts or SolverOptions()
     kept = _KeptFactor() if kept is None else kept
     mesh = disc.mesh
-    if spec.bc == "neumann":
-        feas = mesh_feasibility(disc, spec)
-        if not feas.feasible:
-            raise InfeasibleProblemError(
-                f"Neumann data infeasible: required mean flux "
-                f"{feas.required_mean_flux:.6g} exceeds bound "
-                f"{feas.flux_bound:.6g} (margin {feas.margin:.6g})",
-                feasibility=feas)
-        constraint = "mean-zero"
-    else:
-        constraint = "none"
+    neumann_gate(disc, spec)
+    constraint = "mean-zero" if spec.bc == "neumann" else "none"
 
     if init is None:
         u = np.zeros(mesh.n_vertices)
@@ -281,8 +272,7 @@ def newton_solve(disc, spec, init=None, opts=None, kept=None):
 
     report = SolveReport(converged=False, iterations=0,
                          final_residual_norm=math.inf,
-                         normalization="mean-zero" if constraint == "mean-zero"
-                         else "none",
+                         normalization=constraint,
                          t=spec.t)
     field = ScalarField(mesh, u)
     F = residual(field, spec, disc)

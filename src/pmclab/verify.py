@@ -15,13 +15,13 @@ apply to the run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
 from . import axisym as axi
 from . import pipeline
-from .assembly import ScalarField
 from .critical import (DEGENERACY_TOL, find_critical_points, gradient_index,
                        interior_max_scan, inward_offset_loop)
 from .errors import (IllConditionedLoopError, InfeasibleProblemError,
@@ -269,7 +269,8 @@ def verify_cylinder_contact(field, spec, records, diam):
 
 # -- axisymmetric properties ----------------------------------------------------
 
-def verify_meridian_structure(field, problem, disc, trace_rtol=TRACE_RTOL):
+def verify_meridian_structure(field, spec, problem, disc,
+                              trace_rtol=TRACE_RTOL):
     out = []
     mesh = field.mesh
     mono = axi.check_monotone(field)
@@ -290,7 +291,7 @@ def verify_meridian_structure(field, problem, disc, trace_rtol=TRACE_RTOL):
         crossings = []
 
     try:
-        ah = axi.axis_hessian(field, problem.n_dim)
+        ah = axi.axis_hessian(field, spec.n_dim)
         entries = ah.entries
         pos_ok = bool(np.all(entries > 0))
         cross_ok = abs(ah.cross_term) <= 0.1 * float(np.min(np.abs(entries)))
@@ -298,7 +299,7 @@ def verify_meridian_structure(field, problem, disc, trace_rtol=TRACE_RTOL):
             "axis-hessian-positive", "pass" if (pos_ok and cross_ok) else "fail",
             measured=ah.as_dict(),
             tolerances={"cross_term_rtol": 0.1}))
-        out.append(_trace_record([float(np.sum(entries))], problem.spec.H,
+        out.append(_trace_record([float(np.sum(entries))], spec.H,
                                  trace_rtol))
     except (NoAxisCriticalError, InvalidParameterError) as exc:
         out.append(_record("axis-hessian-positive", "fail", note=str(exc)))
@@ -311,7 +312,7 @@ def verify_meridian_structure(field, problem, disc, trace_rtol=TRACE_RTOL):
         measured=arc_info))
 
     v_disc = axi.revolved_volume(disc)
-    v_exact = _spheroid_volume(problem)
+    v_exact = _spheroid_volume(problem, spec.n_dim)
     vol_tol = max(1.0 * mesh.h ** 2 * v_exact, 1e-12)
     out.append(_record(
         "revolved-volume-consistency",
@@ -343,12 +344,10 @@ def _single_axis_to_outer_arc(arcset, mesh):
     return bool(near_axis and d_outer <= 2.0 * mesh.h), info
 
 
-def _spheroid_volume(problem):
+def _spheroid_volume(problem, n):
     # volume of the full spheroid of revolution in dimension n:
     # unit-ball volume times a^(n-1) b
-    n = problem.n_dim
-    import math as _m
-    unit = _m.pi ** (n / 2.0) / _m.gamma(n / 2.0 + 1.0)
+    unit = math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
     return unit * problem.a ** (n - 1) * problem.b
 
 
@@ -366,9 +365,9 @@ class SuiteResult:
     feasibility: object = None
 
 
-def run_suite(config, solution_values=None):
-    """Solve (or load) per the configuration and evaluate every applicable
-    property; aggregates a verification report with a pass/fail/error verdict.
+def run_suite(config):
+    """Solve per the configuration and evaluate every applicable property;
+    aggregates a verification report with a pass/fail/error verdict.
 
     Continuation runs when the config carries a schedule (planar domains
     only).  Infeasible Neumann data and solver failures give an empty
@@ -378,18 +377,12 @@ def run_suite(config, solution_values=None):
     run = pipeline.setup(cfg)
     res = SuiteResult(status="ok", mesh=run.mesh)
     provenance = {"config_hash": cfg.get("config_hash", ""),
-                  "resolved_from_file": solution_values is not None,
                   "mesh_h": run.mesh.h, "mesh_hash": run.mesh.mesh_hash()}
     if run.problem is not None:
-        provenance["n_dim"] = run.problem.n_dim
+        provenance["n_dim"] = run.spec.n_dim
     try:
-        res.feasibility = pipeline.neumann_gate(run)
-        if solution_values is not None:
-            res.field = ScalarField(run.mesh, np.asarray(solution_values,
-                                                         dtype=float))
-        else:
-            res.field, res.solve_report, res.trace = pipeline.solve(
-                run, cfg["problem"].get("schedule"))
+        res.field, res.feasibility, res.solve_report, res.trace = \
+            pipeline.solve(run, cfg["problem"].get("schedule"))
     except InfeasibleProblemError as exc:
         res.status, res.feasibility = "infeasible", exc.feasibility
         provenance.update(feasibility=exc.feasibility.as_dict(),
@@ -407,7 +400,8 @@ def run_suite(config, solution_values=None):
     field, spec = res.field, run.spec
     props = verify_sign_conditions(field, spec)
     if run.problem is not None:
-        props += verify_meridian_structure(field, run.problem, run.disc)
+        props += verify_meridian_structure(field, spec, run.problem,
+                                           run.disc)
     else:
         res.records = find_critical_points(field, spec)
         diam = run.domain.diameter

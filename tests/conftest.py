@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from pmclab.assembly import Discretization, ProblemSpec
-from pmclab.axisym import (MeridianProblem, meridian_mesh, outer_flux_edges,
-                           solve_meridian)
+from pmclab.axisym import MeridianProblem, meridian_mesh, outer_flux_edges
 from pmclab.geometry import make_disk, make_ellipse, triangulate
 from pmclab.solver import homotopy_solve, newton_solve
 
@@ -85,9 +84,13 @@ def ellipse_homotopy(ellipse_mesh_005, ellipse_robin_spec):
 
 
 @pytest.fixture(scope="session")
+def ball_spec():
+    return ProblemSpec.robin(0.8, 1.0, n_dim=3)
+
+
+@pytest.fixture(scope="session")
 def ball_problem():
-    spec = ProblemSpec.robin(0.8, 1.0, n_dim=3)
-    return MeridianProblem(1.0, 1.0, 3, spec)
+    return MeridianProblem(1.0, 1.0)
 
 
 @pytest.fixture(scope="session")
@@ -96,10 +99,10 @@ def ball_mesh_005(ball_problem):
 
 
 @pytest.fixture(scope="session")
-def ball_robin_005(ball_problem, ball_mesh_005):
-    disc = Discretization(ball_mesh_005, ball_problem.n_dim - 2,
+def ball_robin_005(ball_spec, ball_mesh_005):
+    disc = Discretization(ball_mesh_005, ball_spec.n_dim - 2,
                           outer_flux_edges(ball_mesh_005))
-    return solve_meridian(ball_problem, disc)
+    return newton_solve(disc, ball_spec)
 
 
 @pytest.fixture()

@@ -163,11 +163,11 @@ def test_criterion_6_nodal_lab(disk_mesh_005, robin_spec, robin_disk_005):
            f"(=4), k={fit_diff.k:.3f} (<=2.5): second-order contact only")
 
 
-def test_criterion_7_axisymmetric_ball(ball_problem, ball_mesh_005,
+def test_criterion_7_axisymmetric_ball(ball_spec, ball_mesh_005,
                                        ball_robin_005):
     field, _ = ball_robin_005
-    H = ball_problem.spec.H
-    oracle = radial_ball_oracle(ball_problem.spec, 1.0, 3)
+    H = ball_spec.H
+    oracle = radial_ball_oracle(ball_spec, 1.0, 3)
     err = float(np.abs(field.values
                        - oracle.at_points(ball_mesh_005.vertices)).max())
     ok = err <= 5e-3

@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 
 from pmclab.assembly import (Discretization, ProblemSpec, RankOneJacobian,
                              ScalarField, boundary_flux, ellipticity_margins,
-                             flux_scale, jacobian, mesh_feasibility,
-                             neumann_feasibility, residual)
+                             flux_scale, jacobian, neumann_gate, residual)
 from pmclab.assembly import _QXI
 from pmclab.axisym import (MeridianProblem, meridian_mesh, outer_flux_edges,
                            revolved_volume)
-from pmclab.errors import InvalidParameterError
+from pmclab.errors import InfeasibleProblemError, InvalidParameterError
 from pmclab.geometry import triangulate
-from pmclab.solver import radial_disk_oracle
+from pmclab.solver import newton_solve, radial_disk_oracle
 
 CAP = 0.5 / math.sqrt(1.25)          # c / sqrt(1 + c^2) for c = 0.5
 
@@ -33,6 +32,10 @@ class TestProblemSpec:
             ProblemSpec(H=0.5, bc="robin", alpha=1.0, t=1.5)
         with pytest.raises(InvalidParameterError):
             ProblemSpec(H=0.5, bc="robin", alpha=1.0, c=0.3)
+
+    def test_rejects_low_dimension(self):
+        with pytest.raises(InvalidParameterError):
+            ProblemSpec.robin(0.5, 1.0, n_dim=1)
 
     def test_at_t(self):
         s = ProblemSpec.robin(0.5, 1.0)
@@ -195,8 +198,7 @@ class TestJacobian:
 
 @pytest.fixture(scope="module")
 def meridian_mesh_02():
-    spec = ProblemSpec.neumann(0.6, 0.5, n_dim=4)
-    return meridian_mesh(MeridianProblem(1.0, 1.0, 4, spec), 0.2)
+    return meridian_mesh(MeridianProblem(1.0, 1.0), 0.2)
 
 
 class TestNeumannJacobianSplit:
@@ -359,7 +361,7 @@ class TestValuesOnlyJacobian:
     def test_meridian_outer_flux_edges(self, m, bc):
         spec = (ProblemSpec.robin(0.8, 1.0, n_dim=m + 2) if bc == "robin"
                 else ProblemSpec.neumann(0.6, 0.5, n_dim=m + 2))
-        mesh = meridian_mesh(MeridianProblem(1.0, 1.0, m + 2, spec), 0.2)
+        mesh = meridian_mesh(MeridianProblem(1.0, 1.0), 0.2)
         self._check(mesh, spec, outer_flux_edges(mesh), m, seed=m)
 
     @pytest.mark.parametrize("bc", ["robin", "neumann"])
@@ -387,7 +389,7 @@ class TestWeightedMeasure:
     @pytest.mark.parametrize("n_dim", [3, 4, 5, 6])
     def test_one_weighted_volume(self, n_dim):
         spec = ProblemSpec.neumann(0.6, 0.5, n_dim=n_dim)
-        mesh = meridian_mesh(MeridianProblem(1.0, 1.0, n_dim, spec), 0.2)
+        mesh = meridian_mesh(MeridianProblem(1.0, 1.0), 0.2)
         disc = Discretization(mesh, n_dim - 2, outer_flux_edges(mesh))
         centroid_r = mesh.vertices[mesh.cells, 0].mean(axis=1)
         assert np.array_equal(disc.aw,
@@ -396,42 +398,83 @@ class TestWeightedMeasure:
         sphere = 2.0 * math.pi ** ((n_dim - 1) / 2.0) \
             / math.gamma((n_dim - 1) / 2.0)
         assert revolved_volume(disc) == sphere * volume
-        assert mesh_feasibility(disc, spec).area == volume
+        assert neumann_gate(disc, spec).area == volume
         field = ScalarField(mesh, 0.3 * mesh.vertices[:, 1])
         q_total = float(np.sum(disc.wq * boundary_flux(field, spec, disc)))
         assert flux_scale(field, spec, disc) == spec.H * volume / q_total
         # every one of them follows a change of the cell weight
         disc.volume *= 2.0
         assert revolved_volume(disc) == sphere * 2.0 * volume
-        assert mesh_feasibility(disc, spec).area == 2.0 * volume
+        assert neumann_gate(disc, spec).area == 2.0 * volume
         assert flux_scale(field, spec, disc) == spec.H * 2.0 * volume / q_total
 
 
 class TestFeasibility:
-    def test_radial_boundary_case_is_borderline(self, disk):
+    """The one Neumann gate measures the boundary and the volume of the
+    discretization, the measures the compatibility rescale balances
+    against."""
+
+    def test_radial_boundary_case_is_borderline(self, disk_mesh_005):
         spec = ProblemSpec.neumann(0.89443, 0.5)
-        rep = neumann_feasibility(disk, spec)
+        rep = neumann_gate(Discretization(disk_mesh_005), spec)
         assert rep.feasible and rep.borderline
         assert abs(rep.margin) < 1e-3
 
-    def test_infeasible(self, disk):
-        rep = neumann_feasibility(disk, ProblemSpec.neumann(1.0, 0.5))
+    def test_infeasible(self, disk_mesh_01):
+        disc = Discretization(disk_mesh_01)
+        with pytest.raises(InfeasibleProblemError,
+                           match="necessary flux bound violated") as exc:
+            neumann_gate(disc, ProblemSpec.neumann(1.0, 0.5))
+        rep = exc.value.feasibility
         assert not rep.feasible
-        assert rep.margin == pytest.approx(CAP * 2 * math.pi - math.pi,
-                                           abs=1e-12)
+        assert rep.margin == pytest.approx(
+            CAP * disc.boundary_measure - disc.volume, abs=1e-12)
 
-    def test_feasible_margin_value(self, disk):
-        rep = neumann_feasibility(disk, ProblemSpec.neumann(0.5, 0.5))
+    def test_feasible_margin_value(self, disk_mesh_01):
+        disc = Discretization(disk_mesh_01)
+        rep = neumann_gate(disc, ProblemSpec.neumann(0.5, 0.5))
         assert rep.feasible and not rep.borderline
-        assert rep.margin == pytest.approx(1.2391295656213939, abs=1e-12)
+        assert (rep.boundary_length, rep.area) == (disc.boundary_measure,
+                                                   disc.volume)
+        assert rep.margin == pytest.approx(
+            CAP * disc.boundary_measure - 0.5 * disc.volume, abs=1e-12)
+        # the analytic margin of the unit disk, CAP 2 pi - pi / 2
+        assert rep.margin == pytest.approx(1.2391295656213939, abs=2e-3)
 
-    def test_rejects_robin(self, disk):
-        with pytest.raises(InvalidParameterError):
-            neumann_feasibility(disk, ProblemSpec.robin(0.5, 1.0))
+    def test_robin_returns_none(self, disk_mesh_02):
+        assert neumann_gate(Discretization(disk_mesh_02),
+                            ProblemSpec.robin(0.5, 1.0)) is None
 
-    def test_mesh_feasibility_tracks_domain(self, disk, disk_mesh_01):
+    def test_mesh_feasibility_tracks_domain(self, disk_mesh_01):
         spec = ProblemSpec.neumann(0.6, 0.5)
-        a = neumann_feasibility(disk, spec)
-        b = mesh_feasibility(Discretization(disk_mesh_01), spec)
-        assert b.feasible
-        assert b.margin == pytest.approx(a.margin, abs=0.02)
+        rep = neumann_gate(Discretization(disk_mesh_01), spec)
+        assert rep.feasible
+        assert rep.margin == pytest.approx(CAP * 2.0 * math.pi
+                                           - 0.6 * math.pi, abs=0.02)
+
+
+class TestEmptyFluxEdges:
+    """Neumann data on a discretization without flux edges has no flux to
+    rescale: every entry point rejects it.  Robin data is left alone."""
+
+    @pytest.mark.parametrize("call", [
+        lambda f, s, d: neumann_gate(d, s),
+        lambda f, s, d: flux_scale(f, s, d),
+        lambda f, s, d: residual(f, s, d),
+        lambda f, s, d: newton_solve(d, s),
+    ], ids=["neumann_gate", "flux_scale", "residual", "newton_solve"])
+    def test_neumann_rejected(self, disk_mesh_02, call):
+        disc = Discretization(disk_mesh_02, flux_edges=[])
+        field = ScalarField(disk_mesh_02, disk_mesh_02.vertices[:, 0] ** 2)
+        with pytest.raises(InvalidParameterError, match="flux edge"):
+            call(field, ProblemSpec.neumann(0.6, 0.5), disc)
+
+    def test_robin_unchanged(self, disk_mesh_02):
+        disc = Discretization(disk_mesh_02, flux_edges=[])
+        field = ScalarField(disk_mesh_02, disk_mesh_02.vertices[:, 0] ** 2)
+        spec = ProblemSpec.robin(0.6, 1.0)
+        assert neumann_gate(disc, spec) is None
+        assert flux_scale(field, spec, disc) == 1.0
+        # no boundary term: the entries sum to the load H |Omega|
+        assert np.sum(residual(field, spec, disc)) == pytest.approx(
+            0.6 * disc.volume, rel=1e-12)

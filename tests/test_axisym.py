@@ -7,7 +7,7 @@ from pmclab.assembly import Discretization, ProblemSpec, ScalarField
 from pmclab.axisym import (MeridianProblem, axis_hessian, axis_vertices,
                            check_monotone, find_axis_critical, meridian_mesh,
                            outer_flux_edges, radial_ball_oracle,
-                           revolved_volume, solve_meridian)
+                           revolved_volume)
 from pmclab.critical import recover_gradient
 from pmclab.errors import InvalidParameterError, NoAxisCriticalError
 from pmclab.nodal import trace_nodal_set
@@ -22,8 +22,8 @@ def synth(mesh, fn):
     return ScalarField(mesh, fn(mesh.vertices[:, 0], mesh.vertices[:, 1]))
 
 
-def meridian_disc(problem, mesh):
-    return Discretization(mesh, problem.n_dim - 2, outer_flux_edges(mesh))
+def meridian_disc(spec, mesh):
+    return Discretization(mesh, spec.n_dim - 2, outer_flux_edges(mesh))
 
 
 class TestMeridianMesh:
@@ -37,9 +37,7 @@ class TestMeridianMesh:
         assert z.max() == pytest.approx(1.0, abs=1e-12)
 
     def test_spheroid_mesh(self):
-        spec = ProblemSpec.robin(0.5, 1.0, n_dim=3)
-        prob = MeridianProblem(0.7, 1.2, 3, spec)
-        m = meridian_mesh(prob, 0.1)
+        m = meridian_mesh(MeridianProblem(0.7, 1.2), 0.1)
         assert m.vertices[:, 0].max() == pytest.approx(0.7, abs=0.05)
         assert abs(m.vertices[:, 1]).max() == pytest.approx(1.2, abs=1e-9)
 
@@ -57,11 +55,11 @@ class TestMeridianMesh:
             a, b = m.boundary_edges[e]
             assert r[a] < 1e-12 and r[b] < 1e-12
 
-    def test_revolved_volume_second_order(self, ball_problem):
+    def test_revolved_volume_second_order(self, ball_problem, ball_spec):
         exact = 4.0 * math.pi / 3.0
         for h in (0.1, 0.05):
             m = meridian_mesh(ball_problem, h)
-            v = revolved_volume(meridian_disc(ball_problem, m))
+            v = revolved_volume(meridian_disc(ball_spec, m))
             assert abs(v - exact) <= 1.0 * h ** 2 * exact
 
 
@@ -90,11 +88,11 @@ class TestBallOracle:
 
 
 class TestSolveMeridian:
-    def test_robin_ball_vs_oracle(self, ball_problem, ball_mesh_005,
+    def test_robin_ball_vs_oracle(self, ball_spec, ball_mesh_005,
                                   ball_robin_005):
         field, report = ball_robin_005
         assert report.converged
-        oracle = radial_ball_oracle(ball_problem.spec, 1.0, 3)
+        oracle = radial_ball_oracle(ball_spec, 1.0, 3)
         err = np.abs(field.values - oracle.at_points(ball_mesh_005.vertices))
         assert err.max() <= 5e-3
         assert field.values.max() < 0.0
@@ -103,8 +101,7 @@ class TestSolveMeridian:
         c = 0.5
         H = 3 * c / math.sqrt(1 + c * c)
         spec = ProblemSpec.neumann(H, c, n_dim=3)
-        prob = MeridianProblem(1.0, 1.0, 3, spec)
-        field, report = solve_meridian(prob, meridian_disc(prob, ball_mesh_005))
+        field, report = newton_solve(meridian_disc(spec, ball_mesh_005), spec)
         oracle = radial_ball_oracle(spec, 1.0, 3)
         exact = oracle.at_points(ball_mesh_005.vertices)
         exact -= exact.mean()
@@ -113,9 +110,8 @@ class TestSolveMeridian:
 
     def test_n2_reduces_to_planar_assembly(self):
         spec = ProblemSpec.robin(0.8, 1.0, n_dim=2)
-        prob = MeridianProblem(1.0, 1.0, 2, spec)
-        mesh = meridian_mesh(prob, 0.1)
-        f_meridian, _ = solve_meridian(prob, meridian_disc(prob, mesh))
+        mesh = meridian_mesh(MeridianProblem(1.0, 1.0), 0.1)
+        f_meridian, _ = newton_solve(meridian_disc(spec, mesh), spec)
         f_planar, _ = newton_solve(
             Discretization(mesh, flux_edges=outer_flux_edges(mesh)), spec)
         assert np.abs(f_meridian.values - f_planar.values).max() <= 1e-8
@@ -141,13 +137,12 @@ class TestCheckMonotone:
 
 
 class TestAxisHessian:
-    def test_ball_entries(self, ball_problem, ball_robin_005):
+    def test_ball_entries(self, ball_spec, ball_robin_005):
         field, _ = ball_robin_005
         ah = axis_hessian(field, 3)
-        target = ball_problem.spec.H / 3.0
+        target = ball_spec.H / 3.0
         assert np.allclose(ah.entries, target, rtol=0.10)
-        assert abs(ah.entries.sum() - ball_problem.spec.H) \
-            <= 0.10 * ball_problem.spec.H
+        assert abs(ah.entries.sum() - ball_spec.H) <= 0.10 * ball_spec.H
         assert abs(ah.cross_term) <= 0.1 * np.abs(ah.entries).min()
 
     def test_single_axis_crossing(self, ball_robin_005, ball_mesh_005):
@@ -157,9 +152,8 @@ class TestAxisHessian:
 
     def test_spheroid_robin(self):
         spec = ProblemSpec.robin(0.5, 1.0, n_dim=3)
-        prob = MeridianProblem(0.7, 1.2, 3, spec)
-        mesh = meridian_mesh(prob, 0.05)
-        field, _ = solve_meridian(prob, meridian_disc(prob, mesh))
+        mesh = meridian_mesh(MeridianProblem(0.7, 1.2), 0.05)
+        field, _ = newton_solve(meridian_disc(spec, mesh), spec)
         ah = axis_hessian(field, 3)
         assert np.all(ah.entries > 0)
         assert abs(ah.cross_term) <= 0.1 * np.abs(ah.entries).min()
@@ -186,11 +180,5 @@ class TestAxialNodalSet:
 
 class TestProblemValidation:
     def test_rejects_bad_axes(self):
-        spec = ProblemSpec.robin(0.5, 1.0, n_dim=3)
         with pytest.raises(InvalidParameterError):
-            MeridianProblem(-1.0, 1.0, 3, spec)
-
-    def test_rejects_low_dimension(self):
-        spec = ProblemSpec.robin(0.5, 1.0)
-        with pytest.raises(InvalidParameterError):
-            MeridianProblem(1.0, 1.0, 1, spec)
+            MeridianProblem(-1.0, 1.0)

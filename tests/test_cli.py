@@ -4,7 +4,6 @@ from pathlib import Path
 
 import pytest
 
-from pmclab.artifacts import load_solution_csv
 from pmclab.cli import main
 from pmclab.config import ConfigError, apply_overrides, parse_config
 
@@ -181,11 +180,14 @@ class TestArtifacts:
     def test_solution_roundtrip(self, tmp_path):
         code, out = run_cli(tmp_path, "solve", "robin_disk.json",
                             ["mesh.h_target=0.1"])
-        cfg_hash, mesh_hash, values = load_solution_csv(out / "solution.csv")
+        lines = (out / "solution.csv").read_text().splitlines()
         rep = json.loads((out / "report.json").read_text())
-        assert cfg_hash == rep["config_hash"]
-        assert mesh_hash == rep["mesh"]["mesh_hash"]
-        assert len(values) == rep["mesh"]["n_vertices"]
+        assert lines[:3] == [f"# config={rep['config_hash']}",
+                             f"# mesh={rep['mesh']['mesh_hash']}",
+                             "x1,x2,value"]
+        rows = [[float(tok) for tok in line.split(",")] for line in lines[3:]]
+        assert len(rows) == rep["mesh"]["n_vertices"]
+        assert all(len(row) == 3 for row in rows)
 
     def test_compare_writes_nodal_artifacts(self, tmp_path):
         code, out = run_cli(tmp_path, "compare", "compare_robin_disk.json",
@@ -255,6 +257,15 @@ class TestCommandsAgree:
         assert compare["nodal"]["contact_radius"] == contact["radius"]
         for key in ("mesh", "solve", "critical_points"):
             assert compare[key] == verify[key], key
+
+    def test_verify_homotopy_matches_homotopy_command(self, tmp_path):
+        args = ("robin_ellipse.json", ["mesh.h_target=0.15"])
+        code_h, out_h = run_cli(tmp_path / "h", "homotopy", *args)
+        code_v, out_v = run_cli(tmp_path / "v", "verify", *args)
+        assert code_h == code_v == 0
+        homotopy = _report(out_h)["homotopy"]
+        assert homotopy["completed"] and len(homotopy["steps"]) == 11
+        assert _report(out_v)["homotopy"] == homotopy
 
     def test_meridian_neumann_gate(self, tmp_path):
         cfg = tmp_path / "ball_neumann.json"

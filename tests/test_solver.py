@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -6,7 +8,7 @@ import scipy.sparse as sp
 import pmclab.solver
 
 from pmclab.assembly import (Discretization, ProblemSpec, RankOneJacobian,
-                             ScalarField, jacobian, mesh_feasibility, residual)
+                             ScalarField, jacobian, neumann_gate, residual)
 from pmclab.errors import (InfeasibleProblemError, InvalidParameterError,
                            LinearSolveFailure, SolverFailure)
 from pmclab.solver import (SolverOptions, _KeptFactor, homotopy_solve,
@@ -382,8 +384,8 @@ class TestPoissonInit:
 
     @staticmethod
     def _incompatibility(mesh, spec0):
-        feas = mesh_feasibility(Discretization(mesh), spec0)
-        return float(spec0.c * feas.boundary_length - spec0.H * feas.area)
+        disc = Discretization(mesh)
+        return float(spec0.c * disc.boundary_measure - spec0.H * disc.volume)
 
     def test_robin_disk_values(self, disk_mesh_005, robin_spec):
         field, _ = newton_solve(Discretization(disk_mesh_005),
@@ -410,6 +412,29 @@ class TestPoissonInit:
         newton_solve(Discretization(disk_mesh_01), spec0)
         assert self._incompatibility(disk_mesh_01, spec0) == pytest.approx(
             1.2566370614359172, abs=0.01)
+
+
+class TestCompatibleNeumann:
+    """The Neumann datum H = 2c / (R sqrt(1 + c^2)) sits on the analytic
+    flux bound and is matched by the radial profile: the mesh measures pass
+    the gate, and both the compatibility rescale and the vertex error
+    converge at second order."""
+
+    def test_second_order(self, disk_mesh_02, disk_mesh_01, disk_mesh_005):
+        c = 0.5
+        spec = ProblemSpec.neumann(2.0 * c / math.sqrt(1.0 + c * c), c)
+        oracle = radial_disk_oracle(spec)
+        scale_dev, errors = [], []
+        for mesh in (disk_mesh_02, disk_mesh_01, disk_mesh_005):
+            disc = Discretization(mesh)
+            assert neumann_gate(disc, spec).feasible
+            field, report = newton_solve(disc, spec)
+            scale_dev.append(abs(report.flux_scale - 1.0))
+            exact = oracle.at_points(mesh.vertices)
+            errors.append(float(np.abs(field.values - exact
+                                       + exact.mean()).max()))
+        for seq in (scale_dev, errors):
+            assert seq[0] >= 3.0 * seq[1] and seq[1] >= 3.0 * seq[2], seq
 
 
 class TestHomotopy:
