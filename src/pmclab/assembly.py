@@ -288,6 +288,8 @@ def jacobian(field, spec, disc):
     grad phi_j for dT = (I - t^2 g g^T / w) / sqrt(w), whose eigenvalues
     w^-3/2 and w^-1/2 are positive.
     """
+    if spec.bc == "neumann":
+        _require_flux_edges(disc)
     mesh = disc.mesh
     u = field.values
     t2 = spec.t ** 2

@@ -74,27 +74,33 @@ def meridian_mesh(problem, h_target):
     axis_pts = np.column_stack([np.zeros(len(z_ax)), z_ax])
 
     loop = np.vstack([arc_pts[:-1], arc_pts[-1:], axis_pts])
-    interior = _half_lattice(a, b, _LATTICE_SPACING_FACTOR * h_target, loop)
-    return mesh_from_loop(loop, interior)
+    return mesh_from_loop(loop, *_half_lattice(
+        a, b, _LATTICE_SPACING_FACTOR * h_target, loop))
 
 
 def _half_lattice(a, b, h, loop):
     """Hexagonal lattice points, row by row, inside the half ellipse and at
     least ``_INTERIOR_CLEARANCE * h`` from the boundary loop (densified to
-    quarter-edge points)."""
+    quarter-edge points), with their integer (row, column), the column
+    counted in half spacings."""
     dy = h * math.sqrt(3.0) / 2.0
     j = np.arange(int(math.floor(2.0 * b / dy)) + 2)
-    rs = np.where(j % 2, 0.5 * h, h)[:, None] \
-        + h * np.arange(int(math.floor(a / h)) + 2)
+    i = np.arange(int(math.floor(a / h)) + 2)
+    rs = np.where(j % 2, 0.5 * h, h)[:, None] + h * i
     zs = np.broadcast_to((-b + j * dy)[:, None], rs.shape)
     cand = np.stack([rs, zs], axis=-1).reshape(-1, 2)
-    cand = cand[((cand[:, 0] / a) ** 2 + (cand[:, 1] / b) ** 2 < 1.0)
-                & (cand[:, 0] > 0)]
+    col = 2 * i + np.where(j % 2, 1, 2)[:, None]
+    ij = np.stack(np.broadcast_arrays(j[:, None], col), -1).reshape(-1, 2)
+    keep = ((cand[:, 0] / a) ** 2 + (cand[:, 1] / b) ** 2 < 1.0) \
+        & (cand[:, 0] > 0)
+    cand, ij = cand[keep], ij[keep]
     closed = np.vstack([loop, loop[:1]])
     dense = np.vstack([closed[:-1] + (k / 4) * (closed[1:] - closed[:-1])
                        for k in range(4)])
-    d, _ = cKDTree(dense).query(cand)
-    return cand[d >= _INTERIOR_CLEARANCE * h]
+    clearance = _INTERIOR_CLEARANCE * h
+    # samples farther than the clearance read as inf
+    d, _ = cKDTree(dense).query(cand, distance_upper_bound=clearance)
+    return cand[d >= clearance], ij[d >= clearance]
 
 
 def outer_flux_edges(mesh):

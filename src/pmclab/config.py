@@ -143,6 +143,8 @@ def _validate_problem(doc, domain_kind, command):
     if schedule is not None:
         _expect(domain_kind in _PLANAR_DOMAINS, "problem.schedule",
                 "continuation runs on planar domains only")
+        _expect("t" not in doc, "problem.t",
+                "not allowed with a schedule, which ends at t = 1")
         _expect(isinstance(schedule, list) and len(schedule) >= 1,
                 "problem.schedule", "expected a non-empty list")
         vals = [_number(t, "problem.schedule", lo=0.0, hi=1.0)

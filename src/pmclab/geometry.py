@@ -4,12 +4,11 @@ Domains are represented by a dense arc-length table (positions, outward
 normals, curvature).  Positions and tangents between the knots come from a
 periodic cubic spline whose knot second derivatives solve one cyclic
 tridiagonal system (sparse LU), so conics and rounded polygons get uniform
-treatment.  Meshes are produced by Delaunay triangulation of a boundary
-sampling plus a hexagonal interior lattice, filtered by one nearest-sample
-query against the boundary table, followed by Laplacian smoothing passes
-until the minimum cell angle reaches 20 degrees.  Everything here is a pure
-function of its inputs: two calls with identical arguments return identical
-vertex and cell arrays.
+treatment.  A mesh is the Delaunay triangulation of a boundary sampling plus
+a hexagonal interior lattice (qhull runs on a boundary band only), followed
+by Laplacian smoothing passes until the minimum cell angle reaches 20
+degrees.  Everything here is a pure function of its inputs: two calls with
+identical arguments return identical vertex and cell arrays.
 """
 
 from __future__ import annotations
@@ -238,6 +237,7 @@ def make_rounded_polygon(vertices, r):
     unit = edges / elen[:, None]
     pieces = []          # (kind, data, piece_length)
     total = 0.0
+    kites = []           # area of each corner kite beyond its sector
     for i in range(n):
         prev_u = unit[i - 1]
         next_u = unit[i]
@@ -257,6 +257,7 @@ def make_rounded_polygon(vertices, r):
         a0 = math.atan2(p_in[1] - center[1], p_in[0] - center[0])
         pieces.append(("arc", (center, a0, turn), r * turn))
         total += r * turn
+        kites.append(t_off * r - 0.5 * r * r * turn)
         seg_start = p_out
         seg_end = verts[(i + 1) % n] - (r / math.tan(
             math.acos(float(np.clip(-unit[i] @ unit[(i + 1) % n], -1, 1))) / 2.0)) * unit[i]
@@ -289,12 +290,8 @@ def make_rounded_polygon(vertices, r):
     x, y = verts[:, 0], verts[:, 1]
     poly_area = 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
     area = poly_area
-    for i in range(n):
-        prev_u, next_u = unit[i - 1], unit[i]
-        phi = math.acos(float(np.clip(-prev_u @ next_u, -1.0, 1.0)))
-        turn = math.pi - phi
-        t_off = r / math.tan(phi / 2.0)
-        area -= t_off * r - 0.5 * r * r * turn
+    for kite in kites:
+        area -= kite
 
     warnings.warn("rounded polygon boundary is only C^{1,1}; corner curvature "
                   "jumps between 0 and 1/r", stacklevel=2)
@@ -400,7 +397,7 @@ class TriMesh:
                 + self.grad_phi[:, 2] * (v[c[:, 2]] - v[c[:, 0]])[:, None])
 
     def min_angle_deg(self):
-        return _min_angle_deg(self.vertices, self.cells)
+        return float(_cell_min_angles_deg(self.vertices, self.cells).min())
 
     def mesh_hash(self):
         hsh = hashlib.sha256()
@@ -471,10 +468,11 @@ class TriMesh:
 def triangulate(domain, h_target):
     """Triangulate a convex domain with target edge length ``h_target``.
 
-    Boundary samples at arc-length spacing below ``h_target``, a hexagonal
-    interior lattice, Delaunay triangulation, then Laplacian smoothing of the
-    interior until the 20 degree minimum-angle bound holds.  Deterministic:
-    identical inputs give identical meshes.
+    Boundary samples at arc-length spacing below ``h_target`` and an
+    equilateral interior lattice, meshed by :func:`mesh_from_loop`: their
+    Delaunay cells, with qhull run on the boundary band only, then Laplacian
+    smoothing of the interior until the 20 degree minimum-angle bound holds.
+    Deterministic: identical inputs give identical meshes.
     """
     if not (0 < h_target < domain.length / 8.0):
         raise InvalidParameterError(
@@ -503,40 +501,49 @@ def triangulate(domain, h_target):
         p0, p1 = domain._table_pts[i], domain._table_pts[i + 1]
         boundary_pts[k] = p0 + frac * (p1 - p0)
 
-    interior = _hex_lattice(domain, _LATTICE_SPACING_FACTOR * h_target)
-    return mesh_from_loop(boundary_pts, interior)
+    return mesh_from_loop(boundary_pts, *_hex_lattice(
+        domain, _LATTICE_SPACING_FACTOR * h_target))
 
 
-def mesh_from_loop(loop_pts, interior_pts):
+def mesh_from_loop(loop_pts, interior_pts, lattice=()):
     """Delaunay mesh of a convex region from its boundary loop and fill points.
 
     ``loop_pts`` must trace the boundary counterclockwise; they stay fixed
-    while interior points are Laplace-smoothed until the quality bound holds.
+    while interior points are Laplace-smoothed until the quality bound holds
+    (a worst cell on the loop alone is beyond smoothing and raises at once).
+    Given the fill's lattice (row, column), the first pass runs qhull on a
+    boundary band only (:func:`_band_cells`).  Each cell starts at its
+    smallest vertex, counterclockwise: the mesh depends on the cell set only.
     """
     n_b = len(loop_pts)
     points = np.vstack([loop_pts, interior_pts]) if len(interior_pts) \
         else np.asarray(loop_pts, dtype=float)
 
-    for _ in range(40):
-        cells = _delaunay_cells(points, n_b)
-        if _mesh_quality_ok(points, cells):
+    cells = _band_cells(points, n_b, lattice) if len(lattice) else None
+    for smoothed in range(41):
+        if cells is None:
+            cells = _delaunay_cells(points)
+        angles = _cell_min_angles_deg(points, cells)
+        worst = int(np.argmin(angles))
+        if angles[worst] >= _MIN_ANGLE_DEG:
             break
-        points = _smooth_interior(points, cells, n_fixed=n_b)
-    else:
-        cells = _delaunay_cells(points, n_b)
-        if not _mesh_quality_ok(points, cells):
+        on_loop = bool(np.all(cells[worst] < n_b))
+        if on_loop or smoothed == 40:
             raise MeshQualityError(
-                "smoothing failed to reach the 20 degree minimum angle",
-                {"min_angle_deg": _min_angle_deg(points, cells),
+                "worst cell has all three vertices on the loop" if on_loop
+                else "smoothing failed to reach the 20 degree minimum angle",
+                {"min_angle_deg": float(angles[worst]),
                  "n_vertices": len(points)})
+        points = _smooth_interior(points, cells, n_fixed=n_b)
+        cells = None
 
+    first = np.argmin(cells, axis=1)[:, None]
+    cells = np.take_along_axis(cells, (first + np.arange(3)) % 3, axis=1)
     cells = cells[np.lexsort(np.sort(cells, axis=1).T[::-1])]
     bedges = np.column_stack([np.arange(n_b), (np.arange(n_b) + 1) % n_b])
     mesh = TriMesh(points, cells, bedges)
 
-    loop = np.vstack([points[:n_b], points[:1]])
-    loop_area = 0.5 * np.sum(loop[:-1, 0] * loop[1:, 1]
-                             - loop[1:, 0] * loop[:-1, 1])
+    loop_area = _loop_area(points, n_b)
     if abs(mesh.cell_areas.sum() - loop_area) > 1e-9 * loop_area:
         raise MeshQualityError(
             "triangulation does not tile the boundary polygon",
@@ -545,17 +552,78 @@ def mesh_from_loop(loop_pts, interior_pts):
     return mesh
 
 
-def _delaunay_cells(points, n_boundary):
+def _band_cells(points, n_b, lattice):
+    """Delaunay cells of a loop (``points[:n_b]``) plus fill points at the
+    (row, column) ``lattice`` of an equilateral lattice, column in half
+    spacings.  A lattice triangle's circumcircle (radius a / sqrt 3) holds no
+    other lattice point, so it is a cell iff it holds no loop point; qhull
+    runs on the points not surrounded by six such cells, keeping the cells
+    whose circumcircle holds no surrounded point.  None (run qhull on all)
+    for a fill off the lattice, a near tie (1e-9 a), a cell count other than
+    2N - n_b - 2, or cells that do not tile the loop."""
+    row, col = (np.asarray(lattice) - np.min(lattice, axis=0)).T
+    # padded: row index -1 reads the last row, which holds no point
+    grid = np.full((row.max() + 2, col.max() + 3), -1)
+    grid[row, col] = np.arange(n_b, len(points))
+    # up (r, c) (r, c+2) (r+1, c+1), down (r, c) (r-1, c+1) (r, c+2)
+    tri = grid[row[:, None, None] + [[0, 0, 1], [0, -1, 0]],
+               col[:, None, None] + [[0, 2, 1], [0, 1, 2]]].reshape(-1, 3)
+    tri = tri[np.all(tri >= 0, axis=1)]
+    if not len(tri):
+        return None
+    edges = np.linalg.norm(np.diff(points[tri[:, [0, 1, 2, 0]]], axis=1), axis=2)
+    tol = 1e-9 * edges.max()
+    gap = _circle_gaps(points, tri, points[:n_b])
+    if edges.max() - edges.min() > tol or np.any(np.abs(gap) <= tol):
+        return None
+    tri = tri[gap > 0]
+    inner = np.bincount(tri.ravel(), minlength=len(points)) == 6
+    band = np.nonzero(~inner)[0]
+    cells = band[_delaunay_cells(points[band])]
+    gap = _circle_gaps(points, cells, points[inner])
+    if np.any(np.abs(gap) <= tol):
+        return None
+    cells = np.vstack([tri[inner[tri].any(axis=1)], cells[gap > 0]])
+    loop_area = _loop_area(points, n_b)
+    ok = len(cells) == 2 * len(points) - n_b - 2 and abs(
+        _signed_areas(points, cells).sum() - loop_area) <= 1e-9 * loop_area
+    return cells if ok else None
+
+
+def _circle_gaps(points, cells, others):
+    """Distance from each cell's circumcircle to the nearest of ``others``,
+    negative inside."""
+    p0 = points[cells[:, 0]]
+    b, c = points[cells[:, 1]] - p0, points[cells[:, 2]] - p0
+    bb, cc = np.einsum("mi,mi->m", b, b), np.einsum("mi,mi->m", c, c)
+    centre = np.column_stack([c[:, 1] * bb - b[:, 1] * cc,
+                              b[:, 0] * cc - c[:, 0] * bb]) \
+        / (2.0 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0]))[:, None]
+    radius = np.hypot(centre[:, 0], centre[:, 1])
+    # a search radius past every circle: farther points read as inf
+    dist, _ = cKDTree(others).query(p0 + centre,
+                                    distance_upper_bound=2.0 * radius.max())
+    return dist - radius
+
+
+def _signed_areas(points, cells):
+    d1, d2 = (points[cells[:, k]] - points[cells[:, 0]] for k in (1, 2))
+    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+
+
+def _loop_area(points, n_b):
+    x, y = points[:n_b].T
+    return 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
+
+
+def _delaunay_cells(points):
     tri = Delaunay(points)
     if len(tri.coplanar):
         raise MeshQualityError(
             "Delaunay dropped input points as coplanar",
             {"dropped": tri.coplanar[:, 0].tolist()})
     cells = tri.simplices
-    p = points
-    d1 = p[cells[:, 1]] - p[cells[:, 0]]
-    d2 = p[cells[:, 2]] - p[cells[:, 0]]
-    areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    areas = _signed_areas(points, cells)
     # collinear boundary runs make qhull emit exactly degenerate simplices;
     # they carry no area and must not survive into the mesh
     scale = float(np.ptp(points, axis=0).max()) ** 2
@@ -567,7 +635,8 @@ def _delaunay_cells(points, n_boundary):
 
 def _hex_lattice(domain, a):
     """Hexagonal lattice points, row by row, inside the domain and at least
-    ``_INTERIOR_CLEARANCE * a`` from every boundary sample."""
+    ``_INTERIOR_CLEARANCE * a`` from every boundary sample, with their
+    integer (row, column), the column counted in half spacings."""
     pts = domain._table_pts
     xmin, ymin = pts.min(axis=0)
     xmax, ymax = pts.max(axis=0)
@@ -578,40 +647,38 @@ def _hex_lattice(domain, a):
     xs = (xmin + 0.5 * a * (j % 2))[:, None] + a * np.arange(cols)
     ys = np.broadcast_to((ymin + j * dy)[:, None], xs.shape)
     cand = np.stack([xs, ys], axis=-1).reshape(-1, 2)
+    ij = np.stack(np.broadcast_arrays(j[:, None], 2 * np.arange(cols)
+                                      + j[:, None] % 2), -1).reshape(-1, 2)
     side, d = domain._side_and_distance(cand)
-    return cand[(side < 0.0) & (d >= _INTERIOR_CLEARANCE * a)]
+    keep = (side < 0.0) & (d >= _INTERIOR_CLEARANCE * a)
+    return cand[keep], ij[keep]
 
 
-def _min_angle_deg(points, cells):
-    """Smallest interior angle, in degrees, over all cells."""
+def _cell_min_angles_deg(points, cells):
+    """Smallest interior angle of each cell, in degrees."""
     p = points[cells]
     angles = []
     for i in range(3):
-        a = p[:, (i + 1) % 3] - p[:, i]
-        b = p[:, (i + 2) % 3] - p[:, i]
+        a, b = p[:, (i + 1) % 3] - p[:, i], p[:, (i + 2) % 3] - p[:, i]
         cosang = np.einsum("mi,mi->m", a, b) / (
             np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1))
         angles.append(np.degrees(np.arccos(np.clip(cosang, -1, 1))))
-    return float(np.min(angles))
-
-
-def _mesh_quality_ok(points, cells):
-    return _min_angle_deg(points, cells) >= _MIN_ANGLE_DEG
+    return np.min(angles, axis=0)
 
 
 def _smooth_interior(points, cells, n_fixed):
-    n = len(points)
-    acc = np.zeros((n, 2))
-    cnt = np.zeros(n)
-    for i, j in ((0, 1), (1, 2), (2, 0)):
-        np.add.at(acc, cells[:, i], points[cells[:, j]])
-        np.add.at(cnt, cells[:, i], 1.0)
-        np.add.at(acc, cells[:, j], points[cells[:, i]])
-        np.add.at(cnt, cells[:, j], 1.0)
-    new = points.copy()
+    """Move each interior point to the mean of its neighbours over the cell
+    edges around it (an edge counted once per cell)."""
+    ends = [(cells[:, i], cells[:, j]) for i, j in ((0, 1), (1, 2), (2, 0))]
+    dst = np.concatenate([e for i, j in ends for e in (i, j)])
+    src = np.concatenate([e for i, j in ends for e in (j, i)])
+    cnt = np.bincount(dst, minlength=len(points))
     movable = cnt > 0
     movable[:n_fixed] = False
-    new[movable] = acc[movable] / cnt[movable, None]
+    new = points.copy()
+    new[movable] = np.column_stack([
+        np.bincount(dst, weights=points[src, k], minlength=len(points))
+        for k in (0, 1)])[movable] / cnt[movable, None]
     return new
 
 

@@ -366,9 +366,15 @@ class TestValuesOnlyJacobian:
 
     @pytest.mark.parametrize("bc", ["robin", "neumann"])
     def test_empty_flux_edges(self, disk_mesh_02, bc):
-        spec = (ProblemSpec.robin(0.8, 1.0) if bc == "robin"
-                else ProblemSpec.neumann(0.6, 0.5))
-        self._check(disk_mesh_02, spec, np.array([], dtype=int))
+        empty = np.array([], dtype=int)
+        if bc == "robin":
+            self._check(disk_mesh_02, ProblemSpec.robin(0.8, 1.0), empty)
+            return
+        # Neumann data has no flux to rescale without flux edges
+        field = ScalarField(disk_mesh_02, disk_mesh_02.vertices[:, 0] ** 2)
+        with pytest.raises(InvalidParameterError, match="flux edge"):
+            jacobian(field, ProblemSpec.neumann(0.6, 0.5),
+                     Discretization(disk_mesh_02, 0, empty))
 
     @pytest.mark.parametrize("edges", ["all", "half", "half_list"])
     @pytest.mark.parametrize("bc", ["robin", "neumann"])
@@ -461,8 +467,10 @@ class TestEmptyFluxEdges:
         lambda f, s, d: neumann_gate(d, s),
         lambda f, s, d: flux_scale(f, s, d),
         lambda f, s, d: residual(f, s, d),
+        lambda f, s, d: jacobian(f, s, d),
         lambda f, s, d: newton_solve(d, s),
-    ], ids=["neumann_gate", "flux_scale", "residual", "newton_solve"])
+    ], ids=["neumann_gate", "flux_scale", "residual", "jacobian",
+            "newton_solve"])
     def test_neumann_rejected(self, disk_mesh_02, call):
         disc = Discretization(disk_mesh_02, flux_edges=[])
         field = ScalarField(disk_mesh_02, disk_mesh_02.vertices[:, 0] ** 2)

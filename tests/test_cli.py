@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import pmclab
 from pmclab.cli import main
 from pmclab.config import ConfigError, apply_overrides, parse_config
 
@@ -20,6 +24,25 @@ def run_cli(tmp_path, command, config_name, overrides=()):
         argv += ["--override", ov]
     code = main(argv)
     return code, out
+
+
+@pytest.mark.parametrize("entry, frozen", [
+    ("import pmclab.cli, pmclab.__main__", False),
+    ("import runpy, sys; sys.argv = ['pmclab', '--help']\n"
+     "try:\n    runpy.run_module('pmclab', run_name='__main__')\n"
+     "except SystemExit:\n    pass", True)], ids=["import", "python-m"])
+def test_import_heap_frozen_by_entry_point_only(entry, frozen):
+    # `python -m pmclab` freezes the imported modules out of the collector;
+    # a library import leaves the collector alone
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(pmclab.__file__).resolve().parents[1]),
+                    env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", f"import gc, sys\n{entry}\n"
+         "print(gc.get_freeze_count(), file=sys.stderr)"],
+        env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert (int(out.stderr.split()[-1]) > 0) == frozen
 
 
 class TestParseConfig:
@@ -147,6 +170,16 @@ class TestExitCodes:
         # continuation runs on planar domains only; a schedule on a domain
         # of revolution must not be accepted and then ignored
         code, out = run_cli(tmp_path, command, "ball3d_robin.json", overrides)
+        assert code == 4
+        assert not (out / "solution.csv").exists()
+
+    @pytest.mark.parametrize("command, config_name", [
+        ("verify", "robin_ellipse.json"), ("homotopy", "robin_disk.json")])
+    def test_t_with_schedule_is_four(self, tmp_path, command, config_name):
+        # continuation always ends at t = 1, so a given t would be echoed in
+        # report.json and then ignored
+        code, out = run_cli(tmp_path, command, config_name,
+                            ["problem.t=0.5", "mesh.h_target=0.1"])
         assert code == 4
         assert not (out / "solution.csv").exists()
 

@@ -12,10 +12,14 @@ from scipy.interpolate import CubicSpline
 from scipy.spatial import cKDTree
 
 import pmclab
-from pmclab.errors import InvalidParameterError
+from pmclab import axisym, geometry
+from pmclab.axisym import MeridianProblem, meridian_mesh
+from pmclab.errors import InvalidParameterError, MeshQualityError
 from pmclab.geometry import (_INTERIOR_CLEARANCE, _LATTICE_SPACING_FACTOR,
-                             _hex_lattice, make_disk, make_ellipse,
-                             make_rounded_polygon, triangulate)
+                             _band_cells, _delaunay_cells, _hex_lattice,
+                             _smooth_interior, make_disk, make_ellipse,
+                             make_rounded_polygon, mesh_from_loop,
+                             triangulate)
 
 SQUARE = [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]
 
@@ -302,8 +306,105 @@ class TestLattice:
     @settings(max_examples=30, deadline=None)
     def test_matches_all_tangents_reference(self, domain, h):
         a = _LATTICE_SPACING_FACTOR * h
-        assert np.array_equal(_hex_lattice(domain, a),
-                              reference_lattice(domain, a))
+        points, _ = _hex_lattice(domain, a)
+        assert np.array_equal(points, reference_lattice(domain, a))
+
+
+def mesh_inputs(build):
+    """The (loop, fill points, lattice) that ``build()`` hands to
+    :func:`mesh_from_loop`."""
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (geometry, axisym):
+            mp.setattr(module, "mesh_from_loop", lambda *args: seen.append(args))
+        build()
+    return seen[0]
+
+
+def cell_set(cells):
+    return set(map(frozenset, cells.tolist()))
+
+
+MESHERS = st.one_of(
+    LATTICE_DOMAINS.map(lambda d: lambda h: triangulate(d, h)),
+    st.tuples(st.floats(0.5, 1.5), st.floats(0.5, 1.5)).map(
+        lambda ab: lambda h: meridian_mesh(MeridianProblem(*ab), h)),
+)
+
+
+@pytest.mark.filterwarnings("ignore:rounded polygon")
+class TestBandMeshing:
+    """The first meshing pass builds the lattice cells directly and runs
+    qhull on the loop plus a band only; it must give the Delaunay cells of
+    all points, and fall back to qhull on all points when it cannot."""
+
+    @given(mesher=MESHERS, h=st.floats(0.0125, 0.2))
+    @settings(max_examples=20, deadline=None)
+    def test_equals_full_delaunay(self, mesher, h):
+        loop, fill, lattice = mesh_inputs(lambda: mesher(h))
+        points = np.vstack([loop, fill])
+        band = _band_cells(points, len(loop), lattice)
+        assert band is not None
+        assert cell_set(band) == cell_set(_delaunay_cells(points))
+
+    @pytest.mark.parametrize("mesher", [
+        lambda: triangulate(make_disk(1.0), 0.1),
+        lambda: triangulate(make_ellipse(1.3, 0.7), 0.05),
+        lambda: meridian_mesh(MeridianProblem(1.0, 1.0), 0.1),
+        lambda: triangulate(make_ellipse(1.0, 0.2), 0.5),
+    ], ids=["disk", "ellipse", "meridian", "no-fill"])
+    def test_cells_canonical_on_both_paths(self, mesher):
+        loop, fill, lattice = mesh_inputs(mesher)
+        band, full = mesh_from_loop(loop, fill, lattice), \
+            mesh_from_loop(loop, fill)
+        assert np.array_equal(band.cells, full.cells)
+        c = band.cells
+        assert np.all((c[:, 0] < c[:, 1]) & (c[:, 0] < c[:, 2]))
+        assert np.all(band.cell_areas > 0)
+
+    def test_off_lattice_falls_back(self, disk):
+        loop, fill, lattice = mesh_inputs(lambda: triangulate(disk, 0.1))
+        moved = fill.copy()
+        moved[len(fill) // 2, 0] += 1e-6 * np.ptp(fill[:, 0])
+        assert _band_cells(np.vstack([loop, moved]), len(loop),
+                           lattice) is None
+        assert np.array_equal(mesh_from_loop(loop, moved, lattice).cells,
+                              mesh_from_loop(loop, moved).cells)
+
+    def test_smoothed_falls_back(self, disk):
+        loop, fill, lattice = mesh_inputs(lambda: triangulate(disk, 0.1))
+        points = np.vstack([loop, fill])
+        smoothed = _smooth_interior(points, _delaunay_cells(points),
+                                    len(loop))
+        assert _band_cells(smoothed, len(loop), lattice) is None
+
+    def test_tie_falls_back(self):
+        # a unit hexagon of lattice points; the loop samples at 30 + 60 k
+        # degrees lie on the circumcircles of its six triangles
+        lattice = np.array([[1, 2], [1, 0], [1, 4], [0, 1], [0, 3], [2, 1],
+                            [2, 3]])
+        fill = np.column_stack([0.5 * (lattice[:, 1] - 2),
+                                0.5 * math.sqrt(3.0) * (lattice[:, 0] - 1)])
+        angle = np.radians(30.0 + 30.0 * np.arange(12))
+        loop = (2.0 / math.sqrt(3.0)) * np.column_stack(
+            [np.cos(angle), np.sin(angle)])
+        assert _band_cells(np.vstack([loop, fill]), len(loop),
+                           lattice) is None
+
+
+def test_loop_corner_below_bound_raises_after_one_pass(monkeypatch):
+    # a 16.7 degree corner of the fixed loop: no smoothing can repair it
+    corners = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.3]])
+    loop = np.vstack([c0 + np.linspace(0.0, 1.0, 4, endpoint=False)[:, None]
+                      * (c1 - c0)
+                      for c0, c1 in zip(corners, np.roll(corners, -1, 0))])
+    calls = []
+    delaunay = geometry.Delaunay
+    monkeypatch.setattr(geometry, "Delaunay",
+                        lambda p: calls.append(len(p)) or delaunay(p))
+    with pytest.raises(MeshQualityError, match="three vertices on the loop"):
+        mesh_from_loop(loop, np.array([[0.8, 0.1]]))
+    assert calls == [len(loop) + 1]
 
 
 def test_cli_import_leaves_out_scipy_interpolate():

@@ -52,6 +52,14 @@ class TestRadialOracle:
             radial_disk_oracle(ProblemSpec.robin(2.5, 1.0))
 
 
+def stiffness(mesh):
+    """The P1 stiffness matrix, singular with the constants as null space:
+    the Jacobian's cell block at t = 0 on a discretization without flux
+    edges."""
+    return jacobian(ScalarField.zeros(mesh), ProblemSpec.robin(0.6, 1.0, t=0.0),
+                    Discretization(mesh, flux_edges=[]))
+
+
 class TestLinearSolve:
     def test_identity(self, rng):
         A = sp.identity(40, format="csr")
@@ -60,9 +68,7 @@ class TestLinearSolve:
 
     def test_mean_zero_constraint_compatible(self, disk_mesh_02, rng):
         m = disk_mesh_02
-        spec0 = ProblemSpec.neumann(0.6, 0.5, t=0.0)
-        A = jacobian(ScalarField.zeros(m), spec0,
-                     Discretization(m, flux_edges=[]))
+        A = stiffness(m)
         b = rng.standard_normal(m.n_vertices)
         b -= b.mean()
         x, info = linear_solve(A, b, constraint="mean-zero", return_info=True)
@@ -72,9 +78,7 @@ class TestLinearSolve:
 
     def test_mean_zero_constraint_incompatible(self, disk_mesh_02, rng):
         m = disk_mesh_02
-        spec0 = ProblemSpec.neumann(0.6, 0.5, t=0.0)
-        A = jacobian(ScalarField.zeros(m), spec0,
-                     Discretization(m, flux_edges=[]))
+        A = stiffness(m)
         b = rng.standard_normal(m.n_vertices) + 0.4
         x, info = linear_solve(A, b, constraint="mean-zero", return_info=True)
         assert info["incompatible"]
@@ -83,9 +87,7 @@ class TestLinearSolve:
 
     def test_singular_without_constraint_fails(self, disk_mesh_02, rng):
         m = disk_mesh_02
-        spec0 = ProblemSpec.neumann(0.6, 0.5, t=0.0)
-        A = jacobian(ScalarField.zeros(m), spec0,
-                     Discretization(m, flux_edges=[]))
+        A = stiffness(m)
         with pytest.raises(LinearSolveFailure):
             linear_solve(A, rng.standard_normal(m.n_vertices))
 
@@ -93,9 +95,7 @@ class TestLinearSolve:
     def test_mean_zero_two_dimensional_nullspace_fails(self, disk_mesh_02,
                                                         rng):
         m = disk_mesh_02
-        spec0 = ProblemSpec.neumann(0.6, 0.5, t=0.0)
-        K = jacobian(ScalarField.zeros(m), spec0,
-                     Discretization(m, flux_edges=[]))
+        K = stiffness(m)
         A = sp.block_diag([K, K], format="csr")
         b = rng.standard_normal(A.shape[0])
         with pytest.raises(LinearSolveFailure):
@@ -107,9 +107,7 @@ class TestLinearSolve:
         # vector is D^-1 1; the bordered system is regular, elimination
         # with lambda = mean(b) is not a stand-in for it
         m = disk_mesh_02
-        spec0 = ProblemSpec.neumann(0.6, 0.5, t=0.0)
-        K = jacobian(ScalarField.zeros(m), spec0,
-                     Discretization(m, flux_edges=[]))
+        K = stiffness(m)
         A = (sp.diags(rng.uniform(0.5, 2.0, m.n_vertices)) @ K).tocsr()
         assert np.abs(A @ np.ones(m.n_vertices)).max() <= 1e-12
         b = rng.standard_normal(m.n_vertices)
@@ -165,8 +163,7 @@ def _recorded_systems(monkeypatch, solve):
 def _singular_cases(mesh, rng):
     """The singular systems of TestLinearSolve: (A, b, constraint)."""
     n = mesh.n_vertices
-    K = jacobian(ScalarField.zeros(mesh), ProblemSpec.neumann(0.6, 0.5, t=0.0),
-                 Discretization(mesh, flux_edges=[]))
+    K = stiffness(mesh)
     stacked = sp.block_diag([K, K], format="csr")
     b2 = rng.standard_normal(2 * n)
     e0 = np.eye(n)[0]
