@@ -1,10 +1,20 @@
 #!/usr/bin/env python3
 """Regenerate the golden reports in tests/golden/ from configs/.
 
-Run after any intentional change to the pipeline; review the diff before
-committing.
+Usage::
+
+    python3 scripts/make_goldens.py          # rewrite tests/golden/*.json
+    python3 scripts/make_goldens.py --diff   # compare only, write nothing
+
+Run after any intentional change to the pipeline.  ``--diff`` regenerates
+every golden into a temporary directory and prints each leaf that differs
+from the committed golden (path, old value, new value, and |delta| for
+numbers; a missing key or list entry shows as <absent>), then each golden's
+largest numeric |delta|.  It exits 1 if anything differs, else 0.
 """
 
+import argparse
+import json
 import shutil
 import sys
 import tempfile
@@ -13,17 +23,72 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
-from pmclab.cli import main  # noqa: E402
+from pmclab.cli import main as pmclab_main  # noqa: E402
 
 RUNS = ["robin_disk", "neumann_disk", "neumann_infeasible", "robin_ellipse",
         "ball3d_robin"]
+GOLDEN = REPO / "tests" / "golden"
+ABSENT = "<absent>"
 
-golden = REPO / "tests" / "golden"
-golden.mkdir(parents=True, exist_ok=True)
-for name in RUNS:
-    with tempfile.TemporaryDirectory() as td:
-        code = main(["verify", "--config",
-                     str(REPO / "configs" / f"{name}.json"), "--out", td])
-        shutil.copy(Path(td) / "report.json",
-                    golden / f"{name}.report.json")
-        print(f"{name}: exit {code} -> tests/golden/{name}.report.json")
+
+def _is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def leaf_diffs(old, new, path=""):
+    """(path, old, new) of every leaf where two JSON trees differ."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for k in sorted(set(old) | set(new)):
+            yield from leaf_diffs(old.get(k, ABSENT), new.get(k, ABSENT),
+                                  f"{path}.{k}")
+    elif isinstance(old, list) and isinstance(new, list):
+        for i in range(max(len(old), len(new))):
+            yield from leaf_diffs(old[i] if i < len(old) else ABSENT,
+                                  new[i] if i < len(new) else ABSENT,
+                                  f"{path}[{i}]")
+    elif old != new or type(old) is not type(new):
+        yield path, old, new
+
+
+def diff_golden(name, report_path):
+    """Print the differences of one regenerated report; returns their
+    number."""
+    old = json.loads((GOLDEN / f"{name}.report.json").read_text())
+    new = json.loads(Path(report_path).read_text())
+    n, max_delta = 0, 0.0
+    for path, a, b in leaf_diffs(old, new):
+        n += 1
+        line = f"  {path}: {json.dumps(a)} -> {json.dumps(b)}"
+        if _is_number(a) and _is_number(b):
+            delta = abs(b - a)
+            max_delta = max(max_delta, delta)
+            line += f"  |d|={delta:.3g}"
+        print(line)
+    print(f"{name}: {n} leaves differ, max |d| {max_delta:.3g}")
+    return n
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--diff", action="store_true",
+                    help="compare with the committed goldens, write nothing")
+    args = ap.parse_args(argv)
+    if not args.diff:
+        GOLDEN.mkdir(parents=True, exist_ok=True)
+    differing = 0
+    for name in RUNS:
+        with tempfile.TemporaryDirectory() as td:
+            code = pmclab_main(["verify", "--config",
+                         str(REPO / "configs" / f"{name}.json"), "--out", td])
+            report = Path(td) / "report.json"
+            if args.diff:
+                differing += diff_golden(name, report)
+            else:
+                shutil.copy(report, GOLDEN / f"{name}.report.json")
+                print(f"{name}: exit {code} -> "
+                      f"tests/golden/{name}.report.json")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -23,7 +23,6 @@ from pathlib import Path
 from . import artifacts as art
 from . import pipeline
 from .config import apply_overrides, parse_config
-from .critical import find_critical_points
 from .errors import (ConfigError, InfeasibleProblemError, InvalidParameterError,
                      LinearSolveFailure, PmclabError, SolverFailure)
 from .verify import run_suite
@@ -150,7 +149,7 @@ def _dispatch(config, out, report):
         report["axisym"] = pipeline.axisym_summary(field, run.spec.n_dim)
         arcs = pipeline.axial_nodal_set(field)
     else:
-        records = find_critical_points(field, run.spec)
+        records = pipeline.census(field, run.spec, trace)
         report["critical_points"] = [r.as_dict() for r in records]
         if config.command == "compare":
             report["nodal"], arcs = pipeline.nodal_lab(
@@ -163,11 +162,15 @@ def _dispatch(config, out, report):
 
 
 def _homotopy_summary(trace):
-    return {"completed": trace.completed,
+    return {"completed": trace.completed, "halved_at": trace.halved_at,
             "steps": [{"t": s.t, "minima": s.n_minima, "maxima": s.n_maxima,
                        "saddles": s.n_saddles, "critical": s.n_critical,
                        "morse_ok": s.morse_ok, "field_min": s.field_min,
-                       "field_max": s.field_max} for s in trace.steps]}
+                       "field_max": s.field_max,
+                       "iterations": s.solve.iterations,
+                       "krylov_iterations": s.solve.krylov_iterations,
+                       "factorizations": s.solve.factorizations}
+                      for s in trace.steps]}
 
 
 def _mesh_summary(mesh):

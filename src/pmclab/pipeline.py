@@ -18,7 +18,7 @@ import numpy as np
 
 from . import axisym as axi
 from .assembly import Discretization, ProblemSpec, ScalarField, neumann_gate
-from .critical import recover_gradient
+from .critical import find_critical_points, recover_gradient
 from .errors import InvalidParameterError, PmclabError
 from .geometry import make_disk, make_ellipse, make_rounded_polygon, triangulate
 from .nodal import (cylinder_solution, difference_field, leading_order_fit,
@@ -102,6 +102,15 @@ def solve(run, schedule=None):
         return field, feas, None, trace
     field, report = newton_solve(run.disc, run.spec, opts=run.opts)
     return field, feas, report, None
+
+
+def census(field, spec, trace=None):
+    """Critical points of a planar solution.  After a continuation they are
+    the census its last step took of the same field: the census reads H
+    only, not the homotopy parameter."""
+    if trace is not None:
+        return trace.steps[-1].records
+    return find_critical_points(field, spec)
 
 
 def axisym_summary(field, n_dim):

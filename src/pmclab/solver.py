@@ -11,17 +11,21 @@ fields are mean-normalized.
 
 A Newton solve, and a whole homotopy continuation, keeps the sparse LU of
 the last block it factored (SuperLU with the symmetric minimum-degree
-ordering of A^T + A) and solves every later linear system by GMRES on that
-iteration's exact Jacobian, with the kept LU as preconditioner.  Only when
-GMRES misses its tolerance is the current block factored, kept, and solved
-directly.  A GMRES correction has a true residual of at most 1e-11 times
-its right-hand side: an inexact Newton step, far inside the Newton
-tolerance.  :class:`SolveReport` records the factorizations and the Krylov
-iterations of every Newton iteration.
+ordering of A^T + A) and solves every later linear system by a short
+restarted GMRES on that iteration's exact Jacobian, preconditioned on the
+right by the kept LU.  Its residual is the unpreconditioned one, and a
+solution is returned only once ||b - A x|| <= 1e-11 ||b|| has been computed
+explicitly: an inexact Newton step, far inside the Newton tolerance.  Only
+when GMRES misses that tolerance is the current block factored, kept, and
+solved directly.  :class:`SolveReport` records the factorizations and the
+Krylov iterations of every Newton iteration.
 
-Continuation walks a schedule of homotopy parameters, warm-starting each
-solve from the previous step and recording the critical point census after
-each converged step.
+Continuation is a predictor-corrector walk over a schedule of homotopy
+parameters.  Once two steps have converged, each Newton solve starts from
+the secant extrapolation of the last two (Allgower & Georg, *Numerical
+Continuation Methods*, 1990), which mostly leaves one Newton correction per
+step; the first step starts from zero and the second from the first.  The
+critical point census is recorded after each converged step.
 """
 
 from __future__ import annotations
@@ -95,6 +99,8 @@ class HomotopyTrace:
     steps: list = dc_field(default_factory=list)
     schedule: list = dc_field(default_factory=list)
     completed: bool = False
+    # t of every failed attempt that was retried at half the step
+    halved_at: list = dc_field(default_factory=list)
 
 
 def linear_solve(A, b, constraint="none", return_info=False, kept=None):
@@ -119,12 +125,14 @@ def linear_solve(A, b, constraint="none", return_info=False, kept=None):
     ``kept`` (a ``_KeptFactor``, shared by the linear systems of one Newton
     or homotopy solve) holds the LU of the last block factored.  If it holds
     one of the right size, the block system, rank-one term included, is
-    solved by GMRES (relative tolerance 1e-11 on the true residual, restart
-    20, at most 3 cycles) preconditioned by that LU.  Without a kept LU, or
-    when GMRES misses its tolerance, the block is factored (SuperLU,
-    ``MMD_AT_PLUS_A`` ordering in symmetric mode, partial pivoting kept),
-    the factor is kept, and the system is solved directly.  With
-    ``kept=None`` every call factors afresh.
+    solved by GMRES preconditioned on the right by that LU (see
+    :func:`_preconditioned_gmres`: restart 20, at most 3 cycles, one LU
+    application per Krylov iteration, and a result only once the explicitly
+    computed residual is at most 1e-11 times the right-hand side).  Without
+    a kept LU, or when GMRES misses its tolerance, the block is factored
+    (SuperLU, ``MMD_AT_PLUS_A`` ordering in symmetric mode, partial
+    pivoting kept), the factor is kept, and the system is solved directly.
+    With ``kept=None`` every call factors afresh.
 
     Every solution is checked against the full operator:
     ||A x - (b - lambda 1)|| <= 1e-6 ||b||.  That check fails, and
@@ -220,27 +228,67 @@ def _direct_solve(lu, u, v, rhs):
 
 
 def _preconditioned_gmres(lu, L, u, v, rhs):
-    """GMRES on L + u v^T with ``lu.solve`` as preconditioner; returns
-    ``(x, iterations)``, with x None when the true residual misses
-    ``_GMRES_RTOL``."""
-    if u is None:
-        matvec = L.__matmul__
-    else:
-        def matvec(x):
-            return L @ x + u * (v @ x)
+    """Restarted GMRES on A = L + u v^T, preconditioned on the right by
+    ``lu.solve`` (Saad & Schultz 1986).
+
+    Each cycle builds the Krylov space of A M^-1 from the true residual
+    r = rhs - A x (modified Gram-Schmidt Arnoldi, Givens rotations) and
+    keeps z_k = M^-1 v_k, so x moves by sum_k y_k z_k and the LU is applied
+    exactly once per Krylov iteration.  The rotated right-hand side
+    estimates ||rhs - A x|| itself, not a preconditioned residual; once it
+    reaches ``_GMRES_RTOL`` ||rhs||, or after ``_GMRES_RESTART`` iterations,
+    the residual is computed explicitly, and only a miss opens another
+    cycle.  Returns ``(x, iterations)``, with x None when that residual
+    still misses after ``_GMRES_MAXITER`` cycles.
+    """
+    def apply(x):
+        y = L @ x
+        if u is not None:
+            y += u * float(v @ x)
+        return y
+
+    m = _GMRES_RESTART
+    x = np.zeros(rhs.shape[0])
+    r, beta = rhs, np.linalg.norm(rhs)
+    target = _GMRES_RTOL * beta
+    V = np.empty((m + 1, r.shape[0]))
+    Z = np.empty((m, r.shape[0]))
+    R = np.zeros((m + 1, m))            # Hessenberg matrix, rotated to upper
+    cs, sn = np.zeros(m), np.zeros(m)
     iterations = 0
-
-    def count(_):
-        nonlocal iterations
-        iterations += 1
-
-    x, status = spla.gmres(
-        spla.LinearOperator(L.shape, matvec=matvec, dtype=float), rhs,
-        rtol=_GMRES_RTOL, atol=0.0, restart=_GMRES_RESTART,
-        maxiter=_GMRES_MAXITER,
-        M=spla.LinearOperator(L.shape, matvec=lu.solve, dtype=float),
-        callback=count, callback_type="pr_norm")
-    return (x if status == 0 else None), iterations
+    for _ in range(_GMRES_MAXITER):
+        if beta <= target:
+            break
+        V[0] = r / beta
+        g = np.zeros(m + 1)
+        g[0] = beta
+        k = 0
+        while k < m:
+            Z[k] = lu.solve(V[k])
+            iterations += 1
+            w = apply(Z[k])
+            for i in range(k + 1):
+                R[i, k] = w @ V[i]
+                w -= R[i, k] * V[i]
+            h = np.linalg.norm(w)
+            for i in range(k):
+                R[i, k], R[i + 1, k] = (cs[i] * R[i, k] + sn[i] * R[i + 1, k],
+                                        cs[i] * R[i + 1, k] - sn[i] * R[i, k])
+            rho = math.hypot(R[k, k], h)
+            if rho == 0.0:
+                return None, iterations
+            cs[k], sn[k] = R[k, k] / rho, h / rho
+            R[k, k] = rho
+            g[k + 1] = -sn[k] * g[k]
+            g[k] *= cs[k]
+            k += 1
+            if abs(g[k]) <= target:
+                break
+            V[k] = w / h
+        x += np.linalg.solve(R[:k, :k], g[:k]) @ Z[:k]
+        r = rhs - apply(x)
+        beta = np.linalg.norm(r)
+    return (x if beta <= target else None), iterations
 
 
 def newton_solve(disc, spec, init=None, opts=None, kept=None):
@@ -331,13 +379,16 @@ def newton_solve(disc, spec, init=None, opts=None, kept=None):
 def homotopy_solve(disc, spec, schedule, opts=None):
     """Continuation in the homotopy parameter up to t = 1.
 
-    Warm-starts each Newton solve from the previous step; on nonconvergence
-    the step is halved down to dt = 1/320 before giving up.  The LU kept by
-    one Newton solve preconditions the next (see :func:`linear_solve`); it
-    is dropped when a step fails.  After every converged step the critical
-    points are located and their census, with the step's
-    :class:`SolveReport`, recorded in the trace.  Nothing is asserted here;
-    verification is a separate concern.
+    Each Newton solve starts from the secant through the last two converged
+    steps, u_1 + (t - t_1)/(t_1 - t_0) (u_1 - u_0); the second step starts
+    from the first, the first from zero.  On nonconvergence the step is
+    halved, down to dt = 1/320, and retried from the secant of the same two
+    steps; the t of every halved attempt is recorded in ``halved_at``.  The
+    LU kept by one Newton solve preconditions the next (see
+    :func:`linear_solve`); it is dropped when a step fails.  After every
+    converged step the critical points are located and their census, with
+    the step's :class:`SolveReport`, recorded in the trace.  Nothing is
+    asserted here; verification is a separate concern.
     """
     schedule = [float(t) for t in schedule]
     if any(not 0.0 <= t <= 1.0 for t in schedule):
@@ -349,32 +400,44 @@ def homotopy_solve(disc, spec, schedule, opts=None):
 
     trace = HomotopyTrace(schedule=list(schedule))
     kept = _KeptFactor()
-    field = None
-    t_prev = None
+    path = []               # (t, field) of the last two converged steps
     pending = list(schedule)
     while pending:
         t_next = pending[0]
         try:
-            spec_t = spec.at_t(t_next)
-            field_next, report = newton_solve(disc, spec_t, init=field,
-                                              opts=opts, kept=kept)
+            field, report = newton_solve(disc, spec.at_t(t_next),
+                                         init=_predict(path, t_next),
+                                         opts=opts, kept=kept)
         except (SolverFailure, LinearSolveFailure) as exc:
             kept.drop()
-            if t_prev is None or t_next - t_prev <= _MIN_DT:
+            if not path or t_next - path[-1][0] <= _MIN_DT:
                 failure = exc if isinstance(exc, SolverFailure) else \
                     SolverFailure(f"linear breakdown at t={t_next}: {exc}")
                 failure.trace = trace
                 raise failure from exc
-            pending.insert(0, 0.5 * (t_prev + t_next))
+            trace.halved_at.append(t_next)
+            pending.insert(0, 0.5 * (path[-1][0] + t_next))
             continue
-        field = field_next
-        t_prev = t_next
+        path = [*path[-1:], (t_next, field)]
         pending.pop(0)
         if not pending:
             kept.drop()
         trace.steps.append(_census_step(field, spec.at_t(t_next), report))
     trace.completed = True
     return field, trace
+
+
+def _predict(path, t):
+    """Start of the Newton solve at ``t``: the secant through the last two
+    converged steps, the last step while there is only one, zero before
+    the first."""
+    if not path:
+        return None
+    t1, f1 = path[-1]
+    if len(path) == 1:
+        return f1
+    t0, f0 = path[-2]
+    return f1.values + ((t - t1) / (t1 - t0)) * (f1.values - f0.values)
 
 
 def _census_step(field, spec_t, solve_report):

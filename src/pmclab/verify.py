@@ -403,7 +403,7 @@ def run_suite(config):
         props += verify_meridian_structure(field, spec, run.problem,
                                            run.disc)
     else:
-        res.records = find_critical_points(field, spec)
+        res.records = pipeline.census(field, spec, res.trace)
         diam = run.domain.diameter
         loop = inward_offset_loop(run.domain, 2.0 * run.mesh.h)
         props += verify_critical_structure(field, spec, res.records,

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import pmclab
+from pmclab.artifacts import canonical_json
 from pmclab.cli import main
 from pmclab.config import ConfigError, apply_overrides, parse_config
 
@@ -300,6 +302,32 @@ class TestCommandsAgree:
         assert homotopy["completed"] and len(homotopy["steps"]) == 11
         assert _report(out_v)["homotopy"] == homotopy
 
+    @pytest.mark.parametrize("command", ["verify", "homotopy"])
+    def test_continuation_census_taken_once_per_step(self, tmp_path,
+                                                     monkeypatch, command):
+        # the report's critical points are the census of the last step,
+        # which is the census of the returned field at t = 1
+        census = pmclab.critical.find_critical_points
+        calls = []
+
+        def counted(field, spec, **kwargs):
+            records = census(field, spec, **kwargs)
+            calls.append((field, spec))
+            return records
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("pmclab") and \
+                    getattr(mod, "find_critical_points", None) is census:
+                monkeypatch.setattr(mod, "find_critical_points", counted)
+        code, out = run_cli(tmp_path, command, "robin_ellipse.json")
+        assert code == 0
+        assert len(calls) == 11
+        field, spec = calls[-1]
+        assert spec.t == 1.0
+        fresh = [r.as_dict() for r in census(field, spec)]
+        assert _report(out)["critical_points"] == \
+            json.loads(canonical_json(fresh))
+
     def test_meridian_neumann_gate(self, tmp_path):
         cfg = tmp_path / "ball_neumann.json"
         cfg.write_text(json.dumps({
@@ -338,3 +366,17 @@ class TestCommandsAgree:
         golden = json.loads(
             (GOLDEN / "neumann_infeasible.report.json").read_text())
         assert _report(out)["feasibility"] == golden["feasibility"]
+
+
+def test_make_goldens_leaf_diffs():
+    # the golden diff names every differing leaf, missing entries included
+    path = REPO / "scripts" / "make_goldens.py"
+    spec = importlib.util.spec_from_file_location("make_goldens", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    old = {"a": 1.0, "b": [1, 2], "c": {"d": True}, "f": [0.5]}
+    new = {"a": 1.5, "b": [1], "c": {"d": 1}, "e": "x", "f": [0.5]}
+    assert list(script.leaf_diffs(old, new)) == [
+        (".a", 1.0, 1.5), (".b[1]", 2, "<absent>"), (".c.d", True, 1),
+        (".e", "<absent>", "x")]
+    assert list(script.leaf_diffs(old, old)) == []

@@ -160,6 +160,39 @@ def _recorded_systems(monkeypatch, solve):
     return systems
 
 
+class _CountingLU:
+    """A kept SuperLU that counts its applications."""
+
+    def __init__(self, lu):
+        self.lu, self.shape, self.applications = lu, lu.shape, 0
+
+    def solve(self, rhs):
+        self.applications += 1
+        return self.lu.solve(rhs)
+
+
+def _checked_gmres(monkeypatch):
+    """Check every preconditioned GMRES call made from now on: it applies
+    the kept LU exactly once per Krylov iteration, and it returns x only
+    with ||rhs - A x|| <= 1e-11 ||rhs||.  Returns the list that collects
+    the Krylov iterations of the calls."""
+    calls = []
+    inner = pmclab.solver._preconditioned_gmres
+
+    def checked(lu, L, u, v, rhs):
+        counting = _CountingLU(lu)
+        x, iterations = inner(counting, L, u, v, rhs)
+        assert counting.applications == iterations
+        if x is not None:
+            Ax = L @ x if u is None else L @ x + u * (v @ x)
+            assert np.linalg.norm(rhs - Ax) <= 1e-11 * np.linalg.norm(rhs)
+        calls.append(iterations)
+        return x, iterations
+
+    monkeypatch.setattr(pmclab.solver, "_preconditioned_gmres", checked)
+    return calls
+
+
 def _singular_cases(mesh, rng):
     """The singular systems of TestLinearSolve: (A, b, constraint)."""
     n = mesh.n_vertices
@@ -182,7 +215,8 @@ class TestKeptFactor:
     results must be those of a fresh direct solve, and a factor that does
     not fit must fall back to refactoring without changing any outcome."""
 
-    def _replay(self, systems):
+    def _replay(self, monkeypatch, systems):
+        gmres_calls = _checked_gmres(monkeypatch)
         kept = _KeptFactor()
         infos = []
         for A, b, constraint in systems:
@@ -194,6 +228,8 @@ class TestKeptFactor:
             assert np.linalg.norm(x - ref) <= 1e-9 * np.linalg.norm(ref)
             assert info["multiplier"] == ref_info["multiplier"]
             infos.append(info)
+        assert gmres_calls == [i["krylov_iterations"] for i in infos
+                               if not i["factored"]]
         return infos
 
     def test_robin_ellipse_homotopy_systems(self, monkeypatch,
@@ -202,9 +238,9 @@ class TestKeptFactor:
         systems = _recorded_systems(monkeypatch, lambda: homotopy_solve(
             Discretization(ellipse_mesh_005), ellipse_robin_spec,
             [round(0.1 * k, 10) for k in range(11)]))
-        assert len(systems) == 18
-        infos = self._replay(systems)
-        assert [i["factored"] for i in infos] == [True] + [False] * 17
+        assert len(systems) == 12
+        infos = self._replay(monkeypatch, systems)
+        assert [i["factored"] for i in infos] == [True] + [False] * 11
         assert all(i["krylov_iterations"] > 0 for i in infos[1:])
 
     def test_neumann_disk_systems(self, monkeypatch, disk_mesh_005,
@@ -215,7 +251,7 @@ class TestKeptFactor:
         assert len(systems) >= 3
         assert all(isinstance(A, RankOneJacobian) and c == "mean-zero"
                    for A, _, c in systems)
-        infos = self._replay(systems)
+        infos = self._replay(monkeypatch, systems)
         assert infos[0]["factored"]
         assert not any(i["factored"] for i in infos[1:])
 
@@ -447,27 +483,55 @@ class TestHomotopy:
             assert step.morse_ok
 
     def test_one_factorization_on_ellipse(self, ellipse_homotopy):
-        # Newton counts of the direct-LU solver; the t = 0 factor
-        # preconditions every later correction
+        # the secant predictor leaves one Newton correction per step but
+        # the last; the t = 0 factor preconditions every later correction
         _, trace = ellipse_homotopy
         reports = [s.solve for s in trace.steps]
-        assert [r.iterations for r in reports] == [1, 1, 1, 1] + [2] * 7
+        assert [r.iterations for r in reports] == [1] * 10 + [2]
         assert sum(r.factorizations for r in reports) == 1
         krylov = [k for r in reports for k in r.krylov_iterations]
         assert len(krylov) == sum(r.iterations for r in reports)
         assert krylov[0] == 0 and all(k > 0 for k in krylov[1:])
+        assert trace.halved_at == []
+
+    def test_secant_start_beats_previous_field(self, monkeypatch,
+                                               ellipse_mesh_005,
+                                               ellipse_robin_spec):
+        # from the third step on, each Newton solve starts from the secant
+        # through the last two steps, closer to the new solution than the
+        # last step's field is
+        disc = Discretization(ellipse_mesh_005)
+        solves = []
+        inner = pmclab.solver.newton_solve
+
+        def record(disc, spec, init=None, **kwargs):
+            field, report = inner(disc, spec, init=init, **kwargs)
+            solves.append((spec, init, field))
+            return field, report
+
+        monkeypatch.setattr(pmclab.solver, "newton_solve", record)
+        homotopy_solve(disc, ellipse_robin_spec,
+                       [round(0.1 * k, 10) for k in range(11)])
+        assert len(solves) == 11
+        assert solves[0][1] is None and solves[1][1] is solves[0][2]
+        for (_, _, prev), (spec, init, _) in zip(solves[1:], solves[2:]):
+            start = ScalarField(ellipse_mesh_005,
+                                getattr(init, "values", init))
+            assert np.abs(residual(start, spec, disc)).max() \
+                < np.abs(residual(prev, spec, disc)).max()
 
     def test_failed_step_drops_kept_factor(self, disk_mesh_01):
-        # the jump to t = 1 fails four times; each retry after a failure
-        # starts from a new factorization, the final step reuses one
+        # the jump to t = 1 fails three times and is halved each time; each
+        # retry after a failure starts from a new factorization, the final
+        # step reuses one
         spec = ProblemSpec.robin(1.6, 1.0)
         _, trace = homotopy_solve(Discretization(disk_mesh_01), spec,
                                   [0.0, 1.0],
                                   opts=SolverOptions(max_iter=4))
-        assert [s.t for s in trace.steps] == [0.0, 0.5, 0.75, 0.875, 0.9375,
-                                              1.0]
+        assert [s.t for s in trace.steps] == [0.0, 0.5, 0.75, 0.875, 1.0]
+        assert trace.halved_at == [1.0, 1.0, 1.0]
         reports = [s.solve for s in trace.steps]
-        assert [r.iterations for r in reports] == [1, 3, 3, 3, 3, 3]
+        assert [r.iterations for r in reports] == [1, 3, 3, 3, 3]
         for r in reports[1:-1]:
             assert r.factorizations == 1 and r.krylov_iterations[0] == 0
         assert reports[-1].factorizations == 0
