@@ -3,11 +3,12 @@
 Subcommands: solve, homotopy, axisym, compare (the nodal laboratory),
 verify, and mesh-report.  This module parses the arguments and the config,
 keeps the report skeleton, maps exceptions to exit codes and writes the
-artifacts; the work itself is :mod:`pmclab.pipeline` (set-up, Neumann gate,
-solve, diagnostics) and, for ``verify``, :func:`pmclab.verify.run_suite`.
-Every run writes a ``report.json`` (always, with a status field, even on
-failure) plus the solution, critical-point, and nodal-arc CSV tables and a
-contour SVG where applicable.
+artifacts.  Every command runs the chain of :mod:`pmclab.pipeline` (set-up,
+Neumann gate, solve, diagnostics); ``verify`` then evaluates the property
+suite on the solved run with :func:`pmclab.verify.run_suite`.  Every run
+writes a ``report.json`` (always; on failure with the status and the error)
+plus the solution, critical-point, and nodal-arc CSV tables and a contour
+SVG where applicable.
 
 Exit codes: 0 success / verification pass, 2 verification failure, 3 solver
 nonconvergence, 4 invalid configuration or infeasible data.
@@ -24,13 +25,20 @@ from . import artifacts as art
 from . import pipeline
 from .config import apply_overrides, parse_config
 from .errors import (ConfigError, InfeasibleProblemError, InvalidParameterError,
-                     LinearSolveFailure, PmclabError, SolverFailure)
+                     PmclabError, SolverFailure)
 from .verify import run_suite
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 2
 EXIT_SOLVER_FAIL = 3
 EXIT_INVALID = 4
+
+# status and exit code of a failed run by exception type; first match wins
+_FAILURES = ((InfeasibleProblemError, "infeasible", EXIT_INVALID),
+             (SolverFailure, "solver-failure", EXIT_SOLVER_FAIL),
+             ((ConfigError, InvalidParameterError), "invalid-config",
+              EXIT_INVALID),
+             (PmclabError, "error", EXIT_SOLVER_FAIL))
 
 
 def main(argv=None):
@@ -97,45 +105,36 @@ def run(config, out_dir=None):
     }
     try:
         code = _dispatch(config, out, report)
-    except InfeasibleProblemError as exc:
-        report["status"] = "infeasible"
-        if exc.feasibility is not None:
-            report["feasibility"] = exc.feasibility.as_dict()
-        code = EXIT_INVALID
-    except SolverFailure as exc:
-        report["status"] = "solver-failure"
-        if exc.report is not None:
-            report["solve"] = exc.report.as_dict()
-        code = EXIT_SOLVER_FAIL
-    except LinearSolveFailure as exc:
-        report["status"] = "solver-failure"
-        report["error"] = str(exc)
-        code = EXIT_SOLVER_FAIL
-    except (ConfigError, InvalidParameterError) as exc:
-        report["status"] = "invalid-config"
-        report["error"] = str(exc)
-        code = EXIT_INVALID
     except PmclabError as exc:
-        report["status"] = "error"
+        report["status"], code = next(
+            (status, exit_code) for kind, status, exit_code in _FAILURES
+            if isinstance(exc, kind))
         report["error"] = str(exc)
-        code = EXIT_SOLVER_FAIL
+        # what the failing stage had computed: the Neumann gate's report,
+        # the Newton report, the steps a continuation completed
+        feas, solve, trace = (getattr(exc, name, None)
+                              for name in ("feasibility", "report", "trace"))
+        if feas is not None:
+            report["feasibility"] = feas.as_dict()
+        if solve is not None:
+            report["solve"] = solve.as_dict()
+        if trace is not None:
+            report["homotopy"] = _homotopy_summary(trace)
     report["exit_code"] = code
     art.write_report(out, report)
     return code
 
 
 def _dispatch(config, out, report):
-    if config.command == "verify":
-        return _run_verify(config, out, report)
     run = pipeline.setup(config.canonical)
     report["mesh"] = _mesh_summary(run.mesh)
     if config.command == "mesh-report":
         return EXIT_OK
 
-    # continuation runs for `homotopy` only; `solve` and `compare` ignore
-    # a schedule
-    schedule = config.problem["schedule"] if config.command == "homotopy" \
-        else None
+    # continuation runs for `homotopy` and `verify`; `solve` and `compare`
+    # ignore a schedule
+    schedule = config.problem.get("schedule") \
+        if config.command in ("homotopy", "verify") else None
     field, feas, solve_report, trace = pipeline.solve(run, schedule)
     if feas is not None:
         report["feasibility"] = feas.as_dict()
@@ -144,20 +143,27 @@ def _dispatch(config, out, report):
     else:
         report["solve"] = solve_report.as_dict()
 
-    records, arcs = [], None
-    if run.problem is not None:
-        report["axisym"] = pipeline.axisym_summary(field, run.spec.n_dim)
-        arcs = pipeline.axial_nodal_set(field)
-    else:
+    records, arcs, verification = [], None, None
+    if run.problem is None:
         records = pipeline.census(field, run.spec, trace)
         report["critical_points"] = [r.as_dict() for r in records]
         if config.command == "compare":
             report["nodal"], arcs = pipeline.nodal_lab(
                 field, run.spec, records, run.domain.diameter)
+    elif config.command != "verify":
+        # the property suite checks the meridian diagnostics itself
+        report["axisym"] = pipeline.axisym_summary(field, run.spec.n_dim)
+        arcs = pipeline.axial_nodal_set(field)
+    if config.command == "verify":
+        verification = run_suite(run, field, records, trace)
+        report["verification"] = verification.as_dict()
     if arcs is not None:
         art.write_nodal_csv(out, arcs, config.config_hash)
         report["artifacts"]["nodal_arcs_csv"] = "nodal_arcs.csv"
     _write_field_artifacts(out, config, field, records, report, nodal=arcs)
+    if verification is not None and verification.verdict == "fail":
+        report["status"] = "verification-fail"
+        return EXIT_VERIFY_FAIL
     return EXIT_OK
 
 
@@ -179,31 +185,6 @@ def _mesh_summary(mesh):
             "area": float(mesh.cell_areas.sum()),
             "boundary_length": float(mesh.boundary_lengths.sum()),
             "mesh_hash": mesh.mesh_hash()}
-
-
-def _run_verify(config, out, report):
-    result = run_suite(config.canonical)
-    report["mesh"] = _mesh_summary(result.mesh)
-    if result.feasibility is not None:
-        report["feasibility"] = result.feasibility.as_dict()
-    report["verification"] = result.report.as_dict()
-    if result.solve_report is not None:
-        report["solve"] = result.solve_report.as_dict()
-    if result.trace is not None:
-        report["homotopy"] = _homotopy_summary(result.trace)
-    if result.records:
-        report["critical_points"] = [r.as_dict() for r in result.records]
-
-    if result.status != "ok":        # infeasible | solver-failure
-        report["status"] = result.status
-        return EXIT_INVALID if result.status == "infeasible" \
-            else EXIT_SOLVER_FAIL
-
-    _write_field_artifacts(out, config, result.field, result.records, report)
-    if result.report.verdict == "pass":
-        return EXIT_OK
-    report["status"] = "verification-fail"
-    return EXIT_VERIFY_FAIL
 
 
 def _write_field_artifacts(out, config, field, records, report, nodal=None):

@@ -20,8 +20,7 @@ _MERIDIAN_DOMAINS = ("ball", "spheroid")
 
 DEFAULTS = {
     "mesh": {"h_target": 0.1},
-    "solver": {"newton_tol": 1e-10, "max_iter": 50, "armijo_factor": 0.5,
-               "armijo_c1": 1e-4, "max_backtracks": 20},
+    "solver": {"newton_tol": 1e-10, "max_iter": 50},
     "output_dir": "out",
 }
 
@@ -192,8 +191,8 @@ def parse_config(document, command=None):
 
     ``document`` is a JSON string or an already-decoded dict; ``command``
     (from the CLI subcommand) must agree with an explicit ``command`` field
-    when both are present.  Returns a :class:`RunConfig` whose canonical
-    dict carries a provenance hash.
+    when both are present.  Returns a :class:`RunConfig`: the canonical dict
+    and the provenance hash of its JSON form.
     """
     if isinstance(document, (str, bytes)):
         try:
@@ -241,11 +240,9 @@ def parse_config(document, command=None):
         "solver": solver,
         "output_dir": output_dir,
     }
-    blob = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
-    cfg_hash = hashlib.sha256(blob.encode()).hexdigest()[:16]
-    canonical["config_hash"] = cfg_hash
+    blob = json.dumps(canonical, sort_keys=True, separators=(",", ":")).encode()
     return RunConfig(command=resolved, canonical=canonical,
-                     config_hash=cfg_hash)
+                     config_hash=hashlib.sha256(blob).hexdigest()[:16])
 
 
 def apply_overrides(doc, overrides):

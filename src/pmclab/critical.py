@@ -199,9 +199,7 @@ def _winding_index(field, gvertex, loop, grad_tol):
 
 
 def _winding_index_or_none(field, gvertex, center, radius, grad_tol, n=128):
-    theta = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-    loop = center[None, :] + radius * np.column_stack([np.cos(theta),
-                                                       np.sin(theta)])
+    loop = circle_loop(center, radius, n)
     try:
         if np.any(field.mesh.locate(loop) < 0):
             return None
@@ -229,6 +227,8 @@ def interior_max_scan(field):
 
 
 def circle_loop(center, radius, n=256):
+    """``n`` equally spaced points on the circle |x - center| = radius,
+    counter-clockwise from angle 0."""
     theta = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
     return (np.asarray(center, dtype=float)[None, :]
             + radius * np.column_stack([np.cos(theta), np.sin(theta)]))

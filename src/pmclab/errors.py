@@ -26,20 +26,17 @@ class InfeasibleProblemError(PmclabError):
 
 
 class SolverFailure(PmclabError):
-    """Newton iteration did not converge; carries the partial report."""
+    """Newton iteration did not converge; carries the partial results."""
 
     def __init__(self, message, report=None, trace=None):
         super().__init__(message)
         self.report = report
         self.trace = trace
+        self.feasibility = None
 
 
 class LinearSolveFailure(PmclabError):
     """Sparse linear solve broke down (singular or structurally bad system)."""
-
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or {}
 
 
 class OutOfDomainError(PmclabError):

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import ScalarField
+from .critical import circle_loop
 from .errors import InvalidParameterError, OutOfDomainError, UnderflowFitError
 from .geometry import submesh
 
@@ -176,10 +177,7 @@ def sector_count(field, p, r, samples=SECTOR_SAMPLES):
     number of nodal arcs through p for clean crossings.  Returns 0 when all
     samples share one sign.
     """
-    theta = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
-    pts = (np.asarray(p, dtype=float)[None, :]
-           + r * np.column_stack([np.cos(theta), np.sin(theta)]))
-    vals = field.mesh.interpolate(field.values, pts)
+    vals = field.mesh.interpolate(field.values, circle_loop(p, r, samples))
     scale = float(np.abs(field.values).max())
     vals = np.where(vals == 0.0, _SIGN_EPS * scale, vals)
     signs = vals > 0
@@ -206,11 +204,9 @@ def leading_order_fit(field, p, r_min, r_max, n_radii=FIT_RADII,
     scale = float(np.abs(field.values).max())
     radii = np.geomspace(r_min, r_max, n_radii)
     sups = np.empty(n_radii)
-    theta = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
-    ring = np.column_stack([np.cos(theta), np.sin(theta)])
-    p = np.asarray(p, dtype=float)
     for i, r in enumerate(radii):
-        vals = field.mesh.interpolate(field.values, p[None, :] + r * ring)
+        vals = field.mesh.interpolate(field.values,
+                                      circle_loop(p, r, samples))
         sups[i] = np.abs(vals).max()
     if sups.max() < 1e3 * np.finfo(float).eps * scale:
         raise UnderflowFitError(

@@ -19,7 +19,7 @@ import numpy as np
 from . import axisym as axi
 from .assembly import Discretization, ProblemSpec, ScalarField, neumann_gate
 from .critical import find_critical_points, recover_gradient
-from .errors import InvalidParameterError, PmclabError
+from .errors import InvalidParameterError, PmclabError, SolverFailure
 from .geometry import make_disk, make_ellipse, make_rounded_polygon, triangulate
 from .nodal import (cylinder_solution, difference_field, leading_order_fit,
                     quadratic_model, sector_count, trace_nodal_set)
@@ -93,15 +93,19 @@ def solve(run, schedule=None):
     A continuation is gated at its last step, t = 1, where the flux bound
     is tightest, so infeasible data fails before the first step.  Returns
     (field, feasibility report or None, solve report or None, homotopy
-    trace or None).
+    trace or None).  A :class:`SolverFailure` carries the feasibility report.
     """
     feas = neumann_gate(run.disc, run.spec.at_t(1.0) if schedule else run.spec)
-    if schedule:
-        field, trace = homotopy_solve(run.disc, run.spec, schedule,
-                                      opts=run.opts)
-        return field, feas, None, trace
-    field, report = newton_solve(run.disc, run.spec, opts=run.opts)
-    return field, feas, report, None
+    try:
+        if schedule:
+            field, trace = homotopy_solve(run.disc, run.spec, schedule,
+                                          opts=run.opts)
+            return field, feas, None, trace
+        field, report = newton_solve(run.disc, run.spec, opts=run.opts)
+        return field, feas, report, None
+    except SolverFailure as exc:
+        exc.feasibility = feas
+        raise
 
 
 def census(field, spec, trace=None):

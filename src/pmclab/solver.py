@@ -50,14 +50,17 @@ _GMRES_RTOL = 1e-11
 _GMRES_RESTART = 20
 _GMRES_MAXITER = 3
 
+# Armijo backtracking on ||F||_2: step reduction factor, sufficient-decrease
+# constant, and number of halvings before the line search stalls
+_ARMIJO_FACTOR = 0.5
+_ARMIJO_C1 = 1e-4
+_MAX_BACKTRACKS = 20
+
 
 @dataclass
 class SolverOptions:
     newton_tol: float = 1e-10      # absolute, max norm of the residual
     max_iter: int = 50
-    armijo_factor: float = 0.5
-    armijo_c1: float = 1e-4
-    max_backtracks: int = 20
 
 
 @dataclass
@@ -299,10 +302,10 @@ def newton_solve(disc, spec, init=None, opts=None, kept=None):
     ``opts.newton_tol``.  Armijo backtracking on the Euclidean residual norm
     keeps accepted steps monotone.  Neumann data is gated by
     :func:`~pmclab.assembly.neumann_gate` before any iteration;
-    nonconvergence raises :class:`SolverFailure` carrying the report.  The
-    LU factored for the first correction preconditions the later ones (see
-    :func:`linear_solve`); ``kept`` lets :func:`homotopy_solve` share it
-    across its steps.
+    nonconvergence, a stalled line search and a linear breakdown raise
+    :class:`SolverFailure` carrying the report.  The LU factored for the
+    first correction preconditions the later ones (see :func:`linear_solve`);
+    ``kept`` lets :func:`homotopy_solve` share it across its steps.
     """
     opts = opts or SolverOptions()
     kept = _KeptFactor() if kept is None else kept
@@ -335,22 +338,27 @@ def newton_solve(disc, spec, init=None, opts=None, kept=None):
             report.converged = True
             break
         J = jacobian(field, spec, disc)
-        delta, info = linear_solve(J, -F, constraint=constraint,
-                                   return_info=True, kept=kept)
+        try:
+            delta, info = linear_solve(J, -F, constraint=constraint,
+                                       return_info=True, kept=kept)
+        except LinearSolveFailure as exc:
+            report.message = "linear solve broke down"
+            raise SolverFailure(f"linear breakdown at t={spec.t}: {exc}",
+                                report=report) from exc
         report.factorizations += info["factored"]
         report.krylov_iterations.append(info["krylov_iterations"])
 
         beta = 1.0
         accepted = False
-        for _ in range(opts.max_backtracks + 1):
+        for _ in range(_MAX_BACKTRACKS + 1):
             trial = ScalarField(mesh, u + beta * delta)
             F_trial = residual(trial, spec, disc)
             trial_norm2 = float(np.linalg.norm(F_trial))
-            if (trial_norm2 <= (1.0 - opts.armijo_c1 * beta) * norm2
+            if (trial_norm2 <= (1.0 - _ARMIJO_C1 * beta) * norm2
                     or float(np.abs(F_trial).max()) <= opts.newton_tol):
                 accepted = True
                 break
-            beta *= opts.armijo_factor
+            beta *= _ARMIJO_FACTOR
         if not accepted:
             report.message = "line search stalled"
             raise SolverFailure("Newton line search stalled", report=report)
@@ -383,12 +391,14 @@ def homotopy_solve(disc, spec, schedule, opts=None):
     steps, u_1 + (t - t_1)/(t_1 - t_0) (u_1 - u_0); the second step starts
     from the first, the first from zero.  On nonconvergence the step is
     halved, down to dt = 1/320, and retried from the secant of the same two
-    steps; the t of every halved attempt is recorded in ``halved_at``.  The
-    LU kept by one Newton solve preconditions the next (see
-    :func:`linear_solve`); it is dropped when a step fails.  After every
-    converged step the critical points are located and their census, with
-    the step's :class:`SolveReport`, recorded in the trace.  Nothing is
-    asserted here; verification is a separate concern.
+    steps; the t of every halved attempt is recorded in ``halved_at``.  A
+    failure that cannot be halved raises the step's :class:`SolverFailure`
+    with the partial trace attached as ``trace``.  The LU kept by one Newton
+    solve preconditions the next (see :func:`linear_solve`); it is dropped
+    when a step fails.  After every converged step the critical points are
+    located and their census, with the step's :class:`SolveReport`, recorded
+    in the trace.  Nothing is asserted here; verification is a separate
+    concern.
     """
     schedule = [float(t) for t in schedule]
     if any(not 0.0 <= t <= 1.0 for t in schedule):
@@ -408,13 +418,11 @@ def homotopy_solve(disc, spec, schedule, opts=None):
             field, report = newton_solve(disc, spec.at_t(t_next),
                                          init=_predict(path, t_next),
                                          opts=opts, kept=kept)
-        except (SolverFailure, LinearSolveFailure) as exc:
+        except SolverFailure as exc:
             kept.drop()
             if not path or t_next - path[-1][0] <= _MIN_DT:
-                failure = exc if isinstance(exc, SolverFailure) else \
-                    SolverFailure(f"linear breakdown at t={t_next}: {exc}")
-                failure.trace = trace
-                raise failure from exc
+                exc.trace = trace
+                raise
             trace.halved_at.append(t_next)
             pending.insert(0, 0.5 * (path[-1][0] + t_next))
             continue

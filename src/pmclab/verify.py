@@ -7,10 +7,9 @@ homotopy stability, second-order contact against the cylinder surface, and
 the axisymmetric analogues) into a measured check with explicit tolerances.
 The suite fails closed: only registered property names may be reported.
 
-:func:`run_suite` runs the shared :mod:`pmclab.pipeline` (set-up, Neumann
-gate, solve) for planar and meridian configs alike, with one error path for
-infeasible data and solver failures, then evaluates the properties that
-apply to the run.
+:func:`run_suite` evaluates the properties that apply to a run the shared
+:mod:`pmclab.pipeline` has set up and solved, planar and meridian alike.
+It solves nothing: a run whose solve fails has no properties to check.
 """
 
 from __future__ import annotations
@@ -24,9 +23,8 @@ from . import axisym as axi
 from . import pipeline
 from .critical import (DEGENERACY_TOL, find_critical_points, gradient_index,
                        interior_max_scan, inward_offset_loop)
-from .errors import (IllConditionedLoopError, InfeasibleProblemError,
-                     InvalidParameterError, LinearSolveFailure,
-                     NoAxisCriticalError, PmclabError, SolverFailure)
+from .errors import (IllConditionedLoopError, InvalidParameterError,
+                     NoAxisCriticalError, PmclabError)
 
 SIGN_DEADBAND = 1e-10
 TRACE_RTOL = 0.1
@@ -103,17 +101,10 @@ def _record(name, status, measured=None, tolerances=None, note=""):
 @dataclass
 class VerificationReport:
     properties: list
-    verdict: str                 # pass | fail | error
-    provenance: dict = dc_field(default_factory=dict)
+    verdict: str                 # pass | fail
 
     def as_dict(self):
         return asdict(self)
-
-
-def _aggregate(properties, error=False):
-    if error:
-        return "error"
-    return "fail" if any(p.status == "fail" for p in properties) else "pass"
 
 
 # -- individual properties -----------------------------------------------------
@@ -269,10 +260,9 @@ def verify_cylinder_contact(field, spec, records, diam):
 
 # -- axisymmetric properties ----------------------------------------------------
 
-def verify_meridian_structure(field, spec, problem, disc,
-                              trace_rtol=TRACE_RTOL):
+def verify_meridian_structure(field, run, trace_rtol=TRACE_RTOL):
     out = []
-    mesh = field.mesh
+    mesh, spec = field.mesh, run.spec
     mono = axi.check_monotone(field)
     out.append(_record(
         "radial-monotone", "pass" if mono.holds else "fail",
@@ -311,8 +301,8 @@ def verify_meridian_structure(field, spec, problem, disc,
         "axial-nodal-single-arc", "pass" if arc_ok else "fail",
         measured=arc_info))
 
-    v_disc = axi.revolved_volume(disc)
-    v_exact = _spheroid_volume(problem, spec.n_dim)
+    v_disc = axi.revolved_volume(run.disc)
+    v_exact = _spheroid_volume(run.problem, spec.n_dim)
     vol_tol = max(1.0 * mesh.h ** 2 * v_exact, 1e-12)
     out.append(_record(
         "revolved-volume-consistency",
@@ -353,68 +343,24 @@ def _spheroid_volume(problem, n):
 
 # -- the suite ------------------------------------------------------------------
 
-@dataclass
-class SuiteResult:
-    status: str                      # ok | infeasible | solver-failure
-    report: VerificationReport = None
-    mesh: object = None
-    field: object = None
-    solve_report: object = None
-    trace: object = None
-    records: list = dc_field(default_factory=list)
-    feasibility: object = None
-
-
-def run_suite(config):
-    """Solve per the configuration and evaluate every applicable property;
-    aggregates a verification report with a pass/fail/error verdict.
-
-    Continuation runs when the config carries a schedule (planar domains
-    only).  Infeasible Neumann data and solver failures give an empty
-    report with verdict ``error``.
-    """
-    cfg = config.canonical if hasattr(config, "canonical") else dict(config)
-    run = pipeline.setup(cfg)
-    res = SuiteResult(status="ok", mesh=run.mesh)
-    provenance = {"config_hash": cfg.get("config_hash", ""),
-                  "mesh_h": run.mesh.h, "mesh_hash": run.mesh.mesh_hash()}
-    if run.problem is not None:
-        provenance["n_dim"] = run.spec.n_dim
-    try:
-        res.field, res.feasibility, res.solve_report, res.trace = \
-            pipeline.solve(run, cfg["problem"].get("schedule"))
-    except InfeasibleProblemError as exc:
-        res.status, res.feasibility = "infeasible", exc.feasibility
-        provenance.update(feasibility=exc.feasibility.as_dict(),
-                          error=str(exc))
-    except (SolverFailure, LinearSolveFailure) as exc:
-        res.status = "solver-failure"
-        rep = getattr(exc, "report", None)
-        provenance.update(error=str(exc),
-                          solver=rep.as_dict() if rep else None)
-    if res.status != "ok":
-        res.report = VerificationReport(properties=[], verdict="error",
-                                        provenance=provenance)
-        return res
-
-    field, spec = res.field, run.spec
+def run_suite(run, field, records, trace=None):
+    """Every property that applies to ``field``, solved on the
+    :class:`pmclab.pipeline.Setup` ``run``, and their pass/fail verdict.
+    ``records`` is the census of a planar field (empty for a meridian one),
+    ``trace`` the continuation that produced the field, if any."""
+    spec = run.spec
     props = verify_sign_conditions(field, spec)
     if run.problem is not None:
-        props += verify_meridian_structure(field, spec, run.problem,
-                                           run.disc)
+        props += verify_meridian_structure(field, run)
     else:
-        res.records = pipeline.census(field, spec, res.trace)
         diam = run.domain.diameter
         loop = inward_offset_loop(run.domain, 2.0 * run.mesh.h)
-        props += verify_critical_structure(field, spec, res.records,
+        props += verify_critical_structure(field, spec, records,
                                            boundary_loop=loop, diam=diam)
-        props.append(verify_saddle_equivalence(res.records))
-        if res.trace is not None:
-            props.append(verify_homotopy_stability(res.trace))
-        props.append(verify_cylinder_contact(field, spec, res.records, diam))
-
-    provenance["solver"] = res.solve_report.as_dict() \
-        if res.solve_report else None
-    res.report = VerificationReport(properties=props, verdict=_aggregate(props),
-                                    provenance=provenance)
-    return res
+        props.append(verify_saddle_equivalence(records))
+        if trace is not None:
+            props.append(verify_homotopy_stability(trace))
+        props.append(verify_cylinder_contact(field, spec, records, diam))
+    failed = any(p.status == "fail" for p in props)
+    return VerificationReport(properties=props,
+                              verdict="fail" if failed else "pass")

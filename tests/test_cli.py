@@ -96,21 +96,26 @@ class TestParseConfig:
         assert "domain.radius" in str(exc.value)
 
     def test_seed_and_tolerances_are_unknown_keys(self, tmp_path, capsys):
-        # neither section was ever read; a config that sets one is refused
-        for key, value in (("seed", 0),
-                           ("tolerances", {"sign_deadband": 1e-10})):
+        # neither section was ever read, and the Armijo line search takes
+        # fixed constants; a config that sets one of them is refused
+        for path, section, value in (
+                ("seed", "seed", 0),
+                ("tolerances", "tolerances", {"sign_deadband": 1e-10}),
+                ("solver.armijo_factor", "solver", {"armijo_factor": 0.5}),
+                ("solver.armijo_c1", "solver", {"armijo_c1": 1e-4}),
+                ("solver.max_backtracks", "solver", {"max_backtracks": 20})):
             doc = {"command": "solve",
                    "domain": {"type": "disk", "R": 1.0},
                    "problem": {"H": 0.8, "bc": "robin", "alpha": 1.0},
-                   key: value}
+                   section: value}
             with pytest.raises(ConfigError) as exc:
                 parse_config(doc)
-            assert exc.value.path == key
+            assert exc.value.path == path
             assert "unknown key" in str(exc.value)
-            cfg = tmp_path / f"{key}.json"
+            cfg = tmp_path / f"{path}.json"
             cfg.write_text(json.dumps(doc))
             assert main(["solve", "--config", str(cfg),
-                         "--out", str(tmp_path / key)]) == 4
+                         "--out", str(tmp_path / path)]) == 4
             assert "unknown key" in capsys.readouterr().err
 
     def test_cli_subcommand_wins(self):
@@ -148,12 +153,35 @@ class TestExitCodes:
         assert rep["status"] == "ok"
         assert rep["verification"]["verdict"] == "pass"
 
+    @pytest.mark.parametrize("config_name, min_count, names", [
+        ("robin_ellipse.json", 9, {"homotopy-stability", "index-sum-one"}),
+        ("ball3d_robin.json", 4, {"axis-critical-unique",
+                                  "axis-hessian-positive", "radial-monotone",
+                                  "axial-nodal-single-arc"})],
+        ids=["ellipse-homotopy", "ball"])
+    def test_verify_checks_the_run_it_solved(self, tmp_path, config_name,
+                                             min_count, names):
+        code, out = run_cli(tmp_path, "verify", config_name,
+                            ["mesh.h_target=0.1"])
+        assert code == 0
+        verification = json.loads((out / "report.json").read_text())[
+            "verification"]
+        assert verification["verdict"] == "pass"
+        assert len(verification["properties"]) >= min_count
+        statuses = {p["name"]: p["status"]
+                    for p in verification["properties"]}
+        assert all(statuses[name] == "pass" for name in names)
+
     def test_infeasible_is_four_and_no_solve(self, tmp_path):
         code, out = run_cli(tmp_path, "verify", "neumann_infeasible.json")
         assert code == 4
         rep = json.loads((out / "report.json").read_text())
         assert rep["status"] == "infeasible"
         assert rep["solve"] is None
+        assert rep["feasibility"]["feasible"] is False
+        # no property ran, and the report says why
+        assert rep["verification"] is None
+        assert "flux bound violated" in rep["error"]
         assert not (out / "solution.csv").exists()
 
     def test_solve_infeasible_gated_upstream(self, tmp_path):
@@ -186,12 +214,40 @@ class TestExitCodes:
         assert not (out / "solution.csv").exists()
 
     def test_nonconvergence_is_three(self, tmp_path):
-        code, out = run_cli(tmp_path, "solve", "robin_disk.json",
+        robin = ["problem.H=2.6", "mesh.h_target=0.2", "solver.max_iter=10"]
+        for command, config_name, overrides in (
+                ("solve", "robin_disk.json", robin),
+                ("verify", "robin_disk.json", robin),
+                ("verify", "neumann_disk.json",
+                 ["mesh.h_target=0.2", "solver.max_iter=1"])):
+            case = f"{command} {config_name}"
+            code, out = run_cli(tmp_path / case, command, config_name,
+                                overrides)
+            assert code == 3, case
+            rep = json.loads((out / "report.json").read_text())
+            assert rep["status"] == "solver-failure", case
+            assert rep["solve"]["converged"] is False, case
+            assert rep["error"], case
+            assert rep["verification"] is None, case
+            # Neumann data passed the gate before the solve failed
+            assert (rep["feasibility"] is not None) == \
+                (config_name == "neumann_disk.json"), case
+
+    def test_failed_continuation_reports_its_steps(self, tmp_path):
+        code, out = run_cli(tmp_path, "homotopy", "robin_disk.json",
                             ["problem.H=2.6", "mesh.h_target=0.2",
-                             "solver.max_iter=10"])
+                             "solver.max_iter=12"])
         assert code == 3
         rep = json.loads((out / "report.json").read_text())
         assert rep["status"] == "solver-failure"
+        assert rep["error"]
+        homotopy = rep["homotopy"]
+        assert homotopy["completed"] is False
+        assert homotopy["halved_at"]
+        ts = [s["t"] for s in homotopy["steps"]]
+        assert ts and ts == sorted(ts) and ts[-1] < 1.0
+        assert all(s["minima"] == 1 for s in homotopy["steps"])
+        assert not (out / "solution.csv").exists()
 
 
 class TestArtifacts:
