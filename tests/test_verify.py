@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from pmclab import pipeline
+from pmclab import cli, pipeline
 from pmclab.assembly import ScalarField
 from pmclab.config import parse_config
 from pmclab.critical import find_critical_points
@@ -128,3 +130,41 @@ class TestRunSuite:
         names = [p["name"] for p in report["properties"]]
         assert "homotopy-stability" not in names
         assert "critical-count-unique" in names
+
+    def _verify_without_suite(self, monkeypatch, tmp_path, raw):
+        # a verify run whose gate or solve fails reaches no property: the
+        # suite is never called and the report carries no verification
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_suite ran on a failed solve")
+
+        monkeypatch.setattr(cli, "run_suite", refuse)
+        code = cli.run(parse_config(raw), tmp_path)
+        rep = json.loads((tmp_path / "report.json").read_text())
+        assert rep["exit_code"] == code
+        assert rep["verification"] is None
+        assert rep["error"]
+        return code, rep
+
+    def test_infeasible_neumann_is_error(self, monkeypatch, tmp_path):
+        code, rep = self._verify_without_suite(monkeypatch, tmp_path, {
+            "command": "verify",
+            "domain": {"type": "disk", "R": 1.0},
+            "problem": {"H": 1.0, "bc": "neumann", "c": 0.5},
+            "mesh": {"h_target": 0.2},
+        })
+        assert code == 4
+        assert rep["status"] == "infeasible"
+        assert rep["feasibility"]["feasible"] is False
+        assert rep["solve"] is None
+
+    def test_solver_failure_is_error_verdict(self, monkeypatch, tmp_path):
+        code, rep = self._verify_without_suite(monkeypatch, tmp_path, {
+            "command": "verify",
+            "domain": {"type": "disk", "R": 1.0},
+            "problem": {"H": 2.6, "bc": "robin", "alpha": 1.0},
+            "mesh": {"h_target": 0.2},
+            "solver": {"max_iter": 10},
+        })
+        assert code == 3
+        assert rep["status"] == "solver-failure"
+        assert rep["solve"]["converged"] is False
