@@ -8,11 +8,13 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+REPO = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(REPO / "src"), str(REPO / "tests")]
 
+from oracles import radial_disk_oracle  # noqa: E402
 from pmclab.assembly import Discretization, ProblemSpec  # noqa: E402
 from pmclab.geometry import make_disk, triangulate  # noqa: E402
-from pmclab.solver import newton_solve, radial_disk_oracle  # noqa: E402
+from pmclab.solver import newton_solve  # noqa: E402
 
 kind = sys.argv[1] if len(sys.argv) > 1 else "robin"
 if kind == "robin":

@@ -13,14 +13,14 @@ from .geometry import (ConvexDomain, TriMesh, make_disk, make_ellipse,
 from .assembly import (Discretization, ProblemSpec, ScalarField,
                        boundary_flux, jacobian, neumann_gate, residual)
 from .solver import (HomotopyTrace, SolveReport, homotopy_solve, linear_solve,
-                     newton_solve, radial_disk_oracle)
+                     newton_solve)
 from .critical import (CriticalPointRecord, classify, find_critical_points,
                        gradient_index, interior_max_scan, recover_gradient)
-from .nodal import (LeadingOrderFit, NodalArcSet, cylinder_solution,
-                    difference_field, leading_order_fit, quadratic_model,
+from .nodal import (CylinderSolution, LeadingOrderFit, NodalArcSet,
+                    QuadraticModel, difference_field, leading_order_fit,
                     sector_count, trace_nodal_set)
 from .axisym import (MeridianProblem, axis_hessian, check_monotone,
-                     meridian_mesh, radial_ball_oracle)
+                     meridian_mesh)
 from .verify import VerificationReport, run_suite
 from .config import RunConfig, parse_config
 
@@ -30,13 +30,12 @@ __all__ = [
     "Discretization", "ProblemSpec", "ScalarField", "boundary_flux", "jacobian",
     "neumann_gate", "residual",
     "HomotopyTrace", "SolveReport", "homotopy_solve", "linear_solve",
-    "newton_solve", "radial_disk_oracle",
+    "newton_solve",
     "CriticalPointRecord", "classify", "find_critical_points",
     "gradient_index", "interior_max_scan", "recover_gradient",
-    "LeadingOrderFit", "NodalArcSet", "cylinder_solution", "difference_field",
-    "leading_order_fit", "quadratic_model", "sector_count", "trace_nodal_set",
+    "CylinderSolution", "LeadingOrderFit", "NodalArcSet", "QuadraticModel",
+    "difference_field", "leading_order_fit", "sector_count", "trace_nodal_set",
     "MeridianProblem", "axis_hessian", "check_monotone", "meridian_mesh",
-    "radial_ball_oracle",
     "VerificationReport", "run_suite",
     "RunConfig", "parse_config",
 ]

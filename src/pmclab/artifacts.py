@@ -49,12 +49,10 @@ def write_report(out_dir, report):
 
 def write_solution_csv(out_dir, mesh, values, config_hash):
     path = Path(out_dir) / "solution.csv"
-    lines = [f"# config={config_hash}",
-             f"# mesh={mesh.mesh_hash()}",
-             "x1,x2,value"]
-    for (x, y), v in zip(mesh.vertices, values):
-        lines.append(f"{float(x)!r},{float(y)!r},{float(v)!r}")
-    path.write_text("\n".join(lines) + "\n")
+    rows = np.column_stack([mesh.vertices, values]).ravel().tolist()
+    path.write_text(f"# config={config_hash}\n# mesh={mesh.mesh_hash()}\n"
+                    "x1,x2,value\n"
+                    + "%r,%r,%r\n" * mesh.n_vertices % tuple(rows))
     return path
 
 
@@ -74,8 +72,8 @@ def write_critical_csv(out_dir, records, config_hash):
     return path
 
 
-def write_nodal_csv(out_dir, arcset, config_hash, filename="nodal_arcs.csv"):
-    path = Path(out_dir) / filename
+def write_nodal_csv(out_dir, arcset, config_hash):
+    path = Path(out_dir) / "nodal_arcs.csv"
     lines = [f"# config={config_hash}", "arc_id,seq,x1,x2"]
     for aid, arc in enumerate(arcset.arcs):
         for k, (x, y) in enumerate(arc):
@@ -87,13 +85,14 @@ def write_nodal_csv(out_dir, arcset, config_hash, filename="nodal_arcs.csv"):
     return path
 
 
-def contour_polylines(field, n_levels=10):
-    """Level-set polylines of a vertex field via the marching tracer."""
+def contour_polylines(field):
+    """Level-set polylines of a vertex field at 10 equally spaced interior
+    levels, via the marching tracer."""
     vals = field.values
     lo, hi = float(vals.min()), float(vals.max())
     if hi - lo <= 0:
         return []
-    levels = np.linspace(lo, hi, n_levels + 2)[1:-1]
+    levels = np.linspace(lo, hi, 12)[1:-1]
     out = []
     for lev in levels:
         shifted = ScalarField(field.mesh, vals - lev)
@@ -105,11 +104,10 @@ def contour_polylines(field, n_levels=10):
     return out
 
 
-def write_contours_svg(out_dir, field, config_hash, nodal=None,
-                       filename="contours.svg", size=480):
-    """Self-contained SVG with the mesh boundary, field contours, and
-    optional nodal arcs; rendered from the marching tracer, no plotting
-    dependency."""
+def write_contours_svg(out_dir, field, config_hash, nodal=None):
+    """Self-contained SVG, 480 units on its longer side, with the mesh
+    boundary, field contours, and optional nodal arcs; rendered from the
+    marching tracer, no plotting dependency."""
     mesh = field.mesh
     pts = mesh.vertices
     lo = pts.min(axis=0)
@@ -117,14 +115,15 @@ def write_contours_svg(out_dir, field, config_hash, nodal=None,
     span = max(hi - lo)
     pad = 0.05 * span
     lo, hi = lo - pad, hi + pad
-    scale = size / max(hi - lo)
+    scale = 480 / max(hi - lo)
 
     def xy(p):
         return ((p[0] - lo[0]) * scale, (hi[1] - p[1]) * scale)
 
     def path_d(poly):
-        return "M " + " L ".join(f"{x:.2f} {y:.2f}"
-                                 for x, y in (xy(p) for p in poly))
+        x, y = xy(np.asarray(poly).T)
+        return "M " + " L ".join(map("{:.2f} {:.2f}".format, x.tolist(),
+                                     y.tolist()))
 
     w = (hi[0] - lo[0]) * scale
     hgt = (hi[1] - lo[1]) * scale
@@ -148,6 +147,6 @@ def write_contours_svg(out_dir, field, config_hash, nodal=None,
             parts.append(f'<circle cx="{jx:.2f}" cy="{jy:.2f}" r="3" '
                          'fill="#cc3311"/>')
     parts.append("</svg>")
-    path = Path(out_dir) / filename
+    path = Path(out_dir) / "contours.svg"
     path.write_text("\n".join(parts) + "\n")
     return path

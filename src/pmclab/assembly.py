@@ -109,10 +109,6 @@ class ScalarField:
         if not np.all(np.isfinite(self.values)):
             raise InvalidParameterError("field values must be finite")
 
-    @classmethod
-    def zeros(cls, mesh):
-        return cls(mesh, np.zeros(mesh.n_vertices))
-
 
 # -- discretization -----------------------------------------------------------
 

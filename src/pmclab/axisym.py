@@ -23,7 +23,6 @@ from .critical import recover_gradient
 from .errors import InvalidParameterError, NoAxisCriticalError
 from .geometry import (_BOUNDARY_SPACING_FACTOR, _INTERIOR_CLEARANCE,
                        _LATTICE_SPACING_FACTOR, mesh_from_loop)
-from .solver import RadialSolution
 
 _AXIS_TOL = 1e-12
 
@@ -118,11 +117,6 @@ def axis_vertices(mesh):
     return idx[np.argsort(mesh.vertices[idx, 1])]
 
 
-def radial_ball_oracle(spec, R=1.0, n=None):
-    """Closed-form radial solution on the ball of radius R in dimension n."""
-    return RadialSolution(spec, R=R, n=n if n is not None else spec.n_dim)
-
-
 @dataclass
 class MonotoneReport:
     holds: bool
@@ -137,16 +131,17 @@ class MonotoneReport:
                 "tol": self.tol, "marginal": self.marginal}
 
 
-def check_monotone(field, r_min_factor=2.0, tol_rel=1e-8):
-    """Radial monotonicity check: dv/dr > -tol at all vertices with r > 2h.
+def check_monotone(field):
+    """Radial monotonicity check: dv/dr > -tol at all vertices with r > 2h,
+    tol = 1e-8 max(1, max |grad v|).
 
     A minimum sitting exactly at zero (an r-independent field) is reported
     as marginal, not failed.
     """
     mesh = field.mesh
     g = recover_gradient(field)
-    tol = tol_rel * max(1.0, float(np.linalg.norm(g, axis=1).max()))
-    sel = np.nonzero(mesh.vertices[:, 0] > r_min_factor * mesh.h)[0]
+    tol = 1e-8 * max(1.0, float(np.linalg.norm(g, axis=1).max()))
+    sel = np.nonzero(mesh.vertices[:, 0] > 2.0 * mesh.h)[0]
     if sel.size == 0:
         return MonotoneReport(True, 0.0, np.zeros(2), tol, True)
     dvdr = g[sel, 0]
@@ -200,13 +195,13 @@ class AxisHessian:
                 "grad_residual": float(self.grad_residual)}
 
 
-def axis_hessian(field, n_dim, patch_factor=4.0):
+def axis_hessian(field, n_dim):
     """Diagonal Hessian of the revolved solution at its axis critical point.
 
     The n-1 transverse entries all equal v_rr(0, z*), estimated from a
-    quadratic fit of the reflected (r -> -r) vertex patch around the critical
-    point; the axial entry is the fitted v_zz.  Cross terms are reported as
-    fit residuals and should vanish by symmetry.
+    quadratic fit of the reflected (r -> -r) vertex patch within 4h of the
+    critical point; the axial entry is the fitted v_zz.  Cross terms are
+    reported as fit residuals and should vanish by symmetry.
     """
     mesh = field.mesh
     crossings = find_axis_critical(field)
@@ -217,7 +212,7 @@ def axis_hessian(field, n_dim, patch_factor=4.0):
     center = np.array([0.0, z_star])
 
     d = np.linalg.norm(mesh.vertices - center, axis=1)
-    idx = np.nonzero(d <= patch_factor * mesh.h)[0]
+    idx = np.nonzero(d <= 4.0 * mesh.h)[0]
     if idx.size < 6:
         idx = np.argsort(d)[:12]
     pts = mesh.vertices[idx]

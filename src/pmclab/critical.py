@@ -58,8 +58,9 @@ def recover_gradient(field):
     return mesh.vertex_average(mesh.cell_gradients(field.values))
 
 
-def classify(hessian, scale, degeneracy_tol=DEGENERACY_TOL):
-    """Eigenvalue-sign classification with a dead band of tol * scale.
+def classify(hessian, scale):
+    """Eigenvalue-sign classification with a dead band of
+    ``DEGENERACY_TOL * scale``.
 
     ``scale`` should majorize the natural Hessian magnitude (the callers use
     max(|lambda_1|, |lambda_2|, H)); entries inside the dead band cannot
@@ -67,19 +68,20 @@ def classify(hessian, scale, degeneracy_tol=DEGENERACY_TOL):
     """
     h = np.asarray(hessian, dtype=float)
     lam = np.linalg.eigvalsh(0.5 * (h + h.T))
-    band = degeneracy_tol * scale
+    band = DEGENERACY_TOL * scale
     K = float(lam[0] * lam[1])
     if lam[0] > band:
         return "minimum"
     if lam[1] < -band:
         return "maximum"
-    if K < -degeneracy_tol * scale ** 2:
+    if K < -DEGENERACY_TOL * scale ** 2:
         return "saddle"
     return "degenerate"
 
 
-def fit_quadratic_patch(mesh, values, center, seed_vertex, rings=2):
-    """Six-parameter quadratic least-squares fit over a vertex ring patch.
+def fit_quadratic_patch(mesh, values, center, seed_vertex):
+    """Six-parameter quadratic least-squares fit over the two-ring vertex
+    patch of ``seed_vertex``.
 
     Returns (gradient at center, symmetric Hessian, fitted value, patch size).
     Coordinates are centered and scaled by h for conditioning.
@@ -87,7 +89,7 @@ def fit_quadratic_patch(mesh, values, center, seed_vertex, rings=2):
     indptr, indices = mesh.vertex_neighbors()
     patch = {int(seed_vertex)}
     frontier = {int(seed_vertex)}
-    for _ in range(rings):
+    for _ in range(2):
         nxt = set()
         for v in frontier:
             nxt.update(indices[indptr[v]:indptr[v + 1]].tolist())
@@ -107,8 +109,7 @@ def fit_quadratic_patch(mesh, values, center, seed_vertex, rings=2):
     return grad, hess, float(coef[0]), idx.size
 
 
-def find_critical_points(field, spec, degeneracy_tol=DEGENERACY_TOL,
-                         grad_tol_rel=GRAD_TOL_REL):
+def find_critical_points(field, spec):
     """Locate and classify the critical points of a converged field.
 
     An empty result on a converged interior problem, or any degenerate
@@ -120,7 +121,7 @@ def find_critical_points(field, spec, degeneracy_tol=DEGENERACY_TOL,
     gmax = float(np.linalg.norm(g, axis=1).max())
     if gmax == 0.0:
         return []
-    grad_tol = grad_tol_rel * gmax
+    grad_tol = GRAD_TOL_REL * gmax
     h = mesh.h
 
     cand = _cells_spanning_origin(g[mesh.cells])
@@ -159,7 +160,7 @@ def find_critical_points(field, spec, degeneracy_tol=DEGENERACY_TOL,
             continue
         lam = np.abs(np.linalg.eigvalsh(hess))
         scale = float(max(lam.max(), spec.H))
-        cls = classify(hess, scale, degeneracy_tol)
+        cls = classify(hess, scale)
         index = _winding_index_or_none(field, g, center,
                                        WINDING_RADIUS_FACTOR * h, grad_tol)
         records.append(CriticalPointRecord(
@@ -198,8 +199,8 @@ def _winding_index(field, gvertex, loop, grad_tol):
     return int(round(float(d.sum()) / (2.0 * np.pi)))
 
 
-def _winding_index_or_none(field, gvertex, center, radius, grad_tol, n=128):
-    loop = circle_loop(center, radius, n)
+def _winding_index_or_none(field, gvertex, center, radius, grad_tol):
+    loop = circle_loop(center, radius, 128)
     try:
         if np.any(field.mesh.locate(loop) < 0):
             return None
@@ -234,9 +235,10 @@ def circle_loop(center, radius, n=256):
             + radius * np.column_stack([np.cos(theta), np.sin(theta)]))
 
 
-def inward_offset_loop(domain, offset, n=512):
-    """Boundary of the domain offset inward along the outward normal."""
-    s = np.linspace(0.0, domain.length, n, endpoint=False)
+def inward_offset_loop(domain, offset):
+    """Boundary of the domain offset inward along the outward normal, at
+    512 equally spaced arc lengths."""
+    s = np.linspace(0.0, domain.length, 512, endpoint=False)
     return domain.position(s) - offset * domain.normal(s)
 
 

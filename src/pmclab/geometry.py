@@ -1,14 +1,14 @@
-"""Smooth bounded convex planar domains and quality triangulations of them.
+"""Bounded convex planar domains and quality triangulations of them.
 
 Domains are represented by a dense arc-length table (positions, outward
 normals, curvature).  Positions and tangents between the knots come from a
 periodic cubic spline whose knot second derivatives solve one cyclic
 tridiagonal system (sparse LU), so conics and rounded polygons get uniform
 treatment.  A mesh is the Delaunay triangulation of a boundary sampling plus
-a hexagonal interior lattice (qhull runs on a boundary band only), followed
-by Laplacian smoothing passes until the minimum cell angle reaches 20
-degrees.  Everything here is a pure function of its inputs: two calls with
-identical arguments return identical vertex and cell arrays.
+a hexagonal interior lattice (qhull runs on a boundary band only); a mesh
+whose minimum cell angle is below 20 degrees is refused.  Everything here is
+a pure function of its inputs: two calls with identical arguments return
+identical vertex and cell arrays.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ _TABLE_SIZE = 2048
 _FINE_GRID = 16384
 # boundary sampling denser than h_target so polygonal area/length deficits
 # stay well inside the O(h^2) budget; lattice slightly denser still so the
-# longest edge stays within 1.5 h_target after smoothing
+# longest edge stays within 1.5 h_target
 _BOUNDARY_SPACING_FACTOR = 0.85
 _LATTICE_SPACING_FACTOR = 0.9
 _INTERIOR_CLEARANCE = 0.5
@@ -40,8 +40,8 @@ class ConvexDomain:
 
     ``position``, ``tangent`` and ``normal`` evaluate a periodic C^2 cubic
     spline through the table (see :class:`_PeriodicCubic`); ``curvature`` is
-    linear interpolation of the tabulated values.  ``contains`` and the mesh
-    lattice query a KD-tree over the table samples.
+    linear interpolation of the tabulated values.  The mesh lattice queries
+    a KD-tree over the table samples.
 
     Parameters
     ----------
@@ -56,17 +56,11 @@ class ConvexDomain:
         Signed curvature at each sample (positive for convex).
     area : float
         Enclosed area (analytic where available).
-    smooth : bool
-        False for merely C^{1,1} boundaries (rounded polygons); smoothness
-        checks downgrade to warnings on such domains.
     """
 
-    def __init__(self, points, arclengths, length, curvature, area, smooth=True,
-                 label="convex-domain"):
-        self.label = label
+    def __init__(self, points, arclengths, length, curvature, area):
         self.length = float(length)
         self.area = float(area)
-        self.smooth = bool(smooth)
         pts = np.asarray(points, dtype=float)
         s = np.asarray(arclengths, dtype=float)
         self._table_s = np.concatenate([s, [self.length]])
@@ -74,13 +68,7 @@ class ConvexDomain:
         self._table_kappa = np.concatenate([np.asarray(curvature, float),
                                             [curvature[0]]])
         self._spline = _PeriodicCubic(self._table_s, self._table_pts)
-        x, y = self._table_pts[:, 0], self._table_pts[:, 1]
-        cross = x[:-1] * y[1:] - x[1:] * y[:-1]
-        poly_area = 0.5 * np.sum(cross)
-        cx = np.sum((x[:-1] + x[1:]) * cross) / (6.0 * poly_area)
-        cy = np.sum((y[:-1] + y[1:]) * cross) / (6.0 * poly_area)
-        self.centroid = np.array([cx, cy])
-        if poly_area <= 0:
+        if _loop_area(pts, len(pts)) <= 0:
             raise InvalidParameterError("boundary table must be counterclockwise")
 
     @property
@@ -104,22 +92,15 @@ class ConvexDomain:
     def curvature(self, s):
         return np.interp(np.mod(s, self.length), self._table_s, self._table_kappa)
 
-    def contains(self, p):
-        """Strict interior test by the outward normal of the nearest sample.
-
-        ``p`` is inside when it lies strictly on the inner side of the
-        tangent line at its nearest boundary table sample.  On a convex
-        boundary this agrees with the intersection of all sampled tangent
-        half-planes except for outside points closer to the boundary than
-        the chord sag kappa * ds^2 / 8 (ds the table spacing; about 1e-6 R
-        on a 2048-sample disk of radius R), which both tests may call inside.
-        """
-        side, _ = self._side_and_distance(p)
-        return np.asarray(side < 0.0)
-
     def _side_and_distance(self, p):
         """Offset of ``p`` along the nearest sample's outward normal, and
-        the distance to that sample; both of shape ``p.shape[:-1]``."""
+        the distance to that sample; both of shape ``p.shape[:-1]``.
+
+        A negative offset puts ``p`` inside.  On a convex boundary this
+        agrees with the intersection of all sampled tangent half-planes
+        except for outside points closer to the boundary than the chord sag
+        kappa * ds^2 / 8 (ds the table spacing; about 1e-6 R on a
+        2048-sample disk of radius R), which both tests may call inside."""
         p = np.asarray(p, dtype=float)
         d, k = self._boundary_tree().query(p)
         side = np.einsum("...i,...i->...", p - self._table_pts[k],
@@ -188,8 +169,7 @@ def make_disk(R):
     theta = s / R
     pts = np.column_stack([R * np.cos(theta), R * np.sin(theta)])
     kappa = np.full(_TABLE_SIZE, 1.0 / R)
-    return ConvexDomain(pts, s, L, kappa, math.pi * R * R, smooth=True,
-                        label=f"disk(R={R})")
+    return ConvexDomain(pts, s, L, kappa, math.pi * R * R)
 
 
 def make_ellipse(a, b):
@@ -206,16 +186,14 @@ def make_ellipse(a, b):
     th = np.interp(s, s_of_theta, theta)
     pts = np.column_stack([a * np.cos(th), b * np.sin(th)])
     kappa = a * b / ((a * np.sin(th)) ** 2 + (b * np.cos(th)) ** 2) ** 1.5
-    return ConvexDomain(pts, s, L, kappa, math.pi * a * b, smooth=True,
-                        label=f"ellipse(a={a},b={b})")
+    return ConvexDomain(pts, s, L, kappa, math.pi * a * b)
 
 
 def make_rounded_polygon(vertices, r):
     """Convex polygon with corners replaced by circular arcs of radius ``r``.
 
-    The boundary is C^1 with curvature jumping between 0 (segments) and 1/r
-    (arcs); the domain is flagged non-smooth so downstream smoothness checks
-    warn instead of fail.
+    The boundary is only C^{1,1}: its curvature jumps between 0 (segments)
+    and 1/r (arcs), which a warning reports.
     """
     verts = np.asarray(vertices, dtype=float)
     if verts.ndim != 2 or verts.shape[0] < 3 or verts.shape[1] != 2:
@@ -295,8 +273,7 @@ def make_rounded_polygon(vertices, r):
 
     warnings.warn("rounded polygon boundary is only C^{1,1}; corner curvature "
                   "jumps between 0 and 1/r", stacklevel=2)
-    return ConvexDomain(pts, s_samples, L, kap, float(area), smooth=False,
-                        label=f"rounded_polygon(n={n},r={r})")
+    return ConvexDomain(pts, s_samples, L, kap, float(area))
 
 
 class TriMesh:
@@ -314,7 +291,6 @@ class TriMesh:
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         self.cells = np.ascontiguousarray(cells, dtype=np.int64)
         self.boundary_edges = np.ascontiguousarray(boundary_edges, dtype=np.int64)
-        self.strict = strict
 
         p = self.vertices
         c = self.cells
@@ -411,25 +387,28 @@ class TriMesh:
         """Cell index containing each query point (-1 if outside).
 
         KD-tree over centroids plus barycentric checks against the nearest
-        candidate cells; meshes here are quality bounded so a small candidate
-        set always suffices.
+        candidate cells, nearest first: the 4 nearest, then up to the 24
+        nearest for the points not yet located.  Meshes here are quality
+        bounded, so a small candidate set always suffices.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if self._centroid_tree is None:
             self._centroid_tree = cKDTree(self.cell_centroids)
-        k = min(24, self.n_cells)
-        _, cand = self._centroid_tree.query(pts, k=k)
-        cand = np.atleast_2d(cand)
         out = np.full(len(pts), -1, dtype=np.int64)
         pending = np.arange(len(pts))
-        for col in range(cand.shape[1]):
+        done = 0
+        for k in (min(4, self.n_cells), min(24, self.n_cells)):
             if pending.size == 0:
                 break
-            cells = cand[pending, col]
-            lam = self._barycentric(pts[pending], cells)
-            ok = lam.min(axis=1) >= -tol
-            out[pending[ok]] = cells[ok]
-            pending = pending[~ok]
+            _, cand = self._centroid_tree.query(pts[pending], k=k)
+            cand = cand.reshape(len(pending), -1)
+            for col in range(done, k):
+                cells = cand[:, col]
+                lam = self._barycentric(pts[pending], cells)
+                ok = lam.min(axis=1) >= -tol
+                out[pending[ok]] = cells[ok]
+                pending, cand = pending[~ok], cand[~ok]
+            done = k
         if pending.size:
             # fall back to brute force for stragglers (points near slivers)
             for i in pending:
@@ -470,9 +449,9 @@ def triangulate(domain, h_target):
 
     Boundary samples at arc-length spacing below ``h_target`` and an
     equilateral interior lattice, meshed by :func:`mesh_from_loop`: their
-    Delaunay cells, with qhull run on the boundary band only, then Laplacian
-    smoothing of the interior until the 20 degree minimum-angle bound holds.
-    Deterministic: identical inputs give identical meshes.
+    Delaunay cells, with qhull run on the boundary band only, under the 20
+    degree minimum-angle bound.  Deterministic: identical inputs give
+    identical meshes.
     """
     if not (0 < h_target < domain.length / 8.0):
         raise InvalidParameterError(
@@ -508,34 +487,28 @@ def triangulate(domain, h_target):
 def mesh_from_loop(loop_pts, interior_pts, lattice=()):
     """Delaunay mesh of a convex region from its boundary loop and fill points.
 
-    ``loop_pts`` must trace the boundary counterclockwise; they stay fixed
-    while interior points are Laplace-smoothed until the quality bound holds
-    (a worst cell on the loop alone is beyond smoothing and raises at once).
-    Given the fill's lattice (row, column), the first pass runs qhull on a
-    boundary band only (:func:`_band_cells`).  Each cell starts at its
-    smallest vertex, counterclockwise: the mesh depends on the cell set only.
+    ``loop_pts`` must trace the boundary counterclockwise.  Given the fill's
+    lattice (row, column), qhull runs on a boundary band only
+    (:func:`_band_cells`); otherwise, or when the band cannot stand in, on
+    all points.  A minimum cell angle below 20 degrees raises
+    :class:`MeshQualityError`.  Each cell starts at its smallest vertex,
+    counterclockwise: the mesh depends on the cell set only.
     """
     n_b = len(loop_pts)
     points = np.vstack([loop_pts, interior_pts]) if len(interior_pts) \
         else np.asarray(loop_pts, dtype=float)
 
     cells = _band_cells(points, n_b, lattice) if len(lattice) else None
-    for smoothed in range(41):
-        if cells is None:
-            cells = _delaunay_cells(points)
-        angles = _cell_min_angles_deg(points, cells)
-        worst = int(np.argmin(angles))
-        if angles[worst] >= _MIN_ANGLE_DEG:
-            break
-        on_loop = bool(np.all(cells[worst] < n_b))
-        if on_loop or smoothed == 40:
-            raise MeshQualityError(
-                "worst cell has all three vertices on the loop" if on_loop
-                else "smoothing failed to reach the 20 degree minimum angle",
-                {"min_angle_deg": float(angles[worst]),
-                 "n_vertices": len(points)})
-        points = _smooth_interior(points, cells, n_fixed=n_b)
-        cells = None
+    if cells is None:
+        cells = _delaunay_cells(points)
+    angles = _cell_min_angles_deg(points, cells)
+    worst = int(np.argmin(angles))
+    if angles[worst] < _MIN_ANGLE_DEG:
+        raise MeshQualityError(
+            "worst cell has all three vertices on the loop"
+            if np.all(cells[worst] < n_b)
+            else "minimum cell angle below 20 degrees",
+            {"min_angle_deg": float(angles[worst]), "n_vertices": len(points)})
 
     first = np.argmin(cells, axis=1)[:, None]
     cells = np.take_along_axis(cells, (first + np.arange(3)) % 3, axis=1)
@@ -664,22 +637,6 @@ def _cell_min_angles_deg(points, cells):
             np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1))
         angles.append(np.degrees(np.arccos(np.clip(cosang, -1, 1))))
     return np.min(angles, axis=0)
-
-
-def _smooth_interior(points, cells, n_fixed):
-    """Move each interior point to the mean of its neighbours over the cell
-    edges around it (an edge counted once per cell)."""
-    ends = [(cells[:, i], cells[:, j]) for i, j in ((0, 1), (1, 2), (2, 0))]
-    dst = np.concatenate([e for i, j in ends for e in (i, j)])
-    src = np.concatenate([e for i, j in ends for e in (j, i)])
-    cnt = np.bincount(dst, minlength=len(points))
-    movable = cnt > 0
-    movable[:n_fixed] = False
-    new = points.copy()
-    new[movable] = np.column_stack([
-        np.bincount(dst, weights=points[src, k], minlength=len(points))
-        for k in (0, 1)])[movable] / cnt[movable, None]
-    return new
 
 
 def submesh(mesh, cell_mask):

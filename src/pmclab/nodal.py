@@ -58,20 +58,6 @@ class CylinderSolution:
                 f"{self.halfwidth}")
         return self.h_val + (1.0 - np.sqrt(1.0 - (self.H * xi) ** 2)) / self.H
 
-    def slope(self, x1):
-        xi = np.asarray(x1, dtype=float) - self.center[0]
-        if np.any(np.abs(xi) >= self.halfwidth):
-            raise OutOfDomainError("slope undefined outside the strip")
-        return self.H * xi / np.sqrt(1.0 - (self.H * xi) ** 2)
-
-    def second_derivative(self, x1):
-        return self.H * (1.0 + self.slope(x1) ** 2) ** 1.5
-
-
-def cylinder_solution(h_val, H, center=(0.0, 0.0)):
-    """Closed-form cylinder comparison surface (see :class:`CylinderSolution`)."""
-    return CylinderSolution(h_val, H, center)
-
 
 class QuadraticModel:
     """q(x) = u0 + (1/2) l1 (x1-c1)^2 + (1/2) l2 (x2-c2)^2."""
@@ -87,16 +73,6 @@ class QuadraticModel:
         d = pts - self.center
         return (self.u0 + 0.5 * self.l1 * d[..., 0] ** 2
                 + 0.5 * self.l2 * d[..., 1] ** 2)
-
-    def laplacian(self):
-        return self.l1 + self.l2
-
-    def hessian(self):
-        return np.diag([self.l1, self.l2])
-
-
-def quadratic_model(u0, l1, l2, center=(0.0, 0.0)):
-    return QuadraticModel(u0, l1, l2, center)
 
 
 def difference_field(field, analytic):
@@ -170,14 +146,16 @@ def trace_nodal_set(field):
     return NodalArcSet(arcs=arcs, junction=junction)
 
 
-def sector_count(field, p, r, samples=SECTOR_SAMPLES):
-    """Number of sign changes of the field around the circle |x - p| = r.
+def sector_count(field, p, r):
+    """Number of sign changes of the field at ``SECTOR_SAMPLES`` points
+    around the circle |x - p| = r.
 
     Even for fields with isolated zeros on the circle; equals twice the
     number of nodal arcs through p for clean crossings.  Returns 0 when all
     samples share one sign.
     """
-    vals = field.mesh.interpolate(field.values, circle_loop(p, r, samples))
+    vals = field.mesh.interpolate(field.values,
+                                  circle_loop(p, r, SECTOR_SAMPLES))
     scale = float(np.abs(field.values).max())
     vals = np.where(vals == 0.0, _SIGN_EPS * scale, vals)
     signs = vals > 0
@@ -192,9 +170,9 @@ class LeadingOrderFit:
     amplitude: float
 
 
-def leading_order_fit(field, p, r_min, r_max, n_radii=FIT_RADII,
-                      samples=SECTOR_SAMPLES):
-    """Slope of log sup_{|x-p|=r} |field| against log r over a radius ladder.
+def leading_order_fit(field, p, r_min, r_max):
+    """Slope of log sup_{|x-p|=r} |field| against log r over a ladder of
+    ``FIT_RADII`` radii, each circle sampled at ``SECTOR_SAMPLES`` points.
 
     A homogeneous leading part of degree k gives slope k; the fit residual
     measures contamination by higher-order terms or discretization noise.
@@ -202,18 +180,18 @@ def leading_order_fit(field, p, r_min, r_max, n_radii=FIT_RADII,
     if not (0 < r_min < r_max):
         raise InvalidParameterError("need 0 < r_min < r_max")
     scale = float(np.abs(field.values).max())
-    radii = np.geomspace(r_min, r_max, n_radii)
-    sups = np.empty(n_radii)
+    radii = np.geomspace(r_min, r_max, FIT_RADII)
+    sups = np.empty(FIT_RADII)
     for i, r in enumerate(radii):
         vals = field.mesh.interpolate(field.values,
-                                      circle_loop(p, r, samples))
+                                      circle_loop(p, r, SECTOR_SAMPLES))
         sups[i] = np.abs(vals).max()
     if sups.max() < 1e3 * np.finfo(float).eps * scale:
         raise UnderflowFitError(
             f"field magnitude {sups.max():.3g} in annulus is at rounding level")
     logs = np.log(sups)
     logr = np.log(radii)
-    A = np.column_stack([logr, np.ones(n_radii)])
+    A = np.column_stack([logr, np.ones(FIT_RADII)])
     coef, *_ = np.linalg.lstsq(A, logs, rcond=None)
     fitres = float(np.sqrt(np.mean((A @ coef - logs) ** 2)))
     return LeadingOrderFit(k=float(coef[0]), r_range=(float(r_min), float(r_max)),

@@ -21,8 +21,8 @@ from .assembly import Discretization, ProblemSpec, ScalarField, neumann_gate
 from .critical import find_critical_points, recover_gradient
 from .errors import InvalidParameterError, PmclabError, SolverFailure
 from .geometry import make_disk, make_ellipse, make_rounded_polygon, triangulate
-from .nodal import (cylinder_solution, difference_field, leading_order_fit,
-                    quadratic_model, sector_count, trace_nodal_set)
+from .nodal import (CylinderSolution, QuadraticModel, difference_field,
+                    leading_order_fit, sector_count, trace_nodal_set)
 from .solver import SolverOptions, homotopy_solve, newton_solve
 
 MERIDIAN_DOMAINS = ("ball", "spheroid")
@@ -135,19 +135,22 @@ def axial_nodal_set(field):
 
 # -- contact with the matched cylinder ----------------------------------------
 
-def contact_radius(mesh, center, diam):
+def contact_radius(mesh, center, diam, H):
     """Radius of the contact disk at ``center``: 0.3 of the domain diameter,
-    or half the distance to the nearest boundary vertex when smaller."""
+    or half the distance to the nearest boundary vertex, or 1/H - 2h when
+    smaller.  The matched cylinder exists only on |x1 - center| < 1/H, so
+    the last bound keeps the circle inside the mesh that the difference
+    against it is clipped to."""
     bidx = np.unique(mesh.boundary_edges.ravel())
     dist = float(np.linalg.norm(mesh.vertices[bidx] - center, axis=1).min())
-    return min(0.3 * diam, 0.5 * dist)
+    return min(0.3 * diam, 0.5 * dist, 1.0 / H - 2.0 * mesh.h)
 
 
 def matched_cylinder(field, spec, center):
     """The solution value at ``center`` and the difference field against
     the cylinder surface matched to it there."""
     value = float(field.mesh.interpolate(field.values, center[None, :])[0])
-    cyl = cylinder_solution(value, spec.H, center=center)
+    cyl = CylinderSolution(value, spec.H, center=center)
     return value, difference_field(field, cyl)
 
 
@@ -170,14 +173,14 @@ def nodal_lab(field, spec, records, diam):
     mesh = field.mesh
     p = records[0].location
     value, diff_cyl = matched_cylinder(field, spec, p)
-    radius = contact_radius(mesh, p, diam)
+    radius = contact_radius(mesh, p, diam, spec.H)
     info = {"critical_point": [float(p[0]), float(p[1])], "value": value,
             "contact_radius": radius}
     if radius < 4.0 * mesh.h:
         info["note"] = "mesh too coarse for contact diagnostics"
         return info, trace_nodal_set(diff_cyl)
     hess = records[0].hessian
-    quad = quadratic_model(value, hess[0, 0], hess[1, 1], center=p)
+    quad = QuadraticModel(value, hess[0, 0], hess[1, 1], center=p)
     for name, diff in (("cylinder", diff_cyl),
                        ("quadratic", difference_field(field, quad))):
         sectors, fit = contact_order(diff, p, radius, mesh.h)

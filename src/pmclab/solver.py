@@ -87,7 +87,6 @@ class HomotopyStep:
     t: float
     field_min: float
     field_max: float
-    field_mean: float
     n_critical: int
     n_minima: int
     n_maxima: int
@@ -100,14 +99,14 @@ class HomotopyStep:
 @dataclass
 class HomotopyTrace:
     steps: list = dc_field(default_factory=list)
-    schedule: list = dc_field(default_factory=list)
     completed: bool = False
     # t of every failed attempt that was retried at half the step
     halved_at: list = dc_field(default_factory=list)
 
 
-def linear_solve(A, b, constraint="none", return_info=False, kept=None):
-    """Sparse solve, optionally with a zero-mean constraint.
+def linear_solve(A, b, constraint="none", kept=None):
+    """Sparse solve, optionally with a zero-mean constraint; returns
+    ``(x, info)``.
 
     ``A`` is a sparse matrix or a :class:`RankOneJacobian` ``L + u v^T``;
     the rank-one term is never formed.  A direct solve applies it by
@@ -143,7 +142,7 @@ def linear_solve(A, b, constraint="none", return_info=False, kept=None):
     elimination cannot stand in for the bordered solve (a nullspace beyond
     the constants, or a left null vector that is not constant).
 
-    The info dict holds the ``multiplier`` lambda, the ``incompatible``
+    ``info`` holds the ``multiplier`` lambda, the ``incompatible``
     flag, ``krylov_iterations`` (0 for a direct solve) and ``factored``.
     """
     b = np.asarray(b, dtype=float)
@@ -177,7 +176,7 @@ def linear_solve(A, b, constraint="none", return_info=False, kept=None):
     info = {"multiplier": lam,
             "incompatible": bool(abs(lam) > 1e-10 * max(1.0, np.abs(b).max())),
             "krylov_iterations": krylov, "factored": factored}
-    return (x, info) if return_info else x
+    return x, info
 
 
 class _KeptFactor:
@@ -339,8 +338,7 @@ def newton_solve(disc, spec, init=None, opts=None, kept=None):
             break
         J = jacobian(field, spec, disc)
         try:
-            delta, info = linear_solve(J, -F, constraint=constraint,
-                                       return_info=True, kept=kept)
+            delta, info = linear_solve(J, -F, constraint=constraint, kept=kept)
         except LinearSolveFailure as exc:
             report.message = "linear solve broke down"
             raise SolverFailure(f"linear breakdown at t={spec.t}: {exc}",
@@ -408,7 +406,7 @@ def homotopy_solve(disc, spec, schedule, opts=None):
     if abs(schedule[-1] - 1.0) > 1e-12:
         raise InvalidParameterError("schedule must end at t = 1")
 
-    trace = HomotopyTrace(schedule=list(schedule))
+    trace = HomotopyTrace()
     kept = _KeptFactor()
     path = []               # (t, field) of the last two converged steps
     pending = list(schedule)
@@ -455,7 +453,6 @@ def _census_step(field, spec_t, solve_report):
         t=spec_t.t,
         field_min=float(field.values.min()),
         field_max=float(field.values.max()),
-        field_mean=float(field.values.mean()),
         n_critical=len(records),
         n_minima=classes.count("minimum"),
         n_maxima=classes.count("maximum"),
@@ -465,55 +462,3 @@ def _census_step(field, spec_t, solve_report):
         solve=solve_report,
     )
 
-
-class RadialSolution:
-    """Closed-form radial solution on a disk or ball of radius R.
-
-    For the homotopy operator with parameter t the radial profile solving
-    the interior equation in dimension n is
-
-        v'(r) = (H r / n) / sqrt(1 - (t H r / n)^2),
-        v(r)  = v0 + (n / (t^2 H)) (1 - sqrt(1 - t^2 H^2 r^2 / n^2)),
-
-    degenerating to the paraboloid v0 + H r^2 / (2n) at t = 0.  Robin data
-    fixes v0 through v(R) = -v'(R)/alpha; Neumann profiles are returned with
-    v0 = 0 and must be compared after mean normalization.  Neumann data is
-    matched by this profile exactly when H = n c / (R sqrt(1 + t^2 c^2)).
-    """
-
-    def __init__(self, spec, R=1.0, n=None):
-        self.spec = spec
-        self.R = float(R)
-        self.n = int(n if n is not None else spec.n_dim)
-        q = spec.t * spec.H * self.R / self.n
-        if q >= 1.0:
-            raise InvalidParameterError(
-                f"no radial graph solution: t*H*R/n = {q} >= 1")
-        if spec.bc == "robin":
-            self.v0 = -self.slope(self.R) / spec.alpha - self._bump(self.R)
-        else:
-            self.v0 = 0.0
-
-    def _bump(self, r):
-        H, t, n = self.spec.H, self.spec.t, self.n
-        r = np.asarray(r, dtype=float)
-        if t < 1e-14:
-            return H * r ** 2 / (2.0 * n)
-        return (n / (t * t * H)) * (1.0 - np.sqrt(1.0 - (t * H * r / n) ** 2))
-
-    def slope(self, r):
-        H, t, n = self.spec.H, self.spec.t, self.n
-        r = np.asarray(r, dtype=float)
-        return (H * r / n) / np.sqrt(1.0 - (t * H * r / n) ** 2)
-
-    def __call__(self, r):
-        return self.v0 + self._bump(r)
-
-    def at_points(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        return self(np.linalg.norm(pts, axis=-1))
-
-
-def radial_disk_oracle(spec, R=1.0):
-    """Radial reference solution on the disk of radius R (planar case)."""
-    return RadialSolution(spec, R=R, n=2)

@@ -21,8 +21,8 @@ import numpy as np
 
 from . import axisym as axi
 from . import pipeline
-from .critical import (DEGENERACY_TOL, find_critical_points, gradient_index,
-                       interior_max_scan, inward_offset_loop)
+from .critical import (DEGENERACY_TOL, gradient_index, interior_max_scan,
+                       inward_offset_loop)
 from .errors import (IllConditionedLoopError, InvalidParameterError,
                      NoAxisCriticalError, PmclabError)
 
@@ -109,7 +109,7 @@ class VerificationReport:
 
 # -- individual properties -----------------------------------------------------
 
-def verify_sign_conditions(field, spec, deadband=SIGN_DEADBAND):
+def verify_sign_conditions(field, spec):
     """Negativity of Robin solutions and positivity of the boundary outflux."""
     if spec.bc != "robin":
         note = "sign conditions are specific to Robin data; the Neumann " \
@@ -121,29 +121,27 @@ def verify_sign_conditions(field, spec, deadband=SIGN_DEADBAND):
     max_u = float(v[k])
     rec1 = _record(
         "solution-negative",
-        "pass" if max_u < -deadband else "fail",
+        "pass" if max_u < -SIGN_DEADBAND else "fail",
         measured={"max_value": max_u,
                   "argmax": [float(x) for x in field.mesh.vertices[k]]},
-        tolerances={"deadband": deadband})
+        tolerances={"deadband": SIGN_DEADBAND})
     bidx = np.nonzero(field.mesh.is_boundary_vertex)[0]
     outflux = -spec.alpha * v[bidx]
     j = int(np.argmin(outflux))
     rec2 = _record(
         "boundary-outflux-positive",
-        "pass" if outflux[j] > deadband else "fail",
+        "pass" if outflux[j] > SIGN_DEADBAND else "fail",
         measured={"min_outflux": float(outflux[j]),
                   "argmin": [float(x) for x in field.mesh.vertices[bidx[j]]]},
-        tolerances={"deadband": deadband})
+        tolerances={"deadband": SIGN_DEADBAND})
     return [rec1, rec2]
 
 
-def verify_critical_structure(field, spec, records=None, boundary_loop=None,
-                              trace_rtol=TRACE_RTOL, diam=None):
-    """Uniqueness, minimality, non-degeneracy, no maxima, and index count."""
-    if records is None:
-        records = find_critical_points(field, spec)
+def verify_critical_structure(field, spec, records, boundary_loop, diam):
+    """Uniqueness, minimality, non-degeneracy, no maxima, and index count of
+    the census ``records``; the index is counted on ``boundary_loop``."""
     out = []
-    coarse = diam is not None and field.mesh.h > COARSE_MESH_FACTOR * diam
+    coarse = field.mesh.h > COARSE_MESH_FACTOR * diam
 
     count_ok = len(records) == 1
     out.append(_record(
@@ -172,33 +170,29 @@ def verify_critical_structure(field, spec, records=None, boundary_loop=None,
         "no-interior-maximum", "pass" if not maxima else "fail",
         measured={"interior_maxima": len(maxima)}))
 
-    if boundary_loop is None:
-        out.append(_record("index-sum-one", "skip",
-                           note="no boundary offset loop available"))
-    else:
-        try:
-            loop_index = gradient_index(field, boundary_loop)
-            idx_sum = sum(r.index for r in records if r.index is not None)
-            ok = loop_index == 1 and idx_sum == loop_index and \
-                all(r.index is not None for r in records)
-            out.append(_record(
-                "index-sum-one", "pass" if ok else "fail",
-                measured={"loop_index": loop_index, "index_sum": idx_sum,
-                          "indices": [r.index for r in records]}))
-        except IllConditionedLoopError as exc:
-            out.append(_record("index-sum-one", "warn",
-                               note=f"loop ill-conditioned: {exc}"))
+    try:
+        loop_index = gradient_index(field, boundary_loop)
+        idx_sum = sum(r.index for r in records if r.index is not None)
+        ok = loop_index == 1 and idx_sum == loop_index and \
+            all(r.index is not None for r in records)
+        out.append(_record(
+            "index-sum-one", "pass" if ok else "fail",
+            measured={"loop_index": loop_index, "index_sum": idx_sum,
+                      "indices": [r.index for r in records]}))
+    except IllConditionedLoopError as exc:
+        out.append(_record("index-sum-one", "warn",
+                           note=f"loop ill-conditioned: {exc}"))
 
     out.append(_trace_record([float(np.trace(r.hessian)) for r in records],
-                             spec.H, trace_rtol))
+                             spec.H))
     return out
 
 
-def _trace_record(traces, H, rtol):
-    ok = bool(traces) and all(abs(tr - H) <= rtol * H for tr in traces)
+def _trace_record(traces, H):
+    ok = bool(traces) and all(abs(tr - H) <= TRACE_RTOL * H for tr in traces)
     return _record("hessian-trace-identity", "pass" if ok else "fail",
                    measured={"traces": traces, "H": H},
-                   tolerances={"rtol": rtol})
+                   tolerances={"rtol": TRACE_RTOL})
 
 
 def verify_saddle_equivalence(records):
@@ -214,13 +208,7 @@ def verify_saddle_equivalence(records):
 
 
 def verify_homotopy_stability(trace):
-    """Per-step census along the continuation path."""
-    if not trace.completed:
-        return _record(
-            "homotopy-stability", "warn",
-            measured={"steps_recorded": len(trace.steps),
-                      "schedule": list(trace.schedule)},
-            note="continuation ended early; partial data only")
+    """Per-step census along a completed continuation path."""
     bad = []
     t0_positive = True
     for step in trace.steps:
@@ -244,7 +232,7 @@ def verify_cylinder_contact(field, spec, records, diam):
                        note="needs a unique critical point")
     p = records[0].location
     mesh = field.mesh
-    r_contact = pipeline.contact_radius(mesh, p, diam)
+    r_contact = pipeline.contact_radius(mesh, p, diam, spec.H)
     if r_contact < 4.0 * mesh.h:
         return _record("cylinder-contact", "skip",
                        note="mesh too coarse for the contact circle")
@@ -260,7 +248,7 @@ def verify_cylinder_contact(field, spec, records, diam):
 
 # -- axisymmetric properties ----------------------------------------------------
 
-def verify_meridian_structure(field, run, trace_rtol=TRACE_RTOL):
+def verify_meridian_structure(field, run):
     out = []
     mesh, spec = field.mesh, run.spec
     mono = axi.check_monotone(field)
@@ -289,8 +277,7 @@ def verify_meridian_structure(field, run, trace_rtol=TRACE_RTOL):
             "axis-hessian-positive", "pass" if (pos_ok and cross_ok) else "fail",
             measured=ah.as_dict(),
             tolerances={"cross_term_rtol": 0.1}))
-        out.append(_trace_record([float(np.sum(entries))], spec.H,
-                                 trace_rtol))
+        out.append(_trace_record([float(np.sum(entries))], spec.H))
     except (NoAxisCriticalError, InvalidParameterError) as exc:
         out.append(_record("axis-hessian-positive", "fail", note=str(exc)))
         out.append(_record("hessian-trace-identity", "fail", note=str(exc)))
@@ -355,8 +342,7 @@ def run_suite(run, field, records, trace=None):
     else:
         diam = run.domain.diameter
         loop = inward_offset_loop(run.domain, 2.0 * run.mesh.h)
-        props += verify_critical_structure(field, spec, records,
-                                           boundary_loop=loop, diam=diam)
+        props += verify_critical_structure(field, spec, records, loop, diam)
         props.append(verify_saddle_equivalence(records))
         if trace is not None:
             props.append(verify_homotopy_stability(trace))

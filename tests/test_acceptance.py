@@ -12,14 +12,14 @@ from pmclab.assembly import Discretization, ScalarField
 from pmclab.cli import main
 from pmclab.critical import (find_critical_points, gradient_index,
                              interior_max_scan, inward_offset_loop)
-from pmclab.nodal import (cylinder_solution, difference_field,
+from pmclab.nodal import (CylinderSolution, difference_field,
                           leading_order_fit, sector_count)
-from pmclab.axisym import (axis_hessian, check_monotone, find_axis_critical,
-                           radial_ball_oracle)
+from pmclab.axisym import axis_hessian, check_monotone, find_axis_critical
 from pmclab.critical import recover_gradient
 from pmclab.nodal import trace_nodal_set
-from pmclab.solver import radial_disk_oracle
 from pmclab.verify import verify_saddle_equivalence
+
+from oracles import radial_ball_oracle, radial_disk_oracle
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -152,7 +152,7 @@ def test_criterion_6_nodal_lab(disk_mesh_005, robin_spec, robin_disk_005):
     p = rec.location
     u_p = float(disk_mesh_005.interpolate(field.values, p[None, :])[0])
     diff = difference_field(field,
-                            cylinder_solution(u_p, robin_spec.H, center=p))
+                            CylinderSolution(u_p, robin_spec.H, center=p))
     sectors_diff = sector_count(diff, p, 0.3)
     fit_diff = leading_order_fit(diff, p, 2 * disk_mesh_005.h, 0.3)
     ok &= sectors_diff == 4

@@ -6,12 +6,13 @@ import pytest
 from pmclab.assembly import Discretization, ProblemSpec, ScalarField
 from pmclab.axisym import (MeridianProblem, axis_hessian, axis_vertices,
                            check_monotone, find_axis_critical, meridian_mesh,
-                           outer_flux_edges, radial_ball_oracle,
-                           revolved_volume)
+                           outer_flux_edges, revolved_volume)
 from pmclab.critical import recover_gradient
 from pmclab.errors import InvalidParameterError, NoAxisCriticalError
 from pmclab.nodal import trace_nodal_set
 from pmclab.solver import newton_solve
+
+from oracles import radial_ball_oracle
 
 # frozen closed-form values for the Robin ball R=1, alpha=1, H=0.8, n=3
 BALL_SLOPE_AT_1 = 0.27668578554642986

@@ -172,6 +172,21 @@ class TestExitCodes:
                     for p in verification["properties"]}
         assert all(statuses[name] == "pass" for name in names)
 
+    def test_contact_circle_stays_in_the_cylinder_strip(self, tmp_path):
+        # the matched cylinder exists only on |x1 - c| < 1/H, which clips the
+        # unit disk at H = 1.9; a valid config must not exit 4 because the
+        # contact property sampled outside the clipped mesh
+        H = 1.9
+        with pytest.warns(UserWarning, match="clips the mesh"):
+            code, out = run_cli(tmp_path, "verify", "robin_disk.json",
+                                [f"problem.H={H}", "mesh.h_target=0.05"])
+        assert code == 0
+        rep = json.loads((out / "report.json").read_text())
+        contact = {p["name"]: p for p in rep["verification"]["properties"]}[
+            "cylinder-contact"]
+        assert contact["status"] == "pass"
+        assert 0.0 < contact["measured"]["radius"] < 1.0 / H
+
     def test_infeasible_is_four_and_no_solve(self, tmp_path):
         code, out = run_cli(tmp_path, "verify", "neumann_infeasible.json")
         assert code == 4
@@ -279,6 +294,8 @@ class TestArtifacts:
         rows = [[float(tok) for tok in line.split(",")] for line in lines[3:]]
         assert len(rows) == rep["mesh"]["n_vertices"]
         assert all(len(row) == 3 for row in rows)
+        # each value in its shortest round-trip form, as repr writes it
+        assert lines[3:] == [",".join(map(repr, row)) for row in rows]
 
     def test_compare_writes_nodal_artifacts(self, tmp_path):
         code, out = run_cli(tmp_path, "compare", "compare_robin_disk.json",

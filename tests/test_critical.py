@@ -8,7 +8,8 @@ from pmclab.critical import (classify, circle_loop, find_critical_points,
                              gradient_index, interior_max_scan,
                              inward_offset_loop, recover_gradient)
 from pmclab.errors import IllConditionedLoopError
-from pmclab.solver import radial_disk_oracle
+
+from oracles import radial_disk_oracle
 
 
 def synth(mesh, fn):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 from scipy.spatial import cKDTree
@@ -17,11 +17,16 @@ from pmclab.axisym import MeridianProblem, meridian_mesh
 from pmclab.errors import InvalidParameterError, MeshQualityError
 from pmclab.geometry import (_INTERIOR_CLEARANCE, _LATTICE_SPACING_FACTOR,
                              _band_cells, _delaunay_cells, _hex_lattice,
-                             _smooth_interior, make_disk, make_ellipse,
-                             make_rounded_polygon, mesh_from_loop,
-                             triangulate)
+                             make_disk, make_ellipse, make_rounded_polygon,
+                             mesh_from_loop, triangulate)
 
 SQUARE = [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]
+
+
+def inside(domain, p):
+    """The interior test of the mesh lattice: strictly on the inner side of
+    the tangent line at the nearest boundary table sample."""
+    return domain._side_and_distance(p)[0] < 0.0
 
 
 def polyline_length(domain, n=200000):
@@ -48,10 +53,6 @@ class TestDisk:
     def test_curvature_scales_inverse_radius(self):
         d = make_disk(2.0)
         assert d.curvature(1.0) == pytest.approx(0.5, abs=1e-12)
-
-    def test_centroid_at_origin(self):
-        d = make_disk(1.0)
-        assert np.linalg.norm(d.centroid) < 1e-12
 
     def test_closure(self):
         d = make_disk(1.0)
@@ -99,7 +100,6 @@ class TestRoundedPolygon:
         with pytest.warns(UserWarning):
             d = make_rounded_polygon(SQUARE, 0.5)
         assert d.length == pytest.approx(4.0 + math.pi, abs=1e-9)
-        assert not d.smooth
 
     def test_square_area_against_shoelace_oracle(self):
         with pytest.warns(UserWarning):
@@ -129,13 +129,13 @@ class TestRoundedPolygon:
 class TestContains:
     def test_disk_points(self):
         d = make_disk(1.0)
-        assert d.contains(np.array([0.0, 0.0]))
-        assert not d.contains(np.array([2.0, 0.0]))
+        assert inside(d, np.array([0.0, 0.0]))
+        assert not inside(d, np.array([2.0, 0.0]))
 
     def test_ellipse_axis_points(self):
         e = make_ellipse(1.3, 0.7)
-        assert e.contains(np.array([1.29, 0.0]))
-        assert not e.contains(np.array([0.0, 0.71]))
+        assert inside(e, np.array([1.29, 0.0]))
+        assert not inside(e, np.array([0.0, 0.71]))
 
     @given(x=st.floats(-2, 2), y=st.floats(-2, 2))
     @settings(max_examples=50, deadline=None)
@@ -143,7 +143,7 @@ class TestContains:
         d = make_disk(1.0)
         r = math.hypot(x, y)
         if abs(r - 1.0) > 1e-6:
-            assert bool(d.contains(np.array([x, y]))) == (r < 1.0)
+            assert bool(inside(d, np.array([x, y]))) == (r < 1.0)
 
 
 class TestSpline:
@@ -182,10 +182,10 @@ class TestConvexityInvariants:
         assert np.all(d.curvature(s) > 0)
 
     def test_centroid_inside_every_tangent(self):
+        # both are centred at the origin, their centroid
         for d in (make_disk(1.0), make_ellipse(1.3, 0.7)):
             s = np.linspace(0, d.length, 500, endpoint=False)
-            side = np.einsum("ki,ki->k", d.centroid - d.position(s),
-                             d.normal(s))
+            side = np.einsum("ki,ki->k", -d.position(s), d.normal(s))
             assert np.all(side < 0)
 
     def test_outward_normal_orientation(self):
@@ -193,7 +193,7 @@ class TestConvexityInvariants:
         s = np.linspace(0, d.length, 100, endpoint=False)
         # moving a step along the outward normal must exit the domain
         outside = d.position(s) + 0.05 * d.normal(s)
-        assert not np.any(d.contains(outside))
+        assert not np.any(inside(d, outside))
 
 
 class TestTriangulate:
@@ -248,7 +248,7 @@ class TestTriangulate:
             i, j = rng.choice(interior, size=2, replace=False)
             lam = rng.uniform(0, 1)
             p = (1 - lam) * m.vertices[i] + lam * m.vertices[j]
-            assert disk.contains(p)
+            assert inside(disk, p)
 
     @pytest.mark.filterwarnings("ignore:rounded polygon")
     def test_rounded_square_fine_mesh(self):
@@ -372,10 +372,17 @@ class TestBandMeshing:
                               mesh_from_loop(loop, moved).cells)
 
     def test_smoothed_falls_back(self, disk):
+        # one Laplacian smoothing pass, every fill point to the mean of its
+        # neighbours, moves the fill off the lattice
         loop, fill, lattice = mesh_inputs(lambda: triangulate(disk, 0.1))
         points = np.vstack([loop, fill])
-        smoothed = _smooth_interior(points, _delaunay_cells(points),
-                                    len(loop))
+        cells = _delaunay_cells(points)
+        edges = np.vstack([cells[:, [i, (i + 1) % 3]] for i in range(3)])
+        src, dst = np.vstack([edges, edges[:, ::-1]]).T
+        mean = np.column_stack([np.bincount(src, points[dst, k], len(points))
+                                for k in (0, 1)]) \
+            / np.bincount(src, minlength=len(points))[:, None]
+        smoothed = np.vstack([loop, mean[len(loop):]])
         assert _band_cells(smoothed, len(loop), lattice) is None
 
     def test_tie_falls_back(self):
@@ -393,7 +400,7 @@ class TestBandMeshing:
 
 
 def test_loop_corner_below_bound_raises_after_one_pass(monkeypatch):
-    # a 16.7 degree corner of the fixed loop: no smoothing can repair it
+    # a 16.7 degree corner of the loop
     corners = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.3]])
     loop = np.vstack([c0 + np.linspace(0.0, 1.0, 4, endpoint=False)[:, None]
                       * (c1 - c0)
@@ -405,6 +412,72 @@ def test_loop_corner_below_bound_raises_after_one_pass(monkeypatch):
     with pytest.raises(MeshQualityError, match="three vertices on the loop"):
         mesh_from_loop(loop, np.array([[0.8, 0.1]]))
     assert calls == [len(loop) + 1]
+
+
+def test_interior_cell_below_bound_raises():
+    # two fill points 1e-3 apart make slivers off the loop
+    t = np.linspace(0.0, 1.0, 4, endpoint=False)[:, None]
+    corners = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    loop = np.vstack([c0 + t * (c1 - c0)
+                      for c0, c1 in zip(corners, np.roll(corners, -1, 0))])
+    with pytest.raises(MeshQualityError, match="below 20 degrees"):
+        mesh_from_loop(loop, np.array([[0.5, 0.5], [0.501, 0.5]]))
+
+
+HEXAGON = [[math.cos(k * math.pi / 3), math.sin(k * math.pi / 3)]
+           for k in range(6)]
+
+
+def half_ellipse_loop_length(a, b):
+    t = np.linspace(-0.5 * math.pi, 0.5 * math.pi, 4097)
+    arc = np.column_stack([a * np.cos(t), b * np.sin(t)])
+    return float(np.linalg.norm(np.diff(arc, axis=0), axis=1).sum()) + 2 * b
+
+
+def _rounded(vertices, frac):
+    v = np.asarray(vertices, dtype=float)
+    r = frac * np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1).min()
+    try:
+        return make_rounded_polygon(vertices, r)
+    except InvalidParameterError:
+        assume(False)   # a radius that leaves no straight part
+
+
+PLANAR_FAMILIES = st.one_of(
+    st.floats(0.3, 2.0).map(make_disk),
+    st.tuples(st.floats(0.5, 2.0), st.floats(0.01, 1.0)).map(
+        lambda ar: make_ellipse(ar[0], ar[0] * ar[1])),
+    st.tuples(st.sampled_from([SQUARE, [[0, 0], [2, 0], [1, 1.8]], HEXAGON]),
+              st.floats(0.05, 0.3)).map(lambda vf: _rounded(*vf)),
+)
+
+
+@pytest.mark.filterwarnings("ignore:rounded polygon")
+class TestMeshQuality:
+    """Every mesh keeps the 20 degree minimum angle, or the worst cell has
+    all three vertices on the loop, which no placement of fill points can
+    repair (thin ellipses at coarse h)."""
+
+    @staticmethod
+    def check(build):
+        try:
+            mesh = build()
+        except MeshQualityError as exc:
+            assert "three vertices on the loop" in str(exc)
+        else:
+            assert mesh.min_angle_deg() >= 20.0
+
+    @given(domain=PLANAR_FAMILIES, k=st.floats(8.5, 120.0))
+    @settings(max_examples=100, deadline=None)
+    def test_triangulate(self, domain, k):
+        self.check(lambda: triangulate(domain, domain.length / k))
+
+    @given(a=st.floats(0.3, 2.0), b=st.floats(0.3, 2.0),
+           k=st.floats(8.5, 120.0))
+    @settings(max_examples=30, deadline=None)
+    def test_meridian_mesh(self, a, b, k):
+        h = half_ellipse_loop_length(a, b) / k
+        self.check(lambda: meridian_mesh(MeridianProblem(a, b), h))
 
 
 def test_cli_import_leaves_out_scipy_interpolate():

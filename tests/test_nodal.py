@@ -7,43 +7,50 @@ from pmclab.assembly import ScalarField
 from pmclab.critical import find_critical_points
 from pmclab.errors import (InvalidParameterError, OutOfDomainError,
                            UnderflowFitError)
-from pmclab.nodal import (cylinder_solution, difference_field,
-                          leading_order_fit, quadratic_model, sector_count,
-                          trace_nodal_set)
-from pmclab.solver import radial_disk_oracle
+from pmclab.nodal import (CylinderSolution, QuadraticModel, difference_field,
+                          leading_order_fit, sector_count, trace_nodal_set)
+
+from oracles import radial_disk_oracle
 
 
 def synth(mesh, fn):
     return ScalarField(mesh, fn(mesh.vertices[:, 0], mesh.vertices[:, 1]))
 
 
+def second_difference(fn, x, eps=1e-5):
+    """Central second difference in x1 of a function of planar points."""
+    p = np.array([[x + eps, 0.0], [x, 0.0], [x - eps, 0.0]])
+    v = fn(p)
+    return (v[0] - 2.0 * v[1] + v[2]) / eps ** 2
+
+
 class TestCylinderSolution:
     def test_ode_at_origin(self):
-        X = cylinder_solution(0.0, 1.0)
-        pts = np.array([[0.0, 0.0]])
-        assert X(pts)[0] == pytest.approx(0.0, abs=1e-15)
-        assert X.slope(0.0) == pytest.approx(0.0, abs=1e-15)
-        assert X.second_derivative(0.0) == pytest.approx(1.0, abs=1e-12)
+        X = CylinderSolution(0.0, 1.0)
+        assert X(np.array([[0.0, 0.0]]))[0] == pytest.approx(0.0, abs=1e-15)
+        # even in x1, so the slope vanishes; X''(0) = H
+        assert X(np.array([[1e-3, 0.0]]))[0] == X(np.array([[-1e-3, 0.0]]))[0]
+        assert second_difference(X, 0.0) == pytest.approx(1.0, rel=1e-4)
 
     def test_ode_everywhere(self):
-        # X'' = H (1 + X'^2)^(3/2), verified against finite differences
-        X = cylinder_solution(0.0, 0.8)
-        xs = np.linspace(-1.0, 1.0, 21)
-        eps = 1e-5
-        for x in xs:
-            p = np.array([[x + eps, 0.0], [x, 0.0], [x - eps, 0.0]])
-            fd2 = (X(p[0:1])[0] - 2 * X(p[1:2])[0] + X(p[2:3])[0]) / eps ** 2
-            assert fd2 == pytest.approx(X.second_derivative(x), rel=1e-4)
+        # X'' = H (1 + X'^2)^(3/2), X' = H x / sqrt(1 - H^2 x^2), verified
+        # against finite differences
+        H = 0.8
+        X = CylinderSolution(0.0, H)
+        for x in np.linspace(-1.0, 1.0, 21):
+            slope = H * x / np.sqrt(1.0 - (H * x) ** 2)
+            assert second_difference(X, x) == pytest.approx(
+                H * (1.0 + slope ** 2) ** 1.5, rel=1e-4)
 
     def test_closed_form_value(self):
-        X = cylinder_solution(0.0, 1.0)
+        X = CylinderSolution(0.0, 1.0)
         assert X(np.array([[0.6, 2.0]]))[0] == pytest.approx(0.2, abs=1e-15)
 
     @given(h=st.floats(-3, 3), x=st.floats(-0.9, 0.9))
     @settings(max_examples=50, deadline=None)
     def test_shift_and_symmetry(self, h, x):
-        X0 = cylinder_solution(0.0, 1.0)
-        Xh = cylinder_solution(h, 1.0)
+        X0 = CylinderSolution(0.0, 1.0)
+        Xh = CylinderSolution(h, 1.0)
         p = np.array([[x, 0.0]])
         q = np.array([[-x, 0.0]])
         assert Xh(p)[0] - h == pytest.approx(X0(p)[0], abs=1e-12)
@@ -51,24 +58,28 @@ class TestCylinderSolution:
         assert X0(p)[0] >= 0.0
 
     def test_out_of_domain(self):
-        X = cylinder_solution(0.0, 1.0)
+        X = CylinderSolution(0.0, 1.0)
         with pytest.raises(OutOfDomainError):
             X(np.array([[1.5, 0.0]]))
 
 
 class TestQuadraticModel:
     def test_point_value(self):
-        q = quadratic_model(0.0, 1.0, 1.0)
+        q = QuadraticModel(0.0, 1.0, 1.0)
         assert q(np.array([[1.0, 1.0]]))[0] == pytest.approx(1.0)
 
     def test_degenerate_laplacian(self):
-        H = 0.8
-        q = quadratic_model(0.0, H, 0.0)
-        assert q.laplacian() == pytest.approx(H)
+        # q_11 + q_22 = H for the normal form diag[H, 0] of the cylinder, by
+        # the five-point stencil (exact on quadratics up to rounding)
+        H, eps = 0.8, 1e-3
+        q = QuadraticModel(0.0, H, 0.0)
+        v = q(np.array([0.3, -0.2]) + eps * np.array(
+            [[0, 0], [1, 0], [-1, 0], [0, 1], [0, -1]]))
+        assert (v[1:].sum() - 4.0 * v[0]) / eps ** 2 == pytest.approx(H)
 
     def test_matches_poisson_disk_solution(self, disk_mesh_01):
         H = 0.8
-        q = quadratic_model(-0.4, H / 2, H / 2)
+        q = QuadraticModel(-0.4, H / 2, H / 2)
         r2 = np.sum(disk_mesh_01.vertices ** 2, axis=1)
         assert np.allclose(q(disk_mesh_01.vertices), 0.2 * r2 - 0.4,
                            atol=1e-14)
@@ -89,7 +100,7 @@ class TestDifferenceField:
         p = recs[0].location
         u_p = float(field.mesh.interpolate(field.values, p[None, :])[0])
         diff = difference_field(field,
-                                cylinder_solution(u_p, robin_spec.H, center=p))
+                                CylinderSolution(u_p, robin_spec.H, center=p))
         drecs = find_critical_points(diff, robin_spec)
         centers = [r for r in drecs
                    if np.linalg.norm(r.location - p) < 3 * disk_mesh_005.h]
@@ -103,7 +114,7 @@ class TestDifferenceField:
         field = ScalarField(disk_mesh_01,
                             np.zeros(disk_mesh_01.n_vertices))
         with pytest.warns(UserWarning, match="clips"):
-            diff = difference_field(field, cylinder_solution(0.0, 1.5))
+            diff = difference_field(field, CylinderSolution(0.0, 1.5))
         assert diff.mesh.n_cells < disk_mesh_01.n_cells
         assert np.abs(diff.mesh.vertices[:, 0]).max() < 1.0 / 1.5
 
@@ -186,7 +197,7 @@ class TestLeadingOrderFit:
         oracle = radial_disk_oracle(robin_spec)
         cap = ScalarField(disk_mesh_005,
                           oracle.at_points(disk_mesh_005.vertices))
-        quad = quadratic_model(oracle.v0, robin_spec.H / 2, robin_spec.H / 2)
+        quad = QuadraticModel(oracle.v0, robin_spec.H / 2, robin_spec.H / 2)
         diff = difference_field(cap, quad)
         fit = leading_order_fit(diff, (0.0, 0.0), 0.15, 0.45)
         assert fit.k == pytest.approx(4.0, abs=0.5)
@@ -199,7 +210,7 @@ class TestLeadingOrderFit:
         p = recs[0].location
         u_p = float(field.mesh.interpolate(field.values, p[None, :])[0])
         diff = difference_field(field,
-                                cylinder_solution(u_p, robin_spec.H, center=p))
+                                CylinderSolution(u_p, robin_spec.H, center=p))
         fit = leading_order_fit(diff, p, 2 * disk_mesh_005.h, 0.3)
         assert fit.k <= 2.5
 

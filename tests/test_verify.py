@@ -6,9 +6,8 @@ import pytest
 from pmclab import cli, pipeline
 from pmclab.assembly import ScalarField
 from pmclab.config import parse_config
-from pmclab.critical import find_critical_points
+from pmclab.critical import find_critical_points, inward_offset_loop
 from pmclab.errors import InvalidParameterError
-from pmclab.solver import HomotopyTrace
 from pmclab.verify import (PROPERTY_CLAIMS, _record, run_suite,
                            verify_critical_structure, verify_homotopy_stability,
                            verify_saddle_equivalence, verify_sign_conditions)
@@ -45,12 +44,11 @@ class TestSignConditions:
 
 class TestCriticalStructure:
     def test_solved_disk_passes(self, robin_disk_005, robin_spec, disk):
-        from pmclab.critical import inward_offset_loop
         field, _ = robin_disk_005
         loop = inward_offset_loop(disk, 2 * field.mesh.h)
-        props = by_name(verify_critical_structure(field, robin_spec,
-                                                  boundary_loop=loop,
-                                                  diam=disk.diameter))
+        props = by_name(verify_critical_structure(
+            field, robin_spec, find_critical_points(field, robin_spec), loop,
+            disk.diameter))
         for name in ("critical-count-unique", "critical-is-minimum",
                      "critical-nondegenerate", "no-interior-maximum",
                      "index-sum-one", "hessian-trace-identity"):
@@ -58,11 +56,12 @@ class TestCriticalStructure:
 
     def test_double_well_fails_count_and_saddle_coupled(self, robin_spec):
         from pmclab.geometry import make_disk, triangulate
-        mesh = triangulate(make_disk(2.0), 0.15)
+        disk = make_disk(2.0)
+        mesh = triangulate(disk, 0.15)
         f = synth(mesh, lambda x, y: (x ** 2 - 1.0) ** 2 + y ** 2)
         recs = find_critical_points(f, robin_spec)
-        props = by_name(verify_critical_structure(f, robin_spec, recs,
-                                                  diam=4.0))
+        props = by_name(verify_critical_structure(
+            f, robin_spec, recs, inward_offset_loop(disk, 2 * mesh.h), 4.0))
         assert props["critical-count-unique"].status == "fail"
         assert props["critical-is-minimum"].status == "fail"
         # the biconditional still holds: 2 minima and a saddle coexist
@@ -91,11 +90,6 @@ class TestHomotopyStability:
         rec = verify_homotopy_stability(trace)
         assert rec.status == "pass"
         assert rec.measured["t0_determinant_positive"]
-
-    def test_truncated_trace_warns(self):
-        trace = HomotopyTrace(steps=[], schedule=[0.0, 1.0], completed=False)
-        rec = verify_homotopy_stability(trace)
-        assert rec.status == "warn"
 
 
 class TestRegistry:
