@@ -3,11 +3,15 @@
 All writers are deterministic (sorted keys, shortest round-trip float
 representation, no timestamps) so identical runs produce byte-identical
 artifacts, and every file names the configuration hash it came from.
+:func:`canonical_json` is the one place a record becomes JSON: a dataclass
+instance is written as the dict of its fields, numpy arrays and scalars as
+lists and Python numbers, and a non-finite float as its ``repr``.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +22,8 @@ from .nodal import trace_nodal_set
 
 
 def _sanitize(obj):
+    if is_dataclass(obj):
+        return {f.name: _sanitize(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, dict):
         return {str(k): _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -30,7 +30,7 @@ a :class:`Discretization`, which builds every quadrature array once.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -382,9 +382,6 @@ class FeasibilityReport:
     required_mean_flux: float  # H |Omega| / |boundary|
     boundary_length: float
     area: float
-
-    def as_dict(self):
-        return asdict(self)
 
 
 def neumann_gate(disc, spec):

@@ -125,11 +125,6 @@ class MonotoneReport:
     tol: float
     marginal: bool
 
-    def as_dict(self):
-        return {"holds": self.holds, "min_value": self.min_value,
-                "location": [float(x) for x in self.location],
-                "tol": self.tol, "marginal": self.marginal}
-
 
 def check_monotone(field):
     """Radial monotonicity check: dv/dr > -tol at all vertices with r > 2h,
@@ -187,12 +182,6 @@ class AxisHessian:
     entries: np.ndarray          # diagonal of D^2 u at the critical point
     cross_term: float            # fitted v_rz, expected 0 by symmetry
     grad_residual: float
-
-    def as_dict(self):
-        return {"location": [float(x) for x in self.location],
-                "entries": [float(e) for e in self.entries],
-                "cross_term": float(self.cross_term),
-                "grad_residual": float(self.grad_residual)}
 
 
 def axis_hessian(field, n_dim):

@@ -11,12 +11,14 @@ plus the solution, critical-point, and nodal-arc CSV tables and a contour
 SVG where applicable.
 
 Exit codes: 0 success / verification pass, 2 verification failure, 3 solver
-nonconvergence, 4 invalid configuration or infeasible data.
+nonconvergence, 4 invalid configuration (a mesh the quality bounds reject
+included) or infeasible data.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from pathlib import Path
@@ -25,7 +27,7 @@ from . import artifacts as art
 from . import pipeline
 from .config import apply_overrides, parse_config
 from .errors import (ConfigError, InfeasibleProblemError, InvalidParameterError,
-                     PmclabError, SolverFailure)
+                     MeshQualityError, PmclabError, SolverFailure)
 from .verify import run_suite
 
 EXIT_OK = 0
@@ -36,8 +38,8 @@ EXIT_INVALID = 4
 # status and exit code of a failed run by exception type; first match wins
 _FAILURES = ((InfeasibleProblemError, "infeasible", EXIT_INVALID),
              (SolverFailure, "solver-failure", EXIT_SOLVER_FAIL),
-             ((ConfigError, InvalidParameterError), "invalid-config",
-              EXIT_INVALID),
+             ((ConfigError, InvalidParameterError, MeshQualityError),
+              "invalid-config", EXIT_INVALID),
              (PmclabError, "error", EXIT_SOLVER_FAIL))
 
 
@@ -68,12 +70,11 @@ def main(argv=None):
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_INVALID
     try:
-        import json
         doc = json.loads(raw)
         if not isinstance(doc, dict):
             raise ConfigError("$", "top level must be an object")
-        doc = apply_overrides(doc, args.override)
-        config = parse_config(doc, command=args.command)
+        config = parse_config(apply_overrides(doc, args.override),
+                              command=args.command)
     except (ConfigError, ValueError) as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -115,9 +116,9 @@ def run(config, out_dir=None):
         feas, solve, trace = (getattr(exc, name, None)
                               for name in ("feasibility", "report", "trace"))
         if feas is not None:
-            report["feasibility"] = feas.as_dict()
+            report["feasibility"] = feas
         if solve is not None:
-            report["solve"] = solve.as_dict()
+            report["solve"] = solve
         if trace is not None:
             report["homotopy"] = _homotopy_summary(trace)
     report["exit_code"] = code
@@ -137,16 +138,16 @@ def _dispatch(config, out, report):
         if config.command in ("homotopy", "verify") else None
     field, feas, solve_report, trace = pipeline.solve(run, schedule)
     if feas is not None:
-        report["feasibility"] = feas.as_dict()
+        report["feasibility"] = feas
     if trace is not None:
         report["homotopy"] = _homotopy_summary(trace)
     else:
-        report["solve"] = solve_report.as_dict()
+        report["solve"] = solve_report
 
     records, arcs, verification = [], None, None
     if run.problem is None:
         records = pipeline.census(field, run.spec, trace)
-        report["critical_points"] = [r.as_dict() for r in records]
+        report["critical_points"] = records
         if config.command == "compare":
             report["nodal"], arcs = pipeline.nodal_lab(
                 field, run.spec, records, run.domain.diameter)
@@ -156,7 +157,7 @@ def _dispatch(config, out, report):
         arcs = pipeline.axial_nodal_set(field)
     if config.command == "verify":
         verification = run_suite(run, field, records, trace)
-        report["verification"] = verification.as_dict()
+        report["verification"] = verification
     if arcs is not None:
         art.write_nodal_csv(out, arcs, config.config_hash)
         report["artifacts"]["nodal_arcs_csv"] = "nodal_arcs.csv"

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field as dc_field
 from .errors import ConfigError
 
 COMMANDS = ("solve", "homotopy", "axisym", "compare", "verify", "mesh-report")
-_PLANAR_DOMAINS = ("disk", "ellipse", "rounded_polygon")
-_MERIDIAN_DOMAINS = ("ball", "spheroid")
+PLANAR_DOMAINS = ("disk", "ellipse", "rounded_polygon")
+MERIDIAN_DOMAINS = ("ball", "spheroid")
 
 DEFAULTS = {
     "mesh": {"h_target": 0.1},
@@ -38,14 +38,6 @@ class RunConfig:
     @property
     def problem(self):
         return self.canonical["problem"]
-
-    @property
-    def mesh(self):
-        return self.canonical["mesh"]
-
-    @property
-    def solver(self):
-        return self.canonical["solver"]
 
     @property
     def output_dir(self):
@@ -81,8 +73,8 @@ def _check_keys(doc, path, allowed):
 def _validate_domain(doc):
     _check_keys(doc, "domain", {"type", "R", "a", "b", "vertices", "r"})
     kind = doc.get("type")
-    _expect(kind in _PLANAR_DOMAINS + _MERIDIAN_DOMAINS, "domain.type",
-            f"must be one of {_PLANAR_DOMAINS + _MERIDIAN_DOMAINS}, got {kind!r}")
+    _expect(kind in PLANAR_DOMAINS + MERIDIAN_DOMAINS, "domain.type",
+            f"must be one of {PLANAR_DOMAINS + MERIDIAN_DOMAINS}, got {kind!r}")
     out = {"type": kind}
     if kind in ("disk", "ball"):
         _expect("R" in doc, "domain.R", "required for disk/ball")
@@ -140,7 +132,7 @@ def _validate_problem(doc, domain_kind, command):
     if schedule is None and command == "homotopy":
         schedule = [round(0.1 * k, 10) for k in range(11)]
     if schedule is not None:
-        _expect(domain_kind in _PLANAR_DOMAINS, "problem.schedule",
+        _expect(domain_kind in PLANAR_DOMAINS, "problem.schedule",
                 "continuation runs on planar domains only")
         _expect("t" not in doc, "problem.t",
                 "not allowed with a schedule, which ends at t = 1")
@@ -154,12 +146,12 @@ def _validate_problem(doc, domain_kind, command):
                 "must end at t = 1")
         out["schedule"] = vals
 
-    default_ndim = 3 if domain_kind in _MERIDIAN_DOMAINS else 2
+    default_ndim = 3 if domain_kind in MERIDIAN_DOMAINS else 2
     n_dim = doc.get("n_dim", default_ndim)
     _expect(isinstance(n_dim, int) and not isinstance(n_dim, bool)
             and n_dim >= 2, "problem.n_dim", f"must be an integer >= 2, "
             f"got {n_dim!r}")
-    if domain_kind in _PLANAR_DOMAINS:
+    if domain_kind in PLANAR_DOMAINS:
         _expect(n_dim == 2, "problem.n_dim", "planar domains require n_dim = 2")
     else:
         _expect(n_dim >= 3, "problem.n_dim",
@@ -186,22 +178,14 @@ def _int(v, path):
     return v
 
 
-def parse_config(document, command=None):
-    """Validate a configuration document and apply defaults.
+def parse_config(doc, command=None):
+    """Validate a decoded configuration document and apply defaults.
 
-    ``document`` is a JSON string or an already-decoded dict; ``command``
-    (from the CLI subcommand) must agree with an explicit ``command`` field
-    when both are present.  Returns a :class:`RunConfig`: the canonical dict
-    and the provenance hash of its JSON form.
+    ``command`` (the CLI subcommand) wins over the document's ``command``
+    field, which is the default when no subcommand is given.  Returns a
+    :class:`RunConfig`: the canonical dict and the provenance hash of its
+    JSON form.
     """
-    if isinstance(document, (str, bytes)):
-        try:
-            doc = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise ConfigError("$", f"not valid JSON: {exc}") from exc
-    else:
-        doc = document
-    _expect(isinstance(doc, dict), "$", "top level must be an object")
     _check_keys(doc, "", {"command", "domain", "problem", "mesh", "solver",
                           "output_dir"})
 
@@ -209,7 +193,6 @@ def parse_config(document, command=None):
     if doc_command is not None:
         _expect(doc_command in COMMANDS, "command",
                 f"must be one of {COMMANDS}, got {doc_command!r}")
-    # the CLI subcommand wins; the config field is a default
     resolved = command or doc_command
     _expect(resolved is not None, "command",
             "no command given (CLI subcommand or config field)")
@@ -219,10 +202,10 @@ def parse_config(document, command=None):
     _expect("problem" in doc, "problem", "required")
     problem = _validate_problem(doc["problem"], domain["type"], resolved)
     if resolved == "axisym":
-        _expect(domain["type"] in _MERIDIAN_DOMAINS, "domain.type",
+        _expect(domain["type"] in MERIDIAN_DOMAINS, "domain.type",
                 "axisym needs a ball or spheroid domain")
     if resolved in ("solve", "homotopy", "compare"):
-        _expect(domain["type"] in _PLANAR_DOMAINS, "domain.type",
+        _expect(domain["type"] in PLANAR_DOMAINS, "domain.type",
                 f"{resolved} needs a planar domain")
 
     mesh = _validate_section(doc.get("mesh", {}), "mesh")

@@ -35,18 +35,6 @@ class CriticalPointRecord:
     index: int | None
     scale: float
 
-    def as_dict(self):
-        return {
-            "location": [float(self.location[0]), float(self.location[1])],
-            "grad_norm": float(self.grad_norm),
-            "hessian": [[float(self.hessian[0, 0]), float(self.hessian[0, 1])],
-                        [float(self.hessian[1, 0]), float(self.hessian[1, 1])]],
-            "gauss_curvature": float(self.gauss_curvature),
-            "classification": self.classification,
-            "index": None if self.index is None else int(self.index),
-            "scale": float(self.scale),
-        }
-
 
 def recover_gradient(field):
     """Area-weighted average of adjacent cell gradients at every vertex.
@@ -173,20 +161,22 @@ def find_critical_points(field, spec):
     return records
 
 
-def gradient_index(field, loop, grad_tol=None):
+def gradient_index(field, loop):
     """Winding number of the recovered gradient direction around a loop.
 
     ``loop`` is a closed polyline (first point not repeated).  Raises
-    :class:`IllConditionedLoopError` when the gradient magnitude anywhere on
-    the loop falls below ten times the gradient tolerance.
+    :class:`IllConditionedLoopError` when the loop leaves the mesh or the
+    gradient magnitude anywhere on it falls below ten times the gradient
+    tolerance.
     """
     g = recover_gradient(field)
-    if grad_tol is None:
-        grad_tol = GRAD_TOL_REL * float(np.linalg.norm(g, axis=1).max())
+    grad_tol = GRAD_TOL_REL * float(np.linalg.norm(g, axis=1).max())
     return _winding_index(field, g, np.asarray(loop, dtype=float), grad_tol)
 
 
 def _winding_index(field, gvertex, loop, grad_tol):
+    if np.any(field.mesh.locate(loop) < 0):
+        raise IllConditionedLoopError("the loop leaves the mesh")
     gvals = field.mesh.interpolate(gvertex, loop)
     norms = np.linalg.norm(gvals, axis=1)
     if np.any(norms < 10.0 * grad_tol):
@@ -200,11 +190,9 @@ def _winding_index(field, gvertex, loop, grad_tol):
 
 
 def _winding_index_or_none(field, gvertex, center, radius, grad_tol):
-    loop = circle_loop(center, radius, 128)
     try:
-        if np.any(field.mesh.locate(loop) < 0):
-            return None
-        return _winding_index(field, gvertex, loop, grad_tol)
+        return _winding_index(field, gvertex, circle_loop(center, radius, 128),
+                              grad_tol)
     except IllConditionedLoopError:
         return None
 
@@ -244,17 +232,18 @@ def inward_offset_loop(domain, offset):
 
 # -- internals ----------------------------------------------------------------
 
-def _cells_spanning_origin(gtri, tol=1e-14):
-    """True per cell when the convex hull of its 3 vertex gradients covers 0."""
+def _cells_spanning_origin(gtri):
+    """True per cell when the convex hull of its 3 vertex gradients covers 0,
+    up to 1e-14 relative to the squared largest gradient component."""
     a, b, c = gtri[:, 0], gtri[:, 1], gtri[:, 2]
     def cross(p, q):
         return p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]
     d1 = cross(b - a, -a)
     d2 = cross(c - b, -b)
     d3 = cross(a - c, -c)
-    scale = np.max(np.abs(gtri), axis=(1, 2)) ** 2 + tol
-    pos = (d1 >= -tol * scale) & (d2 >= -tol * scale) & (d3 >= -tol * scale)
-    neg = (d1 <= tol * scale) & (d2 <= tol * scale) & (d3 <= tol * scale)
+    tol = 1e-14 * (np.max(np.abs(gtri), axis=(1, 2)) ** 2 + 1e-14)
+    pos = (d1 >= -tol) & (d2 >= -tol) & (d3 >= -tol)
+    neg = (d1 <= tol) & (d2 <= tol) & (d3 <= tol)
     return pos | neg
 
 

@@ -12,10 +12,6 @@ class InvalidParameterError(PmclabError):
 class MeshQualityError(PmclabError):
     """Triangulation could not reach the required element quality."""
 
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or {}
-
 
 class InfeasibleProblemError(PmclabError):
     """Boundary data fails the divergence-theorem necessary condition."""
@@ -44,7 +40,8 @@ class OutOfDomainError(PmclabError):
 
 
 class IllConditionedLoopError(PmclabError):
-    """Winding-number loop passes too close to a zero of the field."""
+    """Winding-number loop leaves the mesh or passes too close to a zero of
+    the field."""
 
 
 class UnderflowFitError(PmclabError):

@@ -298,8 +298,7 @@ class TriMesh:
         d2 = p[c[:, 2]] - p[c[:, 0]]
         self.cell_areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
         if strict and np.any(self.cell_areas <= 0):
-            raise MeshQualityError("non-positive cell area",
-                                   {"bad_cells": int(np.sum(self.cell_areas <= 0))})
+            raise MeshQualityError("non-positive cell area")
 
         self.boundary_lengths = np.linalg.norm(
             p[self.boundary_edges[:, 1]] - p[self.boundary_edges[:, 0]], axis=1)
@@ -383,13 +382,14 @@ class TriMesh:
 
     # -- point location and interpolation -----------------------------------
 
-    def locate(self, points, tol=1e-9):
+    def locate(self, points):
         """Cell index containing each query point (-1 if outside).
 
         KD-tree over centroids plus barycentric checks against the nearest
         candidate cells, nearest first: the 4 nearest, then up to the 24
         nearest for the points not yet located.  Meshes here are quality
-        bounded, so a small candidate set always suffices.
+        bounded, so a small candidate set always suffices.  A point is inside
+        a cell when its barycentric coordinates there are all >= -1e-9.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if self._centroid_tree is None:
@@ -405,7 +405,7 @@ class TriMesh:
             for col in range(done, k):
                 cells = cand[:, col]
                 lam = self._barycentric(pts[pending], cells)
-                ok = lam.min(axis=1) >= -tol
+                ok = lam.min(axis=1) >= -1e-9
                 out[pending[ok]] = cells[ok]
                 pending, cand = pending[~ok], cand[~ok]
             done = k
@@ -414,7 +414,7 @@ class TriMesh:
             for i in pending:
                 lam = self._barycentric(np.repeat(pts[i:i + 1], self.n_cells, axis=0),
                                         np.arange(self.n_cells))
-                good = np.nonzero(lam.min(axis=1) >= -tol)[0]
+                good = np.nonzero(lam.min(axis=1) >= -1e-9)[0]
                 if good.size:
                     out[i] = good[0]
         return out
@@ -507,8 +507,7 @@ def mesh_from_loop(loop_pts, interior_pts, lattice=()):
         raise MeshQualityError(
             "worst cell has all three vertices on the loop"
             if np.all(cells[worst] < n_b)
-            else "minimum cell angle below 20 degrees",
-            {"min_angle_deg": float(angles[worst]), "n_vertices": len(points)})
+            else "minimum cell angle below 20 degrees")
 
     first = np.argmin(cells, axis=1)[:, None]
     cells = np.take_along_axis(cells, (first + np.arange(3)) % 3, axis=1)
@@ -519,9 +518,7 @@ def mesh_from_loop(loop_pts, interior_pts, lattice=()):
     loop_area = _loop_area(points, n_b)
     if abs(mesh.cell_areas.sum() - loop_area) > 1e-9 * loop_area:
         raise MeshQualityError(
-            "triangulation does not tile the boundary polygon",
-            {"cell_area_sum": float(mesh.cell_areas.sum()),
-             "polygon_area": float(loop_area)})
+            "triangulation does not tile the boundary polygon")
     return mesh
 
 
@@ -592,9 +589,7 @@ def _loop_area(points, n_b):
 def _delaunay_cells(points):
     tri = Delaunay(points)
     if len(tri.coplanar):
-        raise MeshQualityError(
-            "Delaunay dropped input points as coplanar",
-            {"dropped": tri.coplanar[:, 0].tolist()})
+        raise MeshQualityError("Delaunay dropped input points as coplanar")
     cells = tri.simplices
     areas = _signed_areas(points, cells)
     # collinear boundary runs make qhull emit exactly degenerate simplices;

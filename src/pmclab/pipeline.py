@@ -18,14 +18,13 @@ import numpy as np
 
 from . import axisym as axi
 from .assembly import Discretization, ProblemSpec, ScalarField, neumann_gate
+from .config import MERIDIAN_DOMAINS
 from .critical import find_critical_points, recover_gradient
 from .errors import InvalidParameterError, PmclabError, SolverFailure
 from .geometry import make_disk, make_ellipse, make_rounded_polygon, triangulate
 from .nodal import (CylinderSolution, QuadraticModel, difference_field,
                     leading_order_fit, sector_count, trace_nodal_set)
 from .solver import SolverOptions, homotopy_solve, newton_solve
-
-MERIDIAN_DOMAINS = ("ball", "spheroid")
 
 
 def build_domain(domain_cfg):
@@ -119,9 +118,9 @@ def census(field, spec, trace=None):
 
 def axisym_summary(field, n_dim):
     """Radial monotonicity and the axis Hessian of a meridian solution."""
-    info = {"n_dim": n_dim, "monotone": axi.check_monotone(field).as_dict()}
+    info = {"n_dim": n_dim, "monotone": axi.check_monotone(field)}
     try:
-        info["axis_hessian"] = axi.axis_hessian(field, n_dim).as_dict()
+        info["axis_hessian"] = axi.axis_hessian(field, n_dim)
     except PmclabError as exc:
         info["axis_hessian"] = {"error": str(exc)}
     return info

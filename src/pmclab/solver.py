@@ -31,7 +31,7 @@ critical point census is recorded after each converged step.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 import scipy.sparse as sp
@@ -77,9 +77,6 @@ class SolveReport:
     factorizations: int = 0
     # GMRES iterations of each Newton iteration; 0 where it solved directly
     krylov_iterations: list = dc_field(default_factory=list)
-
-    def as_dict(self):
-        return asdict(self)
 
 
 @dataclass
@@ -170,9 +167,9 @@ def linear_solve(A, b, constraint="none", kept=None):
     if not np.all(np.isfinite(x)) or (
             bnorm > 0 and np.linalg.norm(A @ x - (b - lam)) > 1e-6 * bnorm):
         raise LinearSolveFailure(
-            "numerically singular system (large solve residual); a "
-            "constant nullspace needs the mean-zero constraint, and the "
-            "mean-zero constraint needs constant left and right null vectors")
+            "numerically singular system (large solve residual)"
+            + ("; the mean-zero constraint needs constant left and right "
+               "null vectors" if constraint == "mean-zero" else ""))
     info = {"multiplier": lam,
             "incompatible": bool(abs(lam) > 1e-10 * max(1.0, np.abs(b).max())),
             "krylov_iterations": krylov, "factored": factored}
@@ -302,7 +299,8 @@ def newton_solve(disc, spec, init=None, opts=None, kept=None):
     keeps accepted steps monotone.  Neumann data is gated by
     :func:`~pmclab.assembly.neumann_gate` before any iteration;
     nonconvergence, a stalled line search and a linear breakdown raise
-    :class:`SolverFailure` carrying the report.  The LU factored for the
+    :class:`SolverFailure` carrying the report, whose ``ellipticity_min``
+    counts the iterate the solve failed at.  The LU factored for the
     first correction preconditions the later ones (see :func:`linear_solve`);
     ``kept`` lets :func:`homotopy_solve` share it across its steps.
     """
@@ -340,9 +338,11 @@ def newton_solve(disc, spec, init=None, opts=None, kept=None):
         try:
             delta, info = linear_solve(J, -F, constraint=constraint, kept=kept)
         except LinearSolveFailure as exc:
-            report.message = "linear solve broke down"
-            raise SolverFailure(f"linear breakdown at t={spec.t}: {exc}",
-                                report=report) from exc
+            margin = _fail(report, "linear solve broke down", ell_min, field,
+                           spec)
+            raise SolverFailure(
+                f"linear breakdown at t={spec.t}, smallest ellipticity margin "
+                f"{margin:.3g}: {exc}", report=report) from exc
         report.factorizations += info["factored"]
         report.krylov_iterations.append(info["krylov_iterations"])
 
@@ -358,7 +358,7 @@ def newton_solve(disc, spec, init=None, opts=None, kept=None):
                 break
             beta *= _ARMIJO_FACTOR
         if not accepted:
-            report.message = "line search stalled"
+            _fail(report, "line search stalled", ell_min, field, spec)
             raise SolverFailure("Newton line search stalled", report=report)
 
         u = trial.values
@@ -370,7 +370,7 @@ def newton_solve(disc, spec, init=None, opts=None, kept=None):
     else:
         report.iterations = opts.max_iter
         report.final_residual_norm = float(np.abs(F).max())
-        report.message = "max iterations reached"
+        _fail(report, "max iterations reached", ell_min, field, spec)
         raise SolverFailure("Newton did not converge", report=report)
 
     if constraint == "mean-zero":
@@ -380,6 +380,15 @@ def newton_solve(disc, spec, init=None, opts=None, kept=None):
                          if spec.bc == "neumann" else None)
     report.ellipticity_min = None if ell_min is math.inf else float(ell_min)
     return field, report
+
+
+def _fail(report, message, ell_min, field, spec):
+    """Mark ``report`` failed with ``message``.  Its ``ellipticity_min``,
+    returned, is the smallest margin of the accepted iterates and of
+    ``field``, the iterate the solve failed at."""
+    report.message = message
+    report.ellipticity_min = min(ell_min, *ellipticity_margins(field, spec))
+    return report.ellipticity_min
 
 
 def homotopy_solve(disc, spec, schedule, opts=None):

@@ -86,9 +86,6 @@ class PropertyRecord:
     tolerances: dict = dc_field(default_factory=dict)
     note: str = ""
 
-    def as_dict(self):
-        return asdict(self)
-
 
 def _record(name, status, measured=None, tolerances=None, note=""):
     if name not in PROPERTY_CLAIMS:
@@ -102,9 +99,6 @@ def _record(name, status, measured=None, tolerances=None, note=""):
 class VerificationReport:
     properties: list
     verdict: str                 # pass | fail
-
-    def as_dict(self):
-        return asdict(self)
 
 
 # -- individual properties -----------------------------------------------------
@@ -148,7 +142,7 @@ def verify_critical_structure(field, spec, records, boundary_loop, diam):
         "critical-count-unique",
         "pass" if count_ok else ("warn" if coarse else "fail"),
         measured={"count": len(records),
-                  "locations": [r.as_dict()["location"] for r in records]},
+                  "locations": [r.location for r in records]},
         note="mesh too coarse to resolve interior structure" if coarse else ""))
 
     minima_ok = bool(records) and all(r.classification == "minimum"
@@ -254,7 +248,7 @@ def verify_meridian_structure(field, run):
     mono = axi.check_monotone(field)
     out.append(_record(
         "radial-monotone", "pass" if mono.holds else "fail",
-        measured=mono.as_dict()))
+        measured=asdict(mono)))
 
     try:
         crossings = axi.find_axis_critical(field)
@@ -275,7 +269,7 @@ def verify_meridian_structure(field, run):
         cross_ok = abs(ah.cross_term) <= 0.1 * float(np.min(np.abs(entries)))
         out.append(_record(
             "axis-hessian-positive", "pass" if (pos_ok and cross_ok) else "fail",
-            measured=ah.as_dict(),
+            measured=asdict(ah),
             tolerances={"cross_term_rtol": 0.1}))
         out.append(_trace_record([float(np.sum(entries))], spec.H))
     except (NoAxisCriticalError, InvalidParameterError) as exc:

@@ -6,12 +6,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pmclab
 from pmclab.artifacts import canonical_json
+from pmclab.assembly import FeasibilityReport
+from pmclab.axisym import AxisHessian, MonotoneReport
 from pmclab.cli import main
 from pmclab.config import ConfigError, apply_overrides, parse_config
+from pmclab.critical import CriticalPointRecord
+from pmclab.solver import SolveReport
+from pmclab.verify import PropertyRecord, VerificationReport
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -54,8 +60,8 @@ class TestParseConfig:
             "domain": {"type": "disk", "R": 1.0},
             "problem": {"H": 0.8, "bc": "robin", "alpha": 1.0},
         })
-        assert cfg.mesh["h_target"] == 0.1
-        assert cfg.solver["newton_tol"] == 1e-10
+        assert cfg.canonical["mesh"]["h_target"] == 0.1
+        assert cfg.canonical["solver"]["newton_tol"] == 1e-10
         assert cfg.problem["t"] == 1.0
         assert cfg.config_hash
 
@@ -132,7 +138,7 @@ class TestParseConfig:
                "problem": {"H": 0.8, "bc": "robin", "alpha": 1.0}}
         apply_overrides(doc, ["mesh.h_target=0.2", "problem.H=0.5"])
         cfg = parse_config(doc)
-        assert cfg.mesh["h_target"] == 0.2
+        assert cfg.canonical["mesh"]["h_target"] == 0.2
         assert cfg.problem["H"] == 0.5
 
     def test_hash_changes_with_content(self):
@@ -186,6 +192,45 @@ class TestExitCodes:
             "cylinder-contact"]
         assert contact["status"] == "pass"
         assert 0.0 < contact["measured"]["radius"] < 1.0 / H
+
+    def test_thin_ellipse_index_loop_warns(self, tmp_path):
+        # the 2h inward offset of the boundary folds outside the domain
+        # where 2h exceeds the tip radius b^2/a = 0.01; the index property
+        # has no loop to count on there, which a valid config must not
+        # turn into exit 4
+        code, out = run_cli(tmp_path, "verify", "robin_ellipse.json",
+                            ["domain.a=1.0", "domain.b=0.1",
+                             "mesh.h_target=0.05"])
+        assert code == 0
+        props = {p["name"]: p
+                 for p in _report(out)["verification"]["properties"]}
+        assert props.pop("index-sum-one")["note"].endswith(
+            "the loop leaves the mesh")
+        assert {p["status"] for p in props.values()} <= {"pass", "skip"}
+
+    def test_mesh_quality_failure_is_four(self, tmp_path):
+        # the meshers raise only during set-up: the config asks for a mesh
+        # that cannot reach the quality bounds
+        code, out = run_cli(tmp_path, "verify", "robin_ellipse.json",
+                            ["domain.a=1.0", "domain.b=0.05",
+                             "mesh.h_target=0.2"])
+        assert code == 4
+        rep = _report(out)
+        assert rep["status"] == "invalid-config"
+        assert "three vertices on the loop" in rep["error"]
+
+    def test_robin_breakdown_names_the_ellipticity_margin(self, tmp_path):
+        # a Robin solve imposes no mean-zero constraint, so its breakdown
+        # must not be explained by one; the report counts the iterate it
+        # broke down at
+        code, out = run_cli(tmp_path, "solve", "robin_disk.json",
+                            ["problem.H=2.6", "mesh.h_target=0.2"])
+        assert code == 3
+        rep = _report(out)
+        assert "mean-zero" not in rep["error"]
+        margin = rep["solve"]["ellipticity_min"]
+        assert isinstance(margin, float) and 0.0 < margin < 1.0
+        assert f"smallest ellipticity margin {margin:.3g}:" in rep["error"]
 
     def test_infeasible_is_four_and_no_solve(self, tmp_path):
         code, out = run_cli(tmp_path, "verify", "neumann_infeasible.json")
@@ -332,6 +377,83 @@ class TestArtifacts:
         assert math.fsum(entries) == pytest.approx(0.8, rel=0.1)
 
 
+class TestCanonicalJson:
+    """A record is written as the dict of its fields.  Each expected dict
+    is the record as the report has always held it, spelled out here."""
+
+    @staticmethod
+    def assert_writes(record, expected):
+        assert canonical_json(record) == canonical_json(expected)
+
+    @pytest.mark.parametrize("index", [None, np.int64(1)])
+    def test_critical_point_record(self, index):
+        rec = CriticalPointRecord(
+            location=np.array([0.25, -0.5]), grad_norm=np.float64(1e-9),
+            hessian=np.array([[1.5, 0.125], [0.125, 2.0]]),
+            gauss_curvature=np.float64(2.984375), classification="minimum",
+            index=index, scale=2.0)
+        self.assert_writes(rec, {
+            "location": [0.25, -0.5], "grad_norm": 1e-9,
+            "hessian": [[1.5, 0.125], [0.125, 2.0]],
+            "gauss_curvature": 2.984375, "classification": "minimum",
+            "index": None if index is None else 1, "scale": 2.0})
+
+    def test_monotone_report(self):
+        rep = MonotoneReport(holds=np.bool_(True), min_value=np.float64(0.0),
+                             location=np.zeros(2), tol=1e-8, marginal=True)
+        self.assert_writes(rep, {"holds": True, "min_value": 0.0,
+                                 "location": [0.0, 0.0], "tol": 1e-8,
+                                 "marginal": True})
+
+    def test_axis_hessian(self):
+        ah = AxisHessian(location=np.array([0.0, 0.125]),
+                         entries=np.array([0.25, 0.25, 0.3]),
+                         cross_term=np.float64(-1e-3), grad_residual=1e-6)
+        self.assert_writes(ah, {"location": [0.0, 0.125],
+                                "entries": [0.25, 0.25, 0.3],
+                                "cross_term": -1e-3, "grad_residual": 1e-6})
+
+    def test_feasibility_report(self):
+        rep = FeasibilityReport(
+            feasible=False, borderline=np.bool_(False), margin=-0.5,
+            flux_bound=np.float64(0.25), required_mean_flux=0.75,
+            boundary_length=6.25, area=3.125)
+        self.assert_writes(rep, {
+            "feasible": False, "borderline": False, "margin": -0.5,
+            "flux_bound": 0.25, "required_mean_flux": 0.75,
+            "boundary_length": 6.25, "area": 3.125})
+
+    def test_solve_report_with_a_non_finite_residual(self):
+        rep = SolveReport(converged=False, iterations=3,
+                          final_residual_norm=math.inf,
+                          damping_history=[1.0, 0.5], t=0.775,
+                          ellipticity_min=np.float64(0.03),
+                          message="linear solve broke down", factorizations=1,
+                          krylov_iterations=[0, 4])
+        self.assert_writes(rep, {
+            "converged": False, "iterations": 3, "final_residual_norm": "inf",
+            "damping_history": [1.0, 0.5], "normalization": "none",
+            "t": 0.775, "flux_scale": None, "ellipticity_min": 0.03,
+            "message": "linear solve broke down", "factorizations": 1,
+            "krylov_iterations": [0, 4]})
+
+    def test_verification_report_nests_property_records(self):
+        prop = PropertyRecord(
+            name="critical-count-unique", claim="exactly one", status="pass",
+            measured={"count": np.int64(1),
+                      "locations": [np.array([0.125, 0.0])]},
+            tolerances={"rtol": 0.1})
+        expected_prop = {
+            "name": "critical-count-unique", "claim": "exactly one",
+            "status": "pass",
+            "measured": {"count": 1, "locations": [[0.125, 0.0]]},
+            "tolerances": {"rtol": 0.1}, "note": ""}
+        self.assert_writes(prop, expected_prop)
+        self.assert_writes(VerificationReport(properties=[prop],
+                                              verdict="pass"),
+                           {"properties": [expected_prop], "verdict": "pass"})
+
+
 class TestDeterminism:
     def test_rerun_byte_identical(self, tmp_path):
         _, out1 = run_cli(tmp_path / "a", "verify", "robin_disk.json",
@@ -397,9 +519,8 @@ class TestCommandsAgree:
         assert len(calls) == 11
         field, spec = calls[-1]
         assert spec.t == 1.0
-        fresh = [r.as_dict() for r in census(field, spec)]
         assert _report(out)["critical_points"] == \
-            json.loads(canonical_json(fresh))
+            json.loads(canonical_json(census(field, spec)))
 
     def test_meridian_neumann_gate(self, tmp_path):
         cfg = tmp_path / "ball_neumann.json"

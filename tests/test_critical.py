@@ -147,6 +147,11 @@ class TestGradientIndex:
         with pytest.raises(IllConditionedLoopError):
             gradient_index(f, circle_loop((0, 0), 1e-4))
 
+    def test_loop_leaving_the_mesh_raises(self, disk_mesh_005):
+        f = synth(disk_mesh_005, lambda x, y: x ** 2 + y ** 2)
+        with pytest.raises(IllConditionedLoopError, match="leaves the mesh"):
+            gradient_index(f, circle_loop((0.5, 0), 0.6))
+
     @given(a=st.floats(0.2, 2.0), b=st.floats(0.2, 2.0),
            sign=st.sampled_from([1.0, -1.0]))
     @settings(max_examples=25, deadline=None)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pmclab import cli, pipeline
+from pmclab.artifacts import canonical_json
 from pmclab.assembly import ScalarField
 from pmclab.config import parse_config
 from pmclab.critical import find_critical_points, inward_offset_loop
@@ -118,7 +119,8 @@ class TestRunSuite:
 
         for name in ("setup", "solve", "census"):
             monkeypatch.setattr(pipeline, name, refuse)
-        report = run_suite(run, field, records, trace).as_dict()
+        report = json.loads(canonical_json(run_suite(run, field, records,
+                                                     trace)))
         assert set(report) == {"properties", "verdict"}
         assert report["verdict"] == "pass"
         names = [p["name"] for p in report["properties"]]
