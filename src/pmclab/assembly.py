@@ -173,15 +173,30 @@ def boundary_flux(field, spec, disc):
     g0; the compatibility rescale applied during assembly is documented
     above.
     """
-    ua, ub = field.values[disc.a], field.values[disc.b]
+    g = _conormal(field.values, spec, disc)[-1]
+    return np.repeat(g[:, None], 2, axis=1) if spec.bc == "neumann" else g
+
+
+def _conormal(u, spec, disc):
+    """(s, uq, rad, g) on the flux edges: the tangential difference quotient
+    s per edge, the Gauss-point values uq (None for Neumann), the radical and
+    the flux g = c / rad per edge (Neumann) or -alpha uq / rad per Gauss
+    point (Robin)."""
+    ua, ub = u[disc.a], u[disc.b]
     s = (ub - ua) / disc.lengths
     t2 = spec.t ** 2
     if spec.bc == "neumann":
-        g = spec.c / np.sqrt(1.0 + t2 * (spec.c ** 2 + s ** 2))
-        return np.repeat(g[:, None], 2, axis=1)
+        rad = np.sqrt(1.0 + t2 * (spec.c ** 2 + s ** 2))
+        return s, None, rad, spec.c / rad
     uq = ua[:, None] * (1.0 - _QXI)[None, :] + ub[:, None] * _QXI[None, :]
     rad = np.sqrt(1.0 + t2 * (spec.alpha ** 2 * uq ** 2 + s[:, None] ** 2))
-    return -spec.alpha * uq / rad
+    return s, uq, rad, -spec.alpha * uq / rad
+
+
+def _cell_terms(mesh, u, spec):
+    """Constant gradient of ``u`` on each cell and w = 1 + t^2 |grad u|^2."""
+    grads = mesh.cell_gradients(u)
+    return grads, 1.0 + spec.t ** 2 * np.einsum("mi,mi->m", grads, grads)
 
 
 def _require_flux_edges(disc):
@@ -214,8 +229,7 @@ def residual(field, spec, disc):
     the boundary integral over its flux edges.
     """
     mesh = disc.mesh
-    grads = mesh.cell_gradients(field.values)
-    w = 1.0 + spec.t ** 2 * np.einsum("mi,mi->m", grads, grads)
+    grads, w = _cell_terms(mesh, field.values, spec)
     flux = grads / np.sqrt(w)[:, None]
     gx, gy = mesh.grad_phi[:, :, 0].T, mesh.grad_phi[:, :, 1].T
     cell = disc.aw * (gx * flux[:, 0] + gy * flux[:, 1] + spec.H / 3.0)
@@ -294,8 +308,7 @@ def jacobian(field, spec, disc):
     nnz = len(disc.indices)
     n_cell = 9 * mesh.n_cells
 
-    grads = mesh.cell_gradients(u)
-    w = 1.0 + t2 * np.einsum("mi,mi->m", grads, grads)
+    grads, w = _cell_terms(mesh, u, spec)
     gx, gy = mesh.grad_phi[:, :, 0], mesh.grad_phi[:, :, 1]
     p = gx * grads[:, :1] + gy * grads[:, 1:]
     q = p * (t2 / w)[:, None]
@@ -310,17 +323,13 @@ def jacobian(field, spec, disc):
     rank_one = None
     if len(disc.a):
         wq, lengths = disc.wq, disc.lengths
-        ua, ub = u[disc.a], u[disc.b]
-        s = (ub - ua) / lengths
+        s, uq, rad, g0 = _conormal(u, spec, disc)
         ds_da, ds_db = -1.0 / lengths, 1.0 / lengths
         phi = np.stack([1.0 - _QXI, _QXI])          # phi[k, q] for k in (a, b)
         vals = []
 
         if spec.bc == "neumann":
-            c = spec.c
-            rad = np.sqrt(1.0 + t2 * (c ** 2 + s ** 2))
-            g0 = c / rad
-            dg0_ds = -c * t2 * s / rad ** 3
+            dg0_ds = -spec.c * t2 * s / rad ** 3
             s_hat = _neumann_scale(g0[:, None], spec, disc)
             # d residual_i / d u_k = -s_hat * bint dg0/ds ds/du_k phi_i
             #                        - d s_hat / d u_k * bint g0 phi_i
@@ -341,9 +350,6 @@ def jacobian(field, spec, disc):
             rank_one = ((s_hat / q_total) * bvec, dq)
         else:
             alpha = spec.alpha
-            uq = ua[:, None] * phi[0][None, :] + ub[:, None] * phi[1][None, :]
-            rad2 = 1.0 + t2 * (alpha ** 2 * uq ** 2 + s[:, None] ** 2)
-            rad = np.sqrt(rad2)
             dg_du = -alpha * (1.0 + t2 * s[:, None] ** 2) / rad ** 3
             dg_ds = alpha * uq * t2 * s[:, None] / rad ** 3
             for k_loc, dsk in ((0, ds_da), (1, ds_db)):
@@ -364,8 +370,7 @@ def ellipticity_margins(field, spec):
     across it, with w = 1 + t^2 |grad u|^2; both are computed explicitly so
     the positivity assertion is a measurement, not an assumption.
     """
-    grads = field.mesh.cell_gradients(field.values)
-    w = 1.0 + spec.t ** 2 * np.einsum("mi,mi->m", grads, grads)
+    w = _cell_terms(field.mesh, field.values, spec)[1]
     lam_par = w ** -1.5
     lam_perp = w ** -0.5
     return float(np.min(lam_par)), float(np.min(lam_perp))

@@ -126,6 +126,7 @@ def find_critical_points(field, spec):
         verts = np.unique(mesh.cells[cells])
         seed = verts[np.argmin(gnorm[verts])]
         center = mesh.vertices[seed].copy()
+        cell = 0  # a vertex lies in the mesh
         grad = hess = None
         for _ in range(3):
             grad, hess, _, _ = fit_quadratic_patch(mesh, field.values, center,
@@ -138,10 +139,14 @@ def find_critical_points(field, spec):
             if norm > 2.0 * h:
                 step *= 2.0 * h / norm
             center = center + step
-            seed = _nearest_vertex(mesh, center, seed)
+            cell = mesh.locate(center[None, :])[0]
+            if cell >= 0:
+                verts = mesh.cells[cell]
+                seed = int(verts[np.argmin(np.linalg.norm(
+                    mesh.vertices[verts] - center, axis=1))])
             if norm < 1e-3 * h:
                 break
-        if mesh.locate(center[None, :])[0] < 0:
+        if cell < 0:
             continue  # refinement escaped the mesh: spurious boundary candidate
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm > 10.0 * grad_tol:
@@ -175,9 +180,10 @@ def gradient_index(field, loop):
 
 
 def _winding_index(field, gvertex, loop, grad_tol):
-    if np.any(field.mesh.locate(loop) < 0):
-        raise IllConditionedLoopError("the loop leaves the mesh")
-    gvals = field.mesh.interpolate(gvertex, loop)
+    try:
+        gvals = field.mesh.interpolate(gvertex, loop)
+    except InvalidParameterError:
+        raise IllConditionedLoopError("the loop leaves the mesh") from None
     norms = np.linalg.norm(gvals, axis=1)
     if np.any(norms < 10.0 * grad_tol):
         raise IllConditionedLoopError(
@@ -255,15 +261,6 @@ def _cluster_points(pts, radius):
                           shape=(len(pts), len(pts)))
     n, labels = connected_components(graph, directed=False)
     return [np.nonzero(labels == k)[0].tolist() for k in range(n)]
-
-
-def _nearest_vertex(mesh, p, fallback):
-    cell = mesh.locate(p[None, :])[0]
-    if cell < 0:
-        return fallback
-    verts = mesh.cells[cell]
-    d = np.linalg.norm(mesh.vertices[verts] - p, axis=1)
-    return int(verts[np.argmin(d)])
 
 
 def _dedupe(records, radius):

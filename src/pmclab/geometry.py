@@ -70,6 +70,8 @@ class ConvexDomain:
         self._spline = _PeriodicCubic(self._table_s, self._table_pts)
         if _loop_area(pts, len(pts)) <= 0:
             raise InvalidParameterError("boundary table must be counterclockwise")
+        self._normals = self.normal(s)
+        self._trees = cKDTree(pts), cKDTree(pts[::16])
 
     @property
     def diameter(self):
@@ -92,7 +94,7 @@ class ConvexDomain:
     def curvature(self, s):
         return np.interp(np.mod(s, self.length), self._table_s, self._table_kappa)
 
-    def _side_and_distance(self, p):
+    def _side_and_distance(self, p, bound=np.inf):
         """Offset of ``p`` along the nearest sample's outward normal, and
         the distance to that sample; both of shape ``p.shape[:-1]``.
 
@@ -100,22 +102,21 @@ class ConvexDomain:
         agrees with the intersection of all sampled tangent half-planes
         except for outside points closer to the boundary than the chord sag
         kappa * ds^2 / 8 (ds the table spacing; about 1e-6 R on a
-        2048-sample disk of radius R), which both tests may call inside."""
+        2048-sample disk of radius R), which both tests may call inside.
+
+        A point with no sample within ``bound`` reads distance inf and takes
+        its offset at the nearest of every 16th sample (an inside point is
+        inside every tangent): the bounded search spares the KD-tree its
+        worst case, the deep interior, where samples are nearly equidistant."""
         p = np.asarray(p, dtype=float)
-        d, k = self._boundary_tree().query(p)
+        every, sixteenth = self._trees
+        d, k = every.query(p, distance_upper_bound=bound)
+        far = np.isinf(d)
+        if np.any(far):
+            k[far] = 16 * sixteenth.query(p[far])[1]
         side = np.einsum("...i,...i->...", p - self._table_pts[k],
-                         self._normals_table()[k])
+                         self._normals[k])
         return side, d
-
-    def _normals_table(self):
-        if not hasattr(self, "_cached_normals"):
-            self._cached_normals = self.normal(self._table_s[:-1])
-        return self._cached_normals
-
-    def _boundary_tree(self):
-        if not hasattr(self, "_cached_tree"):
-            self._cached_tree = cKDTree(self._table_pts[:-1])
-        return self._cached_tree
 
 
 class _PeriodicCubic:
@@ -283,8 +284,9 @@ class TriMesh:
     ``boundary_edges`` are consecutive (tail, head) pairs forming one closed
     counterclockwise loop, with ``boundary_lengths``.  Everything that
     depends on the mesh alone is built here once: cell areas, centroids and
-    P1 basis gradients eagerly, the vertex adjacency and the vertex
-    averaging operator on first use.
+    P1 basis gradients eagerly, the vertex adjacency, the vertex averaging
+    operator and the minimum cell angle on first use (:func:`mesh_from_loop`
+    keeps the angle it checked).
     """
 
     def __init__(self, vertices, cells, boundary_edges, strict=True):
@@ -319,9 +321,8 @@ class TriMesh:
                                   ginv[:, :, 0], ginv[:, :, 1]], axis=1)
         self.cell_centroids = p[c].mean(axis=1)
 
-        self._neighbors = None
-        self._averaging = None
-        self._centroid_tree = None
+        self._neighbors = self._averaging = self._centroid_tree = None
+        self._min_angle = None
 
     # -- derived structure -------------------------------------------------
 
@@ -372,7 +373,10 @@ class TriMesh:
                 + self.grad_phi[:, 2] * (v[c[:, 2]] - v[c[:, 0]])[:, None])
 
     def min_angle_deg(self):
-        return float(_cell_min_angles_deg(self.vertices, self.cells).min())
+        if self._min_angle is None:
+            self._min_angle = float(
+                _cell_min_angles_deg(self.vertices, self.cells).min())
+        return self._min_angle
 
     def mesh_hash(self):
         hsh = hashlib.sha256()
@@ -388,8 +392,10 @@ class TriMesh:
         KD-tree over centroids plus barycentric checks against the nearest
         candidate cells, nearest first: the 4 nearest, then up to the 24
         nearest for the points not yet located.  Meshes here are quality
-        bounded, so a small candidate set always suffices.  A point is inside
-        a cell when its barycentric coordinates there are all >= -1e-9.
+        bounded, so the cell holding an inside point is always among its 24
+        nearest centroids, and a point that none of them holds is outside;
+        there is no scan of all cells.  A point is inside a cell when its
+        barycentric coordinates there are all >= -1e-9.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if self._centroid_tree is None:
@@ -409,14 +415,6 @@ class TriMesh:
                 out[pending[ok]] = cells[ok]
                 pending, cand = pending[~ok], cand[~ok]
             done = k
-        if pending.size:
-            # fall back to brute force for stragglers (points near slivers)
-            for i in pending:
-                lam = self._barycentric(np.repeat(pts[i:i + 1], self.n_cells, axis=0),
-                                        np.arange(self.n_cells))
-                good = np.nonzero(lam.min(axis=1) >= -1e-9)[0]
-                if good.size:
-                    out[i] = good[0]
         return out
 
     def _barycentric(self, pts, cells):
@@ -514,6 +512,7 @@ def mesh_from_loop(loop_pts, interior_pts, lattice=()):
     cells = cells[np.lexsort(np.sort(cells, axis=1).T[::-1])]
     bedges = np.column_stack([np.arange(n_b), (np.arange(n_b) + 1) % n_b])
     mesh = TriMesh(points, cells, bedges)
+    mesh._min_angle = float(angles[worst])
 
     loop_area = _loop_area(points, n_b)
     if abs(mesh.cell_areas.sum() - loop_area) > 1e-9 * loop_area:
@@ -617,7 +616,7 @@ def _hex_lattice(domain, a):
     cand = np.stack([xs, ys], axis=-1).reshape(-1, 2)
     ij = np.stack(np.broadcast_arrays(j[:, None], 2 * np.arange(cols)
                                       + j[:, None] % 2), -1).reshape(-1, 2)
-    side, d = domain._side_and_distance(cand)
+    side, d = domain._side_and_distance(cand, bound=2.0 * a)
     keep = (side < 0.0) & (d >= _INTERIOR_CLEARANCE * a)
     return cand[keep], ij[keep]
 

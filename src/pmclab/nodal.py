@@ -181,11 +181,9 @@ def leading_order_fit(field, p, r_min, r_max):
         raise InvalidParameterError("need 0 < r_min < r_max")
     scale = float(np.abs(field.values).max())
     radii = np.geomspace(r_min, r_max, FIT_RADII)
-    sups = np.empty(FIT_RADII)
-    for i, r in enumerate(radii):
-        vals = field.mesh.interpolate(field.values,
-                                      circle_loop(p, r, SECTOR_SAMPLES))
-        sups[i] = np.abs(vals).max()
+    circles = np.concatenate([circle_loop(p, r, SECTOR_SAMPLES) for r in radii])
+    sups = np.abs(field.mesh.interpolate(field.values, circles)).reshape(
+        FIT_RADII, SECTOR_SAMPLES).max(axis=1)
     if sups.max() < 1e3 * np.finfo(float).eps * scale:
         raise UnderflowFitError(
             f"field magnitude {sups.max():.3g} in annulus is at rounding level")

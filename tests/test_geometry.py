@@ -492,6 +492,62 @@ def test_cli_import_leaves_out_scipy_interpolate():
     assert out.stdout.strip() == "False"
 
 
+def locate_brute_force(mesh, pts):
+    """(P, M) mask of the cells whose barycentric coordinates at each point
+    are all >= -1e-9: the inside test of ``TriMesh.locate`` on every cell."""
+    cells = np.arange(mesh.n_cells)
+    return np.array([mesh._barycentric(np.broadcast_to(p, (mesh.n_cells, 2)),
+                                       cells).min(axis=1) >= -1e-9
+                     for p in pts])
+
+
+def _planar_mesh(domain, k):
+    try:
+        return triangulate(domain, domain.length / k)
+    except MeshQualityError:
+        assume(False)
+
+
+def _meridian_mesh(a, b, k):
+    try:
+        return meridian_mesh(MeridianProblem(a, b),
+                             half_ellipse_loop_length(a, b) / k)
+    except MeshQualityError:
+        assume(False)
+
+
+LOCATE_MESHES = st.one_of(
+    st.tuples(LATTICE_DOMAINS, st.floats(8.5, 120.0)).map(
+        lambda dk: _planar_mesh(*dk)),
+    st.tuples(st.floats(0.5, 1.5), st.floats(0.5, 1.5),
+              st.floats(8.5, 120.0)).map(lambda abk: _meridian_mesh(*abk)),
+)
+
+
+@pytest.mark.filterwarnings("ignore:rounded polygon")
+@given(mesh=LOCATE_MESHES, seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=50, deadline=None)
+def test_locate_matches_brute_force(mesh, seed):
+    """The nearest-centroid candidates miss no inside point: ``locate``
+    returns -1 exactly where no cell holds the point, and a holding cell
+    everywhere else.  Points: uniform over the padded bounding box, 1e-10
+    off vertices, and on boundary vertices."""
+    rng = np.random.default_rng(seed)
+    lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
+    pad = 0.05 * (hi - lo)
+    uniform = rng.uniform(lo - pad, hi + pad, size=(150, 2))
+    turn = rng.uniform(0.0, 2.0 * math.pi, 100)
+    near = mesh.vertices[rng.integers(mesh.n_vertices, size=100)] \
+        + 1e-10 * np.column_stack([np.cos(turn), np.sin(turn)])
+    on = mesh.vertices[mesh.boundary_edges[:, 0]]
+    pts = np.vstack([uniform, near, on])
+    found = locate_brute_force(mesh, pts)
+    cells = mesh.locate(pts)
+    assert np.array_equal(cells >= 0, found.any(axis=1))
+    hit = np.nonzero(cells >= 0)[0]
+    assert found[hit, cells[hit]].all()
+
+
 class TestMeshQueries:
     def test_locate_and_interpolate_linear_exact(self, disk_mesh_01, rng):
         m = disk_mesh_01
