@@ -71,7 +71,7 @@ class ConvexDomain:
         if _loop_area(pts, len(pts)) <= 0:
             raise InvalidParameterError("boundary table must be counterclockwise")
         self._normals = self.normal(s)
-        self._trees = cKDTree(pts), cKDTree(pts[::16])
+        self._tree = cKDTree(pts)
 
     @property
     def diameter(self):
@@ -94,7 +94,7 @@ class ConvexDomain:
     def curvature(self, s):
         return np.interp(np.mod(s, self.length), self._table_s, self._table_kappa)
 
-    def _side_and_distance(self, p, bound=np.inf):
+    def _side_and_distance(self, p):
         """Offset of ``p`` along the nearest sample's outward normal, and
         the distance to that sample; both of shape ``p.shape[:-1]``.
 
@@ -102,18 +102,9 @@ class ConvexDomain:
         agrees with the intersection of all sampled tangent half-planes
         except for outside points closer to the boundary than the chord sag
         kappa * ds^2 / 8 (ds the table spacing; about 1e-6 R on a
-        2048-sample disk of radius R), which both tests may call inside.
-
-        A point with no sample within ``bound`` reads distance inf and takes
-        its offset at the nearest of every 16th sample (an inside point is
-        inside every tangent): the bounded search spares the KD-tree its
-        worst case, the deep interior, where samples are nearly equidistant."""
+        2048-sample disk of radius R), which both tests may call inside."""
         p = np.asarray(p, dtype=float)
-        every, sixteenth = self._trees
-        d, k = every.query(p, distance_upper_bound=bound)
-        far = np.isinf(d)
-        if np.any(far):
-            k[far] = 16 * sixteenth.query(p[far])[1]
+        d, k = self._tree.query(p)
         side = np.einsum("...i,...i->...", p - self._table_pts[k],
                          self._normals[k])
         return side, d
@@ -284,9 +275,8 @@ class TriMesh:
     ``boundary_edges`` are consecutive (tail, head) pairs forming one closed
     counterclockwise loop, with ``boundary_lengths``.  Everything that
     depends on the mesh alone is built here once: cell areas, centroids and
-    P1 basis gradients eagerly, the vertex adjacency, the vertex averaging
-    operator and the minimum cell angle on first use (:func:`mesh_from_loop`
-    keeps the angle it checked).
+    P1 basis gradients eagerly, the vertex adjacency and the vertex
+    averaging operator on first use.
     """
 
     def __init__(self, vertices, cells, boundary_edges, strict=True):
@@ -322,7 +312,6 @@ class TriMesh:
         self.cell_centroids = p[c].mean(axis=1)
 
         self._neighbors = self._averaging = self._centroid_tree = None
-        self._min_angle = None
 
     # -- derived structure -------------------------------------------------
 
@@ -373,10 +362,7 @@ class TriMesh:
                 + self.grad_phi[:, 2] * (v[c[:, 2]] - v[c[:, 0]])[:, None])
 
     def min_angle_deg(self):
-        if self._min_angle is None:
-            self._min_angle = float(
-                _cell_min_angles_deg(self.vertices, self.cells).min())
-        return self._min_angle
+        return float(_cell_min_angles_deg(self.vertices, self.cells).min())
 
     def mesh_hash(self):
         hsh = hashlib.sha256()
@@ -512,7 +498,6 @@ def mesh_from_loop(loop_pts, interior_pts, lattice=()):
     cells = cells[np.lexsort(np.sort(cells, axis=1).T[::-1])]
     bedges = np.column_stack([np.arange(n_b), (np.arange(n_b) + 1) % n_b])
     mesh = TriMesh(points, cells, bedges)
-    mesh._min_angle = float(angles[worst])
 
     loop_area = _loop_area(points, n_b)
     if abs(mesh.cell_areas.sum() - loop_area) > 1e-9 * loop_area:
@@ -616,7 +601,7 @@ def _hex_lattice(domain, a):
     cand = np.stack([xs, ys], axis=-1).reshape(-1, 2)
     ij = np.stack(np.broadcast_arrays(j[:, None], 2 * np.arange(cols)
                                       + j[:, None] % 2), -1).reshape(-1, 2)
-    side, d = domain._side_and_distance(cand, bound=2.0 * a)
+    side, d = domain._side_and_distance(cand)
     keep = (side < 0.0) & (d >= _INTERIOR_CLEARANCE * a)
     return cand[keep], ij[keep]
 

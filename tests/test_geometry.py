@@ -309,6 +309,16 @@ class TestLattice:
         points, _ = _hex_lattice(domain, a)
         assert np.array_equal(points, reference_lattice(domain, a))
 
+    @pytest.mark.parametrize("b", [0.1, 0.05])
+    @pytest.mark.parametrize("h", [0.05, 0.02, 0.01])
+    def test_thin_ellipse_matches_all_tangents_reference(self, b, h):
+        """The thin ellipses (b/a 0.1 and 0.05) whose tips have the largest
+        curvature any config reaches."""
+        domain = make_ellipse(1.0, b)
+        a = _LATTICE_SPACING_FACTOR * h
+        points, _ = _hex_lattice(domain, a)
+        assert np.array_equal(points, reference_lattice(domain, a))
+
 
 def mesh_inputs(build):
     """The (loop, fill points, lattice) that ``build()`` hands to
