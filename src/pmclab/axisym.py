@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .critical import recover_gradient
+from .critical import _quadratic_coefficients, recover_gradient
 from .errors import InvalidParameterError, NoAxisCriticalError
 from .geometry import (_BOUNDARY_SPACING_FACTOR, _INTERIOR_CLEARANCE,
                        _LATTICE_SPACING_FACTOR, mesh_from_loop)
@@ -211,10 +211,7 @@ def axis_hessian(field, n_dim):
     vals = np.concatenate([vals, vals[off_axis]])
 
     h = mesh.h
-    X = (pts - center) / h
-    A = np.column_stack([np.ones(len(pts)), X[:, 0], X[:, 1],
-                         X[:, 0] ** 2, X[:, 0] * X[:, 1], X[:, 1] ** 2])
-    coef, *_ = np.linalg.lstsq(A, vals, rcond=None)
+    coef = _quadratic_coefficients(pts, vals, center, h)
     v_rr = 2.0 * coef[3] / h ** 2
     v_zz = 2.0 * coef[5] / h ** 2
     v_rz = coef[4] / h ** 2

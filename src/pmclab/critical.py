@@ -87,14 +87,21 @@ def fit_quadratic_patch(mesh, values, center, seed_vertex):
     if idx.size < 6:
         raise InvalidParameterError("patch too small for a quadratic fit")
     h = mesh.h
-    X = (mesh.vertices[idx] - np.asarray(center)) / h
-    A = np.column_stack([np.ones(idx.size), X[:, 0], X[:, 1],
-                         X[:, 0] ** 2, X[:, 0] * X[:, 1], X[:, 1] ** 2])
-    coef, *_ = np.linalg.lstsq(A, values[idx], rcond=None)
+    coef = _quadratic_coefficients(mesh.vertices[idx], values[idx], center, h)
     grad = np.array([coef[1], coef[2]]) / h
     hess = np.array([[2.0 * coef[3], coef[4]],
                      [coef[4], 2.0 * coef[5]]]) / h ** 2
     return grad, hess, float(coef[0]), idx.size
+
+
+def _quadratic_coefficients(points, values, center, h):
+    """Least-squares coefficients of c0 + c1 x + c2 y + c3 x^2 + c4 x y
+    + c5 y^2 through ``values`` at ``points``, in the coordinates
+    (points - center) / h."""
+    X = (points - np.asarray(center)) / h
+    A = np.column_stack([np.ones(len(X)), X[:, 0], X[:, 1],
+                         X[:, 0] ** 2, X[:, 0] * X[:, 1], X[:, 1] ** 2])
+    return np.linalg.lstsq(A, values, rcond=None)[0]
 
 
 def find_critical_points(field, spec):

@@ -1,14 +1,15 @@
 """Bounded convex planar domains and quality triangulations of them.
 
-Domains are represented by a dense arc-length table (positions, outward
-normals, curvature).  Positions and tangents between the knots come from a
-periodic cubic spline whose knot second derivatives solve one cyclic
-tridiagonal system (sparse LU), so conics and rounded polygons get uniform
-treatment.  A mesh is the Delaunay triangulation of a boundary sampling plus
-a hexagonal interior lattice (qhull runs on a boundary band only); a mesh
-whose minimum cell angle is below 20 degrees is refused.  Everything here is
-a pure function of its inputs: two calls with identical arguments return
-identical vertex and cell arrays.
+A domain is its exact boundary: each factory hands :class:`ConvexDomain`
+vectorized functions of arc length for the boundary point and the outward
+unit normal, which a conic or rounded polygon evaluates in closed form.
+A table of 2048 equally spaced boundary samples and their normals serves
+the lattice inside test and the coarse boundary sampling.  A mesh is the
+Delaunay triangulation of a boundary sampling plus a hexagonal interior
+lattice (qhull runs on a boundary band only); a mesh whose minimum cell
+angle is below 20 degrees is refused.  Everything here is a pure function
+of its inputs: two calls with identical arguments return identical vertex
+and cell arrays.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import warnings
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.spatial import Delaunay, cKDTree
 
 from .errors import InvalidParameterError, MeshQualityError
@@ -36,42 +36,27 @@ _MIN_ANGLE_DEG = 20.0
 
 
 class ConvexDomain:
-    """Closed strictly convex planar region with an arc-length boundary table.
+    """Closed strictly convex planar region given by its exact boundary.
 
-    ``position``, ``tangent`` and ``normal`` evaluate a periodic C^2 cubic
-    spline through the table (see :class:`_PeriodicCubic`); ``curvature`` is
-    linear interpolation of the tabulated values.  The mesh lattice queries
-    a KD-tree over the table samples.
-
-    Parameters
-    ----------
-    points : (K, 2) array
-        Boundary samples at the arc-length knots, counterclockwise, not
-        including the closing duplicate of the first point.
-    arclengths : (K,) array
-        Arc-length parameter of each sample; ``arclengths[0] == 0``.
-    length : float
-        Total boundary length.
-    curvature : (K,) array
-        Signed curvature at each sample (positive for convex).
-    area : float
-        Enclosed area (analytic where available).
+    ``position`` and ``normal`` map an array of arc lengths in [0, length)
+    to boundary points and outward unit normals (shape ``s.shape + (2,)``),
+    counterclockwise from s = 0; the methods of the same names wrap any s
+    into that range.  The table holds both at the ``_TABLE_SIZE`` knots
+    ``np.linspace(0, length, _TABLE_SIZE, endpoint=False)``, with a KD-tree
+    over the points for the mesh lattice; ``diameter`` is the diagonal of
+    the table's bounding box.  ``area`` is the enclosed area (analytic).
     """
 
-    def __init__(self, points, arclengths, length, curvature, area):
+    def __init__(self, position, normal, length, area):
         self.length = float(length)
         self.area = float(area)
-        pts = np.asarray(points, dtype=float)
-        s = np.asarray(arclengths, dtype=float)
-        self._table_s = np.concatenate([s, [self.length]])
-        self._table_pts = np.vstack([pts, pts[:1]])
-        self._table_kappa = np.concatenate([np.asarray(curvature, float),
-                                            [curvature[0]]])
-        self._spline = _PeriodicCubic(self._table_s, self._table_pts)
-        if _loop_area(pts, len(pts)) <= 0:
-            raise InvalidParameterError("boundary table must be counterclockwise")
-        self._normals = self.normal(s)
-        self._tree = cKDTree(pts)
+        self._position, self._normal = position, normal
+        s = np.linspace(0.0, self.length, _TABLE_SIZE, endpoint=False)
+        self._table_pts = position(s)
+        if _loop_area(self._table_pts, _TABLE_SIZE) <= 0:
+            raise InvalidParameterError("boundary must be counterclockwise")
+        self._normals = normal(s)
+        self._tree = cKDTree(self._table_pts)
 
     @property
     def diameter(self):
@@ -80,19 +65,10 @@ class ConvexDomain:
         return float(np.hypot(*(hi - lo)))
 
     def position(self, s):
-        return self._spline(np.mod(s, self.length))
-
-    def tangent(self, s):
-        d = self._spline(np.mod(s, self.length), derivative=True)
-        return d / np.linalg.norm(d, axis=-1, keepdims=True)
+        return self._position(np.mod(s, self.length))
 
     def normal(self, s):
-        """Outward unit normal: the unit tangent rotated by -90 degrees."""
-        t = self.tangent(s)
-        return np.stack([t[..., 1], -t[..., 0]], axis=-1)
-
-    def curvature(self, s):
-        return np.interp(np.mod(s, self.length), self._table_s, self._table_kappa)
+        return self._normal(np.mod(s, self.length))
 
     def _side_and_distance(self, p):
         """Offset of ``p`` along the nearest sample's outward normal, and
@@ -110,58 +86,17 @@ class ConvexDomain:
         return side, d
 
 
-class _PeriodicCubic:
-    """Periodic C^2 cubic spline through closed knot data (``y[0] == y[-1]``).
-
-    The knot second derivatives M solve the cyclic tridiagonal system
-
-        h[i-1] M[i-1] + 2 (h[i-1] + h[i]) M[i] + h[i] M[i+1]
-            = 6 (slope[i] - slope[i-1]),
-
-    with h the knot spacings and slope the chord slopes, by one sparse LU.
-    Interval i then carries y[i] + b u + c u^2 + d u^3 in u = x - x[i],
-    evaluated by Horner's rule; values are vectors along the last axis.
-    """
-
-    def __init__(self, x, y):
-        self._x = x
-        h = np.diff(x)
-        slope = np.diff(y, axis=0) / h[:, None]
-        n = len(h)
-        i = np.arange(n)
-        h_prev = np.roll(h, 1)
-        lhs = sp.csc_matrix(
-            (np.concatenate([2.0 * (h_prev + h), h_prev, h]),
-             (np.tile(i, 3), np.concatenate([i, (i - 1) % n, (i + 1) % n]))),
-            shape=(n, n))
-        m = spla.splu(lhs).solve(6.0 * (slope - np.roll(slope, 1, axis=0)))
-        m_next = np.roll(m, -1, axis=0)
-        h = h[:, None]
-        self._coef = (y[:-1], slope - h * (2.0 * m + m_next) / 6.0, 0.5 * m,
-                      (m_next - m) / (6.0 * h))
-
-    def __call__(self, x, derivative=False):
-        """Spline value (or first derivative) at ``x`` in [x[0], x[-1]]."""
-        x = np.asarray(x, dtype=float)
-        i = np.clip(np.searchsorted(self._x, x, side="right") - 1,
-                    0, len(self._x) - 2)
-        u = (x - self._x[i])[..., None]
-        y, b, c, d = (coef[i] for coef in self._coef)
-        if derivative:
-            return b + u * (2.0 * c + u * (3.0 * d))
-        return y + u * (b + u * (c + u * d))
+def _unit(theta):
+    """Unit vectors at angles ``theta``, shape ``theta.shape + (2,)``."""
+    return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
 
 
 def make_disk(R):
     """Disk of radius ``R`` centered at the origin."""
     if not R > 0:
         raise InvalidParameterError(f"disk radius must be positive, got {R}")
-    L = 2.0 * math.pi * R
-    s = np.linspace(0.0, L, _TABLE_SIZE, endpoint=False)
-    theta = s / R
-    pts = np.column_stack([R * np.cos(theta), R * np.sin(theta)])
-    kappa = np.full(_TABLE_SIZE, 1.0 / R)
-    return ConvexDomain(pts, s, L, kappa, math.pi * R * R)
+    return ConvexDomain(lambda s: R * _unit(s / R), lambda s: _unit(s / R),
+                        2.0 * math.pi * R, math.pi * R * R)
 
 
 def make_ellipse(a, b):
@@ -173,12 +108,17 @@ def make_ellipse(a, b):
     # periodic trapezoid rule converges spectrally for the perimeter
     ds = np.diff(theta)
     s_of_theta = np.concatenate([[0.0], np.cumsum(0.5 * (speed[1:] + speed[:-1]) * ds)])
-    L = float(s_of_theta[-1])
-    s = np.linspace(0.0, L, _TABLE_SIZE, endpoint=False)
-    th = np.interp(s, s_of_theta, theta)
-    pts = np.column_stack([a * np.cos(th), b * np.sin(th)])
-    kappa = a * b / ((a * np.sin(th)) ** 2 + (b * np.cos(th)) ** 2) ** 1.5
-    return ConvexDomain(pts, s, L, kappa, math.pi * a * b)
+
+    def position(s):
+        th = np.interp(s, s_of_theta, theta)
+        return np.stack([a * np.cos(th), b * np.sin(th)], axis=-1)
+
+    def normal(s):
+        th = np.interp(s, s_of_theta, theta)
+        n = np.stack([b * np.cos(th), a * np.sin(th)], axis=-1)
+        return n / np.linalg.norm(n, axis=-1, keepdims=True)
+
+    return ConvexDomain(position, normal, s_of_theta[-1], math.pi * a * b)
 
 
 def make_rounded_polygon(vertices, r):
@@ -205,56 +145,48 @@ def make_rounded_polygon(vertices, r):
             f"rounding radius {r} too large for shortest edge {elen.min()}")
 
     unit = edges / elen[:, None]
-    pieces = []          # (kind, data, piece_length)
-    total = 0.0
+    # interior angle at each vertex between its incoming and outgoing edges,
+    # and the distance from the vertex to either end of its arc
+    phi = [math.acos(float(np.clip(-unit[i - 1] @ unit[i], -1.0, 1.0)))
+           for i in range(n)]
+    t_off = [r / math.tan(f / 2.0) for f in phi]
+    # piece 2i is the arc around corner i, piece 2i + 1 the straight run
+    # along edge i from seg_start[i] to seg_end[i]
+    centers, a0, seg_start, seg_end = (np.empty((n, 2)), np.empty(n),
+                                       np.empty((n, 2)), np.empty((n, 2)))
+    lengths = []
     kites = []           # area of each corner kite beyond its sector
     for i in range(n):
-        prev_u = unit[i - 1]
-        next_u = unit[i]
-        # interior angle at vertex i between incoming and outgoing edges
-        cos_phi = float(np.clip(-prev_u @ next_u, -1.0, 1.0))
-        phi = math.acos(cos_phi)
-        turn = math.pi - phi
-        t_off = r / math.tan(phi / 2.0)
-        if t_off > 0.5 * min(elen[i - 1], elen[i]):
+        if t_off[i] > 0.5 * min(elen[i - 1], elen[i]):
             raise InvalidParameterError(
                 f"rounding radius {r} leaves no straight part at vertex {i}")
-        p_in = verts[i] - t_off * prev_u
-        p_out = verts[i] + t_off * next_u
-        bisector = (next_u - prev_u)
+        turn = math.pi - phi[i]
+        bisector = unit[i] - unit[i - 1]
         bisector /= np.linalg.norm(bisector)
-        center = verts[i] + (r / math.sin(phi / 2.0)) * bisector
-        a0 = math.atan2(p_in[1] - center[1], p_in[0] - center[0])
-        pieces.append(("arc", (center, a0, turn), r * turn))
-        total += r * turn
-        kites.append(t_off * r - 0.5 * r * r * turn)
-        seg_start = p_out
-        seg_end = verts[(i + 1) % n] - (r / math.tan(
-            math.acos(float(np.clip(-unit[i] @ unit[(i + 1) % n], -1, 1))) / 2.0)) * unit[i]
-        seg_len = float(np.linalg.norm(seg_end - seg_start))
-        pieces.append(("seg", (seg_start, seg_end), seg_len))
-        total += seg_len
+        centers[i] = verts[i] + (r / math.sin(phi[i] / 2.0)) * bisector
+        p_in = verts[i] - t_off[i] * unit[i - 1]
+        a0[i] = math.atan2(p_in[1] - centers[i, 1], p_in[0] - centers[i, 0])
+        kites.append(t_off[i] * r - 0.5 * r * r * turn)
+        seg_start[i] = verts[i] + t_off[i] * unit[i]
+        seg_end[i] = verts[(i + 1) % n] - t_off[(i + 1) % n] * unit[i]
+        lengths += [r * turn, float(np.linalg.norm(seg_end[i] - seg_start[i]))]
+    bounds = np.cumsum([0.0] + lengths)
+    seg_len, seg_step = np.array(lengths[1::2]), seg_end - seg_start
+    seg_normal = np.column_stack([unit[:, 1], -unit[:, 0]])
 
-    L = total
-    s_samples = np.linspace(0.0, L, _TABLE_SIZE, endpoint=False)
-    pts = np.empty((_TABLE_SIZE, 2))
-    kap = np.empty(_TABLE_SIZE)
-    bounds = np.cumsum([0.0] + [p[2] for p in pieces])
-    idx = np.searchsorted(bounds, s_samples, side="right") - 1
-    idx = np.clip(idx, 0, len(pieces) - 1)
-    for k in range(_TABLE_SIZE):
-        kind, data, plen = pieces[idx[k]]
-        local = s_samples[k] - bounds[idx[k]]
-        if kind == "arc":
-            center, a0, turn = data
-            ang = a0 + local / r
-            pts[k] = center + r * np.array([math.cos(ang), math.sin(ang)])
-            kap[k] = 1.0 / r
-        else:
-            p0, p1 = data
-            frac = 0.0 if plen == 0 else local / plen
-            pts[k] = p0 + frac * (p1 - p0)
-            kap[k] = 0.0
+    def boundary(s, normal):
+        s = np.asarray(s, dtype=float)
+        k = np.clip(np.searchsorted(bounds, s.ravel(), side="right") - 1,
+                    0, 2 * n - 1)
+        local = s.ravel() - bounds[k]
+        i, arc = k // 2, k % 2 == 0
+        out = np.empty(local.shape + (2,))
+        radial = _unit(a0[i[arc]] + local[arc] / r)
+        out[arc] = radial if normal else centers[i[arc]] + r * radial
+        j, run = i[~arc], local[~arc]
+        out[~arc] = seg_normal[j] if normal else \
+            seg_start[j] + (run / seg_len[j])[:, None] * seg_step[j]
+        return out.reshape(s.shape + (2,))
 
     # exact area: polygon minus the corner kites plus the circular sectors
     x, y = verts[:, 0], verts[:, 1]
@@ -265,7 +197,8 @@ def make_rounded_polygon(vertices, r):
 
     warnings.warn("rounded polygon boundary is only C^{1,1}; corner curvature "
                   "jumps between 0 and 1/r", stacklevel=2)
-    return ConvexDomain(pts, s_samples, L, kap, float(area))
+    return ConvexDomain(lambda s: boundary(s, False), lambda s: boundary(s, True),
+                        bounds[-1], float(area))
 
 
 class TriMesh:
@@ -279,7 +212,7 @@ class TriMesh:
     averaging operator on first use.
     """
 
-    def __init__(self, vertices, cells, boundary_edges, strict=True):
+    def __init__(self, vertices, cells, boundary_edges):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         self.cells = np.ascontiguousarray(cells, dtype=np.int64)
         self.boundary_edges = np.ascontiguousarray(boundary_edges, dtype=np.int64)
@@ -289,7 +222,7 @@ class TriMesh:
         d1 = p[c[:, 1]] - p[c[:, 0]]
         d2 = p[c[:, 2]] - p[c[:, 0]]
         self.cell_areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-        if strict and np.any(self.cell_areas <= 0):
+        if np.any(self.cell_areas <= 0):
             raise MeshQualityError("non-positive cell area")
 
         self.boundary_lengths = np.linalg.norm(
@@ -451,18 +384,7 @@ def triangulate(domain, h_target):
                          / (L / _TABLE_SIZE)).astype(int)
         boundary_pts = domain._table_pts[np.unique(knots % _TABLE_SIZE)]
     else:
-        s = np.arange(n_b) * (L / n_b)
-        boundary_pts = domain.position(s)
-        # the C^2 spline overshoots where an arc meets a straight run (a
-        # reflex loop vertex that Delaunay fans into slivers), so a sample
-        # in a table interval with a zero-curvature end takes the chord
-        ts, kappa = domain._table_s, domain._table_kappa
-        i = np.clip(np.searchsorted(ts, s, side="right") - 1, 0, len(ts) - 2)
-        k = np.nonzero((kappa[i] == 0.0) | (kappa[i + 1] == 0.0))[0]
-        i = i[k]
-        frac = ((s[k] - ts[i]) / (ts[i + 1] - ts[i]))[:, None]
-        p0, p1 = domain._table_pts[i], domain._table_pts[i + 1]
-        boundary_pts[k] = p0 + frac * (p1 - p0)
+        boundary_pts = domain.position(np.arange(n_b) * (L / n_b))
 
     return mesh_from_loop(boundary_pts, *_hex_lattice(
         domain, _LATTICE_SPACING_FACTOR * h_target))
@@ -623,7 +545,9 @@ def submesh(mesh, cell_mask):
 
     Returns (TriMesh, vertex_index_map old->new).  Boundary edges are
     recomputed as the edges with exactly one kept incident cell; the result
-    may bound a non-convex region, so strict loop validation is relaxed.
+    may bound a non-convex region and need not be one loop.  The kept cells
+    keep their vertex coordinates, so they pass the positive-area check of
+    :class:`TriMesh` again.
     """
     keep_cells = mesh.cells[cell_mask]
     used = np.unique(keep_cells)
@@ -643,4 +567,4 @@ def submesh(mesh, cell_mask):
     bmask[1:][dup] = False
     bmask[:-1][dup] = False
     bedges = edge_sorted[bmask]
-    return TriMesh(new_verts, new_cells, bedges, strict=False), remap
+    return TriMesh(new_verts, new_cells, bedges), remap

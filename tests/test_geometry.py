@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.interpolate import CubicSpline
 from scipy.spatial import cKDTree
 
 import pmclab
@@ -16,9 +15,9 @@ from pmclab import axisym, geometry
 from pmclab.axisym import MeridianProblem, meridian_mesh
 from pmclab.errors import InvalidParameterError, MeshQualityError
 from pmclab.geometry import (_INTERIOR_CLEARANCE, _LATTICE_SPACING_FACTOR,
-                             _band_cells, _delaunay_cells, _hex_lattice,
-                             make_disk, make_ellipse, make_rounded_polygon,
-                             mesh_from_loop, triangulate)
+                             _TABLE_SIZE, _band_cells, _delaunay_cells,
+                             _hex_lattice, make_disk, make_ellipse,
+                             make_rounded_polygon, mesh_from_loop, triangulate)
 
 SQUARE = [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]
 
@@ -27,6 +26,14 @@ def inside(domain, p):
     """The interior test of the mesh lattice: strictly on the inner side of
     the tangent line at the nearest boundary table sample."""
     return domain._side_and_distance(p)[0] < 0.0
+
+
+def turning(domain, n):
+    """Angle increments of the outward normal between ``n`` equally spaced
+    arc lengths around the boundary, the last closing the loop."""
+    s = np.linspace(0.0, domain.length, n + 1)
+    nx, ny = domain.normal(s).T
+    return np.diff(np.unwrap(np.arctan2(ny, nx)))
 
 
 def polyline_length(domain, n=200000):
@@ -48,11 +55,12 @@ class TestDisk:
         assert d.length == pytest.approx(2 * math.pi, abs=1e-12)
         assert d.area == pytest.approx(math.pi, abs=1e-12)
         s = np.linspace(0, d.length, 1000, endpoint=False)
-        assert np.allclose(d.curvature(s), 1.0, atol=1e-12)
+        assert np.allclose(d.normal(s), d.position(s), atol=1e-12)
 
     def test_curvature_scales_inverse_radius(self):
+        # the normal turns at the curvature 1/R per unit arc length
         d = make_disk(2.0)
-        assert d.curvature(1.0) == pytest.approx(0.5, abs=1e-12)
+        assert np.allclose(turning(d, 1000), 0.5 * d.length / 1000, atol=1e-12)
 
     def test_closure(self):
         d = make_disk(1.0)
@@ -78,8 +86,13 @@ class TestEllipse:
 
     def test_curvature_at_major_vertex(self):
         e = make_ellipse(1.3, 0.7)
-        # closed form a/b^2 at the point (a, 0), which sits at s = 0
-        assert e.curvature(0.0) == pytest.approx(1.3 / 0.7 ** 2, abs=1e-8)
+        assert np.array_equal(e.position(0.0), [1.3, 0.0])
+        assert np.array_equal(e.normal(0.0), [1.0, 0.0])
+        # the normal turns at the closed form a/b^2 at (a, 0)
+        ds = 1e-5
+        (_, y0), (_, y1) = e.normal(np.array([-ds, ds]))
+        assert (math.asin(y1) - math.asin(y0)) / (2 * ds) == pytest.approx(
+            1.3 / 0.7 ** 2, rel=1e-6)
 
     def test_area(self):
         e = make_ellipse(1.3, 0.7)
@@ -111,10 +124,21 @@ class TestRoundedPolygon:
         tri = [[0.0, 0.0], [2.0, 0.0], [1.0, 1.8]]
         with pytest.warns(UserWarning):
             d = make_rounded_polygon(tri, 0.3)
-        # total curvature integral equals 2 pi, all of it on the arcs
-        s = np.linspace(0, d.length, 400000, endpoint=False)
-        total = np.sum(d.curvature(s)) * d.length / len(s)
-        assert total == pytest.approx(2 * math.pi, rel=1e-3)
+        # the normal turns by 2 pi, never backwards, and not at all along
+        # the straight runs: the edges less a tangent offset r cot(phi / 2)
+        # at both ends of each, phi the interior angle
+        turn = turning(d, 400000)
+        assert np.all(turn >= 0.0)
+        assert turn.sum() == pytest.approx(2 * math.pi, abs=1e-12)
+        v = np.array(tri)
+        e = np.roll(v, -1, axis=0) - v
+        elen = np.linalg.norm(e, axis=1)
+        cos_phi = -np.einsum("ki,ki->k", np.roll(e, 1, axis=0), e) / (
+            np.roll(elen, 1) * elen)
+        straight = elen.sum() - 2 * np.sum(0.3 / np.tan(np.arccos(cos_phi) / 2))
+        assert np.mean(turn == 0.0) == pytest.approx(straight / d.length,
+                                                     abs=1e-4)
+        assert straight / d.length == pytest.approx(0.614, abs=1e-3)
 
     def test_rejects_nonconvex(self):
         bad = [[0, 0], [2, 0], [1, 0.5], [1, 2]]
@@ -146,29 +170,49 @@ class TestContains:
             assert bool(inside(d, np.array([x, y]))) == (r < 1.0)
 
 
-class TestSpline:
-    @pytest.mark.filterwarnings("ignore:rounded polygon")
+@pytest.mark.filterwarnings("ignore:rounded polygon")
+class TestExactBoundary:
     @pytest.mark.parametrize("factory", [
         lambda: make_disk(1.0),
         lambda: make_ellipse(1.3, 0.7),
         lambda: make_ellipse(2.0, 0.3),
         lambda: make_rounded_polygon(SQUARE, 0.5),
-    ])
-    def test_matches_scipy_periodic_cubic_spline(self, factory, rng):
+    ], ids=["disk", "ellipse", "thin-ellipse", "rounded-square"])
+    def test_shapes_and_wrapping(self, factory, rng):
         d = factory()
-        ref = CubicSpline(d._table_s, d._table_pts, bc_type="periodic", axis=0)
-        s = np.concatenate([rng.uniform(-d.length, 2.0 * d.length, 20000),
-                            d._table_s])
-        t = np.mod(s, d.length)
-        slope = ref(t, 1)
-        want_tan = slope / np.linalg.norm(slope, axis=-1, keepdims=True)
-        for got, want in ((d.position(s), ref(t)), (d.tangent(s), want_tan)):
-            assert got.shape == want.shape
-            assert np.max(np.abs(got - want)) <= 1e-14
-        for fn in (d.position, d.tangent, d.normal):
+        s = rng.uniform(-d.length, 2.0 * d.length, 20000).reshape(4, -1)
+        for fn in (d.position, d.normal):
             assert fn(0.3).shape == (2,)
-        assert np.max(np.abs(d.position(0.3) - ref(0.3))) <= 1e-14
-        assert d.tangent(s[:20000].reshape(4, -1)).shape == (4, 5000, 2)
+            assert fn(s).shape == (4, 5000, 2)
+            assert np.allclose(fn(s), fn(np.mod(s, d.length)), atol=1e-12)
+
+    @pytest.mark.parametrize("factory, h, distance", [
+        (lambda: make_disk(1.0), 0.0125,
+         lambda p: np.hypot(*p.T) - 1.0),
+        (lambda: make_ellipse(1.3, 0.7), 0.0125,
+         lambda p: ellipse_distance(p, 1.3, 0.7)),
+        (lambda: make_ellipse(1.0, 0.1), 0.00625,
+         lambda p: ellipse_distance(p, 1.0, 0.1)),
+        (lambda: make_rounded_polygon(SQUARE, 0.5), 0.0125,
+         lambda p: np.linalg.norm(np.maximum(np.abs(p) - 0.5, 0.0), axis=1)
+         + np.minimum((np.abs(p) - 0.5).max(axis=1), 0.0) - 0.5),
+    ], ids=["disk", "ellipse", "thin-ellipse", "rounded-square"])
+    def test_fine_mesh_boundary_on_exact_curve(self, factory, h, distance):
+        # above _TABLE_SIZE // 4 boundary samples, triangulate places them
+        # by the domain's own position function
+        d = factory()
+        m = triangulate(d, h)
+        assert len(m.boundary_edges) > _TABLE_SIZE // 4
+        p = m.vertices[m.boundary_edges[:, 0]]
+        assert np.max(np.abs(distance(p))) <= 1e-13
+
+
+def ellipse_distance(p, a, b):
+    """First-order distance of points from the ellipse x^2/a^2 + y^2/b^2 = 1:
+    the implicit function over its gradient norm."""
+    x, y = p.T
+    f = (x / a) ** 2 + (y / b) ** 2 - 1.0
+    return f / np.hypot(2 * x / a ** 2, 2 * y / b ** 2)
 
 
 class TestConvexityInvariants:
@@ -177,9 +221,10 @@ class TestConvexityInvariants:
         lambda: make_ellipse(1.3, 0.7),
     ])
     def test_positive_curvature_sampled(self, factory):
-        d = factory()
-        s = np.linspace(0, d.length, 1000, endpoint=False)
-        assert np.all(d.curvature(s) > 0)
+        # the normal turns forward between any two samples, 2 pi in all
+        turn = turning(factory(), 1000)
+        assert np.all(turn > 0)
+        assert turn.sum() == pytest.approx(2 * math.pi, abs=1e-12)
 
     def test_centroid_inside_every_tangent(self):
         # both are centred at the origin, their centroid
@@ -253,7 +298,7 @@ class TestTriangulate:
     @pytest.mark.filterwarnings("ignore:rounded polygon")
     def test_rounded_square_fine_mesh(self):
         # 561 boundary samples: above _TABLE_SIZE // 4 they are placed by
-        # the spline, except next to the straight runs
+        # the exact boundary, not snapped to table knots
         d = make_rounded_polygon(SQUARE, 0.5)
         m = triangulate(d, 0.015)
         assert len(m.boundary_edges) > 512
@@ -270,8 +315,9 @@ def reference_lattice(domain, a):
     ulps of a tangent line, which are either near the boundary (and fail
     the clearance test) or outside (and have some other positive side).
     """
-    pts = domain._table_pts[:-1]
-    normals = domain.normal(domain._table_s[:-1])
+    pts = domain._table_pts
+    normals = domain.normal(np.linspace(0.0, domain.length, _TABLE_SIZE,
+                                        endpoint=False))
     offsets = np.einsum("ki,ki->k", pts, normals)
     tree = cKDTree(pts)
     xmin, ymin = domain._table_pts.min(axis=0)
