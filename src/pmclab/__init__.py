@@ -19,8 +19,7 @@ from .critical import (CriticalPointRecord, classify, find_critical_points,
 from .nodal import (CylinderSolution, LeadingOrderFit, NodalArcSet,
                     QuadraticModel, difference_field, leading_order_fit,
                     sector_count, trace_nodal_set)
-from .axisym import (MeridianProblem, axis_hessian, check_monotone,
-                     meridian_mesh)
+from .axisym import axis_hessian, check_monotone, meridian_mesh
 from .verify import VerificationReport, run_suite
 from .config import RunConfig, parse_config
 
@@ -35,7 +34,7 @@ __all__ = [
     "gradient_index", "interior_max_scan", "recover_gradient",
     "CylinderSolution", "LeadingOrderFit", "NodalArcSet", "QuadraticModel",
     "difference_field", "leading_order_fit", "sector_count", "trace_nodal_set",
-    "MeridianProblem", "axis_hessian", "check_monotone", "meridian_mesh",
+    "axis_hessian", "check_monotone", "meridian_mesh",
     "VerificationReport", "run_suite",
     "RunConfig", "parse_config",
 ]

@@ -1,14 +1,17 @@
 """Axisymmetric case in dimension n >= 3 via the meridian half cross-section.
 
 A domain of revolution about the last coordinate axis reduces the problem to
-the (r, z) half plane with measure weight r^(n-2).  The weight vanishes on
-the axis, which enforces the symmetry condition v_r(0, z) = 0 naturally (the
-singular (n-2)/r coefficient of the strong form is never evaluated); the
-outer boundary carries the same conormal flux machinery as the planar case.
-The meridian problem is solved by the planar Newton solver on a
-:class:`~pmclab.assembly.Discretization` with weight exponent n - 2 and flux
-on the :func:`outer_flux_edges` only; for n = 2 the weight is one and the
-system is the planar one restricted to those edges.
+the (r, z) half plane with measure weight r^(n-2).  The meridian section is
+a planar :class:`~pmclab.geometry.ConvexDomain` that is its own mirror image
+in the axis x1 = 0 (the ball a disk, the spheroid an ellipse); the mesh is
+its r >= 0 half, meshed from its exact boundary and its own lattice.  The
+weight vanishes on the axis, which enforces the symmetry condition
+v_r(0, z) = 0 naturally (the singular (n-2)/r coefficient of the strong form
+is never evaluated); the outer boundary carries the same conormal flux
+machinery as the planar case.  The meridian problem is solved by the planar
+Newton solver on a :class:`~pmclab.assembly.Discretization` with weight
+exponent n - 2 and flux on the :func:`outer_flux_edges` only; for n = 2 the
+weight is one and the system is the planar one restricted to those edges.
 """
 
 from __future__ import annotations
@@ -17,89 +20,62 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .critical import _quadratic_coefficients, recover_gradient
 from .errors import InvalidParameterError, NoAxisCriticalError
-from .geometry import (_BOUNDARY_SPACING_FACTOR, _INTERIOR_CLEARANCE,
-                       _LATTICE_SPACING_FACTOR, mesh_from_loop)
+from .geometry import (_BOUNDARY_SPACING_FACTOR, _LATTICE_SPACING_FACTOR,
+                       _hex_lattice, mesh_from_loop)
 
 _AXIS_TOL = 1e-12
+_MIRROR_TOL = 1e-9          # relative to the boundary length
 
 
-@dataclass(frozen=True)
-class MeridianProblem:
-    """Half cross-section problem for a domain of revolution.
+def _axis_crossing(domain):
+    """Arc length at which the boundary of ``domain`` crosses the axis
+    x1 = 0 upwards: the lower end of its right half, which runs for half
+    the length.  Raises :class:`InvalidParameterError` unless the boundary
+    is its own mirror image in the axis, to 1e-9 of its length."""
+    L = domain.length
+    s = np.linspace(0.0, L, len(domain._table_pts), endpoint=False)
+    x = domain._table_pts[:, 0]
+    k = np.flatnonzero((x <= 0.0) & (np.roll(x, -1) > 0.0))
+    if len(k) != 1:
+        raise InvalidParameterError("profile must cross the axis x1 = 0")
+    lo, hi = s[k[0]], s[k[0]] + L / len(s)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:      # bisection to one ulp
+        lo, hi = (mid, hi) if domain.position(mid)[0] <= 0.0 else (lo, mid)
+    right, left = domain.position(lo + s), domain.position(lo - s)
+    if np.abs(right - left * [-1.0, 1.0]).max() > _MIRROR_TOL * L:
+        raise InvalidParameterError(
+            "profile is not mirror-symmetric about the axis x1 = 0")
+    return lo
 
-    The profile is the r >= 0 half of an ellipse with equatorial semi-axis
-    ``a`` (r direction) and polar semi-axis ``b`` (z direction); ``a == b``
-    is the ball.  The profile meets the axis orthogonally at (0, -b) and
-    (0, b), so the revolved domain is smooth.  The dimension n and the
-    boundary data belong to the :class:`~pmclab.assembly.ProblemSpec`.
+
+def meridian_mesh(domain, h_target):
+    """Triangulate the r >= 0 half of a domain symmetric about the axis,
+    with an explicit axis vertex chain.
+
+    The boundary loop runs counterclockwise: the right boundary half by arc
+    length from its lower axis crossing to its upper one, both pinned to
+    r = 0, then straight down the axis.  The fill is the domain's lattice
+    from r = 0, clipped to r >= its clearance.
     """
-
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if not (self.a > 0 and self.b > 0):
-            raise InvalidParameterError("profile semi-axes must be positive")
-
-
-def meridian_mesh(problem, h_target):
-    """Triangulate the half cross-section with an explicit axis vertex chain.
-
-    The boundary loop runs counterclockwise: outer arc from (0, -b) through
-    (a, 0) to (0, b), then straight down the axis.
-    """
-    a, b = problem.a, problem.b
-    theta = np.linspace(-0.5 * math.pi, 0.5 * math.pi, 4096)
-    speed = np.sqrt((a * np.sin(theta)) ** 2 + (b * np.cos(theta)) ** 2)
-    s = np.concatenate([[0.0], np.cumsum(0.5 * (speed[1:] + speed[:-1])
-                                         * np.diff(theta))])
-    arc_len = float(s[-1])
-    if not (0 < h_target < (arc_len + 2 * b) / 8.0):
+    s0 = _axis_crossing(domain)
+    half = 0.5 * domain.length
+    z_lo, z_hi = domain.position(np.array([s0, s0 + half]))[:, 1]
+    if not (0 < h_target < (half + z_hi - z_lo) / 8.0):
         raise InvalidParameterError(
             f"h_target must lie in (0, L/8), got {h_target}")
 
-    n_arc = max(4, int(math.ceil(arc_len / (_BOUNDARY_SPACING_FACTOR * h_target))))
-    th = np.interp(np.linspace(0.0, arc_len, n_arc + 1), s, theta)
-    arc_pts = np.column_stack([a * np.cos(th), b * np.sin(th)])
-    arc_pts[0] = (0.0, -b)          # pin the axis endpoints exactly
-    arc_pts[-1] = (0.0, b)
-
-    n_ax = max(2, int(math.ceil(2.0 * b / (_BOUNDARY_SPACING_FACTOR * h_target))))
-    z_ax = np.linspace(b, -b, n_ax + 1)[1:-1]
-    axis_pts = np.column_stack([np.zeros(len(z_ax)), z_ax])
-
-    loop = np.vstack([arc_pts[:-1], arc_pts[-1:], axis_pts])
-    return mesh_from_loop(loop, *_half_lattice(
-        a, b, _LATTICE_SPACING_FACTOR * h_target, loop))
-
-
-def _half_lattice(a, b, h, loop):
-    """Hexagonal lattice points, row by row, inside the half ellipse and at
-    least ``_INTERIOR_CLEARANCE * h`` from the boundary loop (densified to
-    quarter-edge points), with their integer (row, column), the column
-    counted in half spacings."""
-    dy = h * math.sqrt(3.0) / 2.0
-    j = np.arange(int(math.floor(2.0 * b / dy)) + 2)
-    i = np.arange(int(math.floor(a / h)) + 2)
-    rs = np.where(j % 2, 0.5 * h, h)[:, None] + h * i
-    zs = np.broadcast_to((-b + j * dy)[:, None], rs.shape)
-    cand = np.stack([rs, zs], axis=-1).reshape(-1, 2)
-    col = 2 * i + np.where(j % 2, 1, 2)[:, None]
-    ij = np.stack(np.broadcast_arrays(j[:, None], col), -1).reshape(-1, 2)
-    keep = ((cand[:, 0] / a) ** 2 + (cand[:, 1] / b) ** 2 < 1.0) \
-        & (cand[:, 0] > 0)
-    cand, ij = cand[keep], ij[keep]
-    closed = np.vstack([loop, loop[:1]])
-    dense = np.vstack([closed[:-1] + (k / 4) * (closed[1:] - closed[:-1])
-                       for k in range(4)])
-    clearance = _INTERIOR_CLEARANCE * h
-    # samples farther than the clearance read as inf
-    d, _ = cKDTree(dense).query(cand, distance_upper_bound=clearance)
-    return cand[d >= clearance], ij[d >= clearance]
+    n_arc = max(4, int(math.ceil(half / (_BOUNDARY_SPACING_FACTOR * h_target))))
+    arc_pts = domain.position(s0 + np.linspace(0.0, half, n_arc + 1))
+    arc_pts[0], arc_pts[-1] = (0.0, z_lo), (0.0, z_hi)   # pinned to the axis
+    n_ax = max(2, int(math.ceil((z_hi - z_lo)
+                                / (_BOUNDARY_SPACING_FACTOR * h_target))))
+    z_ax = np.linspace(z_hi, z_lo, n_ax + 1)[1:-1]
+    loop = np.vstack([arc_pts, np.column_stack([np.zeros(len(z_ax)), z_ax])])
+    return mesh_from_loop(loop, *_hex_lattice(
+        domain, _LATTICE_SPACING_FACTOR * h_target, x_min=0.0))
 
 
 def outer_flux_edges(mesh):
@@ -188,37 +164,43 @@ def axis_hessian(field, n_dim):
     """Diagonal Hessian of the revolved solution at its axis critical point.
 
     The n-1 transverse entries all equal v_rr(0, z*), estimated from a
-    quadratic fit of the reflected (r -> -r) vertex patch within 4h of the
-    critical point; the axial entry is the fitted v_zz.  Cross terms are
-    reported as fit residuals and should vanish by symmetry.
+    quadratic fit of the reflected (r -> -r) vertex patch within max(4h,
+    0.3 b) of the critical point, b half the length of the axis chain; the
+    axial entry is the fitted v_zz.  The FE error is O(h^2) in value but
+    rough at the mesh scale, so a patch of radius 4h alone would turn it
+    into a Hessian error that does not shrink under refinement.  Cross terms
+    are reported as fit residuals and should vanish by symmetry.
     """
     mesh = field.mesh
     crossings = find_axis_critical(field)
     if len(crossings) != 1:
         raise NoAxisCriticalError(
             f"expected exactly one axis critical point, found {len(crossings)}")
-    z_star = crossings[0]
-    center = np.array([0.0, z_star])
+    center = np.array([0.0, crossings[0]])
 
+    z_axis = mesh.vertices[axis_vertices(mesh), 1]
+    radius = max(4.0 * mesh.h, 0.15 * (z_axis[-1] - z_axis[0]))
     d = np.linalg.norm(mesh.vertices - center, axis=1)
-    idx = np.nonzero(d <= 4.0 * mesh.h)[0]
+    idx = np.nonzero(d <= radius)[0]
     if idx.size < 6:
         idx = np.argsort(d)[:12]
-    pts = mesh.vertices[idx]
-    vals = field.values[idx]
+    pts, vals = mesh.vertices[idx], field.values[idx]
     off_axis = pts[:, 0] > _AXIS_TOL
     pts = np.vstack([pts, pts[off_axis] * np.array([-1.0, 1.0])])
     vals = np.concatenate([vals, vals[off_axis]])
 
     h = mesh.h
     coef = _quadratic_coefficients(pts, vals, center, h)
-    v_rr = 2.0 * coef[3] / h ** 2
-    v_zz = 2.0 * coef[5] / h ** 2
-    v_rz = coef[4] / h ** 2
-    grad_res = float(np.hypot(coef[1], coef[2]) / h)
-    entries = np.array([v_rr] * (n_dim - 1) + [v_zz])
-    return AxisHessian(location=center, entries=entries,
-                       cross_term=float(v_rz), grad_residual=grad_res)
+    v_rr, v_zz = 2.0 * coef[3] / h ** 2, 2.0 * coef[5] / h ** 2
+    return AxisHessian(location=center,
+                       entries=np.array([v_rr] * (n_dim - 1) + [v_zz]),
+                       cross_term=float(coef[4] / h ** 2),
+                       grad_residual=float(np.hypot(coef[1], coef[2]) / h))
+
+
+def _sphere_measure(k):
+    """Surface measure of the unit (k-1)-sphere, 2 pi^(k/2) / Gamma(k/2)."""
+    return 2.0 * math.pi ** (k / 2.0) / math.gamma(k / 2.0)
 
 
 def revolved_volume(disc):
@@ -230,5 +212,17 @@ def revolved_volume(disc):
     n = 3 that factor is 2 pi and the ball of radius R yields 4 pi R^3 / 3
     up to O(h^2).
     """
-    k = disc.weight_exponent + 1
-    return float(2.0 * math.pi ** (k / 2.0) / math.gamma(k / 2.0) * disc.volume)
+    return float(_sphere_measure(disc.weight_exponent + 1) * disc.volume)
+
+
+def exact_revolved_volume(domain, n_dim):
+    """Volume of the domain of revolution in dimension ``n_dim`` swept by
+    the right half of ``domain``: by the divergence theorem, the unit
+    (n-2)-sphere's measure times (1 / (n-1)) times the integral of
+    r^(n-1) nu_r over the right boundary half (the axis carries no flux),
+    by the trapezoid rule at 4096 equal arc lengths."""
+    sigma = np.linspace(0.0, 0.5 * domain.length, 4097)
+    s = _axis_crossing(domain) + sigma
+    f = domain.position(s)[:, 0] ** (n_dim - 1) * domain.normal(s)[:, 0]
+    area = (f.sum() - 0.5 * (f[0] + f[-1])) * sigma[1] / (n_dim - 1)
+    return float(_sphere_measure(n_dim - 1) * area)

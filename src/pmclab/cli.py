@@ -145,7 +145,7 @@ def _dispatch(config, out, report):
         report["solve"] = solve_report
 
     records, arcs, verification = [], None, None
-    if run.problem is None:
+    if run.spec.n_dim == 2:
         records = pipeline.census(field, run.spec, trace)
         report["critical_points"] = records
         if config.command == "compare":

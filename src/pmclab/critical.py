@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .errors import IllConditionedLoopError, InvalidParameterError
@@ -263,11 +261,21 @@ def _cells_spanning_origin(gtri):
 def _cluster_points(pts, radius):
     """Single-linkage clusters of the points at most ``radius`` apart: lists
     of member indices, ascending, ordered by their smallest member."""
-    pairs = cKDTree(pts).query_pairs(radius, output_type="ndarray")
-    graph = sp.coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
-                          shape=(len(pts), len(pts)))
-    n, labels = connected_components(graph, directed=False)
-    return [np.nonzero(labels == k)[0].tolist() for k in range(n)]
+    # union-find, each root the smallest member of its cluster
+    parent = list(range(len(pts)))
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, j in cKDTree(pts).query_pairs(radius):
+        ri, rj = root(i), root(j)
+        parent[max(ri, rj)] = min(ri, rj)
+    clusters = {}
+    for i in range(len(pts)):
+        clusters.setdefault(root(i), []).append(i)
+    return list(clusters.values())
 
 
 def _dedupe(records, radius):

@@ -3,13 +3,13 @@
 A domain is its exact boundary: each factory hands :class:`ConvexDomain`
 vectorized functions of arc length for the boundary point and the outward
 unit normal, which a conic or rounded polygon evaluates in closed form.
-A table of 2048 equally spaced boundary samples and their normals serves
-the lattice inside test and the coarse boundary sampling.  A mesh is the
-Delaunay triangulation of a boundary sampling plus a hexagonal interior
-lattice (qhull runs on a boundary band only); a mesh whose minimum cell
-angle is below 20 degrees is refused.  Everything here is a pure function
-of its inputs: two calls with identical arguments return identical vertex
-and cell arrays.
+A table of 2048 equally spaced boundary points serves the coarse boundary
+sampling and the one hexagonal fill lattice of every mesh, planar and
+meridian.  A mesh is the Delaunay triangulation of a boundary sampling plus
+that lattice (qhull runs on a boundary band only); a mesh whose minimum
+cell angle is below 20 degrees is refused.  Everything
+here is a pure function of its inputs: two calls with identical arguments
+return identical vertex and cell arrays.
 """
 
 from __future__ import annotations
@@ -41,21 +41,20 @@ class ConvexDomain:
     ``position`` and ``normal`` map an array of arc lengths in [0, length)
     to boundary points and outward unit normals (shape ``s.shape + (2,)``),
     counterclockwise from s = 0; the methods of the same names wrap any s
-    into that range.  The table holds both at the ``_TABLE_SIZE`` knots
-    ``np.linspace(0, length, _TABLE_SIZE, endpoint=False)``, with a KD-tree
-    over the points for the mesh lattice; ``diameter`` is the diagonal of
-    the table's bounding box.  ``area`` is the enclosed area (analytic).
+    into that range.  The table holds the points at the ``_TABLE_SIZE``
+    knots ``np.linspace(0, length, _TABLE_SIZE, endpoint=False)``, with a
+    KD-tree over them for the lattice clearance; ``diameter`` is the
+    diagonal of the table's bounding box, ``area`` the exact enclosed area.
     """
 
     def __init__(self, position, normal, length, area):
         self.length = float(length)
         self.area = float(area)
         self._position, self._normal = position, normal
-        s = np.linspace(0.0, self.length, _TABLE_SIZE, endpoint=False)
-        self._table_pts = position(s)
+        self._table_pts = position(
+            np.linspace(0.0, self.length, _TABLE_SIZE, endpoint=False))
         if _loop_area(self._table_pts, _TABLE_SIZE) <= 0:
             raise InvalidParameterError("boundary must be counterclockwise")
-        self._normals = normal(s)
         self._tree = cKDTree(self._table_pts)
 
     @property
@@ -69,21 +68,6 @@ class ConvexDomain:
 
     def normal(self, s):
         return self._normal(np.mod(s, self.length))
-
-    def _side_and_distance(self, p):
-        """Offset of ``p`` along the nearest sample's outward normal, and
-        the distance to that sample; both of shape ``p.shape[:-1]``.
-
-        A negative offset puts ``p`` inside.  On a convex boundary this
-        agrees with the intersection of all sampled tangent half-planes
-        except for outside points closer to the boundary than the chord sag
-        kappa * ds^2 / 8 (ds the table spacing; about 1e-6 R on a
-        2048-sample disk of radius R), which both tests may call inside."""
-        p = np.asarray(p, dtype=float)
-        d, k = self._tree.query(p)
-        side = np.einsum("...i,...i->...", p - self._table_pts[k],
-                         self._normals[k])
-        return side, d
 
 
 def _unit(theta):
@@ -507,25 +491,53 @@ def _delaunay_cells(points):
     return cells
 
 
-def _hex_lattice(domain, a):
-    """Hexagonal lattice points, row by row, inside the domain and at least
-    ``_INTERIOR_CLEARANCE * a`` from every boundary sample, with their
-    integer (row, column), the column counted in half spacings."""
+def _hex_lattice(domain, a, x_min=None):
+    """Hexagonal lattice points of spacing ``a``, row by row, strictly
+    inside their row's chord of the table polygon and at least
+    ``_INTERIOR_CLEARANCE * a`` from every table point, with their integer
+    (row, column), the column counted in half spacings.
+
+    Rows start at the table's lowest point, columns at its leftmost one or
+    at ``x_min``, which then also drops the points within the clearance of
+    the line x = x_min (the meridian half: x_min = 0 is the axis).  The
+    polygon differs from the exact curve only within the chord sag (about
+    1e-6 R on a disk of radius R), which the clearance excludes."""
     pts = domain._table_pts
-    xmin, ymin = pts.min(axis=0)
-    xmax, ymax = pts.max(axis=0)
+    (xmin, ymin), (xmax, ymax) = pts.min(axis=0), pts.max(axis=0)
+    if x_min is not None:
+        xmin = x_min
+    clearance = _INTERIOR_CLEARANCE * a
     dy = a * math.sqrt(3.0) / 2.0
     rows = int(math.floor((ymax - ymin) / dy)) + 1
     cols = int(math.floor((xmax - xmin) / a)) + 2
     j = np.arange(rows + 1)
+    ys = ymin + j * dy
     xs = (xmin + 0.5 * a * (j % 2))[:, None] + a * np.arange(cols)
-    ys = np.broadcast_to((ymin + j * dy)[:, None], xs.shape)
-    cand = np.stack([xs, ys], axis=-1).reshape(-1, 2)
-    ij = np.stack(np.broadcast_arrays(j[:, None], 2 * np.arange(cols)
-                                      + j[:, None] % 2), -1).reshape(-1, 2)
-    side, d = domain._side_and_distance(cand)
-    keep = (side < 0.0) & (d >= _INTERIOR_CLEARANCE * a)
-    return cand[keep], ij[keep]
+    left, right = _row_intervals(pts, ys)
+    keep = (xs > left[:, None]) & (xs < right[:, None])
+    if x_min is not None:
+        keep &= xs >= x_min + clearance
+    row, col = np.nonzero(keep)
+    cand = np.column_stack([xs[row, col], ys[row]])
+    # knots farther than the clearance read as inf
+    d, _ = domain._tree.query(cand, distance_upper_bound=clearance)
+    far = d >= clearance
+    return cand[far], np.column_stack([row, 2 * col + row % 2])[far]
+
+
+def _row_intervals(pts, ys):
+    """Ends of the chord of the convex counterclockwise polygon ``pts`` on
+    each line y in ``ys``, interpolated along its two y-monotone chains
+    (both ends equal off the polygon's y range).  A flat bottom or top only
+    puts equal y at the ends of a chain, on a line that holds no inside
+    point."""
+    k0, k1 = int(np.argmin(pts[:, 1])), int(np.argmax(pts[:, 1]))
+    loop = np.roll(pts, -k0, axis=0)
+    top = (k1 - k0) % len(pts)
+    rising = loop[:top + 1]
+    falling = np.vstack([loop[top:], loop[:1]])[::-1]
+    return (np.interp(ys, falling[:, 1], falling[:, 0]),
+            np.interp(ys, rising[:, 1], rising[:, 0]))
 
 
 def _cell_min_angles_deg(points, cells):

@@ -1,7 +1,7 @@
 """The chain every command runs: set-up, Neumann gate, solve, diagnostics.
 
 One validated config goes through :func:`setup` (problem data, the planar
-domain or the meridian profile of a domain of revolution, the mesh and its
+domain or the meridian section of a domain of revolution, the mesh and its
 discretization) and :func:`solve` (the Neumann gate
 :func:`~pmclab.assembly.neumann_gate`, then homotopy continuation or one
 Newton solve).  The diagnostics that both the commands and the property
@@ -18,7 +18,6 @@ import numpy as np
 
 from . import axisym as axi
 from .assembly import Discretization, ProblemSpec, ScalarField, neumann_gate
-from .config import MERIDIAN_DOMAINS
 from .critical import find_critical_points, recover_gradient
 from .errors import InvalidParameterError, PmclabError, SolverFailure
 from .geometry import make_disk, make_ellipse, make_rounded_polygon, triangulate
@@ -29,13 +28,13 @@ from .solver import SolverOptions, homotopy_solve, newton_solve
 
 def build_domain(domain_cfg):
     kind = domain_cfg["type"]
-    if kind == "disk":
+    if kind in ("disk", "ball"):
         return make_disk(domain_cfg["R"])
-    if kind == "ellipse":
+    if kind in ("ellipse", "spheroid"):
         return make_ellipse(domain_cfg["a"], domain_cfg["b"])
     if kind == "rounded_polygon":
         return make_rounded_polygon(domain_cfg["vertices"], domain_cfg["r"])
-    raise InvalidParameterError(f"unknown planar domain type {kind!r}")
+    raise InvalidParameterError(f"unknown domain type {kind!r}")
 
 
 def build_spec(problem_cfg):
@@ -47,16 +46,15 @@ def build_spec(problem_cfg):
 
 @dataclass(frozen=True)
 class Setup:
-    """A meshed run: exactly one of ``domain`` (planar) and ``problem``
-    (meridian profile of a domain of revolution) is set.  The dimension and
-    the boundary data are read from ``spec``; ``disc`` is the one
+    """A meshed run.  The dimension and the boundary data are read from
+    ``spec``; a run in dimension n > 2 is meridian, and its ``domain`` is
+    the meridian section of the domain of revolution.  ``disc`` is the one
     :class:`Discretization` every solve of the run assembles on."""
 
     spec: ProblemSpec
     disc: Discretization
     opts: SolverOptions
-    domain: object = None
-    problem: object = None
+    domain: object
 
     @property
     def mesh(self):
@@ -71,18 +69,14 @@ def setup(cfg):
     spec = build_spec(cfg["problem"])
     opts = SolverOptions(**cfg.get("solver", {}))
     h_target = cfg["mesh"]["h_target"]
-    dom = cfg["domain"]
-    if dom["type"] in MERIDIAN_DOMAINS:
-        a, b = (dom["R"], dom["R"]) if dom["type"] == "ball" else \
-            (dom["a"], dom["b"])
-        problem = axi.MeridianProblem(a=a, b=b)
-        mesh = axi.meridian_mesh(problem, h_target)
+    domain = build_domain(cfg["domain"])
+    if spec.n_dim > 2:
+        mesh = axi.meridian_mesh(domain, h_target)
         disc = Discretization(mesh, spec.n_dim - 2,
                               axi.outer_flux_edges(mesh))
-        return Setup(spec, disc, opts, problem=problem)
-    domain = build_domain(dom)
-    return Setup(spec, Discretization(triangulate(domain, h_target)), opts,
-                 domain=domain)
+    else:
+        disc = Discretization(triangulate(domain, h_target))
+    return Setup(spec, disc, opts, domain)
 
 
 def solve(run, schedule=None):

@@ -14,7 +14,6 @@ It solves nothing: a run whose solve fails has no properties to check.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
@@ -260,7 +259,6 @@ def verify_meridian_structure(field, run):
     except PmclabError as exc:
         out.append(_record("axis-critical-unique", "fail",
                            note=f"axis scan failed: {exc}"))
-        crossings = []
 
     try:
         ah = axi.axis_hessian(field, spec.n_dim)
@@ -283,7 +281,7 @@ def verify_meridian_structure(field, run):
         measured=arc_info))
 
     v_disc = axi.revolved_volume(run.disc)
-    v_exact = _spheroid_volume(run.problem, spec.n_dim)
+    v_exact = axi.exact_revolved_volume(run.domain, spec.n_dim)
     vol_tol = max(1.0 * mesh.h ** 2 * v_exact, 1e-12)
     out.append(_record(
         "revolved-volume-consistency",
@@ -315,13 +313,6 @@ def _single_axis_to_outer_arc(arcset, mesh):
     return bool(near_axis and d_outer <= 2.0 * mesh.h), info
 
 
-def _spheroid_volume(problem, n):
-    # volume of the full spheroid of revolution in dimension n:
-    # unit-ball volume times a^(n-1) b
-    unit = math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
-    return unit * problem.a ** (n - 1) * problem.b
-
-
 # -- the suite ------------------------------------------------------------------
 
 def run_suite(run, field, records, trace=None):
@@ -331,7 +322,7 @@ def run_suite(run, field, records, trace=None):
     ``trace`` the continuation that produced the field, if any."""
     spec = run.spec
     props = verify_sign_conditions(field, spec)
-    if run.problem is not None:
+    if run.spec.n_dim > 2:
         props += verify_meridian_structure(field, run)
     else:
         diam = run.domain.diameter

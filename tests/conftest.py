@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pmclab.assembly import Discretization, ProblemSpec
-from pmclab.axisym import MeridianProblem, meridian_mesh, outer_flux_edges
+from pmclab.axisym import meridian_mesh, outer_flux_edges
 from pmclab.geometry import make_disk, make_ellipse, triangulate
 from pmclab.solver import homotopy_solve, newton_solve
 
@@ -89,13 +89,8 @@ def ball_spec():
 
 
 @pytest.fixture(scope="session")
-def ball_problem():
-    return MeridianProblem(1.0, 1.0)
-
-
-@pytest.fixture(scope="session")
-def ball_mesh_005(ball_problem):
-    return meridian_mesh(ball_problem, 0.05)
+def ball_mesh_005(disk):
+    return meridian_mesh(disk, 0.05)
 
 
 @pytest.fixture(scope="session")

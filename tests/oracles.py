@@ -1,9 +1,13 @@
-"""Closed-form reference solutions the tests and the convergence script
-compare discrete solutions against."""
+"""Closed-form reference solutions the tests compare discrete solutions
+against, and a non-convex domain the paper's hypothesis excludes."""
+
+import math
 
 import numpy as np
+from scipy.spatial import Delaunay, cKDTree
 
 from pmclab.errors import InvalidParameterError
+from pmclab.geometry import TriMesh, submesh
 
 
 class RadialSolution:
@@ -62,3 +66,47 @@ def radial_disk_oracle(spec, R=1.0):
 def radial_ball_oracle(spec, R=1.0, n=None):
     """Closed-form radial solution on the ball of radius R in dimension n."""
     return RadialSolution(spec, R=R, n=n if n is not None else spec.n_dim)
+
+
+def dumbbell_loop(D, w, spacing, R=1.0):
+    """Counterclockwise boundary of the union of the disks of radius ``R``
+    at (+-D, 0) and the channel |x1| <= D, |x2| < w, sampled at most
+    ``spacing`` apart.  With w = R it is the convex stadium."""
+    beta = math.asin(w / R)
+    xj = D - R * math.cos(beta)          # where the channel meets a disk
+    arc = 2.0 * (math.pi - beta)
+    out = []
+    # the right disk from its lower junction, the upper channel edge, the
+    # left disk from its upper junction, the lower channel edge
+    for cx, start, y in ((D, beta - math.pi, w), (-D, beta, -w)):
+        t = start + np.linspace(0.0, arc, math.ceil(R * arc / spacing),
+                                endpoint=False)
+        out.append(np.column_stack([cx + R * np.cos(t), R * np.sin(t)]))
+        n = math.ceil(2.0 * xj / spacing)
+        x = math.copysign(xj, cx) * (1.0 - 2.0 * np.arange(n) / n)
+        out.append(np.column_stack([x, np.full(n, y)]))
+    return np.vstack(out)
+
+
+def dumbbell_mesh(D, w, h):
+    """Mesh of the dumbbell of :func:`dumbbell_loop` (R = 1): its boundary
+    at 0.85 h, an equilateral lattice of spacing 0.9 h at least 0.45 h from
+    it, and the Delaunay cells whose centroid lies inside."""
+    def inside(p):
+        x, y = np.abs(p[:, 0]), np.abs(p[:, 1])
+        return (np.hypot(x - D, y) < 1.0) | ((x <= D) & (y < w))
+
+    loop = dumbbell_loop(D, w, 0.85 * h)
+    a = 0.9 * h
+    ys = np.arange(-1.0, 1.0, a * math.sqrt(3.0) / 2.0)
+    xs = np.arange(-D - 1.0, D + 1.0, a) \
+        + 0.5 * a * (np.arange(len(ys)) % 2)[:, None]
+    fill = np.stack(np.broadcast_arrays(xs, ys[:, None]), -1).reshape(-1, 2)
+    fill = fill[inside(fill) & (cKDTree(loop).query(fill)[0] >= 0.5 * a)]
+    points = np.vstack([loop, fill])
+    cells = Delaunay(points).simplices
+    d1, d2 = (points[cells[:, k]] - points[cells[:, 0]] for k in (1, 2))
+    flip = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0] < 0
+    cells[flip] = cells[flip][:, [0, 2, 1]]
+    full = TriMesh(points, cells, np.empty((0, 2), dtype=int))
+    return submesh(full, inside(full.cell_centroids))[0]

@@ -11,10 +11,9 @@ from pmclab.assembly import (Discretization, ProblemSpec, RankOneJacobian,
                              ScalarField, boundary_flux, ellipticity_margins,
                              flux_scale, jacobian, neumann_gate, residual)
 from pmclab.assembly import _QXI
-from pmclab.axisym import (MeridianProblem, meridian_mesh, outer_flux_edges,
-                           revolved_volume)
+from pmclab.axisym import meridian_mesh, outer_flux_edges, revolved_volume
 from pmclab.errors import InfeasibleProblemError, InvalidParameterError
-from pmclab.geometry import triangulate
+from pmclab.geometry import make_disk, triangulate
 from pmclab.solver import newton_solve
 
 from oracles import radial_disk_oracle
@@ -200,7 +199,7 @@ class TestJacobian:
 
 @pytest.fixture(scope="module")
 def meridian_mesh_02():
-    return meridian_mesh(MeridianProblem(1.0, 1.0), 0.2)
+    return meridian_mesh(make_disk(1.0), 0.2)
 
 
 class TestNeumannJacobianSplit:
@@ -363,7 +362,7 @@ class TestValuesOnlyJacobian:
     def test_meridian_outer_flux_edges(self, m, bc):
         spec = (ProblemSpec.robin(0.8, 1.0, n_dim=m + 2) if bc == "robin"
                 else ProblemSpec.neumann(0.6, 0.5, n_dim=m + 2))
-        mesh = meridian_mesh(MeridianProblem(1.0, 1.0), 0.2)
+        mesh = meridian_mesh(make_disk(1.0), 0.2)
         self._check(mesh, spec, outer_flux_edges(mesh), m, seed=m)
 
     @pytest.mark.parametrize("bc", ["robin", "neumann"])
@@ -397,7 +396,7 @@ class TestWeightedMeasure:
     @pytest.mark.parametrize("n_dim", [3, 4, 5, 6])
     def test_one_weighted_volume(self, n_dim):
         spec = ProblemSpec.neumann(0.6, 0.5, n_dim=n_dim)
-        mesh = meridian_mesh(MeridianProblem(1.0, 1.0), 0.2)
+        mesh = meridian_mesh(make_disk(1.0), 0.2)
         disc = Discretization(mesh, n_dim - 2, outer_flux_edges(mesh))
         centroid_r = mesh.vertices[mesh.cells, 0].mean(axis=1)
         assert np.array_equal(disc.aw,

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from pmclab.assembly import Discretization, ProblemSpec, ScalarField
-from pmclab.axisym import (MeridianProblem, axis_hessian, axis_vertices,
-                           check_monotone, find_axis_critical, meridian_mesh,
-                           outer_flux_edges, revolved_volume)
+from pmclab import pipeline
+from pmclab.axisym import (axis_hessian, axis_vertices, check_monotone,
+                           exact_revolved_volume, find_axis_critical,
+                           meridian_mesh, outer_flux_edges, revolved_volume)
 from pmclab.critical import recover_gradient
 from pmclab.errors import InvalidParameterError, NoAxisCriticalError
+from pmclab.geometry import make_disk, make_ellipse, make_rounded_polygon
 from pmclab.nodal import trace_nodal_set
 from pmclab.solver import newton_solve
+from pmclab.verify import run_suite
 
 from oracles import radial_ball_oracle
 
@@ -27,8 +30,13 @@ def meridian_disc(spec, mesh):
     return Discretization(mesh, spec.n_dim - 2, outer_flux_edges(mesh))
 
 
+@pytest.fixture(scope="module")
+def ball_mesh_00125(disk):
+    return meridian_mesh(disk, 0.0125)
+
+
 class TestMeridianMesh:
-    def test_ball_half_disk(self, ball_problem, ball_mesh_005):
+    def test_ball_half_disk(self, ball_mesh_005):
         m = ball_mesh_005
         assert np.all(m.vertices[:, 0] >= -1e-12)
         assert m.min_angle_deg() >= 20.0
@@ -38,13 +46,13 @@ class TestMeridianMesh:
         assert z.max() == pytest.approx(1.0, abs=1e-12)
 
     def test_spheroid_mesh(self):
-        m = meridian_mesh(MeridianProblem(0.7, 1.2), 0.1)
+        m = meridian_mesh(make_ellipse(0.7, 1.2), 0.1)
         assert m.vertices[:, 0].max() == pytest.approx(0.7, abs=0.05)
         assert abs(m.vertices[:, 1]).max() == pytest.approx(1.2, abs=1e-9)
 
-    def test_vertex_scaling(self, ball_problem):
-        m1 = meridian_mesh(ball_problem, 0.1)
-        m2 = meridian_mesh(ball_problem, 0.05)
+    def test_vertex_scaling(self, disk):
+        m1 = meridian_mesh(disk, 0.1)
+        m2 = meridian_mesh(disk, 0.05)
         assert 2.5 <= m2.n_vertices / m1.n_vertices <= 6.0
 
     def test_axis_edges_carry_no_flux(self, ball_mesh_005):
@@ -56,10 +64,10 @@ class TestMeridianMesh:
             a, b = m.boundary_edges[e]
             assert r[a] < 1e-12 and r[b] < 1e-12
 
-    def test_revolved_volume_second_order(self, ball_problem, ball_spec):
+    def test_revolved_volume_second_order(self, disk, ball_spec):
         exact = 4.0 * math.pi / 3.0
         for h in (0.1, 0.05):
-            m = meridian_mesh(ball_problem, h)
+            m = meridian_mesh(disk, h)
             v = revolved_volume(meridian_disc(ball_spec, m))
             assert abs(v - exact) <= 1.0 * h ** 2 * exact
 
@@ -111,7 +119,7 @@ class TestSolveMeridian:
 
     def test_n2_reduces_to_planar_assembly(self):
         spec = ProblemSpec.robin(0.8, 1.0, n_dim=2)
-        mesh = meridian_mesh(MeridianProblem(1.0, 1.0), 0.1)
+        mesh = meridian_mesh(make_disk(1.0), 0.1)
         f_meridian, _ = newton_solve(meridian_disc(spec, mesh), spec)
         f_planar, _ = newton_solve(
             Discretization(mesh, flux_edges=outer_flux_edges(mesh)), spec)
@@ -153,12 +161,23 @@ class TestAxisHessian:
 
     def test_spheroid_robin(self):
         spec = ProblemSpec.robin(0.5, 1.0, n_dim=3)
-        mesh = meridian_mesh(MeridianProblem(0.7, 1.2), 0.05)
+        mesh = meridian_mesh(make_ellipse(0.7, 1.2), 0.05)
         field, _ = newton_solve(meridian_disc(spec, mesh), spec)
         ah = axis_hessian(field, 3)
         assert np.all(ah.entries > 0)
         assert abs(ah.cross_term) <= 0.1 * np.abs(ah.entries).min()
         assert check_monotone(field).holds
+
+    @pytest.mark.parametrize("n_dim", [3, 4, 5, 6])
+    def test_transverse_entry_within_one_percent(self, ball_mesh_00125,
+                                                 n_dim):
+        # the closed form's v_rr on the axis is lim slope(r) / r = H / n
+        spec = ProblemSpec.robin(0.8, 1.0, n_dim=n_dim)
+        field, _ = newton_solve(meridian_disc(spec, ball_mesh_00125), spec)
+        oracle = radial_ball_oracle(spec, 1.0, n_dim)
+        v_rr = float(oracle.slope(1e-8)) / 1e-8
+        entries = axis_hessian(field, n_dim).entries
+        assert entries[:-1] == pytest.approx(v_rr, rel=0.01)
 
     def test_no_crossing_raises(self, ball_mesh_005):
         f = synth(ball_mesh_005, lambda r, z: z.copy())
@@ -179,7 +198,52 @@ class TestAxialNodalSet:
         assert ends_r[1] >= 1.0 - 2 * ball_mesh_005.h    # reaches the rim
 
 
+ROUNDED_RECTANGLE = [[-1.0, -0.6], [1.0, -0.6], [1.0, 0.6], [-1.0, 0.6]]
+
+
+@pytest.mark.filterwarnings("ignore:rounded polygon")
+class TestRevolvedProfiles:
+    """Any convex section that is its own mirror image in the axis is a
+    meridian profile: a cylinder with rounded rims (a revolved rounded
+    rectangle) meshes, solves and passes the suite for n = 3...6."""
+
+    @pytest.mark.parametrize("n_dim", [3, 4, 5, 6])
+    def test_rounded_rectangle_passes_suite(self, n_dim):
+        run = pipeline.setup({
+            "domain": {"type": "rounded_polygon",
+                       "vertices": ROUNDED_RECTANGLE, "r": 0.3},
+            "problem": {"H": 0.8, "bc": "robin", "alpha": 1.0, "t": 1.0,
+                        "n_dim": n_dim},
+            "mesh": {"h_target": 0.025}})
+        assert np.all(run.mesh.vertices[:, 0] >= 0.0)
+        field, _, report, _ = pipeline.solve(run)
+        assert report.converged
+        report = run_suite(run, field, [])
+        assert report.verdict == "pass", [
+            (p.name, p.status) for p in report.properties]
+
+    @pytest.mark.parametrize("vertices", [
+        [[0.0, 0.0], [2.0, 0.0], [1.0, 1.8]],
+        [[-1.0, 0.0], [1.0, 0.0], [0.3, 1.8]],
+        [[-1.0, -0.6], [1.1, -0.6], [1.0, 0.6], [-1.0, 0.6]],
+    ], ids=["off-axis", "skew-apex", "one-corner-moved"])
+    def test_rejects_asymmetric_profile(self, vertices):
+        with pytest.raises(InvalidParameterError, match="axis x1 = 0"):
+            meridian_mesh(make_rounded_polygon(vertices, 0.2), 0.05)
+
+    @pytest.mark.parametrize("n_dim", [3, 4, 5, 6])
+    @pytest.mark.parametrize("a, b", [(1.0, 1.0), (0.7, 1.2)],
+                             ids=["ball", "spheroid"])
+    def test_exact_volume_matches_closed_form(self, a, b, n_dim):
+        # unit-ball volume in dimension n times a^(n-1) b
+        closed = math.pi ** (n_dim / 2.0) / math.gamma(n_dim / 2.0 + 1.0) \
+            * a ** (n_dim - 1) * b
+        domain = make_disk(a) if a == b else make_ellipse(a, b)
+        assert exact_revolved_volume(domain, n_dim) == pytest.approx(
+            closed, rel=1e-7)
+
+
 class TestProblemValidation:
     def test_rejects_bad_axes(self):
         with pytest.raises(InvalidParameterError):
-            MeridianProblem(-1.0, 1.0)
+            meridian_mesh(make_ellipse(-1.0, 1.0), 0.1)

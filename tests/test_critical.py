@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
 from pmclab.assembly import ScalarField
-from pmclab.critical import (classify, circle_loop, find_critical_points,
-                             gradient_index, interior_max_scan,
-                             inward_offset_loop, recover_gradient)
+from pmclab.critical import (_cluster_points, classify, circle_loop,
+                             find_critical_points, gradient_index,
+                             interior_max_scan, inward_offset_loop,
+                             recover_gradient)
 from pmclab.errors import IllConditionedLoopError
 
 from oracles import radial_disk_oracle
@@ -202,3 +206,21 @@ def reference_interior_maxima(mesh, v):
         if all(v[i] > v[j] for j in neighbors[i]):
             out.append(i)
     return out
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 60),
+       radius=st.floats(0.01, 0.5))
+@settings(max_examples=60, deadline=None)
+def test_cluster_points_match_connected_components(seed, n, radius):
+    """The union-find clusters are the connected components of the
+    ``query_pairs`` graph: ascending members, ordered by smallest member."""
+    pts = np.random.default_rng(seed).uniform(0.0, 1.0, size=(n, 2))
+    pairs = cKDTree(pts).query_pairs(radius, output_type="ndarray")
+    graph = sp.coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
+                          shape=(n, n))
+    count, labels = connected_components(graph, directed=False)
+    clusters = _cluster_points(pts, radius)
+    assert clusters == [np.nonzero(labels == k)[0].tolist()
+                        for k in range(count)]
+    assert [c[0] for c in clusters] == sorted(c[0] for c in clusters)
+    assert all(c == sorted(c) for c in clusters)

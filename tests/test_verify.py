@@ -5,13 +5,16 @@ import pytest
 
 from pmclab import cli, pipeline
 from pmclab.artifacts import canonical_json
-from pmclab.assembly import ScalarField
+from pmclab.assembly import Discretization, ProblemSpec, ScalarField
 from pmclab.config import parse_config
 from pmclab.critical import find_critical_points, inward_offset_loop
 from pmclab.errors import InvalidParameterError
 from pmclab.verify import (PROPERTY_CLAIMS, _record, run_suite,
                            verify_critical_structure, verify_homotopy_stability,
                            verify_saddle_equivalence, verify_sign_conditions)
+from pmclab.solver import newton_solve
+
+from oracles import dumbbell_loop, dumbbell_mesh
 
 
 def synth(mesh, fn):
@@ -68,6 +71,36 @@ class TestCriticalStructure:
         # the biconditional still holds: 2 minima and a saddle coexist
         assert verify_saddle_equivalence(recs).status == "pass"
         assert verify_saddle_equivalence(recs).measured["saddle_exists"]
+
+
+class TestNegativeControl:
+    """The paper needs convexity.  On a dumbbell (two unit disks at
+    x = +-1.6 joined by a channel of half-width 0.25) the solution has two
+    minima and a saddle at the neck, so the suite must fail there for a
+    true reason; the convex stadium (w = 1) passes at the same data."""
+
+    @pytest.mark.parametrize("alpha", [1.0, 10.0])
+    @pytest.mark.parametrize("w, failing", [
+        (0.25, {"critical-count-unique", "critical-is-minimum"}),
+        (1.0, set())], ids=["dumbbell", "stadium"])
+    def test_fails_only_off_the_hypothesis(self, w, failing, alpha):
+        D, h = 1.6, 0.04
+        spec = ProblemSpec.robin(0.5, alpha)
+        field, report = newton_solve(Discretization(dumbbell_mesh(D, w, h)),
+                                     spec)
+        assert report.converged
+        records = find_critical_points(field, spec)
+        loop = dumbbell_loop(D, w - 2 * h, 0.5 * h, R=1.0 - 2 * h)
+        props = verify_critical_structure(field, spec, records, loop,
+                                          2 * D + 2)
+        props.append(verify_saddle_equivalence(records))
+        assert {p.name for p in props if p.status == "fail"} == failing
+        assert all(p.status == "pass" for p in props
+                   if p.name not in failing)
+        saddles = [r.location for r in records
+                   if r.classification == "saddle"]
+        assert len(saddles) == (1 if failing else 0)
+        assert all(abs(x) < 0.5 for x, _ in saddles)     # in the neck
 
 
 class TestSaddleEquivalence:
