@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
 """Regenerate the golden reports in tests/golden/ from configs/.
 
+Each file in configs/ runs with the ``command`` it names; its report is the
+golden ``tests/golden/<config stem>.report.json``.
+
 Usage::
 
     python3 scripts/make_goldens.py          # rewrite tests/golden/*.json
@@ -25,8 +28,7 @@ sys.path.insert(0, str(REPO / "src"))
 
 from pmclab.cli import main as pmclab_main  # noqa: E402
 
-RUNS = ["robin_disk", "neumann_disk", "neumann_infeasible", "robin_ellipse",
-        "ball3d_robin"]
+CONFIGS = REPO / "configs"
 GOLDEN = REPO / "tests" / "golden"
 ABSENT = "<absent>"
 
@@ -76,10 +78,11 @@ def main(argv=None):
     if not args.diff:
         GOLDEN.mkdir(parents=True, exist_ok=True)
     differing = 0
-    for name in RUNS:
+    for cfg in sorted(CONFIGS.glob("*.json")):
+        name = cfg.stem
+        command = json.loads(cfg.read_text())["command"]
         with tempfile.TemporaryDirectory() as td:
-            code = pmclab_main(["verify", "--config",
-                         str(REPO / "configs" / f"{name}.json"), "--out", td])
+            code = pmclab_main([command, "--config", str(cfg), "--out", td])
             report = Path(td) / "report.json"
             if args.diff:
                 differing += diff_golden(name, report)
