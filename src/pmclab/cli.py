@@ -132,11 +132,8 @@ def _dispatch(config, out, report):
     if config.command == "mesh-report":
         return EXIT_OK
 
-    # continuation runs for `homotopy` and `verify`; `solve` and `compare`
-    # ignore a schedule
-    schedule = config.problem.get("schedule") \
-        if config.command in ("homotopy", "verify") else None
-    field, feas, solve_report, trace = pipeline.solve(run, schedule)
+    field, feas, solve_report, trace = pipeline.solve(
+        run, config.problem.get("schedule"))
     if feas is not None:
         report["feasibility"] = feas
     if trace is not None:

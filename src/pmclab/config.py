@@ -1,9 +1,11 @@
 """Run configuration: schema validation, defaults, and provenance hashing.
 
 The configuration is a single JSON document.  Unknown keys are rejected with
-their field path; cross-field rules (Robin data must not carry ``c``,
-Neumann must not carry ``alpha``, schedules end at 1, ...) are enforced
-here so every downstream module sees validated data only.
+their field path.  Two tables drive the cross-field rules: ``DOMAIN_PARAMS``
+names the keys of each domain kind, ``BC_DATUM`` the datum each boundary
+condition carries (Robin data must not carry ``c``, Neumann data not
+``alpha``).  Only ``homotopy``, ``verify`` and ``mesh-report`` take a
+schedule, which ends at 1.  Every downstream module sees validated data only.
 """
 
 from __future__ import annotations
@@ -17,6 +19,13 @@ from .errors import ConfigError
 COMMANDS = ("solve", "homotopy", "axisym", "compare", "verify", "mesh-report")
 PLANAR_DOMAINS = ("disk", "ellipse", "rounded_polygon")
 MERIDIAN_DOMAINS = ("ball", "spheroid")
+# the parameters of each domain kind, in the order its geometry factory
+# takes them; no other key is allowed
+DOMAIN_PARAMS = {"disk": ("R",), "ellipse": ("a", "b"),
+                 "rounded_polygon": ("vertices", "r"),
+                 "ball": ("R",), "spheroid": ("a", "b")}
+# the boundary datum each kind of boundary condition carries
+BC_DATUM = {"neumann": "c", "robin": "alpha"}
 
 DEFAULTS = {
     "mesh": {"h_target": 0.1},
@@ -71,35 +80,28 @@ def _check_keys(doc, path, allowed):
 
 
 def _validate_domain(doc):
-    _check_keys(doc, "domain", {"type", "R", "a", "b", "vertices", "r"})
+    _expect(isinstance(doc, dict), "domain", "expected an object")
     kind = doc.get("type")
-    _expect(kind in PLANAR_DOMAINS + MERIDIAN_DOMAINS, "domain.type",
-            f"must be one of {PLANAR_DOMAINS + MERIDIAN_DOMAINS}, got {kind!r}")
+    _expect(kind in DOMAIN_PARAMS, "domain.type",
+            f"must be one of {tuple(DOMAIN_PARAMS)}, got {kind!r}")
+    params = DOMAIN_PARAMS[kind]
+    for key in doc:
+        _expect(key == "type" or key in params, f"domain.{key}",
+                f"not allowed for {kind}")
     out = {"type": kind}
-    if kind in ("disk", "ball"):
-        _expect("R" in doc, "domain.R", "required for disk/ball")
-        out["R"] = _number(doc["R"], "domain.R", lo=0.0, strict_lo=True)
-        for bad in ("a", "b", "vertices", "r"):
-            _expect(bad not in doc, f"domain.{bad}", f"not allowed for {kind}")
-    elif kind in ("ellipse", "spheroid"):
-        for ax in ("a", "b"):
-            _expect(ax in doc, f"domain.{ax}", f"required for {kind}")
-            out[ax] = _number(doc[ax], f"domain.{ax}", lo=0.0, strict_lo=True)
-        for bad in ("R", "vertices", "r"):
-            _expect(bad not in doc, f"domain.{bad}", f"not allowed for {kind}")
-    else:  # rounded_polygon
-        _expect("vertices" in doc, "domain.vertices", "required")
-        verts = doc["vertices"]
-        _expect(isinstance(verts, list) and len(verts) >= 3
-                and all(isinstance(v, list) and len(v) == 2 for v in verts),
-                "domain.vertices", "expected a list of [x, y] pairs")
-        out["vertices"] = [[_number(x, "domain.vertices", None),
-                            _number(y, "domain.vertices", None)]
-                           for x, y in verts]
-        _expect("r" in doc, "domain.r", "required")
-        out["r"] = _number(doc["r"], "domain.r", lo=0.0, strict_lo=True)
-        _expect("R" not in doc, "domain.R", "not allowed for rounded_polygon")
+    for key in params:
+        _expect(key in doc, f"domain.{key}", f"required for {kind}")
+        out[key] = _vertices(doc[key]) if key == "vertices" else \
+            _number(doc[key], f"domain.{key}", lo=0.0, strict_lo=True)
     return out
+
+
+def _vertices(verts):
+    _expect(isinstance(verts, list) and len(verts) >= 3
+            and all(isinstance(v, list) and len(v) == 2 for v in verts),
+            "domain.vertices", "expected a list of [x, y] pairs")
+    return [[_number(x, "domain.vertices"), _number(y, "domain.vertices")]
+            for x, y in verts]
 
 
 def _validate_problem(doc, domain_kind, command):
@@ -109,19 +111,16 @@ def _validate_problem(doc, domain_kind, command):
     _expect("H" in doc, "problem.H", "required")
     out["H"] = _number(doc["H"], "problem.H", lo=0.0, strict_lo=True)
     bc = doc.get("bc")
-    _expect(bc in ("neumann", "robin"), "problem.bc",
-            f"must be 'neumann' or 'robin', got {bc!r}")
+    _expect(bc in BC_DATUM, "problem.bc",
+            f"must be one of {tuple(BC_DATUM)}, got {bc!r}")
     out["bc"] = bc
-    if bc == "neumann":
-        _expect("c" in doc, "problem.c", "required for Neumann data")
-        _expect("alpha" not in doc, "problem.alpha",
-                "not allowed with Neumann data")
-        out["c"] = _number(doc["c"], "problem.c", lo=0.0, strict_lo=True)
-    else:
-        _expect("alpha" in doc, "problem.alpha", "required for Robin data")
-        _expect("c" not in doc, "problem.c", "not allowed with Robin data")
-        out["alpha"] = _number(doc["alpha"], "problem.alpha", lo=0.0,
-                               strict_lo=True)
+    datum, name = BC_DATUM[bc], bc.capitalize()
+    _expect(datum in doc, f"problem.{datum}", f"required for {name} data")
+    for other in BC_DATUM.values():
+        _expect(other == datum or other not in doc, f"problem.{other}",
+                f"not allowed with {name} data")
+    out[datum] = _number(doc[datum], f"problem.{datum}", lo=0.0,
+                         strict_lo=True)
 
     if "t" in doc:
         out["t"] = _number(doc["t"], "problem.t", lo=0.0, hi=1.0)
@@ -132,6 +131,8 @@ def _validate_problem(doc, domain_kind, command):
     if schedule is None and command == "homotopy":
         schedule = [round(0.1 * k, 10) for k in range(11)]
     if schedule is not None:
+        _expect(command not in ("solve", "compare"), "problem.schedule",
+                f"{command} runs no continuation")
         _expect(domain_kind in PLANAR_DOMAINS, "problem.schedule",
                 "continuation runs on planar domains only")
         _expect("t" not in doc, "problem.t",

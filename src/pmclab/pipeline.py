@@ -18,30 +18,27 @@ import numpy as np
 
 from . import axisym as axi
 from .assembly import Discretization, ProblemSpec, ScalarField, neumann_gate
+from .config import DOMAIN_PARAMS
 from .critical import find_critical_points, recover_gradient
-from .errors import InvalidParameterError, PmclabError, SolverFailure
+from .errors import PmclabError, SolverFailure
 from .geometry import make_disk, make_ellipse, make_rounded_polygon, triangulate
 from .nodal import (CylinderSolution, QuadraticModel, difference_field,
                     leading_order_fit, sector_count, trace_nodal_set)
 from .solver import SolverOptions, homotopy_solve, newton_solve
 
 
+_FACTORIES = {"disk": make_disk, "ball": make_disk, "ellipse": make_ellipse,
+              "spheroid": make_ellipse, "rounded_polygon": make_rounded_polygon}
+
+
 def build_domain(domain_cfg):
     kind = domain_cfg["type"]
-    if kind in ("disk", "ball"):
-        return make_disk(domain_cfg["R"])
-    if kind in ("ellipse", "spheroid"):
-        return make_ellipse(domain_cfg["a"], domain_cfg["b"])
-    if kind == "rounded_polygon":
-        return make_rounded_polygon(domain_cfg["vertices"], domain_cfg["r"])
-    raise InvalidParameterError(f"unknown domain type {kind!r}")
+    return _FACTORIES[kind](*(domain_cfg[key] for key in DOMAIN_PARAMS[kind]))
 
 
 def build_spec(problem_cfg):
-    kw = {"t": problem_cfg["t"], "n_dim": problem_cfg["n_dim"]}
-    if problem_cfg["bc"] == "neumann":
-        return ProblemSpec.neumann(problem_cfg["H"], problem_cfg["c"], **kw)
-    return ProblemSpec.robin(problem_cfg["H"], problem_cfg["alpha"], **kw)
+    return ProblemSpec(**{key: val for key, val in problem_cfg.items()
+                          if key != "schedule"})
 
 
 @dataclass(frozen=True)
@@ -111,7 +108,8 @@ def census(field, spec, trace=None):
 
 
 def axisym_summary(field, n_dim):
-    """Radial monotonicity and the axis Hessian of a meridian solution."""
+    """Radial monotonicity and the axis Hessian of a meridian solution; a
+    failed axis Hessian is ``{"error": message}``."""
     info = {"n_dim": n_dim, "monotone": axi.check_monotone(field)}
     try:
         info["axis_hessian"] = axi.axis_hessian(field, n_dim)
@@ -128,23 +126,26 @@ def axial_nodal_set(field):
 
 # -- contact with the matched cylinder ----------------------------------------
 
-def contact_radius(mesh, center, diam, H):
-    """Radius of the contact disk at ``center``: 0.3 of the domain diameter,
-    or half the distance to the nearest boundary vertex, or 1/H - 2h when
-    smaller.  The matched cylinder exists only on |x1 - center| < 1/H, so
-    the last bound keeps the circle inside the mesh that the difference
-    against it is clipped to."""
+def cylinder_contact(field, spec, p, diam):
+    """Contact of a planar solution with the cylinder surface matched to it
+    at its critical point ``p``: (value at p, contact radius, difference
+    field, (sector count, order fit) or None on a mesh too coarse).
+
+    The contact circle has radius 0.3 of the domain diameter, or half the
+    distance from ``p`` to the nearest boundary vertex, or 1/H - 2h when
+    smaller.  The matched cylinder exists only on |x1 - p1| < 1/H, so the
+    last bound keeps the circle inside the mesh that the difference against
+    it is clipped to.  A radius below 4h leaves no room for the fit.
+    """
+    mesh = field.mesh
+    value = float(mesh.interpolate(field.values, p[None, :])[0])
+    diff = difference_field(field, CylinderSolution(value, spec.H, center=p))
     bidx = np.unique(mesh.boundary_edges.ravel())
-    dist = float(np.linalg.norm(mesh.vertices[bidx] - center, axis=1).min())
-    return min(0.3 * diam, 0.5 * dist, 1.0 / H - 2.0 * mesh.h)
-
-
-def matched_cylinder(field, spec, center):
-    """The solution value at ``center`` and the difference field against
-    the cylinder surface matched to it there."""
-    value = float(field.mesh.interpolate(field.values, center[None, :])[0])
-    cyl = CylinderSolution(value, spec.H, center=center)
-    return value, difference_field(field, cyl)
+    dist = float(np.linalg.norm(mesh.vertices[bidx] - p, axis=1).min())
+    radius = min(0.3 * diam, 0.5 * dist, 1.0 / spec.H - 2.0 * mesh.h)
+    if radius < 4.0 * mesh.h:
+        return value, radius, diff, None
+    return value, radius, diff, contact_order(diff, p, radius, mesh.h)
 
 
 def contact_order(diff, center, radius, h):
@@ -155,7 +156,9 @@ def contact_order(diff, center, radius, h):
 
 
 def nodal_lab(field, spec, records, diam):
-    """Comparison-surface diagnostics at the unique critical point.
+    """Comparison-surface diagnostics at the unique critical point: the
+    contact with the matched cylinder and with the quadratic model of the
+    recovered Hessian.
 
     Returns the report entry and the nodal arcs of the difference against
     the matched cylinder (None without a unique critical point).
@@ -163,20 +166,19 @@ def nodal_lab(field, spec, records, diam):
     if len(records) != 1:
         return {"note": "nodal laboratory needs a unique critical point",
                 "n_critical": len(records)}, None
-    mesh = field.mesh
     p = records[0].location
-    value, diff_cyl = matched_cylinder(field, spec, p)
-    radius = contact_radius(mesh, p, diam, spec.H)
+    value, radius, diff_cyl, order = cylinder_contact(field, spec, p, diam)
     info = {"critical_point": [float(p[0]), float(p[1])], "value": value,
             "contact_radius": radius}
-    if radius < 4.0 * mesh.h:
+    if order is None:
         info["note"] = "mesh too coarse for contact diagnostics"
         return info, trace_nodal_set(diff_cyl)
     hess = records[0].hessian
-    quad = QuadraticModel(value, hess[0, 0], hess[1, 1], center=p)
-    for name, diff in (("cylinder", diff_cyl),
-                       ("quadratic", difference_field(field, quad))):
-        sectors, fit = contact_order(diff, p, radius, mesh.h)
+    diff_quad = difference_field(
+        field, QuadraticModel(value, hess[0, 0], hess[1, 1], center=p))
+    for name, (sectors, fit) in (
+            ("cylinder", order),
+            ("quadratic", contact_order(diff_quad, p, radius, field.mesh.h))):
         info[name] = {"sector_count": sectors, "fitted_order": fit.k,
                       "fit_residual": fit.residual, "amplitude": fit.amplitude}
     return info, trace_nodal_set(diff_cyl)

@@ -23,7 +23,7 @@ from . import pipeline
 from .critical import (DEGENERACY_TOL, gradient_index, interior_max_scan,
                        inward_offset_loop)
 from .errors import (IllConditionedLoopError, InvalidParameterError,
-                     NoAxisCriticalError, PmclabError)
+                     PmclabError)
 
 SIGN_DEADBAND = 1e-10
 TRACE_RTOL = 0.1
@@ -223,28 +223,29 @@ def verify_cylinder_contact(field, spec, records, diam):
     if len(records) != 1:
         return _record("cylinder-contact", "skip",
                        note="needs a unique critical point")
-    p = records[0].location
-    mesh = field.mesh
-    r_contact = pipeline.contact_radius(mesh, p, diam, spec.H)
-    if r_contact < 4.0 * mesh.h:
+    _, radius, _, order = pipeline.cylinder_contact(
+        field, spec, records[0].location, diam)
+    if order is None:
         return _record("cylinder-contact", "skip",
                        note="mesh too coarse for the contact circle")
-    _, diff = pipeline.matched_cylinder(field, spec, p)
-    sectors, fit = pipeline.contact_order(diff, p, r_contact, mesh.h)
+    sectors, fit = order
     degenerate = sectors >= 6 and fit.k >= 3.0
     return _record(
         "cylinder-contact", "fail" if degenerate else "pass",
         measured={"sector_count": sectors, "fitted_order": fit.k,
-                  "fit_residual": fit.residual, "radius": r_contact},
+                  "fit_residual": fit.residual, "radius": radius},
         tolerances={"degenerate_when": "sectors >= 6 and order >= 3"})
 
 
 # -- axisymmetric properties ----------------------------------------------------
 
 def verify_meridian_structure(field, run):
+    """The axisymmetric properties of a meridian solution, read from
+    :func:`pmclab.pipeline.axisym_summary` and the revolved volume."""
     out = []
     mesh, spec = field.mesh, run.spec
-    mono = axi.check_monotone(field)
+    summary = pipeline.axisym_summary(field, spec.n_dim)
+    mono = summary["monotone"]
     out.append(_record(
         "radial-monotone", "pass" if mono.holds else "fail",
         measured=asdict(mono)))
@@ -260,8 +261,11 @@ def verify_meridian_structure(field, run):
         out.append(_record("axis-critical-unique", "fail",
                            note=f"axis scan failed: {exc}"))
 
-    try:
-        ah = axi.axis_hessian(field, spec.n_dim)
+    ah = summary["axis_hessian"]
+    if isinstance(ah, dict):
+        out.append(_record("axis-hessian-positive", "fail", note=ah["error"]))
+        out.append(_record("hessian-trace-identity", "fail", note=ah["error"]))
+    else:
         entries = ah.entries
         pos_ok = bool(np.all(entries > 0))
         cross_ok = abs(ah.cross_term) <= 0.1 * float(np.min(np.abs(entries)))
@@ -270,9 +274,6 @@ def verify_meridian_structure(field, run):
             measured=asdict(ah),
             tolerances={"cross_term_rtol": 0.1}))
         out.append(_trace_record([float(np.sum(entries))], spec.H))
-    except (NoAxisCriticalError, InvalidParameterError) as exc:
-        out.append(_record("axis-hessian-positive", "fail", note=str(exc)))
-        out.append(_record("hessian-trace-identity", "fail", note=str(exc)))
 
     arc_ok, arc_info = _single_axis_to_outer_arc(
         pipeline.axial_nodal_set(field), mesh)
