@@ -8,13 +8,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pmclab
 from pmclab.artifacts import canonical_json
 from pmclab.assembly import FeasibilityReport
 from pmclab.axisym import AxisHessian, MonotoneReport
 from pmclab.cli import main
-from pmclab.config import ConfigError, apply_overrides, parse_config
+from pmclab.config import (DOMAIN_PARAMS, ConfigError, apply_overrides,
+                           parse_config)
 from pmclab.critical import CriticalPointRecord
 from pmclab.solver import SolveReport
 from pmclab.verify import PropertyRecord, VerificationReport
@@ -148,6 +151,67 @@ class TestParseConfig:
         a = parse_config(base).config_hash
         b = parse_config(apply_overrides(dict(base), ["problem.H=0.5"]))
         assert a != b.config_hash
+
+    @pytest.mark.parametrize("key", ["a", "b", "R"])
+    def test_rounded_polygon_rejects_other_keys(self, tmp_path, capsys, key):
+        # a key of another domain kind was once dropped without a word
+        doc = {"command": "solve",
+               "domain": {"type": "rounded_polygon", "r": 0.2,
+                          "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]],
+                          key: 0.5},
+               "problem": {"H": 0.8, "bc": "robin", "alpha": 1.0}}
+        with pytest.raises(ConfigError) as exc:
+            parse_config(doc)
+        assert exc.value.path == f"domain.{key}"
+        assert "not allowed for rounded_polygon" in str(exc.value)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["solve", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 4
+        assert f"domain.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, accepted", [
+        ("solve", False), ("compare", False), ("homotopy", True),
+        ("verify", True), ("mesh-report", True)])
+    def test_schedule_only_where_a_continuation_runs(self, command, accepted):
+        doc = {"domain": {"type": "disk", "R": 1.0},
+               "problem": {"H": 0.8, "bc": "robin", "alpha": 1.0,
+                           "schedule": [0.5, 1.0]}}
+        if accepted:
+            assert parse_config(doc, command).problem["schedule"] == [0.5, 1.0]
+            return
+        with pytest.raises(ConfigError) as exc:
+            parse_config(doc, command)
+        assert exc.value.path == "problem.schedule"
+
+    @pytest.mark.parametrize("command", ["solve", "compare"])
+    def test_schedule_without_continuation_is_four(self, tmp_path, capsys,
+                                                   command):
+        code, out = run_cli(tmp_path, command, "robin_ellipse.json")
+        assert code == 4
+        assert "problem.schedule" in capsys.readouterr().err
+        assert not (out / "solution.csv").exists()
+
+    @given(kind=st.sampled_from(sorted(DOMAIN_PARAMS)),
+           keys=st.sets(st.sampled_from(["R", "a", "b", "r", "vertices"])),
+           size=st.floats(0.1, 2.0))
+    @settings(max_examples=60, deadline=None)
+    def test_accepted_domain_has_exactly_its_keys(self, kind, keys, size):
+        values = {"vertices": [[-1, -1], [1, -1], [1, 1], [-1, 1]]}
+        domain = {"type": kind, **{k: values.get(k, size) for k in keys}}
+        command = "verify" if kind in ("ball", "spheroid") else "solve"
+        doc = {"domain": domain,
+               "problem": {"H": 0.8, "bc": "robin", "alpha": 1.0}}
+        try:
+            canonical = parse_config(doc, command).domain
+        except ConfigError as exc:
+            # refused for a missing or a foreign key, and names it
+            assert keys != set(DOMAIN_PARAMS[kind])
+            assert exc.path in {f"domain.{k}" for k in
+                                      keys ^ set(DOMAIN_PARAMS[kind])}
+            return
+        assert set(canonical) == set(domain) == \
+            {"type", *DOMAIN_PARAMS[kind]}
 
 
 class TestExitCodes:
