@@ -3,9 +3,9 @@
 A domain is its exact boundary: each factory hands :class:`ConvexDomain`
 vectorized functions of arc length for the boundary point and the outward
 unit normal, which a conic or rounded polygon evaluates in closed form.
-A table of 2048 equally spaced boundary points serves the coarse boundary
-sampling and the one hexagonal fill lattice of every mesh, planar and
-meridian.  A mesh is the Delaunay triangulation of a boundary sampling plus
+Every mesh samples its boundary at equal arc lengths of that exact curve; a
+table of 2048 equally spaced boundary points serves the one hexagonal fill
+lattice of every mesh, planar and meridian.  A mesh is the Delaunay triangulation of a boundary sampling plus
 that lattice (qhull runs on a boundary band only); a mesh whose minimum
 cell angle is below 20 degrees is refused.  Everything
 here is a pure function of its inputs: two calls with identical arguments
@@ -21,11 +21,11 @@ import warnings
 import numpy as np
 import scipy.sparse as sp
 from scipy.spatial import Delaunay, cKDTree
+from scipy.special import ellipeinc
 
 from .errors import InvalidParameterError, MeshQualityError
 
 _TABLE_SIZE = 2048
-_FINE_GRID = 16384
 # boundary sampling denser than h_target so polygonal area/length deficits
 # stay well inside the O(h^2) budget; lattice slightly denser still so the
 # longest edge stays within 1.5 h_target
@@ -84,25 +84,37 @@ def make_disk(R):
 
 
 def make_ellipse(a, b):
-    """Ellipse with semi-axes ``a`` (x1) and ``b`` (x2), arc-length parametrized."""
+    """Ellipse with semi-axes ``a`` (x1) and ``b`` (x2), arc-length
+    parametrized.
+
+    The arc length from (a, 0) to the point at angle theta is the closed
+    form s(theta) = b E(theta | 1 - a^2/b^2), E the incomplete elliptic
+    integral of the second kind; theta(s) is four Newton steps from its
+    linear interpolant on 257 knots, exact to a few ulps of the length.
+    """
     if not (a > 0 and b > 0):
         raise InvalidParameterError(f"ellipse axes must be positive, got {a}, {b}")
-    theta = np.linspace(0.0, 2.0 * math.pi, _FINE_GRID + 1)
-    speed = np.sqrt((a * np.sin(theta)) ** 2 + (b * np.cos(theta)) ** 2)
-    # periodic trapezoid rule converges spectrally for the perimeter
-    ds = np.diff(theta)
-    s_of_theta = np.concatenate([[0.0], np.cumsum(0.5 * (speed[1:] + speed[:-1]) * ds)])
+    m = 1.0 - (a / b) ** 2
+    knots = np.linspace(0.0, 2.0 * math.pi, 257)
+    s_knots = b * ellipeinc(knots, m)
+
+    def theta(s):
+        th = np.interp(s, s_knots, knots)
+        for _ in range(4):
+            th = th - (b * ellipeinc(th, m) - s) / np.hypot(a * np.sin(th),
+                                                           b * np.cos(th))
+        return th
 
     def position(s):
-        th = np.interp(s, s_of_theta, theta)
+        th = theta(s)
         return np.stack([a * np.cos(th), b * np.sin(th)], axis=-1)
 
     def normal(s):
-        th = np.interp(s, s_of_theta, theta)
+        th = theta(s)
         n = np.stack([b * np.cos(th), a * np.sin(th)], axis=-1)
         return n / np.linalg.norm(n, axis=-1, keepdims=True)
 
-    return ConvexDomain(position, normal, s_of_theta[-1], math.pi * a * b)
+    return ConvexDomain(position, normal, s_knots[-1], math.pi * a * b)
 
 
 def make_rounded_polygon(vertices, r):
@@ -361,17 +373,9 @@ def triangulate(domain, h_target):
 
     L = domain.length
     n_b = max(8, int(math.ceil(L / (_BOUNDARY_SPACING_FACTOR * h_target))))
-    if n_b <= _TABLE_SIZE // 4:
-        # snap samples to table knots: exact positions keep straight boundary
-        # runs exactly collinear, so degenerate hull slivers filter cleanly
-        knots = np.round(np.arange(n_b) * (L / n_b)
-                         / (L / _TABLE_SIZE)).astype(int)
-        boundary_pts = domain._table_pts[np.unique(knots % _TABLE_SIZE)]
-    else:
-        boundary_pts = domain.position(np.arange(n_b) * (L / n_b))
-
-    return mesh_from_loop(boundary_pts, *_hex_lattice(
-        domain, _LATTICE_SPACING_FACTOR * h_target))
+    return mesh_from_loop(domain.position(np.arange(n_b) * (L / n_b)),
+                          *_hex_lattice(domain,
+                                        _LATTICE_SPACING_FACTOR * h_target))
 
 
 def mesh_from_loop(loop_pts, interior_pts, lattice=()):

@@ -232,15 +232,15 @@ class TestRevolvedProfiles:
             meridian_mesh(make_rounded_polygon(vertices, 0.2), 0.05)
 
     @pytest.mark.parametrize("n_dim", [3, 4, 5, 6])
-    @pytest.mark.parametrize("a, b", [(1.0, 1.0), (0.7, 1.2)],
-                             ids=["ball", "spheroid"])
+    @pytest.mark.parametrize("a, b", [(1.0, 1.0), (0.7, 1.2), (2.0, 0.5)],
+                             ids=["ball", "spheroid", "oblate"])
     def test_exact_volume_matches_closed_form(self, a, b, n_dim):
         # unit-ball volume in dimension n times a^(n-1) b
         closed = math.pi ** (n_dim / 2.0) / math.gamma(n_dim / 2.0 + 1.0) \
             * a ** (n_dim - 1) * b
         domain = make_disk(a) if a == b else make_ellipse(a, b)
         assert exact_revolved_volume(domain, n_dim) == pytest.approx(
-            closed, rel=1e-7)
+            closed, rel=1e-13)
 
 
 class TestProblemValidation:

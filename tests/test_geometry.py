@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.spatial import cKDTree
+from scipy.special import ellipe
 
 import pmclab
 from pmclab import axisym, geometry
@@ -111,6 +113,23 @@ class TestEllipse:
         with pytest.raises(InvalidParameterError):
             make_ellipse(1.0, 0.0)
 
+    @pytest.mark.parametrize("a, b", [(1.3, 0.7), (2.0, 0.5), (0.7, 1.2),
+                                      (1.0, 0.01)])
+    def test_arc_length_parametrized(self, a, b):
+        # s against the quadrature of the speed up to the point's angle
+        e = make_ellipse(a, b)
+        assert e.length == pytest.approx(4.0 * max(a, b) * ellipe(
+            1.0 - (min(a, b) / max(a, b)) ** 2), abs=1e-13)
+        s = np.linspace(0.0, e.length, 41)[1:-1]
+        x, y = e.position(s).T
+        theta = np.unwrap(np.arctan2(y / b, x / a))
+        theta[theta < 0] += 2.0 * math.pi
+        speed = lambda t: math.hypot(a * math.sin(t), b * math.cos(t))
+        for si, ti in zip(s, theta):
+            ref, _ = quad(speed, 0.0, ti, epsabs=1e-13, epsrel=1e-13,
+                          limit=200)
+            assert abs(ref - si) <= 1e-12
+
 
 class TestRoundedPolygon:
     def test_square_length(self):
@@ -204,13 +223,42 @@ class TestExactBoundary:
          + np.minimum((np.abs(p) - 0.5).max(axis=1), 0.0) - 0.5),
     ], ids=["disk", "ellipse", "thin-ellipse", "rounded-square"])
     def test_fine_mesh_boundary_on_exact_curve(self, factory, h, distance):
-        # above _TABLE_SIZE // 4 boundary samples, triangulate places them
-        # by the domain's own position function
+        # more boundary samples than a quarter of the table's knots
         d = factory()
         m = triangulate(d, h)
         assert len(m.boundary_edges) > _TABLE_SIZE // 4
         p = m.vertices[m.boundary_edges[:, 0]]
         assert np.max(np.abs(distance(p))) <= 1e-13
+
+    @pytest.mark.filterwarnings("ignore:rounded polygon")
+    @pytest.mark.parametrize("factory, h, distance", [
+        (lambda: make_disk(1.0), 0.05,
+         lambda p: np.hypot(*p.T) - 1.0),
+        (lambda: make_ellipse(1.3, 0.7), 0.05,
+         lambda p: ellipse_distance(p, 1.3, 0.7)),
+        (lambda: make_ellipse(1.0, 0.1), 0.05,
+         lambda p: ellipse_distance(p, 1.0, 0.1)),
+        (lambda: make_rounded_polygon(SQUARE, 0.5), 0.1,
+         lambda p: np.linalg.norm(np.maximum(np.abs(p) - 0.5, 0.0), axis=1)
+         + np.minimum((np.abs(p) - 0.5).max(axis=1), 0.0) - 0.5),
+    ], ids=["disk", "ellipse", "thin-ellipse", "rounded-square"])
+    def test_coarse_mesh_boundary_equally_spaced(self, factory, h, distance):
+        # a coarse mesh samples the exact curve too, at n equal arc lengths
+        d = factory()
+        m = triangulate(d, h)
+        n = len(m.boundary_edges)
+        assert n <= _TABLE_SIZE // 4
+        p = m.vertices[m.boundary_edges[:, 0]]
+        assert np.max(np.abs(distance(p))) <= 1e-13
+        assert np.max(np.abs(p - d.position(np.arange(n) * (d.length / n)))) \
+            <= 1e-13
+
+    def test_coarse_disk_boundary_equal_angles(self, disk_mesh_005):
+        # equal arc lengths read off the points alone: 148 equal angles
+        p = disk_mesh_005.vertices[disk_mesh_005.boundary_edges[:, 0]]
+        gaps = np.diff(np.unwrap(np.arctan2(p[:, 1], p[:, 0])))
+        assert len(p) == 148
+        assert np.max(np.abs(gaps - 2.0 * math.pi / len(p))) <= 1e-13
 
 
 def ellipse_distance(p, a, b):
@@ -303,8 +351,7 @@ class TestTriangulate:
 
     @pytest.mark.filterwarnings("ignore:rounded polygon")
     def test_rounded_square_fine_mesh(self):
-        # 561 boundary samples: above _TABLE_SIZE // 4 they are placed by
-        # the exact boundary, not snapped to table knots
+        # 561 boundary samples, all on the exact boundary
         d = make_rounded_polygon(SQUARE, 0.5)
         m = triangulate(d, 0.015)
         assert len(m.boundary_edges) > 512
