@@ -1,11 +1,9 @@
 """Run configuration: schema validation, defaults, and provenance hashing.
 
 The configuration is a single JSON document.  Unknown keys are rejected with
-their field path.  Two tables drive the cross-field rules: ``DOMAIN_PARAMS``
-names the keys of each domain kind, ``BC_DATUM`` the datum each boundary
-condition carries (Robin data must not carry ``c``, Neumann data not
-``alpha``).  Only ``homotopy``, ``verify`` and ``mesh-report`` take a
-schedule, which ends at 1.  Every downstream module sees validated data only.
+their field path; ``DOMAIN_PARAMS`` and ``BC_DATUM`` name the keys each
+domain kind and boundary condition takes, and only a command that runs a
+continuation takes a schedule, which ends at 1.
 """
 
 from __future__ import annotations

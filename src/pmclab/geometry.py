@@ -5,11 +5,11 @@ vectorized functions of arc length for the boundary point and the outward
 unit normal, which a conic or rounded polygon evaluates in closed form.
 Every mesh samples its boundary at equal arc lengths of that exact curve; a
 table of 2048 equally spaced boundary points serves the one hexagonal fill
-lattice of every mesh, planar and meridian.  A mesh is the Delaunay triangulation of a boundary sampling plus
-that lattice (qhull runs on a boundary band only); a mesh whose minimum
-cell angle is below 20 degrees is refused.  Everything
-here is a pure function of its inputs: two calls with identical arguments
-return identical vertex and cell arrays.
+lattice of every mesh, planar and meridian.  A mesh is the Delaunay
+triangulation of the two (qhull runs on a boundary band only); a mesh whose
+minimum cell angle is below 20 degrees is refused.  Everything here is a pure
+function of its inputs: two calls with identical arguments return identical
+vertex and cell arrays.
 """
 
 from __future__ import annotations
@@ -85,13 +85,9 @@ def make_disk(R):
 
 def make_ellipse(a, b):
     """Ellipse with semi-axes ``a`` (x1) and ``b`` (x2), arc-length
-    parametrized.
-
-    The arc length from (a, 0) to the point at angle theta is the closed
-    form s(theta) = b E(theta | 1 - a^2/b^2), E the incomplete elliptic
-    integral of the second kind; theta(s) is four Newton steps from its
-    linear interpolant on 257 knots, exact to a few ulps of the length.
-    """
+    parametrized: s(theta) = b E(theta | 1 - a^2/b^2) from (a, 0), E the
+    incomplete elliptic integral of the second kind, inverted by four Newton
+    steps from its linear interpolant on 257 knots."""
     if not (a > 0 and b > 0):
         raise InvalidParameterError(f"ellipse axes must be positive, got {a}, {b}")
     m = 1.0 - (a / b) ** 2

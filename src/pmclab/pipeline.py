@@ -1,13 +1,14 @@
 """The chain every command runs: set-up, Neumann gate, solve, diagnostics.
 
 One validated config goes through :func:`setup` (problem data, the planar
-domain or the meridian section of a domain of revolution, the mesh and its
-discretization) and :func:`solve` (the Neumann gate
-:func:`~pmclab.assembly.neumann_gate`, then homotopy continuation or one
-Newton solve).  The diagnostics that both the commands and the property
-suite report are computed here too: the axial nodal set of a meridian solution
-and the contact of a planar solution with its matched cylinder.  ``cli``
-turns the results into artifacts and ``verify`` into property records.
+domain or the meridian section of a domain of revolution, built from the
+keys ``config.DOMAIN_PARAMS`` names, the mesh and its discretization) and
+:func:`solve` (the Neumann gate :func:`~pmclab.assembly.neumann_gate`, then
+homotopy continuation or one Newton solve).  The diagnostics that both the
+commands and the property suite report are computed here only: the meridian
+summary and axial nodal set, and :func:`cylinder_contact`, the contact of a
+planar solution with its matched cylinder.  ``cli`` turns the results into
+artifacts and ``verify`` into property records.
 """
 
 from __future__ import annotations
@@ -127,16 +128,13 @@ def axial_nodal_set(field):
 # -- contact with the matched cylinder ----------------------------------------
 
 def cylinder_contact(field, spec, p, diam):
-    """Contact of a planar solution with the cylinder surface matched to it
-    at its critical point ``p``: (value at p, contact radius, difference
-    field, (sector count, order fit) or None on a mesh too coarse).
+    """Contact at the critical point ``p`` with the cylinder surface matched
+    to the solution there: (value at p, contact radius, the difference
+    field, (sector count, order fit), or None for a radius below 4h).
 
-    The contact circle has radius 0.3 of the domain diameter, or half the
-    distance from ``p`` to the nearest boundary vertex, or 1/H - 2h when
-    smaller.  The matched cylinder exists only on |x1 - p1| < 1/H, so the
-    last bound keeps the circle inside the mesh that the difference against
-    it is clipped to.  A radius below 4h leaves no room for the fit.
-    """
+    The radius is 0.3 of the domain diameter, or half the distance to the
+    nearest boundary vertex, or 1/H - 2h when smaller: the cylinder exists
+    only on |x1 - p1| < 1/H, and the difference is clipped to that strip."""
     mesh = field.mesh
     value = float(mesh.interpolate(field.values, p[None, :])[0])
     diff = difference_field(field, CylinderSolution(value, spec.H, center=p))
@@ -156,13 +154,10 @@ def contact_order(diff, center, radius, h):
 
 
 def nodal_lab(field, spec, records, diam):
-    """Comparison-surface diagnostics at the unique critical point: the
-    contact with the matched cylinder and with the quadratic model of the
-    recovered Hessian.
-
-    Returns the report entry and the nodal arcs of the difference against
-    the matched cylinder (None without a unique critical point).
-    """
+    """Contact with the matched cylinder and with the quadratic model of
+    the recovered Hessian at the unique critical point.  Returns the report
+    entry and the nodal arcs of the difference against the cylinder (None
+    without a unique critical point)."""
     if len(records) != 1:
         return {"note": "nodal laboratory needs a unique critical point",
                 "n_critical": len(records)}, None

@@ -22,8 +22,7 @@ from . import axisym as axi
 from . import pipeline
 from .critical import (DEGENERACY_TOL, gradient_index, interior_max_scan,
                        inward_offset_loop)
-from .errors import (IllConditionedLoopError, InvalidParameterError,
-                     PmclabError)
+from .errors import IllConditionedLoopError, InvalidParameterError, PmclabError
 
 SIGN_DEADBAND = 1e-10
 TRACE_RTOL = 0.1
@@ -165,13 +164,19 @@ def verify_critical_structure(field, spec, records, boundary_loop, diam):
 
     try:
         loop_index = gradient_index(field, boundary_loop)
-        idx_sum = sum(r.index for r in records if r.index is not None)
-        ok = loop_index == 1 and idx_sum == loop_index and \
-            all(r.index is not None for r in records)
+        indices = [r.index for r in records]
+        idx_sum = sum(i for i in indices if i is not None)
+        # a local index that could not be computed leaves the sum unchecked,
+        # as an ill-conditioned boundary loop leaves the loop index
+        unknown = indices.count(None)
+        status = "fail" if loop_index != 1 else "warn" if unknown else \
+            "pass" if idx_sum == 1 else "fail"
         out.append(_record(
-            "index-sum-one", "pass" if ok else "fail",
+            "index-sum-one", status,
             measured={"loop_index": loop_index, "index_sum": idx_sum,
-                      "indices": [r.index for r in records]}))
+                      "indices": indices},
+            note=f"{unknown} local index(es) could not be computed"
+            if status == "warn" else ""))
     except IllConditionedLoopError as exc:
         out.append(_record("index-sum-one", "warn",
                            note=f"loop ill-conditioned: {exc}"))
@@ -240,8 +245,6 @@ def verify_cylinder_contact(field, spec, records, diam):
 # -- axisymmetric properties ----------------------------------------------------
 
 def verify_meridian_structure(field, run):
-    """The axisymmetric properties of a meridian solution, read from
-    :func:`pmclab.pipeline.axisym_summary` and the revolved volume."""
     out = []
     mesh, spec = field.mesh, run.spec
     summary = pipeline.axisym_summary(field, spec.n_dim)

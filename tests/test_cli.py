@@ -154,7 +154,7 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("key", ["a", "b", "R"])
     def test_rounded_polygon_rejects_other_keys(self, tmp_path, capsys, key):
-        # a key of another domain kind was once dropped without a word
+        # a key of another domain kind is refused, not dropped
         doc = {"command": "solve",
                "domain": {"type": "rounded_polygon", "r": 0.2,
                           "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]],

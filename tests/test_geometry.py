@@ -211,6 +211,7 @@ class TestExactBoundary:
             assert fn(s).shape == (4, 5000, 2)
             assert np.allclose(fn(s), fn(np.mod(s, d.length)), atol=1e-12)
 
+    @pytest.mark.filterwarnings("ignore:rounded polygon")
     @pytest.mark.parametrize("factory, h, distance", [
         (lambda: make_disk(1.0), 0.0125,
          lambda p: np.hypot(*p.T) - 1.0),
@@ -221,17 +222,6 @@ class TestExactBoundary:
         (lambda: make_rounded_polygon(SQUARE, 0.5), 0.0125,
          lambda p: np.linalg.norm(np.maximum(np.abs(p) - 0.5, 0.0), axis=1)
          + np.minimum((np.abs(p) - 0.5).max(axis=1), 0.0) - 0.5),
-    ], ids=["disk", "ellipse", "thin-ellipse", "rounded-square"])
-    def test_fine_mesh_boundary_on_exact_curve(self, factory, h, distance):
-        # more boundary samples than a quarter of the table's knots
-        d = factory()
-        m = triangulate(d, h)
-        assert len(m.boundary_edges) > _TABLE_SIZE // 4
-        p = m.vertices[m.boundary_edges[:, 0]]
-        assert np.max(np.abs(distance(p))) <= 1e-13
-
-    @pytest.mark.filterwarnings("ignore:rounded polygon")
-    @pytest.mark.parametrize("factory, h, distance", [
         (lambda: make_disk(1.0), 0.05,
          lambda p: np.hypot(*p.T) - 1.0),
         (lambda: make_ellipse(1.3, 0.7), 0.05,
@@ -241,13 +231,14 @@ class TestExactBoundary:
         (lambda: make_rounded_polygon(SQUARE, 0.5), 0.1,
          lambda p: np.linalg.norm(np.maximum(np.abs(p) - 0.5, 0.0), axis=1)
          + np.minimum((np.abs(p) - 0.5).max(axis=1), 0.0) - 0.5),
-    ], ids=["disk", "ellipse", "thin-ellipse", "rounded-square"])
-    def test_coarse_mesh_boundary_equally_spaced(self, factory, h, distance):
-        # a coarse mesh samples the exact curve too, at n equal arc lengths
+    ], ids=["disk", "ellipse", "thin-ellipse", "rounded-square", "disk-coarse",
+            "ellipse-coarse", "thin-ellipse-coarse", "rounded-square-coarse"])
+    def test_fine_mesh_boundary_on_exact_curve(self, factory, h, distance):
+        # fine and coarse meshes alike (more and fewer than 512 boundary
+        # samples) sample the exact curve at n equal arc lengths
         d = factory()
         m = triangulate(d, h)
         n = len(m.boundary_edges)
-        assert n <= _TABLE_SIZE // 4
         p = m.vertices[m.boundary_edges[:, 0]]
         assert np.max(np.abs(distance(p))) <= 1e-13
         assert np.max(np.abs(p - d.position(np.arange(n) * (d.length / n)))) \

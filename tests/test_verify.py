@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -101,6 +102,51 @@ class TestNegativeControl:
                    if r.classification == "saddle"]
         assert len(saddles) == (1 if failing else 0)
         assert all(abs(x) < 0.5 for x, _ in saddles)     # in the neck
+
+    def test_pitchfork_sweep_fails_through_degeneracy(self):
+        # D 1.2, alpha 10: narrowing the neck flattens the one minimum until
+        # it splits into two minima and a degenerate point at w 0.8.  At w
+        # 0.85 the minimum's index loop is ill-conditioned: a warn, not a fail
+        D, h = 1.2, 0.04
+        spec = ProblemSpec.robin(0.5, 10.0)
+        smallest, statuses = [], []
+        for w in (0.999, 0.9, 0.85, 0.8):
+            field, report = newton_solve(
+                Discretization(dumbbell_mesh(D, w, h)), spec)
+            assert report.converged
+            records = find_critical_points(field, spec)
+            loop = dumbbell_loop(D, w - 2 * h, 0.5 * h, R=1.0 - 2 * h)
+            props = verify_critical_structure(field, spec, records, loop,
+                                              2 * D + 2)
+            props.append(verify_saddle_equivalence(records))
+            statuses.append(by_name(props))
+            centre = min(records, key=lambda r: abs(r.location[0]))
+            smallest.append(float(np.linalg.eigvalsh(centre.hessian)[0]))
+        assert np.all(np.diff(smallest) < 0) and smallest[-1] < 0
+        for props in statuses[:3]:
+            assert not [n for n, p in props.items() if p.status == "fail"]
+        assert statuses[2]["index-sum-one"].status == "warn"
+        assert {n for n, p in statuses[3].items() if p.status == "fail"} == {
+            "critical-count-unique", "critical-is-minimum",
+            "critical-nondegenerate", "saddle-equivalence"}
+        assert statuses[3]["critical-is-minimum"].measured[
+            "classifications"] == ["minimum", "degenerate", "minimum"]
+
+    def test_uncomputed_index_warns_only_on_a_unit_loop(
+            self, robin_disk_005, robin_spec, disk):
+        field, _ = robin_disk_005
+        loop = inward_offset_loop(disk, 2 * field.mesh.h)
+        records = [replace(r, index=None)
+                   for r in find_critical_points(field, robin_spec)]
+        rec = by_name(verify_critical_structure(
+            field, robin_spec, records, loop, disk.diameter))["index-sum-one"]
+        assert rec.status == "warn"
+        assert rec.note == "1 local index(es) could not be computed"
+        saddle = synth(field.mesh, lambda x, y: x ** 2 - y ** 2)
+        rec = by_name(verify_critical_structure(
+            saddle, robin_spec, records, loop, disk.diameter))["index-sum-one"]
+        assert rec.measured["loop_index"] == -1
+        assert rec.status == "fail"
 
 
 class TestSaddleEquivalence:
