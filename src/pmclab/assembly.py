@@ -272,12 +272,6 @@ class RankOneJacobian:
     def __matmul__(self, x):
         return self.local @ x + self.u * (self.v @ x)
 
-    def tocsr(self):
-        """The materialized matrix; the outer product is stored only on the
-        nonzero entries of u and v."""
-        return self.local + (sp.csr_matrix(self.u[:, None])
-                             @ sp.csr_matrix(self.v[None, :]))
-
 
 def jacobian(field, spec, disc):
     """Exact derivative of :func:`residual`.
@@ -289,8 +283,7 @@ def jacobian(field, spec, disc):
     flux integrals against each basis function and dQ0 the gradient of the
     flux integral Q0.  That term couples every pair of flux vertices, so it
     is kept apart: the result is then a :class:`RankOneJacobian` whose
-    sparse part has the Robin pattern (``.tocsr()`` materializes it), and
-    otherwise a CSR matrix.
+    sparse part has the Robin pattern, and otherwise a CSR matrix.
 
     Only values are assembled, into the pattern of ``disc``.  The cell
     block is aw / sqrt(w) (grad phi_i . grad phi_j - t^2 / w p_i p_j) with

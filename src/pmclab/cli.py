@@ -12,7 +12,7 @@ SVG where applicable.
 
 Exit codes: 0 success / verification pass, 2 verification failure, 3 solver
 nonconvergence, 4 invalid configuration (a mesh the quality bounds reject
-included) or infeasible data.
+and an output directory that cannot be created included) or infeasible data.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ def main(argv=None):
             ("solve", "single Newton solve at the configured t"),
             ("homotopy", "continuation over a schedule of t values"),
             ("axisym", "meridian solve for a domain of revolution"),
-            ("compare", "nodal laboratory: comparison-surface diagnostics"),
+            ("compare", "nodal laboratory: contact with the matched cylinder"),
             ("verify", "full property suite with pass/fail verdict"),
             ("mesh-report", "triangulate only and report mesh quality")):
         p = sub.add_parser(name, help=help_text)
@@ -86,7 +86,11 @@ def main(argv=None):
 def run(config, out_dir=None):
     """Execute one configured run, writing artifacts into the output directory."""
     out = Path(out_dir or config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create output directory: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     report = {
         "status": "ok",
         "command": config.command,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field as dc_field
 
 from .errors import ConfigError
@@ -25,11 +26,7 @@ DOMAIN_PARAMS = {"disk": ("R",), "ellipse": ("a", "b"),
 # the boundary datum each kind of boundary condition carries
 BC_DATUM = {"neumann": "c", "robin": "alpha"}
 
-DEFAULTS = {
-    "mesh": {"h_target": 0.1},
-    "solver": {"newton_tol": 1e-10, "max_iter": 50},
-    "output_dir": "out",
-}
+DEFAULTS = {"mesh.h_target": 0.1, "output_dir": "out"}
 
 
 @dataclass(frozen=True)
@@ -59,7 +56,11 @@ def _expect(cond, path, msg):
 def _number(doc, path, lo=None, hi=None, strict_lo=False):
     _expect(isinstance(doc, (int, float)) and not isinstance(doc, bool),
             path, f"expected a number, got {type(doc).__name__}")
-    v = float(doc)
+    try:
+        v = float(doc)
+    except OverflowError:       # an integer beyond the float range
+        v = math.inf
+    _expect(math.isfinite(v), path, f"must be finite, got {v}")
     if lo is not None:
         if strict_lo:
             _expect(v > lo, path, f"must be > {lo}, got {v}")
@@ -159,24 +160,6 @@ def _validate_problem(doc, domain_kind, command):
     return out
 
 
-def _validate_section(doc, name):
-    defaults = DEFAULTS[name]
-    _check_keys(doc, name, set(defaults))
-    out = dict(defaults)
-    for key, val in doc.items():
-        lo = 0.0
-        out[key] = (_number(val, f"{name}.{key}", lo=lo, strict_lo=True)
-                    if not isinstance(defaults[key], int)
-                    else _int(val, f"{name}.{key}"))
-    return out
-
-
-def _int(v, path):
-    _expect(isinstance(v, int) and not isinstance(v, bool) and v > 0, path,
-            f"expected a positive integer, got {v!r}")
-    return v
-
-
 def parse_config(doc, command=None):
     """Validate a decoded configuration document and apply defaults.
 
@@ -207,8 +190,14 @@ def parse_config(doc, command=None):
         _expect(domain["type"] in PLANAR_DOMAINS, "domain.type",
                 f"{resolved} needs a planar domain")
 
-    mesh = _validate_section(doc.get("mesh", {}), "mesh")
-    solver = _validate_section(doc.get("solver", {}), "solver")
+    mesh = doc.get("mesh", {})
+    _check_keys(mesh, "mesh", {"h_target"})
+    h_target = _number(mesh.get("h_target", DEFAULTS["mesh.h_target"]),
+                       "mesh.h_target", lo=0.0, strict_lo=True)
+    # the Newton and line-search settings are constants of pmclab.solver,
+    # so the solver section takes no key, and each one it holds is refused
+    # with its path
+    _check_keys(doc.get("solver", {}), "solver", ())
 
     output_dir = doc.get("output_dir", DEFAULTS["output_dir"])
     _expect(isinstance(output_dir, str) and output_dir, "output_dir",
@@ -218,8 +207,7 @@ def parse_config(doc, command=None):
         "command": resolved,
         "domain": domain,
         "problem": problem,
-        "mesh": mesh,
-        "solver": solver,
+        "mesh": {"h_target": h_target},
         "output_dir": output_dir,
     }
     blob = json.dumps(canonical, sort_keys=True, separators=(",", ":")).encode()

@@ -58,4 +58,3 @@ class ConfigError(PmclabError):
     def __init__(self, path, message):
         super().__init__(f"{path}: {message}")
         self.path = path
-        self.reason = message

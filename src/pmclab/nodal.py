@@ -1,10 +1,10 @@
-"""Comparison surfaces, nodal-set tracing, sector counts, and order fits.
+"""The comparison cylinder, nodal-set tracing, sector counts, and order fits.
 
-The laboratory for second-order contact experiments: closed-form cylinder
-and quadratic comparison functions, marching extraction of the zero set of a
-difference field, counting of sign sectors on small circles, and estimation
-of the leading homogeneous degree of a field near a zero from the growth of
-its circular suprema.
+The laboratory for second-order contact experiments: the closed-form
+cylinder solution, marching extraction of the zero set of a difference
+field, counting of sign sectors on small circles, and estimation of the
+leading homogeneous degree of a field near a zero from the growth of its
+circular suprema.
 """
 
 from __future__ import annotations
@@ -57,22 +57,6 @@ class CylinderSolution:
                 f"cylinder solution undefined at |x1 - {self.center[0]}| >= "
                 f"{self.halfwidth}")
         return self.h_val + (1.0 - np.sqrt(1.0 - (self.H * xi) ** 2)) / self.H
-
-
-class QuadraticModel:
-    """q(x) = u0 + (1/2) l1 (x1-c1)^2 + (1/2) l2 (x2-c2)^2."""
-
-    def __init__(self, u0, l1, l2, center=(0.0, 0.0)):
-        self.u0 = float(u0)
-        self.l1 = float(l1)
-        self.l2 = float(l2)
-        self.center = np.asarray(center, dtype=float)
-
-    def __call__(self, points):
-        pts = np.asarray(points, dtype=float)
-        d = pts - self.center
-        return (self.u0 + 0.5 * self.l1 * d[..., 0] ** 2
-                + 0.5 * self.l2 * d[..., 1] ** 2)
 
 
 def difference_field(field, analytic):
@@ -165,7 +149,6 @@ def sector_count(field, p, r):
 @dataclass
 class LeadingOrderFit:
     k: float                 # estimated homogeneous degree
-    r_range: tuple
     residual: float          # rms misfit of the log-log regression
     amplitude: float
 
@@ -192,8 +175,8 @@ def leading_order_fit(field, p, r_min, r_max):
     A = np.column_stack([logr, np.ones(FIT_RADII)])
     coef, *_ = np.linalg.lstsq(A, logs, rcond=None)
     fitres = float(np.sqrt(np.mean((A @ coef - logs) ** 2)))
-    return LeadingOrderFit(k=float(coef[0]), r_range=(float(r_min), float(r_max)),
-                           residual=fitres, amplitude=float(np.exp(coef[1])))
+    return LeadingOrderFit(k=float(coef[0]), residual=fitres,
+                           amplitude=float(np.exp(coef[1])))
 
 
 # -- internals ----------------------------------------------------------------

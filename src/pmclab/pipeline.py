@@ -23,9 +23,9 @@ from .config import DOMAIN_PARAMS
 from .critical import find_critical_points, recover_gradient
 from .errors import PmclabError, SolverFailure
 from .geometry import make_disk, make_ellipse, make_rounded_polygon, triangulate
-from .nodal import (CylinderSolution, QuadraticModel, difference_field,
-                    leading_order_fit, sector_count, trace_nodal_set)
-from .solver import SolverOptions, homotopy_solve, newton_solve
+from .nodal import (CylinderSolution, difference_field, leading_order_fit,
+                    sector_count, trace_nodal_set)
+from .solver import homotopy_solve, newton_solve
 
 
 _FACTORIES = {"disk": make_disk, "ball": make_disk, "ellipse": make_ellipse,
@@ -51,7 +51,6 @@ class Setup:
 
     spec: ProblemSpec
     disc: Discretization
-    opts: SolverOptions
     domain: object
 
     @property
@@ -65,7 +64,6 @@ def setup(cfg):
     on the outer edges only; a planar run has no weight and flux on every
     boundary edge."""
     spec = build_spec(cfg["problem"])
-    opts = SolverOptions(**cfg.get("solver", {}))
     h_target = cfg["mesh"]["h_target"]
     domain = build_domain(cfg["domain"])
     if spec.n_dim > 2:
@@ -74,7 +72,7 @@ def setup(cfg):
                               axi.outer_flux_edges(mesh))
     else:
         disc = Discretization(triangulate(domain, h_target))
-    return Setup(spec, disc, opts, domain)
+    return Setup(spec, disc, domain)
 
 
 def solve(run, schedule=None):
@@ -89,10 +87,9 @@ def solve(run, schedule=None):
     feas = neumann_gate(run.disc, run.spec.at_t(1.0) if schedule else run.spec)
     try:
         if schedule:
-            field, trace = homotopy_solve(run.disc, run.spec, schedule,
-                                          opts=run.opts)
+            field, trace = homotopy_solve(run.disc, run.spec, schedule)
             return field, feas, None, trace
-        field, report = newton_solve(run.disc, run.spec, opts=run.opts)
+        field, report = newton_solve(run.disc, run.spec)
         return field, feas, report, None
     except SolverFailure as exc:
         exc.feasibility = feas
@@ -143,37 +140,28 @@ def cylinder_contact(field, spec, p, diam):
     radius = min(0.3 * diam, 0.5 * dist, 1.0 / spec.H - 2.0 * mesh.h)
     if radius < 4.0 * mesh.h:
         return value, radius, diff, None
-    return value, radius, diff, contact_order(diff, p, radius, mesh.h)
-
-
-def contact_order(diff, center, radius, h):
-    """Sector count of ``diff`` on the contact circle and its leading-order
-    fit over radii from max(2h, radius/8) to ``radius``."""
-    fit = leading_order_fit(diff, center, max(2.0 * h, radius / 8.0), radius)
-    return sector_count(diff, center, radius), fit
+    fit = leading_order_fit(diff, p, max(2.0 * mesh.h, radius / 8.0), radius)
+    return value, radius, diff, (sector_count(diff, p, radius), fit)
 
 
 def nodal_lab(field, spec, records, diam):
-    """Contact with the matched cylinder and with the quadratic model of
-    the recovered Hessian at the unique critical point.  Returns the report
-    entry and the nodal arcs of the difference against the cylinder (None
-    without a unique critical point)."""
+    """Contact with the matched cylinder at the unique critical point: the
+    report entry, and the nodal arcs of the difference against the cylinder
+    (None without a unique critical point).  The entry holds the critical
+    point, the value there and the contact radius, and under ``cylinder``
+    the sector count and the leading-order fit of the difference."""
     if len(records) != 1:
         return {"note": "nodal laboratory needs a unique critical point",
                 "n_critical": len(records)}, None
     p = records[0].location
-    value, radius, diff_cyl, order = cylinder_contact(field, spec, p, diam)
+    value, radius, diff, order = cylinder_contact(field, spec, p, diam)
     info = {"critical_point": [float(p[0]), float(p[1])], "value": value,
             "contact_radius": radius}
     if order is None:
         info["note"] = "mesh too coarse for contact diagnostics"
-        return info, trace_nodal_set(diff_cyl)
-    hess = records[0].hessian
-    diff_quad = difference_field(
-        field, QuadraticModel(value, hess[0, 0], hess[1, 1], center=p))
-    for name, (sectors, fit) in (
-            ("cylinder", order),
-            ("quadratic", contact_order(diff_quad, p, radius, field.mesh.h))):
-        info[name] = {"sector_count": sectors, "fitted_order": fit.k,
-                      "fit_residual": fit.residual, "amplitude": fit.amplitude}
-    return info, trace_nodal_set(diff_cyl)
+    else:
+        sectors, fit = order
+        info["cylinder"] = {"sector_count": sectors, "fitted_order": fit.k,
+                            "fit_residual": fit.residual,
+                            "amplitude": fit.amplitude}
+    return info, trace_nodal_set(diff)

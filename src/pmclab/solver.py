@@ -56,11 +56,10 @@ _ARMIJO_FACTOR = 0.5
 _ARMIJO_C1 = 1e-4
 _MAX_BACKTRACKS = 20
 
-
-@dataclass
-class SolverOptions:
-    newton_tol: float = 1e-10      # absolute, max norm of the residual
-    max_iter: int = 50
+# Newton stops once the max norm of the residual is at most _NEWTON_TOL, and
+# fails after _MAX_ITER iterations
+_NEWTON_TOL = 1e-10
+_MAX_ITER = 50
 
 
 @dataclass
@@ -290,13 +289,14 @@ def _preconditioned_gmres(lu, L, u, v, rhs):
     return (x if beta <= target else None), iterations
 
 
-def newton_solve(disc, spec, init=None, opts=None, kept=None):
+def newton_solve(disc, spec, init=None, kept=None):
     """Solve the discrete problem of a :class:`Discretization` by damped
     Newton iteration.
 
     Returns ``(field, report)`` with the max-norm residual at or below
-    ``opts.newton_tol``.  Armijo backtracking on the Euclidean residual norm
-    keeps accepted steps monotone.  Neumann data is gated by
+    ``_NEWTON_TOL`` (1e-10), reached within ``_MAX_ITER`` (50) iterations.
+    Armijo backtracking on the Euclidean residual norm keeps accepted steps
+    monotone.  Neumann data is gated by
     :func:`~pmclab.assembly.neumann_gate` before any iteration;
     nonconvergence, a stalled line search and a linear breakdown raise
     :class:`SolverFailure` carrying the report, whose ``ellipticity_min``
@@ -304,7 +304,6 @@ def newton_solve(disc, spec, init=None, opts=None, kept=None):
     first correction preconditions the later ones (see :func:`linear_solve`);
     ``kept`` lets :func:`homotopy_solve` share it across its steps.
     """
-    opts = opts or SolverOptions()
     kept = _KeptFactor() if kept is None else kept
     mesh = disc.mesh
     neumann_gate(disc, spec)
@@ -327,11 +326,11 @@ def newton_solve(disc, spec, init=None, opts=None, kept=None):
     norm2 = float(np.linalg.norm(F))
     ell_min = math.inf
 
-    for it in range(opts.max_iter):
+    for it in range(_MAX_ITER):
         inf_norm = float(np.abs(F).max())
         report.iterations = it
         report.final_residual_norm = inf_norm
-        if inf_norm <= opts.newton_tol:
+        if inf_norm <= _NEWTON_TOL:
             report.converged = True
             break
         J = jacobian(field, spec, disc)
@@ -353,7 +352,7 @@ def newton_solve(disc, spec, init=None, opts=None, kept=None):
             F_trial = residual(trial, spec, disc)
             trial_norm2 = float(np.linalg.norm(F_trial))
             if (trial_norm2 <= (1.0 - _ARMIJO_C1 * beta) * norm2
-                    or float(np.abs(F_trial).max()) <= opts.newton_tol):
+                    or float(np.abs(F_trial).max()) <= _NEWTON_TOL):
                 accepted = True
                 break
             beta *= _ARMIJO_FACTOR
@@ -368,7 +367,7 @@ def newton_solve(disc, spec, init=None, opts=None, kept=None):
         report.damping_history.append(beta)
         ell_min = min(ell_min, min(ellipticity_margins(field, spec)))
     else:
-        report.iterations = opts.max_iter
+        report.iterations = _MAX_ITER
         report.final_residual_norm = float(np.abs(F).max())
         _fail(report, "max iterations reached", ell_min, field, spec)
         raise SolverFailure("Newton did not converge", report=report)
@@ -391,7 +390,7 @@ def _fail(report, message, ell_min, field, spec):
     return report.ellipticity_min
 
 
-def homotopy_solve(disc, spec, schedule, opts=None):
+def homotopy_solve(disc, spec, schedule):
     """Continuation in the homotopy parameter up to t = 1.
 
     Each Newton solve starts from the secant through the last two converged
@@ -424,7 +423,7 @@ def homotopy_solve(disc, spec, schedule, opts=None):
         try:
             field, report = newton_solve(disc, spec.at_t(t_next),
                                          init=_predict(path, t_next),
-                                         opts=opts, kept=kept)
+                                         kept=kept)
         except SolverFailure as exc:
             kept.drop()
             if not path or t_next - path[-1][0] <= _MIN_DT:

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pmclab
+import pmclab.solver
 from pmclab.artifacts import canonical_json
 from pmclab.assembly import FeasibilityReport
 from pmclab.axisym import AxisHessian, MonotoneReport
@@ -64,7 +65,7 @@ class TestParseConfig:
             "problem": {"H": 0.8, "bc": "robin", "alpha": 1.0},
         })
         assert cfg.canonical["mesh"]["h_target"] == 0.1
-        assert cfg.canonical["solver"]["newton_tol"] == 1e-10
+        assert "solver" not in cfg.canonical
         assert cfg.problem["t"] == 1.0
         assert cfg.config_hash
 
@@ -105,14 +106,17 @@ class TestParseConfig:
         assert "domain.radius" in str(exc.value)
 
     def test_seed_and_tolerances_are_unknown_keys(self, tmp_path, capsys):
-        # neither section was ever read, and the Armijo line search takes
-        # fixed constants; a config that sets one of them is refused
+        # neither section was ever read, and the Newton iteration and its
+        # Armijo line search take fixed constants; a config that sets one of
+        # them is refused
         for path, section, value in (
                 ("seed", "seed", 0),
                 ("tolerances", "tolerances", {"sign_deadband": 1e-10}),
                 ("solver.armijo_factor", "solver", {"armijo_factor": 0.5}),
                 ("solver.armijo_c1", "solver", {"armijo_c1": 1e-4}),
-                ("solver.max_backtracks", "solver", {"max_backtracks": 20})):
+                ("solver.max_backtracks", "solver", {"max_backtracks": 20}),
+                ("solver.max_iter", "solver", {"max_iter": 50}),
+                ("solver.newton_tol", "solver", {"newton_tol": 1e-10})):
             doc = {"command": "solve",
                    "domain": {"type": "disk", "R": 1.0},
                    "problem": {"H": 0.8, "bc": "robin", "alpha": 1.0},
@@ -191,6 +195,38 @@ class TestParseConfig:
         assert code == 4
         assert "problem.schedule" in capsys.readouterr().err
         assert not (out / "solution.csv").exists()
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan,
+                                       10 ** 400],
+                             ids=["Infinity", "-Infinity", "NaN", "huge-int"])
+    @pytest.mark.parametrize("path", [
+        "domain.R", "domain.a", "domain.b", "domain.r", "domain.vertices",
+        "problem.H", "problem.c", "problem.alpha", "problem.t",
+        "problem.schedule", "mesh.h_target"])
+    def test_non_finite_number_names_its_path(self, path, value):
+        # JSON decodes NaN and Infinity, and an integer of any size; no
+        # numeric field may take a value beyond the float range
+        domain = {"domain.a": {"type": "ellipse", "a": 1.3, "b": 0.7},
+                  "domain.b": {"type": "ellipse", "a": 1.3, "b": 0.7},
+                  "domain.r": {"type": "rounded_polygon", "r": 0.2,
+                               "vertices": [[0, 0], [1, 0], [1, 1]]},
+                  "domain.vertices": {"type": "rounded_polygon", "r": 0.2,
+                                      "vertices": [[0, 0], [1, 0], [1, 1]]}}
+        doc = {"domain": domain.get(path, {"type": "disk", "R": 1.0}),
+               "problem": {"H": 0.8, "bc": "neumann", "c": 0.5}
+               if path == "problem.c" else
+               {"H": 0.8, "bc": "robin", "alpha": 1.0}}
+        section, key = path.split(".")
+        if key == "vertices":
+            doc["domain"]["vertices"] = [[0, 0], [1, 0], [value, 1]]
+        elif key == "schedule":
+            doc["problem"]["schedule"] = [0.0, value, 1.0]
+        else:
+            doc.setdefault(section, {})[key] = value
+        with pytest.raises(ConfigError) as exc:
+            parse_config(doc, "homotopy" if key == "schedule" else "solve")
+        assert exc.value.path == path
+        assert "must be finite" in str(exc.value)
 
     @given(kind=st.sampled_from(sorted(DOMAIN_PARAMS)),
            keys=st.sets(st.sampled_from(["R", "a", "b", "r", "vertices"])),
@@ -317,6 +353,29 @@ class TestExitCodes:
                           ["problem.t=1.5"])
         assert code == 4
 
+    @pytest.mark.parametrize("override", ["domain.R=Infinity",
+                                          "problem.H=Infinity"])
+    def test_non_finite_override_is_four(self, tmp_path, capsys, override):
+        code, out = run_cli(tmp_path, "verify", "robin_disk.json", [override])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid config: "
+                              f"{override.split('=')[0]}: must be finite")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_unusable_output_directory_is_four(self, tmp_path, capsys):
+        # a path through an existing file cannot be a directory
+        blocker = tmp_path / "report.json"
+        blocker.write_text("")
+        code = main(["mesh-report", "--config", str(CONFIGS / "robin_disk.json"),
+                     "--out", str(blocker / "out")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot create output directory: ")
+        assert err.count("\n") == 1
+        assert blocker.read_text() == ""
+
     @pytest.mark.parametrize("command, overrides", [
         ("verify", ["problem.schedule=[0.5,1.0]"]),
         ("homotopy", [])])
@@ -337,14 +396,14 @@ class TestExitCodes:
         assert code == 4
         assert not (out / "solution.csv").exists()
 
-    def test_nonconvergence_is_three(self, tmp_path):
-        robin = ["problem.H=2.6", "mesh.h_target=0.2", "solver.max_iter=10"]
-        for command, config_name, overrides in (
-                ("solve", "robin_disk.json", robin),
-                ("verify", "robin_disk.json", robin),
-                ("verify", "neumann_disk.json",
-                 ["mesh.h_target=0.2", "solver.max_iter=1"])):
+    def test_nonconvergence_is_three(self, tmp_path, monkeypatch):
+        robin = ["problem.H=2.6", "mesh.h_target=0.2"]
+        for command, config_name, overrides, max_iter in (
+                ("solve", "robin_disk.json", robin, 10),
+                ("verify", "robin_disk.json", robin, 10),
+                ("verify", "neumann_disk.json", ["mesh.h_target=0.2"], 1)):
             case = f"{command} {config_name}"
+            monkeypatch.setattr(pmclab.solver, "_MAX_ITER", max_iter)
             code, out = run_cli(tmp_path / case, command, config_name,
                                 overrides)
             assert code == 3, case
@@ -357,10 +416,11 @@ class TestExitCodes:
             assert (rep["feasibility"] is not None) == \
                 (config_name == "neumann_disk.json"), case
 
-    def test_failed_continuation_reports_its_steps(self, tmp_path):
+    def test_failed_continuation_reports_its_steps(self, tmp_path,
+                                                   monkeypatch):
+        monkeypatch.setattr(pmclab.solver, "_MAX_ITER", 12)
         code, out = run_cli(tmp_path, "homotopy", "robin_disk.json",
-                            ["problem.H=2.6", "mesh.h_target=0.2",
-                             "solver.max_iter=12"])
+                            ["problem.H=2.6", "mesh.h_target=0.2"])
         assert code == 3
         rep = json.loads((out / "report.json").read_text())
         assert rep["status"] == "solver-failure"
@@ -545,6 +605,9 @@ class TestCommandsAgree:
         compare, verify = _report(out_c), _report(out_v)
         props = {p["name"]: p for p in verify["verification"]["properties"]}
         contact = props["cylinder-contact"]["measured"]
+        # compare measures the contact against the matched cylinder only
+        assert set(compare["nodal"]) == {"critical_point", "value",
+                                         "contact_radius", "cylinder"}
         cylinder = compare["nodal"]["cylinder"]
         for key in ("sector_count", "fitted_order", "fit_residual"):
             assert cylinder[key] == contact[key], key

@@ -7,7 +7,7 @@ from pmclab.assembly import ScalarField
 from pmclab.critical import find_critical_points
 from pmclab.errors import (InvalidParameterError, OutOfDomainError,
                            UnderflowFitError)
-from pmclab.nodal import (CylinderSolution, QuadraticModel, difference_field,
+from pmclab.nodal import (CylinderSolution, difference_field,
                           leading_order_fit, sector_count, trace_nodal_set)
 
 from oracles import radial_disk_oracle
@@ -61,28 +61,6 @@ class TestCylinderSolution:
         X = CylinderSolution(0.0, 1.0)
         with pytest.raises(OutOfDomainError):
             X(np.array([[1.5, 0.0]]))
-
-
-class TestQuadraticModel:
-    def test_point_value(self):
-        q = QuadraticModel(0.0, 1.0, 1.0)
-        assert q(np.array([[1.0, 1.0]]))[0] == pytest.approx(1.0)
-
-    def test_degenerate_laplacian(self):
-        # q_11 + q_22 = H for the normal form diag[H, 0] of the cylinder, by
-        # the five-point stencil (exact on quadratics up to rounding)
-        H, eps = 0.8, 1e-3
-        q = QuadraticModel(0.0, H, 0.0)
-        v = q(np.array([0.3, -0.2]) + eps * np.array(
-            [[0, 0], [1, 0], [-1, 0], [0, 1], [0, -1]]))
-        assert (v[1:].sum() - 4.0 * v[0]) / eps ** 2 == pytest.approx(H)
-
-    def test_matches_poisson_disk_solution(self, disk_mesh_01):
-        H = 0.8
-        q = QuadraticModel(-0.4, H / 2, H / 2)
-        r2 = np.sum(disk_mesh_01.vertices ** 2, axis=1)
-        assert np.allclose(q(disk_mesh_01.vertices), 0.2 * r2 - 0.4,
-                           atol=1e-14)
 
 
 class TestDifferenceField:
@@ -197,8 +175,8 @@ class TestLeadingOrderFit:
         oracle = radial_disk_oracle(robin_spec)
         cap = ScalarField(disk_mesh_005,
                           oracle.at_points(disk_mesh_005.vertices))
-        quad = QuadraticModel(oracle.v0, robin_spec.H / 2, robin_spec.H / 2)
-        diff = difference_field(cap, quad)
+        diff = difference_field(cap, lambda x: oracle.v0 + robin_spec.H / 4
+                                * np.sum(x ** 2, axis=-1))
         fit = leading_order_fit(diff, (0.0, 0.0), 0.15, 0.45)
         assert fit.k == pytest.approx(4.0, abs=0.5)
         assert fit.amplitude == pytest.approx(robin_spec.H ** 3 / 64, rel=0.5)

@@ -11,8 +11,8 @@ from pmclab.assembly import (Discretization, ProblemSpec, RankOneJacobian,
                              ScalarField, jacobian, neumann_gate, residual)
 from pmclab.errors import (InfeasibleProblemError, InvalidParameterError,
                            LinearSolveFailure, SolverFailure)
-from pmclab.solver import (SolverOptions, _KeptFactor, homotopy_solve,
-                           linear_solve, newton_solve)
+from pmclab.solver import (_KeptFactor, homotopy_solve, linear_solve,
+                           newton_solve)
 
 from oracles import radial_disk_oracle
 
@@ -135,7 +135,7 @@ class TestLinearSolve:
         for _ in range(5):
             u = ScalarField(m, 0.4 * rng.standard_normal(n))
             split = jacobian(u, spec, disc)
-            dense = split.tocsr().toarray()
+            dense = split.local.toarray() + np.outer(split.u, split.v)
             bordered = np.block([[dense, np.ones((n, 1))],
                                  [np.ones((1, n)), np.zeros((1, 1))]])
             for b in (-residual(u, spec, disc), rng.standard_normal(n) + 0.3):
@@ -362,9 +362,7 @@ class TestNewtonSolve:
         field = ScalarField(mesh, np.zeros(mesh.n_vertices))
         norms = [np.linalg.norm(residual(field, spec, Discretization(mesh)))]
         u = field.values
-        from pmclab.solver import SolverOptions
-        opts = SolverOptions()
-        out, report = newton_solve(Discretization(mesh), spec, opts=opts)
+        out, report = newton_solve(Discretization(mesh), spec)
         assert report.converged
         assert all(0 < b <= 1 for b in report.damping_history)
 
@@ -397,13 +395,13 @@ class TestNewtonSolve:
         assert np.array_equal(f1.values, f2.values)
         assert r1 == r2
 
-    def test_nonconvergence_raises(self, disk_mesh_02):
+    def test_nonconvergence_raises(self, disk_mesh_02, monkeypatch):
         # graph solutions stop existing once t H R / 2 reaches 1; the solver
         # must surface either a Newton stall or a Jacobian breakdown
+        monkeypatch.setattr(pmclab.solver, "_MAX_ITER", 12)
         spec = ProblemSpec.robin(2.6, 1.0)
         with pytest.raises((SolverFailure, LinearSolveFailure)) as exc:
-            newton_solve(Discretization(disk_mesh_02), spec,
-                         opts=SolverOptions(max_iter=12))
+            newton_solve(Discretization(disk_mesh_02), spec)
         if isinstance(exc.value, SolverFailure):
             assert exc.value.report is not None
             assert not exc.value.report.converged
@@ -520,14 +518,14 @@ class TestHomotopy:
             assert np.abs(residual(start, spec, disc)).max() \
                 < np.abs(residual(prev, spec, disc)).max()
 
-    def test_failed_step_drops_kept_factor(self, disk_mesh_01):
+    def test_failed_step_drops_kept_factor(self, disk_mesh_01, monkeypatch):
         # the jump to t = 1 fails three times and is halved each time; each
         # retry after a failure starts from a new factorization, the final
         # step reuses one
+        monkeypatch.setattr(pmclab.solver, "_MAX_ITER", 4)
         spec = ProblemSpec.robin(1.6, 1.0)
         _, trace = homotopy_solve(Discretization(disk_mesh_01), spec,
-                                  [0.0, 1.0],
-                                  opts=SolverOptions(max_iter=4))
+                                  [0.0, 1.0])
         assert [s.t for s in trace.steps] == [0.0, 0.5, 0.75, 0.875, 1.0]
         assert trace.halved_at == [1.0, 1.0, 1.0]
         reports = [s.solve for s in trace.steps]
@@ -558,13 +556,13 @@ class TestHomotopy:
         with pytest.raises(InvalidParameterError):
             homotopy_solve(Discretization(disk_mesh_02), spec, [0.5, 0.4, 1.0])
 
-    def test_failure_carries_partial_trace(self, disk_mesh_02):
+    def test_failure_carries_partial_trace(self, disk_mesh_02, monkeypatch):
         # H too large for a graph at t = 1: continuation must fail but keep
         # the steps it completed
+        monkeypatch.setattr(pmclab.solver, "_MAX_ITER", 12)
         spec = ProblemSpec.robin(2.6, 1.0)
         with pytest.raises(SolverFailure) as exc:
-            homotopy_solve(Discretization(disk_mesh_02), spec, [0.0, 0.5, 1.0],
-                           opts=SolverOptions(max_iter=12))
+            homotopy_solve(Discretization(disk_mesh_02), spec, [0.0, 0.5, 1.0])
         assert exc.value.trace is not None
         assert len(exc.value.trace.steps) >= 1
         assert not exc.value.trace.completed

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import pmclab.solver
 from pmclab import cli, pipeline
 from pmclab.artifacts import canonical_json
 from pmclab.assembly import Discretization, ProblemSpec, ScalarField
@@ -233,12 +234,12 @@ class TestRunSuite:
         assert rep["solve"] is None
 
     def test_solver_failure_is_error_verdict(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(pmclab.solver, "_MAX_ITER", 10)
         code, rep = self._verify_without_suite(monkeypatch, tmp_path, {
             "command": "verify",
             "domain": {"type": "disk", "R": 1.0},
             "problem": {"H": 2.6, "bc": "robin", "alpha": 1.0},
             "mesh": {"h_target": 0.2},
-            "solver": {"max_iter": 10},
         })
         assert code == 3
         assert rep["status"] == "solver-failure"
