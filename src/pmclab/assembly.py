@@ -231,8 +231,9 @@ def residual(field, spec, disc):
     mesh = disc.mesh
     grads, w = _cell_terms(mesh, field.values, spec)
     flux = grads / np.sqrt(w)[:, None]
-    gx, gy = mesh.grad_phi[:, :, 0].T, mesh.grad_phi[:, :, 1].T
-    cell = disc.aw * (gx * flux[:, 0] + gy * flux[:, 1] + spec.H / 3.0)
+    gx, gy = mesh.basis_gradients
+    cell = disc.aw[:, None] * (gx * flux[:, :1] + gy * flux[:, 1:]
+                               + spec.H / 3.0)
 
     g = boundary_flux(field, spec, disc)
     if spec.bc == "neumann":
@@ -241,7 +242,7 @@ def residual(field, spec, disc):
     edge = -np.concatenate([np.sum(wg * (1.0 - _QXI)[None, :], axis=1),
                             np.sum(wg * _QXI[None, :], axis=1)])
     return np.bincount(disc.scatter, minlength=mesh.n_vertices,
-                       weights=np.concatenate([cell.ravel(), edge]))
+                       weights=np.concatenate([cell.T.ravel(), edge]))
 
 
 # -- Jacobian ----------------------------------------------------------------
@@ -302,7 +303,7 @@ def jacobian(field, spec, disc):
     n_cell = 9 * mesh.n_cells
 
     grads, w = _cell_terms(mesh, u, spec)
-    gx, gy = mesh.grad_phi[:, :, 0], mesh.grad_phi[:, :, 1]
+    gx, gy = mesh.basis_gradients
     p = gx * grads[:, :1] + gy * grads[:, 1:]
     q = p * (t2 / w)[:, None]
     scale = disc.aw / np.sqrt(w)

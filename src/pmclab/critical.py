@@ -111,13 +111,14 @@ def find_critical_points(field, spec):
     """
     mesh = field.mesh
     g = recover_gradient(field)
-    gmax = float(np.linalg.norm(g, axis=1).max())
+    gnorm = np.linalg.norm(g, axis=1)
+    gmax = float(gnorm.max())
     if gmax == 0.0:
         return []
     grad_tol = GRAD_TOL_REL * gmax
     h = mesh.h
 
-    cand = _cells_spanning_origin(g[mesh.cells])
+    cand = _cells_spanning_origin(g, mesh.cells)
     cand_cells = np.nonzero(cand)[0]
     if cand_cells.size == 0:
         return []
@@ -125,7 +126,6 @@ def find_critical_points(field, spec):
                                CLUSTER_RADIUS_FACTOR * h)
 
     records = []
-    gnorm = np.linalg.norm(g, axis=1)
     for members in clusters:
         cells = cand_cells[members]
         verts = np.unique(mesh.cells[cells])
@@ -243,16 +243,21 @@ def inward_offset_loop(domain, offset):
 
 # -- internals ----------------------------------------------------------------
 
-def _cells_spanning_origin(gtri):
-    """True per cell when the convex hull of its 3 vertex gradients covers 0,
-    up to 1e-14 relative to the squared largest gradient component."""
-    a, b, c = gtri[:, 0], gtri[:, 1], gtri[:, 2]
-    def cross(p, q):
-        return p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]
-    d1 = cross(b - a, -a)
-    d2 = cross(c - b, -b)
-    d3 = cross(a - c, -c)
-    tol = 1e-14 * (np.max(np.abs(gtri), axis=(1, 2)) ** 2 + 1e-14)
+def _cells_spanning_origin(gvertex, cells):
+    """True per cell when the convex hull of the vertex gradients ``gvertex``
+    (N, 2) at its 3 corners covers 0, up to 1e-14 relative to the squared
+    largest corner component.  Each corner component is one (M,) array."""
+    gx, gy = np.ascontiguousarray(gvertex.T)
+    ax, bx, cx = (gx[k] for k in cells.T)
+    ay, by, cy = (gy[k] for k in cells.T)
+    # the cross product of each hull edge with the corner-to-origin vector
+    d1 = (bx - ax) * -ay - (by - ay) * -ax
+    d2 = (cx - bx) * -by - (cy - by) * -bx
+    d3 = (ax - cx) * -cy - (ay - cy) * -cx
+    big = np.abs(ax)
+    for comp in (ay, bx, by, cx, cy):
+        np.maximum(big, np.abs(comp), out=big)
+    tol = 1e-14 * (big ** 2 + 1e-14)
     pos = (d1 >= -tol) & (d2 >= -tol) & (d3 >= -tol)
     neg = (d1 <= tol) & (d2 <= tol) & (d3 <= tol)
     return pos | neg

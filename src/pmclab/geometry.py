@@ -200,8 +200,15 @@ class TriMesh:
     ``boundary_edges`` are consecutive (tail, head) pairs forming one closed
     counterclockwise loop, with ``boundary_lengths``.  Everything that
     depends on the mesh alone is built here once: cell areas, centroids and
-    P1 basis gradients eagerly, the vertex adjacency and the vertex
+    the P1 gradient operator eagerly, the vertex adjacency and the vertex
     averaging operator on first use.
+
+    ``gradient`` is the CSR operator (2M, N) taking vertex values to cell
+    gradients: row m holds the x and row M + m the y component on cell m.
+    Its data is the one copy of the P1 basis gradients, which
+    ``basis_gradients`` views as (2, M, 3): ``basis_gradients[i, m, k]`` is
+    component i of the gradient on cell m of the hat function of vertex
+    ``cells[m, k]``.
     """
 
     def __init__(self, vertices, cells, boundary_edges):
@@ -213,7 +220,8 @@ class TriMesh:
         c = self.cells
         d1 = p[c[:, 1]] - p[c[:, 0]]
         d2 = p[c[:, 2]] - p[c[:, 0]]
-        self.cell_areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+        self.cell_areas = 0.5 * det
         if np.any(self.cell_areas <= 0):
             raise MeshQualityError("non-positive cell area")
 
@@ -228,12 +236,18 @@ class TriMesh:
         self.is_boundary_vertex = np.zeros(self.n_vertices, dtype=bool)
         self.is_boundary_vertex[self.boundary_edges.ravel()] = True
 
-        # P1 basis gradients: grad_phi[m, k] is the gradient on cell m of
-        # the hat function of vertex cells[m, k]; the inverse edge matrix
-        # (edge vectors as rows) holds those of local vertices 1 and 2
-        ginv = np.linalg.inv(np.stack([d1, d2], axis=1))
-        self.grad_phi = np.stack([-ginv[:, :, 0] - ginv[:, :, 1],
-                                  ginv[:, :, 0], ginv[:, :, 1]], axis=1)
+        # the columns of the inverse edge matrix (edge vectors as rows),
+        # in closed form, are the basis gradients of local vertices 1 and 2
+        grad = np.empty((2, self.n_cells, 3))
+        grad[0, :, 1], grad[1, :, 1] = d2[:, 1] / det, -d2[:, 0] / det
+        grad[0, :, 2], grad[1, :, 2] = -d1[:, 1] / det, d1[:, 0] / det
+        grad[:, :, 0] = -grad[:, :, 1] - grad[:, :, 2]
+        grad.flags.writeable = False
+        self.basis_gradients = grad
+        self.gradient = sp.csr_matrix(
+            (grad.reshape(-1), np.tile(c.astype(np.int32).ravel(), 2),
+             np.arange(0, 6 * self.n_cells + 1, 3)),
+            shape=(2 * self.n_cells, self.n_vertices))
         self.cell_centroids = p[c].mean(axis=1)
 
         self._neighbors = self._averaging = self._centroid_tree = None
@@ -281,10 +295,8 @@ class TriMesh:
 
     def cell_gradients(self, values):
         """Constant P1 gradient per cell for a vertex field, shape (M, 2)."""
-        v = np.asarray(values, dtype=float)
-        c = self.cells
-        return (self.grad_phi[:, 1] * (v[c[:, 1]] - v[c[:, 0]])[:, None]
-                + self.grad_phi[:, 2] * (v[c[:, 2]] - v[c[:, 0]])[:, None])
+        return (self.gradient @ np.asarray(values, dtype=float)).reshape(
+            2, self.n_cells).T
 
     def min_angle_deg(self):
         return float(_cell_min_angles_deg(self.vertices, self.cells).min())
@@ -320,6 +332,8 @@ class TriMesh:
             _, cand = self._centroid_tree.query(pts[pending], k=k)
             cand = cand.reshape(len(pending), -1)
             for col in range(done, k):
+                if pending.size == 0:
+                    break
                 cells = cand[:, col]
                 lam = self._barycentric(pts[pending], cells)
                 ok = lam.min(axis=1) >= -1e-9

@@ -110,3 +110,43 @@ def dumbbell_mesh(D, w, h):
     cells[flip] = cells[flip][:, [0, 2, 1]]
     full = TriMesh(points, cells, np.empty((0, 2), dtype=int))
     return submesh(full, inside(full.cell_centroids))[0]
+
+
+def basis_gradients_reference(mesh):
+    """P1 basis gradients (M, 3, 2) from ``np.linalg.inv`` of each edge
+    matrix (edge vectors as rows): entry [m, k] is the gradient on cell m
+    of the hat function of vertex ``cells[m, k]``."""
+    p, c = mesh.vertices, mesh.cells
+    ginv = np.linalg.inv(np.stack([p[c[:, 1]] - p[c[:, 0]],
+                                   p[c[:, 2]] - p[c[:, 0]]], axis=1))
+    return np.stack([-ginv[:, :, 0] - ginv[:, :, 1],
+                     ginv[:, :, 0], ginv[:, :, 1]], axis=1)
+
+
+def cell_gradients_reference(mesh, values):
+    """Constant P1 gradient per cell (M, 2) by the difference formula
+    grad phi_1 (v1 - v0) + grad phi_2 (v2 - v0) on the basis gradients of
+    :func:`basis_gradients_reference`."""
+    gphi = basis_gradients_reference(mesh)
+    v, c = np.asarray(values, dtype=float), mesh.cells
+    return (gphi[:, 1] * (v[c[:, 1]] - v[c[:, 0]])[:, None]
+            + gphi[:, 2] * (v[c[:, 2]] - v[c[:, 0]])[:, None])
+
+
+def cells_spanning_origin_reference(gvertex, cells):
+    """The census candidate test on the gathered (M, 3, 2) corner
+    gradients: True per cell when the convex hull of its 3 vertex gradients
+    covers 0, up to 1e-14 relative to the squared largest gradient
+    component."""
+    gtri = np.asarray(gvertex)[cells]
+    a, b, c = gtri[:, 0], gtri[:, 1], gtri[:, 2]
+
+    def cross(p, q):
+        return p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]
+    d1 = cross(b - a, -a)
+    d2 = cross(c - b, -b)
+    d3 = cross(a - c, -c)
+    tol = 1e-14 * (np.max(np.abs(gtri), axis=(1, 2)) ** 2 + 1e-14)
+    pos = (d1 >= -tol) & (d2 >= -tol) & (d3 >= -tol)
+    neg = (d1 <= tol) & (d2 <= tol) & (d3 <= tol)
+    return pos | neg

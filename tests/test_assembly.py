@@ -257,7 +257,7 @@ def _coo_jacobian(field, spec, flux_edges=None, m=0):
         / np.sqrt(w)[:, None, None]
     centroid_r = mesh.vertices[mesh.cells, 0].mean(axis=1)
     aw = mesh.cell_areas * centroid_r ** m
-    gphi = mesh.grad_phi
+    gphi = np.moveaxis(mesh.basis_gradients, 0, -1)     # (M, 3, 2)
     dT_gphi = np.einsum("mij,mkj->mki", dT, gphi)
     rows, cols, vals = [], [], []
     for i in range(3):

@@ -588,6 +588,24 @@ class TestDeterminism:
                      "contours.svg"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_golden_report_independent_of_blas_threads(self, tmp_path):
+        # the goldens are compared exactly, so a runner's core count must
+        # not reach their bytes; at bench sizes it does (README)
+        src = str(Path(pmclab.__file__).resolve().parents[1])
+        reports = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (src, os.environ.get("PYTHONPATH")) if p)
+            out = tmp_path / threads
+            subprocess.run(
+                [sys.executable, "-m", "pmclab", "verify", "--config",
+                 str(CONFIGS / "robin_ellipse.json"), "--out", str(out)],
+                env=env, capture_output=True, check=True, timeout=120)
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+
 
 def _report(out):
     return json.loads((out / "report.json").read_text())

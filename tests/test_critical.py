@@ -7,13 +7,14 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from pmclab.assembly import ScalarField
-from pmclab.critical import (_cluster_points, classify, circle_loop,
+from pmclab.critical import (_cells_spanning_origin, _cluster_points,
+                             classify, circle_loop,
                              find_critical_points, gradient_index,
                              interior_max_scan, inward_offset_loop,
                              recover_gradient)
 from pmclab.errors import IllConditionedLoopError
 
-from oracles import radial_disk_oracle
+from oracles import cells_spanning_origin_reference, radial_disk_oracle
 
 
 def synth(mesh, fn):
@@ -224,3 +225,43 @@ def test_cluster_points_match_connected_components(seed, n, radius):
                         for k in range(count)]
     assert [c[0] for c in clusters] == sorted(c[0] for c in clusters)
     assert all(c == sorted(c) for c in clusters)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       scale=st.sampled_from([1.0, 1e-3, 1e-7, 1e-9]))
+@settings(max_examples=60, deadline=None)
+def test_candidate_cells_match_gather_reference(seed, scale):
+    """The census candidate test reads its corners as (M,) arrays and
+    decides every cell exactly as the gathered (M, 3, 2) reference does.
+    Each cell's corners are one of: a random triangle; one corner exactly
+    zero (the origin on a vertex); two equal corners (a degenerate hull);
+    corners u and -s u (the origin on an edge); the same edge tilted so that
+    its cross product with the origin lies within a factor 2 of the 1e-14
+    tolerance, on either side; a random triangle with exact zero
+    components.  ``scale`` 1e-7 and 1e-9 put the tolerance's 1e-14 floor in
+    play."""
+    rng = np.random.default_rng(seed)
+    m = 600
+    u = scale * rng.standard_normal((m, 2))
+    perp = u[:, ::-1] * [-1.0, 1.0]
+    s, t = (rng.uniform(0.1, 10.0, (m, 1)) for _ in range(2))
+    side = rng.choice([-1.0, 1.0], (m, 1))
+    tri = scale * rng.standard_normal((m, 3, 2))
+    kind = rng.integers(0, 6, m)
+    tri[kind == 1, rng.integers(0, 3)] = 0.0
+    tri[kind == 2, 1] = tri[kind == 2, 0]
+    on_edge = (kind == 3) | (kind == 4)
+    tri[on_edge, 0] = u[on_edge]
+    tri[on_edge, 1] = (-s * u)[on_edge]
+    tri[kind == 4, 2] = (side * t * perp)[kind == 4]
+    big = np.abs(tri).max(axis=(1, 2))
+    tol = 1e-14 * (big ** 2 + 1e-14)
+    kappa = rng.choice([-1.0, 1.0], m) * 2.0 ** rng.uniform(-1.0, 1.0, m)
+    tilt = (kappa * tol / np.einsum("mi,mi->m", u, u))[:, None]
+    tri[kind == 4, 1] += (tilt * perp)[kind == 4]
+    tri[kind == 5, rng.integers(0, 3), rng.integers(0, 2)] = 0.0
+    cells = rng.permutation(3 * m).reshape(m, 3)
+    g = np.empty((3 * m, 2))
+    g[cells.ravel()] = tri.reshape(-1, 2)
+    assert np.array_equal(_cells_spanning_origin(g, cells),
+                          cells_spanning_origin_reference(g, cells))

@@ -22,6 +22,8 @@ from pmclab.geometry import (_INTERIOR_CLEARANCE, _LATTICE_SPACING_FACTOR,
                              make_ellipse, make_rounded_polygon,
                              mesh_from_loop, triangulate)
 
+from oracles import basis_gradients_reference, cell_gradients_reference
+
 SQUARE = [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]
 
 
@@ -648,6 +650,38 @@ def test_locate_matches_brute_force(mesh, seed):
     assert np.array_equal(cells >= 0, found.any(axis=1))
     hit = np.nonzero(cells >= 0)[0]
     assert found[hit, cells[hit]].all()
+
+
+@pytest.mark.filterwarnings("ignore:rounded polygon")
+class TestGradientOperator:
+    """The closed-form basis gradients and the (2M, N) gradient operator
+    against the inverse edge matrices and the difference formula of
+    ``tests/oracles.py``, on disk, ellipse, rounded-polygon and meridian
+    meshes."""
+
+    @given(mesh=LOCATE_MESHES)
+    @settings(max_examples=30, deadline=None)
+    def test_basis_matches_inverse(self, mesh):
+        basis = np.moveaxis(mesh.basis_gradients, 0, -1)        # (M, 3, 2)
+        ref = basis_gradients_reference(mesh)
+        scale = np.abs(ref).max(axis=(1, 2))[:, None, None]
+        assert np.all(np.abs(basis - ref) <= 1e-12 * scale)
+        assert np.all(np.abs(basis.sum(axis=1))
+                      <= 1e-12 * scale[:, :, 0])
+
+    @given(mesh=LOCATE_MESHES, seed=st.integers(0, 2 ** 32 - 1),
+           coef=st.tuples(*[st.floats(-5.0, 5.0)] * 3))
+    @settings(max_examples=30, deadline=None)
+    def test_gradients_match_difference_formula(self, mesh, seed, coef):
+        values = np.random.default_rng(seed).standard_normal(mesh.n_vertices)
+        ref = cell_gradients_reference(mesh, values)
+        grads = mesh.cell_gradients(values)
+        assert grads.shape == (mesh.n_cells, 2)
+        assert np.abs(grads - ref).max() \
+            <= 1e-12 * np.linalg.norm(ref, axis=1).max()
+        c0, cx, cy = coef
+        linear = c0 + cx * mesh.vertices[:, 0] + cy * mesh.vertices[:, 1]
+        assert np.abs(mesh.cell_gradients(linear) - [cx, cy]).max() <= 1e-12
 
 
 class TestMeshQueries:
