@@ -12,8 +12,10 @@ Usage::
 Run after any intentional change to the pipeline.  ``--diff`` regenerates
 every golden into a temporary directory and prints each leaf that differs
 from the committed golden (path, old value, new value, and |delta| for
-numbers; a missing key or list entry shows as <absent>), then each golden's
-largest numeric |delta|.  It exits 1 if anything differs, else 0.
+numbers; a missing key or list entry shows as <absent>), then, per golden,
+the number of differing float, integer and other leaves and the largest
+float |delta|, so that a moved count cannot hide the float moves.  It
+exits 1 if anything differs, else 0.
 """
 
 import argparse
@@ -52,22 +54,31 @@ def leaf_diffs(old, new, path=""):
         yield path, old, new
 
 
+def summary(name, diffs):
+    """One line for the (path, old, new) leaf diffs of one golden: how many
+    are float, integer and other leaves, and the largest float |delta|."""
+    numeric = [(a, b) for _, a, b in diffs if _is_number(a) and _is_number(b)]
+    floats = [abs(b - a) for a, b in numeric
+              if isinstance(a, float) or isinstance(b, float)]
+    n_int = len(numeric) - len(floats)
+    return (f"{name}: {len(diffs)} leaves differ: {len(floats)} float "
+            f"(max |d| {max(floats, default=0.0):.3g}), {n_int} integer, "
+            f"{len(diffs) - len(numeric)} other")
+
+
 def diff_golden(name, report_path):
     """Print the differences of one regenerated report; returns their
     number."""
     old = json.loads((GOLDEN / f"{name}.report.json").read_text())
     new = json.loads(Path(report_path).read_text())
-    n, max_delta = 0, 0.0
-    for path, a, b in leaf_diffs(old, new):
-        n += 1
+    diffs = list(leaf_diffs(old, new))
+    for path, a, b in diffs:
         line = f"  {path}: {json.dumps(a)} -> {json.dumps(b)}"
         if _is_number(a) and _is_number(b):
-            delta = abs(b - a)
-            max_delta = max(max_delta, delta)
-            line += f"  |d|={delta:.3g}"
+            line += f"  |d|={abs(b - a):.3g}"
         print(line)
-    print(f"{name}: {n} leaves differ, max |d| {max_delta:.3g}")
-    return n
+    print(summary(name, diffs))
+    return len(diffs)
 
 
 def main(argv=None):

@@ -271,7 +271,9 @@ class RankOneJacobian:
         return self.local.nnz
 
     def __matmul__(self, x):
-        return self.local @ x + self.u * (self.v @ x)
+        # v . x by pairwise summation: a BLAS dot would depend on the
+        # thread count
+        return self.local @ x + self.u * np.add.reduce(self.v * x)
 
 
 def jacobian(field, spec, disc):

@@ -135,7 +135,7 @@ def cylinder_contact(field, spec, p, diam):
     mesh = field.mesh
     value = float(mesh.interpolate(field.values, p[None, :])[0])
     diff = difference_field(field, CylinderSolution(value, spec.H, center=p))
-    bidx = np.unique(mesh.boundary_edges.ravel())
+    bidx = np.flatnonzero(mesh.is_boundary_vertex)
     dist = float(np.linalg.norm(mesh.vertices[bidx] - p, axis=1).min())
     radius = min(0.3 * diam, 0.5 * dist, 1.0 / spec.H - 2.0 * mesh.h)
     if radius < 4.0 * mesh.h:

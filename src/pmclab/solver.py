@@ -3,22 +3,22 @@
 Neumann problems are gauge invariant under additive constants and their
 residual sums to zero for every field, so the Jacobian J has the constants
 as both its right and left null vector.  Each Newton correction is the
-mean-zero solution of J x = -F: the constant gauge is eliminated by pinning
-one vertex and solving with only the sparse local part of J, the rank-one
-coupling from the flux compatibility rescale is applied by Sherman-Morrison
-or inside the Krylov operator (see :func:`linear_solve`), and returned
-fields are mean-normalized.
+mean-zero solution of J x = -F, and returned fields are mean-normalized.
 
-A Newton solve, and a whole homotopy continuation, keeps the sparse LU of
-the last block it factored (SuperLU with the symmetric minimum-degree
-ordering of A^T + A) and solves every later linear system by a short
-restarted GMRES on that iteration's exact Jacobian, preconditioned on the
-right by the kept LU.  Its residual is the unpreconditioned one, and a
-solution is returned only once ||b - A x|| <= 1e-11 ||b|| has been computed
-explicitly: an inexact Newton step, far inside the Newton tolerance.  Only
-when GMRES misses that tolerance is the current block factored, kept, and
-solved directly.  :class:`SolveReport` records the factorizations and the
-Krylov iterations of every Newton iteration.
+Every linear system, Robin or Neumann, is solved the same way: a short
+restarted GMRES on the Jacobian as assembled (rank-one coupling of the
+flux compatibility rescale included), preconditioned on the right by a
+sparse LU of its sparse part (SuperLU with the symmetric minimum-degree
+ordering of A^T + A).  For Neumann data one is added to the last diagonal
+entry of that part before it is factored, which pins the constant gauge in
+the preconditioner only (see :func:`linear_solve`).  A Newton solve, and a
+whole homotopy continuation, keeps the last LU it factored for its later
+systems.  The GMRES residual is the unpreconditioned one, and a solution is
+returned only once ||b - A x|| <= 1e-11 ||b|| has been computed explicitly:
+an inexact Newton step, far inside the Newton tolerance.  Only when GMRES
+misses that tolerance is the current system factored afresh, kept, and
+GMRES run again on the new LU.  :class:`SolveReport` records the
+factorizations and the Krylov iterations of every Newton iteration.
 
 Continuation is a predictor-corrector walk over a schedule of homotopy
 parameters.  Once two steps have converged, each Newton solve starts from
@@ -37,8 +37,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import (RankOneJacobian, ScalarField, ellipticity_margins,
-                       flux_scale, jacobian, neumann_gate, residual)
+from .assembly import (ScalarField, ellipticity_margins, flux_scale,
+                       jacobian, neumann_gate, residual)
 from .critical import find_critical_points
 from .errors import InvalidParameterError, LinearSolveFailure, SolverFailure
 
@@ -74,7 +74,8 @@ class SolveReport:
     ellipticity_min: float | None = None
     message: str = ""
     factorizations: int = 0
-    # GMRES iterations of each Newton iteration; 0 where it solved directly
+    # GMRES iterations of each Newton iteration, both runs counted where
+    # a missed GMRES on the kept LU was followed by a fresh factorization
     krylov_iterations: list = dc_field(default_factory=list)
 
 
@@ -104,79 +105,53 @@ def linear_solve(A, b, constraint="none", kept=None):
     """Sparse solve, optionally with a zero-mean constraint; returns
     ``(x, info)``.
 
-    ``A`` is a sparse matrix or a :class:`RankOneJacobian` ``L + u v^T``;
-    the rank-one term is never formed.  A direct solve applies it by
-    Sherman-Morrison: with z = L^-1 u and y = L^-1 rhs,
-    x = y - z (v^T y) / (1 + v^T z), one extra back-solve against the same
-    factorization of the sparse part.
+    ``A`` is a sparse matrix or a :class:`~pmclab.assembly.RankOneJacobian`
+    ``L + u v^T``; the rank-one term is never formed.  Every system is
+    solved by GMRES on ``A`` as assembled, preconditioned on the right by a
+    sparse LU of its sparse part (see :class:`_KeptFactor`).
 
     With ``constraint="mean-zero"`` the result is that of the bordered
     system [[A, 1], [1^T, 0]] [x, lambda] = [b, 0], computed without
-    factoring it.  A Neumann Jacobian satisfies 1^T A = 0 (its residual sums
+    forming it.  A Neumann Jacobian satisfies 1^T A = 0 (its residual sums
     to zero for every field) and A 1 = 0 (gauge invariance), so multiplying
     the first block row by 1^T gives lambda = mean(b), and A x = b - lambda 1
-    is consistent.  Its last row is then implied by the others, so the last
-    unknown is pinned to zero, the leading (n-1) block is solved, and the
-    result is shifted to mean zero.  A nonzero lambda is flagged as an
-    incompatible right-hand side.
-
-    ``kept`` (a ``_KeptFactor``, shared by the linear systems of one Newton
-    or homotopy solve) holds the LU of the last block factored.  If it holds
-    one of the right size, the block system, rank-one term included, is
-    solved by GMRES preconditioned on the right by that LU (see
-    :func:`_preconditioned_gmres`: restart 20, at most 3 cycles, one LU
-    application per Krylov iteration, and a result only once the explicitly
-    computed residual is at most 1e-11 times the right-hand side).  Without
-    a kept LU, or when GMRES misses its tolerance, the block is factored
-    (SuperLU, ``MMD_AT_PLUS_A`` ordering in symmetric mode, partial
-    pivoting kept), the factor is kept, and the system is solved directly.
-    With ``kept=None`` every call factors afresh.
+    is consistent.  GMRES solves that singular system on the full operator:
+    its range meets its null space only at 0, which is what GMRES needs
+    (Brown & Walker 1997).  The LU is then that of the sparse part with one
+    added to its last diagonal entry, and the result is shifted to mean zero.
 
     Every solution is checked against the full operator:
-    ||A x - (b - lambda 1)|| <= 1e-6 ||b||.  That check fails, and
-    :class:`LinearSolveFailure` is raised, for singular systems and whenever
-    elimination cannot stand in for the bordered solve (a nullspace beyond
-    the constants, or a left null vector that is not constant).
+    ||A x - (b - lambda 1)|| <= 1e-6 ||b||.  :class:`LinearSolveFailure` is
+    raised for singular systems, and whenever the constrained solve cannot
+    stand in for the bordered one (a nullspace beyond the constants, or a
+    left null vector that is not constant).
 
-    ``info`` holds the ``multiplier`` lambda, the ``incompatible``
-    flag, ``krylov_iterations`` (0 for a direct solve) and ``factored``.
+    ``info`` holds ``krylov_iterations`` and ``factored``.
     """
     b = np.asarray(b, dtype=float)
     kept = _KeptFactor() if kept is None else kept
-    if isinstance(A, RankOneJacobian):
-        L, u, v = A.local, A.u, A.v
-    else:
-        L, u, v = A, None, None
     if constraint == "none":
-        lam = 0.0
-        x, krylov, factored = kept.solve(L, u, v, b)
+        rhs = b
     elif constraint == "mean-zero":
-        lam = float(b.mean())
-        keep = slice(0, A.shape[0] - 1)
-        x = np.zeros(A.shape[0])
-        x[keep], krylov, factored = kept.solve(
-            sp.csr_matrix(L)[keep, keep],
-            None if u is None else u[keep], None if v is None else v[keep],
-            b[keep] - lam)
-        x -= x.mean()
+        rhs = b - b.mean()
     else:
         raise InvalidParameterError(f"unknown constraint {constraint!r}")
+    x, krylov, factored = kept.solve(A, rhs, pin=constraint == "mean-zero")
+    if x is not None and constraint == "mean-zero":
+        x -= x.mean()
 
     bnorm = np.linalg.norm(b)
-    if not np.all(np.isfinite(x)) or (
-            bnorm > 0 and np.linalg.norm(A @ x - (b - lam)) > 1e-6 * bnorm):
+    if x is None or not np.all(np.isfinite(x)) or (
+            bnorm > 0 and np.linalg.norm(A @ x - rhs) > 1e-6 * bnorm):
         raise LinearSolveFailure(
             "numerically singular system (large solve residual)"
             + ("; the mean-zero constraint needs constant left and right "
                "null vectors" if constraint == "mean-zero" else ""))
-    info = {"multiplier": lam,
-            "incompatible": bool(abs(lam) > 1e-10 * max(1.0, np.abs(b).max())),
-            "krylov_iterations": krylov, "factored": factored}
-    return x, info
+    return x, {"krylov_iterations": krylov, "factored": factored}
 
 
 class _KeptFactor:
-    """The sparse LU of the last block factored by one solve, kept to
+    """The sparse LU of the last system factored by one solve, kept to
     precondition GMRES on the later linear systems of that solve."""
 
     def __init__(self):
@@ -185,24 +160,35 @@ class _KeptFactor:
     def drop(self):
         self.lu = None
 
-    def solve(self, L, u, v, rhs):
-        """Solve (L + u v^T) x = rhs (u, v may be None).
+    def solve(self, A, rhs, pin):
+        """Solve A x = rhs by GMRES preconditioned by the kept LU.
 
-        Returns ``(x, krylov_iterations, factored)``: GMRES preconditioned
-        by the kept LU when that converges, else a direct solve with a new
-        LU of L, which replaces the kept one.
+        When that misses, or no LU of the right size is kept, the sparse
+        part of ``A`` is factored (with one added to its last diagonal
+        entry if ``pin``), kept, and GMRES runs again on the fresh LU.
+        Returns ``(x, krylov_iterations, factored)``, the iterations of
+        both GMRES runs counted; x is None if GMRES misses on the fresh LU
+        too, which :func:`linear_solve` reports as a singular system.
         """
-        if self.lu is not None and self.lu.shape == L.shape:
-            x, iterations = _preconditioned_gmres(self.lu, L, u, v, rhs)
+        missed = 0
+        if self.lu is not None and self.lu.shape == A.shape:
+            x, missed = _preconditioned_gmres(self.lu, A, rhs)
             if x is not None:
-                return x, iterations, False
-        self.lu = _factor(L)
-        return _direct_solve(self.lu, u, v, rhs), 0, True
+                return x, missed, False
+        self.lu = _factor(A, pin)
+        x, iterations = _preconditioned_gmres(self.lu, A, rhs)
+        return x, missed + iterations, True
 
 
-def _factor(L):
+def _factor(A, pin):
+    """SuperLU of the sparse part of ``A`` (MMD_AT_PLUS_A ordering in
+    symmetric mode, partial pivoting kept), one added to its last diagonal
+    entry if ``pin``."""
+    L = sp.csc_matrix(getattr(A, "local", A), copy=True)
+    if pin:
+        L[-1, -1] += 1.0
     try:
-        return spla.splu(sp.csc_matrix(L), permc_spec="MMD_AT_PLUS_A",
+        return spla.splu(L, permc_spec="MMD_AT_PLUS_A",
                          options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise LinearSolveFailure(
@@ -211,22 +197,14 @@ def _factor(L):
             "beyond the constants") from exc
 
 
-def _direct_solve(lu, u, v, rhs):
-    """Solve (L + u v^T) x = rhs with the LU of L, by Sherman-Morrison."""
-    y = lu.solve(rhs)
-    if u is None:
-        return y
-    z = lu.solve(u)
-    vz = float(v @ z)
-    denom = 1.0 + vz
-    if not abs(denom) > 1e-12 * max(1.0, abs(vz)):
-        raise LinearSolveFailure(
-            f"rank-one update is singular (1 + v^T z = {denom:.3g})")
-    return y - z * (float(v @ y) / denom)
+def _dot(a, b):
+    """a . b by NumPy's pairwise summation, not BLAS, whose threaded sums
+    would make the result depend on the thread count."""
+    return float(np.add.reduce(a * b))
 
 
-def _preconditioned_gmres(lu, L, u, v, rhs):
-    """Restarted GMRES on A = L + u v^T, preconditioned on the right by
+def _preconditioned_gmres(lu, A, rhs):
+    """Restarted GMRES on ``A``, preconditioned on the right by
     ``lu.solve`` (Saad & Schultz 1986).
 
     Each cycle builds the Krylov space of A M^-1 from the true residual
@@ -236,18 +214,13 @@ def _preconditioned_gmres(lu, L, u, v, rhs):
     estimates ||rhs - A x|| itself, not a preconditioned residual; once it
     reaches ``_GMRES_RTOL`` ||rhs||, or after ``_GMRES_RESTART`` iterations,
     the residual is computed explicitly, and only a miss opens another
-    cycle.  Returns ``(x, iterations)``, with x None when that residual
-    still misses after ``_GMRES_MAXITER`` cycles.
+    cycle.  Every length-N sum is a :func:`_dot`, so the result does not
+    depend on the BLAS thread count.  Returns ``(x, iterations)``, with x
+    None when that residual still misses after ``_GMRES_MAXITER`` cycles.
     """
-    def apply(x):
-        y = L @ x
-        if u is not None:
-            y += u * float(v @ x)
-        return y
-
     m = _GMRES_RESTART
     x = np.zeros(rhs.shape[0])
-    r, beta = rhs, np.linalg.norm(rhs)
+    r, beta = rhs, math.sqrt(_dot(rhs, rhs))
     target = _GMRES_RTOL * beta
     V = np.empty((m + 1, r.shape[0]))
     Z = np.empty((m, r.shape[0]))
@@ -264,11 +237,11 @@ def _preconditioned_gmres(lu, L, u, v, rhs):
         while k < m:
             Z[k] = lu.solve(V[k])
             iterations += 1
-            w = apply(Z[k])
+            w = A @ Z[k]
             for i in range(k + 1):
-                R[i, k] = w @ V[i]
+                R[i, k] = _dot(w, V[i])
                 w -= R[i, k] * V[i]
-            h = np.linalg.norm(w)
+            h = math.sqrt(_dot(w, w))
             for i in range(k):
                 R[i, k], R[i + 1, k] = (cs[i] * R[i, k] + sn[i] * R[i + 1, k],
                                         cs[i] * R[i + 1, k] - sn[i] * R[i, k])
@@ -283,9 +256,10 @@ def _preconditioned_gmres(lu, L, u, v, rhs):
             if abs(g[k]) <= target:
                 break
             V[k] = w / h
-        x += np.linalg.solve(R[:k, :k], g[:k]) @ Z[:k]
-        r = rhs - apply(x)
-        beta = np.linalg.norm(r)
+        for y_k, z_k in zip(np.linalg.solve(R[:k, :k], g[:k]), Z):
+            x += y_k * z_k
+        r = rhs - A @ x
+        beta = math.sqrt(_dot(r, r))
     return (x if beta <= target else None), iterations
 
 

@@ -307,7 +307,7 @@ def _single_axis_to_outer_arc(arcset, mesh):
     # one endpoint near the axis, the other near the outer boundary
     near_axis = r_ends[0] <= 2.0 * mesh.h
     outer_r = mesh.vertices[:, 0].max()
-    bidx = np.unique(mesh.boundary_edges.ravel())
+    bidx = np.flatnonzero(mesh.is_boundary_vertex)
     outer_pts = mesh.vertices[bidx][mesh.vertices[bidx, 0] > 2.0 * mesh.h]
     d_outer = float(np.min(np.linalg.norm(
         outer_pts - ends[np.argmax(ends[:, 0])], axis=1))) if len(outer_pts) \

@@ -588,9 +588,13 @@ class TestDeterminism:
                      "contours.svg"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
-    def test_golden_report_independent_of_blas_threads(self, tmp_path):
-        # the goldens are compared exactly, so a runner's core count must
-        # not reach their bytes; at bench sizes it does (README)
+    @pytest.mark.parametrize("config", ["robin_ellipse.json",
+                                        "neumann_disk.json"])
+    def test_golden_report_independent_of_blas_threads(self, tmp_path,
+                                                       config):
+        # a runner's core count must not reach the bytes of a report; at
+        # h 0.02 (N about 10^4) the solver's vectors are long enough for a
+        # threaded BLAS to split its sums (README)
         src = str(Path(pmclab.__file__).resolve().parents[1])
         reports = []
         for threads in ("1", "2"):
@@ -601,7 +605,8 @@ class TestDeterminism:
             out = tmp_path / threads
             subprocess.run(
                 [sys.executable, "-m", "pmclab", "verify", "--config",
-                 str(CONFIGS / "robin_ellipse.json"), "--out", str(out)],
+                 str(CONFIGS / config), "--override", "mesh.h_target=0.02",
+                 "--out", str(out)],
                 env=env, capture_output=True, check=True, timeout=120)
             reports.append((out / "report.json").read_bytes())
         assert reports[0] == reports[1]
@@ -719,3 +724,10 @@ def test_make_goldens_leaf_diffs():
         (".a", 1.0, 1.5), (".b[1]", 2, "<absent>"), (".c.d", True, 1),
         (".e", "<absent>", "x")]
     assert list(script.leaf_diffs(old, old)) == []
+    # a moved count does not hide the float moves
+    old = {"n": 0, "x": [0.25, 1.0], "s": "a"}
+    new = {"n": 5, "x": [0.25 + 3e-13, 1.0], "s": "b"}
+    assert script.summary("g", list(script.leaf_diffs(old, new))) == (
+        "g: 3 leaves differ: 1 float (max |d| 3e-13), 1 integer, 1 other")
+    assert script.summary("g", []) == (
+        "g: 0 leaves differ: 0 float (max |d| 0), 0 integer, 0 other")
