@@ -145,7 +145,8 @@ class Discretization:
         self.wq = qpts[..., 0] ** m * (self.lengths[:, None] / 2.0)
         self.volume = float(np.sum(self.aw))
         self.boundary_measure = float(np.sum(self.wq))
-        self.scatter = np.concatenate([mesh.cells.T.ravel(), a, b])
+        self.scatter = np.concatenate([mesh.cells.T.ravel(), a, b]).astype(
+            np.int32)
 
         n = mesh.n_vertices
         c = mesh.cells
@@ -154,11 +155,11 @@ class Discretization:
                                b * n + b])
         pairs = np.sort(keys)
         pairs = pairs[np.concatenate([[True], pairs[1:] != pairs[:-1]])]
-        self.slot = np.searchsorted(pairs, keys)
+        self.slot = np.searchsorted(pairs, keys).astype(np.int32)
         self.indices = (pairs % n).astype(np.int32)
         self.indptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(np.bincount(pairs // n, minlength=n), out=self.indptr[1:])
-        for arr in (self.indptr, self.indices, self.slot):
+        for arr in (self.indptr, self.indices, self.slot, self.scatter):
             arr.flags.writeable = False
 
 

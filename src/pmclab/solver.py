@@ -6,19 +6,23 @@ as both its right and left null vector.  Each Newton correction is the
 mean-zero solution of J x = -F, and returned fields are mean-normalized.
 
 Every linear system, Robin or Neumann, is solved the same way: a short
-restarted GMRES on the Jacobian as assembled (rank-one coupling of the
-flux compatibility rescale included), preconditioned on the right by a
-sparse LU of its sparse part (SuperLU with the symmetric minimum-degree
-ordering of A^T + A).  For Neumann data one is added to the last diagonal
-entry of that part before it is factored, which pins the constant gauge in
-the preconditioner only (see :func:`linear_solve`).  A Newton solve, and a
+restarted GMRES in double precision on the Jacobian as assembled (rank-one
+coupling of the flux compatibility rescale included), preconditioned on
+the right by a single-precision sparse LU of its sparse part L.  With
+D = |diag L|, SuperLU factors S = D^-1/2 L D^-1/2 in float32 (symmetric
+minimum-degree ordering of A^T + A, threshold pivoting), and the
+preconditioner D^-1/2 S^-1 D^-1/2 takes and returns float64 vectors (see
+:func:`_factor`).  For Neumann data one is added to the last diagonal entry
+of L before it is scaled, which pins the constant gauge in the
+preconditioner only (see :func:`linear_solve`).  A Newton solve, and a
 whole homotopy continuation, keeps the last LU it factored for its later
 systems.  The GMRES residual is the unpreconditioned one, and a solution is
 returned only once ||b - A x|| <= 1e-11 ||b|| has been computed explicitly:
-an inexact Newton step, far inside the Newton tolerance.  Only when GMRES
-misses that tolerance is the current system factored afresh, kept, and
-GMRES run again on the new LU.  :class:`SolveReport` records the
-factorizations and the Krylov iterations of every Newton iteration.
+an inexact Newton step, far inside the Newton tolerance, whatever the
+precision of the preconditioner.  Only when GMRES misses that tolerance is
+the current system factored afresh, kept, and GMRES run again on the new
+LU.  :class:`SolveReport` records the factorizations and the Krylov
+iterations of every Newton iteration.
 
 Continuation is a predictor-corrector walk over a schedule of homotopy
 parameters.  Once two steps have converged, each Newton solve starts from
@@ -49,6 +53,10 @@ _MIN_DT = 1.0 / 320.0
 _GMRES_RTOL = 1e-11
 _GMRES_RESTART = 20
 _GMRES_MAXITER = 3
+
+# threshold pivoting of the preconditioner's LU: a diagonal pivot is kept
+# while it is at least this fraction of the largest entry in its column
+_DIAG_PIVOT_THRESH = 0.01
 
 # Armijo backtracking on ||F||_2: step reduction factor, sufficient-decrease
 # constant, and number of halvings before the line search stalls
@@ -181,20 +189,53 @@ class _KeptFactor:
 
 
 def _factor(A, pin):
-    """SuperLU of the sparse part of ``A`` (MMD_AT_PLUS_A ordering in
-    symmetric mode, partial pivoting kept), one added to its last diagonal
-    entry if ``pin``."""
-    L = sp.csc_matrix(getattr(A, "local", A), copy=True)
+    """The preconditioner of GMRES: a single-precision SuperLU of
+    S = D^-1/2 L D^-1/2, where L is the sparse part of ``A`` with one added
+    to its last diagonal entry if ``pin``, and D = |diag L| (a zero entry
+    scales by one).
+
+    S is built in float32 straight from the CSR arrays of L, so no
+    double-precision copy of the matrix exists while it is factored.  The
+    scaling keeps S inside the float32 range where L is not: the meridian
+    weight r^(n-2) underflows it at large n.  SuperLU orders S by minimum
+    degree on A^T + A in symmetric mode and keeps a diagonal pivot while it
+    is at least ``_DIAG_PIVOT_THRESH`` times the largest entry of its
+    column, which bounds the fill on rough-field Jacobians.  GMRES still
+    accepts x on the true residual in double precision (mixed-precision
+    preconditioning: Arioli & Duff 2009; Carson & Higham 2018).
+    """
+    L = sp.csr_matrix(getattr(A, "local", A))
+    diag = L.diagonal()
     if pin:
-        L[-1, -1] += 1.0
+        diag[-1] += 1.0
+    d = 1.0 / np.sqrt(np.where(diag != 0.0, np.abs(diag), 1.0))
+    S = sp.csr_matrix(
+        ((L.data * np.repeat(d, np.diff(L.indptr)) * d[L.indices])
+         .astype(np.float32), L.indices, L.indptr), shape=L.shape)
+    if pin:
+        S[-1, -1] = diag[-1] * d[-1] ** 2
+    S = S.tocsc()
     try:
-        return spla.splu(L, permc_spec="MMD_AT_PLUS_A",
-                         options={"SymmetricMode": True})
+        lu = spla.splu(S, permc_spec="MMD_AT_PLUS_A",
+                       diag_pivot_thresh=_DIAG_PIVOT_THRESH,
+                       options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise LinearSolveFailure(
             f"sparse factorization failed ({exc}); a singular system "
             "usually means a missing mean-zero constraint, or a nullspace "
             "beyond the constants") from exc
+    return _ScaledLU(lu, d)
+
+
+class _ScaledLU:
+    """M^-1 v = D^-1/2 LU^-1 (D^-1/2 v) of :func:`_factor`: float64 in and
+    out, the float32 LU applied in between."""
+
+    def __init__(self, lu, d):
+        self.lu, self.d, self.shape = lu, d, lu.shape
+
+    def solve(self, v):
+        return self.d * self.lu.solve((self.d * v).astype(np.float32))
 
 
 def _dot(a, b):

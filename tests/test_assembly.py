@@ -332,7 +332,10 @@ class TestValuesOnlyJacobian:
         if rank_one is not None:
             ref += np.outer(*rank_one)
         tol = 1e-14 * np.abs(ref).max()
-        J = jacobian(field, spec, Discretization(mesh, m, flux_edges))
+        disc = Discretization(mesh, m, flux_edges)
+        # assembly indices are below nnz and N: int32 halves their memory
+        assert disc.slot.dtype == disc.scatter.dtype == np.int32
+        J = jacobian(field, spec, disc)
         if rank_one is None:
             assert isinstance(J, sp.csr_matrix)
             local = J

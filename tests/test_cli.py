@@ -308,6 +308,16 @@ class TestExitCodes:
             "the loop leaves the mesh")
         assert {p["status"] for p in props.values()} <= {"pass", "skip"}
 
+    def test_meridian_weight_beyond_float32_range(self, tmp_path):
+        # the r^38 weight near the axis underflows single precision; the
+        # preconditioner factors the diagonally scaled Jacobian, so the
+        # solve still converges (the verdict waits on the quadrature)
+        code, out = run_cli(tmp_path, "verify", "ball3d_robin.json",
+                            ["problem.n_dim=40", "mesh.h_target=0.05"])
+        assert code != 3
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["solve"]["converged"]
+
     def test_mesh_quality_failure_is_four(self, tmp_path):
         # the meshers raise only during set-up: the config asks for a mesh
         # that cannot reach the quality bounds

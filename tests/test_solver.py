@@ -1,9 +1,11 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import pmclab.solver
 
@@ -11,6 +13,7 @@ from pmclab.assembly import (Discretization, ProblemSpec, RankOneJacobian,
                              ScalarField, jacobian, neumann_gate, residual)
 from pmclab.errors import (InfeasibleProblemError, InvalidParameterError,
                            LinearSolveFailure, SolverFailure)
+from pmclab.geometry import triangulate
 from pmclab.solver import (_KeptFactor, homotopy_solve, linear_solve,
                            newton_solve)
 
@@ -166,7 +169,7 @@ def _recorded_systems(monkeypatch, solve):
 
 
 class _CountingLU:
-    """A kept SuperLU that counts its applications."""
+    """A kept LU that counts its applications."""
 
     def __init__(self, lu):
         self.lu, self.shape, self.applications = lu, lu.shape, 0
@@ -242,8 +245,9 @@ class TestKeptFactor:
         assert len(systems) == 12
         infos = self._replay(monkeypatch, systems)
         assert [i["factored"] for i in infos] == [True] + [False] * 11
-        # the fresh LU of the first system is its exact preconditioner
-        assert infos[0]["krylov_iterations"] == 1
+        # the fresh single-precision LU of the first system leaves GMRES a
+        # few iterations from double precision
+        assert infos[0]["krylov_iterations"] <= 3
         assert all(i["krylov_iterations"] > 0 for i in infos[1:])
 
     def test_neumann_disk_systems(self, monkeypatch, disk_mesh_005,
@@ -335,6 +339,35 @@ class TestKeptFactor:
         assert kept.lu is not None
         with pytest.raises(LinearSolveFailure):
             linear_solve(A, b, constraint=constraint, kept=kept)
+
+
+class TestFactor:
+    """The preconditioner's LU: SuperLU in single precision on the
+    diagonally scaled sparse part, with bounded pivoting."""
+
+    def test_rough_field_fill_bounded(self, monkeypatch, ellipse,
+                                      ellipse_robin_spec):
+        # far from a smooth field the Jacobian loses diagonal dominance;
+        # SuperLU's default threshold 1.0 then takes off-diagonal pivots
+        # and fills about 39 x nnz here, the threshold 0.01 about 8 x
+        mesh = triangulate(ellipse, 0.025)
+        disc = Discretization(mesh)
+        field = ScalarField(mesh, 0.1 * np.random.default_rng(0)
+                            .standard_normal(mesh.n_vertices))
+        A = jacobian(field, ellipse_robin_spec, disc)
+        b = -residual(field, ellipse_robin_spec, disc)
+        fills = []
+
+        def splu(*args, **kwargs):
+            lu = spla.splu(*args, **kwargs)
+            fills.append(lu.L.nnz + lu.U.nnz)
+            return lu
+
+        monkeypatch.setattr(pmclab.solver, "spla", SimpleNamespace(splu=splu))
+        x, info = linear_solve(A, b)
+        assert info["factored"] and len(fills) == 1
+        assert fills[0] <= 10 * A.nnz
+        assert np.linalg.norm(A @ x - b) <= 1e-11 * np.linalg.norm(b)
 
 
 class TestNewtonSolve:
@@ -513,8 +546,9 @@ class TestHomotopy:
         assert sum(r.factorizations for r in reports) == 1
         krylov = [k for r in reports for k in r.krylov_iterations]
         assert len(krylov) == sum(r.iterations for r in reports)
-        # the fresh t = 0 LU is that system's exact preconditioner
-        assert krylov[0] == 1 and all(k > 0 for k in krylov[1:])
+        # the fresh single-precision t = 0 LU leaves that system a few
+        # Krylov iterations
+        assert krylov[0] <= 3 and all(k > 0 for k in krylov[1:])
         assert trace.halved_at == []
 
     def test_secant_start_beats_previous_field(self, monkeypatch,
@@ -556,7 +590,7 @@ class TestHomotopy:
         reports = [s.solve for s in trace.steps]
         assert [r.iterations for r in reports] == [1, 3, 3, 3, 3]
         for r in reports[1:-1]:
-            assert r.factorizations == 1 and r.krylov_iterations[0] == 1
+            assert r.factorizations == 1 and r.krylov_iterations[0] <= 3
         assert reports[-1].factorizations == 0
 
     def test_critical_point_near_center_on_disk(self, disk_mesh_01):
