@@ -15,12 +15,14 @@ Boundary data enters through the natural (conormal) flux
 where s is the tangential derivative along the edge.  The Neumann problem is
 gauge invariant (constants) and carries one scalar compatibility constraint:
 the total conormal flux must equal H times the domain measure.  Prescribing
-both H and c overdetermines that constraint on generic domains, so Neumann
-assembly rescales the flux profile by s_hat = H |Omega| / (integral of g0),
-which keeps the discrete system solvable, reduces to the honest flux exactly
-when the data is compatible (s_hat = 1), and is reported by the solver as a
-measured incompatibility of the data.  :func:`neumann_gate` checks the
-necessary flux bound on the same measures before any solve.
+both H and c overdetermines that constraint on generic domains, so the
+Neumann flux profile carries a scale, the unknown ``scale`` of
+:func:`residual`: the boundary term is ``scale * g0``.  Its compatible value
+s_hat(u) = H |Omega| / (integral of g0) makes the entries sum to zero; the
+solver makes it a Newton unknown, whose converged value is one exactly when
+the data is compatible and is reported as a measured incompatibility of the
+data.  :func:`neumann_gate` checks the necessary flux bound on the same
+measures before any solve.
 
 An optional measure weight r^m (r the first coordinate) supports the
 axisymmetric meridian reduction; m = 0 gives the plain planar forms.  The
@@ -171,8 +173,7 @@ def boundary_flux(field, spec, disc):
 
     The tangential derivative along an edge is the difference quotient of
     the two endpoint values.  For Neumann data this is the unscaled profile
-    g0; the compatibility rescale applied during assembly is documented
-    above.
+    g0.
     """
     g = _conormal(field.values, spec, disc)[-1]
     return np.repeat(g[:, None], 2, axis=1) if spec.bc == "neumann" else g
@@ -206,28 +207,23 @@ def _require_flux_edges(disc):
             "Neumann data needs at least one flux edge")
 
 
-def _neumann_scale(g0, spec, disc):
-    """Compatibility rescale s_hat = H * weighted volume / weighted flux
-    integral of the unscaled profile ``g0``."""
-    _require_flux_edges(disc)
-    return spec.H * disc.volume / float(np.sum(disc.wq * g0))
-
-
-def flux_scale(field, spec, disc):
-    """Neumann compatibility factor at the given field (1.0 for Robin)."""
-    if spec.bc != "neumann":
-        return 1.0
-    return _neumann_scale(boundary_flux(field, spec, disc), spec, disc)
+def _neumann_scale(field, spec, disc):
+    """Compatible flux scale s_hat = H * weighted volume / weighted flux
+    integral of the unscaled profile g0 of ``field``."""
+    g0 = _conormal(field.values, spec, disc)[-1]
+    return spec.H * disc.volume / float(np.sum(disc.wq * g0[:, None]))
 
 
 # -- residual ----------------------------------------------------------------
 
-def residual(field, spec, disc):
+def residual(field, spec, disc, scale=None):
     """Weak-form residual, one entry per vertex.
 
     entry_i = int T_t(grad u) . grad phi_i + int H phi_i - bint g phi_i,
     with the r^m measure weight of ``disc`` applied to every integral and
-    the boundary integral over its flux edges.
+    the boundary integral over its flux edges.  For Neumann data g is
+    ``scale`` times the profile g0, by default the compatible scale
+    s_hat(u); Robin data ignores ``scale``.
     """
     mesh = disc.mesh
     grads, w = _cell_terms(mesh, field.values, spec)
@@ -238,7 +234,9 @@ def residual(field, spec, disc):
 
     g = boundary_flux(field, spec, disc)
     if spec.bc == "neumann":
-        g = g * _neumann_scale(g, spec, disc)
+        _require_flux_edges(disc)
+        g = g * (_neumann_scale(field, spec, disc) if scale is None
+                 else scale)
     wg = disc.wq * g
     edge = -np.concatenate([np.sum(wg * (1.0 - _QXI)[None, :], axis=1),
                             np.sum(wg * _QXI[None, :], axis=1)])
@@ -248,46 +246,17 @@ def residual(field, spec, disc):
 
 # -- Jacobian ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RankOneJacobian:
-    """A Jacobian held as ``local + outer(u, v)`` without forming the outer
-    product.
-
-    ``local`` is the sparse CSR part (cell terms and per-edge boundary
-    terms); ``u`` and ``v`` are dense vectors.  The Neumann compatibility
-    rescale couples every flux vertex to every other one through this
-    rank-one term, which as a sparse block would hold N_b^2 entries.
-    """
-
-    local: sp.csr_matrix
-    u: np.ndarray
-    v: np.ndarray
-
-    @property
-    def shape(self):
-        return self.local.shape
-
-    @property
-    def nnz(self):
-        return self.local.nnz
-
-    def __matmul__(self, x):
-        # v . x by pairwise summation: a BLAS dot would depend on the
-        # thread count
-        return self.local @ x + self.u * np.add.reduce(self.v * x)
-
-
-def jacobian(field, spec, disc):
-    """Exact derivative of :func:`residual`.
+def jacobian(field, spec, disc, scale=None):
+    """Exact derivative of :func:`residual`, a CSR matrix.
 
     Includes the boundary-flux derivatives with respect to the endpoint
     values and the tangential difference quotient.  For Neumann data the
-    derivative of the compatibility rescale s_hat = H |Omega| / Q0 adds the
-    rank-one term ``outer((s_hat / Q0) * bvec, dQ0)``, where bvec holds the
-    flux integrals against each basis function and dQ0 the gradient of the
-    flux integral Q0.  That term couples every pair of flux vertices, so it
-    is kept apart: the result is then a :class:`RankOneJacobian` whose
-    sparse part has the Robin pattern, and otherwise a CSR matrix.
+    flux ``scale`` (by default s_hat(u)) is one more unknown, so the result
+    is the (N+1) x (N+1) bordered matrix [[J, -E], [e^T, 0]]: J is the
+    derivative at fixed scale, E the unscaled flux load bint g0 phi_i (the
+    derivative of the residual in the scale is -E), and the last row, one
+    at the last vertex, fixes the gauge of a Newton correction, which J
+    leaves free.
 
     Only values are assembled, into the pattern of ``disc``.  The cell
     block is aw / sqrt(w) (grad phi_i . grad phi_j - t^2 / w p_i p_j) with
@@ -295,7 +264,8 @@ def jacobian(field, spec, disc):
     grad phi_j for dT = (I - t^2 g g^T / w) / sqrt(w), whose eigenvalues
     w^-3/2 and w^-1/2 are positive.
     """
-    if spec.bc == "neumann":
+    neumann = spec.bc == "neumann"
+    if neumann:
         _require_flux_edges(disc)
     mesh = disc.mesh
     u = field.values
@@ -309,15 +279,14 @@ def jacobian(field, spec, disc):
     gx, gy = mesh.basis_gradients
     p = gx * grads[:, :1] + gy * grads[:, 1:]
     q = p * (t2 / w)[:, None]
-    scale = disc.aw / np.sqrt(w)
+    coef = disc.aw / np.sqrt(w)
     block = np.empty((mesh.n_cells, 3, 3))
     for i in range(3):
         for j in range(i, 3):
-            block[:, i, j] = block[:, j, i] = scale * (
+            block[:, i, j] = block[:, j, i] = coef * (
                 gx[:, i] * gx[:, j] + gy[:, i] * gy[:, j] - q[:, i] * p[:, j])
     data = np.bincount(slot[:n_cell], weights=block.ravel(), minlength=nnz)
 
-    rank_one = None
     if len(disc.a):
         wq, lengths = disc.wq, disc.lengths
         s, uq, rad, g0 = _conormal(u, spec, disc)
@@ -325,26 +294,20 @@ def jacobian(field, spec, disc):
         phi = np.stack([1.0 - _QXI, _QXI])          # phi[k, q] for k in (a, b)
         vals = []
 
-        if spec.bc == "neumann":
+        if neumann:
             dg0_ds = -spec.c * t2 * s / rad ** 3
-            s_hat = _neumann_scale(g0[:, None], spec, disc)
-            # d residual_i / d u_k = -s_hat * bint dg0/ds ds/du_k phi_i
-            #                        - d s_hat / d u_k * bint g0 phi_i
+            if scale is None:
+                scale = _neumann_scale(field, spec, disc)
+            # d residual_i / d u_k = -scale * bint dg0/ds ds/du_k phi_i
             for dsk in (ds_da, ds_db):
                 for i_loc in (0, 1):
-                    vals.append(-s_hat * np.sum(wq * phi[i_loc][None, :], axis=1)
+                    vals.append(-scale * np.sum(wq * phi[i_loc][None, :], axis=1)
                                 * dg0_ds * dsk)
-            # rank-one part: + (s_hat / Q0) * outer(bvec, dQ0)
-            q0_e = np.sum(wq, axis=1) * g0
-            q_total = float(np.sum(q0_e))
-            edge_rows = disc.scatter[3 * mesh.n_cells:]
-            bvec = np.bincount(edge_rows, minlength=n, weights=np.concatenate(
-                [np.sum(wq * (g0[:, None]) * phi[k][None, :], axis=1)
-                 for k in (0, 1)]))
-            dq_edge = np.sum(wq, axis=1) * dg0_ds
-            dq = np.bincount(edge_rows, minlength=n, weights=np.concatenate(
-                [dq_edge * ds_da, dq_edge * ds_db]))
-            rank_one = ((s_hat / q_total) * bvec, dq)
+            load = np.bincount(
+                disc.scatter[3 * mesh.n_cells:], minlength=n,
+                weights=np.concatenate(
+                    [np.sum(wq * (g0[:, None]) * phi[k][None, :], axis=1)
+                     for k in (0, 1)]))
         else:
             alpha = spec.alpha
             dg_du = -alpha * (1.0 + t2 * s[:, None] ** 2) / rad ** 3
@@ -356,8 +319,12 @@ def jacobian(field, spec, disc):
         data += np.bincount(slot[n_cell:], weights=np.concatenate(vals),
                             minlength=nnz)
 
-    local = sp.csr_matrix((data, disc.indices, disc.indptr), shape=(n, n))
-    return local if rank_one is None else RankOneJacobian(local, *rank_one)
+    J = sp.csr_matrix((data, disc.indices, disc.indptr), shape=(n, n))
+    if not neumann:
+        return J
+    gauge = sp.csr_matrix(([1.0], ([0], [n - 1])), shape=(1, n + 1))
+    return sp.vstack([sp.hstack([J, sp.csr_matrix(-load[:, None])],
+                                format="csr"), gauge], format="csr")
 
 
 def ellipticity_margins(field, spec):
@@ -394,7 +361,7 @@ def neumann_gate(disc, spec):
     cap = c / sqrt(1 + t^2 c^2), so a positive margin cap*L - H|Omega| is
     necessary (not sufficient) for solvability.  L and |Omega| are
     ``disc.boundary_measure`` and ``disc.volume``, the r^m-weighted mesh
-    measures that the compatibility rescale s_hat balances against.
+    measures that the compatible flux scale s_hat balances against.
     Margins within a small relative band of zero are flagged borderline;
     the exactly compatible radial data sits on that boundary.
 

@@ -1,28 +1,27 @@
-"""Damped Newton iteration, constrained linear solves, and homotopy continuation.
+"""Damped Newton iteration, sparse linear solves, and homotopy continuation.
 
-Neumann problems are gauge invariant under additive constants and their
-residual sums to zero for every field, so the Jacobian J has the constants
-as both its right and left null vector.  Each Newton correction is the
-mean-zero solution of J x = -F, and returned fields are mean-normalized.
+Neumann problems are gauge invariant under additive constants, and their
+flux scale s (see :mod:`pmclab.assembly`) is a Newton unknown beside the
+field: each correction solves the bordered system of
+:func:`~pmclab.assembly.jacobian`, whose last row fixes the correction at
+the last vertex, and returned fields are mean-normalized.  The converged s
+is reported as ``flux_scale``.
 
-Every linear system, Robin or Neumann, is solved the same way: a short
-restarted GMRES in double precision on the Jacobian as assembled (rank-one
-coupling of the flux compatibility rescale included), preconditioned on
-the right by a single-precision sparse LU of its sparse part L.  With
-D = |diag L|, SuperLU factors S = D^-1/2 L D^-1/2 in float32 (symmetric
-minimum-degree ordering of A^T + A, threshold pivoting), and the
-preconditioner D^-1/2 S^-1 D^-1/2 takes and returns float64 vectors (see
-:func:`_factor`).  For Neumann data one is added to the last diagonal entry
-of L before it is scaled, which pins the constant gauge in the
-preconditioner only (see :func:`linear_solve`).  A Newton solve, and a
-whole homotopy continuation, keeps the last LU it factored for its later
-systems.  The GMRES residual is the unpreconditioned one, and a solution is
-returned only once ||b - A x|| <= 1e-11 ||b|| has been computed explicitly:
-an inexact Newton step, far inside the Newton tolerance, whatever the
-precision of the preconditioner.  Only when GMRES misses that tolerance is
-the current system factored afresh, kept, and GMRES run again on the new
-LU.  :class:`SolveReport` records the factorizations and the Krylov
-iterations of every Newton iteration.
+Every linear system, Robin or Neumann, is a nonsingular sparse matrix
+solved the same way: a short restarted GMRES in double precision,
+preconditioned on the right by a single-precision sparse LU of the matrix.
+With D = |diag A| (a zero entry scales by one), SuperLU factors
+S = D^-1/2 A D^-1/2 in float32 (symmetric minimum-degree ordering of
+A^T + A, threshold pivoting), and the preconditioner D^-1/2 S^-1 D^-1/2
+takes and returns float64 vectors (see :func:`_factor`).  A Newton solve,
+and a whole homotopy continuation, keeps the last LU it factored for its
+later systems.  The GMRES residual is the unpreconditioned one, and a
+solution is returned only once ||b - A x|| <= 1e-11 ||b|| has been
+computed explicitly: an inexact Newton step, far inside the Newton
+tolerance, whatever the precision of the preconditioner.  Only when GMRES
+misses that tolerance is the current system factored afresh, kept, and
+GMRES run again on the new LU.  :class:`SolveReport` records the
+factorizations and the Krylov iterations of every Newton iteration.
 
 Continuation is a predictor-corrector walk over a schedule of homotopy
 parameters.  Once two steps have converged, each Newton solve starts from
@@ -41,7 +40,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import (ScalarField, ellipticity_margins, flux_scale,
+from .assembly import (ScalarField, _neumann_scale, ellipticity_margins,
                        jacobian, neumann_gate, residual)
 from .critical import find_critical_points
 from .errors import InvalidParameterError, LinearSolveFailure, SolverFailure
@@ -109,52 +108,24 @@ class HomotopyTrace:
     halved_at: list = dc_field(default_factory=list)
 
 
-def linear_solve(A, b, constraint="none", kept=None):
-    """Sparse solve, optionally with a zero-mean constraint; returns
-    ``(x, info)``.
+def linear_solve(A, b, kept=None):
+    """Solve the sparse system A x = b; returns ``(x, info)``.
 
-    ``A`` is a sparse matrix or a :class:`~pmclab.assembly.RankOneJacobian`
-    ``L + u v^T``; the rank-one term is never formed.  Every system is
-    solved by GMRES on ``A`` as assembled, preconditioned on the right by a
-    sparse LU of its sparse part (see :class:`_KeptFactor`).
-
-    With ``constraint="mean-zero"`` the result is that of the bordered
-    system [[A, 1], [1^T, 0]] [x, lambda] = [b, 0], computed without
-    forming it.  A Neumann Jacobian satisfies 1^T A = 0 (its residual sums
-    to zero for every field) and A 1 = 0 (gauge invariance), so multiplying
-    the first block row by 1^T gives lambda = mean(b), and A x = b - lambda 1
-    is consistent.  GMRES solves that singular system on the full operator:
-    its range meets its null space only at 0, which is what GMRES needs
-    (Brown & Walker 1997).  The LU is then that of the sparse part with one
-    added to its last diagonal entry, and the result is shifted to mean zero.
-
-    Every solution is checked against the full operator:
-    ||A x - (b - lambda 1)|| <= 1e-6 ||b||.  :class:`LinearSolveFailure` is
-    raised for singular systems, and whenever the constrained solve cannot
-    stand in for the bordered one (a nullspace beyond the constants, or a
-    left null vector that is not constant).
+    GMRES on ``A``, preconditioned on the right by a sparse LU of it (see
+    :class:`_KeptFactor`).  Every solution is checked against ``A``:
+    :class:`LinearSolveFailure` is raised unless ||A x - b|| <= 1e-6 ||b||,
+    which a singular system fails.
 
     ``info`` holds ``krylov_iterations`` and ``factored``.
     """
     b = np.asarray(b, dtype=float)
     kept = _KeptFactor() if kept is None else kept
-    if constraint == "none":
-        rhs = b
-    elif constraint == "mean-zero":
-        rhs = b - b.mean()
-    else:
-        raise InvalidParameterError(f"unknown constraint {constraint!r}")
-    x, krylov, factored = kept.solve(A, rhs, pin=constraint == "mean-zero")
-    if x is not None and constraint == "mean-zero":
-        x -= x.mean()
-
+    x, krylov, factored = kept.solve(A, b)
     bnorm = np.linalg.norm(b)
     if x is None or not np.all(np.isfinite(x)) or (
-            bnorm > 0 and np.linalg.norm(A @ x - rhs) > 1e-6 * bnorm):
+            bnorm > 0 and np.linalg.norm(A @ x - b) > 1e-6 * bnorm):
         raise LinearSolveFailure(
-            "numerically singular system (large solve residual)"
-            + ("; the mean-zero constraint needs constant left and right "
-               "null vectors" if constraint == "mean-zero" else ""))
+            "numerically singular system (large solve residual)")
     return x, {"krylov_iterations": krylov, "factored": factored}
 
 
@@ -168,35 +139,32 @@ class _KeptFactor:
     def drop(self):
         self.lu = None
 
-    def solve(self, A, rhs, pin):
+    def solve(self, A, rhs):
         """Solve A x = rhs by GMRES preconditioned by the kept LU.
 
-        When that misses, or no LU of the right size is kept, the sparse
-        part of ``A`` is factored (with one added to its last diagonal
-        entry if ``pin``), kept, and GMRES runs again on the fresh LU.
-        Returns ``(x, krylov_iterations, factored)``, the iterations of
-        both GMRES runs counted; x is None if GMRES misses on the fresh LU
-        too, which :func:`linear_solve` reports as a singular system.
+        When that misses, or no LU of the right size is kept, ``A`` is
+        factored, kept, and GMRES runs again on the fresh LU.  Returns
+        ``(x, krylov_iterations, factored)``, the iterations of both GMRES
+        runs counted; x is None if GMRES misses on the fresh LU too, which
+        :func:`linear_solve` reports as a singular system.
         """
         missed = 0
         if self.lu is not None and self.lu.shape == A.shape:
             x, missed = _preconditioned_gmres(self.lu, A, rhs)
             if x is not None:
                 return x, missed, False
-        self.lu = _factor(A, pin)
+        self.lu = _factor(A)
         x, iterations = _preconditioned_gmres(self.lu, A, rhs)
         return x, missed + iterations, True
 
 
-def _factor(A, pin):
+def _factor(A):
     """The preconditioner of GMRES: a single-precision SuperLU of
-    S = D^-1/2 L D^-1/2, where L is the sparse part of ``A`` with one added
-    to its last diagonal entry if ``pin``, and D = |diag L| (a zero entry
-    scales by one).
+    S = D^-1/2 A D^-1/2, where D = |diag A| (a zero entry scales by one).
 
-    S is built in float32 straight from the CSR arrays of L, so no
+    S is built in float32 straight from the CSR arrays of ``A``, so no
     double-precision copy of the matrix exists while it is factored.  The
-    scaling keeps S inside the float32 range where L is not: the meridian
+    scaling keeps S inside the float32 range where A is not: the meridian
     weight r^(n-2) underflows it at large n.  SuperLU orders S by minimum
     degree on A^T + A in symmetric mode and keeps a diagonal pivot while it
     is at least ``_DIAG_PIVOT_THRESH`` times the largest entry of its
@@ -204,26 +172,19 @@ def _factor(A, pin):
     accepts x on the true residual in double precision (mixed-precision
     preconditioning: Arioli & Duff 2009; Carson & Higham 2018).
     """
-    L = sp.csr_matrix(getattr(A, "local", A))
-    diag = L.diagonal()
-    if pin:
-        diag[-1] += 1.0
+    A = sp.csr_matrix(A)
+    diag = A.diagonal()
     d = 1.0 / np.sqrt(np.where(diag != 0.0, np.abs(diag), 1.0))
     S = sp.csr_matrix(
-        ((L.data * np.repeat(d, np.diff(L.indptr)) * d[L.indices])
-         .astype(np.float32), L.indices, L.indptr), shape=L.shape)
-    if pin:
-        S[-1, -1] = diag[-1] * d[-1] ** 2
-    S = S.tocsc()
+        ((A.data * np.repeat(d, np.diff(A.indptr)) * d[A.indices])
+         .astype(np.float32), A.indices, A.indptr), shape=A.shape).tocsc()
     try:
         lu = spla.splu(S, permc_spec="MMD_AT_PLUS_A",
                        diag_pivot_thresh=_DIAG_PIVOT_THRESH,
                        options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise LinearSolveFailure(
-            f"sparse factorization failed ({exc}); a singular system "
-            "usually means a missing mean-zero constraint, or a nullspace "
-            "beyond the constants") from exc
+            f"singular system: sparse factorization failed ({exc})") from exc
     return _ScaledLU(lu, d)
 
 
@@ -251,11 +212,17 @@ def _preconditioned_gmres(lu, A, rhs):
     Each cycle builds the Krylov space of A M^-1 from the true residual
     r = rhs - A x (modified Gram-Schmidt Arnoldi, Givens rotations) and
     keeps z_k = M^-1 v_k, so x moves by sum_k y_k z_k and the LU is applied
-    exactly once per Krylov iteration.  The rotated right-hand side
-    estimates ||rhs - A x|| itself, not a preconditioned residual; once it
-    reaches ``_GMRES_RTOL`` ||rhs||, or after ``_GMRES_RESTART`` iterations,
-    the residual is computed explicitly, and only a miss opens another
-    cycle.  Every length-N sum is a :func:`_dot`, so the result does not
+    exactly once per Krylov iteration.  Z is needed although M is fixed:
+    the float32 LU is not linear in floating point, so M^-1 (V y) is not
+    sum_k y_k z_k, while each z_k enters the Arnoldi relation as computed.
+    Computed as M^-1 (V y), x left relative residuals of 3e-4 to 5e-4
+    after the first cycle on the Robin ellipse homotopy (h 0.02) and the
+    Robin ball at n_dim 6 (h 0.0125), and the LU applications per solve
+    rose from 5.5 to 13.3 and from 4.7 to 12.0.  The rotated right-hand
+    side estimates ||rhs - A x||
+    itself, not a preconditioned residual; once it reaches ``_GMRES_RTOL``
+    ||rhs||, or after ``_GMRES_RESTART`` iterations, the residual is
+    computed explicitly, and only a miss opens another cycle.  Every length-N sum is a :func:`_dot`, so the result does not
     depend on the BLAS thread count.  Returns ``(x, iterations)``, with x
     None when that residual still misses after ``_GMRES_MAXITER`` cycles.
     """
@@ -312,20 +279,23 @@ def newton_solve(disc, spec, init=None, kept=None):
     ``_NEWTON_TOL`` (1e-10), reached within ``_MAX_ITER`` (50) iterations.
     Armijo backtracking on the Euclidean residual norm keeps accepted steps
     monotone.  Neumann data is gated by
-    :func:`~pmclab.assembly.neumann_gate` before any iteration;
-    nonconvergence, a stalled line search and a linear breakdown raise
-    :class:`SolverFailure` carrying the report, whose ``ellipticity_min``
-    counts the iterate the solve failed at.  The LU factored for the
-    first correction preconditions the later ones (see :func:`linear_solve`);
-    ``kept`` lets :func:`homotopy_solve` share it across its steps.
+    :func:`~pmclab.assembly.neumann_gate` before any iteration, and its flux
+    scale, started at the compatible scale of the initial field, is
+    iterated with the field; nonconvergence, a stalled line search and a
+    linear breakdown raise :class:`SolverFailure` carrying the report, whose
+    ``ellipticity_min`` counts the iterate the solve failed at.  The LU
+    factored for the first correction preconditions the later ones (see
+    :func:`linear_solve`); ``kept`` lets :func:`homotopy_solve` share it
+    across its steps.
     """
     kept = _KeptFactor() if kept is None else kept
     mesh = disc.mesh
+    n = mesh.n_vertices
     neumann_gate(disc, spec)
-    constraint = "mean-zero" if spec.bc == "neumann" else "none"
+    neumann = spec.bc == "neumann"
 
     if init is None:
-        u = np.zeros(mesh.n_vertices)
+        u = np.zeros(n)
     else:
         u = np.array(init.values if isinstance(init, ScalarField) else init,
                      dtype=float)
@@ -334,10 +304,11 @@ def newton_solve(disc, spec, init=None, kept=None):
 
     report = SolveReport(converged=False, iterations=0,
                          final_residual_norm=math.inf,
-                         normalization=constraint,
+                         normalization="mean-zero" if neumann else "none",
                          t=spec.t)
     field = ScalarField(mesh, u)
-    F = residual(field, spec, disc)
+    scale = _neumann_scale(field, spec, disc) if neumann else None
+    F = residual(field, spec, disc, scale)
     norm2 = float(np.linalg.norm(F))
     ell_min = math.inf
 
@@ -348,9 +319,11 @@ def newton_solve(disc, spec, init=None, kept=None):
         if inf_norm <= _NEWTON_TOL:
             report.converged = True
             break
-        J = jacobian(field, spec, disc)
+        J = jacobian(field, spec, disc, scale)
         try:
-            delta, info = linear_solve(J, -F, constraint=constraint, kept=kept)
+            # a Neumann correction (du, ds) has the gauge row du[-1] = 0
+            delta, info = linear_solve(
+                J, np.append(-F, 0.0) if neumann else -F, kept=kept)
         except LinearSolveFailure as exc:
             margin = _fail(report, "linear solve broke down", ell_min, field,
                            spec)
@@ -363,8 +336,9 @@ def newton_solve(disc, spec, init=None, kept=None):
         beta = 1.0
         accepted = False
         for _ in range(_MAX_BACKTRACKS + 1):
-            trial = ScalarField(mesh, u + beta * delta)
-            F_trial = residual(trial, spec, disc)
+            trial = ScalarField(mesh, u + beta * delta[:n])
+            trial_scale = scale + beta * delta[n] if neumann else None
+            F_trial = residual(trial, spec, disc, trial_scale)
             trial_norm2 = float(np.linalg.norm(F_trial))
             if (trial_norm2 <= (1.0 - _ARMIJO_C1 * beta) * norm2
                     or float(np.abs(F_trial).max()) <= _NEWTON_TOL):
@@ -377,6 +351,7 @@ def newton_solve(disc, spec, init=None, kept=None):
 
         u = trial.values
         field = trial
+        scale = trial_scale
         F = F_trial
         norm2 = trial_norm2
         report.damping_history.append(beta)
@@ -387,11 +362,9 @@ def newton_solve(disc, spec, init=None, kept=None):
         _fail(report, "max iterations reached", ell_min, field, spec)
         raise SolverFailure("Newton did not converge", report=report)
 
-    if constraint == "mean-zero":
-        u = u - u.mean()
-        field = ScalarField(mesh, u)
-    report.flux_scale = (flux_scale(field, spec, disc)
-                         if spec.bc == "neumann" else None)
+    if neumann:
+        field = ScalarField(mesh, u - u.mean())
+        report.flux_scale = float(scale)
     report.ellipticity_min = None if ell_min is math.inf else float(ell_min)
     return field, report
 

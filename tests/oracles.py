@@ -9,7 +9,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.spatial import Delaunay, cKDTree
 
-from pmclab.assembly import RankOneJacobian
 from pmclab.errors import InvalidParameterError
 from pmclab.geometry import TriMesh, submesh
 
@@ -156,24 +155,7 @@ def cells_spanning_origin_reference(gvertex, cells):
     return pos | neg
 
 
-def bordered_solve_reference(A, b, constraint="none"):
-    """x of A x = b by one direct sparse solve (``spla.spsolve``) of the
-    bordered system, sharing no code with the solver's GMRES.
-
-    The rank-one part of a :class:`RankOneJacobian` L + u v^T becomes the
-    unknown s = v^T x, and the mean-zero constraint the row 1^T x = 0 with
-    multiplier lambda, so a Neumann Jacobian is solved as
-    [[L, u, 1], [v^T, -1, 0], [1^T, 0, 0]] [x, s, lambda] = [b, 0, 0]."""
-    n = A.shape[0]
-    border = []                 # (column, row, corner entry)
-    if isinstance(A, RankOneJacobian):
-        border.append((A.u, A.v, -1.0))
-    if constraint == "mean-zero":
-        border.append((np.ones(n), np.ones(n), 0.0))
-    M = sp.csr_matrix(getattr(A, "local", A))
-    if border:
-        cols, rows, corner = zip(*border)
-        M = sp.bmat([[M, np.column_stack(cols)],
-                     [np.vstack(rows), np.diag(corner)]])
-    rhs = np.concatenate([np.asarray(b, dtype=float), np.zeros(len(border))])
-    return spla.spsolve(sp.csc_matrix(M), rhs)[:n]
+def bordered_solve_reference(A, b):
+    """x of A x = b by one direct sparse solve (``spla.spsolve``), sharing
+    no code with the solver's GMRES."""
+    return spla.spsolve(sp.csc_matrix(A), np.asarray(b, dtype=float))

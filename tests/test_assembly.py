@@ -6,10 +6,10 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pmclab.assembly import (Discretization, ProblemSpec, RankOneJacobian,
-                             ScalarField, boundary_flux, ellipticity_margins,
-                             flux_scale, jacobian, neumann_gate, residual)
-from pmclab.assembly import _QXI
+from pmclab.assembly import (Discretization, ProblemSpec, ScalarField,
+                             boundary_flux, ellipticity_margins, jacobian,
+                             neumann_gate, residual)
+from pmclab.assembly import _QXI, _neumann_scale
 from pmclab.axisym import meridian_mesh, outer_flux_edges, revolved_volume
 from pmclab.errors import InfeasibleProblemError, InvalidParameterError
 from pmclab.geometry import make_disk, triangulate
@@ -76,14 +76,16 @@ class TestResidual:
     def test_constant_field_neumann_compatible(self, disk_mesh_02):
         m = disk_mesh_02
         # compatible data computed from the discrete measures makes the
-        # flux rescale exactly one, so boundary rows carry cap * edge mass
+        # compatible flux scale exactly one, so boundary rows carry
+        # cap * edge mass
         L_h = m.boundary_lengths.sum()
         area_h = m.cell_areas.sum()
         H = CAP * L_h / area_h
         spec = ProblemSpec.neumann(H, 0.5)
         field = ScalarField(m, np.full(m.n_vertices, 3.7))
         disc = Discretization(m)
-        assert flux_scale(field, spec, disc) == pytest.approx(1.0, abs=1e-12)
+        assert _neumann_scale(field, spec, disc) == pytest.approx(1.0,
+                                                                  abs=1e-12)
         r = residual(field, spec, disc)
         interior = ~m.is_boundary_vertex
         # gradient term vanishes: interior entries equal the H load exactly
@@ -153,19 +155,27 @@ class TestJacobian:
 
     @pytest.mark.parametrize("bc", ["robin", "neumann"])
     def test_matches_finite_differences(self, disk_mesh_02, rng, bc):
+        # Neumann: the residual is differenced in the field and in the flux
+        # scale, away from the compatible scale s_hat(u)
         m = disk_mesh_02
+        n = m.n_vertices
         spec = (ProblemSpec.robin(0.8, 1.0) if bc == "robin"
                 else ProblemSpec.neumann(0.6, 0.5))
         disc = Discretization(m)
         for _ in range(20):
-            u = ScalarField(m, 0.4 * rng.standard_normal(m.n_vertices))
-            d = rng.standard_normal(m.n_vertices)
-            J = jacobian(u, spec, disc)
+            u = ScalarField(m, 0.4 * rng.standard_normal(n))
+            s = (0.7 * _neumann_scale(u, spec, disc) if bc == "neumann"
+                 else None)
+            d = rng.standard_normal(n + (bc == "neumann"))
+            J = jacobian(u, spec, disc, s)
             eps = 1e-6
-            fd = (residual(ScalarField(m, u.values + eps * d), spec, disc)
-                  - residual(ScalarField(m, u.values - eps * d), spec, disc)) \
-                / (2 * eps)
-            jd = J @ d
+
+            def at(sign):
+                return residual(
+                    ScalarField(m, u.values + sign * eps * d[:n]), spec, disc,
+                    None if s is None else s + sign * eps * d[n])
+            fd = (at(1.0) - at(-1.0)) / (2 * eps)
+            jd = (J @ d)[:n]
             assert np.linalg.norm(fd - jd) <= 1e-5 * np.linalg.norm(jd)
 
     def test_robin_boundary_block_is_alpha_edge_mass(self, disk_mesh_02):
@@ -201,31 +211,36 @@ def meridian_mesh_02():
     return meridian_mesh(make_disk(1.0), 0.2)
 
 
-class TestNeumannJacobianSplit:
-    """The Neumann Jacobian local + outer(u, v) that the Newton solve
-    factors: constants span both null spaces of the materialized matrix,
-    the parts add up to it, and the sparse part has no dense boundary
-    block."""
+class TestNeumannJacobianBorder:
+    """The Neumann Jacobian [[J, -E], [e^T, 0]] that the Newton solve
+    factors: J keeps the constants as null vector and the Robin pattern,
+    the flux scale's column is minus the unscaled flux load E, whose sum
+    sets the compatible scale, and the gauge row holds one entry at the
+    last vertex, so the border adds one entry per flux vertex and one."""
 
     @staticmethod
     def _check(disc, seed, amp, t):
         mesh = disc.mesh
+        n = mesh.n_vertices
         field = ScalarField(
-            mesh, amp * np.random.default_rng(seed).standard_normal(
-                mesh.n_vertices))
+            mesh, amp * np.random.default_rng(seed).standard_normal(n))
         spec = ProblemSpec.neumann(0.6, 0.5, t=t)
-        split = jacobian(field, spec, disc)
-        assert isinstance(split, RankOneJacobian)
-        J = split.local.toarray() + np.outer(split.u, split.v)
-        jnorm = np.linalg.norm(J)
-        ones = np.ones(mesh.n_vertices)
-        assert np.linalg.norm(J.T @ ones) <= 1e-12 * jnorm
-        assert np.linalg.norm(J @ ones) <= 1e-12 * jnorm
-        x = field.values + 1.0
-        assert np.linalg.norm(split @ x - J @ x) \
-            <= 1e-14 * jnorm * np.linalg.norm(x)
+        A = jacobian(field, spec, disc)
+        assert isinstance(A, sp.csr_matrix) and A.shape == (n + 1, n + 1)
+        J = A[:n, :n]
+        jnorm = np.linalg.norm(J.data)
+        assert np.linalg.norm(J @ np.ones(n)) <= 1e-12 * jnorm
+        load = -A[:n, n].toarray().ravel()
+        flux_vertices = np.unique(np.concatenate([disc.a, disc.b]))
+        assert np.flatnonzero(load).tolist() == flux_vertices.tolist()
+        assert spec.H * disc.volume / np.sum(load) == pytest.approx(
+            _neumann_scale(field, spec, disc), rel=1e-13)
+        gauge = A[n].tocoo()
+        assert (gauge.col.tolist(), gauge.data.tolist()) == ([n - 1], [1.0])
         robin = jacobian(field, ProblemSpec.robin(0.6, 1.0, t=t), disc)
-        assert split.nnz == split.local.nnz == robin.nnz
+        assert np.array_equal(J.indptr, robin.indptr)
+        assert np.array_equal(J.indices, robin.indices)
+        assert A.nnz == robin.nnz + len(flux_vertices) + 1
 
     @given(seed=st.integers(0, 2 ** 32 - 1), amp=st.floats(0.0, 1.0),
            t=st.floats(0.0, 1.0))
@@ -244,8 +259,9 @@ class TestNeumannJacobianSplit:
 
 def _coo_jacobian(field, spec, flux_edges=None, m=0):
     """Reference Jacobian assembled from COO triplets, with its own
-    quadrature and without the cached pattern: ``(local, rank_one)`` with
-    rank_one None or the pair (u, v)."""
+    quadrature and without the cached pattern: ``(local, border)`` with
+    border None (Robin) or the flux scale's column -E at the compatible
+    scale (Neumann)."""
     mesh = field.mesh
     u = field.values
     t2 = spec.t ** 2
@@ -266,7 +282,7 @@ def _coo_jacobian(field, spec, flux_edges=None, m=0):
             cols.append(mesh.cells[:, j])
             vals.append(aw * np.einsum("mi,mi->m", gphi[:, i, :],
                                        dT_gphi[:, j, :]))
-    rank_one = None
+    border = None
     edges = np.arange(len(mesh.boundary_edges)) if flux_edges is None \
         else np.asarray(flux_edges, dtype=int)
     a, b = mesh.boundary_edges[edges].T
@@ -291,14 +307,9 @@ def _coo_jacobian(field, spec, flux_edges=None, m=0):
                     cols.append(k_idx)
                     vals.append(-s_hat * np.sum(wq * phi[i_loc], axis=1)
                                 * dg0_ds * dsk)
-            bvec = np.zeros(n)
-            np.add.at(bvec, a, np.sum(wq * g0[:, None] * phi[0], axis=1))
-            np.add.at(bvec, b, np.sum(wq * g0[:, None] * phi[1], axis=1))
-            dq = np.zeros(n)
-            for k_idx, dsk in ds:
-                np.add.at(dq, k_idx, np.sum(wq, axis=1) * dg0_ds * dsk)
-            q_total = float(np.sum(np.sum(wq, axis=1) * g0))
-            rank_one = ((s_hat / q_total) * bvec, dq)
+            border = np.zeros(n)
+            np.add.at(border, a, -np.sum(wq * g0[:, None] * phi[0], axis=1))
+            np.add.at(border, b, -np.sum(wq * g0[:, None] * phi[1], axis=1))
         else:
             alpha = spec.alpha
             uq = u[a][:, None] * phi[0] + u[b][:, None] * phi[1]
@@ -314,40 +325,34 @@ def _coo_jacobian(field, spec, flux_edges=None, m=0):
     local = sp.coo_matrix((np.concatenate(vals),
                            (np.concatenate(rows), np.concatenate(cols))),
                           shape=(n, n)).tocsr()
-    return local, rank_one
+    return local, border
 
 
 class TestValuesOnlyJacobian:
     """:func:`jacobian` sums values into the pattern of its
     :class:`Discretization`; it must equal the COO reference above, pattern
-    and values.  The rank-one Neumann term is kept apart exactly when it
-    exists."""
+    and values.  A Neumann Jacobian adds the flux scale's column and the
+    gauge row, one entry at the last vertex."""
 
     @staticmethod
     def _check(mesh, spec, flux_edges=None, m=0, seed=0):
+        n = mesh.n_vertices
         field = ScalarField(mesh, 0.4 * np.random.default_rng(seed)
-                            .standard_normal(mesh.n_vertices))
-        ref_local, rank_one = _coo_jacobian(field, spec, flux_edges, m)
-        ref = ref_local.toarray()
-        if rank_one is not None:
-            ref += np.outer(*rank_one)
-        tol = 1e-14 * np.abs(ref).max()
+                            .standard_normal(n))
+        ref_local, border = _coo_jacobian(field, spec, flux_edges, m)
+        tol = 1e-14 * np.abs(ref_local.toarray()).max()
         disc = Discretization(mesh, m, flux_edges)
         # assembly indices are below nnz and N: int32 halves their memory
         assert disc.slot.dtype == disc.scatter.dtype == np.int32
         J = jacobian(field, spec, disc)
-        if rank_one is None:
-            assert isinstance(J, sp.csr_matrix)
-            local = J
-        else:
-            assert isinstance(J, RankOneJacobian)
-            assert np.array_equal(J.u, rank_one[0])
-            assert np.array_equal(J.v, rank_one[1])
-            local = J.local
-        dense = local.toarray()
-        if rank_one is not None:
-            dense += np.outer(J.u, J.v)
-        assert np.abs(dense - ref).max() <= tol
+        assert isinstance(J, sp.csr_matrix)
+        local = J
+        if border is not None:
+            assert J.shape == (n + 1, n + 1)
+            assert np.abs(J[:n, n].toarray().ravel() - border).max() \
+                <= 1e-14 * np.abs(border).max()
+            assert np.array_equal(J[n].toarray().ravel(), np.eye(n + 1)[n - 1])
+            local = J[:n, :n]
         assert local.nnz == ref_local.nnz
         assert np.array_equal(local.indptr, ref_local.indptr)
         assert np.array_equal(local.indices, ref_local.indices)
@@ -377,7 +382,7 @@ class TestValuesOnlyJacobian:
         if bc == "robin":
             self._check(disk_mesh_02, ProblemSpec.robin(0.8, 1.0), empty)
             return
-        # Neumann data has no flux to rescale without flux edges
+        # Neumann data has no flux to scale without flux edges
         field = ScalarField(disk_mesh_02, disk_mesh_02.vertices[:, 0] ** 2)
         with pytest.raises(InvalidParameterError, match="flux edge"):
             jacobian(field, ProblemSpec.neumann(0.6, 0.5),
@@ -396,8 +401,8 @@ class TestValuesOnlyJacobian:
 
 class TestWeightedMeasure:
     """The r^m cell weight has one home, ``Discretization.aw``: the revolved
-    volume, the feasibility area and the volume in the flux rescale all read
-    it and agree to the last bit."""
+    volume, the feasibility area and the volume in the compatible flux
+    scale all read it and agree to the last bit."""
 
     @pytest.mark.parametrize("n_dim", [3, 4, 5, 6])
     def test_one_weighted_volume(self, n_dim):
@@ -414,17 +419,18 @@ class TestWeightedMeasure:
         assert neumann_gate(disc, spec).area == volume
         field = ScalarField(mesh, 0.3 * mesh.vertices[:, 1])
         q_total = float(np.sum(disc.wq * boundary_flux(field, spec, disc)))
-        assert flux_scale(field, spec, disc) == spec.H * volume / q_total
+        assert _neumann_scale(field, spec, disc) == spec.H * volume / q_total
         # every one of them follows a change of the cell weight
         disc.volume *= 2.0
         assert revolved_volume(disc) == sphere * 2.0 * volume
         assert neumann_gate(disc, spec).area == 2.0 * volume
-        assert flux_scale(field, spec, disc) == spec.H * 2.0 * volume / q_total
+        assert _neumann_scale(field, spec, disc) \
+            == spec.H * 2.0 * volume / q_total
 
 
 class TestFeasibility:
     """The one Neumann gate measures the boundary and the volume of the
-    discretization, the measures the compatibility rescale balances
+    discretization, the measures the compatible flux scale balances
     against."""
 
     def test_radial_boundary_case_is_borderline(self, disk_mesh_005):
@@ -468,16 +474,14 @@ class TestFeasibility:
 
 class TestEmptyFluxEdges:
     """Neumann data on a discretization without flux edges has no flux to
-    rescale: every entry point rejects it.  Robin data is left alone."""
+    scale: every entry point rejects it.  Robin data is left alone."""
 
     @pytest.mark.parametrize("call", [
         lambda f, s, d: neumann_gate(d, s),
-        lambda f, s, d: flux_scale(f, s, d),
         lambda f, s, d: residual(f, s, d),
         lambda f, s, d: jacobian(f, s, d),
         lambda f, s, d: newton_solve(d, s),
-    ], ids=["neumann_gate", "flux_scale", "residual", "jacobian",
-            "newton_solve"])
+    ], ids=["neumann_gate", "residual", "jacobian", "newton_solve"])
     def test_neumann_rejected(self, disk_mesh_02, call):
         disc = Discretization(disk_mesh_02, flux_edges=[])
         field = ScalarField(disk_mesh_02, disk_mesh_02.vertices[:, 0] ** 2)
@@ -489,7 +493,6 @@ class TestEmptyFluxEdges:
         field = ScalarField(disk_mesh_02, disk_mesh_02.vertices[:, 0] ** 2)
         spec = ProblemSpec.robin(0.6, 1.0)
         assert neumann_gate(disc, spec) is None
-        assert flux_scale(field, spec, disc) == 1.0
         # no boundary term: the entries sum to the load H |Omega|
         assert np.sum(residual(field, spec, disc)) == pytest.approx(
             0.6 * disc.volume, rel=1e-12)

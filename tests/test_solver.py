@@ -9,8 +9,9 @@ import scipy.sparse.linalg as spla
 
 import pmclab.solver
 
-from pmclab.assembly import (Discretization, ProblemSpec, RankOneJacobian,
-                             ScalarField, jacobian, neumann_gate, residual)
+from pmclab.assembly import (Discretization, ProblemSpec, ScalarField,
+                             jacobian, neumann_gate, residual)
+from pmclab.assembly import _neumann_scale
 from pmclab.errors import (InfeasibleProblemError, InvalidParameterError,
                            LinearSolveFailure, SolverFailure)
 from pmclab.geometry import triangulate
@@ -72,95 +73,42 @@ class TestLinearSolve:
         b = rng.standard_normal(40)
         assert np.allclose(linear_solve(A, b)[0], b)
 
-    def test_mean_zero_constraint_compatible(self, disk_mesh_02, rng):
-        m = disk_mesh_02
-        A = stiffness(m)
-        b = rng.standard_normal(m.n_vertices)
-        b -= b.mean()
-        x, _ = linear_solve(A, b, constraint="mean-zero")
-        assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
-        assert abs(x.mean()) <= 1e-12
-
-    def test_mean_zero_constraint_incompatible(self, disk_mesh_02, rng):
-        m = disk_mesh_02
-        A = stiffness(m)
-        b = rng.standard_normal(m.n_vertices) + 0.4
-        x, _ = linear_solve(A, b, constraint="mean-zero")
-        # the multiplier mean(b) absorbs the incompatible part of b
-        target = b - b.mean()
-        assert np.linalg.norm(A @ x - target) <= 1e-9 * np.linalg.norm(b)
-
     def test_singular_without_constraint_fails(self, disk_mesh_02, rng):
         m = disk_mesh_02
         A = stiffness(m)
-        with pytest.raises(LinearSolveFailure) as exc:
+        with pytest.raises(LinearSolveFailure, match="singular"):
             linear_solve(A, rng.standard_normal(m.n_vertices))
-        # no constraint was imposed, so none is blamed
-        assert "mean-zero" not in str(exc.value)
-
-
-    def test_mean_zero_two_dimensional_nullspace_fails(self, disk_mesh_02,
-                                                        rng):
-        m = disk_mesh_02
-        K = stiffness(m)
-        A = sp.block_diag([K, K], format="csr")
-        b = rng.standard_normal(A.shape[0])
-        with pytest.raises(LinearSolveFailure):
-            linear_solve(A, b - b.mean(), constraint="mean-zero")
-
-    def test_mean_zero_nonconstant_left_null_vector_fails(self, disk_mesh_02,
-                                                          rng):
-        # D K keeps the constants as right null vector but its left null
-        # vector is D^-1 1; the bordered system is regular, elimination
-        # with lambda = mean(b) is not a stand-in for it
-        m = disk_mesh_02
-        K = stiffness(m)
-        A = (sp.diags(rng.uniform(0.5, 2.0, m.n_vertices)) @ K).tocsr()
-        assert np.abs(A @ np.ones(m.n_vertices)).max() <= 1e-12
-        b = rng.standard_normal(m.n_vertices)
-        with pytest.raises(LinearSolveFailure):
-            linear_solve(A, b, constraint="mean-zero")
-
-    def test_singular_rank_one_update_fails(self, rng):
-        n = 10
-        e0 = np.eye(n)[0]
-        A = RankOneJacobian(sp.identity(n, format="csr"), e0, -e0)
-        with pytest.raises(LinearSolveFailure, match="numerically singular"):
-            linear_solve(A, rng.standard_normal(n))
 
     def test_neumann_step_matches_dense_bordered_reference(self, disk_mesh_02,
                                                            rng):
+        # the bordered Neumann system [[J, -E], [e^T, 0]] at a flux scale
+        # away from the compatible one is regular: GMRES meets its dense
+        # solve, and the correction leaves the last vertex in place
         m = disk_mesh_02
         n = m.n_vertices
         spec = ProblemSpec.neumann(0.6, 0.5)
         disc = Discretization(m)
         for _ in range(5):
             u = ScalarField(m, 0.4 * rng.standard_normal(n))
-            split = jacobian(u, spec, disc)
-            dense = split.local.toarray() + np.outer(split.u, split.v)
-            bordered = np.block([[dense, np.ones((n, 1))],
-                                 [np.ones((1, n)), np.zeros((1, 1))]])
-            for b in (-residual(u, spec, disc), rng.standard_normal(n) + 0.3):
-                x, _ = linear_solve(split, b, constraint="mean-zero")
-                ref = np.linalg.lstsq(bordered, np.append(b, 0.0),
-                                      rcond=None)[0]
-                assert np.linalg.norm(x - ref[:n]) \
-                    <= 1e-10 * np.linalg.norm(ref[:n])
-                # the multiplier is mean(b), so A x = b - mean(b) stands in
-                # for the bordered system
-                assert ref[n] == pytest.approx(b.mean(), rel=1e-10,
-                                               abs=1e-12)
+            s = 0.7 * _neumann_scale(u, spec, disc)
+            A = jacobian(u, spec, disc, s)
+            for b in (-residual(u, spec, disc, s),
+                      rng.standard_normal(n) + 0.3):
+                b = np.append(b, 0.0)
+                x, _ = linear_solve(A, b)
+                ref = np.linalg.solve(A.toarray(), b)
+                assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+                assert abs(x[n - 1]) <= 1e-11 * np.linalg.norm(b)
 
 
 def _recorded_systems(monkeypatch, solve):
-    """The (A, b, constraint) of every linear solve made while ``solve()``
-    runs."""
+    """The (A, b) of every linear solve made while ``solve()`` runs."""
     systems = []
     inner = pmclab.solver.linear_solve
 
-    def record(A, b, constraint="none", **kwargs):
-        systems.append((A, np.array(b), constraint))
-        return inner(A, b, constraint=constraint, **kwargs)
+    def record(A, b, **kwargs):
+        systems.append((A, np.array(b)))
+        return inner(A, b, **kwargs)
 
     monkeypatch.setattr(pmclab.solver, "linear_solve", record)
     solve()
@@ -201,35 +149,31 @@ def _checked_gmres(monkeypatch):
 
 
 def _singular_cases(mesh, rng):
-    """The singular systems of TestLinearSolve: (A, b, constraint)."""
+    """Singular systems (A, b): the stiffness matrix, and a bordered
+    Neumann Jacobian without its flux column or without its gauge row."""
     n = mesh.n_vertices
-    K = stiffness(mesh)
-    stacked = sp.block_diag([K, K], format="csr")
-    b2 = rng.standard_normal(2 * n)
-    e0 = np.eye(n)[0]
-    return [
-        (K, rng.standard_normal(n), "none"),
-        (stacked, b2 - b2.mean(), "mean-zero"),
-        ((sp.diags(rng.uniform(0.5, 2.0, n)) @ K).tocsr(),
-         rng.standard_normal(n), "mean-zero"),
-        (RankOneJacobian(sp.identity(n, format="csr"), e0, -e0),
-         rng.standard_normal(n), "none"),
-    ]
+    A = jacobian(ScalarField(mesh, 0.3 * mesh.vertices[:, 0] ** 2),
+                 ProblemSpec.neumann(0.6, 0.5), Discretization(mesh)).tolil()
+    no_column, no_row = A.copy(), A.copy()
+    no_column[:, n] = 0.0
+    no_row[n, :] = 0.0
+    return [(stiffness(mesh), rng.standard_normal(n)),
+            *((B.tocsr(), rng.standard_normal(n + 1))
+              for B in (no_column, no_row))]
 
 
 class TestKeptFactor:
     """A kept LU preconditions GMRES on the later systems of one solve; the
-    results must be those of a direct solve of the bordered system, and a
-    factor that does not fit must fall back to refactoring without changing
-    any outcome."""
+    results must be those of a direct sparse solve, and a factor that does
+    not fit must fall back to refactoring without changing any outcome."""
 
     def _replay(self, monkeypatch, systems):
         gmres_calls = _checked_gmres(monkeypatch)
         kept = _KeptFactor()
         infos = []
-        for A, b, constraint in systems:
-            x, info = linear_solve(A, b, constraint=constraint, kept=kept)
-            ref = bordered_solve_reference(A, b, constraint)
+        for A, b in systems:
+            x, info = linear_solve(A, b, kept=kept)
+            ref = bordered_solve_reference(A, b)
             assert np.linalg.norm(x - ref) <= 1e-9 * np.linalg.norm(ref)
             infos.append(info)
         # one GMRES run per system: the kept LU never missed
@@ -256,8 +200,9 @@ class TestKeptFactor:
             monkeypatch,
             lambda: newton_solve(Discretization(disk_mesh_005), neumann_spec))
         assert len(systems) >= 3
-        assert all(isinstance(A, RankOneJacobian) and c == "mean-zero"
-                   for A, _, c in systems)
+        n = disk_mesh_005.n_vertices
+        assert all(isinstance(A, sp.csr_matrix) and A.shape == (n + 1, n + 1)
+                   and b[n] == 0.0 for A, b in systems)
         infos = self._replay(monkeypatch, systems)
         assert infos[0]["factored"]
         assert not any(i["factored"] for i in infos[1:])
@@ -267,33 +212,34 @@ class TestKeptFactor:
     def test_unrelated_factor_falls_back(self, disk_mesh_01, rng, bc):
         m = disk_mesh_01
         n = m.n_vertices
-        if bc == "robin":
-            spec, constraint = ProblemSpec.robin(0.8, 1.0), "none"
-        else:
-            spec, constraint = ProblemSpec.neumann(0.6, 0.5), "mean-zero"
+        spec = (ProblemSpec.robin(0.8, 1.0) if bc == "robin"
+                else ProblemSpec.neumann(0.6, 0.5))
         field = ScalarField(m, 0.3 * rng.standard_normal(n))
         disc = Discretization(m)
         A = jacobian(field, spec, disc)
         b = -residual(field, spec, disc)
+        if bc == "neumann":
+            b = np.append(b, 0.0)
         kept = _KeptFactor()
-        unrelated = sp.diags(rng.uniform(1.0, 1e3, n), format="csr")
-        linear_solve(unrelated, rng.standard_normal(n), kept=kept)
+        unrelated = sp.diags(rng.uniform(1.0, 1e3, A.shape[0]), format="csr")
+        linear_solve(unrelated, rng.standard_normal(A.shape[0]), kept=kept)
         stale = kept.lu
-        x, info = linear_solve(A, b, constraint=constraint, kept=kept)
+        x, info = linear_solve(A, b, kept=kept)
         # the missed GMRES run on the stale LU is counted with the fresh one
         assert info["factored"] and info["krylov_iterations"] > 1
         assert kept.lu is not stale and kept.lu.shape == A.shape
-        ref = bordered_solve_reference(A, b, constraint)
+        ref = bordered_solve_reference(A, b)
         assert np.linalg.norm(x - ref) <= 1e-9 * np.linalg.norm(ref)
         # the new factor is kept and now preconditions the same system
-        x2, info2 = linear_solve(A, b, constraint=constraint, kept=kept)
+        x2, info2 = linear_solve(A, b, kept=kept)
         assert not info2["factored"] and info2["krylov_iterations"] > 0
         assert np.linalg.norm(x2 - ref) <= 1e-9 * np.linalg.norm(ref)
 
     def test_neumann_stale_factor_of_other_iterate(self, monkeypatch,
                                                    disk_mesh_01):
-        # a Neumann solve keeps the N x N LU of the pinned sparse part; the
-        # LU of one iterate preconditions the next iterate's system
+        # a Neumann solve keeps the (N+1) x (N+1) LU of the bordered
+        # Jacobian; the LU of one iterate preconditions the next iterate's
+        # system
         gmres_calls = _checked_gmres(monkeypatch)
         m = disk_mesh_01
         n = m.n_vertices
@@ -305,12 +251,11 @@ class TestKeptFactor:
         for k, values in enumerate(iterates):
             field = ScalarField(m, values)
             A = jacobian(field, spec, disc)
-            assert isinstance(A, RankOneJacobian)
-            b = -residual(field, spec, disc)
-            x, info = linear_solve(A, b, constraint="mean-zero", kept=kept)
-            assert kept.lu.shape == (n, n)
+            b = np.append(-residual(field, spec, disc), 0.0)
+            x, info = linear_solve(A, b, kept=kept)
+            assert kept.lu.shape == (n + 1, n + 1)
             assert info["factored"] == (k == 0)
-            ref = bordered_solve_reference(A, b, "mean-zero")
+            ref = bordered_solve_reference(A, b)
             assert np.linalg.norm(x - ref) <= 1e-9 * np.linalg.norm(ref)
         assert len(gmres_calls) == 2 and gmres_calls[1] > 1
 
@@ -327,18 +272,17 @@ class TestKeptFactor:
         assert info["factored"] and kept.lu.shape == (n, n)
         assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
 
-    @pytest.mark.parametrize("case", range(4))
+    @pytest.mark.parametrize("case", range(3))
     def test_singular_cases_still_fail(self, disk_mesh_02, rng, case):
-        # kept factor: the same sparse part shifted by the identity, a good
+        # kept factor: the same matrix shifted by the identity, a good
         # preconditioner that must not let a singular system through
-        A, b, constraint = _singular_cases(disk_mesh_02, rng)[case]
-        local = A.local if isinstance(A, RankOneJacobian) else A
-        block = sp.csr_matrix(local) + sp.identity(A.shape[0])
+        A, b = _singular_cases(disk_mesh_02, rng)[case]
+        block = (A + sp.identity(A.shape[0])).tocsr()
         kept = _KeptFactor()
         linear_solve(block, np.ones(block.shape[0]), kept=kept)
         assert kept.lu is not None
         with pytest.raises(LinearSolveFailure):
-            linear_solve(A, b, constraint=constraint, kept=kept)
+            linear_solve(A, b, kept=kept)
 
 
 class TestFactor:
@@ -434,15 +378,16 @@ class TestNewtonSolve:
 
     def test_flux_identity_at_convergence(self, neumann_disk_01,
                                           neumann_spec):
-        # sum of residual entries vanishes, so the imposed flux integral
-        # equals H times the discrete area within solver tolerance
+        # sum of residual entries vanishes, so the flux integral at the
+        # converged flux scale equals H times the discrete area within
+        # solver tolerance
         field, report = neumann_disk_01
-        from pmclab.assembly import boundary_flux, flux_scale
+        from pmclab.assembly import boundary_flux
         mesh = field.mesh
         disc = Discretization(mesh)
         g0 = boundary_flux(field, neumann_spec, disc)
-        s_hat = flux_scale(field, neumann_spec, disc)
-        total = float(np.sum(g0.mean(axis=1) * mesh.boundary_lengths)) * s_hat
+        total = float(np.sum(g0.mean(axis=1) * mesh.boundary_lengths)) \
+            * report.flux_scale
         target = neumann_spec.H * mesh.cell_areas.sum()
         assert abs(total - target) <= 10 * 1e-10
 
@@ -601,8 +546,11 @@ class TestHomotopy:
             loc = step.records[0].location
             assert np.linalg.norm(loc) <= disk_mesh_01.h
 
-    def test_path_independence(self, disk_mesh_01):
-        spec = ProblemSpec.robin(0.3, 1.0)
+    @pytest.mark.parametrize("spec", [ProblemSpec.robin(0.3, 1.0),
+                                      ProblemSpec.neumann(0.6, 0.5)],
+                             ids=["robin", "neumann"])
+    def test_path_independence(self, disk_mesh_01, spec):
+        # each Neumann step starts its flux scale from its predictor
         f_direct, _ = homotopy_solve(Discretization(disk_mesh_01), spec, [1.0])
         f_path, _ = homotopy_solve(Discretization(disk_mesh_01), spec,
                                    [round(0.1 * k, 10) for k in range(11)])
