@@ -18,11 +18,11 @@ the total conormal flux must equal H times the domain measure.  Prescribing
 both H and c overdetermines that constraint on generic domains, so the
 Neumann flux profile carries a scale, the unknown ``scale`` of
 :func:`residual`: the boundary term is ``scale * g0``.  Its compatible value
-s_hat(u) = H |Omega| / (integral of g0) makes the entries sum to zero; the
-solver makes it a Newton unknown, whose converged value is one exactly when
-the data is compatible and is reported as a measured incompatibility of the
-data.  :func:`neumann_gate` checks the necessary flux bound on the same
-measures before any solve.
+s_hat(u) = H |Omega| / (integral of g0), :func:`compatible_scale`, makes the
+entries sum to zero; the solver makes it a Newton unknown, whose converged
+value is one exactly when the data is compatible and is reported as a
+measured incompatibility of the data.  :func:`neumann_gate` checks the
+necessary flux bound on the same measures before any solve.
 
 An optional measure weight r^m (r the first coordinate) supports the
 axisymmetric meridian reduction; m = 0 gives the plain planar forms.  The
@@ -127,9 +127,8 @@ class Discretization:
       two-point Gauss weights times r^m, with sum ``boundary_measure``;
     * ``scatter``, the vertex of each residual term: the cell corners
       (corner-major), then the edge tails and heads;
-    * the read-only CSR ``indptr``/``indices`` of the Jacobian and the data
-      ``slot`` of each triplet: the 3 x 3 block of every cell, row-major,
-      then runs over the flux edges for (a, a), (b, a), (a, b), (b, b).
+    * the sparsity pattern of the Jacobian, built on first use by
+      :meth:`jacobian_pattern`.
 
     Every r^m-weighted integral reads ``aw`` or ``wq``.
     """
@@ -149,20 +148,39 @@ class Discretization:
         self.boundary_measure = float(np.sum(self.wq))
         self.scatter = np.concatenate([mesh.cells.T.ravel(), a, b]).astype(
             np.int32)
+        self.scatter.flags.writeable = False
+        self._patterns = {}
 
-        n = mesh.n_vertices
-        c = mesh.cells
-        keys = np.concatenate([(np.repeat(c, 3, axis=1) * n + np.tile(c, 3))
-                               .ravel(), a * n + a, b * n + a, a * n + b,
-                               b * n + b])
-        pairs = np.sort(keys)
-        pairs = pairs[np.concatenate([[True], pairs[1:] != pairs[:-1]])]
-        self.slot = np.searchsorted(pairs, keys).astype(np.int32)
-        self.indices = (pairs % n).astype(np.int32)
-        self.indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(pairs // n, minlength=n), out=self.indptr[1:])
-        for arr in (self.indptr, self.indices, self.slot, self.scatter):
-            arr.flags.writeable = False
+    def jacobian_pattern(self, bordered=False):
+        """The read-only CSR ``(indptr, indices, slot)`` of the Jacobian,
+        built once per kind on first use, where ``slot`` is the data index of
+        each triplet: the 3 x 3 block of every cell, row-major, then runs
+        over the flux edges for (a, a), (b, a), (a, b), (b, b).
+
+        The ``bordered`` pattern, of a Neumann Jacobian, has one more row and
+        column, index N: its slots go on with (a, N) and (b, N) over the flux
+        edges and end with the gauge entry (N, N - 1).
+        """
+        if bordered not in self._patterns:
+            n = self.mesh.n_vertices
+            size = n + 1 if bordered else n
+            a, b, c = self.a, self.b, self.mesh.cells
+            keys = [(np.repeat(c, 3, axis=1) * size + np.tile(c, 3)).ravel(),
+                    a * size + a, b * size + a, a * size + b, b * size + b]
+            if bordered:
+                keys += [a * size + n, b * size + n, [n * size + n - 1]]
+            keys = np.concatenate(keys)
+            pairs = np.sort(keys)
+            pairs = pairs[np.concatenate([[True], pairs[1:] != pairs[:-1]])]
+            slot = np.searchsorted(pairs, keys).astype(np.int32)
+            indices = (pairs % size).astype(np.int32)
+            indptr = np.zeros(size + 1, dtype=np.int32)
+            np.cumsum(np.bincount(pairs // size, minlength=size),
+                      out=indptr[1:])
+            for arr in (indptr, indices, slot):
+                arr.flags.writeable = False
+            self._patterns[bordered] = indptr, indices, slot
+        return self._patterns[bordered]
 
 
 # -- conormal flux -----------------------------------------------------------
@@ -207,23 +225,24 @@ def _require_flux_edges(disc):
             "Neumann data needs at least one flux edge")
 
 
-def _neumann_scale(field, spec, disc):
+def compatible_scale(field, spec, disc):
     """Compatible flux scale s_hat = H * weighted volume / weighted flux
-    integral of the unscaled profile g0 of ``field``."""
+    integral of the unscaled Neumann profile g0 of ``field``: the scale at
+    which the entries of :func:`residual` sum to zero."""
     g0 = _conormal(field.values, spec, disc)[-1]
     return spec.H * disc.volume / float(np.sum(disc.wq * g0[:, None]))
 
 
 # -- residual ----------------------------------------------------------------
 
-def residual(field, spec, disc, scale=None):
+def residual(field, spec, disc, scale=1.0):
     """Weak-form residual, one entry per vertex.
 
     entry_i = int T_t(grad u) . grad phi_i + int H phi_i - bint g phi_i,
     with the r^m measure weight of ``disc`` applied to every integral and
     the boundary integral over its flux edges.  For Neumann data g is
-    ``scale`` times the profile g0, by default the compatible scale
-    s_hat(u); Robin data ignores ``scale``.
+    ``scale`` times the profile g0 (see :func:`compatible_scale`); Robin
+    data ignores ``scale``.
     """
     mesh = disc.mesh
     grads, w = _cell_terms(mesh, field.values, spec)
@@ -235,8 +254,7 @@ def residual(field, spec, disc, scale=None):
     g = boundary_flux(field, spec, disc)
     if spec.bc == "neumann":
         _require_flux_edges(disc)
-        g = g * (_neumann_scale(field, spec, disc) if scale is None
-                 else scale)
+        g = g * scale
     wg = disc.wq * g
     edge = -np.concatenate([np.sum(wg * (1.0 - _QXI)[None, :], axis=1),
                             np.sum(wg * _QXI[None, :], axis=1)])
@@ -246,19 +264,20 @@ def residual(field, spec, disc, scale=None):
 
 # -- Jacobian ----------------------------------------------------------------
 
-def jacobian(field, spec, disc, scale=None):
+def jacobian(field, spec, disc, scale=1.0):
     """Exact derivative of :func:`residual`, a CSR matrix.
 
     Includes the boundary-flux derivatives with respect to the endpoint
     values and the tangential difference quotient.  For Neumann data the
-    flux ``scale`` (by default s_hat(u)) is one more unknown, so the result
-    is the (N+1) x (N+1) bordered matrix [[J, -E], [e^T, 0]]: J is the
-    derivative at fixed scale, E the unscaled flux load bint g0 phi_i (the
-    derivative of the residual in the scale is -E), and the last row, one
-    at the last vertex, fixes the gauge of a Newton correction, which J
-    leaves free.
+    flux ``scale`` is one more unknown, ordered after the N vertex values,
+    so the result is the (N+1) x (N+1) bordered matrix [[J, -E], [e^T, 0]]:
+    J is the derivative at fixed scale, E the unscaled flux load
+    bint g0 phi_i (the derivative of the residual in the scale is -E), and
+    the last row, one at the last vertex, fixes the gauge of a Newton
+    correction, which J leaves free; its right-hand side is zero.
 
-    Only values are assembled, into the pattern of ``disc``.  The cell
+    Only values are assembled, into the pattern of ``disc`` (see
+    :meth:`Discretization.jacobian_pattern`).  The cell
     block is aw / sqrt(w) (grad phi_i . grad phi_j - t^2 / w p_i p_j) with
     p = grad u . grad phi and w = 1 + t^2 |grad u|^2, i.e. grad phi_i . dT
     grad phi_j for dT = (I - t^2 g g^T / w) / sqrt(w), whose eigenvalues
@@ -270,9 +289,8 @@ def jacobian(field, spec, disc, scale=None):
     mesh = disc.mesh
     u = field.values
     t2 = spec.t ** 2
-    n = mesh.n_vertices
-    slot = disc.slot
-    nnz = len(disc.indices)
+    indptr, indices, slot = disc.jacobian_pattern(neumann)
+    nnz = len(indices)
     n_cell = 9 * mesh.n_cells
 
     grads, w = _cell_terms(mesh, u, spec)
@@ -296,18 +314,15 @@ def jacobian(field, spec, disc, scale=None):
 
         if neumann:
             dg0_ds = -spec.c * t2 * s / rad ** 3
-            if scale is None:
-                scale = _neumann_scale(field, spec, disc)
             # d residual_i / d u_k = -scale * bint dg0/ds ds/du_k phi_i
             for dsk in (ds_da, ds_db):
                 for i_loc in (0, 1):
                     vals.append(-scale * np.sum(wq * phi[i_loc][None, :], axis=1)
                                 * dg0_ds * dsk)
-            load = np.bincount(
-                disc.scatter[3 * mesh.n_cells:], minlength=n,
-                weights=np.concatenate(
-                    [np.sum(wq * (g0[:, None]) * phi[k][None, :], axis=1)
-                     for k in (0, 1)]))
+            # the scale's column -E at the edge tails and heads, the gauge
+            for k in (0, 1):
+                vals.append(-np.sum(wq * g0[:, None] * phi[k][None, :], axis=1))
+            vals.append([1.0])
         else:
             alpha = spec.alpha
             dg_du = -alpha * (1.0 + t2 * s[:, None] ** 2) / rad ** 3
@@ -319,12 +334,8 @@ def jacobian(field, spec, disc, scale=None):
         data += np.bincount(slot[n_cell:], weights=np.concatenate(vals),
                             minlength=nnz)
 
-    J = sp.csr_matrix((data, disc.indices, disc.indptr), shape=(n, n))
-    if not neumann:
-        return J
-    gauge = sp.csr_matrix(([1.0], ([0], [n - 1])), shape=(1, n + 1))
-    return sp.vstack([sp.hstack([J, sp.csr_matrix(-load[:, None])],
-                                format="csr"), gauge], format="csr")
+    size = len(indptr) - 1
+    return sp.csr_matrix((data, indices, indptr), shape=(size, size))
 
 
 def ellipticity_margins(field, spec):

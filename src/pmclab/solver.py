@@ -40,7 +40,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import (ScalarField, _neumann_scale, ellipticity_margins,
+from .assembly import (ScalarField, compatible_scale, ellipticity_margins,
                        jacobian, neumann_gate, residual)
 from .critical import find_critical_points
 from .errors import InvalidParameterError, LinearSolveFailure, SolverFailure
@@ -307,7 +307,7 @@ def newton_solve(disc, spec, init=None, kept=None):
                          normalization="mean-zero" if neumann else "none",
                          t=spec.t)
     field = ScalarField(mesh, u)
-    scale = _neumann_scale(field, spec, disc) if neumann else None
+    scale = compatible_scale(field, spec, disc) if neumann else 1.0
     F = residual(field, spec, disc, scale)
     norm2 = float(np.linalg.norm(F))
     ell_min = math.inf
@@ -337,7 +337,7 @@ def newton_solve(disc, spec, init=None, kept=None):
         accepted = False
         for _ in range(_MAX_BACKTRACKS + 1):
             trial = ScalarField(mesh, u + beta * delta[:n])
-            trial_scale = scale + beta * delta[n] if neumann else None
+            trial_scale = scale + beta * delta[n] if neumann else scale
             F_trial = residual(trial, spec, disc, trial_scale)
             trial_norm2 = float(np.linalg.norm(F_trial))
             if (trial_norm2 <= (1.0 - _ARMIJO_C1 * beta) * norm2

@@ -155,7 +155,7 @@ def cells_spanning_origin_reference(gvertex, cells):
     return pos | neg
 
 
-def bordered_solve_reference(A, b):
+def direct_solve_reference(A, b):
     """x of A x = b by one direct sparse solve (``spla.spsolve``), sharing
     no code with the solver's GMRES."""
     return spla.spsolve(sp.csc_matrix(A), np.asarray(b, dtype=float))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from pmclab.assembly import (Discretization, ProblemSpec, ScalarField,
                              boundary_flux, ellipticity_margins, jacobian,
                              neumann_gate, residual)
-from pmclab.assembly import _QXI, _neumann_scale
+from pmclab.assembly import _QXI, compatible_scale
 from pmclab.axisym import meridian_mesh, outer_flux_edges, revolved_volume
 from pmclab.errors import InfeasibleProblemError, InvalidParameterError
 from pmclab.geometry import make_disk, triangulate
@@ -84,9 +84,9 @@ class TestResidual:
         spec = ProblemSpec.neumann(H, 0.5)
         field = ScalarField(m, np.full(m.n_vertices, 3.7))
         disc = Discretization(m)
-        assert _neumann_scale(field, spec, disc) == pytest.approx(1.0,
-                                                                  abs=1e-12)
-        r = residual(field, spec, disc)
+        s_hat = compatible_scale(field, spec, disc)
+        assert s_hat == pytest.approx(1.0, abs=1e-12)
+        r = residual(field, spec, disc, s_hat)
         interior = ~m.is_boundary_vertex
         # gradient term vanishes: interior entries equal the H load exactly
         load = np.zeros(m.n_vertices)
@@ -136,8 +136,9 @@ class TestResidual:
                                             rng):
         u = ScalarField(disk_mesh_01,
                         0.3 * rng.standard_normal(disk_mesh_01.n_vertices))
-        assert abs(residual(u, neumann_spec,
-                            Discretization(disk_mesh_01)).sum()) <= 1e-12
+        disc = Discretization(disk_mesh_01)
+        s_hat = compatible_scale(u, neumann_spec, disc)
+        assert abs(residual(u, neumann_spec, disc, s_hat).sum()) <= 1e-12
 
 
 class TestJacobian:
@@ -164,8 +165,8 @@ class TestJacobian:
         disc = Discretization(m)
         for _ in range(20):
             u = ScalarField(m, 0.4 * rng.standard_normal(n))
-            s = (0.7 * _neumann_scale(u, spec, disc) if bc == "neumann"
-                 else None)
+            s = (0.7 * compatible_scale(u, spec, disc) if bc == "neumann"
+                 else 1.0)
             d = rng.standard_normal(n + (bc == "neumann"))
             J = jacobian(u, spec, disc, s)
             eps = 1e-6
@@ -173,7 +174,7 @@ class TestJacobian:
             def at(sign):
                 return residual(
                     ScalarField(m, u.values + sign * eps * d[:n]), spec, disc,
-                    None if s is None else s + sign * eps * d[n])
+                    s + sign * eps * d[n] if bc == "neumann" else s)
             fd = (at(1.0) - at(-1.0)) / (2 * eps)
             jd = (J @ d)[:n]
             assert np.linalg.norm(fd - jd) <= 1e-5 * np.linalg.norm(jd)
@@ -234,7 +235,7 @@ class TestNeumannJacobianBorder:
         flux_vertices = np.unique(np.concatenate([disc.a, disc.b]))
         assert np.flatnonzero(load).tolist() == flux_vertices.tolist()
         assert spec.H * disc.volume / np.sum(load) == pytest.approx(
-            _neumann_scale(field, spec, disc), rel=1e-13)
+            compatible_scale(field, spec, disc), rel=1e-13)
         gauge = A[n].tocoo()
         assert (gauge.col.tolist(), gauge.data.tolist()) == ([n - 1], [1.0])
         robin = jacobian(field, ProblemSpec.robin(0.6, 1.0, t=t), disc)
@@ -342,10 +343,13 @@ class TestValuesOnlyJacobian:
         ref_local, border = _coo_jacobian(field, spec, flux_edges, m)
         tol = 1e-14 * np.abs(ref_local.toarray()).max()
         disc = Discretization(mesh, m, flux_edges)
-        # assembly indices are below nnz and N: int32 halves their memory
-        assert disc.slot.dtype == disc.scatter.dtype == np.int32
-        J = jacobian(field, spec, disc)
+        s_hat = compatible_scale(field, spec, disc) if border is not None \
+            else 1.0
+        J = jacobian(field, spec, disc, s_hat)
         assert isinstance(J, sp.csr_matrix)
+        # assembly indices are below nnz and N: int32 halves their memory
+        slot = disc.jacobian_pattern(border is not None)[2]
+        assert slot.dtype == disc.scatter.dtype == np.int32
         local = J
         if border is not None:
             assert J.shape == (n + 1, n + 1)
@@ -419,12 +423,12 @@ class TestWeightedMeasure:
         assert neumann_gate(disc, spec).area == volume
         field = ScalarField(mesh, 0.3 * mesh.vertices[:, 1])
         q_total = float(np.sum(disc.wq * boundary_flux(field, spec, disc)))
-        assert _neumann_scale(field, spec, disc) == spec.H * volume / q_total
+        assert compatible_scale(field, spec, disc) == spec.H * volume / q_total
         # every one of them follows a change of the cell weight
         disc.volume *= 2.0
         assert revolved_volume(disc) == sphere * 2.0 * volume
         assert neumann_gate(disc, spec).area == 2.0 * volume
-        assert _neumann_scale(field, spec, disc) \
+        assert compatible_scale(field, spec, disc) \
             == spec.H * 2.0 * volume / q_total
 
 
