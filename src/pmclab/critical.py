@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import IllConditionedLoopError, InvalidParameterError
+from .geometry import _BucketGrid
 
 GRAD_TOL_REL = 1e-3          # relative to the max recovered gradient magnitude
 DEGENERACY_TOL = 1e-2        # dead band for eigenvalue sign decisions
@@ -274,7 +274,11 @@ def _cluster_points(pts, radius):
             i = parent[i]
         return i
 
-    for i, j in cKDTree(pts).query_pairs(radius):
+    first, second = _BucketGrid(pts, radius).pairs(pts, radius)
+    diff = pts[first] - pts[second]
+    dist2 = diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1]
+    near = (first < second) & (dist2 <= radius * radius)
+    for i, j in zip(first[near].tolist(), second[near].tolist()):
         ri, rj = root(i), root(j)
         parent[max(ri, rj)] = min(ri, rj)
     clusters = {}

@@ -6,10 +6,14 @@ unit normal, which a conic or rounded polygon evaluates in closed form.
 Every mesh samples its boundary at equal arc lengths of that exact curve; a
 table of 2048 equally spaced boundary points serves the one hexagonal fill
 lattice of every mesh, planar and meridian.  A mesh is the Delaunay
-triangulation of the two (qhull runs on a boundary band only); a mesh whose
-minimum cell angle is below 20 degrees is refused.  Everything here is a pure
-function of its inputs: two calls with identical arguments return identical
-vertex and cell arrays.
+triangulation of the two: the lattice cells built directly, the boundary band
+gift-wrapped, qhull only as the fallback, imported where it runs; a mesh
+whose minimum cell angle is below 20 degrees is refused.  Point queries (the
+lattice clearance, point location, critical point clusters) read one private
+bucket grid, and the ellipse's arc length is evaluated here, so a run that
+needs no fallback loads no spatial or special-function library.  Everything
+here is a pure function of its inputs: two calls with identical arguments
+return identical vertex and cell arrays.
 """
 
 from __future__ import annotations
@@ -20,8 +24,6 @@ import warnings
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.spatial import Delaunay, cKDTree
-from scipy.special import ellipeinc
 
 from .errors import InvalidParameterError, MeshQualityError
 
@@ -33,6 +35,9 @@ _BOUNDARY_SPACING_FACTOR = 0.85
 _LATTICE_SPACING_FACTOR = 0.9
 _INTERIOR_CLEARANCE = 0.5
 _MIN_ANGLE_DEG = 20.0
+# query points per pass of a bucket-grid search: bounds the transient
+# candidate arrays, which must stay below the Newton solve's peak
+_CHUNK = 1024
 
 
 class ConvexDomain:
@@ -42,9 +47,9 @@ class ConvexDomain:
     to boundary points and outward unit normals (shape ``s.shape + (2,)``),
     counterclockwise from s = 0; the methods of the same names wrap any s
     into that range.  The table holds the points at the ``_TABLE_SIZE``
-    knots ``np.linspace(0, length, _TABLE_SIZE, endpoint=False)``, with a
-    KD-tree over them for the lattice clearance; ``diameter`` is the
-    diagonal of the table's bounding box, ``area`` the exact enclosed area.
+    knots ``np.linspace(0, length, _TABLE_SIZE, endpoint=False)``;
+    ``diameter`` is the diagonal of the table's bounding box, ``area`` the
+    exact enclosed area.
     """
 
     def __init__(self, position, normal, length, area):
@@ -55,7 +60,6 @@ class ConvexDomain:
             np.linspace(0.0, self.length, _TABLE_SIZE, endpoint=False))
         if _loop_area(self._table_pts, _TABLE_SIZE) <= 0:
             raise InvalidParameterError("boundary must be counterclockwise")
-        self._tree = cKDTree(self._table_pts)
 
     @property
     def diameter(self):
@@ -86,18 +90,19 @@ def make_disk(R):
 def make_ellipse(a, b):
     """Ellipse with semi-axes ``a`` (x1) and ``b`` (x2), arc-length
     parametrized: s(theta) = b E(theta | 1 - a^2/b^2) from (a, 0), E the
-    incomplete elliptic integral of the second kind, inverted by four Newton
-    steps from its linear interpolant on 257 knots."""
+    incomplete elliptic integral of the second kind (:func:`_ellipe_inc`),
+    inverted by four Newton steps from its linear interpolant on 257
+    knots."""
     if not (a > 0 and b > 0):
         raise InvalidParameterError(f"ellipse axes must be positive, got {a}, {b}")
     m = 1.0 - (a / b) ** 2
     knots = np.linspace(0.0, 2.0 * math.pi, 257)
-    s_knots = b * ellipeinc(knots, m)
+    s_knots = b * _ellipe_inc(knots, m)
 
     def theta(s):
         th = np.interp(s, s_knots, knots)
         for _ in range(4):
-            th = th - (b * ellipeinc(th, m) - s) / np.hypot(a * np.sin(th),
+            th = th - (b * _ellipe_inc(th, m) - s) / np.hypot(a * np.sin(th),
                                                            b * np.cos(th))
         return th
 
@@ -111,6 +116,55 @@ def make_ellipse(a, b):
         return n / np.linalg.norm(n, axis=-1, keepdims=True)
 
     return ConvexDomain(position, normal, s_knots[-1], math.pi * a * b)
+
+
+def _ellipe_inc(theta, m):
+    """E(theta | m), the incomplete elliptic integral of the second kind,
+    for m < 1: E(k pi + phi) = 2 k E(pi/2) + E(phi) with |phi| <= pi/2, and
+    E(phi) = sin phi R_F(c, y, 1) - (m/3) sin^3 phi R_D(c, y, 1), c = cos^2
+    phi, y = 1 - m sin^2 phi (Carlson 1995)."""
+    theta = np.asarray(theta, dtype=float)
+    k = np.round(theta / math.pi)
+    phi = np.append(theta - k * math.pi, 0.5 * math.pi)
+    s, c = np.sin(phi), np.cos(phi)
+    rf, rd = _carlson_rf_rd(c * c, 1.0 - m * s * s)
+    e = s * rf - (m / 3.0) * s ** 3 * rd
+    return e[:-1].reshape(theta.shape) + 2.0 * k * e[-1]
+
+
+def _carlson_rf_rd(x, y):
+    """Carlson's R_F(x, y, 1) and R_D(x, y, 1) for x, y >= 0 (not both 0),
+    by duplication until every argument lies within 1/600 of its mean, then
+    their series through fifth order, truncation error below 1e-16
+    (Carlson 1995)."""
+    z = np.ones_like(x)
+    mean_f, mean_d = (x + y + 1.0) / 3.0, (x + y + 3.0) / 5.0
+    fx, fy, dx, dy = mean_f - x, mean_f - y, mean_d - x, mean_d - y
+    spread = 600.0 * np.abs(np.concatenate(
+        [fx, fy, 1.0 - mean_f, dx, dy, 1.0 - mean_d])).max()
+    tail, p = np.zeros_like(x), 1.0
+    while spread * p >= min(mean_f.min(), mean_d.min()):
+        sx, sy, sz = np.sqrt(x), np.sqrt(y), np.sqrt(z)
+        lam = sx * (sy + sz) + sy * sz
+        tail += p / (sz * (z + lam))
+        p *= 0.25
+        x, y, z = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam)
+        mean_f, mean_d = 0.25 * (mean_f + lam), 0.25 * (mean_d + lam)
+    X, Y = p * fx / mean_f, p * fy / mean_f
+    Z = -X - Y
+    e2, e3 = X * Y - Z * Z, X * Y * Z
+    rf = (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0
+          - 3.0 * e2 * e3 / 44.0) / np.sqrt(mean_f)
+    X, Y = p * dx / mean_d, p * dy / mean_d
+    Z = -(X + Y) / 3.0
+    xy, zz = X * Y, Z * Z
+    e2, e3 = xy - 6.0 * zz, (3.0 * xy - 8.0 * zz) * Z
+    e4, e5 = 3.0 * (xy - zz) * zz, xy * Z * zz
+    rd = p / (mean_d * np.sqrt(mean_d)) * (
+        1.0 - 3.0 * e2 / 14.0 + e3 / 6.0 + 9.0 * e2 * e2 / 88.0
+        - 3.0 * e4 / 22.0 - 9.0 * e2 * e3 / 52.0 + 3.0 * e5 / 26.0) \
+        + 3.0 * tail
+    return rf, rd
 
 
 def make_rounded_polygon(vertices, r):
@@ -200,8 +254,8 @@ class TriMesh:
     ``boundary_edges`` are consecutive (tail, head) pairs forming one closed
     counterclockwise loop, with ``boundary_lengths``.  Everything that
     depends on the mesh alone is built here once: cell areas, centroids and
-    the P1 gradient operator eagerly, the vertex adjacency and the vertex
-    averaging operator on first use.
+    the P1 gradient operator eagerly, the vertex adjacency, the vertex
+    averaging operator and the cell boxes of :meth:`locate` on first use.
 
     ``gradient`` is the CSR operator (2M, N) taking vertex values to cell
     gradients: row m holds the x and row M + m the y component on cell m.
@@ -250,7 +304,7 @@ class TriMesh:
             shape=(2 * self.n_cells, self.n_vertices))
         self.cell_centroids = p[c].mean(axis=1)
 
-        self._neighbors = self._averaging = self._centroid_tree = None
+        self._neighbors = self._averaging = self._cell_boxes = None
 
     # -- derived structure -------------------------------------------------
 
@@ -312,41 +366,46 @@ class TriMesh:
     def locate(self, points):
         """Cell index containing each query point (-1 if outside).
 
-        KD-tree over centroids plus barycentric checks against the nearest
-        candidate cells, nearest first: the 4 nearest, then up to the 24
-        nearest for the points not yet located.  Meshes here are quality
-        bounded, so the cell holding an inside point is always among its 24
-        nearest centroids, and a point that none of them holds is outside;
-        there is no scan of all cells.  A point is inside a cell when its
-        barycentric coordinates there are all >= -1e-9.
+        A point is inside a cell when its barycentric coordinates there are
+        all >= -1e-9; of the cells holding it, the one with the nearest
+        centroid is returned.  The candidates are the cells whose bounding
+        box, padded by 1e-6 h (the tolerance reaches at most 2e-9 h past a
+        cell), holds the point, found through a bucket grid of the boxes'
+        lower corners, side h/2, built on first use; points are located
+        1024 at a time.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if self._centroid_tree is None:
-            self._centroid_tree = cKDTree(self.cell_centroids)
+        if self._cell_boxes is None:
+            corners = self.vertices[self.cells.T]
+            pad = 1e-6 * self.h
+            boxes = np.hstack([corners.min(axis=0) - pad,
+                               corners.max(axis=0) + pad])
+            half = 0.5 * (boxes[:, 2:] - boxes[:, :2]).max()
+            self._cell_boxes = _BucketGrid(boxes[:, :2], 0.5 * self.h), \
+                boxes, half
+        grid, boxes, half = self._cell_boxes
         out = np.full(len(pts), -1, dtype=np.int64)
-        pending = np.arange(len(pts))
-        done = 0
-        for k in (min(4, self.n_cells), min(24, self.n_cells)):
-            if pending.size == 0:
-                break
-            _, cand = self._centroid_tree.query(pts[pending], k=k)
-            cand = cand.reshape(len(pending), -1)
-            for col in range(done, k):
-                if pending.size == 0:
-                    break
-                cells = cand[:, col]
-                lam = self._barycentric(pts[pending], cells)
-                ok = lam.min(axis=1) >= -1e-9
-                out[pending[ok]] = cells[ok]
-                pending, cand = pending[~ok], cand[~ok]
-            done = k
+        for start in range(0, len(pts), _CHUNK):
+            q = pts[start:start + _CHUNK]
+            # the lower corners within the largest box side below and left
+            qi, cells = grid.pairs(q - half, half)
+            p, box = q[qi], boxes[cells]
+            held = (box[:, 0] <= p[:, 0]) & (box[:, 1] <= p[:, 1]) \
+                & (p[:, 0] <= box[:, 2]) & (p[:, 1] <= box[:, 3])
+            qi, cells = qi[held], cells[held]
+            lam = self._barycentric(q[qi], cells)
+            held = np.minimum(lam[:, 0], np.minimum(lam[:, 1], lam[:, 2])) \
+                >= -1e-9
+            qi, cells = qi[held], cells[held]
+            dist = ((q[qi] - self.cell_centroids[cells]) ** 2).sum(axis=1)
+            order = np.lexsort((dist, qi))
+            first = order[_group_starts(qi[order])]
+            out[start + qi[first]] = cells[first]
         return out
 
     def _barycentric(self, pts, cells):
-        tri = self.vertices[self.cells[cells]]
-        v0 = tri[:, 1] - tri[:, 0]
-        v1 = tri[:, 2] - tri[:, 0]
-        d = pts - tri[:, 0]
+        p0, p1, p2 = self.vertices[self.cells[cells].T]
+        v0, v1, d = p1 - p0, p2 - p0, pts - p0
         det = v0[:, 0] * v1[:, 1] - v0[:, 1] * v1[:, 0]
         l1 = (d[:, 0] * v1[:, 1] - d[:, 1] * v1[:, 0]) / det
         l2 = (v0[:, 0] * d[:, 1] - v0[:, 1] * d[:, 0]) / det
@@ -372,8 +431,8 @@ def triangulate(domain, h_target):
 
     Boundary samples at arc-length spacing below ``h_target`` and an
     equilateral interior lattice, meshed by :func:`mesh_from_loop`: their
-    Delaunay cells, with qhull run on the boundary band only, under the 20
-    degree minimum-angle bound.  Deterministic: identical inputs give
+    Delaunay cells, the band between lattice and loop gift-wrapped, under
+    the 20 degree minimum-angle bound.  Deterministic: identical inputs give
     identical meshes.
     """
     if not (0 < h_target < domain.length / 8.0):
@@ -392,11 +451,12 @@ def mesh_from_loop(loop_pts, interior_pts, lattice=()):
     """Delaunay mesh of a convex region from its boundary loop and fill points.
 
     ``loop_pts`` must trace the boundary counterclockwise.  Given the fill's
-    lattice (row, column), qhull runs on a boundary band only
-    (:func:`_band_cells`); otherwise, or when the band cannot stand in, on
-    all points.  A minimum cell angle below 20 degrees raises
-    :class:`MeshQualityError`.  Each cell starts at its smallest vertex,
-    counterclockwise: the mesh depends on the cell set only.
+    lattice (row, column), the lattice cells are built directly and the
+    band between them and the loop is wrapped (:func:`_band_cells`);
+    otherwise, or when the band cannot stand in, qhull runs on all points.
+    A minimum cell angle below 20 degrees raises :class:`MeshQualityError`.
+    Each cell starts at its smallest vertex, counterclockwise: the mesh
+    depends on the cell set only.
     """
     n_b = len(loop_pts)
     points = np.vstack([loop_pts, interior_pts]) if len(interior_pts) \
@@ -430,15 +490,20 @@ def _band_cells(points, n_b, lattice):
     """Delaunay cells of a loop (``points[:n_b]``) plus fill points at the
     (row, column) ``lattice`` of an equilateral lattice, column in half
     spacings.  A lattice triangle's circumcircle (radius a / sqrt 3) holds no
-    other lattice point, so it is a cell iff it holds no loop point; qhull
-    runs on the points not surrounded by six such cells, keeping the cells
-    whose circumcircle holds no surrounded point.  None (run qhull on all)
-    for a fill off the lattice, a near tie (1e-9 a), a cell count other than
-    2N - n_b - 2, or cells that do not tile the loop."""
+    other lattice point, so it is a cell iff it holds no loop point; the
+    other cells are wrapped inward from the loop edges and outward from the
+    open edges of those lattice cells (:func:`_wrap_cells`), their vertices
+    the points not surrounded by six lattice cells.  Where the wrap meets a
+    tie or a wide circle, qhull runs on those points instead, keeping the
+    cells whose circumcircle holds no surrounded point.  None (run qhull on
+    all) for a fill off the lattice, a near tie (1e-9 a) of a lattice or
+    qhull cell, a cell count other than 2N - n_b - 2, or cells that do not
+    tile the loop."""
+    n = len(points)
     row, col = (np.asarray(lattice) - np.min(lattice, axis=0)).T
     # padded: row index -1 reads the last row, which holds no point
     grid = np.full((row.max() + 2, col.max() + 3), -1)
-    grid[row, col] = np.arange(n_b, len(points))
+    grid[row, col] = np.arange(n_b, n)
     # up (r, c) (r, c+2) (r+1, c+1), down (r, c) (r-1, c+1) (r, c+2)
     tri = grid[row[:, None, None] + [[0, 0, 1], [0, -1, 0]],
                col[:, None, None] + [[0, 2, 1], [0, 1, 2]]].reshape(-1, 3)
@@ -446,27 +511,106 @@ def _band_cells(points, n_b, lattice):
     if not len(tri):
         return None
     edges = np.linalg.norm(np.diff(points[tri[:, [0, 1, 2, 0]]], axis=1), axis=2)
-    tol = 1e-9 * edges.max()
+    a = edges.max()
+    tol = 1e-9 * a
     gap = _circle_gaps(points, tri, points[:n_b])
-    if edges.max() - edges.min() > tol or np.any(np.abs(gap) <= tol):
+    if a - edges.min() > tol or np.any(np.abs(gap) <= tol):
         return None
     tri = tri[gap > 0]
-    inner = np.bincount(tri.ravel(), minlength=len(points)) == 6
-    band = np.nonzero(~inner)[0]
-    cells = band[_delaunay_cells(points[band])]
-    gap = _circle_gaps(points, cells, points[inner])
-    if np.any(np.abs(gap) <= tol):
-        return None
-    cells = np.vstack([tri[inner[tri].any(axis=1)], cells[gap > 0]])
+    inner = np.bincount(tri.ravel(), minlength=n) == 6
+    # an edge at a surrounded point has lattice cells on both sides; the
+    # others are open where their reverse is no lattice cell's edge
+    pairs = tri[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    pairs = pairs[~inner[pairs].any(axis=1)]
+    open_ = ~np.isin(pairs[:, 1] * n + pairs[:, 0],
+                     pairs[:, 0] * n + pairs[:, 1])
+    loop = np.arange(n_b)
+    front = np.vstack([np.column_stack([loop, (loop + 1) % n_b]),
+                       pairs[open_][:, ::-1]])
+    reach = 2.0 * max(a, np.linalg.norm(
+        points[front[:, 1]] - points[front[:, 0]], axis=1).max())
+    band = np.flatnonzero(~inner)
+    cells = _wrap_cells(points, front, band, reach, tol)
+    if cells is None:
+        # a cocircular tie or a wide circle in the band: qhull on the band,
+        # keeping the cells whose circumcircle holds no surrounded point
+        cells = band[_delaunay_cells(points[band])]
+        gap = _circle_gaps(points, cells, points[inner])
+        if np.any(np.abs(gap) <= tol):
+            return None
+        cells, tri = cells[gap > 0], tri[inner[tri].any(axis=1)]
+    cells = np.vstack([tri, cells])
     loop_area = _loop_area(points, n_b)
-    ok = len(cells) == 2 * len(points) - n_b - 2 and abs(
+    ok = len(cells) == 2 * n - n_b - 2 and abs(
         _signed_areas(points, cells).sum() - loop_area) <= 1e-9 * loop_area
     return cells if ok else None
 
 
+def _wrap_cells(points, front, band, reach, tol):
+    """Delaunay cells of ``points`` between the directed Delaunay edges
+    ``front`` ((K, 2) vertex indices), each with the unmeshed side on its
+    left, gift-wrapped in rounds (DeWall, Cignoni et al. 1998): each front
+    edge takes the point of ``band`` on its left whose circle through the
+    edge has the smallest centre offset to the left; the new cells' edges
+    not shared with another new cell or the front, reversed, are the next
+    front.  ``band`` must hold every vertex of those cells.  None on a near
+    tie (``tol``) or a circle that reaches past ``reach`` of its edge's
+    midpoint, beyond the buckets searched."""
+    n = len(points)
+    grid = _BucketGrid(points[band], reach)
+    front = front[:, 0] * n + front[:, 1]
+    out, total = [], 0
+    while len(front):
+        tail, head = np.divmod(front, n)
+        mid = 0.5 * (points[tail] + points[head])
+        d = points[head] - points[tail]
+        dd = (d * d).sum(axis=1)
+        qi, p = grid.pairs(mid, reach)
+        p = band[p]
+        rel = points[p] - mid[qi]
+        cross = d[qi, 0] * rel[:, 1] - d[qi, 1] * rel[:, 0]
+        left = cross > 1e-12 * dd[qi]
+        qi, p, rel, cross = qi[left], p[left], rel[left], cross[left]
+        # circumcentre offset from the midpoint along the unit left normal
+        offset = ((rel * rel).sum(axis=1) - 0.25 * dd[qi]) \
+            * np.sqrt(dd[qi]) / (2.0 * cross)
+        order = np.lexsort((offset, qi))
+        qi, p, offset = qi[order], p[order], offset[order]
+        best = np.flatnonzero(_group_starts(qi))
+        if len(best) < len(front):
+            return None
+        runner = best[np.append(best[1:], len(qi)) > best + 1] + 1
+        t = offset[best]
+        radius = np.sqrt(0.25 * dd + t * t)
+        spread = np.abs(t) * np.abs(d).max(axis=1) / np.sqrt(dd)
+        if np.any(offset[runner] - offset[runner - 1] <= tol) \
+                or np.any(spread + radius > reach):
+            return None
+        cells = np.column_stack([tail, head, p[best]])
+        first = np.argmin(cells, axis=1)[:, None]
+        cells = np.unique(np.take_along_axis(cells, (first + np.arange(3)) % 3,
+                                             axis=1), axis=0)
+        edges = cells[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+        key, rev = edges[:, 0] * n + edges[:, 1], edges[:, 1] * n + edges[:, 0]
+        front = rev[~np.isin(key, front) & ~np.isin(rev, key)]
+        out.append(cells)
+        total += len(cells)
+        if total > 2 * n:
+            return None
+    return np.vstack(out)
+
+
+def _group_starts(sorted_keys):
+    """True at the first entry of each run of equal ``sorted_keys``."""
+    starts = np.ones(len(sorted_keys), dtype=bool)
+    starts[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    return starts
+
+
 def _circle_gaps(points, cells, others):
     """Distance from each cell's circumcircle to the nearest of ``others``,
-    negative inside."""
+    negative inside; farther than the largest radius reads as some larger
+    positive gap."""
     p0 = points[cells[:, 0]]
     b, c = points[cells[:, 1]] - p0, points[cells[:, 2]] - p0
     bb, cc = np.einsum("mi,mi->m", b, b), np.einsum("mi,mi->m", c, c)
@@ -474,10 +618,70 @@ def _circle_gaps(points, cells, others):
                               b[:, 0] * cc - c[:, 0] * bb]) \
         / (2.0 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0]))[:, None]
     radius = np.hypot(centre[:, 0], centre[:, 1])
-    # a search radius past every circle: farther points read as inf
-    dist, _ = cKDTree(others).query(p0 + centre,
-                                    distance_upper_bound=2.0 * radius.max())
-    return dist - radius
+    return _nearest_distances(others, p0 + centre, 2.0 * radius.max()) - radius
+
+
+class _BucketGrid:
+    """Points filed under square buckets of side ``size``, to find the
+    points near query points without a tree; ``size`` doubles until there
+    are at most 4 N + 64 buckets for N points."""
+
+    def __init__(self, points, size):
+        self.origin = points.min(axis=0) if len(points) else np.zeros(2)
+        span = points.max(axis=0) - self.origin if len(points) else np.zeros(2)
+        if not (size > 0 and np.all(np.isfinite(span))):
+            raise InvalidParameterError(
+                "a bucket grid needs finite points and a positive side")
+        while np.prod(np.floor(span / size) + 1) > 4 * len(points) + 64:
+            size *= 2.0
+        self.size = size
+        bucket = self._bucket(points)
+        self.shape = bucket.max(axis=0, initial=0) + 1
+        key = bucket[:, 0] * self.shape[1] + bucket[:, 1]
+        self.order = np.argsort(key, kind="stable")
+        self.starts = np.searchsorted(key[self.order],
+                                      np.arange(np.prod(self.shape) + 1))
+
+    def _bucket(self, pts):
+        return np.floor((pts - self.origin) / self.size).astype(np.int64)
+
+    def pairs(self, queries, reach):
+        """(query, point) index pairs, grouped by ascending query: each
+        point within ``reach`` of a query in both coordinates, and others in
+        the buckets searched."""
+        j0 = np.maximum(self._bucket(queries - reach), 0)
+        j1 = np.minimum(self._bucket(queries + reach), self.shape - 1)
+        ny = self.shape[1]
+        ranges = []
+        for k in range(int((j1[:, 0] - j0[:, 0]).max(initial=-1)) + 1):
+            col = j0[:, 0] + k
+            qi = np.flatnonzero((col <= j1[:, 0]) & (j0[:, 1] <= j1[:, 1]))
+            base = col[qi] * ny
+            ranges.append((qi, self.starts[base + j0[qi, 1]],
+                           self.starts[base + j1[qi, 1] + 1]))
+        qi, first, last = (np.concatenate(r) for r in zip(*ranges)) \
+            if ranges else (np.zeros(0, np.int64),) * 3
+        order = np.argsort(qi, kind="stable")
+        qi, first, count = qi[order], first[order], (last - first)[order]
+        pos = np.arange(count.sum()) + np.repeat(
+            first - (np.cumsum(count) - count), count)
+        return np.repeat(qi, count), self.order[pos]
+
+
+def _nearest_distances(points, queries, reach):
+    """Distance from each query to the nearest of ``points``: exact where
+    that is at most ``reach``, else some larger value or inf."""
+    grid = _BucketGrid(points, reach)
+    out = np.full(len(queries), np.inf)
+    for start in range(0, len(queries), _CHUNK):
+        q = queries[start:start + _CHUNK]
+        qi, j = grid.pairs(q, reach)
+        if len(qi):
+            diff = q[qi] - points[j]
+            dist = np.sqrt(diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1])
+            starts = np.flatnonzero(_group_starts(qi))
+            out[start + qi[starts]] = np.minimum.reduceat(dist, starts)
+    return out
 
 
 def _signed_areas(points, cells):
@@ -491,6 +695,9 @@ def _loop_area(points, n_b):
 
 
 def _delaunay_cells(points):
+    """Delaunay cells of ``points`` by qhull, counterclockwise, without the
+    degenerate ones; the fallback of :func:`mesh_from_loop`."""
+    from scipy.spatial import Delaunay
     tri = Delaunay(points)
     if len(tri.coplanar):
         raise MeshQualityError("Delaunay dropped input points as coplanar")
@@ -533,9 +740,7 @@ def _hex_lattice(domain, a, x_min=None):
         keep &= xs >= x_min + clearance
     row, col = np.nonzero(keep)
     cand = np.column_stack([xs[row, col], ys[row]])
-    # knots farther than the clearance read as inf
-    d, _ = domain._tree.query(cand, distance_upper_bound=clearance)
-    far = d >= clearance
+    far = _nearest_distances(pts, cand, clearance) >= clearance
     return cand[far], np.column_stack([row, 2 * col + row % 2])[far]
 
 

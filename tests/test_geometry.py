@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -10,17 +11,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.spatial import cKDTree
-from scipy.special import ellipe
+from scipy.special import ellipe, ellipeinc
 
 import pmclab
 from pmclab import axisym, geometry
 from pmclab.axisym import meridian_mesh
 from pmclab.errors import InvalidParameterError, MeshQualityError
 from pmclab.geometry import (_INTERIOR_CLEARANCE, _LATTICE_SPACING_FACTOR,
-                             _TABLE_SIZE, _band_cells, _delaunay_cells,
-                             _hex_lattice, _row_intervals, make_disk,
-                             make_ellipse, make_rounded_polygon,
-                             mesh_from_loop, triangulate)
+                             _TABLE_SIZE, _band_cells, _BucketGrid,
+                             _delaunay_cells, _ellipe_inc, _hex_lattice,
+                             _row_intervals, make_disk, make_ellipse,
+                             make_rounded_polygon, mesh_from_loop,
+                             triangulate)
 
 from oracles import basis_gradients_reference, cell_gradients_reference
 
@@ -114,6 +116,16 @@ class TestEllipse:
     def test_rejects_bad_axes(self):
         with pytest.raises(InvalidParameterError):
             make_ellipse(1.0, 0.0)
+
+    @pytest.mark.parametrize("ratio", np.geomspace(0.05, 2.0, 9).tolist())
+    def test_incomplete_integral_matches_scipy(self, ratio):
+        """E(theta | 1 - a^2/b^2) at b/a = ``ratio``, over two turns of
+        theta, against scipy.special.ellipeinc."""
+        m = 1.0 - ratio ** -2
+        theta = np.linspace(-math.pi, 3.0 * math.pi, 4001)
+        ref = ellipeinc(theta, m)
+        assert np.all(np.abs(_ellipe_inc(theta, m) - ref)
+                      <= 4e-15 * np.abs(ref))
 
     @pytest.mark.parametrize("a, b", [(1.3, 0.7), (2.0, 0.5), (0.7, 1.2),
                                       (1.0, 0.01)])
@@ -436,8 +448,8 @@ MESHERS = st.one_of(
 
 @pytest.mark.filterwarnings("ignore:rounded polygon")
 class TestBandMeshing:
-    """The first meshing pass builds the lattice cells directly and runs
-    qhull on the loop plus a band only; it must give the Delaunay cells of
+    """The first meshing pass builds the lattice cells directly and wraps
+    the band between them and the loop; it must give the Delaunay cells of
     all points, and fall back to qhull on all points when it cannot."""
 
     @given(mesher=MESHERS, h=st.floats(0.0125, 0.2))
@@ -454,7 +466,11 @@ class TestBandMeshing:
         lambda: triangulate(make_ellipse(1.3, 0.7), 0.05),
         lambda: meridian_mesh(make_disk(1.0), 0.1),
         lambda: triangulate(make_ellipse(1.0, 0.2), 0.5),
-    ], ids=["disk", "ellipse", "meridian", "no-fill"])
+        lambda: triangulate(make_disk(1.0), 0.025),
+        lambda: triangulate(make_ellipse(1.3, 0.7), 0.02),
+        lambda: meridian_mesh(make_disk(1.0), 0.0125),
+    ], ids=["disk", "ellipse", "meridian", "no-fill", "bench-disk",
+            "bench-ellipse", "bench-meridian"])
     def test_cells_canonical_on_both_paths(self, mesher):
         loop, fill, lattice = mesh_inputs(mesher)
         band, full = mesh_from_loop(loop, fill, lattice), \
@@ -508,8 +524,8 @@ def test_loop_corner_below_bound_raises_after_one_pass(monkeypatch):
                       * (c1 - c0)
                       for c0, c1 in zip(corners, np.roll(corners, -1, 0))])
     calls = []
-    delaunay = geometry.Delaunay
-    monkeypatch.setattr(geometry, "Delaunay",
+    delaunay = geometry._delaunay_cells
+    monkeypatch.setattr(geometry, "_delaunay_cells",
                         lambda p: calls.append(len(p)) or delaunay(p))
     with pytest.raises(MeshQualityError, match="three vertices on the loop"):
         mesh_from_loop(loop, np.array([[0.8, 0.1]]))
@@ -582,18 +598,53 @@ class TestMeshQuality:
         self.check(lambda: meridian_mesh(make_ellipse(a, b), h))
 
 
-@pytest.mark.parametrize("module", ["scipy.interpolate",
-                                    "scipy.sparse.csgraph"])
-def test_cli_import_leaves_out(module):
+def _package_env():
     src = str(Path(pmclab.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+@pytest.mark.parametrize("module", ["scipy.interpolate",
+                                    "scipy.sparse.csgraph", "scipy.spatial",
+                                    "scipy.special"])
+def test_cli_import_leaves_out(module):
     out = subprocess.run(
         [sys.executable, "-c", "import sys, pmclab.cli; "
          f"print({module!r} in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True, timeout=60)
+        env=_package_env(), capture_output=True, text=True, check=True,
+        timeout=60)
     assert out.stdout.strip() == "False"
+
+
+def test_run_path_leaves_out_spatial_and_special(tmp_path):
+    """Meshing, solving, the census, the property suite and the artifacts
+    of verify (Neumann disk, Robin ellipse along its schedule, ball at
+    n_dim 4) and of compare import neither scipy.spatial nor
+    scipy.special: the band meshing never falls back to qhull there."""
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    runs = [("verify", "neumann_disk.json", []),
+            ("verify", "robin_ellipse.json", []),
+            ("verify", "ball3d_robin.json", ["problem.n_dim=4"]),
+            ("compare", "compare_robin_disk.json", [])]
+    argvs = [[command, "--config", str(configs / name),
+              "--out", str(tmp_path / str(k)),
+              "--override", "mesh.h_target=0.1"]
+             + [arg for ov in overrides for arg in ("--override", ov)]
+             for k, (command, name, overrides) in enumerate(runs)]
+    script = ("import json, sys\n"
+              "from pmclab.cli import main\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    main(argv)\n"
+              "    print(json.dumps([m for m in ('scipy.spatial', "
+              "'scipy.special') if m in sys.modules]))\n")
+    out = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                         env=_package_env(), capture_output=True, text=True,
+                         check=True, timeout=300)
+    assert out.stdout.split() == ["[]"] * len(runs)
+    assert all((tmp_path / str(k) / "report.json").exists()
+               for k in range(len(runs)))
 
 
 def locate_brute_force(mesh, pts):
@@ -650,6 +701,17 @@ def test_locate_matches_brute_force(mesh, seed):
     assert np.array_equal(cells >= 0, found.any(axis=1))
     hit = np.nonzero(cells >= 0)[0]
     assert found[hit, cells[hit]].all()
+
+
+@pytest.mark.parametrize("points, side", [
+    ([[0.0, 0.0], [math.inf, 1.0]], 0.1),
+    ([[0.0, 0.0], [math.nan, 1.0]], 0.1),
+    ([[0.0, 0.0], [1.0, 1.0]], 0.0)], ids=["inf", "nan", "zero-side"])
+def test_bucket_grid_refuses_what_would_not_end(points, side):
+    """A non-finite point or a zero side would keep the grid doubling its
+    side forever, or size its bucket array from a garbage index."""
+    with pytest.raises(InvalidParameterError):
+        _BucketGrid(np.array(points), side)
 
 
 @pytest.mark.filterwarnings("ignore:rounded polygon")
