@@ -38,6 +38,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import InfeasibleProblemError, InvalidParameterError
+from .geometry import _csr_indptr
 
 # two-point Gauss rule on the unit interval
 _QXI = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
@@ -164,7 +165,10 @@ class Discretization:
         if bordered not in self._patterns:
             n = self.mesh.n_vertices
             size = n + 1 if bordered else n
-            a, b, c = self.a, self.b, self.mesh.cells
+            a, b = self.a, self.b
+            # int64 keys row * size + column: size^2 overflows int32 past
+            # size 46,340
+            c = self.mesh.cells.astype(np.int64)
             keys = [(np.repeat(c, 3, axis=1) * size + np.tile(c, 3)).ravel(),
                     a * size + a, b * size + a, a * size + b, b * size + b]
             if bordered:
@@ -174,9 +178,7 @@ class Discretization:
             pairs = pairs[np.concatenate([[True], pairs[1:] != pairs[:-1]])]
             slot = np.searchsorted(pairs, keys).astype(np.int32)
             indices = (pairs % size).astype(np.int32)
-            indptr = np.zeros(size + 1, dtype=np.int32)
-            np.cumsum(np.bincount(pairs // size, minlength=size),
-                      out=indptr[1:])
+            indptr = _csr_indptr(pairs // size, size)
             for arr in (indptr, indices, slot):
                 arr.flags.writeable = False
             self._patterns[bordered] = indptr, indices, slot
@@ -277,11 +279,14 @@ def jacobian(field, spec, disc, scale=1.0):
     correction, which J leaves free; its right-hand side is zero.
 
     Only values are assembled, into the pattern of ``disc`` (see
-    :meth:`Discretization.jacobian_pattern`).  The cell
-    block is aw / sqrt(w) (grad phi_i . grad phi_j - t^2 / w p_i p_j) with
+    :meth:`Discretization.jacobian_pattern`): each entry is added straight
+    into the CSR data at its slot, one pair of local vertices (i, j) at a
+    time over all cells, so no per-cell block is formed.  The cell entry
+    (i, j) is aw / sqrt(w) (grad phi_i . grad phi_j - t^2 / w p_i p_j) with
     p = grad u . grad phi and w = 1 + t^2 |grad u|^2, i.e. grad phi_i . dT
     grad phi_j for dT = (I - t^2 g g^T / w) / sqrt(w), whose eigenvalues
-    w^-3/2 and w^-1/2 are positive.
+    w^-3/2 and w^-1/2 are positive; it is symmetric in (i, j), so each of
+    the six pairs i <= j is computed once and added at both its slots.
     """
     neumann = spec.bc == "neumann"
     if neumann:
@@ -298,12 +303,15 @@ def jacobian(field, spec, disc, scale=1.0):
     p = gx * grads[:, :1] + gy * grads[:, 1:]
     q = p * (t2 / w)[:, None]
     coef = disc.aw / np.sqrt(w)
-    block = np.empty((mesh.n_cells, 3, 3))
+    data = np.zeros(nnz)
+    cell_slot = slot[:n_cell].reshape(mesh.n_cells, 9)
     for i in range(3):
         for j in range(i, 3):
-            block[:, i, j] = block[:, j, i] = coef * (
-                gx[:, i] * gx[:, j] + gy[:, i] * gy[:, j] - q[:, i] * p[:, j])
-    data = np.bincount(slot[:n_cell], weights=block.ravel(), minlength=nnz)
+            v = coef * (gx[:, i] * gx[:, j] + gy[:, i] * gy[:, j]
+                        - q[:, i] * p[:, j])
+            np.add.at(data, cell_slot[:, 3 * i + j], v)
+            if j != i:
+                np.add.at(data, cell_slot[:, 3 * j + i], v)
 
     if len(disc.a):
         wq, lengths = disc.wq, disc.lengths
@@ -331,8 +339,7 @@ def jacobian(field, spec, disc, scale=1.0):
                 dgk = dg_du * phi[k_loc][None, :] + dg_ds * dsk[:, None]
                 for i_loc in (0, 1):
                     vals.append(-np.sum(wq * dgk * phi[i_loc][None, :], axis=1))
-        data += np.bincount(slot[n_cell:], weights=np.concatenate(vals),
-                            minlength=nnz)
+        np.add.at(data, slot[n_cell:], np.concatenate(vals))
 
     size = len(indptr) - 1
     return sp.csr_matrix((data, indices, indptr), shape=(size, size))

@@ -250,25 +250,30 @@ def make_rounded_polygon(vertices, r):
 class TriMesh:
     """Conforming triangulation of a convex domain.
 
-    Vertices are (N, 2); cells are (M, 3) vertex indices, counterclockwise;
-    ``boundary_edges`` are consecutive (tail, head) pairs forming one closed
-    counterclockwise loop, with ``boundary_lengths``.  Everything that
-    depends on the mesh alone is built here once: cell areas, centroids and
-    the P1 gradient operator eagerly, the vertex adjacency, the vertex
-    averaging operator and the cell boxes of :meth:`locate` on first use.
+    Vertices are (N, 2), finite; cells are (M, 3) int32 vertex indices,
+    counterclockwise; ``boundary_edges`` are consecutive (tail, head) pairs
+    forming one closed counterclockwise loop, with ``boundary_lengths``.
+    Everything that depends on the mesh alone is built here once: cell
+    areas, centroids and the P1 gradient operators eagerly, the vertex
+    adjacency, the vertex averaging operator, the cell boxes of
+    :meth:`locate`, the minimum angle and the hash on first use.  A product
+    of two vertex indices overflows int32 past N = 46,340: index keys are
+    int64.
 
-    ``gradient`` is the CSR operator (2M, N) taking vertex values to cell
-    gradients: row m holds the x and row M + m the y component on cell m.
-    Its data is the one copy of the P1 basis gradients, which
-    ``basis_gradients`` views as (2, M, 3): ``basis_gradients[i, m, k]`` is
-    component i of the gradient on cell m of the hat function of vertex
-    ``cells[m, k]``.
+    ``gradient`` is the pair of CSR operators (M, N) taking vertex values to
+    the x and the y component of the cell gradients.  Both take their
+    indices from ``cells``, and their data is the one copy of the P1 basis
+    gradients, which ``basis_gradients`` views as (2, M, 3):
+    ``basis_gradients[i, m, k]`` is component i of the gradient on cell m of
+    the hat function of vertex ``cells[m, k]``.
     """
 
     def __init__(self, vertices, cells, boundary_edges):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
-        self.cells = np.ascontiguousarray(cells, dtype=np.int64)
+        self.cells = np.ascontiguousarray(cells, dtype=np.int32)
         self.boundary_edges = np.ascontiguousarray(boundary_edges, dtype=np.int64)
+        if not np.all(np.isfinite(self.vertices)):
+            raise MeshQualityError("non-finite vertex coordinates")
 
         p = self.vertices
         c = self.cells
@@ -298,13 +303,15 @@ class TriMesh:
         grad[:, :, 0] = -grad[:, :, 1] - grad[:, :, 2]
         grad.flags.writeable = False
         self.basis_gradients = grad
-        self.gradient = sp.csr_matrix(
-            (grad.reshape(-1), np.tile(c.astype(np.int32).ravel(), 2),
-             np.arange(0, 6 * self.n_cells + 1, 3)),
-            shape=(2 * self.n_cells, self.n_vertices))
+        indptr = np.arange(0, 3 * self.n_cells + 1, 3, dtype=np.int32)
+        self.gradient = tuple(
+            sp.csr_matrix((g.reshape(-1), c.reshape(-1), indptr),
+                          shape=(self.n_cells, self.n_vertices))
+            for g in grad)
         self.cell_centroids = p[c].mean(axis=1)
 
         self._neighbors = self._averaging = self._cell_boxes = None
+        self._min_angle = self._hash = None
 
     # -- derived structure -------------------------------------------------
 
@@ -312,17 +319,18 @@ class TriMesh:
         """CSR vertex adjacency ``(indptr, indices)``: the sorted neighbors
         of vertex i are ``indices[indptr[i]:indptr[i + 1]]``."""
         if self._neighbors is None:
-            c = self.cells
-            pairs = np.vstack([c[:, [0, 1]], c[:, [1, 2]], c[:, [2, 0]]])
-            pairs = np.vstack([pairs, pairs[:, ::-1]])
-            order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-            pairs = pairs[order]
-            keep = np.ones(len(pairs), bool)
-            keep[1:] = np.any(pairs[1:] != pairs[:-1], axis=1)
-            pairs = pairs[keep]
-            self._neighbors = (
-                np.searchsorted(pairs[:, 0], np.arange(self.n_vertices + 1)),
-                pairs[:, 1])
+            n, m, c = self.n_vertices, self.n_cells, self.cells
+            # one int64 key i * N + j per directed cell edge (i, j), sorted
+            keys = np.empty(6 * m, dtype=np.int64)
+            for k, (i, j) in enumerate(((0, 1), (1, 2), (2, 0),
+                                        (1, 0), (2, 1), (0, 2))):
+                np.multiply(c[:, i], n, out=keys[k * m:(k + 1) * m],
+                            dtype=np.int64)
+                keys[k * m:(k + 1) * m] += c[:, j]
+            keys.sort()
+            keys = keys[_group_starts(keys)]
+            self._neighbors = (_csr_indptr(keys // n, n),
+                               (keys % n).astype(np.int32))
         return self._neighbors
 
     def vertex_average(self, cell_values):
@@ -333,33 +341,43 @@ class TriMesh:
         cells in the order local corner 0, 1, 2, then cell index.
         """
         if self._averaging is None:
+            n, m = self.n_vertices, self.n_cells
             rows = self.cells.T.ravel()
-            order = np.argsort(rows, kind="stable")
-            areas = np.tile(self.cell_areas, 3)
-            indptr = np.zeros(self.n_vertices + 1, dtype=np.int64)
-            np.cumsum(np.bincount(rows, minlength=self.n_vertices),
-                      out=indptr[1:])
-            op = sp.csr_matrix(
-                (areas[order], np.tile(np.arange(self.n_cells), 3)[order],
-                 indptr), shape=(self.n_vertices, self.n_cells))
-            self._averaging = (op, np.bincount(rows, weights=areas,
-                                               minlength=self.n_vertices))
+            total = np.bincount(rows, weights=np.tile(self.cell_areas, 3),
+                                minlength=n)
+            # the flat index of a corner-major entry is corner * M + cell
+            cell = np.argsort(rows, kind="stable")
+            cell %= m
+            cell = cell.astype(np.int32)
+            op = sp.csr_matrix((self.cell_areas[cell], cell,
+                                _csr_indptr(rows, n)), shape=(n, m))
+            self._averaging = op, total
         op, total = self._averaging
         return (op @ cell_values) / total[:, None]
 
     def cell_gradients(self, values):
         """Constant P1 gradient per cell for a vertex field, shape (M, 2)."""
-        return (self.gradient @ np.asarray(values, dtype=float)).reshape(
-            2, self.n_cells).T
+        values = np.asarray(values, dtype=float)
+        grads = np.empty((2, self.n_cells))
+        for component, op in zip(grads, self.gradient):
+            component[:] = op @ values
+        return grads.T
 
     def min_angle_deg(self):
-        return float(_cell_min_angles_deg(self.vertices, self.cells).min())
+        if self._min_angle is None:
+            self._min_angle = float(
+                _cell_min_angles_deg(self.vertices, self.cells).min())
+        return self._min_angle
 
     def mesh_hash(self):
-        hsh = hashlib.sha256()
-        hsh.update(self.vertices.tobytes())
-        hsh.update(self.cells.tobytes())
-        return hsh.hexdigest()[:16]
+        """First 16 hex digits of the SHA-256 of the vertices and of the
+        cells as int64."""
+        if self._hash is None:
+            hsh = hashlib.sha256()
+            hsh.update(self.vertices.tobytes())
+            hsh.update(self.cells.astype(np.int64).tobytes())
+            self._hash = hsh.hexdigest()[:16]
+        return self._hash
 
     # -- point location and interpolation -----------------------------------
 
@@ -478,6 +496,9 @@ def mesh_from_loop(loop_pts, interior_pts, lattice=()):
     cells = cells[np.lexsort(np.sort(cells, axis=1).T[::-1])]
     bedges = np.column_stack([np.arange(n_b), (np.arange(n_b) + 1) % n_b])
     mesh = TriMesh(points, cells, bedges)
+    # the quality gate's minimum: a cell's angles do not depend on the
+    # corner it starts at
+    mesh._min_angle = float(angles[worst])
 
     loop_area = _loop_area(points, n_b)
     if abs(mesh.cell_areas.sum() - loop_area) > 1e-9 * loop_area:
@@ -598,6 +619,14 @@ def _wrap_cells(points, front, band, reach, tol):
         if total > 2 * n:
             return None
     return np.vstack(out)
+
+
+def _csr_indptr(rows, n):
+    """int32 CSR row pointers of ``n`` rows holding one entry per item of
+    ``rows``, the row of that entry."""
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr
 
 
 def _group_starts(sorted_keys):

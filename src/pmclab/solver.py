@@ -230,6 +230,9 @@ def _preconditioned_gmres(lu, A, rhs):
     x = np.zeros(rhs.shape[0])
     r, beta = rhs, math.sqrt(_dot(rhs, rhs))
     target = _GMRES_RTOL * beta
+    # allocated per call: only the rows a call touches become resident, and
+    # they are released when it returns; a workspace kept across calls would
+    # hold the rows of its longest call beside every later Jacobian and LU
     V = np.empty((m + 1, r.shape[0]))
     Z = np.empty((m, r.shape[0]))
     R = np.zeros((m + 1, m))            # Hessenberg matrix, rotated to upper
@@ -319,11 +322,12 @@ def newton_solve(disc, spec, init=None, kept=None):
         if inf_norm <= _NEWTON_TOL:
             report.converged = True
             break
-        J = jacobian(field, spec, disc, scale)
         try:
-            # a Neumann correction (du, ds) has the gauge row du[-1] = 0
+            # a Neumann correction (du, ds) has the gauge row du[-1] = 0; no
+            # name holds the Jacobian, so it is freed once its solve returns
             delta, info = linear_solve(
-                J, np.append(-F, 0.0) if neumann else -F, kept=kept)
+                jacobian(field, spec, disc, scale),
+                np.append(-F, 0.0) if neumann else -F, kept=kept)
         except LinearSolveFailure as exc:
             margin = _fail(report, "linear solve broke down", ell_min, field,
                            spec)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -401,6 +402,57 @@ class TestValuesOnlyJacobian:
         spec = (ProblemSpec.robin(0.8, 1.0) if bc == "robin"
                 else ProblemSpec.neumann(0.6, 0.5))
         self._check(mesh, spec, flux_edges)
+
+
+class TestJacobianMemory:
+    """:func:`jacobian` adds each cell entry straight into the CSR data by
+    its pattern slot, with no (M, 3, 3) block and no copy of the slots, and
+    its pattern keys stay int64 where a vertex index product passes the
+    int32 range."""
+
+    @pytest.fixture(scope="class")
+    def ellipse_mesh_002(self, ellipse):
+        return triangulate(ellipse, 0.02)
+
+    @pytest.mark.parametrize("bc", ["robin", "neumann"])
+    def test_warm_call_traced_peak_per_cell(self, ellipse_mesh_002, bc):
+        mesh = ellipse_mesh_002
+        spec = (ProblemSpec.robin(0.5, 1.0) if bc == "robin"
+                else ProblemSpec.neumann(0.6, 0.5))
+        disc = Discretization(mesh)
+        field = ScalarField(mesh, 0.1 * np.random.default_rng(0)
+                            .standard_normal(mesh.n_vertices))
+        jacobian(field, spec, disc)        # builds the pattern
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            J = jacobian(field, spec, disc)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert J.nnz == len(disc.jacobian_pattern(bc == "neumann")[1])
+        # the result's data alone is about 28 B per cell
+        assert peak <= 160 * mesh.n_cells
+
+    def test_pattern_past_the_int32_key_range(self):
+        # N > 46,340: row * N + column passes the int32 range
+        mesh = triangulate(make_disk(1.0), 0.008)
+        n = mesh.n_vertices
+        assert n > 46_341
+        field = ScalarField(mesh, 0.4 * np.random.default_rng(0)
+                            .standard_normal(n))
+        spec = ProblemSpec.robin(0.8, 1.3)
+        ref, _ = _coo_jacobian(field, spec)
+        J = jacobian(field, spec, Discretization(mesh))
+        assert np.array_equal(J.indptr, ref.indptr)
+        assert np.array_equal(J.indices, ref.indices)
+        assert np.abs(J.data - ref.data).max() \
+            <= 1e-14 * np.abs(ref.data).max()
+        # the vertex adjacency is the pattern without its diagonal
+        row = np.repeat(np.arange(n), np.diff(J.indptr))
+        indptr, indices = mesh.vertex_neighbors()
+        assert np.array_equal(indptr, J.indptr - np.arange(n + 1))
+        assert np.array_equal(indices, J.indices[J.indices != row])
 
 
 class TestWeightedMeasure:

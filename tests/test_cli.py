@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from pmclab.cli import main
 from pmclab.config import (DOMAIN_PARAMS, ConfigError, apply_overrides,
                            parse_config)
 from pmclab.critical import CriticalPointRecord
+from pmclab.geometry import TriMesh
 from pmclab.solver import SolveReport
 from pmclab.verify import PropertyRecord, VerificationReport
 
@@ -403,6 +405,25 @@ class TestExitCodes:
         assert code == 4
         assert not (out / "solution.csv").exists()
 
+    def test_non_finite_mesh_vertex_is_four(self, tmp_path, monkeypatch):
+        # a NaN vertex would pass the cell area check and give h = nan; the
+        # mesh refuses it like any mesh the quality bounds reject
+        triangulate = pmclab.pipeline.triangulate
+
+        def with_nan_vertex(domain, h_target):
+            mesh = triangulate(domain, h_target)
+            vertices = mesh.vertices.copy()
+            vertices[-1] = math.nan
+            return TriMesh(vertices, mesh.cells, mesh.boundary_edges)
+
+        monkeypatch.setattr(pmclab.pipeline, "triangulate", with_nan_vertex)
+        code, out = run_cli(tmp_path, "verify", "robin_disk.json",
+                            ["mesh.h_target=0.2"])
+        assert code == 4
+        rep = _report(out)
+        assert rep["status"] == "invalid-config"
+        assert "non-finite" in rep["error"]
+
     def test_nonconvergence_is_three(self, tmp_path, monkeypatch):
         robin = ["problem.H=2.6", "mesh.h_target=0.2"]
         for command, config_name, overrides, max_iter in (
@@ -472,6 +493,37 @@ class TestArtifacts:
         assert all(len(row) == 3 for row in rows)
         # each value in its shortest round-trip form, as repr writes it
         assert lines[3:] == [",".join(map(repr, row)) for row in rows]
+
+    @pytest.mark.parametrize("config_name", ["robin_disk.json",
+                                             "ball3d_robin.json"])
+    def test_mesh_summary_computed_once(self, tmp_path, monkeypatch,
+                                        config_name):
+        # the minimum angle is the quality gate's, the hash is taken once
+        # for report.json and solution.csv
+        geometry = pmclab.geometry
+        angles, hashes = [], []
+        min_angles, sha256 = geometry._cell_min_angles_deg, \
+            geometry.hashlib.sha256
+
+        def counted_angles(*args):
+            angles.append(min_angles(*args))
+            return angles[-1]
+
+        def counted_sha256(*args):
+            hashes.append(args)
+            return sha256(*args)
+
+        monkeypatch.setattr(geometry, "_cell_min_angles_deg", counted_angles)
+        monkeypatch.setattr(geometry, "hashlib",
+                            SimpleNamespace(sha256=counted_sha256))
+        code, out = run_cli(tmp_path, "verify", config_name,
+                            ["mesh.h_target=0.1"])
+        assert code == 0
+        assert len(angles) == len(hashes) == 1
+        rep = _report(out)
+        assert rep["mesh"]["min_angle_deg"] == float(angles[0].min())
+        assert (out / "solution.csv").read_text().splitlines()[1] \
+            == f"# mesh={rep['mesh']['mesh_hash']}"
 
     def test_compare_writes_nodal_artifacts(self, tmp_path):
         code, out = run_cli(tmp_path, "compare", "compare_robin_disk.json",

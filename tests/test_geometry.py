@@ -20,9 +20,9 @@ from pmclab.errors import InvalidParameterError, MeshQualityError
 from pmclab.geometry import (_INTERIOR_CLEARANCE, _LATTICE_SPACING_FACTOR,
                              _TABLE_SIZE, _band_cells, _BucketGrid,
                              _delaunay_cells, _ellipe_inc, _hex_lattice,
-                             _row_intervals, make_disk, make_ellipse,
-                             make_rounded_polygon, mesh_from_loop,
-                             triangulate)
+                             _row_intervals, TriMesh, make_disk,
+                             make_ellipse, make_rounded_polygon,
+                             mesh_from_loop, triangulate)
 
 from oracles import basis_gradients_reference, cell_gradients_reference
 
@@ -714,9 +714,18 @@ def test_bucket_grid_refuses_what_would_not_end(points, side):
         _BucketGrid(np.array(points), side)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_mesh_refuses_non_finite_vertices(bad):
+    """A non-finite corner gives a cell area that no sign check refuses and
+    h = nan or inf."""
+    with pytest.raises(MeshQualityError, match="non-finite"):
+        TriMesh([[0.0, 0.0], [1.0, 0.0], [bad, 1.0]], [[0, 1, 2]],
+                [[0, 1], [1, 2], [2, 0]])
+
+
 @pytest.mark.filterwarnings("ignore:rounded polygon")
 class TestGradientOperator:
-    """The closed-form basis gradients and the (2M, N) gradient operator
+    """The closed-form basis gradients and the x and y gradient operators
     against the inverse edge matrices and the difference formula of
     ``tests/oracles.py``, on disk, ellipse, rounded-polygon and meridian
     meshes."""

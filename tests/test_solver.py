@@ -1,4 +1,5 @@
 import math
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -318,6 +319,31 @@ class TestFactor:
 
 
 class TestNewtonSolve:
+    @pytest.mark.parametrize("case", ["robin", "neumann", "homotopy"])
+    def test_one_jacobian_alive_at_a_time(self, monkeypatch, disk_mesh_01,
+                                          case):
+        # a Jacobian is released once its correction is solved, so the
+        # next one is assembled beside the kept LU alone
+        inner = pmclab.solver.jacobian
+        handed_out, alive_at_call = [], []
+
+        def tracked(*args, **kwargs):
+            alive_at_call.append(sum(ref() is not None for ref in handed_out))
+            J = inner(*args, **kwargs)
+            handed_out.append(weakref.ref(J))
+            return J
+
+        monkeypatch.setattr(pmclab.solver, "jacobian", tracked)
+        disc = Discretization(disk_mesh_01)
+        if case == "homotopy":
+            homotopy_solve(disc, ProblemSpec.robin(0.8, 1.0), [0.0, 0.5, 1.0])
+        else:
+            newton_solve(disc, ProblemSpec.robin(0.8, 1.0) if case == "robin"
+                         else ProblemSpec.neumann(0.6, 0.5))
+        assert len(alive_at_call) >= 3
+        assert alive_at_call == [0] * len(alive_at_call)
+        assert all(ref() is None for ref in handed_out)
+
     def test_robin_disk_vs_oracle(self, disk_mesh_01, robin_spec,
                                   robin_disk_01):
         field, report = robin_disk_01
