@@ -7,22 +7,24 @@ enters the radicals as t^2 |grad u|^2, interpolating from the Poisson
 operator at t=0 to the full mean curvature operator at t=1.
 
 Boundary data enters through the natural (conormal) flux
-``n . grad u / sqrt(1 + t^2 |grad u|^2)``:
+``n . grad u / sqrt(1 + t^2 |grad u|^2)``.  With d the prescribed normal
+derivative and s the tangential derivative along the edge it is
 
-* Robin (du/dn + alpha u = 0):  g = -alpha u / sqrt(1 + t^2 (alpha^2 u^2 + s^2))
-* Neumann (du/dn = c):          g0 = c / sqrt(1 + t^2 (c^2 + s^2))
+    g = d / sqrt(1 + t^2 (d^2 + s^2)),
 
-where s is the tangential derivative along the edge.  The Neumann problem is
-gauge invariant (constants) and carries one scalar compatibility constraint:
-the total conormal flux must equal H times the domain measure.  Prescribing
-both H and c overdetermines that constraint on generic domains, so the
-Neumann flux profile carries a scale, the unknown ``scale`` of
-:func:`residual`: the boundary term is ``scale * g0``.  Its compatible value
-s_hat(u) = H |Omega| / (integral of g0), :func:`compatible_scale`, makes the
-entries sum to zero; the solver makes it a Newton unknown, whose converged
-value is one exactly when the data is compatible and is reported as a
-measured incompatibility of the data.  :func:`neumann_gate` checks the
-necessary flux bound on the same measures before any solve.
+d = c for Neumann data (du/dn = c) and d = -alpha u for Robin data
+(du/dn + alpha u = 0); :func:`_conormal` is the one kernel of both.  The
+Neumann problem is gauge invariant (constants) and carries one scalar
+compatibility constraint: the total conormal flux must equal H times the
+domain measure.  Prescribing both H and c overdetermines that constraint on
+generic domains, so the Neumann flux profile carries a scale, the unknown
+``scale`` of :func:`residual`: the boundary term is ``scale * g``.  Its
+compatible value s_hat(u) = H |Omega| / (integral of g),
+:func:`compatible_scale`, makes the entries sum to zero; the solver makes
+it a Newton unknown, whose converged value is one exactly when the data is
+compatible and is reported as a measured incompatibility of the data.
+Robin data has scale one.  :func:`neumann_gate` checks the necessary flux
+bound on the same measures before any solve.
 
 An optional measure weight r^m (r the first coordinate) supports the
 axisymmetric meridian reduction; m = 0 gives the plain planar forms.  The
@@ -192,27 +194,27 @@ def boundary_flux(field, spec, disc):
     ``disc``, an (E, 2) array.
 
     The tangential derivative along an edge is the difference quotient of
-    the two endpoint values.  For Neumann data this is the unscaled profile
-    g0.
+    the two endpoint values.  For Neumann data this is the unscaled profile.
     """
-    g = _conormal(field.values, spec, disc)[-1]
-    return np.repeat(g[:, None], 2, axis=1) if spec.bc == "neumann" else g
+    return _conormal(field.values, spec, disc)[-1]
 
 
 def _conormal(u, spec, disc):
-    """(s, uq, rad, g) on the flux edges: the tangential difference quotient
-    s per edge, the Gauss-point values uq (None for Neumann), the radical and
-    the flux g = c / rad per edge (Neumann) or -alpha uq / rad per Gauss
-    point (Robin)."""
+    """(s, d, dd_du, rad, g) at the two Gauss points of the flux edges: the
+    tangential difference quotient s per edge, (E, 1); the datum d, (E, 2),
+    c for Neumann and -alpha u for Robin; its derivative in the Gauss-point
+    value, 0 or -alpha; the radical sqrt(1 + t^2 (d^2 + s^2)), (E, 2); and
+    the flux g = d / rad, (E, 2).  Neumann data needs a flux edge."""
     ua, ub = u[disc.a], u[disc.b]
-    s = (ub - ua) / disc.lengths
-    t2 = spec.t ** 2
+    s = ((ub - ua) / disc.lengths)[:, None]
     if spec.bc == "neumann":
-        rad = np.sqrt(1.0 + t2 * (spec.c ** 2 + s ** 2))
-        return s, None, rad, spec.c / rad
-    uq = ua[:, None] * (1.0 - _QXI)[None, :] + ub[:, None] * _QXI[None, :]
-    rad = np.sqrt(1.0 + t2 * (spec.alpha ** 2 * uq ** 2 + s[:, None] ** 2))
-    return s, uq, rad, -spec.alpha * uq / rad
+        _require_flux_edges(disc)
+        d, dd_du = np.full((len(ua), 2), spec.c), 0.0
+    else:
+        d = -spec.alpha * (ua[:, None] * (1.0 - _QXI) + ub[:, None] * _QXI)
+        dd_du = -spec.alpha
+    rad = np.sqrt(1.0 + spec.t ** 2 * (d ** 2 + s ** 2))
+    return s, d, dd_du, rad, d / rad
 
 
 def _cell_terms(mesh, u, spec):
@@ -229,10 +231,10 @@ def _require_flux_edges(disc):
 
 def compatible_scale(field, spec, disc):
     """Compatible flux scale s_hat = H * weighted volume / weighted flux
-    integral of the unscaled Neumann profile g0 of ``field``: the scale at
+    integral of the unscaled Neumann profile g of ``field``: the scale at
     which the entries of :func:`residual` sum to zero."""
-    g0 = _conormal(field.values, spec, disc)[-1]
-    return spec.H * disc.volume / float(np.sum(disc.wq * g0[:, None]))
+    g = boundary_flux(field, spec, disc)
+    return spec.H * disc.volume / float(np.sum(disc.wq * g))
 
 
 # -- residual ----------------------------------------------------------------
@@ -242,9 +244,10 @@ def residual(field, spec, disc, scale=1.0):
 
     entry_i = int T_t(grad u) . grad phi_i + int H phi_i - bint g phi_i,
     with the r^m measure weight of ``disc`` applied to every integral and
-    the boundary integral over its flux edges.  For Neumann data g is
-    ``scale`` times the profile g0 (see :func:`compatible_scale`); Robin
-    data ignores ``scale``.
+    the boundary integral over its flux edges.  The boundary term is
+    ``scale`` times the conormal flux g of :func:`boundary_flux`; Neumann
+    data carries its flux scale there (see :func:`compatible_scale`), Robin
+    data the default one.
     """
     mesh = disc.mesh
     grads, w = _cell_terms(mesh, field.values, spec)
@@ -253,11 +256,7 @@ def residual(field, spec, disc, scale=1.0):
     cell = disc.aw[:, None] * (gx * flux[:, :1] + gy * flux[:, 1:]
                                + spec.H / 3.0)
 
-    g = boundary_flux(field, spec, disc)
-    if spec.bc == "neumann":
-        _require_flux_edges(disc)
-        g = g * scale
-    wg = disc.wq * g
+    wg = disc.wq * (scale * boundary_flux(field, spec, disc))
     edge = -np.concatenate([np.sum(wg * (1.0 - _QXI)[None, :], axis=1),
                             np.sum(wg * _QXI[None, :], axis=1)])
     return np.bincount(disc.scatter, minlength=mesh.n_vertices,
@@ -274,7 +273,7 @@ def jacobian(field, spec, disc, scale=1.0):
     flux ``scale`` is one more unknown, ordered after the N vertex values,
     so the result is the (N+1) x (N+1) bordered matrix [[J, -E], [e^T, 0]]:
     J is the derivative at fixed scale, E the unscaled flux load
-    bint g0 phi_i (the derivative of the residual in the scale is -E), and
+    bint g phi_i (the derivative of the residual in the scale is -E), and
     the last row, one at the last vertex, fixes the gauge of a Newton
     correction, which J leaves free; its right-hand side is zero.
 
@@ -289,8 +288,6 @@ def jacobian(field, spec, disc, scale=1.0):
     the six pairs i <= j is computed once and added at both its slots.
     """
     neumann = spec.bc == "neumann"
-    if neumann:
-        _require_flux_edges(disc)
     mesh = disc.mesh
     u = field.values
     t2 = spec.t ** 2
@@ -313,33 +310,25 @@ def jacobian(field, spec, disc, scale=1.0):
             if j != i:
                 np.add.at(data, cell_slot[:, 3 * j + i], v)
 
-    if len(disc.a):
-        wq, lengths = disc.wq, disc.lengths
-        s, uq, rad, g0 = _conormal(u, spec, disc)
-        ds_da, ds_db = -1.0 / lengths, 1.0 / lengths
-        phi = np.stack([1.0 - _QXI, _QXI])          # phi[k, q] for k in (a, b)
-        vals = []
-
-        if neumann:
-            dg0_ds = -spec.c * t2 * s / rad ** 3
-            # d residual_i / d u_k = -scale * bint dg0/ds ds/du_k phi_i
-            for dsk in (ds_da, ds_db):
-                for i_loc in (0, 1):
-                    vals.append(-scale * np.sum(wq * phi[i_loc][None, :], axis=1)
-                                * dg0_ds * dsk)
-            # the scale's column -E at the edge tails and heads, the gauge
-            for k in (0, 1):
-                vals.append(-np.sum(wq * g0[:, None] * phi[k][None, :], axis=1))
-            vals.append([1.0])
-        else:
-            alpha = spec.alpha
-            dg_du = -alpha * (1.0 + t2 * s[:, None] ** 2) / rad ** 3
-            dg_ds = alpha * uq * t2 * s[:, None] / rad ** 3
-            for k_loc, dsk in ((0, ds_da), (1, ds_db)):
-                dgk = dg_du * phi[k_loc][None, :] + dg_ds * dsk[:, None]
-                for i_loc in (0, 1):
-                    vals.append(-np.sum(wq * dgk * phi[i_loc][None, :], axis=1))
-        np.add.at(data, slot[n_cell:], np.concatenate(vals))
+    # d residual_i / d u_k = -scale * bint dg/du_k phi_i, by the chain through
+    # dg/dd = (1 + t^2 s^2) / rad^3 and dg/ds = -d t^2 s / rad^3 at each
+    # Gauss point q
+    s, d, dd_du, rad, g = _conormal(u, spec, disc)
+    dg_du = dd_du * (1.0 + t2 * s ** 2) / rad ** 3
+    dg_ds = -d * t2 * s / rad ** 3
+    ds_da, ds_db = -1.0 / disc.lengths, 1.0 / disc.lengths
+    phi = np.stack([1.0 - _QXI, _QXI])          # phi[k, q] for k in (a, b)
+    vals = []
+    for k, dsk in ((0, ds_da), (1, ds_db)):
+        dgk = dg_du * phi[k] + dg_ds * dsk[:, None]
+        for i in (0, 1):
+            vals.append(-scale * np.sum(disc.wq * dgk * phi[i], axis=1))
+    if neumann:
+        # the scale's column -E at the edge tails and heads, the gauge
+        for k in (0, 1):
+            vals.append(-np.sum(disc.wq * g * phi[k], axis=1))
+        vals.append([1.0])
+    np.add.at(data, slot[n_cell:], np.concatenate(vals))
 
     size = len(indptr) - 1
     return sp.csr_matrix((data, indices, indptr), shape=(size, size))

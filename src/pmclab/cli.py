@@ -136,10 +136,9 @@ def _dispatch(config, out, report):
     if config.command == "mesh-report":
         return EXIT_OK
 
-    field, feas, solve_report, trace = pipeline.solve(
-        run, config.problem.get("schedule"))
-    if feas is not None:
-        report["feasibility"] = feas
+    schedule = config.problem.get("schedule")
+    report["feasibility"] = pipeline.gate(run, schedule)
+    field, solve_report, trace = pipeline.solve(run, schedule)
     if trace is not None:
         report["homotopy"] = _homotopy_summary(trace)
     else:

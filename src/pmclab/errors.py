@@ -28,7 +28,6 @@ class SolverFailure(PmclabError):
         super().__init__(message)
         self.report = report
         self.trace = trace
-        self.feasibility = None
 
 
 class LinearSolveFailure(PmclabError):

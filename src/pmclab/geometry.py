@@ -95,7 +95,11 @@ def make_ellipse(a, b):
     knots."""
     if not (a > 0 and b > 0):
         raise InvalidParameterError(f"ellipse axes must be positive, got {a}, {b}")
-    m = 1.0 - (a / b) ** 2
+    try:
+        m = 1.0 - (a / b) ** 2
+    except OverflowError:
+        raise InvalidParameterError(
+            f"ellipse axes {a}, {b}: (a / b)^2 overflows") from None
     knots = np.linspace(0.0, 2.0 * math.pi, 257)
     s_knots = b * _ellipe_inc(knots, m)
 
@@ -726,8 +730,12 @@ def _loop_area(points, n_b):
 def _delaunay_cells(points):
     """Delaunay cells of ``points`` by qhull, counterclockwise, without the
     degenerate ones; the fallback of :func:`mesh_from_loop`."""
-    from scipy.spatial import Delaunay
-    tri = Delaunay(points)
+    from scipy.spatial import Delaunay, QhullError
+    try:
+        tri = Delaunay(points)
+    except QhullError as exc:
+        raise MeshQualityError("qhull rejected the points: "
+                               + str(exc).splitlines()[0]) from None
     if len(tri.coplanar):
         raise MeshQualityError("Delaunay dropped input points as coplanar")
     cells = tri.simplices

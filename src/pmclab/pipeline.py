@@ -2,13 +2,15 @@
 
 One validated config goes through :func:`setup` (problem data, the planar
 domain or the meridian section of a domain of revolution, built from the
-keys ``config.DOMAIN_PARAMS`` names, the mesh and its discretization) and
-:func:`solve` (the Neumann gate :func:`~pmclab.assembly.neumann_gate`, then
-homotopy continuation or one Newton solve).  The diagnostics that both the
-commands and the property suite report are computed here only: the meridian
-summary and axial nodal set, and :func:`cylinder_contact`, the contact of a
-planar solution with its matched cylinder.  ``cli`` turns the results into
-artifacts and ``verify`` into property records.
+keys ``config.DOMAIN_PARAMS`` names, the mesh and its discretization),
+:func:`gate` (the report of the Neumann gate
+:func:`~pmclab.assembly.neumann_gate`, at t = 1 for a continuation) and
+:func:`solve` (homotopy continuation or one Newton solve).  The diagnostics
+that both the commands and the property suite report are computed here
+only: the meridian summary and axial nodal set, and
+:func:`cylinder_contact`, the contact of a planar solution with its matched
+cylinder.  ``cli`` turns the results into artifacts and ``verify`` into
+property records.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from . import axisym as axi
 from .assembly import Discretization, ProblemSpec, ScalarField, neumann_gate
 from .config import DOMAIN_PARAMS
 from .critical import find_critical_points, recover_gradient
-from .errors import PmclabError, SolverFailure
+from .errors import PmclabError
 from .geometry import make_disk, make_ellipse, make_rounded_polygon, triangulate
 from .nodal import (CylinderSolution, difference_field, leading_order_fit,
                     sector_count, trace_nodal_set)
@@ -75,25 +77,23 @@ def setup(cfg):
     return Setup(spec, disc, domain)
 
 
-def solve(run, schedule=None):
-    """Gate Neumann data, then run continuation over ``schedule`` when one
-    is given, else one Newton solve.
+def gate(run, schedule):
+    """The Neumann gate of a run, :func:`~pmclab.assembly.neumann_gate`:
+    its report, None for Robin data.  A continuation over ``schedule`` is
+    gated at its last step, t = 1, where the flux bound is tightest, so
+    infeasible data fails before the first step."""
+    return neumann_gate(run.disc, run.spec.at_t(1.0) if schedule else run.spec)
 
-    A continuation is gated at its last step, t = 1, where the flux bound
-    is tightest, so infeasible data fails before the first step.  Returns
-    (field, feasibility report or None, solve report or None, homotopy
-    trace or None).  A :class:`SolverFailure` carries the feasibility report.
-    """
-    feas = neumann_gate(run.disc, run.spec.at_t(1.0) if schedule else run.spec)
-    try:
-        if schedule:
-            field, trace = homotopy_solve(run.disc, run.spec, schedule)
-            return field, feas, None, trace
-        field, report = newton_solve(run.disc, run.spec)
-        return field, feas, report, None
-    except SolverFailure as exc:
-        exc.feasibility = feas
-        raise
+
+def solve(run, schedule=None):
+    """Homotopy continuation over ``schedule`` when one is given, else one
+    Newton solve.  Returns (field, solve report or None, homotopy trace or
+    None)."""
+    if schedule:
+        field, trace = homotopy_solve(run.disc, run.spec, schedule)
+        return field, None, trace
+    field, report = newton_solve(run.disc, run.spec)
+    return field, report, None
 
 
 def census(field, spec, trace=None):

@@ -219,12 +219,12 @@ def _preconditioned_gmres(lu, A, rhs):
     after the first cycle on the Robin ellipse homotopy (h 0.02) and the
     Robin ball at n_dim 6 (h 0.0125), and the LU applications per solve
     rose from 5.5 to 13.3 and from 4.7 to 12.0.  The rotated right-hand
-    side estimates ||rhs - A x||
-    itself, not a preconditioned residual; once it reaches ``_GMRES_RTOL``
-    ||rhs||, or after ``_GMRES_RESTART`` iterations, the residual is
-    computed explicitly, and only a miss opens another cycle.  Every length-N sum is a :func:`_dot`, so the result does not
-    depend on the BLAS thread count.  Returns ``(x, iterations)``, with x
-    None when that residual still misses after ``_GMRES_MAXITER`` cycles.
+    side estimates ||rhs - A x|| itself, not a preconditioned residual; once
+    it reaches ``_GMRES_RTOL`` ||rhs||, or after ``_GMRES_RESTART``
+    iterations, the residual is computed explicitly, and only a miss opens
+    another cycle.  Every length-N sum is a :func:`_dot`, so the result does
+    not depend on the BLAS thread count.  Returns ``(x, iterations)``, with
+    x None when that residual still misses after ``_GMRES_MAXITER`` cycles.
     """
     m = _GMRES_RESTART
     x = np.zeros(rhs.shape[0])

@@ -537,7 +537,9 @@ class TestEmptyFluxEdges:
         lambda f, s, d: residual(f, s, d),
         lambda f, s, d: jacobian(f, s, d),
         lambda f, s, d: newton_solve(d, s),
-    ], ids=["neumann_gate", "residual", "jacobian", "newton_solve"])
+        lambda f, s, d: compatible_scale(f, s, d),
+    ], ids=["neumann_gate", "residual", "jacobian", "newton_solve",
+            "compatible_scale"])
     def test_neumann_rejected(self, disk_mesh_02, call):
         disc = Discretization(disk_mesh_02, flux_edges=[])
         field = ScalarField(disk_mesh_02, disk_mesh_02.vertices[:, 0] ** 2)

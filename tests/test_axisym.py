@@ -216,7 +216,7 @@ class TestRevolvedProfiles:
                         "n_dim": n_dim},
             "mesh": {"h_target": 0.025}})
         assert np.all(run.mesh.vertices[:, 0] >= 0.0)
-        field, _, report, _ = pipeline.solve(run)
+        field, report, _ = pipeline.solve(run)
         assert report.converged
         report = run_suite(run, field, [])
         assert report.verdict == "pass", [

@@ -331,6 +331,19 @@ class TestExitCodes:
         assert rep["status"] == "invalid-config"
         assert "three vertices on the loop" in rep["error"]
 
+    @pytest.mark.parametrize("a, b, message", [
+        ("1.0", "1e-200", "overflows"), ("1e-200", "1.0", "qhull rejected")],
+        ids=["overflowing-ratio", "flat-simplex"])
+    def test_degenerate_ellipse_is_four(self, tmp_path, a, b, message):
+        # the schema accepts any positive axes; an ellipse too thin to mesh
+        # is an invalid config, reported, not a traceback
+        code, out = run_cli(tmp_path, "verify", "robin_ellipse.json",
+                            [f"domain.a={a}", f"domain.b={b}"])
+        assert code == 4
+        rep = _report(out)
+        assert rep["status"] == "invalid-config"
+        assert message in rep["error"]
+
     def test_robin_breakdown_names_the_ellipticity_margin(self, tmp_path):
         # the report counts the iterate the solve broke down at
         code, out = run_cli(tmp_path, "solve", "robin_disk.json",

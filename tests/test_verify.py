@@ -191,7 +191,7 @@ class TestRunSuite:
             "command": "verify", "domain": {"type": "disk", "R": 1.0},
             "problem": {"H": 0.8, "bc": "robin", "alpha": 1.0},
             "mesh": {"h_target": 0.1}}).canonical)
-        field, _, _, trace = pipeline.solve(run)
+        field, _, trace = pipeline.solve(run)
         records = pipeline.census(field, run.spec, trace)
 
         def refuse(*args, **kwargs):
