@@ -6,14 +6,14 @@ unit normal, which a conic or rounded polygon evaluates in closed form.
 Every mesh samples its boundary at equal arc lengths of that exact curve; a
 table of 2048 equally spaced boundary points serves the one hexagonal fill
 lattice of every mesh, planar and meridian.  A mesh is the Delaunay
-triangulation of the two: the lattice cells built directly, the boundary band
-gift-wrapped, qhull only as the fallback, imported where it runs; a mesh
-whose minimum cell angle is below 20 degrees is refused.  Point queries (the
-lattice clearance, point location, critical point clusters) read one private
-bucket grid, and the ellipse's arc length is evaluated here, so a run that
-needs no fallback loads no spatial or special-function library.  Everything
-here is a pure function of its inputs: two calls with identical arguments
-return identical vertex and cell arrays.
+triangulation of the two, by one path: the lattice cells built directly,
+the boundary band gift-wrapped, exact cocircular ties broken by one fixed
+symbolic rule; a mesh whose minimum cell angle is below 20 degrees is
+refused.  Point queries (the lattice clearance, the wrap, point location,
+critical point clusters) read one private bucket grid, and the ellipse's
+arc length is evaluated here, so a run loads no spatial or special-function
+library.  Everything here is a pure function of its inputs: two calls
+with identical arguments return identical vertex and cell arrays.
 """
 
 from __future__ import annotations
@@ -469,24 +469,23 @@ def triangulate(domain, h_target):
                                         _LATTICE_SPACING_FACTOR * h_target))
 
 
-def mesh_from_loop(loop_pts, interior_pts, lattice=()):
+def mesh_from_loop(loop_pts, interior_pts, lattice):
     """Delaunay mesh of a convex region from its boundary loop and fill points.
 
-    ``loop_pts`` must trace the boundary counterclockwise.  Given the fill's
-    lattice (row, column), the lattice cells are built directly and the
-    band between them and the loop is wrapped (:func:`_band_cells`);
-    otherwise, or when the band cannot stand in, qhull runs on all points.
-    A minimum cell angle below 20 degrees raises :class:`MeshQualityError`.
-    Each cell starts at its smallest vertex, counterclockwise: the mesh
-    depends on the cell set only.
+    ``loop_pts`` must trace the boundary counterclockwise, and ``lattice``
+    holds the fill's (row, column) on its equilateral lattice: the lattice
+    cells are built directly and the band between them and the loop is
+    wrapped (:func:`_band_cells`).  A minimum cell angle below 20 degrees
+    raises :class:`MeshQualityError`.  The lattice and the wrap emit their
+    cells in different vertex orders, so each cell is rotated to start at
+    its smallest vertex, counterclockwise: the mesh depends on the cell set
+    only.
     """
     n_b = len(loop_pts)
     points = np.vstack([loop_pts, interior_pts]) if len(interior_pts) \
         else np.asarray(loop_pts, dtype=float)
 
-    cells = _band_cells(points, n_b, lattice) if len(lattice) else None
-    if cells is None:
-        cells = _delaunay_cells(points)
+    cells = _band_cells(points, n_b, lattice)
     angles = _cell_min_angles_deg(points, cells)
     worst = int(np.argmin(angles))
     if angles[worst] < _MIN_ANGLE_DEG:
@@ -503,11 +502,6 @@ def mesh_from_loop(loop_pts, interior_pts, lattice=()):
     # the quality gate's minimum: a cell's angles do not depend on the
     # corner it starts at
     mesh._min_angle = float(angles[worst])
-
-    loop_area = _loop_area(points, n_b)
-    if abs(mesh.cell_areas.sum() - loop_area) > 1e-9 * loop_area:
-        raise MeshQualityError(
-            "triangulation does not tile the boundary polygon")
     return mesh
 
 
@@ -515,33 +509,33 @@ def _band_cells(points, n_b, lattice):
     """Delaunay cells of a loop (``points[:n_b]``) plus fill points at the
     (row, column) ``lattice`` of an equilateral lattice, column in half
     spacings.  A lattice triangle's circumcircle (radius a / sqrt 3) holds no
-    other lattice point, so it is a cell iff it holds no loop point; the
-    other cells are wrapped inward from the loop edges and outward from the
-    open edges of those lattice cells (:func:`_wrap_cells`), their vertices
-    the points not surrounded by six lattice cells.  Where the wrap meets a
-    tie or a wide circle, qhull runs on those points instead, keeping the
-    cells whose circumcircle holds no surrounded point.  None (run qhull on
-    all) for a fill off the lattice, a near tie (1e-9 a) of a lattice or
-    qhull cell, a cell count other than 2N - n_b - 2, or cells that do not
-    tile the loop."""
+    other lattice point, so it is a cell iff it holds no loop point; one
+    within 1e-9 a of a loop point is left to the wrap.  The other cells are
+    wrapped inward from the loop edges and outward from the open edges of
+    the kept lattice cells (:func:`_wrap_cells`), their vertices the points
+    not surrounded by six lattice cells.  Raises :class:`MeshQualityError`
+    for a fill off the lattice, a cell count other than 2N - n_b - 2, or
+    cells that do not tile the loop."""
     n = len(points)
-    row, col = (np.asarray(lattice) - np.min(lattice, axis=0)).T
-    # padded: row index -1 reads the last row, which holds no point
-    grid = np.full((row.max() + 2, col.max() + 3), -1)
-    grid[row, col] = np.arange(n_b, n)
-    # up (r, c) (r, c+2) (r+1, c+1), down (r, c) (r-1, c+1) (r, c+2)
-    tri = grid[row[:, None, None] + [[0, 0, 1], [0, -1, 0]],
-               col[:, None, None] + [[0, 2, 1], [0, 1, 2]]].reshape(-1, 3)
-    tri = tri[np.all(tri >= 0, axis=1)]
-    if not len(tri):
-        return None
-    edges = np.linalg.norm(np.diff(points[tri[:, [0, 1, 2, 0]]], axis=1), axis=2)
-    a = edges.max()
-    tol = 1e-9 * a
-    gap = _circle_gaps(points, tri, points[:n_b])
-    if a - edges.min() > tol or np.any(np.abs(gap) <= tol):
-        return None
-    tri = tri[gap > 0]
+    loop = np.arange(n_b)
+    front = np.column_stack([loop, (loop + 1) % n_b])
+    a = _lengths(points, front).max()
+    tri = np.zeros((0, 3), dtype=np.int64)
+    if len(lattice):
+        row, col = (np.asarray(lattice) - np.min(lattice, axis=0)).T
+        # padded: row index -1 reads the last row, which holds no point
+        grid = np.full((row.max() + 2, col.max() + 3), -1)
+        grid[row, col] = np.arange(n_b, n)
+        # up (r, c) (r, c+2) (r+1, c+1), down (r, c) (r-1, c+1) (r, c+2)
+        tri = grid[row[:, None, None] + [[0, 0, 1], [0, -1, 0]],
+                   col[:, None, None] + [[0, 2, 1], [0, 1, 2]]].reshape(-1, 3)
+        tri = tri[np.all(tri >= 0, axis=1)]
+    if len(tri):
+        edges = _lengths(points, tri[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2))
+        a = edges.max()
+        if a - edges.min() > 1e-9 * a:
+            raise MeshQualityError("fill points off their equilateral lattice")
+        tri = tri[_circle_gaps(points, tri, points[:n_b]) > 1e-9 * a]
     inner = np.bincount(tri.ravel(), minlength=n) == 6
     # an edge at a surrounded point has lattice cells on both sides; the
     # others are open where their reverse is no lattice cell's edge
@@ -549,26 +543,16 @@ def _band_cells(points, n_b, lattice):
     pairs = pairs[~inner[pairs].any(axis=1)]
     open_ = ~np.isin(pairs[:, 1] * n + pairs[:, 0],
                      pairs[:, 0] * n + pairs[:, 1])
-    loop = np.arange(n_b)
-    front = np.vstack([np.column_stack([loop, (loop + 1) % n_b]),
-                       pairs[open_][:, ::-1]])
-    reach = 2.0 * max(a, np.linalg.norm(
-        points[front[:, 1]] - points[front[:, 0]], axis=1).max())
-    band = np.flatnonzero(~inner)
-    cells = _wrap_cells(points, front, band, reach, tol)
-    if cells is None:
-        # a cocircular tie or a wide circle in the band: qhull on the band,
-        # keeping the cells whose circumcircle holds no surrounded point
-        cells = band[_delaunay_cells(points[band])]
-        gap = _circle_gaps(points, cells, points[inner])
-        if np.any(np.abs(gap) <= tol):
-            return None
-        cells, tri = cells[gap > 0], tri[inner[tri].any(axis=1)]
-    cells = np.vstack([tri, cells])
+    front = np.vstack([front, pairs[open_][:, ::-1]])
+    reach = 2.0 * max(a, _lengths(points, front).max())
+    cells = np.vstack([tri, _wrap_cells(points, front, np.flatnonzero(~inner),
+                                        reach, 1e-9 * a)])
     loop_area = _loop_area(points, n_b)
-    ok = len(cells) == 2 * n - n_b - 2 and abs(
-        _signed_areas(points, cells).sum() - loop_area) <= 1e-9 * loop_area
-    return cells if ok else None
+    if len(cells) != 2 * n - n_b - 2 or abs(
+            _signed_areas(points, cells).sum() - loop_area) > 1e-9 * loop_area:
+        raise MeshQualityError("triangulation does not tile the boundary "
+                               "polygon")
+    return cells
 
 
 def _wrap_cells(points, front, band, reach, tol):
@@ -576,12 +560,16 @@ def _wrap_cells(points, front, band, reach, tol):
     ``front`` ((K, 2) vertex indices), each with the unmeshed side on its
     left, gift-wrapped in rounds (DeWall, Cignoni et al. 1998): each front
     edge takes the point of ``band`` on its left whose circle through the
-    edge has the smallest centre offset to the left; the new cells' edges
-    not shared with another new cell or the front, reversed, are the next
-    front.  ``band`` must hold every vertex of those cells.  None on a near
-    tie (``tol``) or a circle that reaches past ``reach`` of its edge's
-    midpoint, beyond the buckets searched."""
+    edge has the smallest centre offset to the left, candidates within
+    ``tol`` of it tied (:func:`_tie_break`); the new cells' edges not shared
+    with another new cell or the front, reversed, are the next front.
+    ``band`` must hold every vertex of those cells.  A round with an edge
+    whose box searched, ``reach`` around its midpoint, holds no candidate or
+    not all of its circle is redone at twice the reach; once the reach spans
+    the band, an edge with no point on its left raises
+    :class:`MeshQualityError` (a flat loop)."""
     n = len(points)
+    span = np.ptp(points[band], axis=0).max()
     grid = _BucketGrid(points[band], reach)
     front = front[:, 0] * n + front[:, 1]
     out, total = [], 0
@@ -602,16 +590,25 @@ def _wrap_cells(points, front, band, reach, tol):
         order = np.lexsort((offset, qi))
         qi, p, offset = qi[order], p[order], offset[order]
         best = np.flatnonzero(_group_starts(qi))
+        found = len(best) == len(front)
+        if found:
+            t = offset[best]
+            spread = np.abs(t) * np.abs(d).max(axis=1) / np.sqrt(dd)
+            found = np.all(spread + np.sqrt(0.25 * dd + t * t) <= reach)
+        if not found and reach < span:
+            reach *= 2.0
+            grid = _BucketGrid(points[band], reach)
+            continue
         if len(best) < len(front):
-            return None
-        runner = best[np.append(best[1:], len(qi)) > best + 1] + 1
-        t = offset[best]
-        radius = np.sqrt(0.25 * dd + t * t)
-        spread = np.abs(t) * np.abs(d).max(axis=1) / np.sqrt(dd)
-        if np.any(offset[runner] - offset[runner - 1] <= tol) \
-                or np.any(spread + radius > reach):
-            return None
-        cells = np.column_stack([tail, head, p[best]])
+            raise MeshQualityError("flat loop: a mesh edge has no point on "
+                                   "its inner side")
+        apex = p[best]
+        # a candidate within tol of its edge's best is tied with it
+        tied = np.flatnonzero(offset <= offset[best][qi] + tol)
+        for j in tied[tied != best[qi[tied]]]:
+            k = qi[j]
+            apex[k] = _tie_break(points, tail[k], head[k], apex[k], p[j])
+        cells = np.column_stack([tail, head, apex])
         first = np.argmin(cells, axis=1)[:, None]
         cells = np.unique(np.take_along_axis(cells, (first + np.arange(3)) % 3,
                                              axis=1), axis=0)
@@ -621,8 +618,30 @@ def _wrap_cells(points, front, band, reach, tol):
         out.append(cells)
         total += len(cells)
         if total > 2 * n:
-            return None
+            raise MeshQualityError("triangulation does not tile the boundary "
+                                   "polygon")
     return np.vstack(out)
+
+
+def _tie_break(points, t, h, c, d):
+    """The apex of the front edge (t, h) among ``c`` and ``d``, both on its
+    left and cocircular with it, by Simulation of Simplicity (Edelsbrunner
+    & Muecke 1990) on the lifted in-circle test: point i lifts to
+    x^2 + y^2 + eps_i, eps_i shrinking with i, so the lowest index of the
+    four decides.  A lifted d lies outside the circle through t, h, c; a
+    lifted c takes d into it; a lifted t (h) favours the candidate later
+    (earlier) counterclockwise from h."""
+    m = min(t, h, c, d)
+    if m in (c, d):
+        return c if m == d else d
+    u, v = points[c] - points[h], points[d] - points[h]
+    later, earlier = (d, c) if u[0] * v[1] - u[1] * v[0] > 0 else (c, d)
+    return later if m == t else earlier
+
+
+def _lengths(points, pairs):
+    """Length of each (i, j) segment of ``pairs``."""
+    return np.linalg.norm(points[pairs[:, 1]] - points[pairs[:, 0]], axis=1)
 
 
 def _csr_indptr(rows, n):
@@ -725,28 +744,6 @@ def _signed_areas(points, cells):
 def _loop_area(points, n_b):
     x, y = points[:n_b].T
     return 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
-
-
-def _delaunay_cells(points):
-    """Delaunay cells of ``points`` by qhull, counterclockwise, without the
-    degenerate ones; the fallback of :func:`mesh_from_loop`."""
-    from scipy.spatial import Delaunay, QhullError
-    try:
-        tri = Delaunay(points)
-    except QhullError as exc:
-        raise MeshQualityError("qhull rejected the points: "
-                               + str(exc).splitlines()[0]) from None
-    if len(tri.coplanar):
-        raise MeshQualityError("Delaunay dropped input points as coplanar")
-    cells = tri.simplices
-    areas = _signed_areas(points, cells)
-    # collinear boundary runs make qhull emit exactly degenerate simplices;
-    # they carry no area and must not survive into the mesh
-    scale = float(np.ptp(points, axis=0).max()) ** 2
-    keep = np.abs(areas) > 1e-12 * scale
-    cells, flip = cells[keep], areas[keep] < 0
-    cells[flip] = cells[flip][:, [0, 2, 1]]
-    return cells
 
 
 def _hex_lattice(domain, a, x_min=None):

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from pmclab.assembly import Discretization, ProblemSpec
 from pmclab.axisym import meridian_mesh, outer_flux_edges
@@ -9,6 +10,16 @@ from pmclab.geometry import make_disk, make_ellipse, triangulate
 from pmclab.solver import homotopy_solve, newton_solve
 
 warnings.filterwarnings("ignore", message="rounded polygon")
+
+# tier-1 draws the same hypothesis examples on every run and keeps no
+# example database; ``--hypothesis-profile=stress`` draws fresh ones
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("stress", database=None)
+
+
+def pytest_configure(config):
+    if not config.getoption("--hypothesis-profile"):
+        settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

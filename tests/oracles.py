@@ -107,12 +107,72 @@ def dumbbell_mesh(D, w, h):
     fill = np.stack(np.broadcast_arrays(xs, ys[:, None]), -1).reshape(-1, 2)
     fill = fill[inside(fill) & (cKDTree(loop).query(fill)[0] >= 0.5 * a)]
     points = np.vstack([loop, fill])
-    cells = Delaunay(points).simplices
-    d1, d2 = (points[cells[:, k]] - points[cells[:, 0]] for k in (1, 2))
-    flip = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0] < 0
-    cells[flip] = cells[flip][:, [0, 2, 1]]
-    full = TriMesh(points, cells, np.empty((0, 2), dtype=int))
+    full = TriMesh(points, delaunay_cells(points), np.empty((0, 2), dtype=int))
     return submesh(full, inside(full.cell_centroids))[0]
+
+
+def delaunay_cells(points):
+    """Delaunay cells of ``points`` by qhull, counterclockwise, without the
+    exactly degenerate ones that collinear loop runs make qhull emit: the
+    reference for the mesher."""
+    tri = Delaunay(points)
+    assert not len(tri.coplanar)
+    cells = tri.simplices
+    d1, d2 = (points[cells[:, k]] - points[cells[:, 0]] for k in (1, 2))
+    areas = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    scale = float(np.ptp(points, axis=0).max()) ** 2
+    keep = np.abs(areas) > 1e-12 * scale
+    cells, flip = cells[keep], areas[keep] < 0
+    cells[flip] = cells[flip][:, [0, 2, 1]]
+    return cells
+
+
+def _circumcircles(points, cells):
+    p0 = points[cells[:, 0]]
+    b, c = points[cells[:, 1]] - p0, points[cells[:, 2]] - p0
+    bb, cc = (b * b).sum(axis=1), (c * c).sum(axis=1)
+    centre = np.column_stack([c[:, 1] * bb - b[:, 1] * cc,
+                              b[:, 0] * cc - c[:, 0] * bb]) \
+        / (2.0 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0]))[:, None]
+    return p0 + centre, np.hypot(centre[:, 0], centre[:, 1])
+
+
+def assert_delaunay(points, n_b, cells):
+    """Check that ``cells`` are a Delaunay triangulation of ``points``
+    whose first ``n_b`` trace the boundary loop: 2N - n_b - 2 cells,
+    counterclockwise, tiling the loop (every directed edge once, the
+    unpaired ones the loop edges, the areas summing to the loop's), each
+    circumcircle holding no point within 1e-9 a of it, a the longest edge,
+    by brute force.  Returns whether qhull's cells have a cocircular tie;
+    where they have none, ``cells`` must be the same set."""
+    n = len(points)
+    cells = np.asarray(cells)
+    assert len(cells) == 2 * n - n_b - 2
+    d1, d2 = (points[cells[:, k]] - points[cells[:, 0]] for k in (1, 2))
+    areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    assert np.all(areas > 0)
+    x, y = points[:n_b].T
+    loop_area = 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
+    assert abs(areas.sum() - loop_area) <= 1e-9 * loop_area
+    edges = set(map(tuple, cells[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+                    .tolist()))
+    assert len(edges) == 3 * len(cells)
+    loop = {(i, (i + 1) % n_b) for i in range(n_b)}
+    assert {e for e in edges if e[::-1] not in edges} == loop
+    a = np.linalg.norm(points[cells] - points[np.roll(cells, 1, axis=1)],
+                       axis=2).max()
+    tree = cKDTree(points)
+    centre, radius = _circumcircles(points, cells)
+    assert not tree.query_ball_point(centre, radius - 1e-9 * a,
+                                     return_length=True).any()
+    reference = delaunay_cells(points)
+    centre, radius = _circumcircles(points, reference)
+    tie = bool((tree.query_ball_point(centre, radius + 1e-9 * a,
+                                      return_length=True) > 3).any())
+    if not tie:
+        assert set(map(frozenset, cells.tolist())) \
+            == set(map(frozenset, reference.tolist()))
+    return tie
 
 
 def basis_gradients_reference(mesh):
