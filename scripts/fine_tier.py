@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Run ``verify`` on the fine tier: ``robin_ellipse`` and ``neumann_disk`` at
-``mesh.h_target`` 0.00625, the size the memory and time budgets refer to.
+"""Run ``verify`` on the fine tier: ``robin_ellipse``, ``neumann_disk`` and
+``ball3d_robin`` (the r-weighted meridian assembly) at ``mesh.h_target``
+0.00625, the size the memory and time budgets refer to.
 
 Usage (from anywhere)::
 
@@ -23,7 +24,7 @@ import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
-CONFIGS = ("robin_ellipse", "neumann_disk")
+CONFIGS = ("robin_ellipse", "neumann_disk", "ball3d_robin")
 H_TARGET = 0.00625
 THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
            "MKL_NUM_THREADS": "1", "VECLIB_MAXIMUM_THREADS": "1"}

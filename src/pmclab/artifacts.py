@@ -17,7 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from .assembly import ScalarField
-from .errors import InvalidParameterError
 from .nodal import trace_nodal_set
 
 
@@ -101,11 +100,7 @@ def contour_polylines(field):
     levels = np.linspace(lo, hi, 12)[1:-1]
     out = []
     for lev in levels:
-        shifted = ScalarField(field.mesh, vals - lev)
-        try:
-            arcs = trace_nodal_set(shifted)
-        except InvalidParameterError:
-            continue
+        arcs = trace_nodal_set(ScalarField(field.mesh, vals - lev))
         out.extend((float(lev), arc) for arc in arcs.arcs)
     return out
 

@@ -28,8 +28,10 @@ bound on the same measures before any solve.
 
 An optional measure weight r^m (r the first coordinate) supports the
 axisymmetric meridian reduction; m = 0 gives the plain planar forms.  The
-weight and the set of boundary edges that carry flux are fixed per solve by
-a :class:`Discretization`, which builds every quadrature array once.
+boundary terms run over every boundary edge of the mesh: on a meridian mesh
+the weight is exactly zero at the Gauss points of the axis edges, so the
+weight alone poses the axis condition.  The weight is fixed per solve by a
+:class:`Discretization`, which builds every quadrature array once.
 """
 
 from __future__ import annotations
@@ -121,32 +123,33 @@ class Discretization:
     """The weighted quadrature of one solve on a mesh, built once.
 
     Owns everything that depends on the measure weight r^m (m =
-    ``weight_exponent``; r the first coordinate) or on the flux edges
-    (indices into ``mesh.boundary_edges``, all by default):
+    ``weight_exponent``; r the first coordinate):
 
     * ``aw``, the cell areas times r^m at the centroids (one-point rule),
       and their sum ``volume``;
-    * the flux edges ``a -> b``, their ``lengths``, and ``wq``, the (E, 2)
-      two-point Gauss weights times r^m, with sum ``boundary_measure``;
+    * ``wq``, the (E, 2) two-point Gauss weights times r^m on the boundary
+      edges ``mesh.boundary_edges``, with sum ``boundary_measure``; both
+      weights of an edge on the axis r = 0 are exactly zero for m >= 1;
     * ``scatter``, the vertex of each residual term: the cell corners
       (corner-major), then the edge tails and heads;
     * the sparsity pattern of the Jacobian, built on first use by
       :meth:`jacobian_pattern`.
 
-    Every r^m-weighted integral reads ``aw`` or ``wq``.
+    Every r^m-weighted integral reads ``aw`` or ``wq``.  A mesh without a
+    boundary edge poses no boundary condition and is refused.
     """
 
-    def __init__(self, mesh, weight_exponent=0, flux_edges=None):
+    def __init__(self, mesh, weight_exponent=0):
+        if not len(mesh.boundary_edges):
+            raise InvalidParameterError(
+                "the mesh has no boundary edge to pose boundary data on")
         self.mesh = mesh
         self.weight_exponent = m = int(weight_exponent)
-        edges = np.arange(len(mesh.boundary_edges)) if flux_edges is None \
-            else np.asarray(flux_edges, dtype=np.int64)
-        self.a, self.b = a, b = mesh.boundary_edges[edges].T
-        self.lengths = mesh.boundary_lengths[edges]
+        a, b = mesh.boundary_edges.T
         pa, pb = mesh.vertices[a], mesh.vertices[b]
         qpts = pa[:, None, :] + _QXI[None, :, None] * (pb - pa)[:, None, :]
         self.aw = mesh.cell_areas * mesh.cell_centroids[:, 0] ** m
-        self.wq = qpts[..., 0] ** m * (self.lengths[:, None] / 2.0)
+        self.wq = qpts[..., 0] ** m * (mesh.boundary_lengths[:, None] / 2.0)
         self.volume = float(np.sum(self.aw))
         self.boundary_measure = float(np.sum(self.wq))
         self.scatter = np.concatenate([mesh.cells.T.ravel(), a, b]).astype(
@@ -158,16 +161,16 @@ class Discretization:
         """The read-only CSR ``(indptr, indices, slot)`` of the Jacobian,
         built once per kind on first use, where ``slot`` is the data index of
         each triplet: the 3 x 3 block of every cell, row-major, then runs
-        over the flux edges for (a, a), (b, a), (a, b), (b, b).
+        over the boundary edges a -> b for (a, a), (b, a), (a, b), (b, b).
 
         The ``bordered`` pattern, of a Neumann Jacobian, has one more row and
-        column, index N: its slots go on with (a, N) and (b, N) over the flux
-        edges and end with the gauge entry (N, N - 1).
+        column, index N: its slots go on with (a, N) and (b, N) over the
+        boundary edges and end with the gauge entry (N, N - 1).
         """
         if bordered not in self._patterns:
             n = self.mesh.n_vertices
             size = n + 1 if bordered else n
-            a, b = self.a, self.b
+            a, b = self.mesh.boundary_edges.T
             # int64 keys row * size + column: size^2 overflows int32 past
             # size 46,340
             c = self.mesh.cells.astype(np.int64)
@@ -190,8 +193,8 @@ class Discretization:
 # -- conormal flux -----------------------------------------------------------
 
 def boundary_flux(field, spec, disc):
-    """Conormal flux g at the two Gauss points of each flux edge of
-    ``disc``, an (E, 2) array.
+    """Conormal flux g at the two Gauss points of each boundary edge, an
+    (E, 2) array.
 
     The tangential derivative along an edge is the difference quotient of
     the two endpoint values.  For Neumann data this is the unscaled profile.
@@ -200,15 +203,15 @@ def boundary_flux(field, spec, disc):
 
 
 def _conormal(u, spec, disc):
-    """(s, d, dd_du, rad, g) at the two Gauss points of the flux edges: the
-    tangential difference quotient s per edge, (E, 1); the datum d, (E, 2),
-    c for Neumann and -alpha u for Robin; its derivative in the Gauss-point
-    value, 0 or -alpha; the radical sqrt(1 + t^2 (d^2 + s^2)), (E, 2); and
-    the flux g = d / rad, (E, 2).  Neumann data needs a flux edge."""
-    ua, ub = u[disc.a], u[disc.b]
-    s = ((ub - ua) / disc.lengths)[:, None]
+    """(s, d, dd_du, rad, g) at the two Gauss points of the boundary edges:
+    the tangential difference quotient s per edge, (E, 1); the datum d,
+    (E, 2), c for Neumann and -alpha u for Robin; its derivative in the
+    Gauss-point value, 0 or -alpha; the radical
+    sqrt(1 + t^2 (d^2 + s^2)), (E, 2); and the flux g = d / rad, (E, 2)."""
+    mesh = disc.mesh
+    ua, ub = u[mesh.boundary_edges.T]
+    s = ((ub - ua) / mesh.boundary_lengths)[:, None]
     if spec.bc == "neumann":
-        _require_flux_edges(disc)
         d, dd_du = np.full((len(ua), 2), spec.c), 0.0
     else:
         d = -spec.alpha * (ua[:, None] * (1.0 - _QXI) + ub[:, None] * _QXI)
@@ -221,12 +224,6 @@ def _cell_terms(mesh, u, spec):
     """Constant gradient of ``u`` on each cell and w = 1 + t^2 |grad u|^2."""
     grads = mesh.cell_gradients(u)
     return grads, 1.0 + spec.t ** 2 * np.einsum("mi,mi->m", grads, grads)
-
-
-def _require_flux_edges(disc):
-    if not len(disc.a):
-        raise InvalidParameterError(
-            "Neumann data needs at least one flux edge")
 
 
 def compatible_scale(field, spec, disc):
@@ -243,11 +240,10 @@ def residual(field, spec, disc, scale=1.0):
     """Weak-form residual, one entry per vertex.
 
     entry_i = int T_t(grad u) . grad phi_i + int H phi_i - bint g phi_i,
-    with the r^m measure weight of ``disc`` applied to every integral and
-    the boundary integral over its flux edges.  The boundary term is
-    ``scale`` times the conormal flux g of :func:`boundary_flux`; Neumann
-    data carries its flux scale there (see :func:`compatible_scale`), Robin
-    data the default one.
+    with the r^m measure weight of ``disc`` applied to every integral.  The
+    boundary term is ``scale`` times the conormal flux g of
+    :func:`boundary_flux`; Neumann data carries its flux scale there (see
+    :func:`compatible_scale`), Robin data the default one.
     """
     mesh = disc.mesh
     grads, w = _cell_terms(mesh, field.values, spec)
@@ -316,7 +312,7 @@ def jacobian(field, spec, disc, scale=1.0):
     s, d, dd_du, rad, g = _conormal(u, spec, disc)
     dg_du = dd_du * (1.0 + t2 * s ** 2) / rad ** 3
     dg_ds = -d * t2 * s / rad ** 3
-    ds_da, ds_db = -1.0 / disc.lengths, 1.0 / disc.lengths
+    ds_da, ds_db = -1.0 / mesh.boundary_lengths, 1.0 / mesh.boundary_lengths
     phi = np.stack([1.0 - _QXI, _QXI])          # phi[k, q] for k in (a, b)
     vals = []
     for k, dsk in ((0, ds_da), (1, ds_db)):
@@ -368,7 +364,8 @@ def neumann_gate(disc, spec):
     cap = c / sqrt(1 + t^2 c^2), so a positive margin cap*L - H|Omega| is
     necessary (not sufficient) for solvability.  L and |Omega| are
     ``disc.boundary_measure`` and ``disc.volume``, the r^m-weighted mesh
-    measures that the compatible flux scale s_hat balances against.
+    measures that the compatible flux scale s_hat balances against; the
+    axis of a meridian mesh adds zero to L.
     Margins within a small relative band of zero are flagged borderline;
     the exactly compatible radial data sits on that boundary.
 
@@ -377,7 +374,6 @@ def neumann_gate(disc, spec):
     """
     if spec.bc != "neumann":
         return None
-    _require_flux_edges(disc)
     L, area = disc.boundary_measure, disc.volume
     cap = spec.c / np.sqrt(1.0 + spec.t ** 2 * spec.c ** 2)
     margin = cap * L - spec.H * area

@@ -7,11 +7,13 @@ in the axis x1 = 0 (the ball a disk, the spheroid an ellipse); the mesh is
 its r >= 0 half, meshed from its exact boundary and its own lattice.  The
 weight vanishes on the axis, which enforces the symmetry condition
 v_r(0, z) = 0 naturally (the singular (n-2)/r coefficient of the strong form
-is never evaluated); the outer boundary carries the same conormal flux
-machinery as the planar case.  The meridian problem is solved by the planar
-Newton solver on a :class:`~pmclab.assembly.Discretization` with weight
-exponent n - 2 and flux on the :func:`outer_flux_edges` only; for n = 2 the
-weight is one and the system is the planar one restricted to those edges.
+is never evaluated).  The meridian problem is solved by the planar Newton
+solver on a :class:`~pmclab.assembly.Discretization` with weight exponent
+n - 2, whose boundary terms run over every boundary edge: the axis chain is
+pinned to r = 0, so the weight is exactly zero at the Gauss points of its
+edges and they add nothing, while the outer boundary carries the same
+conormal flux as the planar case.  The weight is the only axis condition;
+for n = 2 it is one, and the system is the planar one on the half section.
 """
 
 from __future__ import annotations
@@ -76,15 +78,6 @@ def meridian_mesh(domain, h_target):
     loop = np.vstack([arc_pts, np.column_stack([np.zeros(len(z_ax)), z_ax])])
     return mesh_from_loop(loop, *_hex_lattice(
         domain, _LATTICE_SPACING_FACTOR * h_target, x_min=0.0))
-
-
-def outer_flux_edges(mesh):
-    """Boundary edges on the revolved surface (both endpoints off the axis
-    or crossing it); axis edges carry no flux."""
-    be = mesh.boundary_edges
-    r = mesh.vertices[:, 0]
-    on_axis = (np.abs(r[be[:, 0]]) < _AXIS_TOL) & (np.abs(r[be[:, 1]]) < _AXIS_TOL)
-    return np.nonzero(~on_axis)[0]
 
 
 def axis_vertices(mesh):

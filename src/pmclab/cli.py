@@ -4,11 +4,13 @@ Subcommands: solve, homotopy, axisym, compare (the nodal laboratory),
 verify, and mesh-report.  This module parses the arguments and the config,
 keeps the report skeleton, maps exceptions to exit codes and writes the
 artifacts.  Every command runs the chain of :mod:`pmclab.pipeline` (set-up,
-Neumann gate, solve, diagnostics); ``verify`` then evaluates the property
-suite on the solved run with :func:`pmclab.verify.run_suite`.  Every run
-writes a ``report.json`` (always; on failure with the status and the error)
-plus the solution, critical-point, and nodal-arc CSV tables and a contour
-SVG where applicable.
+solve, diagnostics) and records the Neumann gate,
+:func:`pmclab.assembly.neumann_gate`, between set-up and solve; ``verify``
+then evaluates the property suite on the solved run with
+:func:`pmclab.verify.run_suite`.  Every run writes a ``report.json``
+(always; on failure with the status and the error) plus the solution,
+critical-point, and nodal-arc CSV tables and a contour SVG where
+applicable.
 
 Exit codes: 0 success / verification pass, 2 verification failure, 3 solver
 nonconvergence, 4 invalid configuration (a mesh the quality bounds reject
@@ -25,6 +27,7 @@ from pathlib import Path
 
 from . import artifacts as art
 from . import pipeline
+from .assembly import neumann_gate
 from .config import apply_overrides, parse_config
 from .errors import (ConfigError, InfeasibleProblemError, InvalidParameterError,
                      MeshQualityError, PmclabError, SolverFailure)
@@ -136,8 +139,10 @@ def _dispatch(config, out, report):
     if config.command == "mesh-report":
         return EXIT_OK
 
+    # a continuation ends at t = 1, the problem's t, where the flux bound
+    # is tightest: infeasible data fails before its first step
+    report["feasibility"] = neumann_gate(run.disc, run.spec)
     schedule = config.problem.get("schedule")
-    report["feasibility"] = pipeline.gate(run, schedule)
     field, solve_report, trace = pipeline.solve(run, schedule)
     if trace is not None:
         report["homotopy"] = _homotopy_summary(trace)

@@ -1,11 +1,11 @@
-"""The chain every command runs: set-up, Neumann gate, solve, diagnostics.
+"""The chain every command runs: set-up, solve, diagnostics.
 
 One validated config goes through :func:`setup` (problem data, the planar
 domain or the meridian section of a domain of revolution, built from the
-keys ``config.DOMAIN_PARAMS`` names, the mesh and its discretization),
-:func:`gate` (the report of the Neumann gate
-:func:`~pmclab.assembly.neumann_gate`, at t = 1 for a continuation) and
-:func:`solve` (homotopy continuation or one Newton solve).  The diagnostics
+keys ``config.DOMAIN_PARAMS`` names, the mesh and its discretization) and
+:func:`solve` (homotopy continuation or one Newton solve); between the two
+``cli`` records the Neumann gate :func:`~pmclab.assembly.neumann_gate` of
+the run's problem data, whose t is 1 for a continuation.  The diagnostics
 that both the commands and the property suite report are computed here
 only: the meridian summary and axial nodal set, and
 :func:`cylinder_contact`, the contact of a planar solution with its matched
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import axisym as axi
-from .assembly import Discretization, ProblemSpec, ScalarField, neumann_gate
+from .assembly import Discretization, ProblemSpec, ScalarField
 from .config import DOMAIN_PARAMS
 from .critical import find_critical_points, recover_gradient
 from .errors import PmclabError
@@ -62,27 +62,14 @@ class Setup:
 
 def setup(cfg):
     """Problem data, domain, mesh and discretization of a canonical config
-    dict.  A meridian run weights its measure by r^(n-2) and carries flux
-    on the outer edges only; a planar run has no weight and flux on every
-    boundary edge."""
+    dict.  The measure is weighted by r^(n-2): one on a planar mesh, and on
+    a meridian mesh zero on the axis, which is the axis condition."""
     spec = build_spec(cfg["problem"])
     h_target = cfg["mesh"]["h_target"]
     domain = build_domain(cfg["domain"])
-    if spec.n_dim > 2:
-        mesh = axi.meridian_mesh(domain, h_target)
-        disc = Discretization(mesh, spec.n_dim - 2,
-                              axi.outer_flux_edges(mesh))
-    else:
-        disc = Discretization(triangulate(domain, h_target))
+    meshing = axi.meridian_mesh if spec.n_dim > 2 else triangulate
+    disc = Discretization(meshing(domain, h_target), spec.n_dim - 2)
     return Setup(spec, disc, domain)
-
-
-def gate(run, schedule):
-    """The Neumann gate of a run, :func:`~pmclab.assembly.neumann_gate`:
-    its report, None for Robin data.  A continuation over ``schedule`` is
-    gated at its last step, t = 1, where the flux bound is tightest, so
-    infeasible data fails before the first step."""
-    return neumann_gate(run.disc, run.spec.at_t(1.0) if schedule else run.spec)
 
 
 def solve(run, schedule=None):

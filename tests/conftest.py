@@ -5,7 +5,7 @@ import pytest
 from hypothesis import settings
 
 from pmclab.assembly import Discretization, ProblemSpec
-from pmclab.axisym import meridian_mesh, outer_flux_edges
+from pmclab.axisym import meridian_mesh
 from pmclab.geometry import make_disk, make_ellipse, triangulate
 from pmclab.solver import homotopy_solve, newton_solve
 
@@ -106,9 +106,8 @@ def ball_mesh_005(disk):
 
 @pytest.fixture(scope="session")
 def ball_robin_005(ball_spec, ball_mesh_005):
-    disc = Discretization(ball_mesh_005, ball_spec.n_dim - 2,
-                          outer_flux_edges(ball_mesh_005))
-    return newton_solve(disc, ball_spec)
+    return newton_solve(Discretization(ball_mesh_005, ball_spec.n_dim - 2),
+                        ball_spec)
 
 
 @pytest.fixture()

@@ -11,10 +11,9 @@ from pmclab.assembly import (Discretization, ProblemSpec, ScalarField,
                              boundary_flux, ellipticity_margins, jacobian,
                              neumann_gate, residual)
 from pmclab.assembly import _QXI, compatible_scale
-from pmclab.axisym import meridian_mesh, outer_flux_edges, revolved_volume
+from pmclab.axisym import meridian_mesh, revolved_volume
 from pmclab.errors import InfeasibleProblemError, InvalidParameterError
-from pmclab.geometry import make_disk, triangulate
-from pmclab.solver import newton_solve
+from pmclab.geometry import TriMesh, make_disk, triangulate
 
 from oracles import radial_disk_oracle
 
@@ -184,19 +183,21 @@ class TestJacobian:
         m = disk_mesh_02
         alpha = 1.3
         z = ScalarField(m, np.zeros(m.n_vertices))
+        disc = Discretization(m)
         # at u = 0 the linearized flux is -alpha u for any t, so the
-        # boundary contribution is alpha times the consistent edge mass
+        # boundary contribution is alpha times the consistent edge mass and
+        # the cell block does not see alpha: halving alpha takes away half
+        # the edge mass
         for t in (1.0, 0.0):
-            sp = ProblemSpec.robin(0.8, alpha, t=t)
-            J = jacobian(z, sp, Discretization(m))
-            Jn = jacobian(z, sp, Discretization(m, flux_edges=[]))
-            diff = (J - Jn).toarray()
+            J = jacobian(z, ProblemSpec.robin(0.8, alpha, t=t), disc)
+            Jh = jacobian(z, ProblemSpec.robin(0.8, alpha / 2.0, t=t), disc)
+            diff = (J - Jh).toarray()
             expected = np.zeros_like(diff)
             for (a, b), ell in zip(m.boundary_edges, m.boundary_lengths):
-                expected[a, a] += alpha * ell / 3.0
-                expected[b, b] += alpha * ell / 3.0
-                expected[a, b] += alpha * ell / 6.0
-                expected[b, a] += alpha * ell / 6.0
+                expected[a, a] += alpha / 2.0 * ell / 3.0
+                expected[b, b] += alpha / 2.0 * ell / 3.0
+                expected[a, b] += alpha / 2.0 * ell / 6.0
+                expected[b, a] += alpha / 2.0 * ell / 6.0
             assert np.allclose(diff, expected, atol=1e-13)
             assert np.all(np.diag(diff)[m.is_boundary_vertex] > 0)
 
@@ -218,7 +219,9 @@ class TestNeumannJacobianBorder:
     factors: J keeps the constants as null vector and the Robin pattern,
     the flux scale's column is minus the unscaled flux load E, whose sum
     sets the compatible scale, and the gauge row holds one entry at the
-    last vertex, so the border adds one entry per flux vertex and one."""
+    last vertex, so the border adds one entry per boundary vertex and one.
+    The column vanishes where the weight does, on the axis of a meridian
+    mesh."""
 
     @staticmethod
     def _check(disc, seed, amp, t):
@@ -233,8 +236,9 @@ class TestNeumannJacobianBorder:
         jnorm = np.linalg.norm(J.data)
         assert np.linalg.norm(J @ np.ones(n)) <= 1e-12 * jnorm
         load = -A[:n, n].toarray().ravel()
-        flux_vertices = np.unique(np.concatenate([disc.a, disc.b]))
-        assert np.flatnonzero(load).tolist() == flux_vertices.tolist()
+        be = mesh.boundary_edges
+        wet = np.unique(be[disc.wq.sum(axis=1) > 0])
+        assert np.flatnonzero(load).tolist() == wet.tolist()
         assert spec.H * disc.volume / np.sum(load) == pytest.approx(
             compatible_scale(field, spec, disc), rel=1e-13)
         gauge = A[n].tocoo()
@@ -242,7 +246,7 @@ class TestNeumannJacobianBorder:
         robin = jacobian(field, ProblemSpec.robin(0.6, 1.0, t=t), disc)
         assert np.array_equal(J.indptr, robin.indptr)
         assert np.array_equal(J.indices, robin.indices)
-        assert A.nnz == robin.nnz + len(flux_vertices) + 1
+        assert A.nnz == robin.nnz + len(np.unique(be)) + 1
 
     @given(seed=st.integers(0, 2 ** 32 - 1), amp=st.floats(0.0, 1.0),
            t=st.floats(0.0, 1.0))
@@ -254,12 +258,10 @@ class TestNeumannJacobianBorder:
            t=st.floats(0.0, 1.0))
     @settings(max_examples=25, deadline=None)
     def test_weighted_meridian(self, meridian_mesh_02, seed, amp, t):
-        edges = outer_flux_edges(meridian_mesh_02)
-        assert len(edges) < len(meridian_mesh_02.boundary_edges)
-        self._check(Discretization(meridian_mesh_02, 2, edges), seed, amp, t)
+        self._check(Discretization(meridian_mesh_02, 2), seed, amp, t)
 
 
-def _coo_jacobian(field, spec, flux_edges=None, m=0):
+def _coo_jacobian(field, spec, m=0):
     """Reference Jacobian assembled from COO triplets, with its own
     quadrature and without the cached pattern: ``(local, border)`` with
     border None (Robin) or the flux scale's column -E at the compatible
@@ -285,45 +287,41 @@ def _coo_jacobian(field, spec, flux_edges=None, m=0):
             vals.append(aw * np.einsum("mi,mi->m", gphi[:, i, :],
                                        dT_gphi[:, j, :]))
     border = None
-    edges = np.arange(len(mesh.boundary_edges)) if flux_edges is None \
-        else np.asarray(flux_edges, dtype=int)
-    a, b = mesh.boundary_edges[edges].T
-    if len(a):
-        lengths = np.linalg.norm(mesh.vertices[b] - mesh.vertices[a], axis=1)
-        ra, rb = mesh.vertices[a, 0], mesh.vertices[b, 0]
-        wq = (ra[:, None] + _QXI * (rb - ra)[:, None]) ** m \
-            * (lengths[:, None] / 2.0)
-        s = (u[b] - u[a]) / lengths
-        ds = ((a, -1.0 / lengths), (b, 1.0 / lengths))
-        phi = np.stack([1.0 - _QXI, _QXI])
-        if spec.bc == "neumann":
-            c = spec.c
-            rad = np.sqrt(1.0 + t2 * (c ** 2 + s ** 2))
-            g0 = c / rad
-            dg0_ds = -c * t2 * s / rad ** 3
-            s_hat = spec.H * float(np.sum(aw)) \
-                / float(np.sum(wq * g0[:, None]))
-            for k_idx, dsk in ds:
-                for i_loc, i_idx in ((0, a), (1, b)):
-                    rows.append(i_idx)
-                    cols.append(k_idx)
-                    vals.append(-s_hat * np.sum(wq * phi[i_loc], axis=1)
-                                * dg0_ds * dsk)
-            border = np.zeros(n)
-            np.add.at(border, a, -np.sum(wq * g0[:, None] * phi[0], axis=1))
-            np.add.at(border, b, -np.sum(wq * g0[:, None] * phi[1], axis=1))
-        else:
-            alpha = spec.alpha
-            uq = u[a][:, None] * phi[0] + u[b][:, None] * phi[1]
-            rad = np.sqrt(1.0 + t2 * (alpha ** 2 * uq ** 2 + s[:, None] ** 2))
-            dg_du = -alpha * (1.0 + t2 * s[:, None] ** 2) / rad ** 3
-            dg_ds = alpha * uq * t2 * s[:, None] / rad ** 3
-            for k_loc, (k_idx, dsk) in enumerate(ds):
-                for i_loc, i_idx in ((0, a), (1, b)):
-                    dgk = dg_du * phi[k_loc] + dg_ds * dsk[:, None]
-                    rows.append(i_idx)
-                    cols.append(k_idx)
-                    vals.append(-np.sum(wq * dgk * phi[i_loc], axis=1))
+    a, b = mesh.boundary_edges.T
+    lengths = np.linalg.norm(mesh.vertices[b] - mesh.vertices[a], axis=1)
+    ra, rb = mesh.vertices[a, 0], mesh.vertices[b, 0]
+    wq = (ra[:, None] + _QXI * (rb - ra)[:, None]) ** m \
+        * (lengths[:, None] / 2.0)
+    s = (u[b] - u[a]) / lengths
+    ds = ((a, -1.0 / lengths), (b, 1.0 / lengths))
+    phi = np.stack([1.0 - _QXI, _QXI])
+    if spec.bc == "neumann":
+        c = spec.c
+        rad = np.sqrt(1.0 + t2 * (c ** 2 + s ** 2))
+        g0 = c / rad
+        dg0_ds = -c * t2 * s / rad ** 3
+        s_hat = spec.H * float(np.sum(aw)) / float(np.sum(wq * g0[:, None]))
+        for k_idx, dsk in ds:
+            for i_loc, i_idx in ((0, a), (1, b)):
+                rows.append(i_idx)
+                cols.append(k_idx)
+                vals.append(-s_hat * np.sum(wq * phi[i_loc], axis=1)
+                            * dg0_ds * dsk)
+        border = np.zeros(n)
+        np.add.at(border, a, -np.sum(wq * g0[:, None] * phi[0], axis=1))
+        np.add.at(border, b, -np.sum(wq * g0[:, None] * phi[1], axis=1))
+    else:
+        alpha = spec.alpha
+        uq = u[a][:, None] * phi[0] + u[b][:, None] * phi[1]
+        rad = np.sqrt(1.0 + t2 * (alpha ** 2 * uq ** 2 + s[:, None] ** 2))
+        dg_du = -alpha * (1.0 + t2 * s[:, None] ** 2) / rad ** 3
+        dg_ds = alpha * uq * t2 * s[:, None] / rad ** 3
+        for k_loc, (k_idx, dsk) in enumerate(ds):
+            for i_loc, i_idx in ((0, a), (1, b)):
+                dgk = dg_du * phi[k_loc] + dg_ds * dsk[:, None]
+                rows.append(i_idx)
+                cols.append(k_idx)
+                vals.append(-np.sum(wq * dgk * phi[i_loc], axis=1))
     local = sp.coo_matrix((np.concatenate(vals),
                            (np.concatenate(rows), np.concatenate(cols))),
                           shape=(n, n)).tocsr()
@@ -337,13 +335,13 @@ class TestValuesOnlyJacobian:
     gauge row, one entry at the last vertex."""
 
     @staticmethod
-    def _check(mesh, spec, flux_edges=None, m=0, seed=0):
+    def _check(mesh, spec, m=0, seed=0):
         n = mesh.n_vertices
         field = ScalarField(mesh, 0.4 * np.random.default_rng(seed)
                             .standard_normal(n))
-        ref_local, border = _coo_jacobian(field, spec, flux_edges, m)
+        ref_local, border = _coo_jacobian(field, spec, m)
         tol = 1e-14 * np.abs(ref_local.toarray()).max()
-        disc = Discretization(mesh, m, flux_edges)
+        disc = Discretization(mesh, m)
         s_hat = compatible_scale(field, spec, disc) if border is not None \
             else 1.0
         J = jacobian(field, spec, disc, s_hat)
@@ -378,30 +376,10 @@ class TestValuesOnlyJacobian:
     def test_meridian_outer_flux_edges(self, m, bc):
         spec = (ProblemSpec.robin(0.8, 1.0, n_dim=m + 2) if bc == "robin"
                 else ProblemSpec.neumann(0.6, 0.5, n_dim=m + 2))
+        # only the outer edges carry flux: the axis edges are summed at
+        # weight zero
         mesh = meridian_mesh(make_disk(1.0), 0.2)
-        self._check(mesh, spec, outer_flux_edges(mesh), m, seed=m)
-
-    @pytest.mark.parametrize("bc", ["robin", "neumann"])
-    def test_empty_flux_edges(self, disk_mesh_02, bc):
-        empty = np.array([], dtype=int)
-        if bc == "robin":
-            self._check(disk_mesh_02, ProblemSpec.robin(0.8, 1.0), empty)
-            return
-        # Neumann data has no flux to scale without flux edges
-        field = ScalarField(disk_mesh_02, disk_mesh_02.vertices[:, 0] ** 2)
-        with pytest.raises(InvalidParameterError, match="flux edge"):
-            jacobian(field, ProblemSpec.neumann(0.6, 0.5),
-                     Discretization(disk_mesh_02, 0, empty))
-
-    @pytest.mark.parametrize("edges", ["all", "half", "half_list"])
-    @pytest.mark.parametrize("bc", ["robin", "neumann"])
-    def test_flux_edge_subsets(self, ellipse, edges, bc):
-        mesh = triangulate(ellipse, 0.2)
-        half = np.arange(0, len(mesh.boundary_edges), 2)
-        flux_edges = {"all": None, "half": half, "half_list": list(half)}[edges]
-        spec = (ProblemSpec.robin(0.8, 1.0) if bc == "robin"
-                else ProblemSpec.neumann(0.6, 0.5))
-        self._check(mesh, spec, flux_edges)
+        self._check(mesh, spec, m, seed=m)
 
 
 class TestJacobianMemory:
@@ -464,7 +442,7 @@ class TestWeightedMeasure:
     def test_one_weighted_volume(self, n_dim):
         spec = ProblemSpec.neumann(0.6, 0.5, n_dim=n_dim)
         mesh = meridian_mesh(make_disk(1.0), 0.2)
-        disc = Discretization(mesh, n_dim - 2, outer_flux_edges(mesh))
+        disc = Discretization(mesh, n_dim - 2)
         centroid_r = mesh.vertices[mesh.cells, 0].mean(axis=1)
         assert np.array_equal(disc.aw,
                               mesh.cell_areas * centroid_r ** (n_dim - 2))
@@ -528,29 +506,9 @@ class TestFeasibility:
                                            - 0.6 * math.pi, abs=0.02)
 
 
-class TestEmptyFluxEdges:
-    """Neumann data on a discretization without flux edges has no flux to
-    scale: every entry point rejects it.  Robin data is left alone."""
-
-    @pytest.mark.parametrize("call", [
-        lambda f, s, d: neumann_gate(d, s),
-        lambda f, s, d: residual(f, s, d),
-        lambda f, s, d: jacobian(f, s, d),
-        lambda f, s, d: newton_solve(d, s),
-        lambda f, s, d: compatible_scale(f, s, d),
-    ], ids=["neumann_gate", "residual", "jacobian", "newton_solve",
-            "compatible_scale"])
-    def test_neumann_rejected(self, disk_mesh_02, call):
-        disc = Discretization(disk_mesh_02, flux_edges=[])
-        field = ScalarField(disk_mesh_02, disk_mesh_02.vertices[:, 0] ** 2)
-        with pytest.raises(InvalidParameterError, match="flux edge"):
-            call(field, ProblemSpec.neumann(0.6, 0.5), disc)
-
-    def test_robin_unchanged(self, disk_mesh_02):
-        disc = Discretization(disk_mesh_02, flux_edges=[])
-        field = ScalarField(disk_mesh_02, disk_mesh_02.vertices[:, 0] ** 2)
-        spec = ProblemSpec.robin(0.6, 1.0)
-        assert neumann_gate(disc, spec) is None
-        # no boundary term: the entries sum to the load H |Omega|
-        assert np.sum(residual(field, spec, disc)) == pytest.approx(
-            0.6 * disc.volume, rel=1e-12)
+def test_mesh_without_boundary_edge_is_refused(disk_mesh_02):
+    # no boundary edge, no boundary condition to pose
+    m = disk_mesh_02
+    closed = TriMesh(m.vertices, m.cells, np.empty((0, 2), dtype=np.int64))
+    with pytest.raises(InvalidParameterError, match="no boundary edge"):
+        Discretization(closed)

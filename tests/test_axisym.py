@@ -7,7 +7,7 @@ from pmclab.assembly import Discretization, ProblemSpec, ScalarField
 from pmclab import pipeline
 from pmclab.axisym import (axis_hessian, axis_vertices, check_monotone,
                            exact_revolved_volume, find_axis_critical,
-                           meridian_mesh, outer_flux_edges, revolved_volume)
+                           meridian_mesh, revolved_volume)
 from pmclab.critical import recover_gradient
 from pmclab.errors import InvalidParameterError, NoAxisCriticalError
 from pmclab.geometry import make_disk, make_ellipse, make_rounded_polygon
@@ -27,7 +27,7 @@ def synth(mesh, fn):
 
 
 def meridian_disc(spec, mesh):
-    return Discretization(mesh, spec.n_dim - 2, outer_flux_edges(mesh))
+    return Discretization(mesh, spec.n_dim - 2)
 
 
 @pytest.fixture(scope="module")
@@ -56,13 +56,16 @@ class TestMeridianMesh:
         assert 2.5 <= m2.n_vertices / m1.n_vertices <= 6.0
 
     def test_axis_edges_carry_no_flux(self, ball_mesh_005):
+        # the axis chain is pinned to r = 0, so the weight r^(n-2) is
+        # exactly zero at the Gauss points of its edges and positive on
+        # every other boundary edge
         m = ball_mesh_005
-        outer = outer_flux_edges(m)
-        axis = np.setdiff1d(np.arange(len(m.boundary_edges)), outer)
-        r = m.vertices[:, 0]
-        for e in axis:
-            a, b = m.boundary_edges[e]
-            assert r[a] < 1e-12 and r[b] < 1e-12
+        on_axis = np.isin(m.boundary_edges, axis_vertices(m)).all(axis=1)
+        assert on_axis.sum() >= 2
+        for n_dim in (3, 4, 5, 6):
+            wq = Discretization(m, n_dim - 2).wq
+            assert np.all(wq[on_axis] == 0.0)
+            assert np.all(wq[~on_axis] > 0.0)
 
     def test_revolved_volume_second_order(self, disk, ball_spec):
         exact = 4.0 * math.pi / 3.0
@@ -116,14 +119,6 @@ class TestSolveMeridian:
         exact -= exact.mean()
         assert np.abs(field.values - exact).max() <= 5e-3
         assert report.flux_scale == pytest.approx(1.0, abs=5e-3)
-
-    def test_n2_reduces_to_planar_assembly(self):
-        spec = ProblemSpec.robin(0.8, 1.0, n_dim=2)
-        mesh = meridian_mesh(make_disk(1.0), 0.1)
-        f_meridian, _ = newton_solve(meridian_disc(spec, mesh), spec)
-        f_planar, _ = newton_solve(
-            Discretization(mesh, flux_edges=outer_flux_edges(mesh)), spec)
-        assert np.abs(f_meridian.values - f_planar.values).max() <= 1e-8
 
 
 class TestCheckMonotone:

@@ -366,6 +366,26 @@ class TestExitCodes:
         assert "flux bound violated" in rep["error"]
         assert not (out / "solution.csv").exists()
 
+    def test_continuation_gated_at_t_one(self, tmp_path, monkeypatch):
+        steps = []
+        monkeypatch.setattr(pmclab.solver, "newton_solve",
+                            lambda disc, spec, **kw: steps.append(spec.t))
+        code, out = run_cli(tmp_path, "verify", "neumann_infeasible.json",
+                            ["problem.schedule=[0.0,0.5,1.0]"])
+        assert code == 4
+        rep = _report(out)
+        assert rep["status"] == "infeasible"
+        assert rep["homotopy"] is None
+        assert not (out / "solution.csv").exists()
+        # at t = 0 the cap is c and would pass: only the gate at the end of
+        # the schedule, t = 1, refuses this run, before its first step
+        feas = rep["feasibility"]
+        assert feas["feasible"] is False
+        assert feas["flux_bound"] == pytest.approx(0.5 / math.sqrt(1.25),
+                                                   rel=1e-15)
+        assert 0.5 * feas["boundary_length"] > 1.0 * feas["area"]
+        assert steps == []
+
     def test_solve_infeasible_gated_upstream(self, tmp_path):
         code, out = run_cli(tmp_path, "solve", "neumann_infeasible.json")
         assert code == 4

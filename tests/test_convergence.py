@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pmclab.assembly import Discretization, ProblemSpec
-from pmclab.axisym import meridian_mesh, outer_flux_edges
+from pmclab.axisym import meridian_mesh
 from pmclab.geometry import triangulate
 from pmclab.solver import newton_solve
 
@@ -48,8 +48,8 @@ def test_planar_disk_order_per_halving(disk, spec):
       for n in (4, 5, 6))])
 def test_meridian_ball_no_growth_and_order(disk, n_dim):
     spec = ProblemSpec.robin(0.8, 1.0, n_dim=n_dim)
-    err = vertex_errors(disk, spec, meridian_mesh, lambda mesh: Discretization(
-        mesh, n_dim - 2, outer_flux_edges(mesh)))
+    err = vertex_errors(disk, spec, meridian_mesh,
+                        lambda mesh: Discretization(mesh, n_dim - 2))
     assert all(b <= a for a, b in zip(err, err[1:])), err
     order = math.log2(err[0] / err[-1]) / (len(err) - 1)
     assert order >= MIN_ORDER, (err, order)

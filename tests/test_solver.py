@@ -61,11 +61,9 @@ class TestRadialOracle:
 
 def stiffness(mesh):
     """The P1 stiffness matrix, singular with the constants as null space:
-    the Jacobian's cell block at t = 0 on a discretization without flux
-    edges."""
-    return jacobian(ScalarField(mesh, np.zeros(mesh.n_vertices)),
-                    ProblemSpec.robin(0.6, 1.0, t=0.0),
-                    Discretization(mesh, flux_edges=[]))
+    sum over the x and y gradient operators G of G^T diag(cell areas) G."""
+    area = sp.diags(mesh.cell_areas)
+    return sum(g.T @ area @ g for g in mesh.gradient).tocsr()
 
 
 class TestLinearSolve:
