@@ -14,6 +14,7 @@ from pmclab.assembly import _QXI, compatible_scale
 from pmclab.axisym import meridian_mesh, revolved_volume
 from pmclab.errors import InfeasibleProblemError, InvalidParameterError
 from pmclab.geometry import TriMesh, make_disk, triangulate
+from pmclab.solver import newton_solve
 
 from oracles import radial_disk_oracle
 
@@ -506,9 +507,23 @@ class TestFeasibility:
                                            - 0.6 * math.pi, abs=0.02)
 
 
-def test_mesh_without_boundary_edge_is_refused(disk_mesh_02):
-    # no boundary edge, no boundary condition to pose
-    m = disk_mesh_02
-    closed = TriMesh(m.vertices, m.cells, np.empty((0, 2), dtype=np.int64))
-    with pytest.raises(InvalidParameterError, match="no boundary edge"):
-        Discretization(closed)
+class TestEmptyFluxEdges:
+    """Neumann data on a mesh without boundary edges has no flux to scale.
+    Every boundary edge is a flux edge, so no entry point can be reached
+    with such data: its Discretization is refused first."""
+
+    @pytest.mark.parametrize("call", [
+        lambda f, s, d: neumann_gate(d, s),
+        lambda f, s, d: residual(f, s, d),
+        lambda f, s, d: jacobian(f, s, d),
+        lambda f, s, d: newton_solve(d, s),
+        lambda f, s, d: compatible_scale(f, s, d),
+    ], ids=["neumann_gate", "residual", "jacobian", "newton_solve",
+            "compatible_scale"])
+    def test_neumann_rejected(self, disk_mesh_02, call):
+        m = disk_mesh_02
+        closed = TriMesh(m.vertices, m.cells,
+                         np.empty((0, 2), dtype=np.int64))
+        field = ScalarField(closed, closed.vertices[:, 0] ** 2)
+        with pytest.raises(InvalidParameterError, match="no boundary edge"):
+            call(field, ProblemSpec.neumann(0.6, 0.5), Discretization(closed))
