@@ -39,10 +39,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import InfeasibleProblemError, InvalidParameterError
 from .geometry import _csr_indptr
+from .sparse import Csr
 
 # two-point Gauss rule on the unit interval
 _QXI = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
@@ -262,7 +262,7 @@ def residual(field, spec, disc, scale=1.0):
 # -- Jacobian ----------------------------------------------------------------
 
 def jacobian(field, spec, disc, scale=1.0):
-    """Exact derivative of :func:`residual`, a CSR matrix.
+    """Exact derivative of :func:`residual`, a :class:`~pmclab.sparse.Csr`.
 
     Includes the boundary-flux derivatives with respect to the endpoint
     values and the tangential difference quotient.  For Neumann data the
@@ -327,7 +327,7 @@ def jacobian(field, spec, disc, scale=1.0):
     np.add.at(data, slot[n_cell:], np.concatenate(vals))
 
     size = len(indptr) - 1
-    return sp.csr_matrix((data, indices, indptr), shape=(size, size))
+    return Csr(data, indices, indptr, (size, size))
 
 
 def ellipticity_margins(field, spec):

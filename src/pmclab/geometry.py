@@ -23,9 +23,9 @@ import math
 import warnings
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import InvalidParameterError, MeshQualityError
+from .sparse import Csr
 
 _TABLE_SIZE = 2048
 # boundary sampling denser than h_target so polygonal area/length deficits
@@ -264,12 +264,12 @@ class TriMesh:
     of two vertex indices overflows int32 past N = 46,340: index keys are
     int64.
 
-    ``gradient`` is the pair of CSR operators (M, N) taking vertex values to
-    the x and the y component of the cell gradients.  Both take their
-    indices from ``cells``, and their data is the one copy of the P1 basis
-    gradients, which ``basis_gradients`` views as (2, M, 3):
-    ``basis_gradients[i, m, k]`` is component i of the gradient on cell m of
-    the hat function of vertex ``cells[m, k]``.
+    ``gradient`` is the pair of :class:`~pmclab.sparse.Csr` operators (M, N)
+    taking vertex values to the x and the y component of the cell
+    gradients.  Both take their indices from ``cells``, and their data is
+    the one copy of the P1 basis gradients, which ``basis_gradients`` views
+    as (2, M, 3): ``basis_gradients[i, m, k]`` is component i of the
+    gradient on cell m of the hat function of vertex ``cells[m, k]``.
     """
 
     def __init__(self, vertices, cells, boundary_edges):
@@ -309,8 +309,8 @@ class TriMesh:
         self.basis_gradients = grad
         indptr = np.arange(0, 3 * self.n_cells + 1, 3, dtype=np.int32)
         self.gradient = tuple(
-            sp.csr_matrix((g.reshape(-1), c.reshape(-1), indptr),
-                          shape=(self.n_cells, self.n_vertices))
+            Csr(g.reshape(-1), c.reshape(-1), indptr,
+                (self.n_cells, self.n_vertices))
             for g in grad)
         self.cell_centroids = p[c].mean(axis=1)
 
@@ -353,8 +353,8 @@ class TriMesh:
             cell = np.argsort(rows, kind="stable")
             cell %= m
             cell = cell.astype(np.int32)
-            op = sp.csr_matrix((self.cell_areas[cell], cell,
-                                _csr_indptr(rows, n)), shape=(n, m))
+            op = Csr(self.cell_areas[cell], cell, _csr_indptr(rows, n),
+                     (n, m))
             self._averaging = op, total
         op, total = self._averaging
         return (op @ cell_values) / total[:, None]

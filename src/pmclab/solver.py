@@ -37,13 +37,14 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
+# called as spla.splu: perfbench proxies spla to count LU fill (ROADMAP 7)
+from . import sparse as spla
 from .assembly import (ScalarField, compatible_scale, ellipticity_margins,
                        jacobian, neumann_gate, residual)
 from .critical import find_critical_points
 from .errors import InvalidParameterError, LinearSolveFailure, SolverFailure
+from .sparse import Csr
 
 _MIN_DT = 1.0 / 320.0
 
@@ -111,7 +112,10 @@ class HomotopyTrace:
 def linear_solve(A, b, kept=None):
     """Solve the sparse system A x = b; returns ``(x, info)``.
 
-    GMRES on ``A``, preconditioned on the right by a sparse LU of it (see
+    ``A`` is a square CSR matrix without duplicate entries, a
+    :class:`~pmclab.sparse.Csr` or a SciPy one: only its ``data``,
+    ``indices``, ``indptr``, ``shape`` and ``@`` are used.  GMRES on ``A``,
+    preconditioned on the right by a sparse LU of it (see
     :class:`_KeptFactor`).  Every solution is checked against ``A``:
     :class:`LinearSolveFailure` is raised unless ||A x - b|| <= 1e-6 ||b||,
     which a singular system fails.
@@ -162,8 +166,8 @@ def _factor(A):
     """The preconditioner of GMRES: a single-precision SuperLU of
     S = D^-1/2 A D^-1/2, where D = |diag A| (a zero entry scales by one).
 
-    S is built in float32 straight from the CSR arrays of ``A``, so no
-    double-precision copy of the matrix exists while it is factored.  The
+    D and a float32 S are read straight from the CSR arrays of ``A``, so
+    no double-precision copy of the matrix exists while it is factored.  The
     scaling keeps S inside the float32 range where A is not: the meridian
     weight r^(n-2) underflows it at large n.  SuperLU orders S by minimum
     degree on A^T + A in symmetric mode and keeps a diagonal pivot while it
@@ -172,12 +176,13 @@ def _factor(A):
     accepts x on the true residual in double precision (mixed-precision
     preconditioning: Arioli & Duff 2009; Carson & Higham 2018).
     """
-    A = sp.csr_matrix(A)
-    diag = A.diagonal()
+    rows = np.repeat(np.arange(A.shape[0], dtype=np.intc), np.diff(A.indptr))
+    on = A.indices == rows
+    diag = np.bincount(rows[on], weights=A.data[on], minlength=A.shape[0])
     d = 1.0 / np.sqrt(np.where(diag != 0.0, np.abs(diag), 1.0))
-    S = sp.csr_matrix(
-        ((A.data * np.repeat(d, np.diff(A.indptr)) * d[A.indices])
-         .astype(np.float32), A.indices, A.indptr), shape=A.shape).tocsc()
+    S = Csr((A.data * d[rows] * d[A.indices]).astype(np.float32),
+            A.indices, A.indptr, A.shape)
+    del rows, on            # not held through the factorization
     try:
         lu = spla.splu(S, permc_spec="MMD_AT_PLUS_A",
                        diag_pivot_thresh=_DIAG_PIVOT_THRESH,

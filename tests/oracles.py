@@ -215,7 +215,14 @@ def cells_spanning_origin_reference(gvertex, cells):
     return pos | neg
 
 
+def scipy_csr(A):
+    """A CSR matrix (a ``pmclab.sparse.Csr``) as a ``scipy.sparse``
+    csr_matrix on the same arrays, for SciPy's slicing, arithmetic and
+    ``toarray``."""
+    return sp.csr_matrix((A.data, A.indices, A.indptr), shape=A.shape)
+
+
 def direct_solve_reference(A, b):
     """x of A x = b by one direct sparse solve (``spla.spsolve``), sharing
     no code with the solver's GMRES."""
-    return spla.spsolve(sp.csc_matrix(A), np.asarray(b, dtype=float))
+    return spla.spsolve(scipy_csr(A).tocsc(), np.asarray(b, dtype=float))

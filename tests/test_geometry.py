@@ -643,9 +643,9 @@ def _package_env():
     return env
 
 
-@pytest.mark.parametrize("module", ["scipy.interpolate",
-                                    "scipy.sparse.csgraph", "scipy.spatial",
-                                    "scipy.special"])
+@pytest.mark.parametrize("module", ["scipy", "scipy.interpolate",
+                                    "scipy.sparse", "scipy.sparse.csgraph",
+                                    "scipy.spatial", "scipy.special"])
 def test_cli_import_leaves_out(module):
     out = subprocess.run(
         [sys.executable, "-c", "import sys, pmclab.cli; "
@@ -655,11 +655,11 @@ def test_cli_import_leaves_out(module):
     assert out.stdout.strip() == "False"
 
 
-def test_run_path_leaves_out_spatial_and_special(tmp_path):
+def test_run_path_imports_no_scipy(tmp_path):
     """Meshing, solving, the census, the property suite and the artifacts
     of verify (Neumann disk, Robin ellipse along its schedule, ball at
-    n_dim 4) and of compare import neither scipy.spatial nor
-    scipy.special."""
+    n_dim 4) and of compare import no scipy module: the two compiled
+    kernels of pmclab.sparse are loaded by file."""
     configs = Path(__file__).resolve().parents[1] / "configs"
     runs = [("verify", "neumann_disk.json", []),
             ("verify", "robin_ellipse.json", []),
@@ -674,8 +674,8 @@ def test_run_path_leaves_out_spatial_and_special(tmp_path):
               "from pmclab.cli import main\n"
               "for argv in json.loads(sys.argv[1]):\n"
               "    main(argv)\n"
-              "    print(json.dumps([m for m in ('scipy.spatial', "
-              "'scipy.special') if m in sys.modules]))\n")
+              "    print(json.dumps([m for m in sys.modules if m == 'scipy' "
+              "or m.startswith('scipy.')]))\n")
     out = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
                          env=_package_env(), capture_output=True, text=True,
                          check=True, timeout=300)

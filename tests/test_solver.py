@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 import pmclab.solver
+import pmclab.sparse
 
 from pmclab.assembly import (Discretization, ProblemSpec, ScalarField,
                              jacobian, neumann_gate, residual)
@@ -19,7 +19,7 @@ from pmclab.geometry import triangulate
 from pmclab.solver import (_KeptFactor, homotopy_solve, linear_solve,
                            newton_solve)
 
-from oracles import direct_solve_reference, radial_disk_oracle
+from oracles import direct_solve_reference, radial_disk_oracle, scipy_csr
 
 # frozen closed-form values for the Robin disk problem R=1, alpha=1, H=0.8
 ROBIN_SLOPE_AT_1 = 0.4364357804719848
@@ -63,7 +63,8 @@ def stiffness(mesh):
     """The P1 stiffness matrix, singular with the constants as null space:
     sum over the x and y gradient operators G of G^T diag(cell areas) G."""
     area = sp.diags(mesh.cell_areas)
-    return sum(g.T @ area @ g for g in mesh.gradient).tocsr()
+    return sum(scipy_csr(g).T @ area @ scipy_csr(g)
+               for g in mesh.gradient).tocsr()
 
 
 class TestLinearSolve:
@@ -95,7 +96,7 @@ class TestLinearSolve:
                       rng.standard_normal(n) + 0.3):
                 b = np.append(b, 0.0)
                 x, _ = linear_solve(A, b)
-                ref = np.linalg.solve(A.toarray(), b)
+                ref = np.linalg.solve(scipy_csr(A).toarray(), b)
                 assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
                 assert abs(x[n - 1]) <= 1e-11 * np.linalg.norm(b)
 
@@ -152,7 +153,8 @@ def _singular_cases(mesh, rng):
     Neumann Jacobian without its flux column or without its gauge row."""
     n = mesh.n_vertices
     A = jacobian(ScalarField(mesh, 0.3 * mesh.vertices[:, 0] ** 2),
-                 ProblemSpec.neumann(0.6, 0.5), Discretization(mesh)).tolil()
+                 ProblemSpec.neumann(0.6, 0.5), Discretization(mesh))
+    A = scipy_csr(A).tolil()
     no_column, no_row = A.copy(), A.copy()
     no_column[:, n] = 0.0
     no_row[n, :] = 0.0
@@ -200,8 +202,9 @@ class TestKeptFactor:
             lambda: newton_solve(Discretization(disk_mesh_005), neumann_spec))
         assert len(systems) >= 3
         n = disk_mesh_005.n_vertices
-        assert all(isinstance(A, sp.csr_matrix) and A.shape == (n + 1, n + 1)
-                   and b[n] == 0.0 for A, b in systems)
+        assert all(isinstance(A, pmclab.sparse.Csr)
+                   and A.shape == (n + 1, n + 1) and b[n] == 0.0
+                   for A, b in systems)
         infos = self._replay(monkeypatch, systems)
         assert infos[0]["factored"]
         assert not any(i["factored"] for i in infos[1:])
@@ -305,7 +308,7 @@ class TestFactor:
         fills = []
 
         def splu(*args, **kwargs):
-            lu = spla.splu(*args, **kwargs)
+            lu = pmclab.sparse.splu(*args, **kwargs)
             fills.append(lu.L.nnz + lu.U.nnz)
             return lu
 
