@@ -3,17 +3,26 @@
 The configuration is a single JSON document.  Unknown keys are rejected with
 their field path; ``DOMAIN_PARAMS`` and ``BC_DATUM`` name the keys each
 domain kind and boundary condition takes, and only a command that runs a
-continuation takes a schedule, which ends at 1.
+continuation takes a schedule, which ends at 1.  The config hash and
+``TriMesh.mesh_hash`` take the ``sha256`` bound here, CPython's builtin one
+where it exists (as ``random`` binds it), so a run loads no OpenSSL.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field as dc_field
 
 from .errors import ConfigError
+
+try:
+    from _sha2 import sha256            # CPython >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256      # CPython 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256      # builds without builtin hashes
 
 COMMANDS = ("solve", "homotopy", "axisym", "compare", "verify", "mesh-report")
 PLANAR_DOMAINS = ("disk", "ellipse", "rounded_polygon")
@@ -166,7 +175,7 @@ def parse_config(doc, command=None):
     ``command`` (the CLI subcommand) wins over the document's ``command``
     field, which is the default when no subcommand is given.  Returns a
     :class:`RunConfig`: the canonical dict and the provenance hash of its
-    JSON form.
+    JSON form, the first 16 hex digits of its SHA-256.
     """
     _check_keys(doc, "", {"command", "domain", "problem", "mesh", "solver",
                           "output_dir"})
@@ -212,7 +221,7 @@ def parse_config(doc, command=None):
     }
     blob = json.dumps(canonical, sort_keys=True, separators=(",", ":")).encode()
     return RunConfig(command=resolved, canonical=canonical,
-                     config_hash=hashlib.sha256(blob).hexdigest()[:16])
+                     config_hash=sha256(blob).hexdigest()[:16])
 
 
 def apply_overrides(doc, overrides):

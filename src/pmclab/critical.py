@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IllConditionedLoopError, InvalidParameterError
-from .geometry import _BucketGrid
+from .geometry import _BucketGrid, _unique
 
 GRAD_TOL_REL = 1e-3          # relative to the max recovered gradient magnitude
 DEGENERACY_TOL = 1e-2        # dead band for eigenvalue sign decisions
@@ -128,7 +128,7 @@ def find_critical_points(field, spec):
     records = []
     for members in clusters:
         cells = cand_cells[members]
-        verts = np.unique(mesh.cells[cells])
+        verts = _unique(mesh.cells[cells])
         seed = verts[np.argmin(gnorm[verts])]
         center = mesh.vertices[seed].copy()
         cell = 0  # a vertex lies in the mesh

@@ -18,12 +18,12 @@ with identical arguments return identical vertex and cell arrays.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import warnings
 
 import numpy as np
 
+from .config import sha256
 from .errors import InvalidParameterError, MeshQualityError
 from .sparse import Csr
 
@@ -375,9 +375,9 @@ class TriMesh:
 
     def mesh_hash(self):
         """First 16 hex digits of the SHA-256 of the vertices and of the
-        cells as int64."""
+        cells as int64, by the builtin ``sha256`` of :mod:`pmclab.config`."""
         if self._hash is None:
-            hsh = hashlib.sha256()
+            hsh = sha256()
             hsh.update(self.vertices.tobytes())
             hsh.update(self.cells.astype(np.int64).tobytes())
             self._hash = hsh.hexdigest()[:16]
@@ -541,8 +541,8 @@ def _band_cells(points, n_b, lattice):
     # others are open where their reverse is no lattice cell's edge
     pairs = tri[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
     pairs = pairs[~inner[pairs].any(axis=1)]
-    open_ = ~np.isin(pairs[:, 1] * n + pairs[:, 0],
-                     pairs[:, 0] * n + pairs[:, 1])
+    open_ = ~_isin(pairs[:, 1] * n + pairs[:, 0],
+                   pairs[:, 0] * n + pairs[:, 1])
     front = np.vstack([front, pairs[open_][:, ::-1]])
     reach = 2.0 * max(a, _lengths(points, front).max())
     cells = np.vstack([tri, _wrap_cells(points, front, np.flatnonzero(~inner),
@@ -610,11 +610,11 @@ def _wrap_cells(points, front, band, reach, tol):
             apex[k] = _tie_break(points, tail[k], head[k], apex[k], p[j])
         cells = np.column_stack([tail, head, apex])
         first = np.argmin(cells, axis=1)[:, None]
-        cells = np.unique(np.take_along_axis(cells, (first + np.arange(3)) % 3,
-                                             axis=1), axis=0)
+        turn = (first + np.arange(3)) % 3
+        cells = _unique_rows(np.take_along_axis(cells, turn, axis=1))
         edges = cells[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
         key, rev = edges[:, 0] * n + edges[:, 1], edges[:, 1] * n + edges[:, 0]
-        front = rev[~np.isin(key, front) & ~np.isin(rev, key)]
+        front = rev[~_isin(key, front) & ~_isin(rev, key)]
         out.append(cells)
         total += len(cells)
         if total > 2 * n:
@@ -653,10 +653,34 @@ def _csr_indptr(rows, n):
 
 
 def _group_starts(sorted_keys):
-    """True at the first entry of each run of equal ``sorted_keys``."""
+    """True at the first entry of each run of equal ``sorted_keys`` (rows)."""
     starts = np.ones(len(sorted_keys), dtype=bool)
-    starts[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    differ = sorted_keys[1:] != sorted_keys[:-1]
+    starts[1:] = differ.any(axis=1) if differ.ndim > 1 else differ
     return starts
+
+
+# Sort-based set operations with numpy's results: numpy's own unique and
+# isin import all of numpy.ma to ask whether an int array is masked.
+def _unique(keys):
+    """The sorted distinct values of ``keys``, as numpy's unique."""
+    keys = np.sort(keys, axis=None)
+    return keys[_group_starts(keys)]
+
+
+def _unique_rows(rows):
+    """The distinct rows of ``rows`` in lexicographic order, as numpy's."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    return rows[_group_starts(rows)]
+
+
+def _isin(keys, table):
+    """True where ``keys`` holds a value of ``table``, as numpy's isin."""
+    table = np.sort(table, axis=None)
+    if not len(table):
+        return np.zeros(keys.shape, dtype=bool)
+    at = np.minimum(np.searchsorted(table, keys), len(table) - 1)
+    return table[at] == keys
 
 
 def _circle_gaps(points, cells, others):
@@ -815,7 +839,7 @@ def submesh(mesh, cell_mask):
     :class:`TriMesh` again.
     """
     keep_cells = mesh.cells[cell_mask]
-    used = np.unique(keep_cells)
+    used = _unique(keep_cells)
     remap = -np.ones(mesh.n_vertices, dtype=np.int64)
     remap[used] = np.arange(len(used))
     new_cells = remap[keep_cells]

@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -535,8 +534,7 @@ class TestArtifacts:
         # for report.json and solution.csv
         geometry = pmclab.geometry
         angles, hashes = [], []
-        min_angles, sha256 = geometry._cell_min_angles_deg, \
-            geometry.hashlib.sha256
+        min_angles, sha256 = geometry._cell_min_angles_deg, geometry.sha256
 
         def counted_angles(*args):
             angles.append(min_angles(*args))
@@ -547,8 +545,7 @@ class TestArtifacts:
             return sha256(*args)
 
         monkeypatch.setattr(geometry, "_cell_min_angles_deg", counted_angles)
-        monkeypatch.setattr(geometry, "hashlib",
-                            SimpleNamespace(sha256=counted_sha256))
+        monkeypatch.setattr(geometry, "sha256", counted_sha256)
         code, out = run_cli(tmp_path, "verify", config_name,
                             ["mesh.h_target=0.1"])
         assert code == 0

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -19,8 +20,9 @@ from pmclab.axisym import meridian_mesh
 from pmclab.errors import InvalidParameterError, MeshQualityError
 from pmclab.geometry import (_INTERIOR_CLEARANCE, _LATTICE_SPACING_FACTOR,
                              _TABLE_SIZE, _band_cells, _BucketGrid,
-                             _ellipe_inc, _hex_lattice,
-                             _row_intervals, TriMesh, make_disk,
+                             _ellipe_inc, _hex_lattice, _isin,
+                             _row_intervals, _unique, _unique_rows,
+                             sha256, TriMesh, make_disk,
                              make_ellipse, make_rounded_polygon,
                              mesh_from_loop, triangulate)
 
@@ -655,16 +657,21 @@ def test_cli_import_leaves_out(module):
     assert out.stdout.strip() == "False"
 
 
-def test_run_path_imports_no_scipy(tmp_path):
+def test_run_path_loads_no_scipy_hashlib_or_numpy_ma(tmp_path):
     """Meshing, solving, the census, the property suite and the artifacts
     of verify (Neumann disk, Robin ellipse along its schedule, ball at
-    n_dim 4) and of compare import no scipy module: the two compiled
-    kernels of pmclab.sparse are loaded by file."""
+    n_dim 4), of compare and of mesh-report load no scipy module (the two
+    compiled kernels of pmclab.sparse are loaded by file), no hashlib and
+    so no OpenSSL (the hashes take CPython's builtin SHA-256), and no
+    numpy.ma (numpy's unique and isin import it; the sort-based set
+    operations of pmclab.geometry do not).  numpy.ma would load at the
+    first set operation, not at import, so the check follows each run."""
     configs = Path(__file__).resolve().parents[1] / "configs"
     runs = [("verify", "neumann_disk.json", []),
             ("verify", "robin_ellipse.json", []),
             ("verify", "ball3d_robin.json", ["problem.n_dim=4"]),
-            ("compare", "compare_robin_disk.json", [])]
+            ("compare", "compare_robin_disk.json", []),
+            ("mesh-report", "robin_disk.json", [])]
     argvs = [[command, "--config", str(configs / name),
               "--out", str(tmp_path / str(k)),
               "--override", "mesh.h_target=0.1"]
@@ -674,8 +681,9 @@ def test_run_path_imports_no_scipy(tmp_path):
               "from pmclab.cli import main\n"
               "for argv in json.loads(sys.argv[1]):\n"
               "    main(argv)\n"
-              "    print(json.dumps([m for m in sys.modules if m == 'scipy' "
-              "or m.startswith('scipy.')]))\n")
+              "    print(json.dumps([m for m in sys.modules if m in "
+              "('hashlib', '_hashlib', 'scipy', 'numpy.ma') "
+              "or m.startswith(('scipy.', 'numpy.ma.'))]))\n")
     out = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
                          env=_package_env(), capture_output=True, text=True,
                          check=True, timeout=300)
@@ -812,3 +820,77 @@ class TestMeshQueries:
 
     def test_mesh_hash_distinguishes(self, disk_mesh_01, disk_mesh_02):
         assert disk_mesh_01.mesh_hash() != disk_mesh_02.mesh_hash()
+
+    def test_mesh_hash_is_hashlib_sha256(self, disk_mesh_01, ellipse_mesh_005):
+        for m in (disk_mesh_01, ellipse_mesh_005):
+            ref = hashlib.sha256(m.vertices.tobytes())
+            ref.update(m.cells.astype(np.int64).tobytes())
+            assert m.mesh_hash() == ref.hexdigest()[:16]
+
+
+@given(st.binary(max_size=4096))
+def test_sha256_is_hashlib_sha256(blob):
+    assert sha256(blob).hexdigest() == hashlib.sha256(blob).hexdigest()
+
+
+SET_DTYPES = st.sampled_from([np.int32, np.int64])
+SMALL_INTS = st.lists(st.integers(-4, 4), max_size=60)
+
+
+def _int_array(values, dtype, shape=(-1,)):
+    return np.array(values, dtype=dtype).reshape(shape)
+
+
+@st.composite
+def pair_keys(draw):
+    """int64 keys i n + j and their reverses j n + i of directed edges among
+    a few vertices, n past 46,340 so that the keys overflow int32, as the
+    mesher's edge keys do."""
+    n = draw(st.integers(46_341, 2**31 - 1))
+    pick = st.sampled_from(draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                         max_size=6)))
+    ij = draw(st.lists(st.tuples(pick, pick), max_size=40))
+    i, j = _int_array(ij, np.int64, (-1, 2)).T
+    return i * n + j, j * n + i
+
+
+class TestSetOperations:
+    """The sort-based set operations give exactly numpy's results."""
+
+    @given(SET_DTYPES, SMALL_INTS)
+    def test_unique(self, dtype, values):
+        # flat, and as (k, 3) cells
+        for keys in (_int_array(values, dtype),
+                     _int_array(values[:len(values) // 3 * 3], dtype, (-1, 3))):
+            got, ref = _unique(keys), np.unique(keys)
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+    @given(SET_DTYPES, st.lists(st.integers(-1, 2), max_size=90))
+    def test_unique_rows(self, dtype, values):
+        rows = _int_array(values[:len(values) // 3 * 3], dtype, (-1, 3))
+        got, ref = _unique_rows(rows), np.unique(rows, axis=0)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+    @given(SET_DTYPES, SMALL_INTS, SMALL_INTS)
+    def test_isin(self, dtype, values, table):
+        keys, table = _int_array(values, dtype), _int_array(table, dtype)
+        assert np.array_equal(_isin(keys, table), np.isin(keys, table))
+
+    @given(pair_keys())
+    def test_large_int64_keys(self, keys):
+        key, rev = keys
+        assert np.array_equal(_unique(key), np.unique(key))
+        assert np.array_equal(_isin(key, rev), np.isin(key, rev))
+        rows = np.column_stack([key, rev, key])
+        assert np.array_equal(_unique_rows(rows), np.unique(rows, axis=0))
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("values", [[], [7], [5, 5, 5, 5]])
+    def test_edge_cases(self, dtype, values):
+        keys = _int_array(values, dtype)
+        rows = _int_array(values * 3, dtype, (3, -1)).T
+        assert np.array_equal(_unique(keys), np.unique(keys))
+        assert _unique(keys).dtype == dtype
+        assert np.array_equal(_unique_rows(rows), np.unique(rows, axis=0))
+        for table in (keys, keys[:0], _int_array([5], dtype)):
+            assert np.array_equal(_isin(keys, table), np.isin(keys, table))
