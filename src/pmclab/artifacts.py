@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .assembly import ScalarField
-from .nodal import trace_nodal_set
+from .geometry import _group_starts
+from .nodal import level_sets
 
 
 def _sanitize(obj):
@@ -53,11 +53,20 @@ def write_report(out_dir, report):
 
 
 def write_solution_csv(out_dir, mesh, values, config_hash):
+    """One row per vertex; ``repr`` runs once per distinct coordinate bit
+    pattern, of which a lattice mesh has a few hundred."""
     path = Path(out_dir) / "solution.csv"
-    rows = np.column_stack([mesh.vertices, values]).ravel().tolist()
+    bits = np.ascontiguousarray(mesh.vertices, dtype=float).view(np.int64)
+    order = np.argsort(bits, axis=None, kind="stable")
+    starts = _group_starts(bits.ravel()[order])
+    texts = list(map(repr, mesh.vertices.ravel()[order[starts]].tolist()))
+    rank = np.empty(len(order), dtype=np.intp)
+    rank[order] = np.cumsum(starts) - 1
+    coords = list(map(texts.__getitem__, rank.tolist()))
     path.write_text(f"# config={config_hash}\n# mesh={mesh.mesh_hash()}\n"
                     "x1,x2,value\n"
-                    + "%r,%r,%r\n" * mesh.n_vertices % tuple(rows))
+                    + _rows("%s,%s,%r\n", coords[0::2], coords[1::2],
+                            np.asarray(values).tolist()))
     return path
 
 
@@ -79,30 +88,41 @@ def write_critical_csv(out_dir, records, config_hash):
 
 def write_nodal_csv(out_dir, arcset, config_hash):
     path = Path(out_dir) / "nodal_arcs.csv"
-    lines = [f"# config={config_hash}", "arc_id,seq,x1,x2"]
-    for aid, arc in enumerate(arcset.arcs):
-        for k, (x, y) in enumerate(arc):
-            lines.append(f"{aid},{k},{float(x)!r},{float(y)!r}")
+    lens = [len(arc) for arc in arcset.arcs]
+    pts = np.concatenate([np.empty((0, 2)), *arcset.arcs])
+    ids = np.repeat(np.arange(len(lens)), lens)
+    seq = np.arange(len(pts)) - np.repeat(np.cumsum(lens, dtype=int) - lens,
+                                          lens)
+    text = (f"# config={config_hash}\narc_id,seq,x1,x2\n"
+            + _rows("%d,%d,%r,%r\n", ids.tolist(), seq.tolist(),
+                    pts[:, 0].tolist(), pts[:, 1].tolist()))
     if arcset.junction is not None:
-        lines.append(f"# junction={float(arcset.junction[0])!r},"
-                     f"{float(arcset.junction[1])!r}")
-    path.write_text("\n".join(lines) + "\n")
+        text += (f"# junction={float(arcset.junction[0])!r},"
+                 f"{float(arcset.junction[1])!r}\n")
+    path.write_text(text)
     return path
+
+
+def _rows(fmt, *columns):
+    """``fmt`` filled row by row from the equal-length ``columns``, as one
+    %-format."""
+    flat = [None] * (len(columns) * len(columns[0]))
+    for i, column in enumerate(columns):
+        flat[i::len(columns)] = column
+    return fmt * len(columns[0]) % tuple(flat)
 
 
 def contour_polylines(field):
     """Level-set polylines of a vertex field at 10 equally spaced interior
-    levels, via the marching tracer."""
+    levels, in level order, from one pass of the marching tracer."""
     vals = field.values
     lo, hi = float(vals.min()), float(vals.max())
     if hi - lo <= 0:
         return []
     levels = np.linspace(lo, hi, 12)[1:-1]
-    out = []
-    for lev in levels:
-        arcs = trace_nodal_set(ScalarField(field.mesh, vals - lev))
-        out.extend((float(lev), arc) for arc in arcs.arcs)
-    return out
+    return [(float(lev), arc)
+            for lev, arcs in zip(levels, level_sets(field, levels))
+            for arc in arcs.arcs]
 
 
 def write_contours_svg(out_dir, field, config_hash, nodal=None):
@@ -123,8 +143,8 @@ def write_contours_svg(out_dir, field, config_hash, nodal=None):
 
     def path_d(poly):
         x, y = xy(np.asarray(poly).T)
-        return "M " + " L ".join(map("{:.2f} {:.2f}".format, x.tolist(),
-                                     y.tolist()))
+        return ("M " + " L ".join(["%.2f %.2f"] * len(x))) % tuple(
+            np.column_stack([x, y]).ravel().tolist())
 
     w = (hi[0] - lo[0]) * scale
     hgt = (hi[1] - lo[1]) * scale

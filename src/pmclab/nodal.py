@@ -1,10 +1,11 @@
 """The comparison cylinder, nodal-set tracing, sector counts, and order fits.
 
 The laboratory for second-order contact experiments: the closed-form
-cylinder solution, marching extraction of the zero set of a difference
-field, counting of sign sectors on small circles, and estimation of the
-leading homogeneous degree of a field near a zero from the growth of its
-circular suprema.
+cylinder solution, marching extraction of level sets (all ten contour
+levels in one pass; the zero set of a difference field is the level 0),
+counting of sign sectors on small circles, and estimation of the leading
+homogeneous degree of a field near a zero from the growth of its circular
+suprema.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from .assembly import ScalarField
 from .critical import circle_loop
 from .errors import InvalidParameterError, OutOfDomainError, UnderflowFitError
-from .geometry import submesh
+from .geometry import _group_starts, submesh
 
 SECTOR_SAMPLES = 720
 FIT_RADII = 12
@@ -92,42 +93,84 @@ class NodalArcSet:
     junction: np.ndarray | None = None
 
 
-def trace_nodal_set(field):
-    """Zero set of a vertex field as chained polylines.
+def level_sets(field, levels):
+    """Level sets of a vertex field at each of the ascending ``levels``, one
+    :class:`NodalArcSet` per level, from one marching pass over the cells.
 
-    Marching over cells: every cell whose (perturbed) vertex values change
-    sign contributes one segment joining the linear-interpolation zeros on
-    its two crossing edges; segments sharing a crossing edge chain into
-    polylines.  Exact vertex zeros are nudged by +1e-12 * max|field| so sign
-    decisions are determinate.  When three or more chains approach a common
-    point, they are split there and the point is reported as a junction.
+    A cell crosses a level when its least vertex value lies below it and its
+    greatest at or above it.  Only at those (level, cell) pairs are the
+    values u - level formed, exact zeros nudged to 1e-12 * max|u - level|,
+    and one segment drawn between the linear-interpolation zeros on the
+    two edges whose ends change sign.  Segments sharing an edge chain into
+    polylines; edges order by level, then (low, high) vertex, and per level
+    the open chains come first, by their smaller end edge, then the closed
+    ones, by their smallest edge, each walked first along its lower-indexed
+    segment.  When three or more chains of a level approach a common point,
+    they are split there and the point is that level's junction.
     """
     mesh = field.mesh
-    vals = field.values.copy()
-    scale = float(np.abs(vals).max())
-    if scale == 0.0:
-        raise InvalidParameterError("field is identically zero")
-    vals[vals == 0.0] = _SIGN_EPS * scale
+    u, levels = field.values, np.asarray(levels, dtype=float)
+    reach = np.maximum(u.max() - levels, levels - u.min())
+    if not np.all(reach > 0):
+        raise InvalidParameterError("field is constant at a traced level")
+    cu = u[mesh.cells]
+    c0, c1, c2 = cu.T       # numpy is far slower at an axis-1 min of 3
+    first = np.searchsorted(levels, np.minimum(np.minimum(c0, c1), c2),
+                            side="right")
+    count = np.searchsorted(levels, np.maximum(np.maximum(c0, c1), c2),
+                            side="right") - first
+    cell = np.repeat(np.arange(mesh.n_cells), count)
+    lev = np.arange(len(cell)) - np.repeat(np.cumsum(count) - count - first,
+                                           count)
+    # edges (0, 1), (1, 2), (2, 0) of each crossing pair; a sign change
+    # crosses exactly two of them, which make one segment
+    d = cu[cell] - levels[lev, None]
+    d = np.where(d == 0.0, _SIGN_EPS * reach[lev, None], d)
+    a = mesh.cells[cell]
+    b, db = a[:, [1, 2, 0]], d[:, [1, 2, 0]]
+    cross = (d > 0) != (db > 0)
+    lev = np.broadcast_to(lev[:, None], cross.shape)[cross]
+    a, b, da, db = a[cross], b[cross], d[cross], db[cross]
+    swap = a > b
+    a, b = np.where(swap, b, a), np.where(swap, a, b)
+    da, db = np.where(swap, db, da), np.where(swap, da, db)
 
-    pos = vals > 0
-    tri = pos[mesh.cells]
-    cells = mesh.cells[~(np.all(tri, axis=1) | np.all(~tri, axis=1))]
-    # edges (0, 1), (1, 2), (2, 0) of each crossing cell as (low, high)
-    # vertex keys; a sign change crosses exactly two of them
-    ends = np.sort(np.stack([cells, np.roll(cells, -1, axis=1)], axis=2),
-                   axis=2)
-    keys = ends[pos[ends[..., 0]] != pos[ends[..., 1]]]
-    a, b = keys[:, 0], keys[:, 1]
-    ta = (vals[b] / (vals[b] - vals[a]))[:, None]
-    keys = list(map(tuple, keys.tolist()))
-    zero_pts = dict(zip(keys, ta * mesh.vertices[a]
-                        + (1.0 - ta) * mesh.vertices[b]))
-    segments = list(zip(keys[::2], keys[1::2]))
+    # slot j is end j % 2 of segment j // 2; its edge's key id is its rank
+    # in (level, low, high) order and ``mate`` the other slot on that edge
+    n = np.int64(mesh.n_vertices)
+    code = (lev * n + a) * n + b
+    order = np.argsort(code, kind="stable")
+    starts = _group_starts(code[order])
+    key = np.empty(len(code), dtype=np.intp)
+    key[order] = np.cumsum(starts) - 1
+    mate = np.full(len(code), -1)
+    twin = np.flatnonzero(~starts[1:])
+    mate[order[twin]], mate[order[twin + 1]] = order[twin + 1], order[twin]
+    head = order[starts]
+    ta = (db / (db - da))[head, None]
+    zeros = ta * mesh.vertices[a[head]] + (1.0 - ta) * mesh.vertices[b[head]]
+    begin = head[np.argsort(2 * lev[head] + (mate[head] >= 0), kind="stable")]
 
-    chains = _chain_segments(segments)
-    arcs = [np.array([zero_pts[k] for k in chain]) for chain in chains]
-    arcs, junction = _split_at_junction(arcs, 2.0 * mesh.h)
-    return NodalArcSet(arcs=arcs, junction=junction)
+    arcs = [[] for _ in levels]
+    key, mate, used = key.tolist(), mate.tolist(), bytearray(len(code) // 2)
+    for j, at in zip(begin.tolist(), lev[begin].tolist()):
+        if used[j >> 1]:
+            continue
+        chain = [key[j]]
+        while j >= 0 and not used[j >> 1]:
+            used[j >> 1] = 1
+            j ^= 1
+            chain.append(key[j])
+            j = mate[j]
+        arcs[at].append(zeros[chain])
+    return [NodalArcSet(*_split_at_junction(level_arcs, 2.0 * mesh.h))
+            for level_arcs in arcs]
+
+
+def trace_nodal_set(field):
+    """Zero set of a vertex field as chained polylines: :func:`level_sets`
+    at the one level 0."""
+    return level_sets(field, [0.0])[0]
 
 
 def sector_count(field, p, r):
@@ -180,39 +223,6 @@ def leading_order_fit(field, p, r_min, r_max):
 
 
 # -- internals ----------------------------------------------------------------
-
-def _chain_segments(segments):
-    """Chain segments sharing crossing-edge keys into maximal paths/cycles."""
-    incident = {}
-    for si, (ka, kb) in enumerate(segments):
-        incident.setdefault(ka, []).append(si)
-        incident.setdefault(kb, []).append(si)
-
-    used = [False] * len(segments)
-
-    def walk(start_key):
-        chain = [start_key]
-        key = start_key
-        while True:
-            nxt = [si for si in incident[key] if not used[si]]
-            if not nxt:
-                return chain
-            si = nxt[0]
-            used[si] = True
-            ka, kb = segments[si]
-            key = kb if ka == key else ka
-            chain.append(key)
-
-    chains = []
-    endpoints = sorted(k for k, inc in incident.items() if len(inc) == 1)
-    for key in endpoints:
-        if any(not used[si] for si in incident[key]):
-            chains.append(walk(key))
-    for key in sorted(incident):
-        if any(not used[si] for si in incident[key]):
-            chains.append(walk(key))
-    return chains
-
 
 def _split_at_junction(arcs, radius):
     """Split arcs at a common close-approach point of >= 3 arcs."""

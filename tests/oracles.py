@@ -1,6 +1,7 @@
 """Closed-form reference solutions the tests compare discrete solutions
 against, a non-convex domain the paper's hypothesis excludes, and
-independent references for the mesh operators and the linear solve."""
+independent references for the mesh operators, the linear solve and the
+level-set tracer."""
 
 import math
 
@@ -9,8 +10,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.spatial import Delaunay, cKDTree
 
+from pmclab.assembly import ScalarField
 from pmclab.errors import InvalidParameterError
 from pmclab.geometry import TriMesh, submesh
+from pmclab.nodal import NodalArcSet, _split_at_junction
 
 
 class RadialSolution:
@@ -226,3 +229,66 @@ def direct_solve_reference(A, b):
     """x of A x = b by one direct sparse solve (``spla.spsolve``), sharing
     no code with the solver's GMRES."""
     return spla.spsolve(scipy_csr(A).tocsc(), np.asarray(b, dtype=float))
+
+
+def trace_nodal_set_reference(field):
+    """Zero set of a vertex field by a per-level marching tracer that keys
+    crossing edges by (low, high) vertex tuples and chains segments through
+    dicts: the tracer pmclab used before its one-pass kernel, kept to pin
+    the kernel's arcs bit for bit."""
+    mesh = field.mesh
+    vals = field.values.copy()
+    scale = float(np.abs(vals).max())
+    if scale == 0.0:
+        raise InvalidParameterError("field is identically zero")
+    vals[vals == 0.0] = 1e-12 * scale
+
+    pos = vals > 0
+    tri = pos[mesh.cells]
+    cells = mesh.cells[~(np.all(tri, axis=1) | np.all(~tri, axis=1))]
+    ends = np.sort(np.stack([cells, np.roll(cells, -1, axis=1)], axis=2),
+                   axis=2)
+    keys = ends[pos[ends[..., 0]] != pos[ends[..., 1]]]
+    a, b = keys[:, 0], keys[:, 1]
+    ta = (vals[b] / (vals[b] - vals[a]))[:, None]
+    keys = list(map(tuple, keys.tolist()))
+    zero_pts = dict(zip(keys, ta * mesh.vertices[a]
+                        + (1.0 - ta) * mesh.vertices[b]))
+    segments = list(zip(keys[::2], keys[1::2]))
+
+    incident = {}
+    for si, (ka, kb) in enumerate(segments):
+        incident.setdefault(ka, []).append(si)
+        incident.setdefault(kb, []).append(si)
+    used = [False] * len(segments)
+
+    def walk(start_key):
+        chain = [start_key]
+        key = start_key
+        while True:
+            nxt = [si for si in incident[key] if not used[si]]
+            if not nxt:
+                return chain
+            si = nxt[0]
+            used[si] = True
+            ka, kb = segments[si]
+            key = kb if ka == key else ka
+            chain.append(key)
+
+    chains = []
+    endpoints = sorted(k for k, inc in incident.items() if len(inc) == 1)
+    for key in endpoints + sorted(incident):
+        if any(not used[si] for si in incident[key]):
+            chains.append(walk(key))
+    arcs = [np.array([zero_pts[k] for k in chain]) for chain in chains]
+    return NodalArcSet(*_split_at_junction(arcs, 2.0 * mesh.h))
+
+
+def contour_polylines_reference(field):
+    """(level, polyline) pairs at the ten interior levels of
+    ``artifacts.contour_polylines``, one reference trace per level."""
+    vals = field.values
+    levels = np.linspace(vals.min(), vals.max(), 12)[1:-1]
+    return [(float(lev), arc) for lev in levels
+            for arc in trace_nodal_set_reference(
+                ScalarField(field.mesh, vals - lev)).arcs]

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 
 import pmclab
 import pmclab.solver
-from pmclab.artifacts import canonical_json
+from pmclab.artifacts import (canonical_json, write_contours_svg,
+                              write_nodal_csv, write_solution_csv)
 from pmclab.assembly import FeasibilityReport
 from pmclab.axisym import AxisHessian, MonotoneReport
 from pmclab.cli import main
@@ -21,6 +23,7 @@ from pmclab.config import (DOMAIN_PARAMS, ConfigError, apply_overrides,
                            parse_config)
 from pmclab.critical import CriticalPointRecord
 from pmclab.geometry import TriMesh
+from pmclab.nodal import NodalArcSet
 from pmclab.solver import SolveReport
 from pmclab.verify import PropertyRecord, VerificationReport
 
@@ -588,6 +591,67 @@ class TestArtifacts:
         entries = rep["axisym"]["axis_hessian"]["entries"]
         assert all(e > 0 for e in entries)
         assert math.fsum(entries) == pytest.approx(0.8, rel=0.1)
+
+
+class TestArtifactText:
+    """The table writers format many rows at once; their text is the
+    row-by-row ``%r`` text, to the byte."""
+
+    @staticmethod
+    def row_by_row_csv(vertices, values):
+        rows = np.column_stack([vertices, values]).ravel().tolist()
+        return ("# config=c\n# mesh=m\nx1,x2,value\n"
+                + "%r,%r,%r\n" * len(vertices) % tuple(rows))
+
+    @pytest.mark.parametrize("vertices", [
+        [[0.0, -0.0], [-0.0, 0.0], [0.0, 0.0], [1.5, -0.0], [-0.0, 1.5]],
+        [[5e-324, -5e-324], [2.2250738585072014e-308, 1.7976931348623157e308],
+         [-1e300, 1e-310], [5e-324, 1e300], [-1.7976931348623157e308, 0.1]],
+        np.random.default_rng(3).normal(size=(40, 2)),
+    ], ids=["signed-zeros", "subnormal-and-huge", "no-repeats"])
+    def test_solution_csv(self, tmp_path, vertices):
+        vertices = np.asarray(vertices, dtype=float)
+        values = np.linspace(-1.0, 1.0, len(vertices))
+        values[:3] = (-0.0, 5e-324, 1e308)
+        mesh = types.SimpleNamespace(vertices=vertices,
+                                     n_vertices=len(vertices),
+                                     mesh_hash=lambda: "m")
+        text = write_solution_csv(tmp_path, mesh, values, "c").read_text()
+        assert text == self.row_by_row_csv(vertices, values)
+
+    def test_solution_csv_on_a_lattice_mesh(self, tmp_path, disk_mesh_01):
+        values = disk_mesh_01.vertices[:, 0] ** 2
+        text = write_solution_csv(tmp_path, disk_mesh_01, values,
+                                  "c").read_text()
+        assert text == self.row_by_row_csv(disk_mesh_01.vertices, values) \
+            .replace("# mesh=m", f"# mesh={disk_mesh_01.mesh_hash()}")
+
+    @pytest.mark.parametrize("junction", [None, np.array([-0.0, 1e-300])])
+    def test_nodal_csv(self, tmp_path, junction):
+        arcs = [np.array([[0.1, -0.0], [0.2, 1 / 3]]),
+                np.array([[5e-324, 1e300], [-2.5, 0.0], [7.0, 7.0]])]
+        lines = ["# config=c", "arc_id,seq,x1,x2"]
+        for aid, arc in enumerate(arcs):
+            for k, (x, y) in enumerate(arc):
+                lines.append(f"{aid},{k},{float(x)!r},{float(y)!r}")
+        if junction is not None:
+            lines.append(f"# junction={float(junction[0])!r},"
+                         f"{float(junction[1])!r}")
+        path = write_nodal_csv(tmp_path, NodalArcSet(arcs, junction), "c")
+        assert path.read_text() == "\n".join(lines) + "\n"
+        empty = write_nodal_csv(tmp_path, NodalArcSet([]), "c")
+        assert empty.read_text() == "# config=c\narc_id,seq,x1,x2\n"
+
+    def test_svg_paths(self, tmp_path, robin_disk_01):
+        field, _ = robin_disk_01
+        text = write_contours_svg(tmp_path, field, "c").read_text()
+        paths = [line.split('"')[1] for line in text.splitlines()
+                 if line.startswith("<path")]
+        assert len(paths) > 1 and all(p.startswith("M ") for p in paths)
+        for d in paths:
+            pairs = d[2:].split(" L ")
+            assert pairs == ["{:.2f} {:.2f}".format(*map(float, p.split()))
+                             for p in pairs]
 
 
 class TestCanonicalJson:

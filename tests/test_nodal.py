@@ -3,14 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pmclab.artifacts import contour_polylines
 from pmclab.assembly import ScalarField
 from pmclab.critical import find_critical_points
 from pmclab.errors import (InvalidParameterError, OutOfDomainError,
                            UnderflowFitError)
-from pmclab.nodal import (CylinderSolution, difference_field,
+from pmclab.geometry import make_rounded_polygon, triangulate
+from pmclab.nodal import (CylinderSolution, difference_field, level_sets,
                           leading_order_fit, sector_count, trace_nodal_set)
 
-from oracles import radial_disk_oracle
+from oracles import (contour_polylines_reference, radial_disk_oracle,
+                     trace_nodal_set_reference)
 
 
 def synth(mesh, fn):
@@ -130,6 +133,83 @@ class TestTraceNodalSet:
         for arc in ns.arcs:
             vals = disk_mesh_005.interpolate(f.values, arc)
             assert np.abs(vals).max() <= 1e-10
+
+
+@pytest.fixture(scope="module")
+def rounded_mesh_005():
+    with pytest.warns(UserWarning, match="rounded polygon"):
+        domain = make_rounded_polygon(
+            [[-1.0, -0.6], [1.0, -0.6], [1.0, 0.6], [-1.0, 0.6]], 0.3)
+    return triangulate(domain, 0.05)
+
+
+MESHES = ["disk_mesh_005", "ellipse_mesh_005", "rounded_mesh_005",
+          "ball_mesh_005"]
+
+
+def assert_same_arcs(got, want):
+    """The same arcs in the same order and the same junction, bit for bit."""
+    assert len(got.arcs) == len(want.arcs)
+    for g, w in zip(got.arcs, want.arcs):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+    assert (got.junction is None) == (want.junction is None)
+    if want.junction is not None:
+        assert got.junction.tobytes() == want.junction.tobytes()
+
+
+class TestLevelSetsMatchReference:
+    """The one-pass kernel against the per-level dict-chaining tracer of
+    ``oracles``: arcs, their order and direction, and junctions agree to
+    the bit."""
+
+    @pytest.mark.parametrize("mesh_name", MESHES)
+    @pytest.mark.parametrize("fn", [
+        lambda x, y: x,
+        lambda x, y: x ** 2 - y ** 2,
+        lambda x, y: np.real((x + 1j * y) ** 3),
+        lambda x, y: x ** 2 + y ** 2 - 0.25,
+        lambda x, y: np.where(np.abs(x - 0.3) < 0.2, 0.0, x - 0.3),
+    ], ids=["x", "saddle", "cubic", "radial", "vertex-zeros"])
+    def test_zero_set(self, request, mesh_name, fn):
+        f = synth(request.getfixturevalue(mesh_name), fn)
+        assert_same_arcs(trace_nodal_set(f), trace_nodal_set_reference(f))
+
+    def test_cases_cover_loops_junctions_and_vertex_zeros(self,
+                                                          disk_mesh_005):
+        loop = trace_nodal_set_reference(
+            synth(disk_mesh_005, lambda x, y: x ** 2 + y ** 2 - 0.25))
+        assert len(loop.arcs) == 1
+        assert loop.arcs[0][0].tobytes() == loop.arcs[0][-1].tobytes()
+        cubic = trace_nodal_set_reference(
+            synth(disk_mesh_005, lambda x, y: np.real((x + 1j * y) ** 3)))
+        assert cubic.junction is not None
+        zeros = synth(disk_mesh_005, lambda x, y: np.where(
+            np.abs(x - 0.3) < 0.2, 0.0, x - 0.3))
+        assert np.count_nonzero(zeros.values == 0.0) > 10
+
+    @pytest.mark.parametrize("mesh_name", MESHES)
+    def test_levels_at_vertex_values(self, request, mesh_name, rng):
+        # each level equals some vertex value, so every level nudges
+        mesh = request.getfixturevalue(mesh_name)
+        f = synth(mesh, lambda x, y: np.sin(3 * x) + y ** 2 + 0.4 * x * y)
+        levels = np.sort(rng.choice(f.values, 7, replace=False))
+        for lev, got in zip(levels, level_sets(f, levels)):
+            assert_same_arcs(got, trace_nodal_set_reference(
+                ScalarField(mesh, f.values - lev)))
+
+    @pytest.mark.parametrize("fixture", ["robin_disk_005", "ellipse_homotopy",
+                                         "ball_robin_005", "rounded_mesh_005"])
+    def test_contour_levels(self, request, fixture):
+        if fixture == "rounded_mesh_005":
+            f = synth(request.getfixturevalue(fixture),
+                      lambda x, y: np.cos(2 * x) + y ** 2 + 0.3 * x * y)
+        else:
+            f, _ = request.getfixturevalue(fixture)
+        got, want = contour_polylines(f), contour_polylines_reference(f)
+        assert [lev for lev, _ in got] == [lev for lev, _ in want]
+        assert [arc.tobytes() for _, arc in got] \
+            == [arc.tobytes() for _, arc in want]
 
 
 class TestSectorCount:
