@@ -2,15 +2,16 @@
 
 Piecewise-linear conforming elements with one-point cell quadrature (the
 gradient is constant per cell, so the nonlinear flux map is exact there) and
-two-point Gauss quadrature on boundary edges.  The homotopy parameter t
-enters the radicals as t^2 |grad u|^2, interpolating from the Poisson
-operator at t=0 to the full mean curvature operator at t=1.
+two-point Gauss quadrature on boundary edges.  Only the paper's operator
+div(grad u / sqrt(1 + |grad u|^2)) is assembled: the homotopy family of
+:func:`pmclab.solver.homotopy_solve` is a continuation in the data (H, c),
+whose member at t solves this operator at (tH, tc) divided by t.
 
 Boundary data enters through the natural (conormal) flux
-``n . grad u / sqrt(1 + t^2 |grad u|^2)``.  With d the prescribed normal
+``n . grad u / sqrt(1 + |grad u|^2)``.  With d the prescribed normal
 derivative and s the tangential derivative along the edge it is
 
-    g = d / sqrt(1 + t^2 (d^2 + s^2)),
+    g = d / sqrt(1 + d^2 + s^2),
 
 d = c for Neumann data (du/dn = c) and d = -alpha u for Robin data
 (du/dn + alpha u = 0); :func:`_conormal` is the one kernel of both.  The
@@ -36,7 +37,7 @@ weight alone poses the axis condition.  The weight is fixed per solve by a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
@@ -56,7 +57,6 @@ class ProblemSpec:
 
     H : positive mean curvature constant.
     bc : "neumann" (du/dn = c, c > 0) or "robin" (du/dn + alpha u = 0).
-    t : homotopy parameter in [0, 1]; t = 1 is the full operator.
     n_dim : spatial dimension of the original problem (2 planar; >= 3 is
         handled through the meridian reduction).
     """
@@ -65,14 +65,11 @@ class ProblemSpec:
     bc: str
     c: float | None = None
     alpha: float | None = None
-    t: float = 1.0
     n_dim: int = 2
 
     def __post_init__(self):
         if not self.H > 0:
             raise InvalidParameterError(f"H must be positive, got {self.H}")
-        if not 0.0 <= self.t <= 1.0:
-            raise InvalidParameterError(f"t must lie in [0, 1], got {self.t}")
         if self.n_dim < 2:
             raise InvalidParameterError(f"n_dim must be >= 2, got {self.n_dim}")
         if self.bc == "neumann":
@@ -89,15 +86,12 @@ class ProblemSpec:
             raise InvalidParameterError(f"unknown bc kind {self.bc!r}")
 
     @classmethod
-    def neumann(cls, H, c, t=1.0, n_dim=2):
-        return cls(H=H, bc="neumann", c=c, t=t, n_dim=n_dim)
+    def neumann(cls, H, c, n_dim=2):
+        return cls(H=H, bc="neumann", c=c, n_dim=n_dim)
 
     @classmethod
-    def robin(cls, H, alpha, t=1.0, n_dim=2):
-        return cls(H=H, bc="robin", alpha=alpha, t=t, n_dim=n_dim)
-
-    def at_t(self, t):
-        return replace(self, t=t)
+    def robin(cls, H, alpha, n_dim=2):
+        return cls(H=H, bc="robin", alpha=alpha, n_dim=n_dim)
 
 
 @dataclass
@@ -207,7 +201,7 @@ def _conormal(u, spec, disc):
     the tangential difference quotient s per edge, (E, 1); the datum d,
     (E, 2), c for Neumann and -alpha u for Robin; its derivative in the
     Gauss-point value, 0 or -alpha; the radical
-    sqrt(1 + t^2 (d^2 + s^2)), (E, 2); and the flux g = d / rad, (E, 2)."""
+    sqrt(1 + d^2 + s^2), (E, 2); and the flux g = d / rad, (E, 2)."""
     mesh = disc.mesh
     ua, ub = u[mesh.boundary_edges.T]
     s = ((ub - ua) / mesh.boundary_lengths)[:, None]
@@ -216,14 +210,14 @@ def _conormal(u, spec, disc):
     else:
         d = -spec.alpha * (ua[:, None] * (1.0 - _QXI) + ub[:, None] * _QXI)
         dd_du = -spec.alpha
-    rad = np.sqrt(1.0 + spec.t ** 2 * (d ** 2 + s ** 2))
+    rad = np.sqrt(1.0 + (d ** 2 + s ** 2))
     return s, d, dd_du, rad, d / rad
 
 
-def _cell_terms(mesh, u, spec):
-    """Constant gradient of ``u`` on each cell and w = 1 + t^2 |grad u|^2."""
+def _cell_terms(mesh, u):
+    """Constant gradient of ``u`` on each cell and w = 1 + |grad u|^2."""
     grads = mesh.cell_gradients(u)
-    return grads, 1.0 + spec.t ** 2 * np.einsum("mi,mi->m", grads, grads)
+    return grads, 1.0 + np.einsum("mi,mi->m", grads, grads)
 
 
 def compatible_scale(field, spec, disc):
@@ -239,14 +233,14 @@ def compatible_scale(field, spec, disc):
 def residual(field, spec, disc, scale=1.0):
     """Weak-form residual, one entry per vertex.
 
-    entry_i = int T_t(grad u) . grad phi_i + int H phi_i - bint g phi_i,
+    entry_i = int T(grad u) . grad phi_i + int H phi_i - bint g phi_i,
     with the r^m measure weight of ``disc`` applied to every integral.  The
     boundary term is ``scale`` times the conormal flux g of
     :func:`boundary_flux`; Neumann data carries its flux scale there (see
     :func:`compatible_scale`), Robin data the default one.
     """
     mesh = disc.mesh
-    grads, w = _cell_terms(mesh, field.values, spec)
+    grads, w = _cell_terms(mesh, field.values)
     flux = grads / np.sqrt(w)[:, None]
     gx, gy = mesh.basis_gradients
     cell = disc.aw[:, None] * (gx * flux[:, :1] + gy * flux[:, 1:]
@@ -277,24 +271,23 @@ def jacobian(field, spec, disc, scale=1.0):
     :meth:`Discretization.jacobian_pattern`): each entry is added straight
     into the CSR data at its slot, one pair of local vertices (i, j) at a
     time over all cells, so no per-cell block is formed.  The cell entry
-    (i, j) is aw / sqrt(w) (grad phi_i . grad phi_j - t^2 / w p_i p_j) with
-    p = grad u . grad phi and w = 1 + t^2 |grad u|^2, i.e. grad phi_i . dT
-    grad phi_j for dT = (I - t^2 g g^T / w) / sqrt(w), whose eigenvalues
+    (i, j) is aw / sqrt(w) (grad phi_i . grad phi_j - p_i p_j / w) with
+    p = grad u . grad phi and w = 1 + |grad u|^2, i.e. grad phi_i . dT
+    grad phi_j for dT = (I - g g^T / w) / sqrt(w), whose eigenvalues
     w^-3/2 and w^-1/2 are positive; it is symmetric in (i, j), so each of
     the six pairs i <= j is computed once and added at both its slots.
     """
     neumann = spec.bc == "neumann"
     mesh = disc.mesh
     u = field.values
-    t2 = spec.t ** 2
     indptr, indices, slot = disc.jacobian_pattern(neumann)
     nnz = len(indices)
     n_cell = 9 * mesh.n_cells
 
-    grads, w = _cell_terms(mesh, u, spec)
+    grads, w = _cell_terms(mesh, u)
     gx, gy = mesh.basis_gradients
     p = gx * grads[:, :1] + gy * grads[:, 1:]
-    q = p * (t2 / w)[:, None]
+    q = p * (1.0 / w)[:, None]
     coef = disc.aw / np.sqrt(w)
     data = np.zeros(nnz)
     cell_slot = slot[:n_cell].reshape(mesh.n_cells, 9)
@@ -307,11 +300,11 @@ def jacobian(field, spec, disc, scale=1.0):
                 np.add.at(data, cell_slot[:, 3 * j + i], v)
 
     # d residual_i / d u_k = -scale * bint dg/du_k phi_i, by the chain through
-    # dg/dd = (1 + t^2 s^2) / rad^3 and dg/ds = -d t^2 s / rad^3 at each
+    # dg/dd = (1 + s^2) / rad^3 and dg/ds = -d s / rad^3 at each
     # Gauss point q
     s, d, dd_du, rad, g = _conormal(u, spec, disc)
-    dg_du = dd_du * (1.0 + t2 * s ** 2) / rad ** 3
-    dg_ds = -d * t2 * s / rad ** 3
+    dg_du = dd_du * (1.0 + s ** 2) / rad ** 3
+    dg_ds = -d * s / rad ** 3
     ds_da, ds_db = -1.0 / mesh.boundary_lengths, 1.0 / mesh.boundary_lengths
     phi = np.stack([1.0 - _QXI, _QXI])          # phi[k, q] for k in (a, b)
     vals = []
@@ -330,17 +323,15 @@ def jacobian(field, spec, disc, scale=1.0):
     return Csr(data, indices, indptr, (size, size))
 
 
-def ellipticity_margins(field, spec):
+def ellipticity_margins(field):
     """Smallest eigenvalues of the per-cell flux derivative (must be > 0).
 
     The two eigenvalues of dT are w^-3/2 along the gradient and w^-1/2
-    across it, with w = 1 + t^2 |grad u|^2; both are computed explicitly so
+    across it, with w = 1 + |grad u|^2; both are computed explicitly so
     the positivity assertion is a measurement, not an assumption.
     """
-    w = _cell_terms(field.mesh, field.values, spec)[1]
-    lam_par = w ** -1.5
-    lam_perp = w ** -0.5
-    return float(np.min(lam_par)), float(np.min(lam_perp))
+    w = _cell_terms(field.mesh, field.values)[1]
+    return float(np.min(w ** -1.5)), float(np.min(w ** -0.5))
 
 
 # -- the Neumann gate -----------------------------------------------------------
@@ -361,7 +352,7 @@ def neumann_gate(disc, spec):
     measures of ``disc``.
 
     Any solution satisfies H |Omega| = total conormal flux <= cap * L with
-    cap = c / sqrt(1 + t^2 c^2), so a positive margin cap*L - H|Omega| is
+    cap = c / sqrt(1 + c^2), so a positive margin cap*L - H|Omega| is
     necessary (not sufficient) for solvability.  L and |Omega| are
     ``disc.boundary_measure`` and ``disc.volume``, the r^m-weighted mesh
     measures that the compatible flux scale s_hat balances against; the
@@ -375,7 +366,7 @@ def neumann_gate(disc, spec):
     if spec.bc != "neumann":
         return None
     L, area = disc.boundary_measure, disc.volume
-    cap = spec.c / np.sqrt(1.0 + spec.t ** 2 * spec.c ** 2)
+    cap = spec.c / np.sqrt(1.0 + spec.c ** 2)
     margin = cap * L - spec.H * area
     band = _FEASIBILITY_BAND * cap * L
     feas = FeasibilityReport(

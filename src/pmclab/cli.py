@@ -53,7 +53,7 @@ def main(argv=None):
                     "value problems")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
-            ("solve", "single Newton solve at the configured t"),
+            ("solve", "single Newton solve"),
             ("homotopy", "continuation over a schedule of t values"),
             ("axisym", "meridian solve for a domain of revolution"),
             ("compare", "nodal laboratory: contact with the matched cylinder"),
@@ -139,8 +139,8 @@ def _dispatch(config, out, report):
     if config.command == "mesh-report":
         return EXIT_OK
 
-    # a continuation ends at t = 1, the problem's t, where the flux bound
-    # is tightest: infeasible data fails before its first step
+    # a continuation ends at the problem's own data (H, c), where the flux
+    # bound is tightest: infeasible data fails before its first step
     report["feasibility"] = neumann_gate(run.disc, run.spec)
     schedule = config.problem.get("schedule")
     field, solve_report, trace = pipeline.solve(run, schedule)

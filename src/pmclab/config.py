@@ -114,7 +114,7 @@ def _vertices(verts):
 
 def _validate_problem(doc, domain_kind, command):
     _check_keys(doc, "problem",
-                {"H", "bc", "c", "alpha", "t", "schedule", "n_dim"})
+                {"H", "bc", "c", "alpha", "schedule", "n_dim"})
     out = {}
     _expect("H" in doc, "problem.H", "required")
     out["H"] = _number(doc["H"], "problem.H", lo=0.0, strict_lo=True)
@@ -130,11 +130,6 @@ def _validate_problem(doc, domain_kind, command):
     out[datum] = _number(doc[datum], f"problem.{datum}", lo=0.0,
                          strict_lo=True)
 
-    if "t" in doc:
-        out["t"] = _number(doc["t"], "problem.t", lo=0.0, hi=1.0)
-    else:
-        out["t"] = 1.0
-
     schedule = doc.get("schedule")
     if schedule is None and command == "homotopy":
         schedule = [round(0.1 * k, 10) for k in range(11)]
@@ -143,8 +138,6 @@ def _validate_problem(doc, domain_kind, command):
                 f"{command} runs no continuation")
         _expect(domain_kind in PLANAR_DOMAINS, "problem.schedule",
                 "continuation runs on planar domains only")
-        _expect("t" not in doc, "problem.t",
-                "not allowed with a schedule, which ends at t = 1")
         _expect(isinstance(schedule, list) and len(schedule) >= 1,
                 "problem.schedule", "expected a non-empty list")
         vals = [_number(t, "problem.schedule", lo=0.0, hi=1.0)

@@ -3,14 +3,14 @@
 One validated config goes through :func:`setup` (problem data, the planar
 domain or the meridian section of a domain of revolution, built from the
 keys ``config.DOMAIN_PARAMS`` names, the mesh and its discretization) and
-:func:`solve` (homotopy continuation or one Newton solve); between the two
-``cli`` records the Neumann gate :func:`~pmclab.assembly.neumann_gate` of
-the run's problem data, whose t is 1 for a continuation.  The diagnostics
-that both the commands and the property suite report are computed here
-only: the meridian summary and axial nodal set, and
-:func:`cylinder_contact`, the contact of a planar solution with its matched
-cylinder.  ``cli`` turns the results into artifacts and ``verify`` into
-property records.
+:func:`solve` (one Newton solve, or a homotopy continuation in the data
+(H, c) that ends at the run's own data); between the two ``cli`` records
+the Neumann gate :func:`~pmclab.assembly.neumann_gate` of the run's problem
+data.  The diagnostics that both the commands and the property suite
+report are computed here only: the meridian summary and axial nodal set,
+and :func:`cylinder_contact`, the contact of a planar solution with its
+matched cylinder.  ``cli`` turns the results into artifacts and ``verify``
+into property records.
 """
 
 from __future__ import annotations
@@ -85,8 +85,8 @@ def solve(run, schedule=None):
 
 def census(field, spec, trace=None):
     """Critical points of a planar solution.  After a continuation they are
-    the census its last step took of the same field: the census reads H
-    only, not the homotopy parameter."""
+    the census its last step took of the same field under the same
+    problem data."""
     if trace is not None:
         return trace.steps[-1].records
     return find_critical_points(field, spec)

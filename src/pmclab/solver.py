@@ -24,17 +24,19 @@ GMRES run again on the new LU.  :class:`SolveReport` records the
 factorizations and the Krylov iterations of every Newton iteration.
 
 Continuation is a predictor-corrector walk over a schedule of homotopy
-parameters.  Once two steps have converged, each Newton solve starts from
-the secant extrapolation of the last two (Allgower & Georg, *Numerical
-Continuation Methods*, 1990), which mostly leaves one Newton correction per
-step; the first step starts from zero and the second from the first.  The
+parameters t in [0, 1], in the data: the member at t > 0 of the family
+div(grad u / sqrt(1 + t^2 |grad u|^2)) = H is the solution at (tH, tc)
+divided by t, and its t = 0 member, the Poisson problem, is the limit.
+Once two steps have converged, each Newton solve starts from the secant
+extrapolation of the last two (Allgower & Georg, *Numerical Continuation
+Methods*, 1990), which mostly leaves one Newton correction per step.  The
 critical point census is recorded after each converged step.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -64,8 +66,8 @@ _ARMIJO_FACTOR = 0.5
 _ARMIJO_C1 = 1e-4
 _MAX_BACKTRACKS = 20
 
-# Newton stops once the max norm of the residual is at most _NEWTON_TOL, and
-# fails after _MAX_ITER iterations
+# Newton stops once the max norm of the residual is at most _NEWTON_TOL (t
+# times that at a continuation step), and fails after _MAX_ITER iterations
 _NEWTON_TOL = 1e-10
 _MAX_ITER = 50
 
@@ -77,7 +79,6 @@ class SolveReport:
     final_residual_norm: float
     damping_history: list = dc_field(default_factory=list)
     normalization: str = "none"
-    t: float = 1.0
     flux_scale: float | None = None
     ellipticity_min: float | None = None
     message: str = ""
@@ -279,12 +280,13 @@ def _preconditioned_gmres(lu, A, rhs):
     return (x if beta <= target else None), iterations
 
 
-def newton_solve(disc, spec, init=None, kept=None):
+def newton_solve(disc, spec, init=None, kept=None, tol=_NEWTON_TOL):
     """Solve the discrete problem of a :class:`Discretization` by damped
     Newton iteration.
 
     Returns ``(field, report)`` with the max-norm residual at or below
-    ``_NEWTON_TOL`` (1e-10), reached within ``_MAX_ITER`` (50) iterations.
+    ``tol``, ``_NEWTON_TOL`` (1e-10) unless :func:`homotopy_solve` scales
+    it, reached within ``_MAX_ITER`` (50) iterations.
     Armijo backtracking on the Euclidean residual norm keeps accepted steps
     monotone.  Neumann data is gated by
     :func:`~pmclab.assembly.neumann_gate` before any iteration, and its flux
@@ -302,19 +304,10 @@ def newton_solve(disc, spec, init=None, kept=None):
     neumann_gate(disc, spec)
     neumann = spec.bc == "neumann"
 
-    if init is None:
-        u = np.zeros(n)
-    else:
-        u = np.array(init.values if isinstance(init, ScalarField) else init,
-                     dtype=float)
-        if not np.all(np.isfinite(u)):
-            raise InvalidParameterError("initial guess must be finite")
-
+    field = ScalarField(mesh, np.zeros(n) if init is None else init)
     report = SolveReport(converged=False, iterations=0,
                          final_residual_norm=math.inf,
-                         normalization="mean-zero" if neumann else "none",
-                         t=spec.t)
-    field = ScalarField(mesh, u)
+                         normalization="mean-zero" if neumann else "none")
     scale = compatible_scale(field, spec, disc) if neumann else 1.0
     F = residual(field, spec, disc, scale)
     norm2 = float(np.linalg.norm(F))
@@ -324,7 +317,7 @@ def newton_solve(disc, spec, init=None, kept=None):
         inf_norm = float(np.abs(F).max())
         report.iterations = it
         report.final_residual_norm = inf_norm
-        if inf_norm <= _NEWTON_TOL:
+        if inf_norm <= tol:
             report.converged = True
             break
         try:
@@ -334,74 +327,71 @@ def newton_solve(disc, spec, init=None, kept=None):
                 jacobian(field, spec, disc, scale),
                 np.append(-F, 0.0) if neumann else -F, kept=kept)
         except LinearSolveFailure as exc:
-            margin = _fail(report, "linear solve broke down", ell_min, field,
-                           spec)
-            raise SolverFailure(
-                f"linear breakdown at t={spec.t}, smallest ellipticity margin "
-                f"{margin:.3g}: {exc}", report=report) from exc
+            margin = _fail(report, "linear solve broke down", ell_min, field)
+            raise SolverFailure(f"linear breakdown, smallest ellipticity "
+                                f"margin {margin:.3g}: {exc}",
+                                report=report) from exc
         report.factorizations += info["factored"]
         report.krylov_iterations.append(info["krylov_iterations"])
 
         beta = 1.0
         accepted = False
         for _ in range(_MAX_BACKTRACKS + 1):
-            trial = ScalarField(mesh, u + beta * delta[:n])
+            trial = ScalarField(mesh, field.values + beta * delta[:n])
             trial_scale = scale + beta * delta[n] if neumann else scale
             F_trial = residual(trial, spec, disc, trial_scale)
             trial_norm2 = float(np.linalg.norm(F_trial))
             if (trial_norm2 <= (1.0 - _ARMIJO_C1 * beta) * norm2
-                    or float(np.abs(F_trial).max()) <= _NEWTON_TOL):
+                    or float(np.abs(F_trial).max()) <= tol):
                 accepted = True
                 break
             beta *= _ARMIJO_FACTOR
         if not accepted:
-            _fail(report, "line search stalled", ell_min, field, spec)
+            _fail(report, "line search stalled", ell_min, field)
             raise SolverFailure("Newton line search stalled", report=report)
 
-        u = trial.values
-        field = trial
-        scale = trial_scale
-        F = F_trial
-        norm2 = trial_norm2
+        field, scale, F, norm2 = trial, trial_scale, F_trial, trial_norm2
         report.damping_history.append(beta)
-        ell_min = min(ell_min, min(ellipticity_margins(field, spec)))
+        ell_min = min(ell_min, min(ellipticity_margins(field)))
     else:
         report.iterations = _MAX_ITER
         report.final_residual_norm = float(np.abs(F).max())
-        _fail(report, "max iterations reached", ell_min, field, spec)
+        _fail(report, "max iterations reached", ell_min, field)
         raise SolverFailure("Newton did not converge", report=report)
 
     if neumann:
-        field = ScalarField(mesh, u - u.mean())
+        field = ScalarField(mesh, field.values - field.values.mean())
         report.flux_scale = float(scale)
     report.ellipticity_min = None if ell_min is math.inf else float(ell_min)
     return field, report
 
 
-def _fail(report, message, ell_min, field, spec):
+def _fail(report, message, ell_min, field):
     """Mark ``report`` failed with ``message``.  Its ``ellipticity_min``,
     returned, is the smallest margin of the accepted iterates and of
     ``field``, the iterate the solve failed at."""
     report.message = message
-    report.ellipticity_min = min(ell_min, *ellipticity_margins(field, spec))
+    report.ellipticity_min = min(ell_min, *ellipticity_margins(field))
     return report.ellipticity_min
 
 
 def homotopy_solve(disc, spec, schedule):
     """Continuation in the homotopy parameter up to t = 1.
 
-    Each Newton solve starts from the secant through the last two converged
-    steps, u_1 + (t - t_1)/(t_1 - t_0) (u_1 - u_0); the second step starts
-    from the first, the first from zero.  On nonconvergence the step is
-    halved, down to dt = 1/320, and retried from the secant of the same two
-    steps; the t of every halved attempt is recorded in ``halved_at``.  A
-    failure that cannot be halved raises the step's :class:`SolverFailure`
-    with the partial trace attached as ``trace``.  The LU kept by one Newton
-    solve preconditions the next (see :func:`linear_solve`); it is dropped
-    when a step fails.  After every converged step the critical points are
-    located and their census, with the step's :class:`SolveReport`, recorded
-    in the trace.  Nothing is asserted here; verification is a separate
-    concern.
+    The step at t > 0 is a Newton solve at the data (tH, tc), to t times
+    ``_NEWTON_TOL`` as its residual is t times the member's; its field and
+    the residual of its report, or of its :class:`SolverFailure`, divided
+    by t are the member's.  The step at t = 0 is :func:`_poisson_member`.
+    Each Newton solve starts from t times the secant through the last two
+    members, u_1 + (t - t_1)/(t_1 - t_0) (u_1 - u_0), or the last member, or
+    zero.  A failed step is halved, down to dt = 1/320, and retried from the
+    secant of the same two steps; ``halved_at`` records the t of each
+    halved attempt.  A failure that cannot be halved raises the step's
+    :class:`SolverFailure` with the partial trace attached as ``trace``.
+    The LU kept by one step preconditions the next (see
+    :func:`linear_solve`) until a step fails.  After every step the census
+    of the member under ``spec`` and the step's :class:`SolveReport` are
+    recorded in the trace; nothing is asserted here.
     """
     schedule = [float(t) for t in schedule]
     if any(not 0.0 <= t <= 1.0 for t in schedule):
@@ -413,57 +403,82 @@ def homotopy_solve(disc, spec, schedule):
 
     trace = HomotopyTrace()
     kept = _KeptFactor()
-    path = []               # (t, field) of the last two converged steps
+    path = []               # (t, member values) of the last two steps
     pending = list(schedule)
     while pending:
-        t_next = pending[0]
+        t = pending[0]
         try:
-            field, report = newton_solve(disc, spec.at_t(t_next),
-                                         init=_predict(path, t_next),
-                                         kept=kept)
+            if t == 0.0:
+                field, report = _poisson_member(disc, spec, kept)
+            else:
+                scaled, report = newton_solve(
+                    disc, replace(spec, H=t * spec.H,
+                                  c=None if spec.c is None else t * spec.c),
+                    init=_predict(path, t), kept=kept, tol=t * _NEWTON_TOL)
+                field = ScalarField(disc.mesh, scaled.values / t)
+                report.final_residual_norm /= t
         except SolverFailure as exc:
+            exc.report.final_residual_norm /= t     # t > 0: a Newton step
             kept.drop()
-            if not path or t_next - path[-1][0] <= _MIN_DT:
+            if not path or t - path[-1][0] <= _MIN_DT:
                 exc.trace = trace
                 raise
-            trace.halved_at.append(t_next)
-            pending.insert(0, 0.5 * (path[-1][0] + t_next))
+            trace.halved_at.append(t)
+            pending.insert(0, 0.5 * (path[-1][0] + t))
             continue
-        path = [*path[-1:], (t_next, field)]
+        path = [*path[-1:], (t, field.values)]
         pending.pop(0)
         if not pending:
             kept.drop()
-        trace.steps.append(_census_step(field, spec.at_t(t_next), report))
+        trace.steps.append(_census_step(field, spec, t, report))
     trace.completed = True
     return field, trace
 
 
+def _poisson_member(disc, spec, kept):
+    """The t = 0 member, the Poisson problem, and its report: one linear
+    correction from zero at the full data.  At u = 0 the flux derivative is
+    the identity (ellipticity one) and the Jacobian the Poisson-Robin
+    matrix.  A Neumann flux scale starts at the compatible scale of zero,
+    making the flux the Poisson-Neumann constant H |Omega| / L, of scale
+    H |Omega| / (c L) for the datum c.  The residual reported is the linear
+    system's, which is the member's."""
+    n, neumann = disc.mesh.n_vertices, spec.bc == "neumann"
+    zero = ScalarField(disc.mesh, np.zeros(n))
+    scale = compatible_scale(zero, spec, disc) if neumann else 1.0
+    F = residual(zero, spec, disc, scale)
+    A = jacobian(zero, spec, disc, scale)
+    b = np.append(-F, 0.0) if neumann else -F
+    x, info = linear_solve(A, b, kept=kept)
+    report = SolveReport(
+        converged=True, iterations=1, damping_history=[1.0],
+        final_residual_norm=float(np.abs((A @ x - b)[:n]).max()),
+        ellipticity_min=1.0, factorizations=int(info["factored"]),
+        krylov_iterations=[info["krylov_iterations"]])
+    if neumann:
+        report.normalization = "mean-zero"
+        report.flux_scale = spec.H * disc.volume / (spec.c
+                                                    * disc.boundary_measure)
+        x = x[:n] - x[:n].mean()
+    return ScalarField(disc.mesh, x), report
+
+
 def _predict(path, t):
-    """Start of the Newton solve at ``t``: the secant through the last two
-    converged steps, the last step while there is only one, zero before
-    the first."""
-    if not path:
-        return None
-    t1, f1 = path[-1]
-    if len(path) == 1:
-        return f1
-    t0, f0 = path[-2]
-    return f1.values + ((t - t1) / (t1 - t0)) * (f1.values - f0.values)
+    """The start of the Newton solve at ``t`` (see :func:`homotopy_solve`):
+    t times the predicted member, None for zero."""
+    if len(path) < 2:
+        return t * path[-1][1] if path else None
+    (t0, u0), (t1, u1) = path
+    return t * (u1 + ((t - t1) / (t1 - t0)) * (u1 - u0))
 
 
-def _census_step(field, spec_t, solve_report):
-    records = find_critical_points(field, spec_t)
+def _census_step(field, spec, t, solve_report):
+    records = find_critical_points(field, spec)
     classes = [r.classification for r in records]
     return HomotopyStep(
-        t=spec_t.t,
-        field_min=float(field.values.min()),
-        field_max=float(field.values.max()),
-        n_critical=len(records),
-        n_minima=classes.count("minimum"),
-        n_maxima=classes.count("maximum"),
+        t=t, field_min=float(field.values.min()),
+        field_max=float(field.values.max()), n_critical=len(records),
+        n_minima=classes.count("minimum"), n_maxima=classes.count("maximum"),
         n_saddles=classes.count("saddle"),
         morse_ok=bool(records) and all(c != "degenerate" for c in classes),
-        records=records,
-        solve=solve_report,
-    )
-
+        records=records, solve=solve_report)

@@ -207,7 +207,7 @@ class TestRevolvedProfiles:
         run = pipeline.setup({
             "domain": {"type": "rounded_polygon",
                        "vertices": ROUNDED_RECTANGLE, "r": 0.3},
-            "problem": {"H": 0.8, "bc": "robin", "alpha": 1.0, "t": 1.0,
+            "problem": {"H": 0.8, "bc": "robin", "alpha": 1.0,
                         "n_dim": n_dim},
             "mesh": {"h_target": 0.025}})
         assert np.all(run.mesh.vertices[:, 0] >= 0.0)

@@ -70,7 +70,7 @@ class TestParseConfig:
         })
         assert cfg.canonical["mesh"]["h_target"] == 0.1
         assert "solver" not in cfg.canonical
-        assert cfg.problem["t"] == 1.0
+        assert "t" not in cfg.problem
         assert cfg.config_hash
 
     def test_homotopy_default_schedule(self):
@@ -92,13 +92,17 @@ class TestParseConfig:
         assert exc.value.path == "problem.c"
 
     def test_t_out_of_range_rejected(self):
-        with pytest.raises(ConfigError) as exc:
-            parse_config({
-                "command": "solve",
-                "domain": {"type": "disk", "R": 1.0},
-                "problem": {"H": 0.8, "bc": "robin", "alpha": 1.0, "t": 1.5},
-            })
-        assert exc.value.path == "problem.t"
+        # the homotopy parameter is no key of the problem, in range or out
+        for t in (1.5, 1.0):
+            with pytest.raises(ConfigError) as exc:
+                parse_config({
+                    "command": "solve",
+                    "domain": {"type": "disk", "R": 1.0},
+                    "problem": {"H": 0.8, "bc": "robin", "alpha": 1.0,
+                                "t": t},
+                })
+            assert exc.value.path == "problem.t"
+            assert "unknown key" in str(exc.value)
 
     def test_unknown_key_rejected_with_path(self):
         with pytest.raises(ConfigError) as exc:
@@ -230,7 +234,9 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as exc:
             parse_config(doc, "homotopy" if key == "schedule" else "solve")
         assert exc.value.path == path
-        assert "must be finite" in str(exc.value)
+        # problem.t is no key of the problem: it is refused whatever it holds
+        assert ("unknown key" if key == "t" else "must be finite") \
+            in str(exc.value)
 
     @given(kind=st.sampled_from(sorted(DOMAIN_PARAMS)),
            keys=st.sets(st.sampled_from(["R", "a", "b", "r", "vertices"])),
@@ -371,7 +377,7 @@ class TestExitCodes:
     def test_continuation_gated_at_t_one(self, tmp_path, monkeypatch):
         steps = []
         monkeypatch.setattr(pmclab.solver, "newton_solve",
-                            lambda disc, spec, **kw: steps.append(spec.t))
+                            lambda disc, spec, **kw: steps.append(spec.H))
         code, out = run_cli(tmp_path, "verify", "neumann_infeasible.json",
                             ["problem.schedule=[0.0,0.5,1.0]"])
         assert code == 4
@@ -379,8 +385,9 @@ class TestExitCodes:
         assert rep["status"] == "infeasible"
         assert rep["homotopy"] is None
         assert not (out / "solution.csv").exists()
-        # at t = 0 the cap is c and would pass: only the gate at the end of
-        # the schedule, t = 1, refuses this run, before its first step
+        # at small t the cap of the data (tH, tc) is near tc and would pass:
+        # only the gate at the end of the schedule, the run's own data,
+        # refuses this run, before its first step
         feas = rep["feasibility"]
         assert feas["feasible"] is False
         assert feas["flux_bound"] == pytest.approx(0.5 / math.sqrt(1.25),
@@ -392,10 +399,14 @@ class TestExitCodes:
         code, out = run_cli(tmp_path, "solve", "neumann_infeasible.json")
         assert code == 4
 
-    def test_invalid_config_is_four(self, tmp_path):
-        code, _ = run_cli(tmp_path, "verify", "robin_disk.json",
-                          ["problem.t=1.5"])
+    def test_invalid_config_is_four(self, tmp_path, capsys):
+        # the homotopy parameter is no key of the problem
+        code, out = run_cli(tmp_path, "verify", "robin_disk.json",
+                            ["problem.t=1.5"])
         assert code == 4
+        assert capsys.readouterr().err == \
+            "error: invalid config: problem.t: unknown key\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("override", ["domain.R=Infinity",
                                           "problem.H=Infinity"])
@@ -427,16 +438,6 @@ class TestExitCodes:
         # continuation runs on planar domains only; a schedule on a domain
         # of revolution must not be accepted and then ignored
         code, out = run_cli(tmp_path, command, "ball3d_robin.json", overrides)
-        assert code == 4
-        assert not (out / "solution.csv").exists()
-
-    @pytest.mark.parametrize("command, config_name", [
-        ("verify", "robin_ellipse.json"), ("homotopy", "robin_disk.json")])
-    def test_t_with_schedule_is_four(self, tmp_path, command, config_name):
-        # continuation always ends at t = 1, so a given t would be echoed in
-        # report.json and then ignored
-        code, out = run_cli(tmp_path, command, config_name,
-                            ["problem.t=0.5", "mesh.h_target=0.1"])
         assert code == 4
         assert not (out / "solution.csv").exists()
 
@@ -703,14 +704,14 @@ class TestCanonicalJson:
     def test_solve_report_with_a_non_finite_residual(self):
         rep = SolveReport(converged=False, iterations=3,
                           final_residual_norm=math.inf,
-                          damping_history=[1.0, 0.5], t=0.775,
+                          damping_history=[1.0, 0.5],
                           ellipticity_min=np.float64(0.03),
                           message="linear solve broke down", factorizations=1,
                           krylov_iterations=[0, 4])
         self.assert_writes(rep, {
             "converged": False, "iterations": 3, "final_residual_norm": "inf",
             "damping_history": [1.0, 0.5], "normalization": "none",
-            "t": 0.775, "flux_scale": None, "ellipticity_min": 0.03,
+            "flux_scale": None, "ellipticity_min": 0.03,
             "message": "linear solve broke down", "factorizations": 1,
             "krylov_iterations": [0, 4]})
 
@@ -821,7 +822,7 @@ class TestCommandsAgree:
         assert code == 0
         assert len(calls) == 11
         field, spec = calls[-1]
-        assert spec.t == 1.0
+        assert spec.H == 0.5          # the config's own data
         assert _report(out)["critical_points"] == \
             json.loads(canonical_json(census(field, spec)))
 

@@ -1,5 +1,6 @@
 import math
 import weakref
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -48,11 +49,12 @@ class TestRadialOracle:
                            robin_spec.H * r ** 2 / 2, atol=1e-12)
 
     def test_t0_paraboloid(self):
-        spec = ProblemSpec.robin(0.8, 1.0, t=0.0)
-        o = radial_disk_oracle(spec)
-        # Poisson limit: v = 0.2 r^2 - 0.6
-        assert o(0.0) == pytest.approx(-0.6, abs=1e-12)
-        assert o(1.0) == pytest.approx(-0.4, abs=1e-12)
+        # Poisson limit: the profile at (eps H, alpha) over eps tends to
+        # v = 0.2 r^2 - 0.6, at O(eps^2)
+        eps = 2.0 ** -20
+        o = radial_disk_oracle(ProblemSpec.robin(eps * 0.8, 1.0))
+        assert o(0.0) / eps == pytest.approx(-0.6, abs=1e-11)
+        assert o(1.0) / eps == pytest.approx(-0.4, abs=1e-11)
 
     def test_rejects_steep_data(self):
         with pytest.raises(InvalidParameterError):
@@ -440,19 +442,45 @@ class TestNewtonSolve:
 
 
 class TestPoissonInit:
-    """The linear t = 0 solve that starts a homotopy: a Newton solve of
-    ``spec.at_t(0.0)``.  Neumann data is generically incompatible at t = 0
-    (the flux integral c L need not match H |Omega|); its raw
-    incompatibility c L - H |Omega| is read from the mesh measures."""
+    """The t = 0 member that starts a homotopy, the Poisson problem: one
+    linear correction from zero at the full data, the t -> 0 limit of the
+    members u_1(tH, tc) / t.  Neumann data is generically incompatible at
+    t = 0 (the flux integral c L need not match H |Omega|); its raw
+    incompatibility c L - H |Omega| is read from the mesh measures, and the
+    member's flux scale H |Omega| / (c L) is reported."""
 
     @staticmethod
-    def _incompatibility(mesh, spec0):
+    def _incompatibility(mesh, spec):
         disc = Discretization(mesh)
-        return float(spec0.c * disc.boundary_measure - spec0.H * disc.volume)
+        return float(spec.c * disc.boundary_measure - spec.H * disc.volume)
+
+    @staticmethod
+    def _member(mesh, spec):
+        return pmclab.solver._poisson_member(Discretization(mesh), spec,
+                                             _KeptFactor())
+
+    @pytest.mark.parametrize("bc", ["robin", "neumann"])
+    def test_limit_of_scaled_solves(self, disk_mesh_01, bc):
+        # the member equals the Newton solve at (eps H, eps c) over eps
+        eps = 2.0 ** -20
+        spec = (ProblemSpec.robin(0.8, 1.0) if bc == "robin"
+                else ProblemSpec.neumann(0.6, 0.5))
+        field, report = self._member(disk_mesh_01, spec)
+        small, small_report = newton_solve(
+            Discretization(disk_mesh_01),
+            replace(spec, H=eps * spec.H,
+                    c=None if spec.c is None else eps * spec.c))
+        scale = np.abs(field.values).max()
+        assert np.abs(field.values - small.values / eps).max() \
+            <= 1e-8 * scale
+        assert report.converged and report.iterations == 1
+        assert report.final_residual_norm <= 1e-12
+        if bc == "neumann":
+            assert report.flux_scale == pytest.approx(
+                small_report.flux_scale, rel=1e-8)
 
     def test_robin_disk_values(self, disk_mesh_005, robin_spec):
-        field, _ = newton_solve(Discretization(disk_mesh_005),
-                                robin_spec.at_t(0.0))
+        field, _ = self._member(disk_mesh_005, robin_spec)
         m = disk_mesh_005
         center = int(np.argmin(np.linalg.norm(m.vertices, axis=1)))
         rim = int(np.argmax(np.linalg.norm(m.vertices, axis=1)))
@@ -461,9 +489,9 @@ class TestPoissonInit:
 
     def test_neumann_compatible_paraboloid(self, disk_mesh_01):
         H = 0.8
-        spec0 = ProblemSpec.neumann(H, H / 2.0).at_t(0.0)   # c = H R / 2
-        field, _ = newton_solve(Discretization(disk_mesh_01), spec0)
-        assert abs(self._incompatibility(disk_mesh_01, spec0)) <= 0.02
+        spec = ProblemSpec.neumann(H, H / 2.0)      # c = H R / 2
+        field, _ = self._member(disk_mesh_01, spec)
+        assert abs(self._incompatibility(disk_mesh_01, spec)) <= 0.02
         m = disk_mesh_01
         r2 = np.sum(m.vertices ** 2, axis=1)
         exact = H * r2 / 4.0
@@ -471,10 +499,11 @@ class TestPoissonInit:
         assert np.abs(field.values - exact).max() <= 5e-3
 
     def test_neumann_incompatible_reported(self, disk_mesh_01, neumann_spec):
-        spec0 = neumann_spec.at_t(0.0)
-        newton_solve(Discretization(disk_mesh_01), spec0)
-        assert self._incompatibility(disk_mesh_01, spec0) == pytest.approx(
-            1.2566370614359172, abs=0.01)
+        _, report = self._member(disk_mesh_01, neumann_spec)
+        assert self._incompatibility(disk_mesh_01, neumann_spec) == \
+            pytest.approx(1.2566370614359172, abs=0.01)
+        # H pi / (c 2 pi) on the unit disk
+        assert report.flux_scale == pytest.approx(0.6, abs=0.01)
 
 
 class TestCompatibleNeumann:
@@ -529,10 +558,14 @@ class TestHomotopy:
     def test_secant_start_beats_previous_field(self, monkeypatch,
                                                ellipse_mesh_005,
                                                ellipse_robin_spec):
-        # from the third step on, each Newton solve starts from the secant
-        # through the last two steps, closer to the new solution than the
-        # last step's field is
-        disc = Discretization(ellipse_mesh_005)
+        # the t = 0 member is one linear solve; each step at t > 0 is a
+        # Newton solve at (tH, tc) from t times a start in member space:
+        # the last member at t = 0.1, from then on the secant through the
+        # last two members, closer to the new solution than the last
+        # member is
+        mesh = ellipse_mesh_005
+        disc = Discretization(mesh)
+        spec = ellipse_robin_spec
         solves = []
         inner = pmclab.solver.newton_solve
 
@@ -542,15 +575,46 @@ class TestHomotopy:
             return field, report
 
         monkeypatch.setattr(pmclab.solver, "newton_solve", record)
-        homotopy_solve(disc, ellipse_robin_spec,
-                       [round(0.1 * k, 10) for k in range(11)])
-        assert len(solves) == 11
-        assert solves[0][1] is None and solves[1][1] is solves[0][2]
-        for (_, _, prev), (spec, init, _) in zip(solves[1:], solves[2:]):
-            start = ScalarField(ellipse_mesh_005,
-                                getattr(init, "values", init))
-            assert np.abs(residual(start, spec, disc)).max() \
-                < np.abs(residual(prev, spec, disc)).max()
+        ts = [round(0.1 * k, 10) for k in range(11)]
+        homotopy_solve(disc, spec, ts)
+        assert len(solves) == 10
+        assert [s.H for s, _, _ in solves] == [t * spec.H for t in ts[1:]]
+        u0 = pmclab.solver._poisson_member(disc, spec, _KeptFactor())[0]
+        assert np.allclose(solves[0][1], 0.1 * u0.values, rtol=1e-12,
+                           atol=0.0)
+        for t0, t, (_, _, prev), (scaled, init, _) in zip(
+                ts[1:], ts[2:], solves, solves[1:]):
+            last = ScalarField(mesh, prev.values * (t / t0))
+            assert np.abs(residual(ScalarField(mesh, init), scaled,
+                                   disc)).max() \
+                < np.abs(residual(last, scaled, disc)).max()
+
+    def test_member_residual_within_newton_tol(self, monkeypatch,
+                                               disk_mesh_005):
+        # the step at t solves at (tH, tc), whose residual is t times the
+        # member's: to t times the tolerance, every member meets
+        # _NEWTON_TOL in its own terms
+        disc = Discretization(disk_mesh_005)
+        spec = ProblemSpec.neumann(0.6, 0.5)
+        solves = []
+        inner = pmclab.solver.newton_solve
+
+        def record(disc, spec, **kwargs):
+            field, report = inner(disc, spec, **kwargs)
+            solves.append((spec, field, report))
+            return field, report
+
+        monkeypatch.setattr(pmclab.solver, "newton_solve", record)
+        homotopy_solve(disc, spec, [round(0.1 * k, 10) for k in range(11)])
+        assert len(solves) == 10
+        for scaled, field, report in solves:
+            member = np.abs(residual(field, scaled, disc,
+                                     report.flux_scale)).max() \
+                / (scaled.H / spec.H)
+            assert member <= pmclab.solver._NEWTON_TOL
+            # the step reports the member's residual
+            assert report.final_residual_norm == pytest.approx(member,
+                                                               rel=1e-3)
 
     def test_failed_step_drops_kept_factor(self, disk_mesh_01, monkeypatch):
         # the jump to t = 1 fails three times and is halved each time; each
