@@ -35,8 +35,7 @@ def run(name, out):
     argv = [sys.executable, "-m", "pmclab", "verify",
             "--config", str(REPO / "configs" / f"{name}.json"),
             "--out", str(out), "--override", f"mesh.h_target={H_TARGET}"]
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("OUT_DIR", "PYTHONHOME")}
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONHOME"}
     env.update(THREADS, PYTHONPATH=str(REPO / "src"))
     t0 = time.monotonic()
     proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL)

@@ -138,7 +138,7 @@ class Discretization:
             raise InvalidParameterError(
                 "the mesh has no boundary edge to pose boundary data on")
         self.mesh = mesh
-        self.weight_exponent = m = int(weight_exponent)
+        m = int(weight_exponent)
         a, b = mesh.boundary_edges.T
         pa, pb = mesh.vertices[a], mesh.vertices[b]
         qpts = pa[:, None, :] + _QXI[None, :, None] * (pb - pa)[:, None, :]

@@ -14,6 +14,8 @@ pinned to r = 0, so the weight is exactly zero at the Gauss points of its
 edges and they add nothing, while the outer boundary carries the same
 conormal flux as the planar case.  The weight is the only axis condition;
 for n = 2 it is one, and the system is the planar one on the half section.
+Besides the mesh, the module measures the solved field's axis diagnostics:
+radial monotonicity, the axis critical points and the axis Hessian.
 """
 
 from __future__ import annotations
@@ -190,32 +192,3 @@ def axis_hessian(field, n_dim):
                        cross_term=float(coef[4] / h ** 2),
                        grad_residual=float(np.hypot(coef[1], coef[2]) / h))
 
-
-def _sphere_measure(k):
-    """Surface measure of the unit (k-1)-sphere, 2 pi^(k/2) / Gamma(k/2)."""
-    return 2.0 * math.pi ** (k / 2.0) / math.gamma(k / 2.0)
-
-
-def revolved_volume(disc):
-    """Discrete volume of the revolved domain from the weighted cell measure.
-
-    Multiplies the r^(n-2)-weighted half-section area of the meridian
-    :class:`~pmclab.assembly.Discretization` (``disc.volume``, n - 2 its
-    weight exponent) by the surface measure of the unit (n-2)-sphere; for
-    n = 3 that factor is 2 pi and the ball of radius R yields 4 pi R^3 / 3
-    up to O(h^2).
-    """
-    return float(_sphere_measure(disc.weight_exponent + 1) * disc.volume)
-
-
-def exact_revolved_volume(domain, n_dim):
-    """Volume of the domain of revolution in dimension ``n_dim`` swept by
-    the right half of ``domain``: by the divergence theorem, the unit
-    (n-2)-sphere's measure times (1 / (n-1)) times the integral of
-    r^(n-1) nu_r over the right boundary half (the axis carries no flux),
-    by the trapezoid rule at 4096 equal arc lengths."""
-    sigma = np.linspace(0.0, 0.5 * domain.length, 4097)
-    s = _axis_crossing(domain) + sigma
-    f = domain.position(s)[:, 0] ** (n_dim - 1) * domain.normal(s)[:, 0]
-    area = (f.sum() - 0.5 * (f[0] + f[-1])) * sigma[1] / (n_dim - 1)
-    return float(_sphere_measure(n_dim - 1) * area)

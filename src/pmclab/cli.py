@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -82,8 +81,7 @@ def main(argv=None):
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return EXIT_INVALID
 
-    out_dir = args.out or os.environ.get("OUT_DIR") or config.output_dir
-    return run(config, out_dir)
+    return run(config, args.out)
 
 
 def run(config, out_dir=None):

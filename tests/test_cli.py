@@ -288,6 +288,28 @@ class TestExitCodes:
                     for p in verification["properties"]}
         assert all(statuses[name] == "pass" for name in names)
 
+    @pytest.mark.parametrize("domain, problem, h_target", [
+        ({"type": "spheroid", "a": 1.0, "b": 0.3},
+         {"H": 0.8, "alpha": 1.0, "n_dim": 5}, 0.05),
+        ({"type": "ball", "R": 0.1},
+         {"H": 8.0, "alpha": 10.0, "n_dim": 3}, 0.005)],
+        ids=["oblate-spheroid-n5", "ball3d-dilated-0.1"])
+    def test_valid_meridian_run_passes(self, tmp_path, domain, problem,
+                                       h_target):
+        # the suite judges the solution only: a valid run does not fail on
+        # the accuracy of the weighted mesh measure (the second run is the
+        # ball3d_robin golden dilated by 0.1)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "command": "verify", "domain": domain,
+            "problem": {"bc": "robin", **problem},
+            "mesh": {"h_target": h_target}}))
+        out = tmp_path / "out"
+        code = main(["verify", "--config", str(config), "--out", str(out)])
+        rep = _report(out)
+        assert (code, rep["status"], rep["verification"]["verdict"]) == \
+            (0, "ok", "pass")
+
     def test_contact_circle_stays_in_the_cylinder_strip(self, tmp_path):
         # the matched cylinder exists only on |x1 - c| < 1/H, which clips the
         # unit disk at H = 1.9; a valid config must not exit 4 because the
@@ -558,6 +580,22 @@ class TestArtifacts:
         assert rep["mesh"]["min_angle_deg"] == float(angles[0].min())
         assert (out / "solution.csv").read_text().splitlines()[1] \
             == f"# mesh={rep['mesh']['mesh_hash']}"
+
+    def test_output_directory_is_out_then_config(self, tmp_path,
+                                                 monkeypatch):
+        # --out wins over the config's output_dir; the environment plays
+        # no part
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "command": "mesh-report", "domain": {"type": "disk", "R": 1.0},
+            "problem": {"H": 0.8, "bc": "robin", "alpha": 1.0},
+            "output_dir": str(tmp_path / "from-config")}))
+        monkeypatch.setenv("OUT_DIR", str(tmp_path / "from-env"))
+        assert main(["mesh-report", "--config", str(config)]) == 0
+        assert main(["mesh-report", "--config", str(config),
+                     "--out", str(tmp_path / "from-flag")]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "config.json", "from-config", "from-flag"]
 
     def test_compare_writes_nodal_artifacts(self, tmp_path):
         code, out = run_cli(tmp_path, "compare", "compare_robin_disk.json",
