@@ -1,10 +1,13 @@
 """Batch front door: configuration in, machine-readable artifacts out.
 
-Subcommands: solve, homotopy, axisym, compare (the nodal laboratory),
-verify, and mesh-report.  This module parses the arguments and the config,
-keeps the report skeleton, maps exceptions to exit codes and writes the
-artifacts.  Every command runs the chain of :mod:`pmclab.pipeline` (set-up,
-solve, diagnostics) and records the Neumann gate,
+Subcommands: solve, compare (the nodal laboratory), verify, and
+mesh-report.  The config names the problem, the subcommand what is reported
+and ``--out`` (default ``out``) where.  This module parses the arguments and
+the config, keeps the report skeleton, maps exceptions to exit codes and
+writes the artifacts.  Every command runs the chain of
+:mod:`pmclab.pipeline`: set-up (of the meridian section for a ball or
+spheroid), the solve (a continuation when the config has a schedule, else
+one Newton solve) and diagnostics, and records the Neumann gate,
 :func:`pmclab.assembly.neumann_gate`, between set-up and solve; ``verify``
 then evaluates the property suite on the solved run with
 :func:`pmclab.verify.run_suite`.  Every run writes a ``report.json``
@@ -13,8 +16,9 @@ critical-point, and nodal-arc CSV tables and a contour SVG where
 applicable.
 
 Exit codes: 0 success / verification pass, 2 verification failure, 3 solver
-nonconvergence, 4 invalid configuration (a mesh the quality bounds reject
-and an output directory that cannot be created included) or infeasible data.
+nonconvergence, 4 invalid usage or configuration (an unknown subcommand or
+flag, a mesh the quality bounds reject and an output directory that cannot
+be created included) or infeasible data.
 """
 
 from __future__ import annotations
@@ -52,19 +56,22 @@ def main(argv=None):
                     "value problems")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
-            ("solve", "single Newton solve"),
-            ("homotopy", "continuation over a schedule of t values"),
-            ("axisym", "meridian solve for a domain of revolution"),
+            ("solve", "solve, over the config's schedule if it has one"),
             ("compare", "nodal laboratory: contact with the matched cylinder"),
             ("verify", "full property suite with pass/fail verdict"),
             ("mesh-report", "triangulate only and report mesh quality")):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to a JSON config")
-        p.add_argument("--out", default=None, help="output directory")
+        p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--override", action="append", default=[],
                        metavar="KEY=VALUE",
                        help="dotted-path config override (repeatable)")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the usage or the help; a usage error is an
+        # invalid invocation, not a verification failure
+        return EXIT_INVALID if exc.code else EXIT_OK
 
     try:
         raw = Path(args.config).read_text()
@@ -84,31 +91,21 @@ def main(argv=None):
     return run(config, args.out)
 
 
-def run(config, out_dir=None):
-    """Execute one configured run, writing artifacts into the output directory."""
-    out = Path(out_dir or config.output_dir)
+def run(config, out_dir):
+    """Execute one configured run, writing artifacts into ``out_dir``."""
+    out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         print(f"error: cannot create output directory: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    report = {
-        "status": "ok",
-        "command": config.command,
-        "config_hash": config.config_hash,
-        "domain": config.domain,
-        "problem": config.problem,
-        "mesh": None,
-        "feasibility": None,
-        "solve": None,
-        "homotopy": None,
-        "axisym": None,
-        "nodal": None,
-        "critical_points": [],
-        "verification": None,
-        "artifacts": {},
-        "exit_code": EXIT_OK,
-    }
+    # a block the run did not compute stays null
+    report = dict.fromkeys(("mesh", "feasibility", "solve", "homotopy",
+                            "axisym", "nodal", "verification"))
+    report.update(status="ok", command=config.command,
+                  config_hash=config.config_hash, domain=config.domain,
+                  problem=config.problem, critical_points=[], artifacts={},
+                  exit_code=EXIT_OK)
     try:
         code = _dispatch(config, out, report)
     except PmclabError as exc:

@@ -1,9 +1,10 @@
 """Run configuration: schema validation, defaults, and provenance hashing.
 
-The configuration is a single JSON document.  Unknown keys are rejected with
-their field path; ``DOMAIN_PARAMS`` and ``BC_DATUM`` name the keys each
-domain kind and boundary condition takes, and only a command that runs a
-continuation takes a schedule, which ends at 1.  The config hash and
+The configuration is a single JSON document naming the problem: the
+command, the domain, the problem data and the mesh size.  Unknown keys are
+rejected with their field path; ``DOMAIN_PARAMS`` and ``BC_DATUM`` name the
+keys each domain kind and boundary condition takes, and a schedule, which
+ends at 1, runs a continuation on a planar domain.  The config hash and
 ``TriMesh.mesh_hash`` take the ``sha256`` bound here, CPython's builtin one
 where it exists (as ``random`` binds it), so a run loads no OpenSSL.
 """
@@ -24,7 +25,7 @@ except ImportError:
     except ImportError:
         from hashlib import sha256      # builds without builtin hashes
 
-COMMANDS = ("solve", "homotopy", "axisym", "compare", "verify", "mesh-report")
+COMMANDS = ("solve", "compare", "verify", "mesh-report")
 PLANAR_DOMAINS = ("disk", "ellipse", "rounded_polygon")
 MERIDIAN_DOMAINS = ("ball", "spheroid")
 # the parameters of each domain kind, in the order its geometry factory
@@ -34,8 +35,6 @@ DOMAIN_PARAMS = {"disk": ("R",), "ellipse": ("a", "b"),
                  "ball": ("R",), "spheroid": ("a", "b")}
 # the boundary datum each kind of boundary condition carries
 BC_DATUM = {"neumann": "c", "robin": "alpha"}
-
-DEFAULTS = {"mesh.h_target": 0.1, "output_dir": "out"}
 
 
 @dataclass(frozen=True)
@@ -51,10 +50,6 @@ class RunConfig:
     @property
     def problem(self):
         return self.canonical["problem"]
-
-    @property
-    def output_dir(self):
-        return self.canonical["output_dir"]
 
 
 def _expect(cond, path, msg):
@@ -112,7 +107,7 @@ def _vertices(verts):
             for x, y in verts]
 
 
-def _validate_problem(doc, domain_kind, command):
+def _validate_problem(doc, domain_kind):
     _check_keys(doc, "problem",
                 {"H", "bc", "c", "alpha", "schedule", "n_dim"})
     out = {}
@@ -131,11 +126,7 @@ def _validate_problem(doc, domain_kind, command):
                          strict_lo=True)
 
     schedule = doc.get("schedule")
-    if schedule is None and command == "homotopy":
-        schedule = [round(0.1 * k, 10) for k in range(11)]
     if schedule is not None:
-        _expect(command not in ("solve", "compare"), "problem.schedule",
-                f"{command} runs no continuation")
         _expect(domain_kind in PLANAR_DOMAINS, "problem.schedule",
                 "continuation runs on planar domains only")
         _expect(isinstance(schedule, list) and len(schedule) >= 1,
@@ -170,8 +161,7 @@ def parse_config(doc, command=None):
     :class:`RunConfig`: the canonical dict and the provenance hash of its
     JSON form, the first 16 hex digits of its SHA-256.
     """
-    _check_keys(doc, "", {"command", "domain", "problem", "mesh", "solver",
-                          "output_dir"})
+    _check_keys(doc, "", {"command", "domain", "problem", "mesh"})
 
     doc_command = doc.get("command")
     if doc_command is not None:
@@ -184,33 +174,21 @@ def parse_config(doc, command=None):
     _expect("domain" in doc, "domain", "required")
     domain = _validate_domain(doc["domain"])
     _expect("problem" in doc, "problem", "required")
-    problem = _validate_problem(doc["problem"], domain["type"], resolved)
-    if resolved == "axisym":
-        _expect(domain["type"] in MERIDIAN_DOMAINS, "domain.type",
-                "axisym needs a ball or spheroid domain")
-    if resolved in ("solve", "homotopy", "compare"):
+    problem = _validate_problem(doc["problem"], domain["type"])
+    if resolved == "compare":
         _expect(domain["type"] in PLANAR_DOMAINS, "domain.type",
-                f"{resolved} needs a planar domain")
+                "compare needs a planar domain")
 
     mesh = doc.get("mesh", {})
     _check_keys(mesh, "mesh", {"h_target"})
-    h_target = _number(mesh.get("h_target", DEFAULTS["mesh.h_target"]),
+    h_target = _number(mesh.get("h_target", 0.1),
                        "mesh.h_target", lo=0.0, strict_lo=True)
-    # the Newton and line-search settings are constants of pmclab.solver,
-    # so the solver section takes no key, and each one it holds is refused
-    # with its path
-    _check_keys(doc.get("solver", {}), "solver", ())
-
-    output_dir = doc.get("output_dir", DEFAULTS["output_dir"])
-    _expect(isinstance(output_dir, str) and output_dir, "output_dir",
-            "expected a non-empty string")
 
     canonical = {
         "command": resolved,
         "domain": domain,
         "problem": problem,
         "mesh": {"h_target": h_target},
-        "output_dir": output_dir,
     }
     blob = json.dumps(canonical, sort_keys=True, separators=(",", ":")).encode()
     return RunConfig(command=resolved, canonical=canonical,

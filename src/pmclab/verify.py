@@ -103,8 +103,9 @@ def verify_sign_conditions(field, spec):
     if spec.bc != "robin":
         return [_record(
             "solution-negative", "skip",
-            note="sign conditions are specific to Robin data; the Neumann "
-                 "outflux du/dn = c > 0 holds by prescription")]
+            note="sign conditions are specific to Robin data; a Neumann "
+                 "solution is fixed only up to a constant and is reported "
+                 "mean-normalized")]
     v = field.values
     k = int(np.argmax(v))
     max_u = float(v[k])

@@ -30,6 +30,7 @@ from pmclab.verify import PropertyRecord, VerificationReport
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
 GOLDEN = Path(__file__).resolve().parent / "golden"
+ELEVEN_STEPS = json.dumps([round(0.1 * k, 10) for k in range(11)])
 
 
 def run_cli(tmp_path, command, config_name, overrides=()):
@@ -69,18 +70,24 @@ class TestParseConfig:
             "problem": {"H": 0.8, "bc": "robin", "alpha": 1.0},
         })
         assert cfg.canonical["mesh"]["h_target"] == 0.1
-        assert "solver" not in cfg.canonical
-        assert "t" not in cfg.problem
+        # the config names the problem only: no output directory, no
+        # solver section, no schedule unless the config gives one
+        assert set(cfg.canonical) == {"command", "domain", "problem", "mesh"}
+        assert "t" not in cfg.problem and "schedule" not in cfg.problem
         assert cfg.config_hash
 
-    def test_homotopy_default_schedule(self):
-        cfg = parse_config({
-            "command": "homotopy",
-            "domain": {"type": "disk", "R": 1.0},
-            "problem": {"H": 0.8, "bc": "robin", "alpha": 1.0},
-        })
-        assert len(cfg.problem["schedule"]) == 11
-        assert cfg.problem["schedule"][-1] == 1.0
+    @pytest.mark.parametrize("command", ["homotopy", "axisym"])
+    def test_removed_command_refused_at_its_path(self, command):
+        # a schedule runs the continuation and a ball or spheroid the
+        # meridian solve under every command; neither is a command of its own
+        with pytest.raises(ConfigError) as exc:
+            parse_config({
+                "command": command,
+                "domain": {"type": "disk", "R": 1.0},
+                "problem": {"H": 0.8, "bc": "robin", "alpha": 1.0},
+            })
+        assert exc.value.path == "command"
+        assert repr(command) in str(exc.value)
 
     def test_robin_with_c_rejected(self):
         with pytest.raises(ConfigError) as exc:
@@ -115,29 +122,32 @@ class TestParseConfig:
 
     def test_seed_and_tolerances_are_unknown_keys(self, tmp_path, capsys):
         # neither section was ever read, and the Newton iteration and its
-        # Armijo line search take fixed constants; a config that sets one of
-        # them is refused
-        for path, section, value in (
-                ("seed", "seed", 0),
-                ("tolerances", "tolerances", {"sign_deadband": 1e-10}),
-                ("solver.armijo_factor", "solver", {"armijo_factor": 0.5}),
-                ("solver.armijo_c1", "solver", {"armijo_c1": 1e-4}),
-                ("solver.max_backtracks", "solver", {"max_backtracks": 20}),
-                ("solver.max_iter", "solver", {"max_iter": 50}),
-                ("solver.newton_tol", "solver", {"newton_tol": 1e-10})):
+        # Armijo line search take fixed constants; a config that has one of
+        # these sections, even an empty one, is refused
+        for section, value in (
+                ("seed", 0),
+                ("tolerances", {"sign_deadband": 1e-10}),
+                ("solver", {}),
+                ("solver", {"armijo_factor": 0.5}),
+                ("solver", {"armijo_c1": 1e-4}),
+                ("solver", {"max_backtracks": 20}),
+                ("solver", {"max_iter": 50}),
+                ("solver", {"newton_tol": 1e-10})):
             doc = {"command": "solve",
                    "domain": {"type": "disk", "R": 1.0},
                    "problem": {"H": 0.8, "bc": "robin", "alpha": 1.0},
                    section: value}
             with pytest.raises(ConfigError) as exc:
                 parse_config(doc)
-            assert exc.value.path == path
+            assert exc.value.path == section
             assert "unknown key" in str(exc.value)
-            cfg = tmp_path / f"{path}.json"
+            cfg = tmp_path / "config.json"
             cfg.write_text(json.dumps(doc))
             assert main(["solve", "--config", str(cfg),
-                         "--out", str(tmp_path / path)]) == 4
-            assert "unknown key" in capsys.readouterr().err
+                         "--out", str(tmp_path / "out")]) == 4
+            assert capsys.readouterr().err == \
+                f"error: invalid config: {section}: unknown key\n"
+            assert not (tmp_path / "out").exists()
 
     def test_cli_subcommand_wins(self):
         cfg = parse_config({
@@ -182,14 +192,17 @@ class TestParseConfig:
                      "--out", str(tmp_path / "out")]) == 4
         assert f"domain.{key}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command, accepted", [
-        ("solve", False), ("compare", False), ("homotopy", True),
-        ("verify", True), ("mesh-report", True)])
-    def test_schedule_only_where_a_continuation_runs(self, command, accepted):
-        doc = {"domain": {"type": "disk", "R": 1.0},
+    @pytest.mark.parametrize("planar", [True, False])
+    @pytest.mark.parametrize("command", ["solve", "compare", "verify",
+                                         "mesh-report"])
+    def test_schedule_only_where_a_continuation_runs(self, command, planar):
+        # the domain decides, not the command: a continuation runs on a
+        # planar domain only
+        doc = {"domain": {"type": "disk", "R": 1.0} if planar else
+               {"type": "ball", "R": 1.0},
                "problem": {"H": 0.8, "bc": "robin", "alpha": 1.0,
                            "schedule": [0.5, 1.0]}}
-        if accepted:
+        if planar:
             assert parse_config(doc, command).problem["schedule"] == [0.5, 1.0]
             return
         with pytest.raises(ConfigError) as exc:
@@ -197,12 +210,12 @@ class TestParseConfig:
         assert exc.value.path == "problem.schedule"
 
     @pytest.mark.parametrize("command", ["solve", "compare"])
-    def test_schedule_without_continuation_is_four(self, tmp_path, capsys,
-                                                   command):
+    def test_schedule_runs_a_continuation(self, tmp_path, command):
         code, out = run_cli(tmp_path, command, "robin_ellipse.json")
-        assert code == 4
-        assert "problem.schedule" in capsys.readouterr().err
-        assert not (out / "solution.csv").exists()
+        assert code == 0
+        homotopy = _report(out)["homotopy"]
+        assert homotopy["completed"] and len(homotopy["steps"]) == 11
+        assert (out / "solution.csv").exists()
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan,
                                        10 ** 400],
@@ -232,7 +245,7 @@ class TestParseConfig:
         else:
             doc.setdefault(section, {})[key] = value
         with pytest.raises(ConfigError) as exc:
-            parse_config(doc, "homotopy" if key == "schedule" else "solve")
+            parse_config(doc, "solve")
         assert exc.value.path == path
         # problem.t is no key of the problem: it is refused whatever it holds
         assert ("unknown key" if key == "t" else "must be finite") \
@@ -245,11 +258,10 @@ class TestParseConfig:
     def test_accepted_domain_has_exactly_its_keys(self, kind, keys, size):
         values = {"vertices": [[-1, -1], [1, -1], [1, 1], [-1, 1]]}
         domain = {"type": kind, **{k: values.get(k, size) for k in keys}}
-        command = "verify" if kind in ("ball", "spheroid") else "solve"
         doc = {"domain": domain,
                "problem": {"H": 0.8, "bc": "robin", "alpha": 1.0}}
         try:
-            canonical = parse_config(doc, command).domain
+            canonical = parse_config(doc, "solve").domain
         except ConfigError as exc:
             # refused for a missing or a foreign key, and names it
             assert keys != set(DOMAIN_PARAMS[kind])
@@ -261,6 +273,27 @@ class TestParseConfig:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("argv", [
+        ["homotopy", "--config", "robin_disk.json"],
+        ["axisym", "--config", "ball3d_robin.json"],
+        ["solve"],
+        ["solve", "--config", "robin_disk.json", "--bogus"]],
+        ids=["homotopy", "axisym", "no-config", "bogus-flag"])
+    def test_usage_error_is_four(self, tmp_path, capsys, monkeypatch, argv):
+        # a usage error is an invalid invocation, not a verification
+        # failure (2); argparse's usage text still goes to stderr
+        monkeypatch.chdir(CONFIGS)
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("usage: pmclab") and "error:" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]],
+                             ids=["pmclab", "solve"])
+    def test_help_is_zero(self, capsys, argv):
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("usage: pmclab")
+
     def test_verify_pass_is_zero(self, tmp_path):
         code, out = run_cli(tmp_path, "verify", "robin_disk.json",
                             ["mesh.h_target=0.1"])
@@ -455,7 +488,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command, overrides", [
         ("verify", ["problem.schedule=[0.5,1.0]"]),
-        ("homotopy", [])])
+        ("solve", ["problem.schedule=[1.0]"])])
     def test_meridian_schedule_is_four(self, tmp_path, command, overrides):
         # continuation runs on planar domains only; a schedule on a domain
         # of revolution must not be accepted and then ignored
@@ -505,8 +538,9 @@ class TestExitCodes:
     def test_failed_continuation_reports_its_steps(self, tmp_path,
                                                    monkeypatch):
         monkeypatch.setattr(pmclab.solver, "_MAX_ITER", 12)
-        code, out = run_cli(tmp_path, "homotopy", "robin_disk.json",
-                            ["problem.H=2.6", "mesh.h_target=0.2"])
+        code, out = run_cli(tmp_path, "solve", "robin_disk.json",
+                            ["problem.H=2.6", "mesh.h_target=0.2",
+                             f"problem.schedule={ELEVEN_STEPS}"])
         assert code == 3
         rep = json.loads((out / "report.json").read_text())
         assert rep["status"] == "solver-failure"
@@ -581,21 +615,32 @@ class TestArtifacts:
         assert (out / "solution.csv").read_text().splitlines()[1] \
             == f"# mesh={rep['mesh']['mesh_hash']}"
 
-    def test_output_directory_is_out_then_config(self, tmp_path,
+    def test_output_directory_is_out_then_config(self, tmp_path, capsys,
                                                  monkeypatch):
-        # --out wins over the config's output_dir; the environment plays
-        # no part
+        # --out names the output directory, by default ./out; the config
+        # names the problem only, and the environment plays no part
+        doc = {"command": "mesh-report", "domain": {"type": "disk", "R": 1.0},
+               "problem": {"H": 0.8, "bc": "robin", "alpha": 1.0}}
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({
-            "command": "mesh-report", "domain": {"type": "disk", "R": 1.0},
-            "problem": {"H": 0.8, "bc": "robin", "alpha": 1.0},
-            "output_dir": str(tmp_path / "from-config")}))
+        config.write_text(json.dumps(doc))
         monkeypatch.setenv("OUT_DIR", str(tmp_path / "from-env"))
+        monkeypatch.chdir(tmp_path)
         assert main(["mesh-report", "--config", str(config)]) == 0
         assert main(["mesh-report", "--config", str(config),
                      "--out", str(tmp_path / "from-flag")]) == 0
         assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "config.json", "from-config", "from-flag"]
+            "config.json", "from-flag", "out"]
+        assert _report(tmp_path / "out") == _report(tmp_path / "from-flag")
+        # a config that names an output directory is refused, and nothing
+        # is written
+        config.write_text(json.dumps(
+            {**doc, "output_dir": str(tmp_path / "from-config")}))
+        assert main(["mesh-report", "--config", str(config),
+                     "--out", str(tmp_path / "refused")]) == 4
+        assert capsys.readouterr().err == \
+            "error: invalid config: output_dir: unknown key\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "config.json", "from-flag", "out"]
 
     def test_compare_writes_nodal_artifacts(self, tmp_path):
         code, out = run_cli(tmp_path, "compare", "compare_robin_disk.json",
@@ -614,18 +659,24 @@ class TestArtifacts:
         assert rep["mesh"]["h"] <= 1.5 * 0.2
 
     def test_homotopy_command(self, tmp_path):
-        code, out = run_cli(tmp_path, "homotopy", "robin_disk.json",
-                            ["mesh.h_target=0.15"])
+        # solve runs the config's schedule
+        code, out = run_cli(tmp_path, "solve", "robin_disk.json",
+                            ["mesh.h_target=0.15",
+                             f"problem.schedule={ELEVEN_STEPS}"])
         assert code == 0
         rep = json.loads((out / "report.json").read_text())
         assert len(rep["homotopy"]["steps"]) == 11
         assert all(s["minima"] == 1 for s in rep["homotopy"]["steps"])
 
     def test_axisym_command(self, tmp_path):
-        code, out = run_cli(tmp_path, "axisym", "ball3d_robin.json",
+        # solve on a ball solves on the meridian section and reports the
+        # axisym block and the axial nodal set
+        code, out = run_cli(tmp_path, "solve", "ball3d_robin.json",
                             ["mesh.h_target=0.1"])
         assert code == 0
+        assert (out / "nodal_arcs.csv").exists()
         rep = json.loads((out / "report.json").read_text())
+        assert rep["critical_points"] == []
         assert rep["axisym"]["monotone"]["holds"]
         entries = rep["axisym"]["axis_hessian"]["entries"]
         assert all(e > 0 for e in entries)
@@ -831,15 +882,26 @@ class TestCommandsAgree:
             assert compare[key] == verify[key], key
 
     def test_verify_homotopy_matches_homotopy_command(self, tmp_path):
+        # the config's schedule drives the same continuation under every
+        # command
         args = ("robin_ellipse.json", ["mesh.h_target=0.15"])
-        code_h, out_h = run_cli(tmp_path / "h", "homotopy", *args)
-        code_v, out_v = run_cli(tmp_path / "v", "verify", *args)
-        assert code_h == code_v == 0
-        homotopy = _report(out_h)["homotopy"]
+        runs = {}
+        for command in ("solve", "compare", "verify"):
+            code, out = run_cli(tmp_path / command, command, *args)
+            assert code == 0, command
+            solution = (out / "solution.csv").read_text().splitlines()
+            runs[command] = (_report(out), solution[1:])
+        rep, solution = runs["solve"]
+        homotopy = rep["homotopy"]
         assert homotopy["completed"] and len(homotopy["steps"]) == 11
-        assert _report(out_v)["homotopy"] == homotopy
+        for command in ("compare", "verify"):
+            other, other_solution = runs[command]
+            assert other["homotopy"] == homotopy, command
+            assert other["critical_points"] == rep["critical_points"], \
+                command
+            assert other_solution == solution, command
 
-    @pytest.mark.parametrize("command", ["verify", "homotopy"])
+    @pytest.mark.parametrize("command", ["verify", "solve", "compare"])
     def test_continuation_census_taken_once_per_step(self, tmp_path,
                                                      monkeypatch, command):
         # the report's critical points are the census of the last step,
@@ -871,22 +933,22 @@ class TestCommandsAgree:
             "problem": {"H": 0.8, "bc": "neumann", "c": 0.2, "n_dim": 3},
             "mesh": {"h_target": 0.1}}))
         reports = {}
-        for command in ("axisym", "verify", "mesh-report"):
+        for command in ("solve", "verify", "mesh-report"):
             out = tmp_path / command
             code = main([command, "--config", str(cfg), "--out", str(out)])
             reports[command] = (code, _report(out), out)
-        for command in ("axisym", "verify"):
+        for command in ("solve", "verify"):
             code, rep, out = reports[command]
             assert code == 4, command
             assert rep["status"] == "infeasible", command
             assert rep["feasibility"]["feasible"] is False, command
             assert not (out / "solution.csv").exists(), command
-        assert reports["axisym"][1]["feasibility"] == \
+        assert reports["solve"][1]["feasibility"] == \
             reports["verify"][1]["feasibility"]
         code, rep, _ = reports["mesh-report"]
         assert code == 0
         assert rep["mesh"]["mesh_hash"] == \
-            reports["axisym"][1]["mesh"]["mesh_hash"] == \
+            reports["solve"][1]["mesh"]["mesh_hash"] == \
             reports["verify"][1]["mesh"]["mesh_hash"]
 
     def test_meridian_mesh_report_matches_verify(self, tmp_path):
