@@ -53,7 +53,7 @@ _FEASIBILITY_BAND = 1e-3     # relative width of the borderline margin band
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Boundary value problem data.
+    """Boundary value problem data, as :mod:`pmclab.config` validated it.
 
     H : positive mean curvature constant.
     bc : "neumann" (du/dn = c, c > 0) or "robin" (du/dn + alpha u = 0).
@@ -66,32 +66,6 @@ class ProblemSpec:
     c: float | None = None
     alpha: float | None = None
     n_dim: int = 2
-
-    def __post_init__(self):
-        if not self.H > 0:
-            raise InvalidParameterError(f"H must be positive, got {self.H}")
-        if self.n_dim < 2:
-            raise InvalidParameterError(f"n_dim must be >= 2, got {self.n_dim}")
-        if self.bc == "neumann":
-            if self.c is None or not self.c > 0:
-                raise InvalidParameterError("Neumann data needs c > 0")
-            if self.alpha is not None:
-                raise InvalidParameterError("Neumann spec must not carry alpha")
-        elif self.bc == "robin":
-            if self.alpha is None or not self.alpha > 0:
-                raise InvalidParameterError("Robin data needs alpha > 0")
-            if self.c is not None:
-                raise InvalidParameterError("Robin spec must not carry c")
-        else:
-            raise InvalidParameterError(f"unknown bc kind {self.bc!r}")
-
-    @classmethod
-    def neumann(cls, H, c, n_dim=2):
-        return cls(H=H, bc="neumann", c=c, n_dim=n_dim)
-
-    @classmethod
-    def robin(cls, H, alpha, n_dim=2):
-        return cls(H=H, bc="robin", alpha=alpha, n_dim=n_dim)
 
 
 @dataclass
@@ -129,14 +103,11 @@ class Discretization:
     * the sparsity pattern of the Jacobian, built on first use by
       :meth:`jacobian_pattern`.
 
-    Every r^m-weighted integral reads ``aw`` or ``wq``.  A mesh without a
-    boundary edge poses no boundary condition and is refused.
+    Every r^m-weighted integral reads ``aw`` or ``wq``.  The meshers close
+    the boundary loop, so every mesh has boundary edges to pose data on.
     """
 
     def __init__(self, mesh, weight_exponent=0):
-        if not len(mesh.boundary_edges):
-            raise InvalidParameterError(
-                "the mesh has no boundary edge to pose boundary data on")
         self.mesh = mesh
         m = int(weight_exponent)
         a, b = mesh.boundary_edges.T

@@ -74,8 +74,8 @@ def main(argv=None):
         return EXIT_INVALID if exc.code else EXIT_OK
 
     try:
-        raw = Path(args.config).read_text()
-    except OSError as exc:
+        raw = Path(args.config).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_INVALID
     try:

@@ -43,9 +43,9 @@ import numpy as np
 # called as spla.splu: perfbench proxies spla to count LU fill (ROADMAP 7)
 from . import sparse as spla
 from .assembly import (ScalarField, compatible_scale, ellipticity_margins,
-                       jacobian, neumann_gate, residual)
+                       jacobian, residual)
 from .critical import find_critical_points
-from .errors import InvalidParameterError, LinearSolveFailure, SolverFailure
+from .errors import LinearSolveFailure, SolverFailure
 from .sparse import Csr
 
 _MIN_DT = 1.0 / 320.0
@@ -288,8 +288,7 @@ def newton_solve(disc, spec, init=None, kept=None, tol=_NEWTON_TOL):
     ``tol``, ``_NEWTON_TOL`` (1e-10) unless :func:`homotopy_solve` scales
     it, reached within ``_MAX_ITER`` (50) iterations.
     Armijo backtracking on the Euclidean residual norm keeps accepted steps
-    monotone.  Neumann data is gated by
-    :func:`~pmclab.assembly.neumann_gate` before any iteration, and its flux
+    monotone.  Neumann data has passed the CLI's Neumann gate, and its flux
     scale, started at the compatible scale of the initial field, is
     iterated with the field; nonconvergence, a stalled line search and a
     linear breakdown raise :class:`SolverFailure` carrying the report, whose
@@ -301,7 +300,6 @@ def newton_solve(disc, spec, init=None, kept=None, tol=_NEWTON_TOL):
     kept = _KeptFactor() if kept is None else kept
     mesh = disc.mesh
     n = mesh.n_vertices
-    neumann_gate(disc, spec)
     neumann = spec.bc == "neumann"
 
     field = ScalarField(mesh, np.zeros(n) if init is None else init)
@@ -391,20 +389,16 @@ def homotopy_solve(disc, spec, schedule):
     The LU kept by one step preconditions the next (see
     :func:`linear_solve`) until a step fails.  After every step the census
     of the member under ``spec`` and the step's :class:`SolveReport` are
-    recorded in the trace; nothing is asserted here.
+    recorded in the trace; nothing is asserted here.  ``schedule`` rises
+    strictly in [0, 1] to 1, as the config checked.  Neumann data that
+    passed the gate at (H, c) passes it at every (tH, tc): cap(x) =
+    x / sqrt(1 + x^2) is concave with cap(0) = 0, so the gate's margin and
+    band there are at least t times their values at t = 1.
     """
-    schedule = [float(t) for t in schedule]
-    if any(not 0.0 <= t <= 1.0 for t in schedule):
-        raise InvalidParameterError("schedule values must lie in [0, 1]")
-    if any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise InvalidParameterError("schedule must be strictly increasing")
-    if abs(schedule[-1] - 1.0) > 1e-12:
-        raise InvalidParameterError("schedule must end at t = 1")
-
     trace = HomotopyTrace()
     kept = _KeptFactor()
     path = []               # (t, member values) of the last two steps
-    pending = list(schedule)
+    pending = [float(t) for t in schedule]
     while pending:
         t = pending[0]
         try:

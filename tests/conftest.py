@@ -54,12 +54,12 @@ def ellipse_mesh_005(ellipse):
 
 @pytest.fixture(scope="session")
 def robin_spec():
-    return ProblemSpec.robin(0.8, 1.0)
+    return ProblemSpec(H=0.8, bc="robin", alpha=1.0)
 
 
 @pytest.fixture(scope="session")
 def neumann_spec():
-    return ProblemSpec.neumann(0.6, 0.5)
+    return ProblemSpec(H=0.6, bc="neumann", c=0.5)
 
 
 @pytest.fixture(scope="session")
@@ -84,7 +84,7 @@ def neumann_disk_005(disk_mesh_005, neumann_spec):
 
 @pytest.fixture(scope="session")
 def ellipse_robin_spec():
-    return ProblemSpec.robin(0.5, 1.0)
+    return ProblemSpec(H=0.5, bc="robin", alpha=1.0)
 
 
 @pytest.fixture(scope="session")
@@ -96,7 +96,7 @@ def ellipse_homotopy(ellipse_mesh_005, ellipse_robin_spec):
 
 @pytest.fixture(scope="session")
 def ball_spec():
-    return ProblemSpec.robin(0.8, 1.0, n_dim=3)
+    return ProblemSpec(H=0.8, bc="robin", alpha=1.0, n_dim=3)
 
 
 @pytest.fixture(scope="session")

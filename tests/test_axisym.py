@@ -108,14 +108,14 @@ class TestMeridianMesh:
 
 class TestBallOracle:
     def test_frozen_values(self):
-        spec = ProblemSpec.robin(0.8, 1.0, n_dim=3)
+        spec = ProblemSpec(H=0.8, bc="robin", alpha=1.0, n_dim=3)
         o = radial_ball_oracle(spec, 1.0, 3)
         assert o.slope(1.0) == pytest.approx(BALL_SLOPE_AT_1, abs=1e-12)
         assert o.v0 == pytest.approx(BALL_LEVEL, abs=1e-12)
 
     def test_interior_equation(self):
         # rho^(n-1) u' / sqrt(1+u'^2) = H rho^n / n
-        spec = ProblemSpec.robin(0.8, 1.0, n_dim=3)
+        spec = ProblemSpec(H=0.8, bc="robin", alpha=1.0, n_dim=3)
         o = radial_ball_oracle(spec, 1.0, 3)
         rho = np.linspace(0.05, 1.0, 40)
         s = o.slope(rho)
@@ -125,7 +125,7 @@ class TestBallOracle:
     def test_neumann_compatible_h(self):
         c = 0.5
         H = 3 * c / math.sqrt(1 + c * c)
-        spec = ProblemSpec.neumann(H, c, n_dim=3)
+        spec = ProblemSpec(H=H, bc="neumann", c=c, n_dim=3)
         o = radial_ball_oracle(spec, 1.0, 3)
         assert o.slope(1.0) == pytest.approx(c, abs=1e-12)
 
@@ -143,7 +143,7 @@ class TestSolveMeridian:
     def test_neumann_ball_compatible(self, ball_mesh_005):
         c = 0.5
         H = 3 * c / math.sqrt(1 + c * c)
-        spec = ProblemSpec.neumann(H, c, n_dim=3)
+        spec = ProblemSpec(H=H, bc="neumann", c=c, n_dim=3)
         field, report = newton_solve(meridian_disc(spec, ball_mesh_005), spec)
         oracle = radial_ball_oracle(spec, 1.0, 3)
         exact = oracle.at_points(ball_mesh_005.vertices)
@@ -186,7 +186,7 @@ class TestAxisHessian:
         assert abs(crossings[0]) <= 2 * ball_mesh_005.h
 
     def test_spheroid_robin(self):
-        spec = ProblemSpec.robin(0.5, 1.0, n_dim=3)
+        spec = ProblemSpec(H=0.5, bc="robin", alpha=1.0, n_dim=3)
         mesh = meridian_mesh(make_ellipse(0.7, 1.2), 0.05)
         field, _ = newton_solve(meridian_disc(spec, mesh), spec)
         ah = axis_hessian(field, 3)
@@ -198,7 +198,7 @@ class TestAxisHessian:
     def test_transverse_entry_within_one_percent(self, ball_mesh_00125,
                                                  n_dim):
         # the closed form's v_rr on the axis is lim slope(r) / r = H / n
-        spec = ProblemSpec.robin(0.8, 1.0, n_dim=n_dim)
+        spec = ProblemSpec(H=0.8, bc="robin", alpha=1.0, n_dim=n_dim)
         field, _ = newton_solve(meridian_disc(spec, ball_mesh_00125), spec)
         oracle = radial_ball_oracle(spec, 1.0, n_dim)
         v_rr = float(oracle.slope(1e-8)) / 1e-8

@@ -463,6 +463,68 @@ class TestExitCodes:
             "error: invalid config: problem.t: unknown key\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("problem, path, message", [
+        ({"H": 0.0, "bc": "robin", "alpha": 1.0}, "problem.H", "must be > 0"),
+        ({"H": -0.5, "bc": "robin", "alpha": 1.0}, "problem.H",
+         "must be > 0"),
+        ({"H": 0.6, "bc": "neumann"}, "problem.c", "required"),
+        ({"H": 0.8, "bc": "robin"}, "problem.alpha", "required"),
+        ({"H": 0.6, "bc": "neumann", "c": -0.1}, "problem.c", "must be > 0"),
+        ({"H": 0.8, "bc": "robin", "alpha": 0.0}, "problem.alpha",
+         "must be > 0"),
+        ({"H": 0.6, "bc": "neumann", "c": 0.5, "alpha": 1.0},
+         "problem.alpha", "not allowed with Neumann data"),
+        ({"H": 0.8, "bc": "robin", "alpha": 1.0, "c": 0.5}, "problem.c",
+         "not allowed with Robin data"),
+        ({"H": 0.8, "bc": "dirichlet", "alpha": 1.0}, "problem.bc",
+         "must be one of"),
+        ({"H": 0.8, "bc": "robin", "alpha": 1.0, "n_dim": 1},
+         "problem.n_dim", "must be an integer >= 2"),
+        ({"H": 0.8, "bc": "robin", "alpha": 1.0, "schedule": []},
+         "problem.schedule", "expected a non-empty list"),
+        ({"H": 0.8, "bc": "robin", "alpha": 1.0,
+          "schedule": [0.0, 0.5, 0.4, 1.0]},
+         "problem.schedule", "must be strictly increasing"),
+        ({"H": 0.8, "bc": "robin", "alpha": 1.0, "schedule": [-0.5, 1.0]},
+         "problem.schedule", "must be >= 0"),
+        ({"H": 0.8, "bc": "robin", "alpha": 1.0, "schedule": [0.5, 1.5]},
+         "problem.schedule", "must be <= 1"),
+        ({"H": 0.8, "bc": "robin", "alpha": 1.0, "schedule": [0.0, 0.5]},
+         "problem.schedule", "must end at t = 1")],
+        ids=["H-zero", "H-negative", "c-missing", "alpha-missing",
+             "c-negative", "alpha-zero", "neumann-with-alpha",
+             "robin-with-c", "unknown-bc", "n_dim-1", "schedule-empty",
+             "schedule-decreasing", "schedule-below-0", "schedule-above-1",
+             "schedule-short-of-1"])
+    def test_inadmissible_data_is_four(self, tmp_path, capsys, problem,
+                                       path, message):
+        # the config is the one place these are refused: the numerical core
+        # takes the data it validated as given
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"domain": {"type": "disk", "R": 1.0},
+                                   "problem": problem}))
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid config: {path}: {message}")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("content", [None, b"\xff\xfe{"],
+                             ids=["missing", "not-utf-8"])
+    def test_unreadable_config_is_four(self, tmp_path, capsys, content):
+        # JSON is UTF-8 whatever the locale: bytes that do not decode are a
+        # config that cannot be read, like a missing file, not a traceback
+        cfg = tmp_path / "config.json"
+        if content is not None:
+            cfg.write_bytes(content)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read config: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("override", ["domain.R=Infinity",
                                           "problem.H=Infinity"])
     def test_non_finite_override_is_four(self, tmp_path, capsys, override):

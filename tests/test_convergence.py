@@ -31,8 +31,8 @@ def vertex_errors(disk, spec, mesher, disc):
     return errors
 
 
-@pytest.mark.parametrize("spec", [ProblemSpec.robin(0.8, 1.0),
-                                  ProblemSpec.neumann(0.6, 0.5)],
+@pytest.mark.parametrize("spec", [ProblemSpec(H=0.8, bc="robin", alpha=1.0),
+                                  ProblemSpec(H=0.6, bc="neumann", c=0.5)],
                          ids=["robin", "neumann"])
 def test_planar_disk_order_per_halving(disk, spec):
     err = vertex_errors(disk, spec, triangulate, Discretization)
@@ -47,7 +47,7 @@ def test_planar_disk_order_per_halving(disk, spec):
         "0.05 for n >= 4: the pole quadrature (ROADMAP item 1(a))"))
       for n in (4, 5, 6))])
 def test_meridian_ball_no_growth_and_order(disk, n_dim):
-    spec = ProblemSpec.robin(0.8, 1.0, n_dim=n_dim)
+    spec = ProblemSpec(H=0.8, bc="robin", alpha=1.0, n_dim=n_dim)
     err = vertex_errors(disk, spec, meridian_mesh,
                         lambda mesh: Discretization(mesh, n_dim - 2))
     assert all(b <= a for a, b in zip(err, err[1:])), err

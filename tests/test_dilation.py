@@ -82,9 +82,18 @@ def outcome(tmp_path_factory):
     return run
 
 
-def _xfail(name, lam, reason):
-    return pytest.param(name, lam, id=f"{name}-x{lam:g}",
+def _xfail(name, lam, reason, tag=None):
+    return pytest.param(name, lam, id=f"{name}-x{tag or format(lam, 'g')}",
                         marks=pytest.mark.xfail(strict=True, reason=reason))
+
+
+_STALLED = ("the residual scales as lambda^(n-1) against an absolute Newton "
+            "tolerance: exit 3, Newton line search stalled")
+# at 2^-10 the absolute Newton tolerance stops each solve early, this far
+# off in max|u|
+_STOPPED_EARLY = {"ball3d_robin": "3.0e-2", "compare_robin_disk": "4.3e-7",
+                  "robin_disk": "4.3e-7", "robin_ellipse": "2.2e-8",
+                  "neumann_disk": "2.2e-9"}
 
 
 @pytest.mark.parametrize("name, lam", [
@@ -98,9 +107,16 @@ def _xfail(name, lam, reason):
     _xfail("robin_ellipse", 0.5,
            "the absolute Newton tolerance stops the continuation one "
            "iteration early: the field is 2.2e-8 of max|u| off"),
-    _xfail("ball3d_robin", 1000.0,
-           "the residual scales as lambda^(n-1) against an absolute Newton "
-           "tolerance: exit 3, Newton line search stalled")])
+    _xfail("ball3d_robin", 1000.0, _STALLED),
+    *[pytest.param(name, 2.0 ** 10, id=f"{name}-x2^10")
+      for name in GOLDEN if name != "ball3d_robin"],
+    _xfail("ball3d_robin", 2.0 ** 10, _STALLED, tag="2^10"),
+    pytest.param("neumann_infeasible", 2.0 ** -10,
+                 id="neumann_infeasible-x2^-10"),
+    *[_xfail(name, 2.0 ** -10,
+             "the absolute Newton tolerance stops the solve early: the field "
+             f"is {off} of max|u| off", tag="2^-10")
+      for name, off in _STOPPED_EARLY.items()]])
 def test_dilation(outcome, name, lam):
     base, run = outcome(name, 1.0), outcome(name, lam)
     assert (run.code, run.status, run.verdict) == \

@@ -35,10 +35,10 @@ def bench_jacobian(kind):
     (h 0.025)."""
     if kind == "robin":
         mesh = triangulate(make_ellipse(1.3, 0.7), 0.02)
-        spec = ProblemSpec.robin(0.5, 1.0)
+        spec = ProblemSpec(H=0.5, bc="robin", alpha=1.0)
     else:
         mesh = triangulate(make_disk(1.0), 0.025)
-        spec = ProblemSpec.neumann(0.6, 0.5)
+        spec = ProblemSpec(H=0.6, bc="neumann", c=0.5)
     values = (0.3 * np.sum(mesh.vertices ** 2, axis=1) + 0.05
               * np.random.default_rng(1).standard_normal(mesh.n_vertices))
     return jacobian(ScalarField(mesh, values), spec, Discretization(mesh))

@@ -89,7 +89,7 @@ class TestNegativeControl:
         (1.0, set())], ids=["dumbbell", "stadium"])
     def test_fails_only_off_the_hypothesis(self, w, failing, alpha):
         D, h = 1.6, 0.04
-        spec = ProblemSpec.robin(0.5, alpha)
+        spec = ProblemSpec(H=0.5, bc="robin", alpha=alpha)
         field, report = newton_solve(Discretization(dumbbell_mesh(D, w, h)),
                                      spec)
         assert report.converged
@@ -111,7 +111,7 @@ class TestNegativeControl:
         # it splits into two minima and a degenerate point at w 0.8.  At w
         # 0.85 the minimum's index loop is ill-conditioned: a warn, not a fail
         D, h = 1.2, 0.04
-        spec = ProblemSpec.robin(0.5, 10.0)
+        spec = ProblemSpec(H=0.5, bc="robin", alpha=10.0)
         smallest, statuses = [], []
         for w in (0.999, 0.9, 0.85, 0.8):
             field, report = newton_solve(
@@ -191,8 +191,8 @@ class TestRegistry:
 # it.  Planar fields live on the unit disk (H 0.8), meridian fields on the
 # unit ball's meridian mesh (n 3, H 0.8).
 
-ROBIN = ProblemSpec.robin(0.8, 1.0)
-BALL = ProblemSpec.robin(0.8, 1.0, n_dim=3)
+ROBIN = ProblemSpec(H=0.8, bc="robin", alpha=1.0)
+BALL = ProblemSpec(H=0.8, bc="robin", alpha=1.0, n_dim=3)
 
 
 def _census(fixture, fn):
